@@ -42,6 +42,18 @@ func runScheme(b *testing.B, mk func() codegen.Scheme, n, cost int64, p int) {
 	b.ReportMetric(res.Speedup(), "simSpeedup")
 }
 
+// BenchmarkSnapshot times one exper.Snapshot, the grid every BENCH_*.json
+// records (a fresh Workload per point, plus the host calibration loop);
+// allocs/op is the grid's allocation count.
+func BenchmarkSnapshot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exper.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE1DependenceAnalysis regenerates Fig 2.1(b): full dependence
 // analysis plus covering elimination.
 func BenchmarkE1DependenceAnalysis(b *testing.B) {

@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
@@ -120,31 +121,29 @@ func oracleConfigs() []struct {
 	}
 }
 
-// engineDigest runs one grid point and digests everything observable.
-func engineDigest(t *testing.T, p oraclePoint, cfg sim.Config) string {
-	t.Helper()
-	w := p.build()
-	sch := p.mk()
+// engineDigest runs one grid point on the given workload and digests
+// everything observable.
+func engineDigest(w *codegen.Workload, sch codegen.Scheme, cfg sim.Config) (string, error) {
 	res, trace, err := codegen.RunSyncTraced(w, sch, cfg)
 	h := sha256.New()
 	fmt.Fprintf(h, "key=%x\n", RequestKey(w, sch.Name(), cfg))
 	if err != nil {
 		fmt.Fprintf(h, "err=%s\n", err.Error())
 	}
-	stats, jerr := json.Marshal(res.Stats)
-	if jerr != nil {
-		t.Fatalf("marshal stats: %v", jerr)
+	stats, err := json.Marshal(res.Stats)
+	if err != nil {
+		return "", fmt.Errorf("marshal stats: %w", err)
 	}
 	fmt.Fprintf(h, "stats=%s\nserial=%d\ntrace[%d]\n", stats, res.SerialCycles, len(trace))
 	for _, e := range trace {
-		je, jerr := json.Marshal(e)
-		if jerr != nil {
-			t.Fatalf("marshal trace event: %v", jerr)
+		je, err := json.Marshal(e)
+		if err != nil {
+			return "", fmt.Errorf("marshal trace event: %w", err)
 		}
 		h.Write(je)
 		h.Write([]byte("\n"))
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
 func oracleDigests(t *testing.T) map[string]string {
@@ -152,7 +151,11 @@ func oracleDigests(t *testing.T) map[string]string {
 	got := make(map[string]string)
 	for _, c := range oracleConfigs() {
 		for _, p := range oraclePoints() {
-			got[p.workload+"/"+p.scheme+"@"+c.name] = engineDigest(t, p, c.cfg)
+			d, err := engineDigest(p.build(), p.mk(), c.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s@%s: %v", p.workload, p.scheme, c.name, err)
+			}
+			got[p.workload+"/"+p.scheme+"@"+c.name] = d
 		}
 	}
 	return got
@@ -195,6 +198,38 @@ func TestEngineOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineOracleSharedWorkload replays the oracle the way
+// service.EvalSweep evaluates a sweep: each point's Workload is built once
+// and every configuration runs on it from its own goroutine. The first run
+// computes the Workload's shared run invariants (serial oracle, dependence
+// analysis, data plan); every digest must still equal its golden, and the
+// race detector (CI runs go test -race ./internal/...) checks the sharing.
+func TestEngineOracleSharedWorkload(t *testing.T) {
+	cfgs := oracleConfigs()
+	for _, p := range oraclePoints() {
+		w := p.build()
+		digests := make([]string, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, c := range cfgs {
+			wg.Add(1)
+			go func(i int, cfg sim.Config) {
+				defer wg.Done()
+				digests[i], errs[i] = engineDigest(w, p.mk(), cfg)
+			}(i, c.cfg)
+		}
+		wg.Wait()
+		for i, c := range cfgs {
+			name := p.workload + "/" + p.scheme + "@" + c.name
+			if errs[i] != nil {
+				t.Errorf("%s: %v", name, errs[i])
+			} else if digests[i] != engineGoldens[name] {
+				t.Errorf("%s: digest %s on a shared workload, golden %s", name, digests[i], engineGoldens[name])
+			}
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ package codegen
 
 import (
 	"fmt"
+	"sync"
 
+	"github.com/csrd-repro/datasync/internal/dataorient"
 	"github.com/csrd-repro/datasync/internal/deps"
 	"github.com/csrd-repro/datasync/internal/loop"
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -31,6 +33,12 @@ import (
 type Sem func(idx []int64, in []int64, locals map[string]int64) []int64
 
 // Workload is a loop nest with executable semantics.
+//
+// A Workload is immutable once it has been run: its first Run computes the
+// run invariants every later run of any scheme and configuration shares —
+// the serial oracle, the dependence analysis and the data-oriented plan —
+// and keeps them on the value. Set every field, CostOf and Setup included,
+// before the first Run. Runs of one Workload may proceed concurrently.
 type Workload struct {
 	Name string
 	Nest *loop.Nest
@@ -42,6 +50,66 @@ type Workload struct {
 	// CostOf, when set, overrides statement costs per iteration — used by
 	// the delayed-iteration experiments (one long-running instance).
 	CostOf func(s *deps.Stmt, idx []int64) int64
+
+	serial memo[serialRun]
+	deps   memo[*depInfo]
+	plan   memo[*dataorient.Plan]
+}
+
+// memo holds one run invariant of a Workload, computed by the first run
+// that asks for it. Unlike a bare sync.Once it re-raises a panic of the
+// computation on every later call, so a malformed workload fails the same
+// way on every run instead of handing out a zero value.
+type memo[T any] struct {
+	once     sync.Once
+	v        T
+	err      error
+	panicked any
+}
+
+func (m *memo[T]) get(compute func() (T, error)) (T, error) {
+	m.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				m.panicked = r
+			}
+		}()
+		m.v, m.err = compute()
+	})
+	if m.panicked != nil {
+		panic(m.panicked)
+	}
+	return m.v, m.err
+}
+
+// serialRun is the serial oracle: the workload's cycles and final memory
+// when its iterations run one after another on one processor. It is
+// shared by every run of the workload, so it is never written after
+// construction.
+type serialRun struct {
+	cycles int64
+	mem    *sim.Mem
+}
+
+// serialOracle returns the workload's serial execution.
+func (w *Workload) serialOracle() serialRun {
+	r, _ := w.serial.get(func() (serialRun, error) {
+		mem := sim.NewMem()
+		w.Setup(mem)
+		return serialRun{cycles: sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(mem)), mem: mem}, nil
+	})
+	return r
+}
+
+// depInfo returns the workload's dependence summary (analyzeWorkload).
+func (w *Workload) depInfo() (*depInfo, error) {
+	return w.deps.get(func() (*depInfo, error) { return analyzeWorkload(w) })
+}
+
+// dataPlan returns the workload's data-oriented synchronization plan.
+func (w *Workload) dataPlan() *dataorient.Plan {
+	p, _ := w.plan.get(func() (*dataorient.Plan, error) { return dataorient.BuildPlan(w.Nest), nil })
+	return p
 }
 
 // cost returns the statement's compute cost at the given iteration.
@@ -118,11 +186,7 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 	if err := cfg.Check(); err != nil {
 		return Result{}, nil, fmt.Errorf("codegen: invalid machine configuration: %w", err)
 	}
-	// Serial oracle on a private memory.
-	serialMem := sim.NewMem()
-	w.Setup(serialMem)
-	serialProg := w.serialProgram(serialMem)
-	serialCycles := sim.ExecSerial(w.Nest.Iterations(), serialProg)
+	serial := w.serialOracle()
 
 	m := sim.New(cfg)
 	if trace {
@@ -149,10 +213,10 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 		return Result{}, m, fmt.Errorf("codegen: %s on %s: %w", sch.Name(), w.Name, err)
 	}
 	sch.Finalize(m.Mem())
-	if diff := serialMem.Diff(m.Mem()); diff != "" {
+	if diff := serial.mem.Diff(m.Mem()); diff != "" {
 		return Result{}, m, fmt.Errorf("codegen: %s on %s violates serial equivalence:\n%s", sch.Name(), w.Name, diff)
 	}
-	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serialCycles}, m, nil
+	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serial.cycles}, m, nil
 }
 
 // serialProgram builds the pure-compute program bound to the given memory.
@@ -236,20 +300,32 @@ func writeRef(mem *sim.Mem, r deps.Ref, idx []int64, v int64) {
 // end of the last op, so a scheme that published before the commit phase
 // would let a consumer read stale values and fail serial equivalence. The
 // op carrying the semantics is stamped with the statement's concrete
-// element accesses for the happens-before race checkers. Appending into the
-// caller's program slice (instead of returning a fresh one) keeps the
-// per-iteration instrumenters to one ops allocation each.
+// element accesses for the happens-before race checkers when the machine
+// records a sync trace, their only reader. Appending into the caller's
+// program slice (instead of returning a fresh one) keeps the per-iteration
+// instrumenters to one ops allocation each.
 func appendComputeOps(ops []sim.Op, m *sim.Machine, w *Workload, idx []int64, s *deps.Stmt, locals map[string]int64) []sim.Op {
 	exec := w.execInPlace(m.Mem(), idx, s, locals)
+	var touch []sim.MemAccess
+	if m.SyncTracing() {
+		touch = stmtTouches(s, idx)
+	}
 	lat := m.Config().DataLatency
 	if lat <= 0 || len(s.Writes) == 0 {
 		op := sim.Compute(w.cost(s, idx), exec, s.Name)
-		op.Touch = stmtTouches(s, idx)
+		op.Touch = touch
 		return append(ops, op)
 	}
-	op := sim.Compute(lat, exec, s.Name+":commit")
-	op.Touch = stmtTouches(s, idx)
-	return append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), op)
+	return append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commitOp(lat, exec, s, touch))
+}
+
+// commitOp is a statement's commit phase under a data-write latency,
+// tagged "<statement>:commit".
+func commitOp(lat int64, exec func(), s *deps.Stmt, touch []sim.MemAccess) sim.Op {
+	op := sim.Compute(lat, exec, "")
+	op.Tag = sim.TagSf("%s:commit", s.Name)
+	op.Touch = touch
+	return op
 }
 
 // stmtTouches lists the concrete shared-memory elements one execution of

@@ -63,7 +63,7 @@ func TestFig42bProgramShape(t *testing.T) {
 	}
 	var tags []string
 	for _, op := range prog(10) {
-		tags = append(tags, op.Tag)
+		tags = append(tags, op.Tag.String())
 	}
 	got := strings.Join(tags, "; ")
 	want := []string{
@@ -91,7 +91,7 @@ func TestFig42bImprovedProgramShape(t *testing.T) {
 	}
 	var tags []string
 	for _, op := range prog(10) {
-		tags = append(tags, op.Tag)
+		tags = append(tags, op.Tag.String())
 	}
 	got := strings.Join(tags, "; ")
 	want := "S1; mark_PC(1) i=10; wait_PC(2,1) i=10; S2; mark_PC(2) i=10; " +
@@ -113,8 +113,8 @@ func TestBoundaryIterationSkipsWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range prog(1) {
-		if strings.HasPrefix(op.Tag, "wait_PC(") {
-			t.Errorf("iteration 1 contains %s", op.Tag)
+		if strings.HasPrefix(op.Tag.String(), "wait_PC(") {
+			t.Errorf("iteration 1 contains %s", op.Tag.String())
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestBranchyCoveringMarks(t *testing.T) {
 func tags(ops []sim.Op) []string {
 	out := make([]string, len(ops))
 	for i, op := range ops {
-		out[i] = op.Tag
+		out[i] = op.Tag.String()
 	}
 	return out
 }

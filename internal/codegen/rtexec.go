@@ -21,7 +21,7 @@ import (
 // hand-built Workload) feeds the analysis, and the loop runs pipelined on
 // threads with X folded process counters.
 func RunRuntime(w *Workload, x, procs int) (*sim.Mem, error) {
-	di, err := analyzeWorkload(w)
+	di, err := w.depInfo()
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
@@ -32,7 +32,7 @@ func RunRuntime(w *Workload, x, procs int) (*sim.Mem, error) {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
 		transferred := false
-		for _, a := range di.schedule(w.Nest, iter) {
+		for _, a := range di.schedule(nil, w.Nest, iter, idx) {
 			switch a.kind {
 			case actWait:
 				p.Wait(a.dist, a.step)
@@ -57,10 +57,7 @@ func RunRuntime(w *Workload, x, procs int) (*sim.Mem, error) {
 		return nil, fmt.Errorf("codegen: runtime execution of %s: %w", w.Name, err)
 	}
 
-	serialMem := sim.NewMem()
-	w.Setup(serialMem)
-	sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(serialMem))
-	if diff := serialMem.Diff(mem); diff != "" {
+	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
 		return nil, fmt.Errorf("codegen: runtime execution of %s violates serial equivalence:\n%s", w.Name, diff)
 	}
 	return mem, nil
@@ -96,11 +93,11 @@ func runWorkers(n int64, procs int, body func(iter int64)) {
 // source statement) with the Advance/Await protocol, verified against
 // serial execution.
 func RunRuntimeStatement(w *Workload, k, procs int) (*sim.Mem, error) {
-	di, err := analyzeWorkload(w)
+	di, err := w.depInfo()
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
-	sg := buildSCGrouping(&di, w, k)
+	sg := buildSCGrouping(di, w, k)
 	scs := stmtorient.NewSCSet(sg.k)
 	mem := sim.NewMem()
 	w.Setup(mem)
@@ -132,10 +129,7 @@ func RunRuntimeStatement(w *Workload, k, procs int) (*sim.Mem, error) {
 		}
 	})
 
-	serialMem := sim.NewMem()
-	w.Setup(serialMem)
-	sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(serialMem))
-	if diff := serialMem.Diff(mem); diff != "" {
+	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
 		return nil, fmt.Errorf("codegen: statement runtime execution of %s violates serial equivalence:\n%s", w.Name, diff)
 	}
 	return mem, nil
@@ -147,7 +141,7 @@ func RunRuntimeStatement(w *Workload, k, procs int) (*sim.Mem, error) {
 // grouped per element on the minimum ticket, matching the simulator-side
 // code generator.
 func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
-	plan := dataorient.BuildPlan(w.Nest)
+	plan := w.dataPlan()
 	rk := dataorient.NewRuntimeKeys(plan)
 	mem := sim.NewMem()
 	w.Setup(mem)
@@ -181,10 +175,7 @@ func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
 		}
 	})
 
-	serialMem := sim.NewMem()
-	w.Setup(serialMem)
-	sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(serialMem))
-	if diff := serialMem.Diff(mem); diff != "" {
+	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
 		return nil, fmt.Errorf("codegen: ref-based runtime execution of %s violates serial equivalence:\n%s", w.Name, diff)
 	}
 	return mem, nil
@@ -238,10 +229,7 @@ func RunRuntimePipelined(w *Workload, x, procs int, g int64) (*sim.Mem, error) {
 		return nil, fmt.Errorf("codegen: pipelined runtime execution of %s: %w", w.Name, err)
 	}
 
-	serialMem := sim.NewMem()
-	w.Setup(serialMem)
-	sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(serialMem))
-	if diff := serialMem.Diff(mem); diff != "" {
+	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
 		return nil, fmt.Errorf("codegen: pipelined runtime execution of %s violates serial equivalence:\n%s", w.Name, diff)
 	}
 	return mem, nil

@@ -35,55 +35,68 @@ func (di *depInfo) transferAtEnd(n *loop.Nest) bool {
 // schedule builds the iteration's action list: sink waits before each
 // statement (skipping sources before the loop start), publications after
 // each source statement, covering publications for skipped branch arms,
-// and exactly one transfer per iteration that has any source.
-func (di *depInfo) schedule(n *loop.Nest, iter int64) []action {
-	idx := n.IndexOf(iter)
-	endTransfer := di.transferAtEnd(n)
-	var acts []action
-	publish := func(step int64, isLast bool) {
-		if isLast {
-			acts = append(acts, action{kind: actTransfer})
-			return
-		}
-		acts = append(acts, action{kind: actPublish, step: step})
+// and exactly one transfer per iteration that has any source. idx is the
+// iteration's index vector. It appends to acts, so a caller building
+// iterations one at a time can reuse one buffer.
+func (di *depInfo) schedule(acts []action, n *loop.Nest, iter int64, idx []int64) []action {
+	sc := scheduler{di: di, iter: iter, idx: idx, endTransfer: di.transferAtEnd(n), acts: acts}
+	sc.walk(n.Body)
+	if sc.endTransfer {
+		sc.acts = append(sc.acts, action{kind: actTransfer})
 	}
-	cover := func(nodes []loop.Node) {
-		if max := di.maxSourceStep(nodes); max > 0 {
-			// Covering publication for skipped sources: a waiter on any of
-			// their steps must still be released (Fig 5.3).
-			publish(max, false)
-		}
+	return sc.acts
+}
+
+// scheduler is one schedule call's state; a struct with methods rather
+// than recursive closures, which would be heap-allocated on every call.
+type scheduler struct {
+	di          *depInfo
+	iter        int64
+	idx         []int64
+	endTransfer bool
+	acts        []action
+}
+
+func (sc *scheduler) publish(step int64, isLast bool) {
+	if isLast {
+		sc.acts = append(sc.acts, action{kind: actTransfer})
+		return
 	}
-	var walk func(nodes []loop.Node)
-	walk = func(nodes []loop.Node) {
-		for _, node := range nodes {
-			switch v := node.(type) {
-			case loop.StmtNode:
-				p := di.pos[v.S]
-				for _, a := range di.incoming[p] {
-					d := a.Dist[0]
-					if iter-d >= 1 {
-						acts = append(acts, action{kind: actWait, dist: d, step: di.step[a.Src]})
-					}
+	sc.acts = append(sc.acts, action{kind: actPublish, step: step})
+}
+
+// cover publishes for the sources of a skipped branch arm: a waiter on any
+// of their steps must still be released (Fig 5.3).
+func (sc *scheduler) cover(nodes []loop.Node) {
+	if max := sc.di.maxSourceStep(nodes); max > 0 {
+		sc.publish(max, false)
+	}
+}
+
+func (sc *scheduler) walk(nodes []loop.Node) {
+	di := sc.di
+	for _, node := range nodes {
+		switch v := node.(type) {
+		case loop.StmtNode:
+			p := di.pos[v.S]
+			for _, a := range di.incoming[p] {
+				d := a.Dist[0]
+				if sc.iter-d >= 1 {
+					sc.acts = append(sc.acts, action{kind: actWait, dist: d, step: di.step[a.Src]})
 				}
-				acts = append(acts, action{kind: actStmt, stmt: v.S})
-				if step, ok := di.step[p]; ok {
-					publish(step, p == di.lastSrc && !endTransfer)
-				}
-			case loop.IfNode:
-				if v.Cond(idx) {
-					walk(v.Then)
-					cover(v.Else)
-				} else {
-					cover(v.Then) // publish early: steps below the arm's own
-					walk(v.Else)
-				}
+			}
+			sc.acts = append(sc.acts, action{kind: actStmt, stmt: v.S})
+			if step, ok := di.step[p]; ok {
+				sc.publish(step, p == di.lastSrc && !sc.endTransfer)
+			}
+		case loop.IfNode:
+			if v.Cond(sc.idx) {
+				sc.walk(v.Then)
+				sc.cover(v.Else)
+			} else {
+				sc.cover(v.Then) // publish early: steps below the arm's own
+				sc.walk(v.Else)
 			}
 		}
 	}
-	walk(n.Body)
-	if endTransfer {
-		acts = append(acts, action{kind: actTransfer})
-	}
-	return acts
 }

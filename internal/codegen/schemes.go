@@ -12,7 +12,8 @@ import (
 	"github.com/csrd-repro/datasync/internal/stmtorient"
 )
 
-// depInfo is the per-workload dependence summary every scheme shares.
+// depInfo is the per-workload dependence summary every scheme shares. It is
+// computed once per Workload (Workload.depInfo) and read-only after that.
 type depInfo struct {
 	pos      map[*deps.Stmt]int
 	enforced []deps.Arc         // linearized, minimal
@@ -22,10 +23,10 @@ type depInfo struct {
 	lastSrc  int                // position of the statically last source; -1 if none
 }
 
-func analyzeWorkload(w *Workload) (depInfo, error) {
+func analyzeWorkload(w *Workload) (*depInfo, error) {
 	lin := w.Nest.LinearGraph()
 	if unknown := lin.UnknownArcs(); len(unknown) > 0 {
-		return depInfo{}, fmt.Errorf("%d dependences without constant distance (%s); constant-distance schemes cannot enforce them",
+		return nil, fmt.Errorf("%d dependences without constant distance (%s); constant-distance schemes cannot enforce them",
 			len(unknown), describeUnknown(unknown))
 	}
 	// Covering elimination assumes every statement executes each iteration;
@@ -35,7 +36,7 @@ func analyzeWorkload(w *Workload) (depInfo, error) {
 	if w.Nest.HasBranches() {
 		enforced = lin.Deduped()
 	}
-	di := depInfo{
+	di := &depInfo{
 		pos:      stmtPositions(w.Nest),
 		enforced: enforced,
 		incoming: make(map[int][]deps.Arc),
@@ -77,21 +78,21 @@ func describeUnknown(arcs []deps.Arc) string {
 // (recursively); 0 if none.
 func (di *depInfo) maxSourceStep(nodes []loop.Node) int64 {
 	var max int64
-	var walk func([]loop.Node)
-	walk = func(ns []loop.Node) {
-		for _, n := range ns {
-			switch v := n.(type) {
-			case loop.StmtNode:
-				if s, ok := di.step[di.pos[v.S]]; ok && s > max {
-					max = s
-				}
-			case loop.IfNode:
-				walk(v.Then)
-				walk(v.Else)
+	for _, n := range nodes {
+		s := int64(0)
+		switch v := n.(type) {
+		case loop.StmtNode:
+			s = di.step[di.pos[v.S]]
+		case loop.IfNode:
+			s = di.maxSourceStep(v.Then)
+			if e := di.maxSourceStep(v.Else); e > s {
+				s = e
 			}
 		}
+		if s > max {
+			max = s
+		}
 	}
-	walk(nodes)
 	return max
 }
 
@@ -129,7 +130,7 @@ func (ProcessOriented) Finalize(*sim.Mem) {}
 
 // Instrument implements Scheme.
 func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
-	di, err := analyzeWorkload(w)
+	di, err := w.depInfo()
 	if err != nil {
 		return nil, Footprint{}, err
 	}
@@ -137,9 +138,11 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	foot := Footprint{SyncVars: s.X, InitOps: int64(s.X), StorageWords: int64(s.X)}
 
 	// hint remembers the largest program built so far, so later iterations
-	// allocate their ops slice once. Safe: each run instruments its own
-	// scheme, and the machine calls prog sequentially.
+	// allocate their ops slice once; acts is a schedule buffer reused
+	// across iterations. Safe: each run instruments its own scheme, and
+	// the machine calls prog sequentially.
 	hint := 0
+	var acts []action
 	prog := func(iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
@@ -151,7 +154,8 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 				gotPC = true
 			}
 		}
-		for _, a := range di.schedule(w.Nest, iter) {
+		acts = di.schedule(acts[:0], w.Nest, iter, idx)
+		for _, a := range acts {
 			switch a.kind {
 			case actWait:
 				ops = append(ops, pcs.WaitPC(iter, a.dist, a.step))
@@ -242,11 +246,11 @@ func buildSCGrouping(di *depInfo, w *Workload, k int) scGrouping {
 
 // Instrument implements Scheme.
 func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
-	di, err := analyzeWorkload(w)
+	di, err := w.depInfo()
 	if err != nil {
 		return nil, Footprint{}, err
 	}
-	sg := buildSCGrouping(&di, w, s.K)
+	sg := buildSCGrouping(di, w, s.K)
 	k := sg.k
 	scs := stmtorient.NewSimSCs(m, k)
 	group, lastOfGroup, advanceAtEnd := sg.group, sg.lastOfGroup, sg.advanceAtEnd
@@ -315,7 +319,7 @@ func (RefBased) Finalize(*sim.Mem) {}
 
 // Instrument implements Scheme.
 func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
-	plan := dataorient.BuildPlan(w.Nest)
+	plan := w.dataPlan()
 	keys := dataorient.NewSimKeys(m, plan)
 	f := plan.Footprint()
 	foot := Footprint{SyncVars: int(f.Keys), InitOps: f.InitOps, StorageWords: f.Keys}
@@ -400,7 +404,7 @@ func (*InstanceBased) RenamedStorage() bool { return true }
 
 // Instrument implements Scheme.
 func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
-	plan := dataorient.BuildPlan(w.Nest)
+	plan := w.dataPlan()
 	bits := dataorient.NewSimBits(m, plan)
 	f := plan.Footprint()
 	foot := Footprint{
@@ -423,14 +427,13 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 		for _, s := range w.Nest.FlatBody(idx) {
 			s := s
 			p := di[s]
-			writeAccs := make([]*dataorient.Access, len(s.Writes))
-			readAccs := make([]*dataorient.Access, len(s.Reads))
-			for k := range s.Writes {
-				writeAccs[k] = plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: k}]
+			// One slice in RefSlot order (writes, then reads), which the
+			// exec closure below keeps alive.
+			accs := make([]*dataorient.Access, len(s.Writes)+len(s.Reads))
+			for k := range accs {
+				accs[k] = plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: k}]
 			}
-			for k := range s.Reads {
-				readAccs[k] = plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: len(s.Writes) + k}]
-			}
+			writeAccs, readAccs := accs[:len(s.Writes)], accs[len(s.Writes):]
 			for _, a := range readAccs {
 				ops = append(ops, bits.ConsumeOp(a))
 			}
@@ -451,19 +454,20 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 			// Renamed storage is single-assignment: race checking sees each
 			// (element, version) as its own location, so the renaming's
 			// elimination of anti/output conflicts is visible to the checker.
-			touches := make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
-			for _, a := range readAccs {
-				touches = append(touches, accessTouch(a.Elem, a.Epoch, false))
-			}
-			for _, a := range writeAccs {
-				touches = append(touches, accessTouch(a.Elem, a.Epoch+1, true))
+			var touches []sim.MemAccess
+			if m.SyncTracing() {
+				touches = make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
+				for _, a := range readAccs {
+					touches = append(touches, accessTouch(a.Elem, a.Epoch, false))
+				}
+				for _, a := range writeAccs {
+					touches = append(touches, accessTouch(a.Elem, a.Epoch+1, true))
+				}
 			}
 			if lat := m.Config().DataLatency; lat > 0 && len(writeAccs) > 0 {
 				// Renamed copies also take DataLatency to land before the
 				// full/empty bits may be set (requirement (1)).
-				commit := sim.Compute(lat, exec, s.Name+":commit")
-				commit.Touch = touches
-				ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commit)
+				ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commitOp(lat, exec, s, touches))
 			} else {
 				op := sim.Compute(w.cost(s, idx), exec, s.Name)
 				op.Touch = touches

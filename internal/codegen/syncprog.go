@@ -132,7 +132,7 @@ func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
 		if op.Kind != sim.OpCompute {
 			continue
 		}
-		name := strings.TrimSuffix(op.Tag, ":commit")
+		name := strings.TrimSuffix(op.Tag.String(), ":commit")
 		if _, ok := stmtPos[name]; ok {
 			last[name] = i
 		}
@@ -141,22 +141,22 @@ func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
 	for i, op := range ops {
 		switch op.Kind {
 		case sim.OpCompute:
-			name := strings.TrimSuffix(op.Tag, ":commit")
+			name := strings.TrimSuffix(op.Tag.String(), ":commit")
 			if pos, ok := stmtPos[name]; ok && last[name] == i {
 				out = append(out, SyncOp{Kind: SyncStmt, Stmt: pos, Tag: name})
 			}
 		case sim.OpWait:
-			out = append(out, SyncOp{Kind: SyncWait, Var: int(op.Var), Value: op.Value, Tag: op.Tag})
+			out = append(out, SyncOp{Kind: SyncWait, Var: int(op.Var), Value: op.Value, Tag: op.Tag.String()})
 		case sim.OpWrite:
-			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: op.Tag})
+			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: op.Tag.String()})
 		case sim.OpWriteIf:
 			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value,
-				Conditional: true, Guard: op.CondGE, HasGuard: op.HasCondGE, Tag: op.Tag})
+				Conditional: true, Guard: op.CondGE, HasGuard: op.HasCondGE, Tag: op.Tag.String()})
 		case sim.OpRMW:
 			if op.HasPost {
-				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: op.Tag})
+				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: op.Tag.String()})
 			} else {
-				out = append(out, SyncOp{Kind: SyncOpaque, Var: int(op.Var), Tag: op.Tag})
+				out = append(out, SyncOp{Kind: SyncOpaque, Var: int(op.Var), Tag: op.Tag.String()})
 			}
 		}
 	}

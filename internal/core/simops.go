@@ -2,21 +2,13 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// itag renders "<prefix><iter>". Primitive tags are built once per op per
-// iteration, which makes them a measurable slice of sweep time — hence
-// strconv over fmt. Output strings are identical to the former fmt forms
-// (tags feed sync traces and cache canon, so they must not drift).
-func itag(prefix string, iter int64) string {
-	b := make([]byte, 0, len(prefix)+20)
-	b = append(b, prefix...)
-	b = strconv.AppendInt(b, iter, 10)
-	return string(b)
-}
+// Primitive ops are built once per op per iteration, so their tags are
+// sim.Labels rendered only when a trace asks. The rendered text must not
+// drift: it feeds the sync traces the engine oracle digests.
 
 // SimPCs binds a folded set of X process counters to synchronization
 // registers of a simulated machine and builds the paper's primitives as
@@ -47,25 +39,24 @@ func (s *SimPCs) slot(iter int64) sim.VarID { return s.vars[Fold(iter, s.X)] }
 // GetPC is the basic get_PC(): busy-wait for ownership of the proper PC,
 // i.e. wait_PC(0, 0).
 func (s *SimPCs) GetPC(iter int64) sim.Op {
-	return sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(),
-		itag("get_PC i=", iter))
+	op := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
+	op.Tag = sim.Tagf("get_PC i=%d", iter)
+	return op
 }
 
 // SetPC is the basic set_PC(step): update the owned PC's step after
 // completing a source statement.
 func (s *SimPCs) SetPC(iter, step int64) sim.Op {
-	b := make([]byte, 0, 32)
-	b = append(b, "set_PC("...)
-	b = strconv.AppendInt(b, step, 10)
-	b = append(b, ") i="...)
-	b = strconv.AppendInt(b, iter, 10)
-	return sim.WriteVar(s.slot(iter), PC{Owner: iter, Step: step}.Pack(), string(b))
+	op := sim.WriteVar(s.slot(iter), PC{Owner: iter, Step: step}.Pack(), "")
+	op.Tag = sim.Tagf("set_PC(%d) i=%d", step, iter)
+	return op
 }
 
 // ReleasePC is the basic release_PC(): pass the PC to process iter+X.
 func (s *SimPCs) ReleasePC(iter int64) sim.Op {
-	return sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(),
-		itag("release_PC i=", iter))
+	op := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
+	op.Tag = sim.Tagf("release_PC i=%d", iter)
+	return op
 }
 
 // WaitPC is wait_PC(dist, step): spin until the source process iter-dist
@@ -76,18 +67,14 @@ func (s *SimPCs) ReleasePC(iter int64) sim.Op {
 // satisfied immediately (a zero-cycle no-op), mirroring PCSet.Wait.
 func (s *SimPCs) WaitPC(iter, dist, step int64) sim.Op {
 	src := iter - dist
-	b := make([]byte, 0, 48)
-	b = append(b, "wait_PC("...)
-	b = strconv.AppendInt(b, dist, 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, step, 10)
-	b = append(b, ") i="...)
-	b = strconv.AppendInt(b, iter, 10)
 	if src < 1 {
-		b = append(b, " noop"...)
-		return sim.Compute(0, nil, string(b))
+		op := sim.Compute(0, nil, "")
+		op.Tag = sim.Tagf("wait_PC(%d,%d) i=%d noop", dist, step, iter)
+		return op
 	}
-	return sim.WaitGE(s.slot(src), PC{Owner: src, Step: step}.Pack(), string(b))
+	op := sim.WaitGE(s.slot(src), PC{Owner: src, Step: step}.Pack(), "")
+	op.Tag = sim.Tagf("wait_PC(%d,%d) i=%d", dist, step, iter)
+	return op
 }
 
 // MarkPC is the improved mark_PC(step) of Fig 4.3: update the step only if
@@ -97,21 +84,17 @@ func (s *SimPCs) WaitPC(iter, dist, step int64) sim.Op {
 func (s *SimPCs) MarkPC(iter, step int64) sim.Op {
 	want := PC{Owner: iter, Step: step}.Pack()
 	owned := PC{Owner: iter, Step: 0}.Pack()
-	b := make([]byte, 0, 32)
-	b = append(b, "mark_PC("...)
-	b = strconv.AppendInt(b, step, 10)
-	b = append(b, ") i="...)
-	b = strconv.AppendInt(b, iter, 10)
-	return sim.WriteVarIfGE(s.slot(iter), want, owned, string(b))
+	op := sim.WriteVarIfGE(s.slot(iter), want, owned, "")
+	op.Tag = sim.Tagf("mark_PC(%d) i=%d", step, iter)
+	return op
 }
 
 // TransferPCOps is transfer_PC(): acquire ownership if not yet owned, then
 // pass the PC to the next owner. Two ops: a wait and the release write.
 func (s *SimPCs) TransferPCOps(iter int64) []sim.Op {
-	return []sim.Op{
-		sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(),
-			itag("transfer_PC:own i=", iter)),
-		sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(),
-			itag("transfer_PC:release i=", iter)),
-	}
+	own := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
+	own.Tag = sim.Tagf("transfer_PC:own i=%d", iter)
+	release := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
+	release.Tag = sim.Tagf("transfer_PC:release i=%d", iter)
+	return []sim.Op{own, release}
 }

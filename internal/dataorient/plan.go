@@ -36,10 +36,9 @@ type Elem struct {
 	C     [3]int64
 }
 
-// appendElem renders e into b ("A[i,j]"). Element names appear in every op
-// tag the data-oriented code generators build, which puts this on the sweep
-// hot path — hence the append form rather than fmt.
-func appendElem(b []byte, e Elem) []byte {
+// String renders e as "A[i,j]".
+func (e Elem) String() string {
+	b := make([]byte, 0, len(e.Array)+8)
 	b = append(b, e.Array...)
 	b = append(b, '[')
 	for d := 0; d < e.Dims; d++ {
@@ -48,11 +47,7 @@ func appendElem(b []byte, e Elem) []byte {
 		}
 		b = strconv.AppendInt(b, e.C[d], 10)
 	}
-	return append(b, ']')
-}
-
-func (e Elem) String() string {
-	return string(appendElem(make([]byte, 0, len(e.Array)+8), e))
+	return string(append(b, ']'))
 }
 
 // AccessID locates one reference instance: iteration (lpid), statement
@@ -92,6 +87,9 @@ type Plan struct {
 	// order; Order lists elements deterministically.
 	Elems map[Elem][]*Access
 	Order []Elem
+	// names[i] renders Order[i]: op tags name elements, and a plan is
+	// built once per workload while its ops are built on every run.
+	names []string
 	// ByID resolves an access from its location, for code generation.
 	ByID map[AccessID]*Access
 
@@ -200,6 +198,10 @@ func (p *Plan) assign() {
 		p.Order = append(p.Order, e)
 	}
 	sort.Slice(p.Order, func(i, j int) bool { return lessElem(p.Order[i], p.Order[j]) })
+	p.names = make([]string, len(p.Order))
+	for i, e := range p.Order {
+		p.names[i] = e.String()
+	}
 }
 
 func lessElem(a, b Elem) bool {

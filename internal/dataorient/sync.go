@@ -2,25 +2,17 @@ package dataorient
 
 import (
 	"runtime"
-	"strconv"
 	"sync/atomic"
 
 	"github.com/csrd-repro/datasync/internal/deps"
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// feTag renders the full/empty-bit tags ("<prefix><elem>.v<version>.c<copy>")
-// without fmt: these are built once per planned access per sweep point, a
-// measurable slice of sweep time.
-func feTag(prefix string, e Elem, version int64, copyIdx int) string {
-	b := make([]byte, 0, len(prefix)+len(e.Array)+24)
-	b = append(b, prefix...)
-	b = appendElem(b, e)
-	b = append(b, ".v"...)
-	b = strconv.AppendInt(b, version, 10)
-	b = append(b, ".c"...)
-	b = strconv.AppendInt(b, int64(copyIdx), 10)
-	return string(b)
+// elemVar is a declared synchronization variable together with the name of
+// the element it guards, which the variable's op tags render.
+type elemVar struct {
+	id   sim.VarID
+	elem string
 }
 
 // SimKeys places one reference-based key per touched element into the
@@ -29,15 +21,15 @@ func feTag(prefix string, e Elem, version int64, copyIdx int) string {
 // poll until key >= ticket, access, increment.
 type SimKeys struct {
 	plan *Plan
-	vars map[Elem]sim.VarID
+	vars map[Elem]elemVar
 }
 
 // NewSimKeys declares the plan's keys on the machine.
 func NewSimKeys(m *sim.Machine, p *Plan) *SimKeys {
-	k := &SimKeys{plan: p, vars: make(map[Elem]sim.VarID, len(p.Order))}
+	k := &SimKeys{plan: p, vars: make(map[Elem]elemVar, len(p.Order))}
 	mods := m.Config().Modules
 	for i, e := range p.Order {
-		k.vars[e] = m.NewMemVar("key:"+e.String(), i%mods, 0)
+		k.vars[e] = elemVar{m.NewLabeledMemVar(sim.TagSf("key:%s", p.names[i]), i%mods, 0), p.names[i]}
 	}
 	return k
 }
@@ -56,28 +48,30 @@ func (k *SimKeys) WaitOp(a *Access) sim.Op {
 // accesses are consecutive in the element's serial order, so the later
 // tickets differ only by the statement's own increments).
 func (k *SimKeys) WaitTicketOp(e Elem, ticket int64) sim.Op {
-	b := make([]byte, 0, len(e.Array)+32)
-	b = append(b, "key:wait "...)
-	b = appendElem(b, e)
-	b = append(b, ">="...)
-	b = strconv.AppendInt(b, ticket, 10)
-	return sim.WaitGE(k.vars[e], ticket, string(b))
+	v := k.vars[e]
+	op := sim.WaitGE(v.id, ticket, "")
+	op.Tag = sim.TagSf("key:wait %s>=%d", v.elem, ticket)
+	return op
 }
 
 // IncOp increments the element's key after the access completes. The access
 // executes only once the key has reached its ticket, so the post-increment
 // value is statically a.Ticket+1 — stamped for the static verifier.
 func (k *SimKeys) IncOp(a *Access) sim.Op {
-	return sim.RMWPost(k.vars[a.Elem], func(x int64) int64 { return x + 1 },
-		a.Ticket+1, string(appendElem(append(make([]byte, 0, len(a.Elem.Array)+20), "key:inc "...), a.Elem)))
+	v := k.vars[a.Elem]
+	op := sim.RMWPost(v.id, inc, a.Ticket+1, "")
+	op.Tag = sim.TagSf("key:inc %s", v.elem)
+	return op
 }
+
+func inc(x int64) int64 { return x + 1 }
 
 // SimBits places the instance-based full/empty bits: one per consumable
 // copy of each written version. Reads of initial data (epoch 0) have no
 // bit and need no synchronization.
 type SimBits struct {
 	plan *Plan
-	vars map[bitKey]sim.VarID
+	vars map[bitKey]elemVar
 }
 
 type bitKey struct {
@@ -88,10 +82,10 @@ type bitKey struct {
 
 // NewSimBits declares the plan's full/empty bits on the machine.
 func NewSimBits(m *sim.Machine, p *Plan) *SimBits {
-	b := &SimBits{plan: p, vars: make(map[bitKey]sim.VarID)}
+	b := &SimBits{plan: p, vars: make(map[bitKey]elemVar)}
 	mods := m.Config().Modules
 	i := 0
-	for _, e := range p.Order {
+	for ei, e := range p.Order {
 		for _, a := range p.Elems[e] {
 			if a.Kind != deps.Write {
 				continue
@@ -102,8 +96,8 @@ func NewSimBits(m *sim.Machine, p *Plan) *SimBits {
 			}
 			for c := 0; c < copies; c++ {
 				key := bitKey{e, a.Epoch + 1, c}
-				b.vars[key] = m.NewMemVar(
-					feTag("fe:", e, a.Epoch+1, c), i%mods, 0)
+				name := sim.TagSf("fe:%s.v%d.c%d", p.names[ei], a.Epoch+1, int64(c))
+				b.vars[key] = elemVar{m.NewLabeledMemVar(name, i%mods, 0), p.names[ei]}
 				i++
 			}
 		}
@@ -128,7 +122,9 @@ func (b *SimBits) FillOps(a *Access) []sim.Op {
 	ops := make([]sim.Op, 0, copies)
 	for c := 0; c < copies; c++ {
 		v := b.vars[bitKey{a.Elem, a.Epoch + 1, c}]
-		ops = append(ops, sim.WriteVar(v, 1, feTag("fe:fill ", a.Elem, a.Epoch+1, c)))
+		op := sim.WriteVar(v.id, 1, "")
+		op.Tag = sim.TagSf("fe:fill %s.v%d.c%d", v.elem, a.Epoch+1, int64(c))
+		ops = append(ops, op)
 	}
 	return ops
 }
@@ -143,7 +139,9 @@ func (b *SimBits) ConsumeOp(a *Access) sim.Op {
 		return sim.Compute(0, nil, "fe:init-data")
 	}
 	v := b.vars[bitKey{a.Elem, a.Epoch, a.CopyIdx}]
-	return sim.WaitGE(v, 1, feTag("fe:consume ", a.Elem, a.Epoch, a.CopyIdx))
+	op := sim.WaitGE(v.id, 1, "")
+	op.Tag = sim.TagSf("fe:consume %s.v%d.c%d", v.elem, a.Epoch, int64(a.CopyIdx))
+	return op
 }
 
 // VersionStore holds the renamed (single-assignment) storage of an

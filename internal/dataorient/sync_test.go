@@ -78,7 +78,7 @@ func keysVar(t *testing.T, k *SimKeys, e Elem) sim.VarID {
 	if !ok {
 		t.Fatalf("no key for %s", e)
 	}
-	return v
+	return v.id
 }
 
 // TestSimBitsProtocol drives the instance-based full/empty protocol: the

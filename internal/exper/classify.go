@@ -236,7 +236,7 @@ func E4SchemeComparison() ([]*Table, error) {
 		return nil, err
 	}
 	for i, op := range prog(10) {
-		t2.AddRow(i+1, op.Tag)
+		t2.AddRow(i+1, op.Tag.String())
 	}
 	return []*Table{t, t2}, nil
 }

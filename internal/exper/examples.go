@@ -213,10 +213,10 @@ func E8Branches() ([]*Table, error) {
 	for i := 0; i < len(odd) || i < len(even); i++ {
 		var a, b string
 		if i < len(odd) {
-			a = odd[i].Tag
+			a = odd[i].Tag.String()
 		}
 		if i < len(even) {
-			b = even[i].Tag
+			b = even[i].Tag.String()
 		}
 		t2.AddRow(a, b)
 	}

@@ -57,6 +57,10 @@ func S(s *deps.Stmt) Node { return StmtNode{S: s} }
 type Nest struct {
 	Indexes []Index
 	Body    []Node
+
+	// straight is the flattened body of a nest without conditionals
+	// (every iteration executes it), nil otherwise.
+	straight []*deps.Stmt
 }
 
 // New validates and builds a nest.
@@ -70,7 +74,11 @@ func New(indexes []Index, body []Node) (*Nest, error) {
 		}
 	}
 	n := &Nest{Indexes: indexes, Body: body}
-	for _, s := range n.Stmts() {
+	stmts := n.Stmts()
+	if len(stmts) > 0 && !n.HasBranches() {
+		n.straight = stmts[:len(stmts):len(stmts)]
+	}
+	for _, s := range stmts {
 		for _, r := range append(append([]deps.Ref{}, s.Writes...), s.Reads...) {
 			for _, ix := range r.Index {
 				if ix.Arity() != len(indexes) {
@@ -105,11 +113,12 @@ func (n *Nest) Extents() []int64 {
 }
 
 // Iterations returns the total number of iterations (the number of
-// processes after full coalescing).
+// processes after full coalescing). It does not allocate: IndexOf calls it
+// on every dispatch for its range check.
 func (n *Nest) Iterations() int64 {
 	total := int64(1)
-	for _, e := range n.Extents() {
-		total *= e
+	for _, ix := range n.Indexes {
+		total *= ix.Extent()
 	}
 	return total
 }
@@ -180,25 +189,29 @@ func (n *Nest) IndexOf(lpid int64) []int64 {
 
 // FlatBody returns the executable node sequence for one iteration: body
 // order with conditionals resolved against the given index vector. The
-// returned statements are a subsequence of Stmts().
+// returned statements are a subsequence of Stmts(). A body without
+// conditionals has the same sequence every iteration, so New computes it
+// once and FlatBody returns that shared slice; callers must not modify it.
 func (n *Nest) FlatBody(idx []int64) []*deps.Stmt {
-	var out []*deps.Stmt
-	var walk func(nodes []Node)
-	walk = func(nodes []Node) {
-		for _, node := range nodes {
-			switch v := node.(type) {
-			case StmtNode:
-				out = append(out, v.S)
-			case IfNode:
-				if v.Cond(idx) {
-					walk(v.Then)
-				} else {
-					walk(v.Else)
-				}
+	if n.straight != nil {
+		return n.straight
+	}
+	return appendFlat(nil, n.Body, idx)
+}
+
+func appendFlat(out []*deps.Stmt, nodes []Node, idx []int64) []*deps.Stmt {
+	for _, node := range nodes {
+		switch v := node.(type) {
+		case StmtNode:
+			out = append(out, v.S)
+		case IfNode:
+			if v.Cond(idx) {
+				out = appendFlat(out, v.Then, idx)
+			} else {
+				out = appendFlat(out, v.Else, idx)
 			}
 		}
 	}
-	walk(n.Body)
 	return out
 }
 

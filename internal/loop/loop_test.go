@@ -189,3 +189,21 @@ func TestLinearGraph(t *testing.T) {
 		t.Errorf("linearized distances = %d,%d, want 1,6", enf[0].Dist[0], enf[1].Dist[0])
 	}
 }
+
+// TestIterationsAllocationFree pins Iterations allocation-free: IndexOf
+// calls it for its range check on every simulated dispatch. FlatBody of a
+// body without conditionals shares one precomputed slice.
+func TestIterationsAllocationFree(t *testing.T) {
+	n := MustNew([]Index{{"I", 2, 10}, {"J", 1, 5}}, nil)
+	if got := testing.AllocsPerRun(100, func() { _ = n.Iterations() }); got != 0 {
+		t.Errorf("Iterations allocates %v times per call, want 0", got)
+	}
+	straight := MustNew([]Index{{"I", 1, 8}}, []Node{S(stmt1("S1", 0, -1)), S(stmt1("S2", 0, -2))})
+	idx := []int64{3}
+	if got := testing.AllocsPerRun(100, func() { _ = straight.FlatBody(idx) }); got != 0 {
+		t.Errorf("FlatBody of a straight-line body allocates %v times per call, want 0", got)
+	}
+	if body := straight.FlatBody(idx); len(body) != 2 || body[0].Name != "S1" || body[1].Name != "S2" {
+		t.Errorf("FlatBody = %v, want [S1 S2]", names(body))
+	}
+}

@@ -165,7 +165,7 @@ func (m *Machine) exec(ev *event) {
 		v := ev.v
 		m.mods[v.module].jobs--
 		v.committed = ev.op.Apply(v.committed)
-		m.recordSync(SyncEvent{Proc: ev.p.id, Iter: ev.p.iter, Kind: SyncSignal, Var: v.id, Value: v.committed, Tag: ev.op.Tag})
+		m.recordSync(SyncEvent{Proc: ev.p.id, Iter: ev.p.iter, Kind: SyncSignal, Var: v.id, Value: v.committed}, ev.op.Tag)
 		m.wake(v)
 		if ev.op.Exec != nil {
 			ev.op.Exec()
@@ -179,7 +179,7 @@ func (m *Machine) exec(ev *event) {
 			p := ev.p
 			p.waitSync += m.now - p.blockedSince
 			m.addTrace(p, p.blockedSince, m.now, TraceWait, ev.op.Tag)
-			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: ev.op.Value, Tag: ev.op.Tag})
+			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: ev.op.Value}, ev.op.Tag)
 			if ev.op.Exec != nil {
 				ev.op.Exec()
 			}
@@ -247,15 +247,15 @@ func (m *Machine) freePending(pe *pending) {
 	m.pendFree = append(m.pendFree, pe)
 }
 
-func (m *Machine) allocEntry(v *syncVar, pe *pending, tag string) *busEntry {
+func (m *Machine) allocEntry(v *syncVar, pe *pending) *busEntry {
 	if n := len(m.entryFree); n > 0 {
 		e := m.entryFree[n-1]
 		m.entryFree[n-1] = nil
 		m.entryFree = m.entryFree[:n-1]
-		*e = busEntry{v: v, pe: pe, tag: tag}
+		*e = busEntry{v: v, pe: pe}
 		return e
 	}
-	return &busEntry{v: v, pe: pe, tag: tag}
+	return &busEntry{v: v, pe: pe}
 }
 
 func (m *Machine) freeEntry(e *busEntry) {
@@ -263,7 +263,7 @@ func (m *Machine) freeEntry(e *busEntry) {
 	m.entryFree = append(m.entryFree, e)
 }
 
-func (m *Machine) allocWait(p *proc, min int64, tag string) *blockedWait {
+func (m *Machine) allocWait(p *proc, min int64, tag Label) *blockedWait {
 	if n := len(m.waitFree); n > 0 {
 		w := m.waitFree[n-1]
 		m.waitFree[n-1] = nil
@@ -275,6 +275,6 @@ func (m *Machine) allocWait(p *proc, min int64, tag string) *blockedWait {
 }
 
 func (m *Machine) freeWait(w *blockedWait) {
-	w.p, w.tag = nil, ""
+	w.p, w.tag = nil, Label{}
 	m.waitFree = append(m.waitFree, w)
 }

@@ -162,7 +162,7 @@ type pending struct {
 
 type syncVar struct {
 	id        VarID
-	name      string
+	name      Label
 	res       Residence
 	module    int
 	committed int64
@@ -199,7 +199,7 @@ func (v *syncVar) visibleTo(p int) int64 {
 type blockedWait struct {
 	p   *proc
 	min int64
-	tag string
+	tag Label
 }
 
 type module struct {
@@ -230,7 +230,6 @@ func (mo *module) enqueue(now, latency int64) (start, end int64) {
 type busEntry struct {
 	v     *syncVar
 	pe    *pending
-	tag   string
 	seen  bool  // started broadcasting (no longer coverable)
 	extra int64 // injected extra bus-hold cycles (fault delay)
 	torn  *tornSplit
@@ -353,13 +352,20 @@ func (m *Machine) Mem() *Mem { return m.mem }
 // sync bus) with the given initial value.
 func (m *Machine) NewRegVar(name string, init int64) VarID {
 	id := VarID(len(m.vars))
-	m.vars = append(m.vars, &syncVar{id: id, name: name, res: Register, committed: init})
+	m.vars = append(m.vars, &syncVar{id: id, name: Text(name), res: Register, committed: init})
 	return id
 }
 
 // NewMemVar declares a memory-resident synchronization variable in the
 // given module.
 func (m *Machine) NewMemVar(name string, mod int, init int64) VarID {
+	return m.NewLabeledMemVar(Text(name), mod, init)
+}
+
+// NewLabeledMemVar is NewMemVar with the name kept as a Label, rendered
+// only when VarName or a stall report asks: data-oriented schemes declare
+// a variable per element or per renamed copy on every run.
+func (m *Machine) NewLabeledMemVar(name Label, mod int, init int64) VarID {
 	if mod < 0 || mod >= m.cfg.Modules {
 		panic(fmt.Sprintf("sim: module %d out of range [0,%d)", mod, m.cfg.Modules))
 	}
@@ -460,7 +466,7 @@ func (m *Machine) blockedReport() string {
 func (m *Machine) describeOp(op Op) string {
 	s := op.String()
 	if int(op.Var) < len(m.vars) && (op.Kind == OpWait || op.Kind == OpWrite || op.Kind == OpRMW) {
-		s += fmt.Sprintf(" [%s=%d]", m.vars[op.Var].name, m.vars[op.Var].committed)
+		s += fmt.Sprintf(" [%s=%d]", m.vars[op.Var].name.String(), m.vars[op.Var].committed)
 	}
 	return s
 }
@@ -589,9 +595,9 @@ func (m *Machine) step(p *proc) {
 			// the moment of the write is the happens-before point a released
 			// waiter inherits, and a local waiter may observe the write
 			// before its broadcast commits.
-			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value, Tag: op.Tag})
+			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value}, op.Tag)
 			if v.res == Register {
-				m.busIssue(v, op.Value, p.id, op.Tag)
+				m.busIssue(v, op.Value, p.id)
 				if op.Exec != nil {
 					op.Exec()
 				}
@@ -631,7 +637,7 @@ func (m *Machine) step(p *proc) {
 						return
 					}
 				}
-				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: op.Value, Tag: op.Tag})
+				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: op.Value}, op.Tag)
 				if op.Exec != nil {
 					op.Exec()
 				}
@@ -658,11 +664,11 @@ func (m *Machine) step(p *proc) {
 			v := m.vars[op.Var]
 			m.syncOps++
 			if v.res != Register {
-				panic(fmt.Sprintf("sim: conditional write on memory variable %s", v.name))
+				panic(fmt.Sprintf("sim: conditional write on memory variable %s", v.name.String()))
 			}
-			if op.Cond(v.visibleTo(p.id)) {
-				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value, Tag: op.Tag})
-				m.busIssue(v, op.Value, p.id, op.Tag)
+			if op.fires(v.visibleTo(p.id)) {
+				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value}, op.Tag)
+				m.busIssue(v, op.Value, p.id)
 			}
 			if op.Exec != nil {
 				op.Exec()
@@ -679,7 +685,7 @@ func (m *Machine) step(p *proc) {
 			v := m.vars[op.Var]
 			m.syncOps++
 			if v.res != Memory {
-				panic(fmt.Sprintf("sim: RMW on register variable %s", v.name))
+				panic(fmt.Sprintf("sim: RMW on register variable %s", v.name.String()))
 			}
 			_, end := m.mods[v.module].enqueue(m.now, m.memLatency(v.module, p.id))
 			m.addTrace(p, m.now, end, TraceService, op.Tag)
@@ -763,14 +769,14 @@ func (m *Machine) release(v *syncVar, w *blockedWait) {
 	p := w.p
 	p.waitSync += m.now - p.blockedSince
 	m.addTrace(p, p.blockedSince, m.now, TraceWait, w.tag)
-	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: w.min, Tag: w.tag})
+	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: w.min}, w.tag)
 	p.ip++
 	m.post(m.now, event{kind: evStep, p: p})
 	m.freeWait(w)
 }
 
 // busIssue posts a register write on the synchronization bus.
-func (m *Machine) busIssue(v *syncVar, val int64, procID int, tag string) {
+func (m *Machine) busIssue(v *syncVar, val int64, procID int) {
 	seq := m.busIssued
 	m.busIssued++
 	if m.cfg.BusCoverage {
@@ -779,7 +785,6 @@ func (m *Machine) busIssue(v *syncVar, val int64, procID int, tag string) {
 		for _, e := range m.busQueue[m.busHead:] {
 			if !e.seen && e.v == v && e.pe.proc == procID {
 				e.pe.val = val
-				e.tag = tag
 				m.busSaved++
 				return
 			}
@@ -787,7 +792,7 @@ func (m *Machine) busIssue(v *syncVar, val int64, procID int, tag string) {
 	}
 	pe := m.allocPending(procID, val)
 	v.pend = append(v.pend, pe)
-	e := m.allocEntry(v, pe, tag)
+	e := m.allocEntry(v, pe)
 	if m.inj != nil {
 		if m.inj.DropBroadcast(seq, procID, int64(v.id)) {
 			// The broadcast is lost: the writer keeps its local image (the

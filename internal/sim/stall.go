@@ -87,7 +87,7 @@ func (m *Machine) stallError(base error, maxed bool) error {
 			bp.Op = m.describeOp(op)
 			if op.Kind == OpWait && int(op.Var) < len(m.vars) {
 				v := m.vars[op.Var]
-				bp.Var, bp.VarID = v.name, v.id
+				bp.Var, bp.VarID = v.name.String(), v.id
 				bp.Have, bp.Want = v.visibleTo(p.id), op.Value
 				bp.wait = true
 			}

@@ -60,16 +60,23 @@ type SyncEvent struct {
 // Run*. Independent of EnableTrace (the timeline trace).
 func (m *Machine) EnableSyncTrace() { m.syncTracing = true }
 
+// SyncTracing reports whether the machine records a sync trace, the only
+// reader of Op.Touch.
+func (m *Machine) SyncTracing() bool { return m.syncTracing }
+
 // SyncTraceEvents returns the recorded synchronization trace in causal
 // order.
 func (m *Machine) SyncTraceEvents() []SyncEvent {
 	return append([]SyncEvent(nil), m.syncTrace...)
 }
 
-func (m *Machine) recordSync(e SyncEvent) {
+// recordSync appends e, tagged with the op's rendered label, when the
+// machine is recording a sync trace.
+func (m *Machine) recordSync(e SyncEvent, tag Label) {
 	if !m.syncTracing {
 		return
 	}
+	e.Tag = tag.String()
 	e.Seq = int64(len(m.syncTrace))
 	e.Time = m.now
 	m.syncTrace = append(m.syncTrace, e)
@@ -80,11 +87,11 @@ func (m *Machine) recordAccess(p *proc, op *Op) {
 	if !m.syncTracing || len(op.Touch) == 0 {
 		return
 	}
-	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: op.Touch, Tag: op.Tag})
+	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: op.Touch}, op.Tag)
 }
 
 // VarCount returns the number of declared synchronization variables.
 func (m *Machine) VarCount() int { return len(m.vars) }
 
 // VarName returns the declared name of a synchronization variable.
-func (m *Machine) VarName(v VarID) string { return m.vars[v].name }
+func (m *Machine) VarName(v VarID) string { return m.vars[v].name.String() }

@@ -52,12 +52,12 @@ func (m *Machine) Trace() []TraceEvent {
 	return out
 }
 
-func (m *Machine) addTrace(p *proc, start, end int64, kind TraceKind, tag string) {
+func (m *Machine) addTrace(p *proc, start, end int64, kind TraceKind, tag Label) {
 	if !m.tracing || end <= start {
 		return
 	}
 	m.traceEvents = append(m.traceEvents, TraceEvent{
-		Proc: p.id, Iter: p.iter, Start: start, End: end, Kind: kind, Tag: tag,
+		Proc: p.id, Iter: p.iter, Start: start, End: end, Kind: kind, Tag: tag.String(),
 	})
 }
 

@@ -23,24 +23,10 @@ package stmtorient
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 
 	"github.com/csrd-repro/datasync/internal/sim"
 )
-
-// tagCSeq renders "<prefix><c><mid><seq>" — the Advance/Await tag shapes —
-// without fmt; these are built per sync point per iteration on sweeps, and
-// must stay byte-identical to the former fmt forms (they feed sync traces
-// and cache canon).
-func tagCSeq(prefix string, c int64, mid string, seq int64) string {
-	b := make([]byte, 0, len(prefix)+len(mid)+40)
-	b = append(b, prefix...)
-	b = strconv.AppendInt(b, c, 10)
-	b = append(b, mid...)
-	b = strconv.AppendInt(b, seq, 10)
-	return string(b)
-}
 
 // SimSCs is a folded set of K statement counters on a simulated machine.
 // Counters start at 0; sequence numbers are 1-based (the paper initializes
@@ -70,10 +56,11 @@ func (s *SimSCs) Var(c int64) sim.VarID { return s.vars[int(c)%s.K] }
 // values never skip, so >= equals ==), then publish seq.
 func (s *SimSCs) AdvanceOps(c, seq int64) []sim.Op {
 	v := s.Var(c)
-	return []sim.Op{
-		sim.WaitGE(v, seq-1, tagCSeq("advance:wait c=", c, " seq=", seq)),
-		sim.WriteVar(v, seq, tagCSeq("advance:set c=", c, " seq=", seq)),
-	}
+	wait := sim.WaitGE(v, seq-1, "")
+	wait.Tag = sim.Tagf("advance:wait c=%d seq=%d", c, seq)
+	set := sim.WriteVar(v, seq, "")
+	set.Tag = sim.Tagf("advance:set c=%d seq=%d", c, seq)
+	return []sim.Op{wait, set}
 }
 
 // AwaitOp is Await: wait until logical counter c has reached minSeq.
@@ -82,7 +69,9 @@ func (s *SimSCs) AwaitOp(c, minSeq int64) sim.Op {
 	if minSeq <= 0 {
 		return sim.Compute(0, nil, "await:noop")
 	}
-	return sim.WaitGE(s.Var(c), minSeq, tagCSeq("await c=", c, " seq>=", minSeq))
+	op := sim.WaitGE(s.Var(c), minSeq, "")
+	op.Tag = sim.Tagf("await c=%d seq>=%d", c, minSeq)
+	return op
 }
 
 // SCSet is the runtime (goroutine) statement-counter set.

@@ -53,7 +53,7 @@ func brokenBase() codegen.ProcessOriented { return codegen.ProcessOriented{X: 2,
 
 // dropWait3 removes every dist-3 wait from the program.
 func dropWait3(op sim.Op) (sim.Op, bool) {
-	return op, !strings.HasPrefix(op.Tag, "wait_PC(3,")
+	return op, !strings.HasPrefix(op.Tag.String(), "wait_PC(3,")
 }
 
 // stretchWait3 rewrites every dist-3 wait to distance 5. With X=2 the folded
@@ -61,13 +61,13 @@ func dropWait3(op sim.Op) (sim.Op, bool) {
 // the wait is satisfiable but guards the wrong source iteration, and no
 // composition of +2 transfer edges and +5 wait edges spans a distance of 3.
 func stretchWait3(op sim.Op) (sim.Op, bool) {
-	if !strings.HasPrefix(op.Tag, "wait_PC(3,") {
+	if !strings.HasPrefix(op.Tag.String(), "wait_PC(3,") {
 		return op, true
 	}
 	var step, iter int64
-	rest := strings.TrimPrefix(op.Tag, "wait_PC(3,")
+	rest := strings.TrimPrefix(op.Tag.String(), "wait_PC(3,")
 	if _, err := fmt.Sscanf(rest, "%d) i=%d", &step, &iter); err != nil {
-		panic("stretchWait3: unparseable tag " + op.Tag)
+		panic("stretchWait3: unparseable tag " + op.Tag.String())
 	}
 	src := iter - 5
 	tag := fmt.Sprintf("wait_PC(5,%d) i=%d", step, iter)
