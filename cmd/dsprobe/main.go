@@ -12,30 +12,10 @@
 // must leave the breaker closed with the recovery counters visible in
 // /metrics.
 //
-// With -cluster it boots a 3-node in-process cluster (no external server
-// needed) and probes the peer protocol: cross-node cache hits through
-// forwarding, a node killed mid-/sweep healed by work stealing with the
-// merged Pareto front checked against a single-node oracle, and a hot
-// tenant shed by admission without opening the circuit breaker.
-//
-// With -membership it boots the same in-process cluster with active
-// failure probing, K-successor replication and drain handoff enabled, and
-// verifies the self-healing cycle: a killed owner is demoted and its keys
-// served byte-identically from a replica, a restarted node is readmitted
-// within the probe window, and a gracefully drained node hands its cache
-// to the next owners so the keys stay warm cross-node hits.
-//
-// With -partition it boots the in-process cluster twice under an identical
-// seeded link-fault plan and checks the injected chaos is byte-for-byte
-// reproducible, then runs a seeded partition episode on a hand-advanced
-// clock: the minority node refuses to coordinate sweeps, the majority's
-// sweep matches the single-node oracle, and after the heal anti-entropy
-// restores every key to full replication factor before a final
-// oracle-identical sweep coordinated by the healed minority node.
-//
 // Exit status 0 means the probed cycle was observed; any deviation is one
 // line on stderr and exit 1. The smoke script runs both modes against a
-// short-cooldown server.
+// short-cooldown server. Cluster behaviour is covered by the
+// internal/cluster tests and scripts/cluster_smoke.sh.
 package main
 
 import (
@@ -61,26 +41,11 @@ func main() {
 	cooldown := flag.Duration("cooldown", 2*time.Second, "server's -breaker-cooldown, waited out before the recovery check")
 	timeout := flag.Duration("timeout", 60*time.Second, "overall probe budget")
 	halt := flag.Bool("halt", false, "probe the self-healing path (halt -> reclaim -> recovered success) instead of the breaker cycle")
-	clusterMode := flag.Bool("cluster", false, "probe an in-process 3-node cluster (forwarding, mid-sweep node loss, tenant shedding) instead of the breaker cycle")
-	membershipMode := flag.Bool("membership", false, "probe self-healing membership in an in-process 3-node cluster (kill -> replica serve -> rejoin -> drain handoff) instead of the breaker cycle")
-	partitionMode := flag.Bool("partition", false, "probe partition tolerance in an in-process 3-node cluster (seeded link chaos reproducibility, minority sweep refusal, heal -> anti-entropy re-replication) instead of the breaker cycle")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	if *partitionMode {
-		probePartition(ctx)
-		return
-	}
-	if *membershipMode {
-		probeMembership(ctx)
-		return
-	}
-	if *clusterMode {
-		probeCluster(ctx)
-		return
-	}
 	if *halt {
 		probeHalt(ctx, *addr)
 		return

@@ -278,6 +278,40 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	}
 }
 
+// TestSweepAfterDrainMatchesOracle: once a node has drained its cache to
+// the next owners and left, the remaining members still merge a cluster
+// sweep — now served from handed-off entries — to the single-node oracle.
+func TestSweepAfterDrainMatchesOracle(t *testing.T) {
+	tc := startCluster(t, 3, Options{StealChunk: 2})
+	sweep := service.SweepRequest{
+		Workload: service.WorkloadSpec{Name: "fig21", N: 48},
+		Scheme:   service.SchemeSpec{Name: "process"},
+		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4, 8}, Chunk: []int64{1, 2}},
+	}
+	if resp, body := postNode(t, tc.addrs[0], "/sweep", sweep, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pre-drain /sweep: %d %s", resp.StatusCode, body)
+	}
+
+	rep := tc.nodes[0].DrainHandoff(context.Background())
+	if rep.Entries == 0 || rep.FailedBatches != 0 {
+		t.Fatalf("drain handoff report %+v, want entries > 0 with no failed batches", rep)
+	}
+	tc.kill(0)
+
+	resp, body := postNode(t, tc.addrs[1], "/sweep", sweep, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-drain /sweep: %d %s", resp.StatusCode, body)
+	}
+	var got service.SweepResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Failed != 0 || got.Evaluated != 12 {
+		t.Fatalf("post-drain sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, body)
+	}
+	requireSweepMatchesOracle(t, sweep, got)
+}
+
 // TestProbeStateMachine drives the suspect→confirm→rejoin transitions
 // against a stub peer whose /healthz behaviour the test switches.
 func TestProbeStateMachine(t *testing.T) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,12 +99,9 @@ type Options struct {
 	// 1; negative disables). During owner loss, forwards fall through to
 	// successors, converting the loss into a replica read.
 	Replicas int
-	// AntiEntropyInterval is the period of the background re-replication
-	// scan (default 60s; negative disables): each node walks its owned
-	// keys, asks the successors which they hold, and pushes the missing
-	// replicas through the replication queue. Every live-ring transition
-	// additionally kicks an immediate scan, so a demotion or rejoin starts
-	// converging without waiting a full period.
+	// AntiEntropyInterval is the period of the re-replication scan
+	// (default 60s; negative disables); every live-ring transition also
+	// kicks one. See reconcile.go.
 	AntiEntropyInterval time.Duration
 	// LinkFaults, when non-nil and enabled, arms seeded fault injection on
 	// every outbound peer exchange (fault.LinkPlan: drops, delays,
@@ -195,15 +193,17 @@ type Node struct {
 	// (buffered 1: a burst of transitions coalesces into one scan).
 	aeKick chan struct{}
 
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
+	// ctx is canceled by Stop; the background loops and their pushes run
+	// under it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
-	// replication queue: bounded, drop-oldest (replicate.go).
-	replMu      sync.Mutex
-	replCond    *sync.Cond
-	replQ       []replJob
-	replStopped bool
+	// fill queue: bounded, drop-oldest keys; replWake (buffered 1) wakes
+	// the worker (reconcile.go).
+	replMu   sync.Mutex
+	replQ    []cache.Key
+	replWake chan struct{}
 
 	forwards   atomic.Int64 // requests forwarded to their owning peer
 	steals     atomic.Int64 // sweep sub-grids executed by a non-owner node
@@ -218,7 +218,7 @@ type Node struct {
 
 	replicaPushes     atomic.Int64 // cache entries pushed to a ring-successor
 	replicaPushErrors atomic.Int64 // replica pushes that failed (best-effort, not peer errors)
-	replicaDrops      atomic.Int64 // fills dropped from the full replication queue
+	replicaDrops      atomic.Int64 // fills dropped from the full queue or evicted before their push
 	replicaHits       atomic.Int64 // non-owned keys served from the local cache
 	replicaMisses     atomic.Int64 // non-owned keys served by local recompute
 
@@ -289,17 +289,17 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 	}
 
 	n := &Node{
-		opts:    opts,
-		self:    self,
-		adm:     NewAdmission(opts.Tenant),
-		full:    ring,
-		clients: make(map[string]*service.Client),
-		peers:   make(map[string]*peerHealth),
-		log:     opts.Logger,
-		aeKick:  make(chan struct{}, 1),
-		stopCh:  make(chan struct{}),
+		opts:     opts,
+		self:     self,
+		adm:      NewAdmission(opts.Tenant),
+		full:     ring,
+		clients:  make(map[string]*service.Client),
+		peers:    make(map[string]*peerHealth),
+		log:      opts.Logger,
+		aeKick:   make(chan struct{}, 1),
+		replWake: make(chan struct{}, 1),
 	}
-	n.replCond = sync.NewCond(&n.replMu)
+	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.ring.Store(ring)
 	hdr := http.Header{}
 	hdr.Set(HeaderForwarded, "1")
@@ -370,17 +370,11 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 	return n, nil
 }
 
-// Stop shuts down the node's background goroutines (prober, replicator)
-// and waits for them. The underlying service server is not drained; call
-// Server().Drain for that.
+// Stop shuts down the node's background goroutines (prober, replicator,
+// anti-entropy) and waits for them. The underlying service server is not
+// drained; call Server().Drain for that.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopCh)
-		n.replMu.Lock()
-		n.replStopped = true
-		n.replCond.Broadcast()
-		n.replMu.Unlock()
-	})
+	n.cancel()
 	n.wg.Wait()
 }
 
@@ -389,9 +383,6 @@ func (n *Node) Server() *service.Server { return n.srv }
 
 // Ring exposes the current membership view.
 func (n *Node) Ring() *Ring { return n.ring.Load() }
-
-// Admission exposes the tenant admission layer.
-func (n *Node) Admission() *Admission { return n.adm }
 
 // Counters snapshots the peer-protocol counters (forwards, steals, errors).
 func (n *Node) Counters() (forwards, steals, peerErrors int64) {
@@ -851,7 +842,7 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_degraded Whether more than half of the configured peers are demoted.\n# TYPE dsserve_degraded gauge\ndsserve_degraded %d\n", deg)
 	fmt.Fprintf(w, "# HELP dsserve_replica_pushes_total Cache entries pushed to ring-successors.\n# TYPE dsserve_replica_pushes_total counter\ndsserve_replica_pushes_total %d\n", ms.ReplicaPushes)
 	fmt.Fprintf(w, "# HELP dsserve_replica_push_errors_total Replica pushes that failed (best-effort).\n# TYPE dsserve_replica_push_errors_total counter\ndsserve_replica_push_errors_total %d\n", ms.ReplicaPushErrors)
-	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", ms.ReplicaDrops)
+	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue or evicted before their push.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", ms.ReplicaDrops)
 	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication or handoff paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", ms.ReplicaHits)
 	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", ms.ReplicaMisses)
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", ms.HandoffSentEntries)
@@ -861,10 +852,7 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Owned keys missing at least one successor replica at the last anti-entropy scan.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
 	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())
-	lc := fault.LinkCounts{}
-	if n.linkInj != nil {
-		lc = n.linkInj.Counts()
-	}
+	lc := n.LinkCounts()
 	fmt.Fprintf(w, "# HELP dsserve_link_faults_injected_total Seeded faults injected into outbound peer exchanges, by kind (all zero unless -link-fault is armed).\n# TYPE dsserve_link_faults_injected_total counter\n")
 	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"drop\"} %d\n", lc.Drops)
 	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"delay\"} %d\n", lc.Delays)

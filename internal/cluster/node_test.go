@@ -26,6 +26,13 @@ type testCluster struct {
 
 func startCluster(t *testing.T, size int, opts Options) *testCluster {
 	t.Helper()
+	return startClusterWrapped(t, size, opts, nil)
+}
+
+// startClusterWrapped is startCluster with node i's handler wrapped by
+// wrap (when non-nil), so a test can observe or hold peer traffic.
+func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	listeners := make([]net.Listener, size)
 	members := make([]Member, size)
@@ -55,7 +62,11 @@ func startCluster(t *testing.T, size int, opts Options) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := &http.Server{Handler: node.Handler()}
+		h := node.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		hs := &http.Server{Handler: h}
 		go hs.Serve(ln)
 		tc.nodes = append(tc.nodes, node)
 		tc.servers = append(tc.servers, hs)
@@ -106,6 +117,38 @@ func postNode(t *testing.T, addr, path string, body any, header map[string]strin
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// requireSweepMatchesOracle fails the test unless the cluster's merged
+// sweep equals a fresh single-node server's answer point for point and
+// front for front, ignoring only cache provenance.
+func requireSweepMatchesOracle(t *testing.T, sweep service.SweepRequest, got service.SweepResponse) {
+	t.Helper()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: quiet})
+	defer oracleSrv.Drain(context.Background())
+	oracle, err := oracleSrv.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != len(oracle.Points) || len(got.Pareto) != len(oracle.Pareto) {
+		t.Fatalf("cluster %d points / %d Pareto, oracle %d / %d",
+			len(got.Points), len(got.Pareto), len(oracle.Points), len(oracle.Pareto))
+	}
+	for i := range oracle.Points {
+		a, c := oracle.Points[i], got.Points[i]
+		a.Cached, c.Cached = false, false
+		if a != c {
+			t.Errorf("point %d: oracle %+v vs cluster %+v", i, a, c)
+		}
+	}
+	for i := range oracle.Pareto {
+		a, c := oracle.Pareto[i], got.Pareto[i]
+		a.Cached, c.Cached = false, false
+		if a != c {
+			t.Errorf("Pareto point %d: oracle %+v vs cluster %+v", i, a, c)
+		}
+	}
 }
 
 var testRunReq = service.RunRequest{
@@ -248,34 +291,7 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, body)
 	}
 
-	// Single-node oracle on a fresh standalone server.
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: quiet})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(oracle.Points) {
-		t.Fatalf("cluster returned %d points, oracle %d", len(got.Points), len(oracle.Points))
-	}
-	for i := range oracle.Points {
-		a, b := oracle.Points[i], got.Points[i]
-		a.Cached, b.Cached = false, false
-		if a != b {
-			t.Errorf("point %d: oracle %+v vs cluster %+v", i, a, b)
-		}
-	}
-	if len(got.Pareto) != len(oracle.Pareto) {
-		t.Fatalf("merged Pareto has %d points, oracle %d", len(got.Pareto), len(oracle.Pareto))
-	}
-	for i := range oracle.Pareto {
-		a, b := oracle.Pareto[i], got.Pareto[i]
-		a.Cached, b.Cached = false, false
-		if a != b {
-			t.Errorf("Pareto point %d: oracle %+v vs cluster %+v", i, a, b)
-		}
-	}
+	requireSweepMatchesOracle(t, sweep, got)
 
 	if tc.nodes[0].Ring().Has(deadID) {
 		t.Error("dead member still in the coordinator's ring view")

@@ -1,8 +1,9 @@
 package cluster
 
-// Partition-tolerance tests: ring-version-fenced sweeps, degraded-node
-// coordination refusal, anti-entropy re-replication, bounded peer-internal
-// bodies, probe jitter, asymmetric-partition gossip, and drain retargeting.
+// Partition-tolerance tests: reproducible seeded link chaos,
+// ring-version-fenced sweeps, degraded-node coordination refusal,
+// anti-entropy re-replication, bounded peer-internal bodies, probe jitter,
+// asymmetric-partition gossip, and drain retargeting.
 
 import (
 	"bytes"
@@ -11,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -57,6 +57,44 @@ func getMetrics(t *testing.T, addr string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestLinkChaosReproducible: the same seeded link-fault plan under the same
+// sequential request schedule injects exactly the same faults in two fresh
+// clusters — identical per-kind counts, and the same status and serving
+// node for every response.
+func TestLinkChaosReproducible(t *testing.T) {
+	chaos := &fault.LinkPlan{Seed: 7, DropProb: 0.2, DelayProb: 0.2, DelayMS: 5, DupProb: 0.2}
+	run := func() (fault.LinkCounts, string) {
+		tc := startCluster(t, 3, Options{
+			Replicas:            -1, // only the test's forwards cross the links
+			AntiEntropyInterval: -1,
+			LinkFaults:          chaos,
+		})
+		var schedule strings.Builder
+		for i := 0; i < 60; i++ {
+			req := testRunReq
+			req.Workload.N = int64(24 + 2*i)
+			resp, _ := postNode(t, tc.addrs[i%3], "/run", req, nil)
+			fmt.Fprintf(&schedule, "%d:%d:%s ", i, resp.StatusCode, resp.Header.Get(HeaderNode))
+		}
+		var sum fault.LinkCounts
+		for _, n := range tc.nodes {
+			sum = sum.Add(n.LinkCounts())
+		}
+		return sum, schedule.String()
+	}
+	counts1, schedule1 := run()
+	counts2, schedule2 := run()
+	if counts1 != counts2 {
+		t.Errorf("seeded chaos diverged between identical runs:\nrun 1: %+v\nrun 2: %+v", counts1, counts2)
+	}
+	if schedule1 != schedule2 {
+		t.Errorf("response schedule diverged between identical runs:\nrun 1: %s\nrun 2: %s", schedule1, schedule2)
+	}
+	if counts1.Total() == 0 {
+		t.Errorf("chaos plan injected nothing (counts %+v)", counts1)
+	}
 }
 
 // TestSweepFenceRejectAndReplan: an executor whose live view disagrees with
@@ -132,31 +170,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, out.body)
 	}
 
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	oracleSrv := service.NewServer(service.Options{Workers: 4, Logger: quiet})
-	defer oracleSrv.Drain(context.Background())
-	oracle, err := oracleSrv.EvalSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(oracle.Points) || len(got.Pareto) != len(oracle.Pareto) {
-		t.Fatalf("cluster %d points / %d Pareto, oracle %d / %d",
-			len(got.Points), len(got.Pareto), len(oracle.Points), len(oracle.Pareto))
-	}
-	for i := range oracle.Points {
-		a, c := oracle.Points[i], got.Points[i]
-		a.Cached, c.Cached = false, false
-		if a != c {
-			t.Errorf("point %d: oracle %+v vs cluster %+v", i, a, c)
-		}
-	}
-	for i := range oracle.Pareto {
-		a, c := oracle.Pareto[i], got.Pareto[i]
-		a.Cached, c.Cached = false, false
-		if a != c {
-			t.Errorf("Pareto point %d: oracle %+v vs cluster %+v", i, a, c)
-		}
-	}
+	requireSweepMatchesOracle(t, sweep, got)
 
 	if _, replans := tc.nodes[0].FenceStats(); replans < 1 {
 		t.Errorf("coordinator replans = %d, want >= 1", replans)
@@ -237,8 +251,8 @@ func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 	}
 
 	rep := tc.nodes[0].AntiEntropyScan(context.Background())
-	if rep.Owned != 6 || rep.Underreplicated != 6 || rep.Enqueued != 6 || rep.Unverifiable != 0 {
-		t.Fatalf("first scan: %+v, want 6 owned, 6 underreplicated, 6 enqueued", rep)
+	if rep.Owned != 6 || rep.Underreplicated != 6 || rep.Pushed != 6 || rep.Unverifiable != 0 {
+		t.Fatalf("first scan: %+v, want 6 owned, 6 underreplicated, 6 pushed", rep)
 	}
 
 	waitFor(t, 5*time.Second, func() bool {
@@ -256,7 +270,7 @@ func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 	}, "every repair push to land on its successor")
 
 	rep = tc.nodes[0].AntiEntropyScan(context.Background())
-	if rep.Underreplicated != 0 || rep.Enqueued != 0 {
+	if rep.Underreplicated != 0 || rep.Pushed != 0 {
 		t.Fatalf("post-repair scan: %+v, want 0 underreplicated", rep)
 	}
 	scans, pushes, under := tc.nodes[0].AntiEntropyStats()

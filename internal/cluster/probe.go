@@ -94,7 +94,7 @@ func (n *Node) probeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-n.stopCh:
+		case <-n.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -104,7 +104,7 @@ func (n *Node) probeLoop() {
 				continue
 			}
 			select {
-			case <-n.stopCh:
+			case <-n.ctx.Done():
 				return
 			default:
 			}

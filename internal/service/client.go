@@ -259,69 +259,3 @@ func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResponse, error) 
 	}
 	return &resp, nil
 }
-
-// SweepAll evaluates an arbitrarily large sweep grid by splitting it into
-// server-acceptable sub-grids (<= maxSweepPoints each), posting them
-// sequentially through the retrying path, and merging the answers with the
-// Pareto front recomputed over the full point set.
-func (c *Client) SweepAll(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	subs := splitSweep(req, maxSweepPoints)
-	merged := &SweepResponse{}
-	for _, sub := range subs {
-		var resp SweepResponse
-		if err := c.PostJSON(ctx, "/sweep", sub, &resp); err != nil {
-			return nil, err
-		}
-		merged.Workload = resp.Workload
-		merged.Evaluated += resp.Evaluated
-		merged.Failed += resp.Failed
-		merged.CacheHits += resp.CacheHits
-		merged.Points = append(merged.Points, resp.Points...)
-	}
-	merged.Pareto = ParetoFront(merged.Points)
-	return merged, nil
-}
-
-// gridSize is the number of points the grid expands to (empty dimensions
-// contribute one point each, holding the base request's value).
-func gridSize(g SweepGrid) int {
-	dim := func(n int) int {
-		if n == 0 {
-			return 1
-		}
-		return n
-	}
-	return dim(len(g.X)) * dim(len(g.P)) * dim(len(g.Chunk)) * dim(len(g.G)) * dim(len(g.BusLatency))
-}
-
-// splitSweep halves the longest grid dimension until every sub-request fits
-// the server's point cap. Grid order within each dimension is preserved.
-// An explicit point list splits by slicing instead.
-func splitSweep(req SweepRequest, limit int) []SweepRequest {
-	if pts := req.Points; len(pts) > 0 {
-		var subs []SweepRequest
-		for start := 0; start < len(pts); start += limit {
-			sub := req
-			sub.Points = pts[start:min(start+limit, len(pts))]
-			subs = append(subs, sub)
-		}
-		return subs
-	}
-	if gridSize(req.Grid) <= limit {
-		return []SweepRequest{req}
-	}
-	a, b := req, req
-	switch g := req.Grid; {
-	case len(g.X) >= len(g.P) && len(g.X) >= len(g.Chunk) && len(g.X) >= len(g.G) && len(g.X) >= len(g.BusLatency):
-		a.Grid.X, b.Grid.X = g.X[:len(g.X)/2], g.X[len(g.X)/2:]
-	case len(g.P) >= len(g.Chunk) && len(g.P) >= len(g.G) && len(g.P) >= len(g.BusLatency):
-		a.Grid.P, b.Grid.P = g.P[:len(g.P)/2], g.P[len(g.P)/2:]
-	case len(g.Chunk) >= len(g.G) && len(g.Chunk) >= len(g.BusLatency):
-		a.Grid.Chunk, b.Grid.Chunk = g.Chunk[:len(g.Chunk)/2], g.Chunk[len(g.Chunk)/2:]
-	case len(g.G) >= len(g.BusLatency):
-		a.Grid.G, b.Grid.G = g.G[:len(g.G)/2], g.G[len(g.G)/2:]
-	default:
-		a.Grid.BusLatency, b.Grid.BusLatency = g.BusLatency[:len(g.BusLatency)/2], g.BusLatency[len(g.BusLatency)/2:]
-	}
-	return append(splitSweep(a, limit), splitSweep(b, limit)...)
-}

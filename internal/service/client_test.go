@@ -199,103 +199,3 @@ func TestClientPostRawRelaysStatus(t *testing.T) {
 		t.Fatal("PostRaw succeeded against a closed server")
 	}
 }
-
-// TestSplitSweepPoints: an explicit point list splits by slicing.
-func TestSplitSweepPoints(t *testing.T) {
-	req := SweepRequest{}
-	for i := 0; i < 25; i++ {
-		req.Points = append(req.Points, GridSel{X: i + 1, P: 4, Chunk: 1, BusLatency: 1})
-	}
-	subs := splitSweep(req, 10)
-	if len(subs) != 3 {
-		t.Fatalf("split into %d sub-requests, want 3", len(subs))
-	}
-	total := 0
-	for _, sub := range subs {
-		total += len(sub.Points)
-	}
-	if total != 25 {
-		t.Errorf("split covers %d points, want 25", total)
-	}
-}
-
-// TestSplitSweep: oversized grids split along the longest dimension into
-// server-acceptable pieces covering every point exactly once.
-func TestSplitSweep(t *testing.T) {
-	var xs []int
-	for i := 0; i < 50; i++ {
-		xs = append(xs, i+1)
-	}
-	req := SweepRequest{Grid: SweepGrid{X: xs, P: []int{2, 4, 8}, Chunk: []int64{1, 4}}}
-	if got := gridSize(req.Grid); got != 300 {
-		t.Fatalf("gridSize = %d, want 300", got)
-	}
-	subs := splitSweep(req, 64)
-	total := 0
-	seen := map[int]bool{}
-	for _, sub := range subs {
-		n := gridSize(sub.Grid)
-		if n > 64 {
-			t.Errorf("sub-grid has %d points, cap 64", n)
-		}
-		total += n
-		for _, x := range sub.Grid.X {
-			seen[x] = true
-		}
-	}
-	if total != 300 {
-		t.Errorf("split covers %d points, want 300", total)
-	}
-	if len(seen) != 50 {
-		t.Errorf("split lost X values: %d of 50 present", len(seen))
-	}
-}
-
-// TestClientSweepAll: an oversized grid is served by multiple /sweep posts
-// and merged with a recomputed Pareto front.
-func TestClientSweepAll(t *testing.T) {
-	var posts atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		posts.Add(1)
-		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("decode sub-sweep: %v", err)
-		}
-		resp := SweepResponse{Workload: "fake"}
-		for _, x := range req.Grid.X {
-			resp.Evaluated++
-			// A pure trade-off curve: every point is non-dominated, so the
-			// merged front must span every sub-grid.
-			resp.Points = append(resp.Points, SweepPoint{
-				X: x, Cycles: int64(x), SyncTraffic: int64(1_000_000 - x)})
-		}
-		json.NewEncoder(w).Encode(resp)
-	}))
-	defer ts.Close()
-
-	grid := SweepGrid{}
-	for i := 0; i < 2*maxSweepPoints; i++ {
-		grid.X = append(grid.X, i+1)
-	}
-	c := Client{Base: ts.URL, BaseDelay: time.Millisecond}
-	resp, err := c.SweepAll(context.Background(), SweepRequest{Grid: grid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if posts.Load() < 2 {
-		t.Errorf("oversized sweep used %d posts, want >= 2", posts.Load())
-	}
-	if resp.Evaluated != 2*maxSweepPoints || len(resp.Points) != 2*maxSweepPoints {
-		t.Errorf("merged %d/%d points, want %d", resp.Evaluated, len(resp.Points), 2*maxSweepPoints)
-	}
-	// The front must be computed over the union: on a pure trade-off curve
-	// every point is non-dominated, so a front computed per sub-grid and
-	// concatenated would look the same — but one taken from only the last
-	// sub-response would not. Require full coverage in cycle order.
-	if len(resp.Pareto) != 2*maxSweepPoints {
-		t.Errorf("merged Pareto front has %d points, want %d", len(resp.Pareto), 2*maxSweepPoints)
-	} else if resp.Pareto[0].X != 1 || resp.Pareto[len(resp.Pareto)-1].X != 2*maxSweepPoints {
-		t.Errorf("front endpoints %d..%d, want 1..%d",
-			resp.Pareto[0].X, resp.Pareto[len(resp.Pareto)-1].X, 2*maxSweepPoints)
-	}
-}

@@ -222,7 +222,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeCompile(r.Context(), filename, req)
 	})
-	s.notifyFill(key, v, hit, err)
+	s.notifyFill(key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return

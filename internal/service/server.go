@@ -49,10 +49,10 @@ type Options struct {
 	// and tenant-shed counters through it).
 	MetricsAppend func(w io.Writer)
 	// OnCacheFill, when set, is called once per fresh cache fill (a computed
-	// result, not a hit) with the portable encoding of the stored entry. It
-	// must be cheap: the cluster layer enqueues the entry for asynchronous
-	// K-successor replication and returns.
-	OnCacheFill func(key cache.Key, e CacheEntry)
+	// result, not a hit) with the filled key. It must be cheap: the cluster
+	// layer queues the key for asynchronous K-successor replication, which
+	// exports the entry (ExportCacheEntry) off the serving path.
+	OnCacheFill func(key cache.Key)
 	// Degraded, when set, lets an embedding layer mark the node unhealthy:
 	// when it returns true, /healthz answers 503 with status "degraded" and
 	// the returned reason (the cluster layer reports a majority of peers
@@ -292,7 +292,7 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeRun(ctx, wl, sspec, cfg)
 	})
-	s.notifyFill(key, v, hit, err)
+	s.notifyFill(key, hit, err)
 	if err != nil {
 		return RunResponse{}, false, err
 	}
@@ -463,7 +463,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeVerify(r.Context(), wl, req)
 	})
-	s.notifyFill(key, v, hit, err)
+	s.notifyFill(key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return

@@ -13,8 +13,8 @@ import (
 // this round-trip is exact for everything a response can contain — an
 // imported entry re-serves byte-identical response bodies (only the
 // per-request Cached/Key decoration differs, and that is recomputed per
-// request on both sides). The cluster layer streams entries this way for
-// drain warm-handoff and K-successor replication.
+// request on both sides). The cluster layer moves entries between nodes
+// this way (replication, anti-entropy and drain handoff).
 type CacheEntry struct {
 	Key  string          `json:"key"`
 	Kind string          `json:"kind"` // "run" | "verify" | "compile"
@@ -42,18 +42,6 @@ func encodeCacheValue(k cache.Key, v any) (CacheEntry, bool) {
 		return CacheEntry{}, false
 	}
 	return CacheEntry{Key: k.String(), Kind: kind, Body: body}, true
-}
-
-// ExportCache snapshots every transferable cache entry, most recently used
-// first (so a deadline-bounded handoff ships the hottest entries first).
-func (s *Server) ExportCache() []CacheEntry {
-	var out []CacheEntry
-	s.cache.Range(func(k cache.Key, v any) {
-		if e, ok := encodeCacheValue(k, v); ok {
-			out = append(out, e)
-		}
-	})
-	return out
 }
 
 // ImportCacheEntry decodes a portable entry and stores it in the result
@@ -96,8 +84,8 @@ func (s *Server) ImportCacheEntry(e CacheEntry) error {
 }
 
 // RangeCacheKeys calls f for every cached key, most recently used first.
-// The anti-entropy scan walks ownership this way without exporting bodies
-// it may never need to push.
+// The cluster layer walks the cache this way and exports (ExportCacheEntry)
+// only the entries it pushes, at push time.
 func (s *Server) RangeCacheKeys(f func(cache.Key)) {
 	s.cache.Range(func(k cache.Key, _ any) { f(k) })
 }
@@ -119,15 +107,10 @@ func (s *Server) CacheHas(k cache.Key) bool {
 	return ok
 }
 
-// notifyFill feeds a freshly computed (not hit, not errored) cache entry
-// to the OnCacheFill hook, portably encoded. Hook implementations must be
-// cheap — the cluster layer enqueues the entry for asynchronous
-// replication and returns.
-func (s *Server) notifyFill(k cache.Key, v any, hit bool, err error) {
-	if err != nil || hit || s.opts.OnCacheFill == nil {
-		return
-	}
-	if e, ok := encodeCacheValue(k, v); ok {
-		s.opts.OnCacheFill(k, e)
+// notifyFill reports a freshly computed (not hit, not errored) cache fill
+// to the OnCacheFill hook.
+func (s *Server) notifyFill(k cache.Key, hit bool, err error) {
+	if err == nil && !hit && s.opts.OnCacheFill != nil {
+		s.opts.OnCacheFill(k)
 	}
 }

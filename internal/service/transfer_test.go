@@ -69,7 +69,12 @@ func TestCacheExportImportByteIdentity(t *testing.T) {
 	}
 	_, cachedVerify := postJSON(t, ha.URL+"/verify", verifyReq)
 
-	entries := a.ExportCache()
+	var entries []CacheEntry
+	a.RangeCacheKeys(func(k cache.Key) {
+		if e, ok := a.ExportCacheEntry(k); ok {
+			entries = append(entries, e)
+		}
+	})
 	if len(entries) != 2 {
 		t.Fatalf("exported %d entries, want 2 (run + verify)", len(entries))
 	}
@@ -147,13 +152,15 @@ func validTestKey() string {
 	return k.String()
 }
 
-// TestOnCacheFillHook: the hook fires once per fresh fill with the
-// portable encoding, and never on hits.
+// TestOnCacheFillHook: the hook fires once per fresh fill with the filled
+// key, whose portable encoding is exportable, and never on hits.
 func TestOnCacheFillHook(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	var mu sync.Mutex
 	var fills []CacheEntry
-	s := NewServer(Options{Workers: 2, Logger: quiet, OnCacheFill: func(k cache.Key, e CacheEntry) {
+	var s *Server
+	s = NewServer(Options{Workers: 2, Logger: quiet, OnCacheFill: func(k cache.Key) {
+		e, _ := s.ExportCacheEntry(k)
 		mu.Lock()
 		fills = append(fills, e)
 		mu.Unlock()

@@ -1,189 +1,324 @@
 #!/usr/bin/env bash
-# Smoke-test the dsserve cluster end to end: boot three dsserve processes as
-# one logical service, require every node to agree on the ring, prove a
-# cross-node cache hit (computed via one node, served cached via another,
-# with the forward visible in /metrics), shed a hot tenant with 429s while
-# the breaker stays closed, then roll the cluster: SIGTERM node b (clean
-# drain with the cache handoff visible in the survivors' /metrics), hard-kill
-# node c (the prober demotes it, healthz flips to degraded, and a replicated
-# key is still served from cache), restart node c and require readmission
-# within the probe window with healthz back to ok.
+# Smoke-test the dsserve cluster end to end with real processes, in two
+# legs that share one build and one set of helpers. Every wait is a bounded
+# loop: the script fails rather than hangs.
+#
+# Rolling-restart leg: three nodes agree on the ring, a request computed via
+# one node is a cache hit via another (the forward visible in /metrics), a
+# sweep merges cluster-wide, and a hot tenant is shed with 429s while the
+# breaker stays closed. Then the cluster rolls: SIGTERM node b (clean drain,
+# the cache handoff visible in the survivors' /metrics), hard-kill node c
+# (the prober demotes it, healthz flips to degraded, and a replicated key is
+# still served from cache), and restart c (readmitted within the probe
+# window, healthz back to ok).
+#
+# Partition leg: three fresh nodes whose peer links share a seeded fault
+# plan with one partition episode cutting node c from {a, b} on a timer.
+# While it holds, the minority node refuses to coordinate sweeps (503), the
+# majority's sweep matches a standalone single-node oracle, and the cuts are
+# counted in /metrics. Keys filled on the majority meanwhile miss their
+# replica on c; after the heal the probers readmit everyone, anti-entropy
+# pushes the starved replicas until the under-replication gauge is back to
+# zero, and the healed minority node coordinates an oracle-identical sweep.
 set -euo pipefail
 
 PORT_BASE="${DSCLUSTER_PORT_BASE:-18081}"
-PA=$PORT_BASE PB=$((PORT_BASE + 1)) PC=$((PORT_BASE + 2))
-BASE_A="http://127.0.0.1:$PA" BASE_B="http://127.0.0.1:$PB" BASE_C="http://127.0.0.1:$PC"
 BINDIR="$(mktemp -d)"
 BIN="$BINDIR/dsserve"
 TOKEN="smoke-peer-token"
 
 go build -o "$BIN" ./cmd/dsserve
 
-start_node() { # $1=id $2=port $3=peers-spec $4=log
-  # -replicas 2 in a 3-node cluster means every fill lands on every node, so
-  # the rolling-restart leg can serve from replicas with one node standing.
-  "$BIN" -addr "127.0.0.1:$2" -node-id "$1" -advertise "http://127.0.0.1:$2" \
-    -peers "$3" -peer-token "$TOKEN" -workers 2 \
-    -tenant-rate 5 -tenant-burst 5 \
-    -probe-interval 250ms -suspect-after 2 -rejoin-after 2 -replicas 2 2>"$4" &
-}
-
-LOG_A="$(mktemp)" LOG_B="$(mktemp)" LOG_C="$(mktemp)" LOG_C2="$(mktemp)"
-start_node a "$PA" "b=$BASE_B,c=$BASE_C" "$LOG_A"; PID_A=$!
-start_node b "$PB" "a=$BASE_A,c=$BASE_C" "$LOG_B"; PID_B=$!
-start_node c "$PC" "a=$BASE_A,b=$BASE_B" "$LOG_C"; PID_C=$!
+PIDS=() LOGS=()
 cleanup() {
-  kill "$PID_A" "$PID_B" "$PID_C" 2>/dev/null || true
-  echo "--- node a log ---" >&2; cat "$LOG_A" >&2 || true
-  echo "--- node b log ---" >&2; cat "$LOG_B" >&2 || true
-  echo "--- node c log ---" >&2; cat "$LOG_C" >&2 || true
-  echo "--- node c (restarted) log ---" >&2; cat "$LOG_C2" >&2 || true
+  kill "${PIDS[@]}" 2>/dev/null || true
+  for entry in "${LOGS[@]}"; do
+    echo "--- ${entry%%=*} log ---" >&2; cat "${entry#*=}" >&2 || true
+  done
 }
 trap cleanup EXIT
 
-# Wait for liveness on all three nodes.
-for base in "$BASE_A" "$BASE_B" "$BASE_C"; do
-  for i in $(seq 1 50); do
-    if curl -fsS "$base/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
-  curl -fsS "$base/healthz" | grep -q '"status": "ok"' || {
-    echo "node at $base not healthy" >&2; exit 1; }
-done
+fail() { echo "$*" >&2; exit 1; }
 
-# Every node must report the same ring version and a 3-member cluster view.
-ring_a=$(curl -fsS "$BASE_A/healthz" | grep '"ringVersion"')
-for base in "$BASE_B" "$BASE_C"; do
-  hz=$(curl -fsS "$base/healthz")
-  echo "$hz" | grep -qF "$ring_a" || {
-    echo "ring version mismatch: $base reports $hz, node a reports $ring_a" >&2; exit 1; }
-  echo "$hz" | grep -q '"ringMembers": 3' || {
-    echo "node at $base does not see 3 members: $hz" >&2; exit 1; }
-done
+# start_node ID PORT PEERS [FLAGS...] starts one cluster node and sets PID.
+# -replicas 2 in a 3-node cluster puts every fill on every node: the
+# rolling-restart leg serves from replicas with one node standing, and
+# under-replication after the partition is exactly the fills c missed.
+start_node() {
+  local id=$1 port=$2 peers=$3 log
+  shift 3
+  log="$(mktemp)"
+  LOGS+=("$id ($port)=$log")
+  "$BIN" -addr "127.0.0.1:$port" -node-id "$id" -advertise "http://127.0.0.1:$port" \
+    -peers "$peers" -peer-token "$TOKEN" -workers 2 \
+    -probe-interval 250ms -suspect-after 2 -rejoin-after 2 -replicas 2 "$@" 2>"$log" &
+  PID=$!
+  PIDS+=("$PID")
+}
+
+# wait_until TRIES PAUSE CMD... retries CMD until it succeeds; false if never.
+wait_until() {
+  local tries=$1 pause=$2
+  shift 2
+  for _ in $(seq 1 "$tries"); do
+    if "$@"; then return 0; fi
+    sleep "$pause"
+  done
+  return 1
+}
+
+healthz_up() { curl -fsS "$1/healthz" >/dev/null 2>&1; }
+require_healthy() {
+  for base; do
+    wait_until 50 0.1 healthz_up "$base" || true
+    curl -fsS "$base/healthz" | grep -q '"status": "ok"' || fail "node at $base not healthy"
+  done
+}
+# require_ring_agreement BASE... : every node reports the first one's ring
+# version and sees all three members.
+require_ring_agreement() {
+  local ring hz
+  ring=$(curl -fsS "$1/healthz" | grep '"ringVersion"')
+  for base; do
+    hz=$(curl -fsS "$base/healthz")
+    echo "$hz" | grep -qF "$ring" || fail "ring version mismatch: $base reports $hz, $1 reports $ring"
+    echo "$hz" | grep -q '"ringMembers": 3' || fail "node at $base does not see 3 members: $hz"
+  done
+}
+# has_state BASE PEER STATE: BASE's failure detector holds PEER in STATE.
+has_state() {
+  curl -s "$1/healthz" | grep -A1 "\"id\": \"$2\"" | grep -q "\"state\": \"$3\""
+}
+metric() { # BASE NAME: the value of an exposition line (NAME may carry labels)
+  curl -s "$1/metrics" | awk -v name="$2" 'index($0, name " ") == 1 {print $2}'
+}
+sum_metric() { # NAME BASE...: the metric summed over nodes
+  local name=$1 total=0 v
+  shift
+  for base; do
+    v=$(metric "$base" "$name")
+    total=$((total + ${v:-0}))
+  done
+  echo "$total"
+}
+stop_clean() { # PID...: SIGTERM, then require exit 0 from each
+  kill -TERM "$@"
+  for pid; do
+    rc=0; wait "$pid" || rc=$?
+    [ "$rc" = "0" ] || fail "node (pid $pid) exited $rc after SIGTERM, want 0"
+  done
+}
+run_body() { # N: a /run request body
+  echo "{\"workload\":{\"name\":\"fig21\",\"n\":$1},\"scheme\":{\"name\":\"process\",\"x\":4},\"config\":{\"p\":4}}"
+}
+
+# ---- Rolling-restart leg ----
+
+PA=$PORT_BASE PB=$((PORT_BASE + 1)) PC=$((PORT_BASE + 2))
+BASE_A="http://127.0.0.1:$PA" BASE_B="http://127.0.0.1:$PB" BASE_C="http://127.0.0.1:$PC"
+TENANT_FLAGS=(-tenant-rate 5 -tenant-burst 5)
+start_node a "$PA" "b=$BASE_B,c=$BASE_C" "${TENANT_FLAGS[@]}"; PID_A=$PID
+start_node b "$PB" "a=$BASE_A,c=$BASE_C" "${TENANT_FLAGS[@]}"; PID_B=$PID
+start_node c "$PC" "a=$BASE_A,b=$BASE_B" "${TENANT_FLAGS[@]}"; PID_C=$PID
+require_healthy "$BASE_A" "$BASE_B" "$BASE_C"
+require_ring_agreement "$BASE_A" "$BASE_B" "$BASE_C"
 echo "cluster smoke: 3 nodes agree on the ring"
 
 # Cross-node cache hit: compute through node a, repeat through node b. The
 # key has one owner, so the repeat must be served from the cluster cache
 # regardless of which node the client hit.
-body='{"workload":{"name":"fig21","n":60},"scheme":{"name":"process","x":4},"config":{"p":4}}'
-curl -fsS -X POST "$BASE_A/run" -d "$body" | grep -q '"cached": false' || {
-  echo "first cluster /run was already cached?" >&2; exit 1; }
-curl -fsS -X POST "$BASE_B/run" -d "$body" | grep -q '"cached": true' || {
-  echo "repeat through node b missed the cluster cache" >&2; exit 1; }
-
-# The forward that made that hit possible must be visible in /metrics:
-# unless the owner was hit directly both times, somebody forwarded.
-forwards=0
-for base in "$BASE_A" "$BASE_B" "$BASE_C"; do
-  f=$(curl -fsS "$base/metrics" | awk '/^dsserve_peer_forwards_total /{print $2}')
-  forwards=$((forwards + f))
-done
-[ "$forwards" -ge 1 ] || {
-  echo "no peer forwards recorded across the cluster (got $forwards)" >&2; exit 1; }
+body=$(run_body 60)
+curl -fsS -X POST "$BASE_A/run" -d "$body" | grep -q '"cached": false' ||
+  fail "first cluster /run was already cached?"
+curl -fsS -X POST "$BASE_B/run" -d "$body" | grep -q '"cached": true' ||
+  fail "repeat through node b missed the cluster cache"
+# Unless the owner was hit directly both times, somebody forwarded.
+forwards=$(sum_metric dsserve_peer_forwards_total "$BASE_A" "$BASE_B" "$BASE_C")
+[ "$forwards" -ge 1 ] || fail "no peer forwards recorded across the cluster (got $forwards)"
 echo "cluster smoke: cross-node cache hit ($forwards forwards)"
 
 # A sweep through one node fans out cluster-wide and still returns the full
 # merged answer with its Pareto front.
 sweep='{"workload":{"name":"fig21","n":48},"scheme":{"name":"process"},"grid":{"x":[2,4],"p":[2,4],"chunk":[1,2]}}'
 out=$(curl -fsS -X POST "$BASE_A/sweep" -d "$sweep")
-echo "$out" | grep -q '"pareto"' || { echo "cluster sweep missing pareto: $out" >&2; exit 1; }
-echo "$out" | grep -q '"failed": 0' || { echo "cluster sweep had failures: $out" >&2; exit 1; }
+echo "$out" | grep -q '"pareto"' || fail "cluster sweep missing pareto: $out"
+echo "$out" | grep -q '"failed": 0' || fail "cluster sweep had failures: $out"
 echo "cluster smoke: cluster-wide sweep merged"
 
 # Hot tenant: burn the token bucket, expect 429 + Retry-After, the shed
 # visible in /metrics, and the breaker still closed (tenant misbehaviour is
 # not service unhealth).
 shed=0
-for i in $(seq 1 12); do
+for _ in $(seq 1 12); do
   code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE_A/run" \
     -H 'X-DSServe-Tenant: hot' -d "$body")
   [ "$code" = "429" ] && shed=$((shed + 1))
 done
-[ "$shed" -ge 1 ] || { echo "hot tenant was never shed across 12 rapid requests" >&2; exit 1; }
+[ "$shed" -ge 1 ] || fail "hot tenant was never shed across 12 rapid requests"
 curl -s -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: hot' -d "$body" \
-  -o /dev/null -D - | grep -qi '^Retry-After:' || {
-  echo "shed response missing Retry-After" >&2; exit 1; }
+  -o /dev/null -D - | grep -qi '^Retry-After:' || fail "shed response missing Retry-After"
 m=$(curl -fsS "$BASE_A/metrics")
-echo "$m" | grep -q 'dsserve_tenant_shed_total{tenant="hot"}' || {
-  echo "metrics missing hot tenant shed counter:" >&2; echo "$m" >&2; exit 1; }
-echo "$m" | grep -q 'dsserve_breaker_state 0' || {
-  echo "breaker left closed state during tenant shedding" >&2; exit 1; }
-curl -fsS -X POST "$BASE_B/run" -H 'X-DSServe-Tenant: cool' -d "$body" >/dev/null || {
-  echo "cool tenant rejected during hot tenant shedding" >&2; exit 1; }
+echo "$m" | grep -q 'dsserve_tenant_shed_total{tenant="hot"}' ||
+  fail "metrics missing hot tenant shed counter: $m"
+echo "$m" | grep -q 'dsserve_breaker_state 0' || fail "breaker left closed state during tenant shedding"
+curl -fsS -X POST "$BASE_B/run" -H 'X-DSServe-Tenant: cool' -d "$body" >/dev/null ||
+  fail "cool tenant rejected during hot tenant shedding"
 echo "cluster smoke: hot tenant shed $shed/12 with breaker closed"
 
-# Rolling restart, step 1 — SIGTERM node b: it must drain cleanly (exit 0)
-# AND hand its cache entries off to their next owners before leaving, with
-# the handoff visible in the survivors' /metrics. The survivors keep
-# serving: requests previously owned by b are healed onto a and c.
-kill -TERM "$PID_B"
-rc=0; wait "$PID_B" || rc=$?
-[ "$rc" = "0" ] || { echo "node b exited $rc after SIGTERM, want 0" >&2; exit 1; }
-handoff=0
-for base in "$BASE_A" "$BASE_C"; do
-  h=$(curl -fsS "$base/metrics" | awk '/^dsserve_handoff_entries_received_total /{print $2}')
-  handoff=$((handoff + h))
-done
-[ "$handoff" -ge 1 ] || {
-  echo "survivors received no handoff entries from node b's drain (got $handoff)" >&2; exit 1; }
+# Step 1 — SIGTERM node b: it must drain cleanly (exit 0) AND hand its cache
+# off to the next owners, visible in the survivors' /metrics. The survivors
+# keep serving: requests previously owned by b heal onto a and c.
+stop_clean "$PID_B"
+handoff=$(sum_metric dsserve_handoff_entries_received_total "$BASE_A" "$BASE_C")
+[ "$handoff" -ge 1 ] || fail "survivors received no handoff entries from node b's drain (got $handoff)"
 for i in $(seq 1 5); do
   # Distinct tenants: this loop tests survival, not the admission budget.
-  newbody="{\"workload\":{\"name\":\"fig21\",\"n\":$((60 + i))},\"scheme\":{\"name\":\"process\",\"x\":4},\"config\":{\"p\":4}}"
-  curl -fsS -X POST "$BASE_A/run" -H "X-DSServe-Tenant: survivor-$i" -d "$newbody" \
-    | grep -q '"cycles"' || {
-    echo "survivor cluster failed to serve run $i after node b left" >&2; exit 1; }
+  curl -fsS -X POST "$BASE_A/run" -H "X-DSServe-Tenant: survivor-$i" -d "$(run_body $((60 + i)))" |
+    grep -q '"cycles"' || fail "survivor cluster failed to serve run $i after node b left"
 done
 echo "cluster smoke: node b drained with handoff ($handoff entries received)"
 
-# Step 2 — hard-kill node c (no drain, no departure announcement): node a's
-# failure prober must demote it within the probe window, healthz must flip
-# to degraded (a majority of configured peers demoted) with a 503, and a
-# key computed before the kill must still be served from a's replica cache
-# without recomputation.
+# Step 2 — hard-kill node c (no drain, no departure announcement): a's
+# prober must demote it, healthz must flip to degraded (a majority of
+# configured peers demoted) with a 503, and a key computed before the kill
+# must still be served from a's replica cache without recomputation.
 kill -9 "$PID_C" 2>/dev/null || true
 wait "$PID_C" 2>/dev/null || true
-for i in $(seq 1 50); do
-  if curl -s "$BASE_A/healthz" | grep -A1 '"id": "c"' | grep -q '"state": "demoted"'; then break; fi
-  sleep 0.2
-done
-curl -s "$BASE_A/healthz" | grep -A1 '"id": "c"' | grep -q '"state": "demoted"' || {
-  echo "node a never demoted the hard-killed node c" >&2; exit 1; }
+wait_until 50 0.2 has_state "$BASE_A" c demoted || fail "node a never demoted the hard-killed node c"
 hz_code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE_A/healthz")
-[ "$hz_code" = "503" ] || {
-  echo "healthz with a majority of peers demoted returned $hz_code, want 503" >&2; exit 1; }
-curl -s "$BASE_A/healthz" | grep -q '"status": "degraded"' || {
-  echo "healthz body not marked degraded with both peers demoted" >&2; exit 1; }
-curl -fsS "$BASE_A/metrics" | grep -q '^dsserve_degraded 1' || {
-  echo "metrics missing dsserve_degraded 1 on the last node standing" >&2; exit 1; }
-curl -fsS -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: degraded-check' -d "$body" \
-  | grep -q '"cached": true' || {
-  echo "degraded node a failed to serve a replicated key from cache" >&2; exit 1; }
+[ "$hz_code" = "503" ] || fail "healthz with a majority of peers demoted returned $hz_code, want 503"
+curl -s "$BASE_A/healthz" | grep -q '"status": "degraded"' ||
+  fail "healthz body not marked degraded with both peers demoted"
+[ "$(metric "$BASE_A" dsserve_degraded)" = "1" ] ||
+  fail "metrics missing dsserve_degraded 1 on the last node standing"
+curl -fsS -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: degraded-check' -d "$body" |
+  grep -q '"cached": true' || fail "degraded node a failed to serve a replicated key from cache"
 echo "cluster smoke: degraded node a (503 healthz) still serves from replicas"
 
 # Step 3 — restart node c on its original address: the prober must readmit
 # it within the probe window, healthz must return to ok (only b remains
 # demoted), and the rejoined node serves traffic again.
-start_node c "$PC" "a=$BASE_A,b=$BASE_B" "$LOG_C2"; PID_C=$!
-for i in $(seq 1 50); do
-  if curl -s "$BASE_A/healthz" | grep -A1 '"id": "c"' | grep -q '"state": "alive"'; then break; fi
-  sleep 0.2
-done
-curl -s "$BASE_A/healthz" | grep -A1 '"id": "c"' | grep -q '"state": "alive"' || {
-  echo "restarted node c was not readmitted within the probe window" >&2; exit 1; }
-curl -fsS "$BASE_A/healthz" | grep -q '"status": "ok"' || {
-  echo "node a healthz not ok after node c rejoined" >&2; exit 1; }
-rejoins=$(curl -fsS "$BASE_A/metrics" | awk '/^dsserve_rejoins_total /{print $2}')
-[ "$rejoins" -ge 1 ] || { echo "node a recorded no rejoins after c's restart" >&2; exit 1; }
-curl -fsS -X POST "$BASE_C/run" -H 'X-DSServe-Tenant: rejoin-check' -d "$body" \
-  | grep -q '"cycles"' || {
-  echo "rejoined node c failed to serve" >&2; exit 1; }
+start_node c "$PC" "a=$BASE_A,b=$BASE_B" "${TENANT_FLAGS[@]}"; PID_C=$PID
+wait_until 50 0.2 has_state "$BASE_A" c alive || fail "restarted node c was not readmitted within the probe window"
+curl -fsS "$BASE_A/healthz" | grep -q '"status": "ok"' || fail "node a healthz not ok after node c rejoined"
+rejoins=$(metric "$BASE_A" dsserve_rejoins_total)
+[ "${rejoins:-0}" -ge 1 ] || fail "node a recorded no rejoins after c's restart"
+curl -fsS -X POST "$BASE_C/run" -H 'X-DSServe-Tenant: rejoin-check' -d "$body" |
+  grep -q '"cycles"' || fail "rejoined node c failed to serve"
 echo "cluster smoke: node c rejoined within the probe window ($rejoins rejoins on a)"
 
-# Clean shutdown of the rest.
-kill -TERM "$PID_A" "$PID_C"
-rc=0; wait "$PID_A" || rc=$?
-[ "$rc" = "0" ] || { echo "node a exited $rc after SIGTERM, want 0" >&2; exit 1; }
-rc=0; wait "$PID_C" || rc=$?
-[ "$rc" = "0" ] || { echo "node c exited $rc after SIGTERM, want 0" >&2; exit 1; }
+stop_clean "$PID_A" "$PID_C"
+echo "cluster smoke: rolling-restart leg OK"
+
+# ---- Partition leg ----
+
+PA=$((PORT_BASE + 10)) PB=$((PORT_BASE + 11)) PC=$((PORT_BASE + 12)) PO=$((PORT_BASE + 13))
+BASE_A="http://127.0.0.1:$PA" BASE_B="http://127.0.0.1:$PB" BASE_C="http://127.0.0.1:$PC"
+BASE_O="http://127.0.0.1:$PO"
+# The episode is timed from each node's boot: the window must open well
+# after the startup checks and close well after the partition-phase checks.
+# -anti-entropy 1s repairs promptly once the ring heals.
+PART_FLAGS=(-anti-entropy 1s -link-fault "seed=42,partition=split:c:6000:25000")
+start_node a "$PA" "b=$BASE_B,c=$BASE_C" "${PART_FLAGS[@]}"; PID_A=$PID
+start_node b "$PB" "a=$BASE_A,c=$BASE_C" "${PART_FLAGS[@]}"; PID_B=$PID
+start_node c "$PC" "a=$BASE_A,b=$BASE_B" "${PART_FLAGS[@]}"; PID_C=$PID
+# A standalone single-node oracle, outside the cluster and the fault plan.
+LOG_O="$(mktemp)"
+LOGS+=("oracle ($PO)=$LOG_O")
+"$BIN" -addr "127.0.0.1:$PO" -node-id oracle -workers 2 2>"$LOG_O" &
+PID_O=$!
+PIDS+=("$PID_O")
+require_healthy "$BASE_A" "$BASE_B" "$BASE_C" "$BASE_O"
+require_ring_agreement "$BASE_A" "$BASE_B" "$BASE_C"
+
+# Pre-partition traffic flows cross-node: fill via a, hit cached via c.
+curl -fsS -X POST "$BASE_A/run" -d "$body" | grep -q '"cached": false' ||
+  fail "first pre-partition /run was already cached?"
+curl -fsS -X POST "$BASE_C/run" -d "$body" | grep -q '"cached": true' ||
+  fail "pre-partition repeat through c missed the cluster cache"
+echo "partition smoke: pre-partition cluster serves cross-node"
+
+# Sweep bodies are compared byte for byte modulo cache provenance: whether
+# a point was served hot and how many grid cells hit the cache legitimately
+# differ between the cluster and the cold oracle.
+normalize_sweep() {
+  sed -E 's/"cacheHits": [0-9]+/"cacheHits": 0/; s/"cached": true/"cached": false/'
+}
+oracle=$(curl -fsS -X POST "$BASE_O/sweep" -d "$sweep" | normalize_sweep)
+echo "$oracle" | grep -q '"failed": 0' || fail "oracle sweep failed: $oracle"
+
+# Wait for the episode window: both sides must see the cut.
+both_cut() { has_state "$BASE_A" c demoted && has_state "$BASE_C" a demoted; }
+wait_until 80 0.25 both_cut || true
+has_state "$BASE_A" c demoted || fail "node a never demoted c inside the partition window"
+has_state "$BASE_C" a demoted || fail "node c never demoted a inside the partition window"
+echo "partition smoke: partition open, both sides demoted across the cut"
+
+# The minority node must refuse to coordinate a cluster sweep.
+minority=$(mktemp)
+code=$(curl -s -o "$minority" -w '%{http_code}' -X POST "$BASE_C/sweep" -d "$sweep")
+[ "$code" = "503" ] || fail "minority /sweep answered $code, want 503: $(cat "$minority")"
+grep -q 'refuses to coordinate' "$minority" ||
+  fail "minority 503 body is not the coordination refusal: $(cat "$minority")"
+echo "partition smoke: minority node refused sweep coordination with 503"
+
+# The majority's sweep must equal the oracle modulo cache provenance.
+majority=$(curl -fsS -X POST "$BASE_A/sweep" -d "$sweep" | normalize_sweep)
+[ "$majority" = "$oracle" ] ||
+  fail "majority sweep diverges from the oracle during the partition
+--- oracle ---
+$oracle
+--- majority ---
+$majority"
+echo "partition smoke: majority sweep matches the single-node oracle"
+
+# Fill keys on the majority while c is cut off: their replica pushes cannot
+# reach c, so they are exactly what anti-entropy must repair after the heal.
+for i in $(seq 1 8); do
+  curl -fsS -X POST "$BASE_A/run" -d "$(run_body $((70 + 2 * i)))" >/dev/null ||
+    fail "mid-partition fill $i failed"
+done
+
+# The injected cuts must be counted on the nodes doing the cutting (every
+# side of the partition sends into the wall).
+cuts=$(sum_metric 'dsserve_link_faults_injected_total{kind="partition"}' "$BASE_A" "$BASE_B" "$BASE_C")
+[ "$cuts" -ge 1 ] || fail "no partition-kind link faults recorded across the cluster"
+echo "partition smoke: $cuts partition cuts injected and counted"
+
+# Heal: the window closes on its own; probers must readmit both directions.
+healed() {
+  has_state "$BASE_A" c alive && has_state "$BASE_C" a alive &&
+    has_state "$BASE_B" c alive && has_state "$BASE_C" b alive
+}
+wait_until 120 0.25 healed || true
+has_state "$BASE_A" c alive || fail "node a never readmitted c after the heal"
+has_state "$BASE_C" a alive || fail "node c never readmitted a after the heal"
+echo "partition smoke: partition healed, peers readmitted"
+
+# Anti-entropy must notice the starved replicas and repair them: pushes
+# counted, and the under-replication gauge back to zero on every node.
+repaired() {
+  pushes=$(sum_metric dsserve_antientropy_pushes_total "$BASE_A" "$BASE_B" "$BASE_C")
+  under=$(sum_metric dsserve_underreplicated_keys "$BASE_A" "$BASE_B" "$BASE_C")
+  [ "$pushes" -ge 1 ] && [ "$under" -eq 0 ]
+}
+wait_until 60 0.5 repaired || true
+[ "$pushes" -ge 1 ] || fail "anti-entropy recorded no pushes after the heal"
+[ "$under" -eq 0 ] || fail "under-replicated keys never returned to zero (still $under)"
+echo "partition smoke: anti-entropy repaired the starved replicas ($pushes pushes, 0 under-replicated)"
+
+# The healed minority node coordinates again, oracle-identical.
+healed_sweep=$(curl -fsS -X POST "$BASE_C/sweep" -d "$sweep" | normalize_sweep)
+[ "$healed_sweep" = "$oracle" ] ||
+  fail "post-heal sweep via c diverges from the oracle
+--- oracle ---
+$oracle
+--- healed ---
+$healed_sweep"
+echo "partition smoke: post-heal sweep via the healed minority matches the oracle"
+
+stop_clean "$PID_A" "$PID_B" "$PID_C" "$PID_O"
+echo "partition smoke: partition leg OK"
+
 trap - EXIT
 echo "cluster smoke: OK"
