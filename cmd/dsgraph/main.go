@@ -102,7 +102,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\n%s program for iteration %d (%d sync vars):\n", sch.Name(), *iter, foot.SyncVars)
-		for i, op := range prog(*iter) {
+		for i, op := range prog(nil, *iter) {
 			fmt.Printf("%3d. %s\n", i+1, op.Tag.String())
 		}
 	}

@@ -56,8 +56,8 @@ func runSweepMix(tb testing.TB) int {
 }
 
 // BenchmarkSweepMix reports the time and allocations of one simulated
-// sweep point over the mix (ns/point, allocs/point); the op is the whole
-// 720-point mix.
+// sweep point over the mix (ns/point, allocs/point, B/point); the op is the
+// whole 720-point mix.
 func BenchmarkSweepMix(b *testing.B) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats
@@ -69,6 +69,7 @@ func BenchmarkSweepMix(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(points), "allocs/point")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(points), "B/point")
 }
 
 // allocCase is one pinned point of TestRunAllocations.
@@ -78,23 +79,30 @@ type allocCase struct {
 	mk    func() codegen.Scheme
 	// fresh and shared cap the allocations of one Run with a newly built
 	// Workload and with a Workload whose run invariants an earlier Run
-	// already computed.
-	fresh, shared float64
+	// already computed; freshBytes and sharedBytes cap its heap bytes.
+	fresh, shared           float64
+	freshBytes, sharedBytes float64
 }
 
 // TestRunAllocations guards the allocation diet of codegen.Run. Ceilings are
 // the measured counts plus 10%. Before per-workload run invariants, lazy op
 // labels and sync-trace-only Touch lists, the same runs allocated
 // (fresh / shared): fig21/process 4158 / 4119, branchy/statement
-// 3579 / 3534, stencil/instance 5189 / 5167.
+// 3579 / 3534, stencil/instance 5189 / 5167. Before the machine recycled
+// each processor's op slice and kept sync vars in a slab they allocated
+// 2189 / 1055 (357,184 / 238,989 bytes), 2207 / 1158 (418,464 / 340,488
+// bytes) and 3181 / 1389 (489,302 / 309,826 bytes).
 func TestRunAllocations(t *testing.T) {
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
-			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} }, 2408, 1161},
+			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} },
+			2219, 1035, 148150, 76252},
 		{"branchy/statement", func() *codegen.Workload { return workloads.Branchy(60, 4) },
-			func() codegen.Scheme { return codegen.StatementOriented{} }, 2428, 1274},
+			func() codegen.Scheme { return codegen.StatementOriented{} },
+			1851, 762, 93951, 45375},
 		{"stencil/instance", func() *codegen.Workload { return workloads.Stencil(12, 4) },
-			func() codegen.Scheme { return codegen.NewInstanceBased() }, 3499, 1528},
+			func() codegen.Scheme { return codegen.NewInstanceBased() },
+			2869, 1030, 343591, 169409},
 	}
 	cfg := sweepMixConfig(4, 1)
 	for _, c := range cases {
@@ -106,12 +114,35 @@ func TestRunAllocations(t *testing.T) {
 		fresh := testing.AllocsPerRun(5, func() { run(c.build()) })
 		w := c.build()
 		shared := testing.AllocsPerRun(5, func() { run(w) })
-		t.Logf("%s: fresh %v, shared %v", c.name, fresh, shared)
+		freshB := bytesPerRun(5, func() { run(c.build()) })
+		sharedB := bytesPerRun(5, func() { run(w) })
+		t.Logf("%s: fresh %v, shared %v allocs; fresh %.0f, shared %.0f bytes", c.name, fresh, shared, freshB, sharedB)
 		if fresh > c.fresh {
 			t.Errorf("%s: %v allocations per Run on a fresh Workload, ceiling %v", c.name, fresh, c.fresh)
 		}
 		if shared > c.shared {
 			t.Errorf("%s: %v allocations per Run on a shared Workload, ceiling %v", c.name, shared, c.shared)
 		}
+		if freshB > c.freshBytes {
+			t.Errorf("%s: %.0f bytes per Run on a fresh Workload, ceiling %.0f", c.name, freshB, c.freshBytes)
+		}
+		if sharedB > c.sharedBytes {
+			t.Errorf("%s: %.0f bytes per Run on a shared Workload, ceiling %.0f", c.name, sharedB, c.sharedBytes)
+		}
 	}
+}
+
+// bytesPerRun is the average number of heap bytes one call of f allocates,
+// measured like testing.AllocsPerRun: one warm-up call, then runs calls on
+// one OS thread.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -221,16 +221,11 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 
 // serialProgram builds the pure-compute program bound to the given memory.
 func (w *Workload) serialProgram(mem *sim.Mem) sim.Program {
-	hint := 0
-	return func(iter int64) []sim.Op {
+	return func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
-		ops := make([]sim.Op, 0, hint)
 		for _, s := range w.Nest.FlatBody(idx) {
 			ops = append(ops, sim.Compute(w.cost(s, idx), w.execInPlace(mem, idx, s, locals), s.Name))
-		}
-		if len(ops) > hint {
-			hint = len(ops)
 		}
 		return ops
 	}
@@ -301,9 +296,8 @@ func writeRef(mem *sim.Mem, r deps.Ref, idx []int64, v int64) {
 // would let a consumer read stale values and fail serial equivalence. The
 // op carrying the semantics is stamped with the statement's concrete
 // element accesses for the happens-before race checkers when the machine
-// records a sync trace, their only reader. Appending into the caller's
-// program slice (instead of returning a fresh one) keeps the per-iteration
-// instrumenters to one ops allocation each.
+// records a sync trace, their only reader. It appends into the caller's
+// program slice, which the machine recycles from iteration to iteration.
 func appendComputeOps(ops []sim.Op, m *sim.Machine, w *Workload, idx []int64, s *deps.Stmt, locals map[string]int64) []sim.Op {
 	exec := w.execInPlace(m.Mem(), idx, s, locals)
 	var touch []sim.MemAccess

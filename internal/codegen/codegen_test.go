@@ -62,7 +62,7 @@ func TestFig42bProgramShape(t *testing.T) {
 		t.Errorf("SyncVars = %d, want 4", foot.SyncVars)
 	}
 	var tags []string
-	for _, op := range prog(10) {
+	for _, op := range prog(nil, 10) {
 		tags = append(tags, op.Tag.String())
 	}
 	got := strings.Join(tags, "; ")
@@ -90,7 +90,7 @@ func TestFig42bImprovedProgramShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tags []string
-	for _, op := range prog(10) {
+	for _, op := range prog(nil, 10) {
 		tags = append(tags, op.Tag.String())
 	}
 	got := strings.Join(tags, "; ")
@@ -112,7 +112,7 @@ func TestBoundaryIterationSkipsWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range prog(1) {
+	for _, op := range prog(nil, 1) {
 		if strings.HasPrefix(op.Tag.String(), "wait_PC(") {
 			t.Errorf("iteration 1 contains %s", op.Tag.String())
 		}
@@ -155,14 +155,14 @@ func TestBranchyCoveringMarks(t *testing.T) {
 	}
 	// Odd iteration: Then (S2, step 2) runs; Else (S3, step 3) skipped:
 	// mark(2) from S2, then covering mark(3).
-	oddTags := tags(prog(11))
+	oddTags := tags(prog(nil, 11))
 	if !containsInOrder(oddTags, "S2", "mark_PC(2) i=11", "mark_PC(3) i=11", "S4") {
 		t.Errorf("odd iteration misses covering mark: %v", oddTags)
 	}
 	// Even iteration: Else (S3) runs; Then (S2, step 2) skipped: covering
 	// mark(2) is published early, before S3 executes (the paper's "added
 	// as the first statement in branch B").
-	evenTags := tags(prog(12))
+	evenTags := tags(prog(nil, 12))
 	if !containsInOrder(evenTags, "mark_PC(2) i=12", "S3", "mark_PC(3) i=12", "S4") {
 		t.Errorf("even iteration misses early covering mark: %v", evenTags)
 	}

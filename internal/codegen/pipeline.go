@@ -84,10 +84,8 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 	}
 	sort.Slice(dists, func(x, y int) bool { return dists[x] < dists[y] })
 
-	hint := 0
-	prog := func(lpid int64) []sim.Op {
+	prog := func(ops []sim.Op, lpid int64) []sim.Op {
 		i := outer.Lo + lpid - 1
-		ops := make([]sim.Op, 0, hint)
 		sinceMark := int64(0)
 		for j := inner.Lo; j <= inner.Hi; j++ {
 			idx := []int64{i, j}
@@ -123,11 +121,7 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 				sinceMark = 0
 			}
 		}
-		ops = append(ops, pcs.TransferPCOps(lpid)...)
-		if len(ops) > hint {
-			hint = len(ops)
-		}
-		return ops
+		return pcs.TransferPCOps(ops, lpid)
 	}
 	return prog, foot, nil
 }

@@ -137,16 +137,12 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	pcs := core.NewSimPCs(m, s.X)
 	foot := Footprint{SyncVars: s.X, InitOps: int64(s.X), StorageWords: int64(s.X)}
 
-	// hint remembers the largest program built so far, so later iterations
-	// allocate their ops slice once; acts is a schedule buffer reused
-	// across iterations. Safe: each run instruments its own scheme, and
-	// the machine calls prog sequentially.
-	hint := 0
+	// acts is a schedule buffer reused across iterations. Safe: each run
+	// instruments its own scheme, and the machine calls prog sequentially.
 	var acts []action
-	prog := func(iter int64) []sim.Op {
+	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
-		ops := make([]sim.Op, 0, hint)
 		gotPC := false
 		needOwn := func() {
 			if !s.Improved && !gotPC {
@@ -170,11 +166,8 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 				}
 			case actTransfer:
 				needOwn()
-				ops = append(ops, pcs.TransferPCOps(iter)...)
+				ops = pcs.TransferPCOps(ops, iter)
 			}
-		}
-		if len(ops) > hint {
-			hint = len(ops)
 		}
 		return ops
 	}
@@ -256,12 +249,11 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	group, lastOfGroup, advanceAtEnd := sg.group, sg.lastOfGroup, sg.advanceAtEnd
 	foot := Footprint{SyncVars: k, InitOps: int64(k), StorageWords: int64(k)}
 
-	hint := 0
-	prog := func(iter int64) []sim.Op {
+	advanced := make([]bool, k) // per-iteration scratch, cleared on entry
+	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
-		ops := make([]sim.Op, 0, hint)
-		advanced := make([]bool, k)
+		clear(advanced)
 		var walk func(nodes []loop.Node)
 		walk = func(nodes []loop.Node) {
 			for _, node := range nodes {
@@ -274,7 +266,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 					}
 					ops = appendComputeOps(ops, m, w, idx, v.S, locals)
 					if g, ok := group[p]; ok && lastOfGroup[p] && !advanced[g] {
-						ops = append(ops, scs.AdvanceOps(g, iter)...)
+						ops = scs.AdvanceOps(ops, g, iter)
 						advanced[g] = true
 					}
 				case loop.IfNode:
@@ -295,7 +287,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 		if advanceAtEnd {
 			for g := int64(0); g < int64(k); g++ {
 				if !advanced[g] {
-					ops = append(ops, scs.AdvanceOps(g, iter)...)
+					ops = scs.AdvanceOps(ops, g, iter)
 					advanced[g] = true
 				}
 			}
@@ -334,11 +326,9 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 		order   []dataorient.Elem
 		tickets []int64
 	)
-	hint := 0
-	prog := func(iter int64) []sim.Op {
+	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
-		ops := make([]sim.Op, 0, hint)
 		for _, s := range w.Nest.FlatBody(idx) {
 			p := di[s]
 			nRefs := len(s.Writes) + len(s.Reads)
@@ -374,9 +364,6 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 			for _, a := range accs {
 				ops = append(ops, keys.IncOp(a))
 			}
-		}
-		if len(ops) > hint {
-			hint = len(ops)
 		}
 		return ops
 	}
@@ -419,11 +406,9 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	ib.plan, ib.vs = plan, vs
 	di := stmtPositions(w.Nest)
 
-	hint := 0
-	prog := func(iter int64) []sim.Op {
+	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexOf(iter)
 		locals := make(map[string]int64)
-		ops := make([]sim.Op, 0, hint)
 		for _, s := range w.Nest.FlatBody(idx) {
 			s := s
 			p := di[s]
@@ -474,11 +459,8 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 				ops = append(ops, op)
 			}
 			for _, a := range writeAccs {
-				ops = append(ops, bits.FillOps(a)...)
+				ops = bits.FillOps(ops, a)
 			}
-		}
-		if len(ops) > hint {
-			hint = len(ops)
 		}
 		return ops
 	}

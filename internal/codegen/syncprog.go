@@ -118,7 +118,7 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 		stmtPos[s.Name] = i
 	}
 	sp.At = func(iter int64) []SyncOp {
-		return translateOps(prog(iter), stmtPos)
+		return translateOps(prog(nil, iter), stmtPos)
 	}
 	return sp, nil
 }

@@ -89,12 +89,13 @@ func (s *SimPCs) MarkPC(iter, step int64) sim.Op {
 	return op
 }
 
-// TransferPCOps is transfer_PC(): acquire ownership if not yet owned, then
-// pass the PC to the next owner. Two ops: a wait and the release write.
-func (s *SimPCs) TransferPCOps(iter int64) []sim.Op {
+// TransferPCOps appends transfer_PC() to dst: acquire ownership if not yet
+// owned, then pass the PC to the next owner. Two ops: a wait and the
+// release write.
+func (s *SimPCs) TransferPCOps(dst []sim.Op, iter int64) []sim.Op {
 	own := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
 	own.Tag = sim.Tagf("transfer_PC:own i=%d", iter)
 	release := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
 	release.Tag = sim.Tagf("transfer_PC:release i=%d", iter)
-	return []sim.Op{own, release}
+	return append(dst, own, release)
 }

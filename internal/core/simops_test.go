@@ -49,13 +49,13 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	// Process 2's early mark (issued before ownership arrives) is skipped
 	// without waiting; its transfer then blocks until process 1 releases.
 	progs := [][]sim.Op{
-		append([]sim.Op{
+		pcs.TransferPCOps([]sim.Op{
 			sim.Compute(10, nil, "slow"),
 			pcs.MarkPC(1, 1),
-		}, pcs.TransferPCOps(1)...),
-		append([]sim.Op{
+		}, 1),
+		pcs.TransferPCOps([]sim.Op{
 			pcs.MarkPC(2, 1), // not owned yet at cycle 0: skipped
-		}, pcs.TransferPCOps(2)...),
+		}, 2),
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestSimPCsTransferRequiresOwnership(t *testing.T) {
 	pcs := NewSimPCs(m, 1)
 	// Process 2 transferring without process 1 ever releasing: deadlock,
 	// detected by the machine.
-	_, err := m.RunProcesses([][]sim.Op{pcs.TransferPCOps(2)})
+	_, err := m.RunProcesses([][]sim.Op{pcs.TransferPCOps(nil, 2)})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock", err)
 	}
@@ -87,7 +87,7 @@ func TestSimPCsWaitSatisfiedByOwnershipAdvance(t *testing.T) {
 	pcs := NewSimPCs(m, 2)
 	// Process 1 releases; a waiter on process 1's step 7 (never marked)
 	// must be satisfied by the ownership advance.
-	ops := append(pcs.TransferPCOps(1), pcs.WaitPC(3, 2, 7))
+	ops := append(pcs.TransferPCOps(nil, 1), pcs.WaitPC(3, 2, 7))
 	if _, err := m.RunProcesses([][]sim.Op{ops}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSimPCsWaitBoundaryNoOp(t *testing.T) {
 		pcs.WaitPC(2, 2, 3), // source iteration 0 does not exist
 		pcs.WaitPC(3, 3, 1), // source iteration 0, dist == iter
 	}
-	ops = append(ops, pcs.TransferPCOps(1)...)
+	ops = pcs.TransferPCOps(ops, 1)
 	stats, err := m.RunProcesses([][]sim.Op{ops})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSimPCsWaitBoundaryInExpandedProgram(t *testing.T) {
 		for it := int64(1 + pid); it <= n; it += 2 {
 			progs[pid] = append(progs[pid], pcs.WaitPC(it, dist, 1))
 			progs[pid] = append(progs[pid], pcs.MarkPC(it, 1))
-			progs[pid] = append(progs[pid], pcs.TransferPCOps(it)...)
+			progs[pid] = pcs.TransferPCOps(progs[pid], it)
 		}
 	}
 	if _, err := m.RunProcesses(progs); err != nil {

@@ -82,7 +82,7 @@ type bitKey struct {
 
 // NewSimBits declares the plan's full/empty bits on the machine.
 func NewSimBits(m *sim.Machine, p *Plan) *SimBits {
-	b := &SimBits{plan: p, vars: make(map[bitKey]elemVar)}
+	b := &SimBits{plan: p, vars: make(map[bitKey]elemVar, p.Footprint().Bits)}
 	mods := m.Config().Modules
 	i := 0
 	for ei, e := range p.Order {
@@ -108,10 +108,10 @@ func NewSimBits(m *sim.Machine, p *Plan) *SimBits {
 // Bits returns the number of full/empty bits declared.
 func (b *SimBits) Bits() int { return len(b.vars) }
 
-// FillOps returns the writes that store a write access's copies and set
-// their bits full — one memory write per copy, per the paper's
+// FillOps appends to dst the writes that store a write access's copies and
+// set their bits full — one memory write per copy, per the paper's
 // "write N copies of data; set all keys to full".
-func (b *SimBits) FillOps(a *Access) []sim.Op {
+func (b *SimBits) FillOps(dst []sim.Op, a *Access) []sim.Op {
 	if a.Kind != deps.Write {
 		panic("dataorient: FillOps on a read access")
 	}
@@ -119,14 +119,13 @@ func (b *SimBits) FillOps(a *Access) []sim.Op {
 	if copies == 0 {
 		copies = 1
 	}
-	ops := make([]sim.Op, 0, copies)
 	for c := 0; c < copies; c++ {
 		v := b.vars[bitKey{a.Elem, a.Epoch + 1, c}]
 		op := sim.WriteVar(v.id, 1, "")
 		op.Tag = sim.TagSf("fe:fill %s.v%d.c%d", v.elem, a.Epoch+1, int64(c))
-		ops = append(ops, op)
+		dst = append(dst, op)
 	}
-	return ops
+	return dst
 }
 
 // ConsumeOp returns the poll that waits for the reader's own copy to be

@@ -94,8 +94,8 @@ func TestSimBitsProtocol(t *testing.T) {
 	write, read := seq[0], seq[1] // S1 write (2 copies), S3 read (copy 0 or 1)
 	var consumedAt, filledAt int64 = -1, -1
 	progs := [][]sim.Op{
-		append([]sim.Op{sim.Compute(9, nil, "produce")},
-			append(bits.FillOps(write), sim.Compute(1, func() { filledAt = 1 }, ""))...),
+		append(bits.FillOps([]sim.Op{sim.Compute(9, nil, "produce")}, write),
+			sim.Compute(1, func() { filledAt = 1 }, "")),
 		{bits.ConsumeOp(read), sim.Compute(1, func() { consumedAt = 1 }, "consume")},
 	}
 	stats, err := m.RunProcesses(progs)
@@ -110,8 +110,8 @@ func TestSimBitsProtocol(t *testing.T) {
 		t.Errorf("consumer WaitSync = %d, want >= 9", stats.Procs[1].WaitSync)
 	}
 	// FillOps wrote two copies (two module writes).
-	if len(bits.FillOps(write)) != 2 {
-		t.Errorf("FillOps = %d ops, want 2", len(bits.FillOps(write)))
+	if n := len(bits.FillOps(nil, write)); n != 2 {
+		t.Errorf("FillOps = %d ops, want 2", n)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestSyncBuilderPanics(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(){
-		"FillOps(read)":    func() { bits.FillOps(r) },
+		"FillOps(read)":    func() { bits.FillOps(nil, r) },
 		"ConsumeOp(write)": func() { bits.ConsumeOp(w) },
 	} {
 		func() {

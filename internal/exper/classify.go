@@ -235,7 +235,7 @@ func E4SchemeComparison() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, op := range prog(10) {
+	for i, op := range prog(nil, 10) {
 		t2.AddRow(i+1, op.Tag.String())
 	}
 	return []*Table{t, t2}, nil

@@ -209,7 +209,7 @@ func E8Branches() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	odd, even := prog(11), prog(12)
+	odd, even := prog(nil, 11), prog(nil, 12)
 	for i := 0; i < len(odd) || i < len(even); i++ {
 		var a, b string
 		if i < len(odd) {

@@ -640,17 +640,27 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// routeLabel is the request metric's route label: a path Handler routes,
+// or "other" for any other path, so clients probing arbitrary paths cannot
+// grow the series set. The log line keeps the raw path.
+func routeLabel(path string) string {
+	switch path {
+	case "/run", "/verify", "/sweep", "/compile", "/healthz", "/metrics":
+		return path
+	}
+	return "other"
+}
+
 // logged wraps the mux with structured request logging and request metrics.
 func (s *Server) logged(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		route := r.URL.Path
-		s.metrics.ObserveRequest(route, sw.code)
+		s.metrics.ObserveRequest(routeLabel(r.URL.Path), sw.code)
 		s.log.Info("request",
 			"method", r.Method,
-			"route", route,
+			"route", r.URL.Path,
 			"status", sw.code,
 			"dur_ms", float64(time.Since(start).Microseconds())/1000,
 			"queue", s.pool.QueueDepth(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -343,5 +344,38 @@ func TestDoSourceProgram(t *testing.T) {
 	json.Unmarshal(body, &second)
 	if !second.Cached || second.Key != first.Key {
 		t.Errorf("identical source not cache-hit: %+v vs %+v", first, second)
+	}
+}
+
+// TestRequestMetricRouteCardinality: unknown paths share one "other" series
+// of dsserve_requests_total instead of adding a series each.
+func TestRequestMetricRouteCardinality(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	for i := 0; i < 100; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/probe-%d", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /probe-%d: %d, want 404", i, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var series []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "dsserve_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := `dsserve_requests_total{route="other",code="404"} 100`
+	if len(series) != 1 || series[0] != want {
+		t.Errorf("request series after 100 unknown paths = %q, want [%q]", series, want)
 	}
 }

@@ -87,12 +87,12 @@ func TestCycleConservationSelfScheduled(t *testing.T) {
 		for i := range costs {
 			costs[i] = int64(1 + rng.Intn(7))
 		}
-		stats, err := m.RunLoop(n, func(iter int64) []Op {
-			ops := []Op{
+		stats, err := m.RunLoop(n, func(dst []Op, iter int64) []Op {
+			ops := append(dst,
 				WaitGE(v, iter-1, "pred"),
 				Compute(costs[iter], nil, "body"),
 				WriteVar(v, iter, "adv"),
-			}
+			)
 			if iter == n/2 {
 				ops = append(ops, WriteVar(mv, 1, "flag-set"))
 			}

@@ -12,8 +12,7 @@ import (
 // chainProg is a dependent loop: iteration i waits for its predecessor's
 // signal, computes, then signals. The canonical victim for bus faults.
 func chainProg(v VarID) Program {
-	return func(iter int64) []Op {
-		var ops []Op
+	return func(ops []Op, iter int64) []Op {
 		if iter > 1 {
 			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
 		}

@@ -286,7 +286,12 @@ type Machine struct {
 	cfg  Config
 	mem  *Mem
 	vars []*syncVar
-	mods []*module
+	// varSlab is the chunk newVar fills. A full chunk is never grown in
+	// place (events and bus entries hold *syncVar), so a new one is started
+	// at the current variable count: chunks double, and declaring n
+	// variables costs O(log n) allocations instead of n.
+	varSlab []syncVar
+	mods    []*module
 
 	// busQueue[busHead:] are the broadcasts waiting for the bus. Dequeue
 	// advances busHead (nil-ing the vacated slot) instead of reslicing, so
@@ -351,9 +356,7 @@ func (m *Machine) Mem() *Mem { return m.mem }
 // NewRegVar declares a synchronization-register variable (broadcast on the
 // sync bus) with the given initial value.
 func (m *Machine) NewRegVar(name string, init int64) VarID {
-	id := VarID(len(m.vars))
-	m.vars = append(m.vars, &syncVar{id: id, name: Text(name), res: Register, committed: init})
-	return id
+	return m.newVar(syncVar{name: Text(name), res: Register, committed: init})
 }
 
 // NewMemVar declares a memory-resident synchronization variable in the
@@ -369,9 +372,18 @@ func (m *Machine) NewLabeledMemVar(name Label, mod int, init int64) VarID {
 	if mod < 0 || mod >= m.cfg.Modules {
 		panic(fmt.Sprintf("sim: module %d out of range [0,%d)", mod, m.cfg.Modules))
 	}
-	id := VarID(len(m.vars))
-	m.vars = append(m.vars, &syncVar{id: id, name: name, res: Memory, module: mod, committed: init})
-	return id
+	return m.newVar(syncVar{name: name, res: Memory, module: mod, committed: init})
+}
+
+// newVar stores v in the variable slab and assigns its id.
+func (m *Machine) newVar(v syncVar) VarID {
+	if len(m.varSlab) == cap(m.varSlab) {
+		m.varSlab = make([]syncVar, 0, max(len(m.vars), 4))
+	}
+	v.id = VarID(len(m.vars))
+	m.varSlab = append(m.varSlab, v)
+	m.vars = append(m.vars, &m.varSlab[len(m.varSlab)-1])
+	return v.id
 }
 
 // VarValue returns a variable's committed value (for post-run assertions).
@@ -526,7 +538,7 @@ func (m *Machine) dispatch(p *proc) {
 	}
 	p.iter = it
 	p.iterations++
-	p.ops = m.program(it)
+	p.ops = m.program(p.ops[:0], it)
 	p.ip = 0
 	if overhead > 0 {
 		p.busy += overhead
@@ -934,8 +946,10 @@ func (m *Machine) collectStats() Stats {
 // semantics live only on OpCompute ops.
 func ExecSerial(iters int64, prog Program) int64 {
 	var total int64
+	var ops []Op
 	for i := int64(1); i <= iters; i++ {
-		for _, op := range prog(i) {
+		ops = prog(ops[:0], i)
+		for _, op := range ops {
 			if op.Kind == OpCompute {
 				total += op.Cycles
 				if op.Exec != nil {

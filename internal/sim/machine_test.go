@@ -42,7 +42,7 @@ func TestExecRunsAtCompletionInOrder(t *testing.T) {
 
 func TestSelfSchedulingDistributesIterations(t *testing.T) {
 	m := New(Config{Processors: 4})
-	prog := func(iter int64) []Op { return []Op{Compute(10, nil, "")} }
+	prog := func(dst []Op, iter int64) []Op { return append(dst, Compute(10, nil, "")) }
 	stats, err := m.RunLoop(20, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSelfSchedulingDistributesIterations(t *testing.T) {
 
 func TestSchedOverheadAccounted(t *testing.T) {
 	m := New(Config{Processors: 1, SchedOverhead: 3})
-	stats, err := m.RunLoop(4, func(int64) []Op { return []Op{Compute(10, nil, "")} })
+	stats, err := m.RunLoop(4, func(dst []Op, _ int64) []Op { return append(dst, Compute(10, nil, "")) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +296,12 @@ func TestRunLoopDeterministic(t *testing.T) {
 	run := func() Stats {
 		m := New(Config{Processors: 3, BusLatency: 2, SyncOpCost: 1, SchedOverhead: 1})
 		v := m.NewRegVar("pc", 0)
-		prog := func(iter int64) []Op {
-			return []Op{
+		prog := func(dst []Op, iter int64) []Op {
+			return append(dst,
 				WaitGE(v, iter-1, ""),
 				Compute(3+iter%4, nil, ""),
 				WriteVar(v, iter, ""),
-			}
+			)
 		}
 		stats, err := m.RunLoop(30, prog)
 		if err != nil {
@@ -318,11 +318,11 @@ func TestRunLoopDeterministic(t *testing.T) {
 func TestExecSerial(t *testing.T) {
 	mem := NewMem()
 	arr := mem.Array("A", 0, 10)
-	prog := func(iter int64) []Op {
-		return []Op{
+	prog := func(dst []Op, iter int64) []Op {
+		return append(dst,
 			WaitGE(0, 0, "ignored"),
 			Compute(2, func() { arr.Set(iter, arr.Get(iter-1)+1) }, ""),
-		}
+		)
 	}
 	total := ExecSerial(10, prog)
 	if total != 20 {
@@ -453,8 +453,8 @@ func TestGridBounds(t *testing.T) {
 func TestChunkedDispatchCoversAllIterations(t *testing.T) {
 	m := New(Config{Processors: 3, Dispatch: DispatchChunked, ChunkSize: 5, SchedOverhead: 2})
 	seen := make(map[int64]int)
-	stats, err := m.RunLoop(23, func(iter int64) []Op {
-		return []Op{Compute(1, func() { seen[iter]++ }, "")}
+	stats, err := m.RunLoop(23, func(dst []Op, iter int64) []Op {
+		return append(dst, Compute(1, func() { seen[iter]++ }, ""))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -472,8 +472,8 @@ func TestChunkedDispatchCoversAllIterations(t *testing.T) {
 func TestChunkedDispatchAmortizesOverhead(t *testing.T) {
 	run := func(d Dispatch) Stats {
 		m := New(Config{Processors: 1, Dispatch: d, ChunkSize: 8, SchedOverhead: 4})
-		stats, err := m.RunLoop(64, func(iter int64) []Op {
-			return []Op{Compute(2, nil, "")}
+		stats, err := m.RunLoop(64, func(dst []Op, iter int64) []Op {
+			return append(dst, Compute(2, nil, ""))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -494,8 +494,7 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 	// processors hold late iterations whose sources never run.
 	m := New(Config{Processors: 2, Dispatch: DispatchReversed})
 	v := m.NewRegVar("chain", 0)
-	_, err := m.RunLoop(10, func(iter int64) []Op {
-		ops := []Op{}
+	_, err := m.RunLoop(10, func(ops []Op, iter int64) []Op {
 		if iter > 1 {
 			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
 		}
@@ -509,8 +508,8 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 
 func TestReversedDispatchWorksForIndependentLoop(t *testing.T) {
 	m := New(Config{Processors: 2, Dispatch: DispatchReversed})
-	stats, err := m.RunLoop(10, func(iter int64) []Op {
-		return []Op{Compute(3, nil, "")}
+	stats, err := m.RunLoop(10, func(dst []Op, iter int64) []Op {
+		return append(dst, Compute(3, nil, ""))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -180,8 +180,19 @@ func (o *Op) fires(cur int64) bool {
 	return o.Cond(cur)
 }
 
-// Program yields the op sequence of one process (iteration). Iterations are
-// numbered as 1-based lpids. Programs are materialized at dispatch time;
-// branch outcomes may depend on the iteration number but not on runtime
-// data (data-independent control flow, as in the paper's Example 3).
-type Program func(iter int64) []Op
+// Program appends the op sequence of one process (iteration) to dst and
+// returns the extended slice, append-style. Iterations are numbered as
+// 1-based lpids. Programs are materialized at dispatch time; branch outcomes
+// may depend on the iteration number but not on runtime data
+// (data-independent control flow, as in the paper's Example 3).
+//
+// Ownership: the machine passes each processor's previous iteration slice
+// back as dst[:0], so a program may overwrite anything in dst[:cap(dst)].
+// This is sound because every event that refers to an op (a compute, a
+// memory write, an RMW or a poll completion) blocks its processor until it
+// fires, and the machine dispatches a processor's next iteration only once
+// it has stepped past the last op of the current one: by then nothing
+// refers to the old ops. The returned slice is the machine's until it comes
+// back as the next dst, so a program must not return storage it keeps for
+// itself. A caller that keeps the result passes nil.
+type Program func(dst []Op, iter int64) []Op

@@ -51,16 +51,16 @@ func NewSimSCs(m *sim.Machine, k int) *SimSCs {
 // Var returns the physical register backing logical counter c.
 func (s *SimSCs) Var(c int64) sim.VarID { return s.vars[int(c)%s.K] }
 
-// AdvanceOps is Advance on logical counter c with the given 1-based
-// sequence number: wait until the previous advance committed (SC >= seq-1;
-// values never skip, so >= equals ==), then publish seq.
-func (s *SimSCs) AdvanceOps(c, seq int64) []sim.Op {
+// AdvanceOps appends Advance on logical counter c with the given 1-based
+// sequence number to dst: wait until the previous advance committed
+// (SC >= seq-1; values never skip, so >= equals ==), then publish seq.
+func (s *SimSCs) AdvanceOps(dst []sim.Op, c, seq int64) []sim.Op {
 	v := s.Var(c)
 	wait := sim.WaitGE(v, seq-1, "")
 	wait.Tag = sim.Tagf("advance:wait c=%d seq=%d", c, seq)
 	set := sim.WriteVar(v, seq, "")
 	set.Tag = sim.Tagf("advance:set c=%d seq=%d", c, seq)
-	return []sim.Op{wait, set}
+	return append(dst, wait, set)
 }
 
 // AwaitOp is Await: wait until logical counter c has reached minSeq.

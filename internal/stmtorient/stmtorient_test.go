@@ -14,7 +14,7 @@ func TestSimAdvanceAwaitFig32(t *testing.T) {
 	scs := NewSimSCs(m, 1)
 	a := m.Mem().Array("A", 0, 2)
 	var got int64 = -1
-	prog1 := append([]sim.Op{sim.Compute(5, func() { a.Set(1, 7) }, "S1@1")}, scs.AdvanceOps(0, 1)...)
+	prog1 := scs.AdvanceOps([]sim.Op{sim.Compute(5, func() { a.Set(1, 7) }, "S1@1")}, 0, 1)
 	prog2 := []sim.Op{
 		scs.AwaitOp(0, 1), // Await(1): source at distance 1
 		sim.Compute(1, func() { got = a.Get(1) }, "S2@2"),
@@ -35,8 +35,8 @@ func TestSimAdvanceSerializesInstances(t *testing.T) {
 	// ordered. Process B, though independent, advances only after A.
 	m := sim.New(sim.Config{Processors: 2, SyncOpCost: 0})
 	scs := NewSimSCs(m, 1)
-	slow := append([]sim.Op{sim.Compute(100, nil, "slow")}, scs.AdvanceOps(0, 1)...)
-	fast := append([]sim.Op{sim.Compute(1, nil, "fast")}, scs.AdvanceOps(0, 2)...)
+	slow := scs.AdvanceOps([]sim.Op{sim.Compute(100, nil, "slow")}, 0, 1)
+	fast := scs.AdvanceOps([]sim.Op{sim.Compute(1, nil, "fast")}, 0, 2)
 	stats, err := m.RunProcesses([][]sim.Op{slow, fast})
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@ func (b breakScheme) Instrument(m *sim.Machine, w *codegen.Workload) (sim.Progra
 	if err != nil {
 		return prog, foot, err
 	}
-	broken := func(iter int64) []sim.Op {
-		ops := prog(iter)
-		out := make([]sim.Op, 0, len(ops))
+	broken := func(dst []sim.Op, iter int64) []sim.Op {
+		ops := prog(dst, iter)
+		out := ops[:0]
 		for _, op := range ops {
 			if rop, keep := b.rewrite(op); keep {
 				out = append(out, rop)

@@ -72,9 +72,8 @@ func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 	pcs := core.NewSimPCs(m, x)
 	a := r.SetupGrid(m.Mem())
 	groups := r.groups()
-	return func(lpid int64) []sim.Op {
+	return func(ops []sim.Op, lpid int64) []sim.Op {
 		i := lpid + 1 // process executes outer iteration I = lpid+1
-		var ops []sim.Op
 		for _, g := range groups {
 			k, end := g[0], g[1]
 			if lpid > 1 {
@@ -87,8 +86,7 @@ func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 			}
 			ops = append(ops, pcs.MarkPC(lpid, k))
 		}
-		ops = append(ops, pcs.TransferPCOps(lpid)...)
-		return ops
+		return pcs.TransferPCOps(ops, lpid)
 	}
 }
 
@@ -111,9 +109,8 @@ func (r Relax) PipelinedSC(m *sim.Machine, k int) sim.Program {
 	for gi := range groups {
 		classCount[gi%k]++
 	}
-	return func(lpid int64) []sim.Op {
+	return func(ops []sim.Op, lpid int64) []sim.Op {
 		i := lpid + 1
-		var ops []sim.Op
 		for gi, g := range groups {
 			cnt := classCount[gi%k]
 			rank := int64(gi / k)
@@ -125,7 +122,7 @@ func (r Relax) PipelinedSC(m *sim.Machine, k int) sim.Program {
 			for j := g[0]; j <= g[1]; j++ {
 				ops = append(ops, r.cell(a, i, j))
 			}
-			ops = append(ops, scs.AdvanceOps(int64(gi), (lpid-1)*cnt+rank+1)...)
+			ops = scs.AdvanceOps(ops, int64(gi), (lpid-1)*cnt+rank+1)
 		}
 		return ops
 	}

@@ -29,7 +29,11 @@ for i in $(seq 1 50); do
   if ! kill -0 "$PID" 2>/dev/null; then echo "dsserve died at startup" >&2; exit 1; fi
   sleep 0.1
 done
-curl -fsS "$BASE/healthz" | grep -q '"status": "ok"'
+# Responses are captured before grep reads them: under pipefail, a
+# `curl | grep -q` pipeline fails with curl's exit 23 once grep -q has its
+# match and closes the pipe.
+out=$(curl -fsS "$BASE/healthz")
+echo "$out" | grep -q '"status": "ok"' || { echo "unexpected /healthz response: $out" >&2; exit 1; }
 
 run_req() { # $1 = body, $2 = expected-substring
   local out
@@ -63,8 +67,9 @@ echo "$out" | grep -q '"cached": false' || { echo "unexpected /compile response:
 echo "$out" | grep -q '"workload": "kernel"' || { echo "/compile missing lowered loop: $out" >&2; exit 1; }
 out=$(curl -fsS -X POST "$BASE/compile" -d "$compile_body")
 echo "$out" | grep -q '"cached": true' || { echo "/compile repeat not cached: $out" >&2; exit 1; }
-curl -fsS "$BASE/metrics" | grep -q 'dsserve_cache_hits_total 7' || {
-  echo "expected 7 cache hits after /compile repeat" >&2; exit 1; }
+metrics=$(curl -fsS "$BASE/metrics")
+echo "$metrics" | grep -q 'dsserve_cache_hits_total 7' || {
+  echo "expected 7 cache hits after /compile repeat:" >&2; echo "$metrics" >&2; exit 1; }
 
 # A non-affine loop is a 400 whose error field is a positioned diagnostic
 # with a stable reason code.
@@ -77,14 +82,14 @@ echo "$body" | grep -q 'bad.go:4:' || { echo "diagnostic lacks position: $body" 
 echo "$body" | grep -q 'non-affine-subscript' || { echo "diagnostic lacks reason code: $body" >&2; exit 1; }
 
 # /verify: static + dynamic verdict for a clean pair.
-curl -fsS -X POST "$BASE/verify" \
-  -d '{"workload":{"name":"recurrence","n":30},"scheme":{"name":"ref"},"dynamic":true}' \
-  | grep -q '"ok": true'
+out=$(curl -fsS -X POST "$BASE/verify" \
+  -d '{"workload":{"name":"recurrence","n":30},"scheme":{"name":"ref"},"dynamic":true}')
+echo "$out" | grep -q '"ok": true' || { echo "unexpected /verify response: $out" >&2; exit 1; }
 
 # /sweep: a small grid returns every point and a Pareto front.
-curl -fsS -X POST "$BASE/sweep" \
-  -d '{"workload":{"name":"fig21","n":30},"scheme":{"name":"process"},"grid":{"x":[2,4],"p":[2,4]}}' \
-  | grep -q '"pareto"'
+out=$(curl -fsS -X POST "$BASE/sweep" \
+  -d '{"workload":{"name":"fig21","n":30},"scheme":{"name":"process"},"grid":{"x":[2,4],"p":[2,4]}}')
+echo "$out" | grep -q '"pareto"' || { echo "unexpected /sweep response: $out" >&2; exit 1; }
 
 # Resilience: dsprobe opens the breaker with deterministic stall-fault runs,
 # checks the 503 + Retry-After shed (and /metrics), waits out the cooldown,
