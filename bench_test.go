@@ -234,7 +234,7 @@ func BenchmarkE9Barriers(b *testing.B) {
 				for pid := 0; pid < p; pid++ {
 					var prog []sim.Op
 					for r := int64(1); r <= rounds; r++ {
-						prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), nil, "phase"))
+						prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), nil, 0, "phase"))
 						prog = append(prog, ops(pid, r)...)
 					}
 					progs[pid] = prog

@@ -13,8 +13,10 @@
 // and writes a BenchSnapshot ("-" for stdout): every point's deterministic
 // simulator measurements plus its best-of-repeats wall time and a host
 // calibration figure. -compare diffs two snapshots and prints a
-// per-grid-point delta table; with -gate N it exits non-zero when the
-// normalized cycle throughput regressed by more than N percent, which is how
+// per-grid-point delta table and the count of points whose simulated
+// fields differ; with -gate N it exits non-zero when any simulated field
+// differs, when a point is in only one snapshot, or when the normalized
+// cycle throughput regressed by more than N percent, which is how
 // scripts/bench_gate.sh turns the committed BENCH_*.json baseline into a CI
 // regression gate.
 //
@@ -90,7 +92,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark snapshot to this file (\"-\" for stdout) and exit")
 	repeats := flag.Int("repeats", 3, "-json: run every grid point this many times and record the best wall time")
 	compare := flag.Bool("compare", false, "compare two snapshot files (old.json new.json) and print the per-point delta table")
-	gatePct := flag.Float64("gate", 0, "-compare: exit non-zero if normalized cycle throughput regressed by more than this percent (0 = report only)")
+	gatePct := flag.Float64("gate", 0, "-compare: exit non-zero if any simulated field differs, a point is in only one snapshot, or normalized cycle throughput regressed by more than this percent (0 = report only)")
 	rt := flag.Bool("runtime", false, "run the goroutine runtime with waiter metrics and print RunStats")
 	rtn := flag.Int64("rtn", 100_000, "-runtime: iterations")
 	rtx := flag.Int("rtx", 8, "-runtime: physical process counters (X)")
@@ -192,7 +194,8 @@ func writeSnapshot(path string, repeats int) error {
 }
 
 // compareSnapshots loads two snapshot files, prints the delta table and,
-// when gatePct > 0, fails on a normalized-throughput regression beyond it.
+// when gatePct > 0, fails on any simulated-field mismatch, any point in
+// only one snapshot, or a normalized-throughput regression beyond gatePct.
 func compareSnapshots(oldPath, newPath string, gatePct float64) error {
 	oldSnap, err := loadSnapshot(oldPath)
 	if err != nil {

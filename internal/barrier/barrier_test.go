@@ -48,14 +48,14 @@ func simBarrierHolds(t *testing.T, p int, rounds int64, build func(m *sim.Machin
 			// Skewed work before the barrier; the check runs when the
 			// processor begins the episode's work: all must have finished
 			// the previous round.
-			prog = append(prog, sim.Compute(int64(1+(pid*7+int(r)*3)%13), func() {
+			prog = append(prog, sim.Compute(int64(1+(pid*7+int(r)*3)%13), sim.EffectFunc(func(int64) {
 				for q := 0; q < p; q++ {
 					if finished[q] < r-1 {
 						violations++
 					}
 				}
 				finished[pid] = r
-			}, "work"))
+			}), 0, "work"))
 			prog = append(prog, ops(pid, r)...)
 		}
 		progs[pid] = prog

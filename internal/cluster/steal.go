@@ -185,7 +185,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 			if r.Context().Err() != nil {
 				cause = fmt.Errorf("sweep abandoned: %v", context.Cause(r.Context()))
 			}
-			points[i] = failedSweepPoint(sels, i, cause)
+			points[i] = service.FailedSweepPoint(req, sels[i], cause)
 		}
 	}
 
@@ -383,7 +383,7 @@ func (run *sweepRun) finish(task *sweepTask, pts []service.SweepPoint, err error
 	defer run.mu.Unlock()
 	for j, idx := range task.indices {
 		if err != nil {
-			run.points[idx] = failedSweepPoint(run.sels, idx, err)
+			run.points[idx] = service.FailedSweepPoint(run.req, run.sels[idx], err)
 		} else {
 			run.points[idx] = pts[j]
 		}
@@ -400,15 +400,4 @@ func (run *sweepRun) requeue(task *sweepTask) {
 	defer run.mu.Unlock()
 	run.queues[task.owner] = append(run.queues[task.owner], task)
 	run.cond.Broadcast()
-}
-
-// failedSweepPoint renders one point's failure in the same shape EvalSweep
-// uses.
-func failedSweepPoint(sels []service.GridSel, idx int, err error) service.SweepPoint {
-	sel := sels[idx]
-	pt := service.SweepPoint{X: sel.X, P: sel.P, Chunk: sel.Chunk, BusLatency: sel.BusLatency, Error: service.OneLine(err)}
-	if sel.HasG {
-		pt.G = sel.G
-	}
-	return pt
 }

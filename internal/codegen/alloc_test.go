@@ -91,18 +91,22 @@ type allocCase struct {
 // 3579 / 3534, stencil/instance 5189 / 5167. Before the machine recycled
 // each processor's op slice and kept sync vars in a slab they allocated
 // 2189 / 1055 (357,184 / 238,989 bytes), 2207 / 1158 (418,464 / 340,488
-// bytes) and 3181 / 1389 (489,302 / 309,826 bytes).
+// bytes) and 3181 / 1389 (489,302 / 309,826 bytes). Before statement
+// effects replaced per-op closures, the event heap ordered pointer-free
+// keys and the variable table was sized once, they allocated 2017 / 941
+// (134,682 / 69,320 bytes), 1683 / 693 (85,410 / 41,250 bytes) and
+// 2608 / 936 (312,355 / 154,008 bytes).
 func TestRunAllocations(t *testing.T) {
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} },
-			2219, 1035, 148150, 76252},
+			349, 79, 55971, 24027},
 		{"branchy/statement", func() *codegen.Workload { return workloads.Branchy(60, 4) },
 			func() codegen.Scheme { return codegen.StatementOriented{} },
-			1851, 762, 93951, 45375},
+			327, 82, 45428, 18771},
 		{"stencil/instance", func() *codegen.Workload { return workloads.Stencil(12, 4) },
 			func() codegen.Scheme { return codegen.NewInstanceBased() },
-			2869, 1030, 343591, 169409},
+			1103, 38, 173325, 24016},
 	}
 	cfg := sweepMixConfig(4, 1)
 	for _, c := range cases {
@@ -128,6 +132,48 @@ func TestRunAllocations(t *testing.T) {
 		}
 		if sharedB > c.sharedBytes {
 			t.Errorf("%s: %.0f bytes per Run on a shared Workload, ceiling %.0f", c.name, sharedB, c.sharedBytes)
+		}
+	}
+}
+
+// TestRunAllocationsFlatInN pins that a simulated run allocates nothing per
+// iteration once its per-run setup is done: on a shared Workload, whose run
+// invariants an earlier Run already computed, codegen.Run allocates the same
+// number of objects, to within a small constant, at two problem sizes. A
+// closure, index vector, locals map or op slice built per statement or per
+// iteration shows up as a count growing with N.
+func TestRunAllocationsFlatInN(t *testing.T) {
+	const slack = 16
+	cases := []struct {
+		name         string
+		build        func(n int64) *codegen.Workload
+		mk           func() codegen.Scheme
+		small, large int64
+	}{
+		{"fig21/process", func(n int64) *codegen.Workload { return workloads.Fig21(n, 4) },
+			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} }, 60, 120},
+		{"branchy/statement", func(n int64) *codegen.Workload { return workloads.Branchy(n, 4) },
+			func() codegen.Scheme { return codegen.StatementOriented{} }, 60, 120},
+		{"recurrence/ref", func(n int64) *codegen.Workload { return workloads.Recurrence(n, 2, 4) },
+			func() codegen.Scheme { return codegen.RefBased{} }, 60, 120},
+		{"stencil/instance", func(n int64) *codegen.Workload { return workloads.Stencil(n, 4) },
+			func() codegen.Scheme { return codegen.NewInstanceBased() }, 12, 20},
+	}
+	cfg := sweepMixConfig(4, 1)
+	for _, c := range cases {
+		allocs := func(n int64) float64 {
+			w := c.build(n)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := codegen.Run(w, c.mk(), cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(c.small), allocs(c.large)
+		t.Logf("%s: %v allocations at N=%d, %v at N=%d", c.name, small, c.small, large, c.large)
+		if d := large - small; d > slack || d < -slack {
+			t.Errorf("%s: %v allocations per Run at N=%d but %v at N=%d; a run may differ by at most %d",
+				c.name, small, c.small, large, c.large, slack)
 		}
 	}
 }

@@ -20,17 +20,19 @@ import (
 
 	"github.com/csrd-repro/datasync/internal/dataorient"
 	"github.com/csrd-repro/datasync/internal/deps"
+	"github.com/csrd-repro/datasync/internal/expr"
 	"github.com/csrd-repro/datasync/internal/loop"
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// Sem is one statement's semantics: given the iteration's index vector, the
-// values of the statement's Reads (in declaration order) and the
-// iteration's scratch locals, it returns the values for the statement's
-// Writes (in declaration order). Locals carry intra-iteration temporaries
-// (like t2, t3 in Fig 2.1) between statements; each iteration gets a fresh
-// map.
-type Sem func(idx []int64, in []int64, locals map[string]int64) []int64
+// Sem is one statement's semantics: given the iteration's index vector and
+// the values of the statement's Reads (in declaration order), it stores the
+// values for the statement's Writes (in declaration order) into out.
+// locals holds the iteration's Workload.Locals scratch slots, which carry
+// intra-iteration temporaries (like t2, t3 in Fig 2.1) between statements;
+// every iteration's slots start at zero. All four slices belong to the
+// caller and are reused once Sem returns, so Sem must not keep them.
+type Sem func(idx, in, locals, out []int64)
 
 // Workload is a loop nest with executable semantics.
 //
@@ -45,6 +47,9 @@ type Workload struct {
 	// Sem gives each body statement its semantics. Statements without an
 	// entry must have no Writes.
 	Sem map[*deps.Stmt]Sem
+	// Locals is the number of iteration-local scalar slots the semantics
+	// use (Sem's locals).
+	Locals int
 	// Setup declares and initializes the arrays the semantics touch.
 	Setup func(mem *sim.Mem)
 	// CostOf, when set, overrides statement costs per iteration — used by
@@ -52,6 +57,7 @@ type Workload struct {
 	CostOf func(s *deps.Stmt, idx []int64) int64
 
 	serial memo[serialRun]
+	stmts  memo[*stmtInfo]
 	deps   memo[*depInfo]
 	plan   memo[*dataorient.Plan]
 }
@@ -99,6 +105,29 @@ func (w *Workload) serialOracle() serialRun {
 		return serialRun{cycles: sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(mem)), mem: mem}, nil
 	})
 	return r
+}
+
+// stmtInfo is the per-workload statement table every run shares.
+type stmtInfo struct {
+	list []*deps.Stmt       // flattened body order
+	pos  map[*deps.Stmt]int // position in list
+	// maxReads and maxWrites size a frame's input and output buffers.
+	maxReads, maxWrites int
+}
+
+// stmtTable returns the workload's statement table.
+func (w *Workload) stmtTable() *stmtInfo {
+	si, _ := w.stmts.get(func() (*stmtInfo, error) {
+		list := w.Nest.Stmts()
+		si := &stmtInfo{list: list, pos: make(map[*deps.Stmt]int, len(list))}
+		for i, s := range list {
+			si.pos[s] = i
+			si.maxReads = max(si.maxReads, len(s.Reads))
+			si.maxWrites = max(si.maxWrites, len(s.Writes))
+		}
+		return si, nil
+	})
+	return si
 }
 
 // depInfo returns the workload's dependence summary (analyzeWorkload).
@@ -221,105 +250,241 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 
 // serialProgram builds the pure-compute program bound to the given memory.
 func (w *Workload) serialProgram(mem *sim.Mem) sim.Program {
+	r := w.bindStmts(mem, 0, false)
+	var body []*deps.Stmt
 	return func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
-		for _, s := range w.Nest.FlatBody(idx) {
-			ops = append(ops, sim.Compute(w.cost(s, idx), w.execInPlace(mem, idx, s, locals), s.Name))
+		idx := w.Nest.IndexInto(r.progIdx, iter)
+		body = w.Nest.FlatBodyInto(body, idx)
+		for _, s := range body {
+			ops = append(ops, sim.Compute(w.cost(s, idx), r.effs[r.info.pos[s]], iter, s.Name))
 		}
 		return ops
 	}
 }
 
-// execInPlace is the normal (un-renamed) binding: reads and writes go
-// directly to the memory arrays.
-func (w *Workload) execInPlace(mem *sim.Mem, idx []int64, s *deps.Stmt, locals map[string]int64) func() {
-	sem := w.Sem[s]
-	if sem == nil {
-		if len(s.Writes) > 0 {
-			panic(fmt.Sprintf("codegen: statement %s writes but has no semantics", s.Name))
-		}
-		return nil
-	}
-	return func() {
-		in := make([]int64, len(s.Reads))
-		for k, r := range s.Reads {
-			in[k] = readRef(mem, r, idx)
-		}
-		out := sem(idx, in, locals)
-		if len(out) != len(s.Writes) {
-			panic(fmt.Sprintf("codegen: statement %s semantics returned %d values for %d writes",
-				s.Name, len(out), len(s.Writes)))
-		}
-		for k, wr := range s.Writes {
-			writeRef(mem, wr, idx, out[k])
-		}
+// frame is the scratch a statement execution works in: the index vector,
+// the input and output values and the locals of the iteration it belongs
+// to. A simulated run has one frame, sized once and shared by every
+// statement effect of the run: the machine applies one effect at a time,
+// each to completion, so no two executions ever use it at once. The
+// goroutine executors run iterations concurrently, so each of their
+// iterations has a frame of its own, newFrame(1), read with localsOf(1).
+type frame struct {
+	nest    *loop.Nest
+	idx     []int64
+	in, out []int64
+	nLocal  int
+	locals  []int64 // nLocal slots per iteration, iteration-major
+}
+
+// newFrame sizes a frame for the workload, with local slots for iters
+// iterations.
+func (w *Workload) newFrame(iters int64) *frame {
+	si := w.stmtTable()
+	depth := w.Nest.Depth()
+	buf := make([]int64, depth+si.maxReads+si.maxWrites+int(iters)*w.Locals)
+	return &frame{
+		nest:   w.Nest,
+		idx:    buf[:depth:depth],
+		in:     buf[depth : depth+si.maxReads : depth+si.maxReads],
+		out:    buf[depth+si.maxReads : depth+si.maxReads+si.maxWrites : depth+si.maxReads+si.maxWrites],
+		nLocal: w.Locals,
+		locals: buf[depth+si.maxReads+si.maxWrites:],
 	}
 }
 
-func readRef(mem *sim.Mem, r deps.Ref, idx []int64) int64 {
+// localsOf returns iteration iter's local slots.
+func (f *frame) localsOf(iter int64) []int64 {
+	lo := int(iter-1) * f.nLocal
+	return f.locals[lo : lo+f.nLocal : lo+f.nLocal]
+}
+
+// boundRef is an array reference resolved against one memory, so an
+// execution indexes the array directly instead of looking it up by name.
+type boundRef struct {
+	ix   []expr.Affine
+	arr  *sim.Array
+	grid *sim.Grid
+}
+
+func bindRef(mem *sim.Mem, r deps.Ref) boundRef {
+	b := boundRef{ix: r.Index}
 	switch len(r.Index) {
 	case 1:
-		a := mem.Lookup(r.Array)
-		if a == nil {
+		if b.arr = mem.Lookup(r.Array); b.arr == nil {
 			panic("codegen: array not declared in Setup: " + r.Array)
 		}
-		return a.Get(r.Index[0].Eval(idx))
 	case 2:
-		g := mem.LookupGrid(r.Array)
-		if g == nil {
+		if b.grid = mem.LookupGrid(r.Array); b.grid == nil {
 			panic("codegen: grid not declared in Setup: " + r.Array)
 		}
-		return g.Get(r.Index[0].Eval(idx), r.Index[1].Eval(idx))
 	default:
 		panic(fmt.Sprintf("codegen: %d-dimensional reference unsupported", len(r.Index)))
 	}
+	return b
 }
 
-func writeRef(mem *sim.Mem, r deps.Ref, idx []int64, v int64) {
-	switch len(r.Index) {
-	case 1:
-		mem.Lookup(r.Array).Set(r.Index[0].Eval(idx), v)
-	case 2:
-		mem.LookupGrid(r.Array).Set(r.Index[0].Eval(idx), r.Index[1].Eval(idx), v)
-	default:
-		panic(fmt.Sprintf("codegen: %d-dimensional reference unsupported", len(r.Index)))
+func (b *boundRef) get(idx []int64) int64 {
+	if b.arr != nil {
+		return b.arr.Get(b.ix[0].Eval(idx))
+	}
+	return b.grid.Get(b.ix[0].Eval(idx), b.ix[1].Eval(idx))
+}
+
+func (b *boundRef) set(idx []int64, v int64) {
+	if b.arr != nil {
+		b.arr.Set(b.ix[0].Eval(idx), v)
+		return
+	}
+	b.grid.Set(b.ix[0].Eval(idx), b.ix[1].Eval(idx), v)
+}
+
+// inPlace is the normal (un-renamed) binding of one statement: its
+// semantics over references resolved against one memory. As a sim.Effect,
+// Apply(iter) executes the statement instance of iteration iter in the
+// run's frame.
+type inPlace struct {
+	f             *frame
+	sem           Sem
+	reads, writes []boundRef
+}
+
+// Apply implements sim.Effect.
+func (e *inPlace) Apply(iter int64) { e.apply(e.f, iter, e.f.localsOf(iter)) }
+
+// apply executes the statement instance of iteration iter in frame f with
+// the iteration's locals. A statement without semantics does nothing.
+func (e *inPlace) apply(f *frame, iter int64, locals []int64) {
+	if e.sem == nil {
+		return
+	}
+	idx := f.nest.IndexInto(f.idx, iter)
+	in := f.in[:len(e.reads)]
+	for k := range e.reads {
+		in[k] = e.reads[k].get(idx)
+	}
+	out := f.out[:len(e.writes)]
+	e.sem(idx, in, locals, out)
+	for k := range e.writes {
+		e.writes[k].set(idx, out[k])
 	}
 }
 
-// appendComputeOps appends the op(s) for one statement execution: the
-// compute itself and, when the machine models a data-write latency and the
-// statement writes shared arrays, a commit phase after which the written
-// values become visible — the paper's requirement (1): a source may signal
-// only after its effect can be observed. The statement semantics run at the
-// end of the last op, so a scheme that published before the commit phase
-// would let a consumer read stale values and fail serial equivalence. The
-// op carrying the semantics is stamped with the statement's concrete
-// element accesses for the happens-before race checkers when the machine
-// records a sync trace, their only reader. It appends into the caller's
-// program slice, which the machine recycles from iteration to iteration.
-func appendComputeOps(ops []sim.Op, m *sim.Machine, w *Workload, idx []int64, s *deps.Stmt, locals map[string]int64) []sim.Op {
-	exec := w.execInPlace(m.Mem(), idx, s, locals)
-	var touch []sim.MemAccess
-	if m.SyncTracing() {
-		touch = stmtTouches(s, idx)
+// stmtRun is one run's binding of the workload's statements: an effect per
+// statement position (nil for a statement without semantics) over the
+// run's memory and frame, plus what the run's compute ops depend on.
+type stmtRun struct {
+	w    *Workload
+	info *stmtInfo
+	effs []sim.Effect
+	// progIdx is the program builder's own index buffer: effects decode
+	// into the frame's, and a program may be called between two effects.
+	progIdx []int64
+	lat     int64
+	tracing bool
+}
+
+// newStmtRun returns a run binding with no effects yet, for a machine with
+// the given data latency and sync-trace setting.
+func (w *Workload) newStmtRun(lat int64, tracing bool) *stmtRun {
+	si := w.stmtTable()
+	return &stmtRun{w: w, info: si, effs: make([]sim.Effect, len(si.list)),
+		progIdx: make([]int64, w.Nest.Depth()), lat: lat, tracing: tracing}
+}
+
+// semOf returns statement s's semantics, nil for a statement that writes
+// nothing and has none.
+func (w *Workload) semOf(s *deps.Stmt) Sem {
+	sem := w.Sem[s]
+	if sem == nil && len(s.Writes) > 0 {
+		panic(fmt.Sprintf("codegen: statement %s writes but has no semantics", s.Name))
 	}
-	lat := m.Config().DataLatency
-	if lat <= 0 || len(s.Writes) == 0 {
-		op := sim.Compute(w.cost(s, idx), exec, s.Name)
+	return sem
+}
+
+// bindStmts binds every statement to mem in place, for a run whose machine
+// has the given data latency and sync-trace setting.
+func (w *Workload) bindStmts(mem *sim.Mem, lat int64, tracing bool) *stmtRun {
+	r := w.newStmtRun(lat, tracing)
+	ips := w.bindInPlace(mem, w.newFrame(w.Nest.Iterations()))
+	for pos := range ips {
+		if ips[pos].sem != nil {
+			r.effs[pos] = &ips[pos]
+		}
+	}
+	return r
+}
+
+// bindInPlace resolves every statement's references against mem, by
+// position; a statement without semantics gets a zero inPlace (nil sem).
+// The bindings share frame f.
+func (w *Workload) bindInPlace(mem *sim.Mem, f *frame) []inPlace {
+	si := w.stmtTable()
+	refs := 0
+	for _, s := range si.list {
+		refs += len(s.Reads) + len(s.Writes)
+	}
+	bound := make([]boundRef, 0, refs)
+	effs := make([]inPlace, len(si.list))
+	for pos, s := range si.list {
+		sem := w.semOf(s)
+		if sem == nil {
+			continue
+		}
+		e := &effs[pos]
+		e.f, e.sem = f, sem
+		for _, rd := range s.Reads {
+			bound = append(bound, bindRef(mem, rd))
+		}
+		e.reads = bound[len(bound)-len(s.Reads):]
+		for _, wr := range s.Writes {
+			bound = append(bound, bindRef(mem, wr))
+		}
+		e.writes = bound[len(bound)-len(s.Writes):]
+	}
+	return effs
+}
+
+// bindMachine binds the statements for a run on m: in place against its
+// memory, under its data latency and sync-trace setting.
+func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
+	return w.bindStmts(m.Mem(), m.Config().DataLatency, m.SyncTracing())
+}
+
+// appendCompute appends the op(s) for one execution of statement s in
+// iteration iter (index vector idx): the compute itself and, when the
+// machine models a data-write latency and the statement writes shared
+// arrays, a commit phase after which the written values become visible —
+// the paper's requirement (1): a source may signal only after its effect
+// can be observed. The statement's effect is applied to iter at the end of
+// the last op, so a scheme that published before the commit phase would
+// let a consumer read stale values and fail serial equivalence. That op
+// carries touch, the statement's concrete element accesses for the
+// happens-before race checkers, which callers build only when the machine
+// records a sync trace (r.tracing). It appends into the caller's program
+// slice, which the machine recycles from iteration to iteration.
+func (r *stmtRun) appendCompute(ops []sim.Op, s *deps.Stmt, iter int64, idx []int64, touch []sim.MemAccess) []sim.Op {
+	eff := r.effs[r.info.pos[s]]
+	cost := r.w.cost(s, idx)
+	if r.lat <= 0 || len(s.Writes) == 0 {
+		op := sim.Compute(cost, eff, iter, s.Name)
 		op.Touch = touch
 		return append(ops, op)
 	}
-	return append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commitOp(lat, exec, s, touch))
+	commit := sim.Compute(r.lat, eff, iter, "")
+	commit.Tag = sim.TagSf("%s:commit", s.Name)
+	commit.Touch = touch
+	return append(ops, sim.Compute(cost, nil, 0, s.Name), commit)
 }
 
-// commitOp is a statement's commit phase under a data-write latency,
-// tagged "<statement>:commit".
-func commitOp(lat int64, exec func(), s *deps.Stmt, touch []sim.MemAccess) sim.Op {
-	op := sim.Compute(lat, exec, "")
-	op.Tag = sim.TagSf("%s:commit", s.Name)
-	op.Touch = touch
-	return op
+// appendStmt is appendCompute for an in-place statement, with its element
+// accesses as the touch list when tracing.
+func (r *stmtRun) appendStmt(ops []sim.Op, s *deps.Stmt, iter int64, idx []int64) []sim.Op {
+	var touch []sim.MemAccess
+	if r.tracing {
+		touch = stmtTouches(s, idx)
+	}
+	return r.appendCompute(ops, s, iter, idx, touch)
 }
 
 // stmtTouches lists the concrete shared-memory elements one execution of
@@ -341,14 +506,4 @@ func refTouch(r deps.Ref, idx []int64, write bool, ver int64) sim.MemAccess {
 		a.Coord[d] = r.Index[d].Eval(idx)
 	}
 	return a
-}
-
-// stmtPositions maps statements to their flattened body positions.
-func stmtPositions(n *loop.Nest) map[*deps.Stmt]int {
-	stmts := n.Stmts()
-	pos := make(map[*deps.Stmt]int, len(stmts))
-	for i, s := range stmts {
-		pos[s] = i
-	}
-	return pos
 }

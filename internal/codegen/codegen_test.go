@@ -387,13 +387,13 @@ func TestEarlySignalDetected(t *testing.T) {
 	var got int64 = -1
 	_, err := m.RunProcesses([][]sim.Op{
 		{
-			sim.Compute(10, nil, "S1"),
+			sim.Compute(10, nil, 0, "S1"),
 			sim.WriteVar(pc, 1, "signal-too-early"), // before the commit!
-			sim.Compute(5, func() { arr.Set(0, 42) }, "S1:commit"),
+			sim.Compute(5, sim.EffectFunc(func(int64) { arr.Set(0, 42) }), 0, "S1:commit"),
 		},
 		{
 			sim.WaitGE(pc, 1, "wait"),
-			sim.Compute(1, func() { got = arr.Get(0) }, "S2"),
+			sim.Compute(1, sim.EffectFunc(func(int64) { got = arr.Get(0) }), 0, "S2"),
 		},
 	})
 	if err != nil {

@@ -83,16 +83,26 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 		}
 	}
 	sort.Slice(dists, func(x, y int) bool { return dists[x] < dists[y] })
+	// distOf[k] is arc k's position in dists.
+	distOf := make([]int, len(arcs))
+	for k, a := range arcs {
+		distOf[k] = sort.Search(len(dists), func(x int) bool { return dists[x] >= a.Dist[0] })
+	}
+	r := w.bindMachine(m)
+	need := make([]int64, len(dists)) // per-j scratch, cleared on entry
+	var body []*deps.Stmt
 
 	prog := func(ops []sim.Op, lpid int64) []sim.Op {
 		i := outer.Lo + lpid - 1
 		sinceMark := int64(0)
+		idx := r.progIdx
 		for j := inner.Lo; j <= inner.Hi; j++ {
-			idx := []int64{i, j}
+			idx[0], idx[1] = i, j
 			// One wait per distinct outer distance: the maximum inner
-			// progress any arc requires of process lpid-d1 at this j.
-			need := map[int64]int64{}
-			for _, a := range arcs {
+			// progress any arc requires of process lpid-d1 at this j
+			// (progress is at least 1, so 0 means no arc needs a wait).
+			clear(need)
+			for k, a := range arcs {
 				d1, d2 := a.Dist[0], a.Dist[1]
 				if lpid-d1 < 1 {
 					continue // source process before the loop start
@@ -101,19 +111,19 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 				if srcJ < inner.Lo || srcJ > inner.Hi {
 					continue // source instance outside the space
 				}
-				prog := srcJ - inner.Lo + 1
-				if prog > need[d1] {
-					need[d1] = prog
+				need[distOf[k]] = max(need[distOf[k]], srcJ-inner.Lo+1)
+			}
+			for k, d1 := range dists {
+				if need[k] > 0 {
+					ops = append(ops, pcs.WaitPC(lpid, d1, need[k]))
 				}
 			}
-			for _, d1 := range dists {
-				if p, ok := need[d1]; ok {
-					ops = append(ops, pcs.WaitPC(lpid, d1, p))
-				}
-			}
-			locals := make(map[string]int64)
-			for _, st := range w.Nest.FlatBody(idx) {
-				ops = appendComputeOps(ops, m, w, idx, st, locals)
+			// Statement effects take the instance's coalesced iteration
+			// number, not the process number.
+			iter := w.Nest.LpidOf(idx)
+			body = w.Nest.FlatBodyInto(body, idx)
+			for _, st := range body {
+				ops = r.appendStmt(ops, st, iter, idx)
 			}
 			sinceMark++
 			if sinceMark == g && j < inner.Hi {

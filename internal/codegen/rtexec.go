@@ -27,19 +27,19 @@ func RunRuntime(w *Workload, x, procs int) (*sim.Mem, error) {
 	}
 	mem := sim.NewMem()
 	w.Setup(mem)
+	ips := w.bindInPlace(mem, nil)
+	pos := w.stmtTable().pos
 
 	_, err = core.Runner{X: x, Procs: procs}.Run(w.Nest.Iterations(), func(iter int64, p *core.Proc) {
 		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
+		f := w.newFrame(1)
 		transferred := false
 		for _, a := range di.schedule(nil, w.Nest, iter, idx) {
 			switch a.kind {
 			case actWait:
 				p.Wait(a.dist, a.step)
 			case actStmt:
-				if exec := w.execInPlace(mem, idx, a.stmt, locals); exec != nil {
-					exec()
-				}
+				ips[pos[a.stmt]].apply(f, iter, f.localsOf(1))
 			case actPublish:
 				p.Mark(a.step)
 			case actTransfer:
@@ -101,19 +101,19 @@ func RunRuntimeStatement(w *Workload, k, procs int) (*sim.Mem, error) {
 	scs := stmtorient.NewSCSet(sg.k)
 	mem := sim.NewMem()
 	w.Setup(mem)
+	ips := w.bindInPlace(mem, nil)
+	pos := w.stmtTable().pos
 
 	runWorkers(w.Nest.Iterations(), procs, func(iter int64) {
 		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
+		f := w.newFrame(1)
 		advanced := make(map[int64]bool)
 		for _, st := range w.Nest.FlatBody(idx) {
 			p := di.pos[st]
 			for _, a := range di.incoming[p] {
 				scs.Await(sg.group[a.Src], iter-a.Dist[0])
 			}
-			if exec := w.execInPlace(mem, idx, st, locals); exec != nil {
-				exec()
-			}
+			ips[pos[st]].apply(f, iter, f.localsOf(1))
 			if g, ok := sg.group[p]; ok && sg.lastOfGroup[p] && !advanced[g] {
 				scs.Advance(g, iter)
 				advanced[g] = true
@@ -145,18 +145,14 @@ func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
 	rk := dataorient.NewRuntimeKeys(plan)
 	mem := sim.NewMem()
 	w.Setup(mem)
-	pos := stmtPositions(w.Nest)
+	ips := w.bindInPlace(mem, nil)
+	pos := w.stmtTable().pos
 
 	runWorkers(w.Nest.Iterations(), procs, func(iter int64) {
 		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
+		f := w.newFrame(1)
 		for _, st := range w.Nest.FlatBody(idx) {
-			p := pos[st]
-			nRefs := len(st.Writes) + len(st.Reads)
-			accs := make([]*dataorient.Access, nRefs)
-			for slot := 0; slot < nRefs; slot++ {
-				accs[slot] = plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: slot}]
-			}
+			accs := plan.Accesses(iter, pos[st])
 			minAcc := map[dataorient.Elem]*dataorient.Access{}
 			for _, a := range accs {
 				if cur, ok := minAcc[a.Elem]; !ok || a.Ticket < cur.Ticket {
@@ -166,9 +162,7 @@ func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
 			for _, a := range minAcc {
 				rk.Acquire(a)
 			}
-			if exec := w.execInPlace(mem, idx, st, locals); exec != nil {
-				exec()
-			}
+			ips[pos[st]].apply(f, iter, f.localsOf(1))
 			for _, a := range accs {
 				rk.Release(a)
 			}
@@ -196,6 +190,8 @@ func RunRuntimePipelined(w *Workload, x, procs int, g int64) (*sim.Mem, error) {
 	}
 	mem := sim.NewMem()
 	w.Setup(mem)
+	ips := w.bindInPlace(mem, nil)
+	pos := w.stmtTable().pos
 	outer, inner := w.Nest.Indexes[0], w.Nest.Indexes[1]
 
 	_, err = core.Runner{X: x, Procs: procs}.Run(outer.Extent(), func(lpid int64, p *core.Proc) {
@@ -211,11 +207,10 @@ func RunRuntimePipelined(w *Workload, x, procs int, g int64) (*sim.Mem, error) {
 				}
 				p.Wait(d1, srcJ-inner.Lo+1)
 			}
-			locals := make(map[string]int64)
+			iter := w.Nest.LpidOf(idx)
+			f := w.newFrame(1)
 			for _, st := range w.Nest.FlatBody(idx) {
-				if exec := w.execInPlace(mem, idx, st, locals); exec != nil {
-					exec()
-				}
+				ips[pos[st]].apply(f, iter, f.localsOf(1))
 			}
 			sinceMark++
 			if sinceMark == g && j < inner.Hi {

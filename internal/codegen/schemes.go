@@ -37,7 +37,7 @@ func analyzeWorkload(w *Workload) (*depInfo, error) {
 		enforced = lin.Deduped()
 	}
 	di := &depInfo{
-		pos:      stmtPositions(w.Nest),
+		pos:      w.stmtTable().pos,
 		enforced: enforced,
 		incoming: make(map[int][]deps.Arc),
 		step:     make(map[int]int64),
@@ -136,36 +136,36 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	}
 	pcs := core.NewSimPCs(m, s.X)
 	foot := Footprint{SyncVars: s.X, InitOps: int64(s.X), StorageWords: int64(s.X)}
+	r := w.bindMachine(m)
 
 	// acts is a schedule buffer reused across iterations. Safe: each run
 	// instruments its own scheme, and the machine calls prog sequentially.
 	var acts []action
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
-		gotPC := false
-		needOwn := func() {
-			if !s.Improved && !gotPC {
-				ops = append(ops, pcs.GetPC(iter))
-				gotPC = true
-			}
-		}
+		idx := w.Nest.IndexInto(r.progIdx, iter)
+		// The basic primitives acquire the PC once, before the
+		// iteration's first publication or transfer.
+		owned := s.Improved
 		acts = di.schedule(acts[:0], w.Nest, iter, idx)
 		for _, a := range acts {
 			switch a.kind {
 			case actWait:
 				ops = append(ops, pcs.WaitPC(iter, a.dist, a.step))
 			case actStmt:
-				ops = appendComputeOps(ops, m, w, idx, a.stmt, locals)
+				ops = r.appendStmt(ops, a.stmt, iter, idx)
 			case actPublish:
 				if s.Improved {
 					ops = append(ops, pcs.MarkPC(iter, a.step))
-				} else {
-					needOwn()
-					ops = append(ops, pcs.SetPC(iter, a.step))
+					continue
 				}
+				if !owned {
+					ops, owned = append(ops, pcs.GetPC(iter)), true
+				}
+				ops = append(ops, pcs.SetPC(iter, a.step))
 			case actTransfer:
-				needOwn()
+				if !owned {
+					ops, owned = append(ops, pcs.GetPC(iter)), true
+				}
 				ops = pcs.TransferPCOps(ops, iter)
 			}
 		}
@@ -245,56 +245,71 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	}
 	sg := buildSCGrouping(di, w, s.K)
 	k := sg.k
-	scs := stmtorient.NewSimSCs(m, k)
-	group, lastOfGroup, advanceAtEnd := sg.group, sg.lastOfGroup, sg.advanceAtEnd
 	foot := Footprint{SyncVars: k, InitOps: int64(k), StorageWords: int64(k)}
-
-	advanced := make([]bool, k) // per-iteration scratch, cleared on entry
+	sw := &scWalker{di: di, sg: sg, scs: stmtorient.NewSimSCs(m, k), r: w.bindMachine(m),
+		advanced: make([]bool, k)}
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
-		clear(advanced)
-		var walk func(nodes []loop.Node)
-		walk = func(nodes []loop.Node) {
-			for _, node := range nodes {
-				switch v := node.(type) {
-				case loop.StmtNode:
-					p := di.pos[v.S]
-					for _, a := range di.incoming[p] {
-						d := a.Dist[0]
-						ops = append(ops, scs.AwaitOp(group[a.Src], iter-d))
-					}
-					ops = appendComputeOps(ops, m, w, idx, v.S, locals)
-					if g, ok := group[p]; ok && lastOfGroup[p] && !advanced[g] {
-						ops = scs.AdvanceOps(ops, g, iter)
-						advanced[g] = true
-					}
-				case loop.IfNode:
-					// Advances are emitted at static positions regardless
-					// of the branch outcome (the all-paths rule of
-					// Example 3), so arms only contribute their computes
-					// and awaits; group advances whose last member hides
-					// inside an arm are deferred to the body end.
-					if v.Cond(idx) {
-						walk(v.Then)
-					} else {
-						walk(v.Else)
-					}
-				}
-			}
-		}
-		walk(w.Nest.Body)
-		if advanceAtEnd {
+		sw.ops, sw.iter, sw.idx = ops, iter, w.Nest.IndexInto(sw.r.progIdx, iter)
+		clear(sw.advanced)
+		sw.walk(w.Nest.Body)
+		if sg.advanceAtEnd {
 			for g := int64(0); g < int64(k); g++ {
-				if !advanced[g] {
-					ops = scs.AdvanceOps(ops, g, iter)
-					advanced[g] = true
+				if !sw.advanced[g] {
+					sw.ops = sw.scs.AdvanceOps(sw.ops, g, iter)
+					sw.advanced[g] = true
 				}
 			}
 		}
+		ops = sw.ops
+		sw.ops = nil // the machine owns the returned slice
 		return ops
 	}
 	return prog, foot, nil
+}
+
+// scWalker builds one iteration of the statement-oriented program: a
+// struct with a method rather than a recursive closure, which would be
+// heap-allocated on every iteration. One walker serves a whole run.
+type scWalker struct {
+	di       *depInfo
+	sg       scGrouping
+	scs      *stmtorient.SimSCs
+	r        *stmtRun
+	advanced []bool // per-iteration scratch, cleared on entry
+
+	ops  []sim.Op
+	iter int64
+	idx  []int64
+}
+
+func (sw *scWalker) walk(nodes []loop.Node) {
+	di, sg := sw.di, &sw.sg
+	for _, node := range nodes {
+		switch v := node.(type) {
+		case loop.StmtNode:
+			p := di.pos[v.S]
+			for _, a := range di.incoming[p] {
+				d := a.Dist[0]
+				sw.ops = append(sw.ops, sw.scs.AwaitOp(sg.group[a.Src], sw.iter-d))
+			}
+			sw.ops = sw.r.appendStmt(sw.ops, v.S, sw.iter, sw.idx)
+			if g, ok := sg.group[p]; ok && sg.lastOfGroup[p] && !sw.advanced[g] {
+				sw.ops = sw.scs.AdvanceOps(sw.ops, g, sw.iter)
+				sw.advanced[g] = true
+			}
+		case loop.IfNode:
+			// Advances are emitted at static positions regardless of the
+			// branch outcome (the all-paths rule of Example 3), so arms
+			// only contribute their computes and awaits; group advances
+			// whose last member hides inside an arm are deferred to the
+			// body end.
+			if v.Cond(sw.idx) {
+				sw.walk(v.Then)
+			} else {
+				sw.walk(v.Else)
+			}
+		}
+	}
 }
 
 // ---- Data-oriented schemes (section 3.1) ----
@@ -315,27 +330,22 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 	keys := dataorient.NewSimKeys(m, plan)
 	f := plan.Footprint()
 	foot := Footprint{SyncVars: int(f.Keys), InitOps: f.InitOps, StorageWords: f.Keys}
-	di := stmtPositions(w.Nest)
+	r := w.bindMachine(m)
 
 	// Scratch buffers reused across iterations (prog is called sequentially
 	// by the machine and nothing below escapes the call); a statement's
-	// reference count is small, so a linear scan replaces the per-statement
+	// reference count is small, so a linear scan replaces a per-statement
 	// dedup map. First-seen element order is preserved exactly.
 	var (
-		accs    []*dataorient.Access
-		order   []dataorient.Elem
+		body    []*deps.Stmt
+		order   []int // element indices in the plan's Order
 		tickets []int64
 	)
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
-		for _, s := range w.Nest.FlatBody(idx) {
-			p := di[s]
-			nRefs := len(s.Writes) + len(s.Reads)
-			accs = accs[:0]
-			for slot := 0; slot < nRefs; slot++ {
-				accs = append(accs, plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: slot}])
-			}
+		idx := w.Nest.IndexInto(r.progIdx, iter)
+		body = w.Nest.FlatBodyInto(body, idx)
+		for _, s := range body {
+			accs := plan.Accesses(iter, r.info.pos[s])
 			// The statement executes as one atomic compute, so per element
 			// the wait condition is the minimum ticket among the
 			// statement's own accesses (a statement reading and writing
@@ -343,8 +353,8 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 			order, tickets = order[:0], tickets[:0]
 			for _, a := range accs {
 				seen := false
-				for j, e := range order {
-					if e == a.Elem {
+				for j, ei := range order {
+					if ei == a.ElemIdx {
 						if a.Ticket < tickets[j] {
 							tickets[j] = a.Ticket
 						}
@@ -353,14 +363,14 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 					}
 				}
 				if !seen {
-					order = append(order, a.Elem)
+					order = append(order, a.ElemIdx)
 					tickets = append(tickets, a.Ticket)
 				}
 			}
-			for j, e := range order {
-				ops = append(ops, keys.WaitTicketOp(e, tickets[j]))
+			for j, ei := range order {
+				ops = append(ops, keys.WaitTicketOp(ei, tickets[j]))
 			}
-			ops = appendComputeOps(ops, m, w, idx, s, locals)
+			ops = r.appendStmt(ops, s, iter, idx)
 			for _, a := range accs {
 				ops = append(ops, keys.IncOp(a))
 			}
@@ -375,8 +385,7 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 // (the renamed storage lives between Instrument and Finalize); build one
 // per run with NewInstanceBased.
 type InstanceBased struct {
-	plan *dataorient.Plan
-	vs   *dataorient.VersionStore
+	vs *dataorient.VersionStore
 }
 
 // NewInstanceBased returns a fresh instance-based scheme.
@@ -399,48 +408,26 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 		InitOps:      f.Bits,
 		StorageWords: f.Bits + f.Copies,
 	}
-	// Initial values come from a pristine copy of the workload memory.
-	initMem := sim.NewMem()
-	w.Setup(initMem)
-	vs := dataorient.NewVersionStore(func(e dataorient.Elem) int64 { return readElem(initMem, e) })
-	ib.plan, ib.vs = plan, vs
-	di := stmtPositions(w.Nest)
+	// The machine memory keeps its initial values until Finalize (renamed
+	// writes go to the version store), so it supplies every version 0.
+	ib.vs = dataorient.NewVersionStore(plan, m.Mem())
+	r := w.bindRenamed(m, plan, ib.vs)
 
+	var body []*deps.Stmt
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexOf(iter)
-		locals := make(map[string]int64)
-		for _, s := range w.Nest.FlatBody(idx) {
-			s := s
-			p := di[s]
-			// One slice in RefSlot order (writes, then reads), which the
-			// exec closure below keeps alive.
-			accs := make([]*dataorient.Access, len(s.Writes)+len(s.Reads))
-			for k := range accs {
-				accs[k] = plan.ByID[dataorient.AccessID{Lpid: iter, StmtPos: p, RefSlot: k}]
-			}
+		idx := w.Nest.IndexInto(r.progIdx, iter)
+		body = w.Nest.FlatBodyInto(body, idx)
+		for _, s := range body {
+			accs := plan.Accesses(iter, r.info.pos[s])
 			writeAccs, readAccs := accs[:len(s.Writes)], accs[len(s.Writes):]
 			for _, a := range readAccs {
 				ops = append(ops, bits.ConsumeOp(a))
-			}
-			sem := w.Sem[s]
-			exec := func() {
-				in := make([]int64, len(readAccs))
-				for k, a := range readAccs {
-					in[k] = vs.Get(a.Elem, a.Epoch)
-				}
-				if sem == nil {
-					return
-				}
-				out := sem(idx, in, locals)
-				for k, a := range writeAccs {
-					vs.Set(a.Elem, a.Epoch+1, out[k])
-				}
 			}
 			// Renamed storage is single-assignment: race checking sees each
 			// (element, version) as its own location, so the renaming's
 			// elimination of anti/output conflicts is visible to the checker.
 			var touches []sim.MemAccess
-			if m.SyncTracing() {
+			if r.tracing {
 				touches = make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
 				for _, a := range readAccs {
 					touches = append(touches, accessTouch(a.Elem, a.Epoch, false))
@@ -449,15 +436,9 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 					touches = append(touches, accessTouch(a.Elem, a.Epoch+1, true))
 				}
 			}
-			if lat := m.Config().DataLatency; lat > 0 && len(writeAccs) > 0 {
-				// Renamed copies also take DataLatency to land before the
-				// full/empty bits may be set (requirement (1)).
-				ops = append(ops, sim.Compute(w.cost(s, idx), nil, s.Name), commitOp(lat, exec, s, touches))
-			} else {
-				op := sim.Compute(w.cost(s, idx), exec, s.Name)
-				op.Touch = touches
-				ops = append(ops, op)
-			}
+			// Renamed copies also take DataLatency to land before the
+			// full/empty bits may be set (requirement (1)).
+			ops = r.appendCompute(ops, s, iter, idx, touches)
 			for _, a := range writeAccs {
 				ops = bits.FillOps(ops, a)
 			}
@@ -467,16 +448,56 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	return prog, foot, nil
 }
 
+// renamed is the instance-based binding of one statement: as a
+// sim.Effect, Apply(iter) executes the statement instance of iteration
+// iter over the run's version store, reading the versions its planned
+// accesses name and storing the versions they create.
+type renamed struct {
+	f    *frame
+	sem  Sem
+	plan *dataorient.Plan
+	vs   *dataorient.VersionStore
+	pos  int
+	nw   int // the statement's writes, which lead its accesses
+}
+
+// Apply implements sim.Effect.
+func (e *renamed) Apply(iter int64) {
+	accs := e.plan.Accesses(iter, e.pos)
+	writeAccs, readAccs := accs[:e.nw], accs[e.nw:]
+	in := e.f.in[:len(readAccs)]
+	for k, a := range readAccs {
+		in[k] = e.vs.Get(a.ElemIdx, a.Epoch)
+	}
+	out := e.f.out[:e.nw]
+	e.sem(e.f.nest.IndexInto(e.f.idx, iter), in, e.f.localsOf(iter), out)
+	for k, a := range writeAccs {
+		e.vs.Set(a.ElemIdx, a.Epoch+1, out[k])
+	}
+}
+
+// bindRenamed binds every statement to the version store vs for a run on
+// m; statements without semantics get no effect.
+func (w *Workload) bindRenamed(m *sim.Machine, plan *dataorient.Plan, vs *dataorient.VersionStore) *stmtRun {
+	r := w.newStmtRun(m.Config().DataLatency, m.SyncTracing())
+	f := w.newFrame(w.Nest.Iterations())
+	effs := make([]renamed, len(r.info.list))
+	for pos, s := range r.info.list {
+		sem := w.semOf(s)
+		if sem == nil {
+			continue
+		}
+		effs[pos] = renamed{f: f, sem: sem, plan: plan, vs: vs, pos: pos, nw: len(s.Writes)}
+		r.effs[pos] = &effs[pos]
+	}
+	return r
+}
+
 // Finalize folds the last version of every renamed element back into the
 // machine memory so the serial-equivalence check can compare.
 func (ib *InstanceBased) Finalize(mem *sim.Mem) {
-	if ib.plan == nil {
-		return
-	}
-	for _, e := range ib.plan.Order {
-		if v, ok := ib.vs.Last(e); ok {
-			writeElem(mem, e, v)
-		}
+	if ib.vs != nil {
+		ib.vs.WriteBack(mem)
 	}
 }
 
@@ -488,26 +509,4 @@ func accessTouch(e dataorient.Elem, ver int64, write bool) sim.MemAccess {
 		a.Coord[d] = e.C[d]
 	}
 	return a
-}
-
-func readElem(mem *sim.Mem, e dataorient.Elem) int64 {
-	switch e.Dims {
-	case 1:
-		return mem.Lookup(e.Array).Get(e.C[0])
-	case 2:
-		return mem.LookupGrid(e.Array).Get(e.C[0], e.C[1])
-	default:
-		panic("codegen: unsupported element dimensionality")
-	}
-}
-
-func writeElem(mem *sim.Mem, e dataorient.Elem, v int64) {
-	switch e.Dims {
-	case 1:
-		mem.Lookup(e.Array).Set(e.C[0], v)
-	case 2:
-		mem.LookupGrid(e.Array).Set(e.C[0], e.C[1], v)
-	default:
-		panic("codegen: unsupported element dimensionality")
-	}
 }

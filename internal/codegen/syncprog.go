@@ -151,7 +151,7 @@ func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
 			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: op.Tag.String()})
 		case sim.OpWriteIf:
 			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value,
-				Conditional: true, Guard: op.CondGE, HasGuard: op.HasCondGE, Tag: op.Tag.String()})
+				Conditional: true, Guard: op.CondGE, HasGuard: true, Tag: op.Tag.String()})
 		case sim.OpRMW:
 			if op.HasPost {
 				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: op.Tag.String()})

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"github.com/csrd-repro/datasync/internal/sim"
-)
+import "github.com/csrd-repro/datasync/internal/sim"
 
 // Primitive ops are built once per op per iteration, so their tags are
 // sim.Labels rendered only when a trace asks. The rendered text must not
@@ -15,7 +11,7 @@ import (
 // simulator ops.
 type SimPCs struct {
 	X    int
-	vars []sim.VarID
+	base sim.VarID // PC[k] is register base+k
 }
 
 // NewSimPCs declares X process counters on the machine, initialized to
@@ -24,17 +20,21 @@ func NewSimPCs(m *sim.Machine, x int) *SimPCs {
 	if x < 1 {
 		panic("core: need at least one PC")
 	}
-	s := &SimPCs{X: x, vars: make([]sim.VarID, x)}
-	for k := 0; k < x; k++ {
-		s.vars[k] = m.NewRegVar(fmt.Sprintf("PC[%d]", k), InitialPC(k).Pack())
-	}
-	return s
+	return &SimPCs{X: x, base: m.NewRegVars(x, sim.IndexedNames("PC[%d]"), initialPCValue)}
 }
 
-// Vars exposes the underlying register ids (for direct inspection in tests).
-func (s *SimPCs) Vars() []sim.VarID { return s.vars }
+func initialPCValue(k int) int64 { return InitialPC(k).Pack() }
 
-func (s *SimPCs) slot(iter int64) sim.VarID { return s.vars[Fold(iter, s.X)] }
+// Vars returns the underlying register ids (for direct inspection in tests).
+func (s *SimPCs) Vars() []sim.VarID {
+	vars := make([]sim.VarID, s.X)
+	for k := range vars {
+		vars[k] = s.base + sim.VarID(k)
+	}
+	return vars
+}
+
+func (s *SimPCs) slot(iter int64) sim.VarID { return s.base + sim.VarID(Fold(iter, s.X)) }
 
 // GetPC is the basic get_PC(): busy-wait for ownership of the proper PC,
 // i.e. wait_PC(0, 0).
@@ -68,7 +68,7 @@ func (s *SimPCs) ReleasePC(iter int64) sim.Op {
 func (s *SimPCs) WaitPC(iter, dist, step int64) sim.Op {
 	src := iter - dist
 	if src < 1 {
-		op := sim.Compute(0, nil, "")
+		op := sim.Compute(0, nil, 0, "")
 		op.Tag = sim.Tagf("wait_PC(%d,%d) i=%d noop", dist, step, iter)
 		return op
 	}

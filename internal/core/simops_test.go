@@ -18,14 +18,14 @@ func TestSimPCsBasicProtocol(t *testing.T) {
 	progs := [][]sim.Op{
 		{
 			pcs.GetPC(1),
-			sim.Compute(5, nil, "S1@1"),
+			sim.Compute(5, nil, 0, "S1@1"),
 			pcs.SetPC(1, 1),
 			pcs.ReleasePC(1),
 		},
 		{
 			pcs.WaitPC(3, 2, 1), // wait_PC(2,1): process 1 at step 1
 			pcs.GetPC(3),
-			sim.Compute(1, nil, "S1@3"),
+			sim.Compute(1, nil, 0, "S1@3"),
 			pcs.SetPC(3, 1),
 			pcs.ReleasePC(3),
 		},
@@ -50,7 +50,7 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	// without waiting; its transfer then blocks until process 1 releases.
 	progs := [][]sim.Op{
 		pcs.TransferPCOps([]sim.Op{
-			sim.Compute(10, nil, "slow"),
+			sim.Compute(10, nil, 0, "slow"),
 			pcs.MarkPC(1, 1),
 		}, 1),
 		pcs.TransferPCOps([]sim.Op{

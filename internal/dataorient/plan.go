@@ -22,6 +22,7 @@
 package dataorient
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -64,6 +65,9 @@ type Access struct {
 	ID   AccessID
 	Elem Elem
 	Kind deps.Access
+	// ElemIdx is Elem's position in the plan's Order: the index of its
+	// key, and of its renamed versions in a VersionStore.
+	ElemIdx int
 
 	// Ticket is the reference-based order number (Fig 3.1a).
 	Ticket int64
@@ -77,6 +81,11 @@ type Access struct {
 	// Readers is, for writes, how many copies the instance-based scheme
 	// stores; for reads, unused.
 	Readers int
+	// Bit numbers the instance-based full/empty bits in plan order
+	// (Order, then each element's writes, then copies): for a write, the
+	// bit of its first copy; for a read of a written version, the bit of
+	// its own copy; -1 for a read of initial data, which needs none.
+	Bit int
 }
 
 // Plan is the compile-time synchronization plan of one loop nest under the
@@ -90,13 +99,37 @@ type Plan struct {
 	// names[i] renders Order[i]: op tags name elements, and a plan is
 	// built once per workload while its ops are built on every run.
 	names []string
-	// ByID resolves an access from its location, for code generation.
-	ByID map[AccessID]*Access
+
+	// refs holds every statement instance's accesses in RefSlot order;
+	// at[(lpid-1)*len(nrefs)+pos] is where instance (lpid, pos) starts,
+	// or -1 when a branch skipped it, and nrefs[pos] is its count.
+	refs  []*Access
+	at    []int32
+	nrefs []int
+	// verBase[i] is where element i's versions start in a VersionStore's
+	// dense table (version 0, then one per write); verBase[len(Order)]
+	// is the table's size.
+	verBase []int
+	// bitWrites lists the write accesses in Bit order, for naming bits.
+	bitWrites []*Access
+	foot      Footprint
 
 	// arena chunk-allocates Access records: plan building touches every
 	// reference of the whole iteration space, and one heap object per
 	// access dominates BuildPlan's cost at sweep scale.
 	arena []Access
+}
+
+// Accesses returns the accesses of statement position pos in iteration
+// lpid in RefSlot order (writes, then reads), or nil when a branch skipped
+// the statement in that iteration. The slice is the plan's; callers must
+// not modify it.
+func (p *Plan) Accesses(lpid int64, pos int) []*Access {
+	start := p.at[(lpid-1)*int64(len(p.nrefs))+int64(pos)]
+	if start < 0 {
+		return nil
+	}
+	return p.refs[start : int(start)+p.nrefs[pos]]
 }
 
 func (p *Plan) newAccess(id AccessID, e Elem, kind deps.Access) *Access {
@@ -115,19 +148,30 @@ func BuildPlan(n *loop.Nest) *Plan {
 	stmts := n.Stmts()
 	pos := make(map[*deps.Stmt]int, len(stmts))
 	refs := 0
+	nrefs := make([]int, len(stmts))
 	for i, s := range stmts {
 		pos[s] = i
-		refs += len(s.Reads) + len(s.Writes)
+		nrefs[i] = len(s.Reads) + len(s.Writes)
+		refs += nrefs[i]
 	}
 	total := n.Iterations()
 	// Presize for the branchless case (every statement every iteration);
 	// branchy nests simply overshoot a little.
-	est := int(total) * refs
-	p := &Plan{Nest: n, Elems: make(map[Elem][]*Access), ByID: make(map[AccessID]*Access, est)}
+	p := &Plan{Nest: n, Elems: make(map[Elem][]*Access), nrefs: nrefs,
+		refs: make([]*Access, 0, int(total)*refs), at: make([]int32, int(total)*len(stmts))}
+	for i := range p.at {
+		p.at[i] = -1
+	}
+	idx := make([]int64, n.Depth())
+	var body []*deps.Stmt
 	for lpid := int64(1); lpid <= total; lpid++ {
-		idx := n.IndexOf(lpid)
-		for _, s := range n.FlatBody(idx) {
+		idx = n.IndexInto(idx, lpid)
+		body = n.FlatBodyInto(body, idx)
+		for _, s := range body {
 			sp := pos[s]
+			start := len(p.refs)
+			p.at[(lpid-1)*int64(len(stmts))+int64(sp)] = int32(start)
+			p.refs = slices.Grow(p.refs, nrefs[sp])[:start+nrefs[sp]]
 			// Execution order within a statement: the right-hand side's
 			// reads happen before the left-hand side's write (so a
 			// statement like A[I] = f(A[I]) reads the old value). RefSlot
@@ -155,10 +199,11 @@ func (p *Plan) record(id AccessID, r deps.Ref, kind deps.Access, idx []int64) {
 	}
 	a := p.newAccess(id, e, kind)
 	p.Elems[e] = append(p.Elems[e], a)
-	p.ByID[id] = a
+	p.refs[len(p.refs)-p.nrefs[id.StmtPos]+id.RefSlot] = a
 }
 
-// assign computes tickets (Fig 3.1a) and version epochs per element. The
+// assign computes tickets (Fig 3.1a) and version epochs per element, then
+// numbers elements, versions and full/empty bits in plan order. The
 // per-element access lists are already in serial execution order because
 // BuildPlan scans iterations and body positions in order.
 func (p *Plan) assign() {
@@ -199,9 +244,36 @@ func (p *Plan) assign() {
 	}
 	sort.Slice(p.Order, func(i, j int) bool { return lessElem(p.Order[i], p.Order[j]) })
 	p.names = make([]string, len(p.Order))
+	p.verBase = make([]int, len(p.Order)+1)
+	bit, off := 0, 0
 	for i, e := range p.Order {
 		p.names[i] = e.String()
+		p.verBase[i] = off
+		off++ // version 0: the initial value
+		var last *Access
+		for _, a := range p.Elems[e] {
+			a.ElemIdx = i
+			switch {
+			case a.Kind == deps.Write:
+				copies := max(a.Readers, 1)
+				a.Bit = bit
+				bit += copies
+				last = a
+				p.bitWrites = append(p.bitWrites, a)
+				p.foot.Versions++
+				p.foot.Copies += int64(copies)
+				off++
+			case a.Epoch > 0:
+				a.Bit = last.Bit + a.CopyIdx
+			default:
+				a.Bit = -1
+			}
+		}
 	}
+	p.verBase[len(p.Order)] = off
+	p.foot.Keys = int64(len(p.Order))
+	p.foot.InitOps = p.foot.Keys
+	p.foot.Bits = int64(bit)
 }
 
 func lessElem(a, b Elem) bool {
@@ -231,26 +303,8 @@ type Footprint struct {
 	Versions, Copies, Bits int64
 }
 
-// Footprint computes the plan's storage accounting.
-func (p *Plan) Footprint() Footprint {
-	var f Footprint
-	f.Keys = int64(len(p.Elems))
-	f.InitOps = f.Keys
-	for _, e := range p.Order {
-		for _, a := range p.Elems[e] {
-			if a.Kind == deps.Write {
-				f.Versions++
-				c := int64(a.Readers)
-				if c == 0 {
-					c = 1
-				}
-				f.Copies += c
-				f.Bits += c
-			}
-		}
-	}
-	return f
-}
+// Footprint returns the plan's storage accounting.
+func (p *Plan) Footprint() Footprint { return p.foot }
 
 // FinalKey returns the key value element e holds after the loop (its total
 // access count) — what a data-oriented runtime must reset before reuse.

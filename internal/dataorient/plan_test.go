@@ -7,6 +7,7 @@ import (
 	"github.com/csrd-repro/datasync/internal/deps"
 	"github.com/csrd-repro/datasync/internal/expr"
 	"github.com/csrd-repro/datasync/internal/loop"
+	"github.com/csrd-repro/datasync/internal/sim"
 )
 
 // fig21Nest is the loop of Fig 2.1 over I=1..n.
@@ -163,21 +164,32 @@ func TestTicketOrderSound(t *testing.T) {
 }
 
 func TestVersionStore(t *testing.T) {
-	s := NewVersionStore(func(e Elem) int64 { return 100 + e.C[0] })
-	e := elem(3)
-	if got := s.Get(e, 0); got != 103 {
-		t.Errorf("initial = %d, want 103", got)
+	p := BuildPlan(fig21Nest(20))
+	mem := sim.NewMem()
+	a := mem.Array("A", -3, 23)
+	for i := a.Lo; i <= a.Hi; i++ {
+		a.Set(i, 100+i)
 	}
-	s.Set(e, 2, 55) // sparse store grows
-	s.Set(e, 1, 44)
-	if s.Get(e, 1) != 44 || s.Get(e, 2) != 55 {
+	s := NewVersionStore(p, mem)
+	ei := p.Elems[elem(10)][0].ElemIdx
+	if got := s.Get(ei, 0); got != 110 {
+		t.Errorf("initial = %d, want 110", got)
+	}
+	s.Set(ei, 2, 55) // versions may land out of order
+	s.Set(ei, 1, 44)
+	if s.Get(ei, 1) != 44 || s.Get(ei, 2) != 55 {
 		t.Error("version values wrong")
 	}
-	if v, ok := s.Last(e); !ok || v != 55 {
+	if v, ok := s.Last(ei); !ok || v != 55 {
 		t.Errorf("Last = %d,%v, want 55,true", v, ok)
 	}
-	if _, ok := s.Last(elem(9)); ok {
+	// A[0] is only read (by S5 at I=1).
+	if _, ok := s.Last(p.Elems[elem(0)][0].ElemIdx); ok {
 		t.Error("Last of never-written element should be false")
+	}
+	s.WriteBack(mem)
+	if a.Get(10) != 55 || a.Get(0) != 100 {
+		t.Errorf("after WriteBack A[10]=%d A[0]=%d, want 55 and the untouched 100", a.Get(10), a.Get(0))
 	}
 }
 
@@ -196,7 +208,7 @@ func TestRuntimeKeysEnforceOrder(t *testing.T) {
 		work <- i
 	}
 	close(work)
-	get := func(id AccessID) *Access { return p.ByID[id] }
+	get := func(id AccessID) *Access { return p.Accesses(id.Lpid, id.StmtPos)[id.RefSlot] }
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {

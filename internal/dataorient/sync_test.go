@@ -26,7 +26,7 @@ func TestSimKeysProtocol(t *testing.T) {
 	}
 	var order []int
 	record := func(i int) sim.Op {
-		return sim.Compute(1, func() { order = append(order, i) }, "access")
+		return sim.Compute(1, sim.EffectFunc(func(int64) { order = append(order, i) }), 0, "access")
 	}
 	// Processor programs: p0 gets the two writes (in order), p1/p2 the
 	// unordered readers, p3 the final read.
@@ -74,11 +74,11 @@ func TestSimKeysFinalValue(t *testing.T) {
 
 func keysVar(t *testing.T, k *SimKeys, e Elem) sim.VarID {
 	t.Helper()
-	v, ok := k.vars[e]
+	seq, ok := k.plan.Elems[e]
 	if !ok {
 		t.Fatalf("no key for %s", e)
 	}
-	return v.id
+	return k.base + sim.VarID(seq[0].ElemIdx)
 }
 
 // TestSimBitsProtocol drives the instance-based full/empty protocol: the
@@ -94,9 +94,9 @@ func TestSimBitsProtocol(t *testing.T) {
 	write, read := seq[0], seq[1] // S1 write (2 copies), S3 read (copy 0 or 1)
 	var consumedAt, filledAt int64 = -1, -1
 	progs := [][]sim.Op{
-		append(bits.FillOps([]sim.Op{sim.Compute(9, nil, "produce")}, write),
-			sim.Compute(1, func() { filledAt = 1 }, "")),
-		{bits.ConsumeOp(read), sim.Compute(1, func() { consumedAt = 1 }, "consume")},
+		append(bits.FillOps([]sim.Op{sim.Compute(9, nil, 0, "produce")}, write),
+			sim.Compute(1, sim.EffectFunc(func(int64) { filledAt = 1 }), 0, "")),
+		{bits.ConsumeOp(read), sim.Compute(1, sim.EffectFunc(func(int64) { consumedAt = 1 }), 0, "consume")},
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {

@@ -15,15 +15,17 @@ type pointKey struct {
 	Processors int
 }
 
-// CompareResult is the outcome of diffing two benchmark snapshots. The gate
-// metric is normalized cycle throughput: simulated cycles per wall nanosecond,
+// CompareResult is the outcome of diffing two benchmark snapshots. It gates
+// two things. Every simulated field of a point is deterministic, so the two
+// snapshots must agree on all of them exactly. Wall time is compared as
+// normalized cycle throughput: simulated cycles per wall nanosecond,
 // multiplied by the measuring host's calibration time so raw scalar speed
 // cancels and a baseline recorded on one machine can gate runs on another.
 type CompareResult struct {
 	Report string // human-readable per-point delta table + summary
 
-	CycleMismatches int // points whose simulated cycle counts differ
-	MissingPoints   int // points present in only one snapshot
+	SimMismatches int // points whose simulated fields differ
+	MissingPoints int // points present in only one snapshot
 
 	OldNorm, NewNorm float64 // normalized cycle throughput (NaN if untimed)
 	DeltaPct         float64 // NewNorm vs OldNorm, percent (NaN if untimed)
@@ -37,10 +39,42 @@ func normRate(cycles, wall, calib int64) float64 {
 	return float64(cycles) / float64(wall) * float64(calib)
 }
 
-// Compare diffs two snapshots point by point. Simulated measurements (cycles,
-// sync ops, ...) are deterministic, so any cycle mismatch means the engine's
-// behavior changed between the two builds; wall times are the only
-// host-dependent figures and are compared after calibration normalization.
+// simFields are the simulated fields of a BenchRecord, by JSON name: every
+// field but the point's identity and its wall time.
+var simFields = []struct {
+	name   string
+	differ func(a, b *BenchRecord) bool
+}{
+	{"iterations", func(a, b *BenchRecord) bool { return a.Iterations != b.Iterations }},
+	{"serialCycles", func(a, b *BenchRecord) bool { return a.SerialCycles != b.SerialCycles }},
+	{"cycles", func(a, b *BenchRecord) bool { return a.Cycles != b.Cycles }},
+	{"speedup", func(a, b *BenchRecord) bool { return a.Speedup != b.Speedup }},
+	{"utilization", func(a, b *BenchRecord) bool { return a.Utilization != b.Utilization }},
+	{"syncOps", func(a, b *BenchRecord) bool { return a.SyncOps != b.SyncOps }},
+	{"waitSyncCycles", func(a, b *BenchRecord) bool { return a.WaitSync != b.WaitSync }},
+	{"busBroadcasts", func(a, b *BenchRecord) bool { return a.BusTx != b.BusTx }},
+	{"polls", func(a, b *BenchRecord) bool { return a.Polls != b.Polls }},
+	{"syncVars", func(a, b *BenchRecord) bool { return a.SyncVars != b.SyncVars }},
+	{"storageWords", func(a, b *BenchRecord) bool { return a.StorageWords != b.StorageWords }},
+}
+
+// changedSimFields lists the simulated fields in which two records of one
+// point differ.
+func changedSimFields(a, b *BenchRecord) []string {
+	var changed []string
+	for _, f := range simFields {
+		if f.differ(a, b) {
+			changed = append(changed, f.name)
+		}
+	}
+	return changed
+}
+
+// Compare diffs two snapshots point by point. Simulated measurements are
+// deterministic, so a point whose simulated fields differ means the
+// engine's behavior changed between the two builds; wall times are the
+// only host-dependent figures and are compared after calibration
+// normalization.
 func Compare(oldSnap, newSnap *BenchSnapshot) *CompareResult {
 	res := &CompareResult{}
 	oldByKey := make(map[pointKey]*BenchRecord, len(oldSnap.Records))
@@ -95,9 +129,9 @@ func Compare(oldSnap, newSnap *BenchSnapshot) *CompareResult {
 			continue
 		}
 		mark := ""
-		if or.Cycles != nr.Cycles {
-			res.CycleMismatches++
-			mark = " [cycles changed]"
+		if changed := changedSimFields(or, nr); len(changed) > 0 {
+			res.SimMismatches++
+			mark = " [changed: " + strings.Join(changed, ", ") + "]"
 		}
 		oldCycles += or.Cycles
 		oldWall += or.WallNanos
@@ -120,11 +154,12 @@ func Compare(oldSnap, newSnap *BenchSnapshot) *CompareResult {
 	res.DeltaPct = (res.NewNorm/res.OldNorm - 1) * 100
 
 	sb.WriteByte('\n')
-	if res.CycleMismatches > 0 {
-		fmt.Fprintf(&sb, "WARNING: %d point(s) changed simulated cycle counts — engine behavior differs between builds\n", res.CycleMismatches)
+	fmt.Fprintf(&sb, "simulated-field mismatches: %d of %d shared point(s)\n", res.SimMismatches, len(keys)-res.MissingPoints)
+	if res.SimMismatches > 0 {
+		sb.WriteString("MISMATCH: simulated results differ — engine behavior differs between builds\n")
 	}
 	if res.MissingPoints > 0 {
-		fmt.Fprintf(&sb, "WARNING: %d point(s) present in only one snapshot\n", res.MissingPoints)
+		fmt.Fprintf(&sb, "MISSING: %d point(s) present in only one snapshot\n", res.MissingPoints)
 	}
 	if math.IsNaN(res.DeltaPct) {
 		sb.WriteString("aggregate: no normalized throughput (a snapshot lacks wall timing or calibration)\n")
@@ -138,17 +173,21 @@ func Compare(oldSnap, newSnap *BenchSnapshot) *CompareResult {
 	return res
 }
 
-// Gate returns a non-nil error when the new snapshot's normalized cycle
-// throughput regressed by more than pct percent (or when the snapshots cannot
-// be compared at all). Cycle-count changes alone do not fail the gate — they
-// are legitimate when simulator semantics intentionally change, and the
-// determinism/canon tests are the oracle for unintentional ones.
+// Gate returns a non-nil error when any point's simulated fields differ
+// between the snapshots, when a point is present in only one of them, or
+// when the new snapshot's normalized cycle throughput regressed by more
+// than pct percent (or cannot be computed). The simulated fields are exact:
+// a change that alters simulated results on purpose commits a new baseline
+// snapshot with it.
 func (r *CompareResult) Gate(pct float64) error {
-	if math.IsNaN(r.DeltaPct) {
-		return fmt.Errorf("bench gate: snapshots lack wall timing or calibration; cannot compute normalized throughput")
+	if r.SimMismatches > 0 {
+		return fmt.Errorf("bench gate: %d grid point(s) differ in simulated fields", r.SimMismatches)
 	}
 	if r.MissingPoints > 0 {
 		return fmt.Errorf("bench gate: %d grid point(s) missing from one snapshot", r.MissingPoints)
+	}
+	if math.IsNaN(r.DeltaPct) {
+		return fmt.Errorf("bench gate: snapshots lack wall timing or calibration; cannot compute normalized throughput")
 	}
 	if r.DeltaPct < -pct {
 		return fmt.Errorf("bench gate: normalized cycle throughput regressed %.1f%% (threshold %.1f%%)", -r.DeltaPct, pct)

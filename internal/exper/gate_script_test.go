@@ -10,8 +10,9 @@ import (
 
 // TestBenchGateScript exercises scripts/bench_gate.sh end to end against the
 // committed BENCH_*.json baseline: an identical "fresh" snapshot must pass,
-// and a doctored snapshot with every wall time inflated past the threshold
-// must make the script exit non-zero. BENCH_GATE_FRESH substitutes the
+// while a doctored snapshot with one point's sync-op count changed (wall
+// times untouched) and one with every wall time inflated past the threshold
+// must each make the script exit non-zero. BENCH_GATE_FRESH substitutes the
 // doctored file for the measurement step, so the test never re-runs the grid.
 func TestBenchGateScript(t *testing.T) {
 	if testing.Short() {
@@ -61,6 +62,29 @@ func TestBenchGateScript(t *testing.T) {
 	}
 	if err := run(same); err != nil {
 		t.Fatalf("gate failed on an identical snapshot: %v", err)
+	}
+
+	// Doctored snapshot: one point's simulated sync-op count differs, every
+	// wall time is identical — the exact gate must still fail.
+	var sim BenchSnapshot
+	if err := json.Unmarshal(data, &sim); err != nil {
+		t.Fatal(err)
+	}
+	sim.Records[0].SyncOps++
+	simData, err := json.Marshal(&sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simBad := filepath.Join(dir, "doctored-sim.json")
+	if err := os.WriteFile(simBad, simData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(simBad)
+	if err == nil {
+		t.Fatal("bench_gate.sh exited zero on a doctored simulated field")
+	}
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("script did not run to a non-zero exit: %v", err)
 	}
 
 	// Doctored snapshot: every point 25% slower (>10% threshold) — the

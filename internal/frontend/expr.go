@@ -14,17 +14,19 @@ import (
 
 // ---- Executable expression nodes (mirrors package lang's interpreter) ----
 
+// evalEnv is what an expression reads: the iteration's index vector, the
+// statement's array read values and the iteration's local slots. It is
+// passed by value (the buffers are the caller's), so evaluation allocates
+// nothing.
 type evalEnv struct {
-	idx    []int64
-	in     []int64
-	locals map[string]int64
+	idx, in, locals []int64
 }
 
-type evalNode interface{ eval(e *evalEnv) int64 }
+type evalNode interface{ eval(e evalEnv) int64 }
 
 type numNode int64
 
-func (n numNode) eval(*evalEnv) int64 { return int64(n) }
+func (n numNode) eval(evalEnv) int64 { return int64(n) }
 
 // idxNode yields the Go-source value of a loop variable: the normalized
 // index scaled back through the level's stride folding.
@@ -33,23 +35,24 @@ type idxNode struct {
 	scale, offset int64
 }
 
-func (n idxNode) eval(e *evalEnv) int64 { return n.offset + n.scale*e.idx[n.k] }
+func (n idxNode) eval(e evalEnv) int64 { return n.offset + n.scale*e.idx[n.k] }
 
-type localNode string
+// localNode reads an iteration-local scalar's slot.
+type localNode int
 
-func (l localNode) eval(e *evalEnv) int64 { return e.locals[string(l)] }
+func (l localNode) eval(e evalEnv) int64 { return e.locals[l] }
 
 // readNode yields the statement's slot-th array read (bound by codegen).
 type readNode int
 
-func (r readNode) eval(e *evalEnv) int64 { return e.in[int(r)] }
+func (r readNode) eval(e evalEnv) int64 { return e.in[int(r)] }
 
 type binNode struct {
 	op   token.Token
 	l, r evalNode
 }
 
-func (b binNode) eval(e *evalEnv) int64 {
+func (b binNode) eval(e evalEnv) int64 {
 	lv, rv := b.l.eval(e), b.r.eval(e)
 	switch b.op {
 	case token.ADD:
@@ -97,7 +100,7 @@ func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (evalNode, *Diagnostic) {
 			return nil, lw.diag(v.Pos(), CodeEscape, v,
 				"scalar %s is declared outside the loop nest", v.Name)
 		}
-		return localNode(v.Name), nil
+		return localNode(nl.local(v.Name)), nil
 	case *ast.IndexExpr:
 		ref, d := nl.refOf(v, st)
 		if d != nil {

@@ -104,6 +104,9 @@ type nest struct {
 	span   [2]token.Pos // the outermost for statement's extent
 	seq    int          // statement auto-naming counter (S1, S2, ...)
 	sem    map[*deps.Stmt]codegen.Sem
+	// locals numbers the iteration-local scalars' slots in order of first
+	// mention.
+	locals map[string]int
 	// arrays tracks each canonical array name's dimensionality and the
 	// originating object, catching shape conflicts and case collisions.
 	arrays map[string]arrayInfo
@@ -121,6 +124,7 @@ func (lw *lowerer) lowerNest(name string, fs *ast.ForStmt) (*codegen.Workload, *
 		lw:     lw,
 		span:   [2]token.Pos{fs.Pos(), fs.End()},
 		sem:    make(map[*deps.Stmt]codegen.Sem),
+		locals: make(map[string]int),
 		arrays: make(map[string]arrayInfo),
 	}
 	// A type error inside the candidate makes the object and type maps
@@ -164,7 +168,7 @@ func (lw *lowerer) lowerNest(name string, fs *ast.ForStmt) (*codegen.Workload, *
 		// but surface it as a diagnostic rather than a panic.
 		return nil, lw.diag(fs.Pos(), CodeLoopHeader, nil, "%v", err)
 	}
-	return &codegen.Workload{Name: name, Nest: n, Sem: nl.sem, Setup: lang.DefaultSetup(n)}, nil
+	return &codegen.Workload{Name: name, Nest: n, Sem: nl.sem, Locals: len(nl.locals), Setup: lang.DefaultSetup(n)}, nil
 }
 
 // pushHeader validates one `for i := lo; i < hi; i += s` header and
@@ -379,7 +383,7 @@ func (nl *nest) lowerAssign(as *ast.AssignStmt) (*deps.Stmt, *Diagnostic) {
 			lhsNode = readNode(len(st.Reads))
 			st.Reads = append(st.Reads, st.Writes[0])
 		} else {
-			lhsNode = localNode(local)
+			lhsNode = localNode(nl.local(local))
 		}
 		rhs = binNode{op: op, l: lhsNode, r: rhs}
 	}
@@ -412,25 +416,36 @@ func (nl *nest) lowerIncDec(s *ast.IncDecStmt) (*deps.Stmt, *Diagnostic) {
 			return nil, d
 		}
 		local = lhs.Name
-		nl.bindSem(st, local, binNode{op: op, l: localNode(local), r: numNode(1)})
+		nl.bindSem(st, local, binNode{op: op, l: localNode(nl.local(local)), r: numNode(1)})
 	default:
 		return nil, nl.lw.diag(s.Pos(), CodeStmt, s, "increment target must be an array element or a scalar")
 	}
 	return st, nil
 }
 
-// bindSem attaches the executable semantics: array statements return the
-// written value, scalar statements update the iteration's locals.
+// bindSem attaches the executable semantics: array statements store the
+// written value, scalar statements update the iteration's local slot.
 func (nl *nest) bindSem(st *deps.Stmt, local string, rhs evalNode) {
-	isWrite := len(st.Writes) > 0
-	nl.sem[st] = func(idx []int64, in []int64, locals map[string]int64) []int64 {
-		v := rhs.eval(&evalEnv{idx: idx, in: in, locals: locals})
-		if isWrite {
-			return []int64{v}
+	if len(st.Writes) > 0 {
+		nl.sem[st] = func(idx, in, locals, out []int64) {
+			out[0] = rhs.eval(evalEnv{idx: idx, in: in, locals: locals})
 		}
-		locals[local] = v
-		return nil
+		return
 	}
+	slot := nl.local(local)
+	nl.sem[st] = func(idx, in, locals, _ []int64) {
+		locals[slot] = rhs.eval(evalEnv{idx: idx, in: in, locals: locals})
+	}
+}
+
+// local returns the slot of the named iteration-local scalar.
+func (nl *nest) local(name string) int {
+	slot, ok := nl.locals[name]
+	if !ok {
+		slot = len(nl.locals)
+		nl.locals[name] = slot
+	}
+	return slot
 }
 
 // checkLocal verifies that a scalar target is iteration-local: either

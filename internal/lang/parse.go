@@ -13,37 +13,40 @@ import (
 
 // ---- Expression AST with executable semantics ----
 
+// env is what an expression reads: the iteration's index vector, the
+// statement's array read values and the iteration's local slots. It is
+// passed by value (the buffers are the caller's), so evaluation allocates
+// nothing.
 type env struct {
-	idx    []int64
-	in     []int64
-	locals map[string]int64
+	idx, in, locals []int64
 }
 
-type exprNode interface{ eval(e *env) int64 }
+type exprNode interface{ eval(e env) int64 }
 
 type numExpr int64
 
-func (n numExpr) eval(*env) int64 { return int64(n) }
+func (n numExpr) eval(env) int64 { return int64(n) }
 
 type indexExpr int
 
-func (k indexExpr) eval(e *env) int64 { return e.idx[k] }
+func (k indexExpr) eval(e env) int64 { return e.idx[k] }
 
-type localExpr string
+// localExpr reads a scalar local's slot.
+type localExpr int
 
-func (l localExpr) eval(e *env) int64 { return e.locals[string(l)] }
+func (l localExpr) eval(e env) int64 { return e.locals[l] }
 
 // refExpr reads the statement's slot-th array read value (bound by codegen).
 type refExpr struct{ slot int }
 
-func (r refExpr) eval(e *env) int64 { return e.in[r.slot] }
+func (r refExpr) eval(e env) int64 { return e.in[r.slot] }
 
 type binExpr struct {
 	op   byte
 	l, r exprNode
 }
 
-func (b binExpr) eval(e *env) int64 {
+func (b binExpr) eval(e env) int64 {
 	lv, rv := b.l.eval(e), b.r.eval(e)
 	switch b.op {
 	case '+':
@@ -64,6 +67,18 @@ type parser struct {
 	indexes []loop.Index
 	stmtSeq int
 	sem     map[*deps.Stmt]codegen.Sem
+	// locals numbers the scalar locals' slots in order of first mention.
+	locals map[string]int
+}
+
+// local returns the slot of the named scalar local.
+func (p *parser) local(name string) int {
+	slot, ok := p.locals[name]
+	if !ok {
+		slot = len(p.locals)
+		p.locals[name] = slot
+	}
+	return slot
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -116,7 +131,7 @@ func Parse(src string) (*codegen.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sem: make(map[*deps.Stmt]codegen.Sem)}
+	p := &parser{toks: toks, sem: make(map[*deps.Stmt]codegen.Sem), locals: make(map[string]int)}
 	p.skipNL()
 	for p.atKeyword("DO") {
 		if err := p.parseDoHeader(); err != nil {
@@ -147,7 +162,7 @@ func Parse(src string) (*codegen.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &codegen.Workload{Name: "dsl", Nest: nest, Sem: p.sem}
+	w := &codegen.Workload{Name: "dsl", Nest: nest, Sem: p.sem, Locals: len(p.locals)}
 	w.Setup = DefaultSetup(nest)
 	return w, nil
 }
@@ -379,15 +394,15 @@ func (p *parser) parseStmt() (*deps.Stmt, error) {
 	if t := p.peek(); t.kind != tokNewline && t.kind != tokEOF {
 		return nil, p.errf("unexpected %s after statement %s", t, label)
 	}
-	isWrite := len(st.Writes) > 0
-	local := writeLocal
-	p.sem[st] = func(idx []int64, in []int64, locals map[string]int64) []int64 {
-		v := rhs.eval(&env{idx: idx, in: in, locals: locals})
-		if isWrite {
-			return []int64{v}
+	if len(st.Writes) > 0 {
+		p.sem[st] = func(idx, in, locals, out []int64) {
+			out[0] = rhs.eval(env{idx: idx, in: in, locals: locals})
 		}
-		locals[local] = v
-		return nil
+	} else {
+		slot := p.local(writeLocal)
+		p.sem[st] = func(idx, in, locals, _ []int64) {
+			locals[slot] = rhs.eval(env{idx: idx, in: in, locals: locals})
+		}
 	}
 	return st, nil
 }
@@ -538,7 +553,7 @@ func (p *parser) parseFactor(st *deps.Stmt) (exprNode, error) {
 		if k := p.indexOf(t.text); k >= 0 {
 			return indexExpr(k), nil
 		}
-		return localExpr(t.text), nil
+		return localExpr(p.local(t.text)), nil
 	default:
 		return nil, fmt.Errorf("line %d: unexpected %s in expression", t.line, t)
 	}

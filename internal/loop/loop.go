@@ -174,11 +174,18 @@ func (n *Nest) LpidOf(idx []int64) int64 {
 // IndexOf is the inverse of LpidOf: it decodes a 1-based lpid into an index
 // vector.
 func (n *Nest) IndexOf(lpid int64) []int64 {
+	return n.IndexInto(make([]int64, len(n.Indexes)), lpid)
+}
+
+// IndexInto is IndexOf decoding into dst, which must have room for Depth
+// indices; it returns dst[:Depth]. Code that decodes an lpid per statement
+// execution reuses one buffer instead of allocating a vector each time.
+func (n *Nest) IndexInto(dst []int64, lpid int64) []int64 {
 	if lpid < 1 || lpid > n.Iterations() {
 		panic(fmt.Sprintf("loop: lpid %d out of range [1,%d]", lpid, n.Iterations()))
 	}
 	rem := lpid - 1
-	idx := make([]int64, len(n.Indexes))
+	idx := dst[:len(n.Indexes)]
 	for k := len(n.Indexes) - 1; k >= 0; k-- {
 		e := n.Indexes[k].Extent()
 		idx[k] = n.Indexes[k].Lo + rem%e
@@ -193,10 +200,17 @@ func (n *Nest) IndexOf(lpid int64) []int64 {
 // conditionals has the same sequence every iteration, so New computes it
 // once and FlatBody returns that shared slice; callers must not modify it.
 func (n *Nest) FlatBody(idx []int64) []*deps.Stmt {
+	return n.FlatBodyInto(nil, idx)
+}
+
+// FlatBodyInto is FlatBody building a branchy body's sequence in dst's
+// storage (a straight body still returns the shared slice), so a caller
+// resolving every iteration reuses one buffer.
+func (n *Nest) FlatBodyInto(dst []*deps.Stmt, idx []int64) []*deps.Stmt {
 	if n.straight != nil {
 		return n.straight
 	}
-	return appendFlat(nil, n.Body, idx)
+	return appendFlat(dst[:0], n.Body, idx)
 }
 
 func appendFlat(out []*deps.Stmt, nodes []Node, idx []int64) []*deps.Stmt {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -79,32 +80,21 @@ type SweepResponse struct {
 	Pareto    []SweepPoint `json:"pareto"`
 }
 
-// gridPoint is one expanded parameter combination.
-type gridPoint struct {
-	x, p             int
-	chunk, g, busLat int64
-	hasG             bool
-}
-
 // expandPoints resolves the request's point set: the explicit Points list
 // when present, otherwise the grid cross product.
-func expandPoints(req SweepRequest) ([]gridPoint, error) {
+func expandPoints(req SweepRequest) ([]GridSel, error) {
 	if len(req.Points) > 0 {
 		if len(req.Points) > maxSweepPoints {
 			return nil, fmt.Errorf("sweep has %d explicit points, max %d — split the study", len(req.Points), maxSweepPoints)
 		}
-		points := make([]gridPoint, len(req.Points))
-		for i, sel := range req.Points {
-			points[i] = gridPoint{x: sel.X, p: sel.P, chunk: sel.Chunk, g: sel.G, busLat: sel.BusLatency, hasG: sel.HasG}
-		}
-		return points, nil
+		return slices.Clone(req.Points), nil
 	}
 	return req.Grid.expand(req)
 }
 
 // expand builds the cross product, substituting base values for empty
 // dimensions.
-func (g SweepGrid) expand(base SweepRequest) ([]gridPoint, error) {
+func (g SweepGrid) expand(base SweepRequest) ([]GridSel, error) {
 	xs := g.X
 	if len(xs) == 0 {
 		xs = []int{base.Scheme.X}
@@ -134,13 +124,13 @@ func (g SweepGrid) expand(base SweepRequest) ([]gridPoint, error) {
 	if total > maxSweepPoints {
 		return nil, fmt.Errorf("sweep grid has %d points, max %d — split the study", total, maxSweepPoints)
 	}
-	points := make([]gridPoint, 0, total)
+	points := make([]GridSel, 0, total)
 	for _, x := range xs {
 		for _, p := range ps {
 			for _, c := range chunks {
 				for _, gg := range gs {
 					for _, l := range lats {
-						points = append(points, gridPoint{x: x, p: p, chunk: c, g: gg, busLat: l, hasG: hasG})
+						points = append(points, GridSel{X: x, P: p, Chunk: c, G: gg, HasG: hasG, BusLatency: l})
 					}
 				}
 			}
@@ -151,18 +141,40 @@ func (g SweepGrid) expand(base SweepRequest) ([]gridPoint, error) {
 
 // pointSpecs resolves one grid point into the scheme and config specs its
 // run is evaluated (and content-addressed) under.
-func pointSpecs(req SweepRequest, gp gridPoint) (SchemeSpec, ConfigSpec) {
+func pointSpecs(req SweepRequest, sel GridSel) (SchemeSpec, ConfigSpec) {
 	sspec := req.Scheme
-	sspec.X = gp.x
-	if gp.hasG {
-		sspec.G = gp.g
+	sspec.X = sel.X
+	if sel.HasG {
+		sspec.G = sel.G
 	}
 	cspec := req.Config
-	cspec.P = gp.p
-	cspec.Chunk = gp.chunk
-	lat := gp.busLat
+	cspec.P = sel.P
+	cspec.Chunk = sel.Chunk
+	lat := sel.BusLatency
 	cspec.BusLatency = &lat
 	return sspec, cspec
+}
+
+// sweepPoint renders point sel of the sweep req as every sweep reports it,
+// before its result is filled in: the grid coordinates, with the machine
+// size resolved the way the point's run resolves it (P 0 is the default
+// machine). EvalSweep and the cluster coordinator's failed points both use
+// it, so a point reads the same whichever node renders it.
+func sweepPoint(req SweepRequest, sel GridSel) SweepPoint {
+	_, cspec := pointSpecs(req, sel)
+	pt := SweepPoint{X: sel.X, P: cspec.SimConfig().Processors, Chunk: sel.Chunk, BusLatency: sel.BusLatency}
+	if sel.HasG {
+		pt.G = sel.G
+	}
+	return pt
+}
+
+// FailedSweepPoint renders point sel of the sweep req as a point that
+// failed with err, in the shape EvalSweep reports a failed point.
+func FailedSweepPoint(req SweepRequest, sel GridSel, err error) SweepPoint {
+	pt := sweepPoint(req, sel)
+	pt.Error = OneLine(err)
+	return pt
 }
 
 // SweepPointKeys expands a sweep request into its explicit point list (grid
@@ -174,15 +186,13 @@ func SweepPointKeys(req SweepRequest) ([]GridSel, []cache.Key, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	points, err := expandPoints(req)
+	sels, err := expandPoints(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	sels := make([]GridSel, len(points))
-	keys := make([]cache.Key, len(points))
-	for i, gp := range points {
-		sels[i] = GridSel{X: gp.x, P: gp.p, Chunk: gp.chunk, G: gp.g, HasG: gp.hasG, BusLatency: gp.busLat}
-		sspec, cspec := pointSpecs(req, gp)
+	keys := make([]cache.Key, len(sels))
+	for i, sel := range sels {
+		sspec, cspec := pointSpecs(req, sel)
 		sch, err := sspec.Build()
 		if err != nil {
 			return nil, nil, err
@@ -216,14 +226,10 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 	ctx = patientCtx(ctx)
 	resp := &SweepResponse{Workload: wl.Name, Points: make([]SweepPoint, len(points))}
 	var wg sync.WaitGroup
-	for i, gp := range points {
-		i, gp := i, gp
-		sspec, cspec := pointSpecs(req, gp)
-
-		pt := SweepPoint{X: gp.x, P: cspec.SimConfig().Processors, Chunk: gp.chunk, BusLatency: gp.busLat}
-		if gp.hasG {
-			pt.G = gp.g
-		}
+	for i, sel := range points {
+		i := i
+		sspec, cspec := pointSpecs(req, sel)
+		pt := sweepPoint(req, sel)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

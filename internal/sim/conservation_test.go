@@ -33,7 +33,7 @@ func randomTerminatingRun(t *testing.T, rng *rand.Rand) Stats {
 		for extra := rng.Intn(4); extra > 0; extra-- {
 			switch rng.Intn(3) {
 			case 0:
-				ops = append(ops, Compute(int64(rng.Intn(9)), nil, "work"))
+				ops = append(ops, Compute(int64(rng.Intn(9)), nil, 0, "work"))
 			case 1:
 				ops = append(ops, WriteVar(memVar, int64(k+1), "mem-write"))
 			case 2:
@@ -90,7 +90,7 @@ func TestCycleConservationSelfScheduled(t *testing.T) {
 		stats, err := m.RunLoop(n, func(dst []Op, iter int64) []Op {
 			ops := append(dst,
 				WaitGE(v, iter-1, "pred"),
-				Compute(costs[iter], nil, "body"),
+				Compute(costs[iter], nil, 0, "body"),
 				WriteVar(v, iter, "adv"),
 			)
 			if iter == n/2 {

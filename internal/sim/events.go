@@ -1,12 +1,11 @@
 package sim
 
 // The event engine. Every scheduled action of the machine is one tagged
-// event struct dispatched in Machine.exec — no per-event closures, no
-// interface boxing through container/heap. Events are totally ordered by
-// (time, sequence number), so the pop order is independent of the heap's
-// internal shape: the 4-ary heap below pops exactly the sequence the old
-// binary heap did, which is what lets the typed engine reproduce the
-// closure engine's runs bit for bit.
+// event dispatched in Machine.exec — no per-event closures, no interface
+// boxing through container/heap. Events are totally ordered by (time,
+// sequence number), so the pop order is independent of the heap's internal
+// shape: the 4-ary heap below pops exactly the sequence a binary heap would,
+// which is what keeps runs bit-identical across engine rewrites.
 
 // evKind tags one scheduled engine action.
 type evKind uint8
@@ -46,58 +45,89 @@ const (
 	evReclaim
 )
 
-// event is one scheduled engine action: a timestamp, a tie-breaking
-// sequence number, the action kind, and the operands the kind needs. The
-// operand fields form a small union — each kind reads only its own subset —
-// so scheduling an event allocates nothing.
+// event holds the operands of one scheduled engine action: the action kind
+// and the operands the kind needs. The operand fields form a small union —
+// each kind reads only its own subset.
 type event struct {
-	t, seq int64
-	kind   evKind
-	p      *proc
-	op     *Op
-	v      *syncVar
-	e      *busEntry
-	w      *blockedWait
-	val    int64
+	kind evKind
+	p    *proc
+	op   *Op
+	v    *syncVar
+	e    *busEntry
+	w    *blockedWait
+	val  int64
 }
 
-// eventBefore is the total event order: time, then issue sequence.
-func eventBefore(a, b *event) bool {
+// evKey orders one scheduled event: its time, the global tie-breaking
+// sequence number, and the slot of eventQ.ops holding its operands. The
+// key has no pointers, so sifting it through the heap copies 24 bytes and
+// needs no GC write barrier.
+type evKey struct {
+	t, seq int64
+	slot   int32
+}
+
+// before is the total event order: time, then issue sequence. Sequence
+// numbers are unique, so the slot never decides.
+func (a *evKey) before(b *evKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
 }
 
-// eventQ is an inlined 4-ary min-heap of events. 4-ary halves the tree
-// depth of a binary heap (fewer cache lines touched per push/pop on the
-// drain loop's hot path) and needs no interface dispatch; the backing
-// array is reused for the whole run.
+// eventQ is an inlined 4-ary min-heap of event keys over a slab of event
+// operands. 4-ary halves the tree depth of a binary heap (fewer cache lines
+// touched per push/pop on the drain loop's hot path) and needs no interface
+// dispatch. An event's operands stay in their slot from push to pop; freed
+// slots are reused, so the slab and the key array are both recycled for the
+// whole run and scheduling an event allocates nothing once they have grown
+// to the run's peak of pending events.
 type eventQ struct {
-	a []event
+	keys []evKey
+	ops  []event
+	free []int32
 }
 
-func (q *eventQ) len() int { return len(q.a) }
+func (q *eventQ) len() int { return len(q.keys) }
 
-func (q *eventQ) push(e event) {
-	q.a = append(q.a, e)
-	i := len(q.a) - 1
+// reserve sizes the queue for n pending events.
+func (q *eventQ) reserve(n int) {
+	q.keys = make([]evKey, 0, n)
+	q.ops = make([]event, 0, n)
+	q.free = make([]int32, 0, n)
+}
+
+// push schedules ev at time t with tie-break sequence seq.
+func (q *eventQ) push(t, seq int64, ev event) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.ops[slot] = ev
+	} else {
+		slot = int32(len(q.ops))
+		q.ops = append(q.ops, ev)
+	}
+	q.keys = append(q.keys, evKey{t: t, seq: seq, slot: slot})
+	i := len(q.keys) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !eventBefore(&q.a[i], &q.a[parent]) {
+		if !q.keys[i].before(&q.keys[parent]) {
 			break
 		}
-		q.a[i], q.a[parent] = q.a[parent], q.a[i]
+		q.keys[i], q.keys[parent] = q.keys[parent], q.keys[i]
 		i = parent
 	}
 }
 
-func (q *eventQ) pop() event {
-	top := q.a[0]
-	n := len(q.a) - 1
-	q.a[0] = q.a[n]
-	q.a[n] = event{} // clear pointers so popped operands aren't pinned
-	q.a = q.a[:n]
+// pop removes the earliest event and returns its key and operands; its
+// slot is free for the next push.
+func (q *eventQ) pop() (evKey, event) {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	q.keys[0] = q.keys[n]
+	q.keys = q.keys[:n]
 	i := 0
 	for {
 		first := i<<2 + 1
@@ -110,25 +140,25 @@ func (q *eventQ) pop() event {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventBefore(&q.a[c], &q.a[best]) {
+			if q.keys[c].before(&q.keys[best]) {
 				best = c
 			}
 		}
-		if !eventBefore(&q.a[best], &q.a[i]) {
+		if !q.keys[best].before(&q.keys[i]) {
 			break
 		}
-		q.a[i], q.a[best] = q.a[best], q.a[i]
+		q.keys[i], q.keys[best] = q.keys[best], q.keys[i]
 		i = best
 	}
-	return top
+	ev := q.ops[top.slot]
+	q.free = append(q.free, top.slot)
+	return top, ev
 }
 
 // post schedules ev at time t, stamping the global tie-break sequence.
 func (m *Machine) post(t int64, ev event) {
-	ev.t = t
-	ev.seq = m.seq
+	m.events.push(t, m.seq, ev)
 	m.seq++
-	m.events.push(ev)
 }
 
 // exec dispatches one popped event. The switch replaces the closure call of
@@ -143,8 +173,8 @@ func (m *Machine) exec(ev *event) {
 		m.dispatch(ev.p)
 
 	case evCompute:
-		if ev.op.Exec != nil {
-			ev.op.Exec()
+		if ev.op.Eff != nil {
+			ev.op.Eff.Apply(ev.op.Arg)
 		}
 		m.recordAccess(ev.p, ev.op)
 		m.step(ev.p)
@@ -156,20 +186,14 @@ func (m *Machine) exec(ev *event) {
 			v.committed = ev.op.Value
 		}
 		m.wake(v)
-		if ev.op.Exec != nil {
-			ev.op.Exec()
-		}
 		m.step(ev.p)
 
 	case evRMW:
 		v := ev.v
 		m.mods[v.module].jobs--
 		v.committed = ev.op.Apply(v.committed)
-		m.recordSync(SyncEvent{Proc: ev.p.id, Iter: ev.p.iter, Kind: SyncSignal, Var: v.id, Value: v.committed}, ev.op.Tag)
+		m.recordSync(ev.p, SyncSignal, v, v.committed, &ev.op.Tag)
 		m.wake(v)
-		if ev.op.Exec != nil {
-			ev.op.Exec()
-		}
 		m.step(ev.p)
 
 	case evPoll:
@@ -178,11 +202,8 @@ func (m *Machine) exec(ev *event) {
 		if v.committed >= ev.op.Value {
 			p := ev.p
 			p.waitSync += m.now - p.blockedSince
-			m.addTrace(p, p.blockedSince, m.now, TraceWait, ev.op.Tag)
-			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: ev.op.Value}, ev.op.Tag)
-			if ev.op.Exec != nil {
-				ev.op.Exec()
-			}
+			m.addTrace(p, p.blockedSince, m.now, TraceWait, &ev.op.Tag)
+			m.recordSync(p, SyncWaitDone, v, ev.op.Value, &ev.op.Tag)
 			p.ip++
 			m.step(p)
 			return
@@ -263,18 +284,18 @@ func (m *Machine) freeEntry(e *busEntry) {
 	m.entryFree = append(m.entryFree, e)
 }
 
-func (m *Machine) allocWait(p *proc, min int64, tag Label) *blockedWait {
+func (m *Machine) allocWait(p *proc, op *Op) *blockedWait {
 	if n := len(m.waitFree); n > 0 {
 		w := m.waitFree[n-1]
 		m.waitFree[n-1] = nil
 		m.waitFree = m.waitFree[:n-1]
-		w.p, w.min, w.tag = p, min, tag
+		w.p, w.min, w.op = p, op.Value, op
 		return w
 	}
-	return &blockedWait{p: p, min: min, tag: tag}
+	return &blockedWait{p: p, min: op.Value, op: op}
 }
 
 func (m *Machine) freeWait(w *blockedWait) {
-	w.p, w.tag = nil, Label{}
+	w.p, w.op = nil, nil
 	m.waitFree = append(m.waitFree, w)
 }

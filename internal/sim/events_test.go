@@ -4,7 +4,8 @@ import "testing"
 
 // TestEventQOrdering checks the 4-ary heap pops events in strict (t, seq)
 // order regardless of push order — the total order the engine's determinism
-// rests on.
+// rests on — and hands back each event's own operands from the recycled
+// slab.
 func TestEventQOrdering(t *testing.T) {
 	var q eventQ
 	x := uint64(0x9e3779b97f4a7c15)
@@ -16,18 +17,35 @@ func TestEventQOrdering(t *testing.T) {
 	}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		q.push(event{t: next(), seq: int64(i)})
+		q.push(next(), int64(i), event{val: int64(i)})
 	}
 	if q.len() != n {
 		t.Fatalf("len = %d, want %d", q.len(), n)
 	}
-	last := q.pop()
+	last, _ := q.pop()
 	for i := 1; i < n; i++ {
-		e := q.pop()
-		if eventBefore(&e, &last) {
-			t.Fatalf("pop %d out of order: (%d,%d) after (%d,%d)", i, e.t, e.seq, last.t, last.seq)
+		k, ev := q.pop()
+		if k.before(&last) {
+			t.Fatalf("pop %d out of order: (%d,%d) after (%d,%d)", i, k.t, k.seq, last.t, last.seq)
 		}
-		last = e
+		if ev.val != k.seq {
+			t.Fatalf("pop %d: event seq %d carries the operands of event %d", i, k.seq, ev.val)
+		}
+		// Interleave pushes with pops so freed slots are reused.
+		if i%3 == 0 {
+			q.push(k.t+1000, n+int64(i), event{val: n + int64(i)})
+		}
+		last = k
+	}
+	for q.len() > 0 {
+		k, ev := q.pop()
+		if k.before(&last) || ev.val != k.seq {
+			t.Fatalf("tail pop (%d,%d) out of order or with the wrong operands (%d)", k.t, k.seq, ev.val)
+		}
+		last = k
+	}
+	if len(q.ops) > n {
+		t.Errorf("operand slab grew to %d slots for at most %d pending events", len(q.ops), n)
 	}
 	if q.len() != 0 {
 		t.Fatalf("len = %d after draining, want 0", q.len())
@@ -49,7 +67,7 @@ func TestRemovePendReleasesTailSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := m.vars[v]
+	sv := m.vars[v].reg
 	if len(sv.pend) != 0 {
 		t.Fatalf("%d pend entries after the run, want 0", len(sv.pend))
 	}
@@ -76,7 +94,7 @@ func TestWaiterDrainReleasesTailSlots(t *testing.T) {
 	m := New(Config{Processors: 4, BusLatency: 1, SyncOpCost: 1})
 	v := m.NewRegVar("gate", 0)
 	st, err := m.RunProcesses([][]Op{
-		{Compute(3, nil, "work"), WriteVar(v, 3, "raise")},
+		{Compute(3, nil, 0, "work"), WriteVar(v, 3, "raise")},
 		{WaitGE(v, 1, "w1")},
 		{WaitGE(v, 2, "w2")},
 		{WaitGE(v, 3, "w3")},
@@ -87,7 +105,7 @@ func TestWaiterDrainReleasesTailSlots(t *testing.T) {
 	if err := st.CheckConservation(); err != nil {
 		t.Error(err)
 	}
-	sv := m.vars[v]
+	sv := m.vars[v].reg
 	if len(sv.waiters) != 0 {
 		t.Fatalf("%d waiters after the run, want 0", len(sv.waiters))
 	}
@@ -96,7 +114,7 @@ func TestWaiterDrainReleasesTailSlots(t *testing.T) {
 	}
 	for i, w := range sv.waiters[:cap(sv.waiters)] {
 		if w != nil {
-			t.Errorf("waiter backing slot %d still retains a released waiter (tag %q)", i, w.tag)
+			t.Errorf("waiter backing slot %d still retains a released waiter (min %d)", i, w.min)
 		}
 	}
 	if len(m.waitFree) == 0 {

@@ -16,7 +16,7 @@ func chainProg(v VarID) Program {
 		if iter > 1 {
 			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
 		}
-		ops = append(ops, Compute(3, nil, "work"), WriteVar(v, iter, "signal"))
+		ops = append(ops, Compute(3, nil, 0, "work"), WriteVar(v, iter, "signal"))
 		return ops
 	}
 }
@@ -226,7 +226,7 @@ func TestFaultSlowProcessorAndModuleDelay(t *testing.T) {
 		FaultPlan: fault.Plan{Seed: 9, ModuleDelayProb: 1, ModuleDelayCycles: 7}})
 	f := m.NewMemVar("flag", 0, 0)
 	st, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, "work"), WriteVar(f, 1, "set")},
+		{Compute(10, nil, 0, "work"), WriteVar(f, 1, "set")},
 		{WaitGE(f, 1, "poll")},
 	})
 	if err != nil {

@@ -10,19 +10,19 @@ import "strconv"
 // the format with the next integer argument and each "%s" with the string
 // argument; a Label made by Text renders its text verbatim.
 type Label struct {
+	// format is empty for a Text label, whose text is str.
 	format string
 	str    string
 	args   [3]int64
-	parts  bool
 }
 
 // Text returns a label whose rendering is exactly s.
-func Text(s string) Label { return Label{format: s} }
+func Text(s string) Label { return Label{str: s} }
 
 // Tagf returns a label rendering format with its "%d" verbs replaced by
 // args, in order. It takes at most three arguments.
 func Tagf(format string, args ...int64) Label {
-	l := Label{format: format, parts: true}
+	l := Label{format: format}
 	if len(args) > len(l.args) {
 		panic("sim: Tagf takes at most three arguments")
 	}
@@ -39,8 +39,8 @@ func TagSf(format, s string, args ...int64) Label {
 
 // String renders the label.
 func (l Label) String() string {
-	if !l.parts {
-		return l.format
+	if l.format == "" {
+		return l.str
 	}
 	b := make([]byte, 0, len(l.format)+len(l.str)+32)
 	k := 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/csrd-repro/datasync/internal/fault"
@@ -160,14 +161,23 @@ type pending struct {
 	val  int64
 }
 
+// syncVar is one entry of the machine's variable table. It carries no name:
+// VarName renders one from the variable's declaration when asked. Memory
+// variables (the many per-element keys and full/empty bits) need only a
+// value and a module; the bus and waiter state of a register variable lives
+// in its regState.
 type syncVar struct {
-	id        VarID
-	name      Label
-	res       Residence
-	module    int
 	committed int64
-	pend      []*pending // register writes in flight (bus queue + active)
-	waiters   []*blockedWait
+	reg       *regState // register variables only
+	id        VarID
+	module    int32
+	res       Residence
+}
+
+// regState is the bus and waiter state of a register variable.
+type regState struct {
+	pend    []*pending // register writes in flight (bus queue + active)
+	waiters []*blockedWait
 	// minWait is the smallest threshold among waiters (valid only when
 	// waiters is non-empty). A commit below it cannot release anyone, so
 	// wake can skip the waiter scan entirely — the batching invariant that
@@ -175,12 +185,14 @@ type syncVar struct {
 	minWait int64
 }
 
-// addWaiter parks w on v, maintaining the minWait frontier.
+// addWaiter parks w on register variable v, maintaining the minWait
+// frontier.
 func (v *syncVar) addWaiter(w *blockedWait) {
-	if len(v.waiters) == 0 || w.min < v.minWait {
-		v.minWait = w.min
+	r := v.reg
+	if len(r.waiters) == 0 || w.min < r.minWait {
+		r.minWait = w.min
 	}
-	v.waiters = append(v.waiters, w)
+	r.waiters = append(r.waiters, w)
 }
 
 // visibleTo returns the value processor p observes: the committed value,
@@ -188,7 +200,10 @@ func (v *syncVar) addWaiter(w *blockedWait) {
 // writes in its local register image).
 func (v *syncVar) visibleTo(p int) int64 {
 	val := v.committed
-	for _, pe := range v.pend {
+	if v.reg == nil {
+		return val
+	}
+	for _, pe := range v.reg.pend {
 		if pe.proc == p && pe.val > val {
 			val = pe.val
 		}
@@ -196,10 +211,13 @@ func (v *syncVar) visibleTo(p int) int64 {
 	return val
 }
 
+// blockedWait is a processor parked on a register wait op. The op stays
+// valid while it is parked: its processor cannot dispatch the next
+// iteration (which recycles the op storage) before the wait is released.
 type blockedWait struct {
 	p   *proc
 	min int64
-	tag Label
+	op  *Op
 }
 
 type module struct {
@@ -283,15 +301,15 @@ type proc struct {
 // Machine is one simulation instance. Declare synchronization variables,
 // then call RunLoop or RunProcesses exactly once.
 type Machine struct {
-	cfg  Config
-	mem  *Mem
-	vars []*syncVar
-	// varSlab is the chunk newVar fills. A full chunk is never grown in
-	// place (events and bus entries hold *syncVar), so a new one is started
-	// at the current variable count: chunks double, and declaring n
-	// variables costs O(log n) allocations instead of n.
-	varSlab []syncVar
-	mods    []*module
+	cfg Config
+	mem *Mem
+	// vars is the variable table. Variables are declared before the run
+	// and the table never moves during it, so events and bus entries may
+	// hold *syncVar. A block declaration grows it by exactly the block.
+	vars []syncVar
+	// decls records, in VarID order, how each declared variable is named.
+	decls []varDecl
+	mods  []module
 
 	// busQueue[busHead:] are the broadcasts waiting for the bus. Dequeue
 	// advances busHead (nil-ing the vacated slot) instead of reslicing, so
@@ -309,13 +327,19 @@ type Machine struct {
 	entryFree []*busEntry
 	waitFree  []*blockedWait
 
-	procs     []*proc
-	program   Program
-	nextIter  int64
-	lastIter  int64
-	selfSched bool
-	ran       bool
-	err       error
+	procs   []*proc
+	program Program
+	// opsCap is the largest op buffer a processor's program has needed so
+	// far; opsBlock is storage for the first buffers of processors that
+	// have not dispatched yet, sized from it (dispatch).
+	opsCap     int
+	opsBlock   []Op
+	unbuffered int
+	nextIter   int64
+	lastIter   int64
+	selfSched  bool
+	ran        bool
+	err        error
 
 	busIssued int64
 	busSaved  int64
@@ -353,41 +377,125 @@ func (m *Machine) Config() Config { return m.cfg }
 // Mem returns the machine's data memory, for building workload programs.
 func (m *Machine) Mem() *Mem { return m.mem }
 
+// VarNamer names the variables of a block declared together: VarName(i)
+// renders the name of the block's i-th variable. Names are rendered only
+// when asked (VarName, stall reports), so a scheme declaring a variable per
+// element on every run stores no name per variable.
+type VarNamer interface {
+	VarName(i int) string
+}
+
+// IndexedNames names the i-th variable of a block by the format with each
+// "%d" replaced by i, e.g. IndexedNames("PC[%d]").
+type IndexedNames string
+
+// VarName implements VarNamer.
+func (f IndexedNames) VarName(i int) string { return Tagf(string(f), int64(i)).String() }
+
+// varDecl records how the variables from first up to the next
+// declaration's first are named: text for a single variable, names for a
+// block.
+type varDecl struct {
+	first VarID
+	text  string
+	names VarNamer
+}
+
 // NewRegVar declares a synchronization-register variable (broadcast on the
 // sync bus) with the given initial value.
 func (m *Machine) NewRegVar(name string, init int64) VarID {
-	return m.newVar(syncVar{name: Text(name), res: Register, committed: init})
+	v := m.declare(1, varDecl{text: name}, Register)
+	m.vars[v].committed = init
+	return v
+}
+
+// NewRegVars declares a block of n register variables named by names;
+// variable i starts at init(i), or at 0 when init is nil. It returns the
+// first variable's id; the others follow consecutively.
+func (m *Machine) NewRegVars(n int, names VarNamer, init func(i int) int64) VarID {
+	first := m.declare(n, varDecl{names: names}, Register)
+	if init != nil {
+		for i := 0; i < n; i++ {
+			m.vars[int(first)+i].committed = init(i)
+		}
+	}
+	return first
 }
 
 // NewMemVar declares a memory-resident synchronization variable in the
 // given module.
 func (m *Machine) NewMemVar(name string, mod int, init int64) VarID {
-	return m.NewLabeledMemVar(Text(name), mod, init)
-}
-
-// NewLabeledMemVar is NewMemVar with the name kept as a Label, rendered
-// only when VarName or a stall report asks: data-oriented schemes declare
-// a variable per element or per renamed copy on every run.
-func (m *Machine) NewLabeledMemVar(name Label, mod int, init int64) VarID {
 	if mod < 0 || mod >= m.cfg.Modules {
 		panic(fmt.Sprintf("sim: module %d out of range [0,%d)", mod, m.cfg.Modules))
 	}
-	return m.newVar(syncVar{name: name, res: Memory, module: mod, committed: init})
+	v := m.declare(1, varDecl{text: name}, Memory)
+	m.vars[v].module = int32(mod)
+	m.vars[v].committed = init
+	return v
 }
 
-// newVar stores v in the variable slab and assigns its id.
-func (m *Machine) newVar(v syncVar) VarID {
-	if len(m.varSlab) == cap(m.varSlab) {
-		m.varSlab = make([]syncVar, 0, max(len(m.vars), 4))
+// NewMemVars declares a block of n memory-resident variables named by
+// names, all starting at 0. Variable i lives in module i mod Modules, the
+// way interleaved memory spreads an array. It returns the first variable's
+// id; the others follow consecutively.
+func (m *Machine) NewMemVars(n int, names VarNamer) VarID {
+	first := m.declare(n, varDecl{names: names}, Memory)
+	for i := 0; i < n; i++ {
+		m.vars[int(first)+i].module = int32(i % m.cfg.Modules)
 	}
-	v.id = VarID(len(m.vars))
-	m.varSlab = append(m.varSlab, v)
-	m.vars = append(m.vars, &m.varSlab[len(m.varSlab)-1])
-	return v.id
+	return first
+}
+
+// declare appends n variables of the given residence to the table, growing
+// it by exactly n when it is full, and records their naming.
+func (m *Machine) declare(n int, d varDecl, res Residence) VarID {
+	if m.ran {
+		panic("sim: variables must be declared before the run")
+	}
+	first := VarID(len(m.vars))
+	if n > 1 && cap(m.vars)-len(m.vars) < n {
+		grown := make([]syncVar, len(m.vars), len(m.vars)+n)
+		copy(grown, m.vars)
+		m.vars = grown
+	}
+	var regs []regState
+	if res == Register {
+		regs = make([]regState, n)
+	}
+	for i := 0; i < n; i++ {
+		v := syncVar{id: first + VarID(i), res: res}
+		if regs != nil {
+			v.reg = &regs[i]
+		}
+		m.vars = append(m.vars, v)
+	}
+	d.first = first
+	m.decls = append(m.decls, d)
+	return first
 }
 
 // VarValue returns a variable's committed value (for post-run assertions).
 func (m *Machine) VarValue(v VarID) int64 { return m.vars[v].committed }
+
+// VarName returns the declared name of a synchronization variable,
+// rendered from its declaration.
+func (m *Machine) VarName(v VarID) string {
+	// The last declaration starting at or before v names it.
+	lo, hi := 0, len(m.decls)
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if m.decls[mid].first <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	d := m.decls[lo]
+	if d.names != nil {
+		return d.names.VarName(int(v - d.first))
+	}
+	return d.text
+}
 
 // RunLoop executes iterations 1..iters of the program on the machine's
 // processors under in-order self-scheduling and returns the run statistics.
@@ -426,26 +534,30 @@ func (m *Machine) startRun() {
 	}
 	m.ran = true
 	m.procs = make([]*proc, m.cfg.Processors)
-	m.mods = make([]*module, m.cfg.Modules)
-	for i := range m.mods {
-		m.mods[i] = &module{}
-	}
+	procs := make([]proc, m.cfg.Processors)
+	m.mods = make([]module, m.cfg.Modules)
 	for i := range m.procs {
 		// chunkNext > chunkEnd marks "no chunk held".
-		m.procs[i] = &proc{id: i, state: stateRunning, chunkNext: 1, chunkEnd: 0}
+		procs[i] = proc{id: i, state: stateRunning, chunkNext: 1, chunkEnd: 0}
+		m.procs[i] = &procs[i]
 	}
+	m.unbuffered = m.cfg.Processors
+	// A processor has at most one event pending at a time, the bus one
+	// more; faults and deferred releases may add a few, and the queue
+	// grows past this if they do.
+	m.events.reserve(2*m.cfg.Processors + 2)
 }
 
 func (m *Machine) drain() (Stats, error) {
 	maxed := false
 	for m.events.len() > 0 && m.err == nil {
-		ev := m.events.pop()
-		if ev.t > m.cfg.MaxCycles {
+		key, ev := m.events.pop()
+		if key.t > m.cfg.MaxCycles {
 			maxed = true
 			m.err = fmt.Errorf("sim: exceeded MaxCycles=%d (livelock?)", m.cfg.MaxCycles)
 			break
 		}
-		m.now = ev.t
+		m.now = key.t
 		m.exec(&ev)
 	}
 	if m.err == nil {
@@ -462,6 +574,9 @@ func (m *Machine) drain() (Stats, error) {
 }
 
 func (m *Machine) blockedReport() string {
+	if !slices.ContainsFunc(m.procs, func(p *proc) bool { return p.state == stateBlocked }) {
+		return ""
+	}
 	var b strings.Builder
 	for _, p := range m.procs {
 		if p.state == stateBlocked {
@@ -478,7 +593,7 @@ func (m *Machine) blockedReport() string {
 func (m *Machine) describeOp(op Op) string {
 	s := op.String()
 	if int(op.Var) < len(m.vars) && (op.Kind == OpWait || op.Kind == OpWrite || op.Kind == OpRMW) {
-		s += fmt.Sprintf(" [%s=%d]", m.vars[op.Var].name.String(), m.vars[op.Var].committed)
+		s += fmt.Sprintf(" [%s=%d]", m.VarName(op.Var), m.vars[op.Var].committed)
 	}
 	return s
 }
@@ -538,7 +653,8 @@ func (m *Machine) dispatch(p *proc) {
 	}
 	p.iter = it
 	p.iterations++
-	p.ops = m.program(p.ops[:0], it)
+	p.ops = m.program(m.opsBuf(p), it)
+	m.opsCap = max(m.opsCap, cap(p.ops))
 	p.ip = 0
 	if overhead > 0 {
 		p.busy += overhead
@@ -546,6 +662,30 @@ func (m *Machine) dispatch(p *proc) {
 		return
 	}
 	m.step(p)
+}
+
+// opsBuf returns the buffer processor p's next iteration program appends
+// to: its previous iteration's ops, recycled. The first processor to
+// dispatch grows its buffer by appending; every later first dispatch takes
+// a slice of one block sized from the largest buffer seen, so a run
+// allocates op storage a constant number of times rather than a growth
+// sequence per processor.
+func (m *Machine) opsBuf(p *proc) []Op {
+	if p.ops != nil {
+		return p.ops[:0]
+	}
+	if m.unbuffered > 0 {
+		m.unbuffered--
+	}
+	if m.opsCap == 0 {
+		return nil
+	}
+	if len(m.opsBlock) < m.opsCap {
+		m.opsBlock = make([]Op, m.opsCap*(m.unbuffered+1))
+	}
+	buf := m.opsBlock[:0:m.opsCap]
+	m.opsBlock = m.opsBlock[m.opsCap:]
+	return buf
 }
 
 // step advances a processor from the current time until it blocks,
@@ -590,29 +730,26 @@ func (m *Machine) step(p *proc) {
 			}
 			p.busy += cycles
 			if cycles == 0 {
-				if op.Exec != nil {
-					op.Exec()
+				if op.Eff != nil {
+					op.Eff.Apply(op.Arg)
 				}
 				m.recordAccess(p, op)
 				continue
 			}
-			m.addTrace(p, m.now, m.now+cycles, TraceCompute, op.Tag)
+			m.addTrace(p, m.now, m.now+cycles, TraceCompute, &op.Tag)
 			m.post(m.now+cycles, event{kind: evCompute, p: p, op: op})
 			return
 
 		case OpWrite:
-			v := m.vars[op.Var]
+			v := &m.vars[op.Var]
 			m.syncOps++
 			// Signals are recorded at issue time: the writer's knowledge at
 			// the moment of the write is the happens-before point a released
 			// waiter inherits, and a local waiter may observe the write
 			// before its broadcast commits.
-			m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value}, op.Tag)
+			m.recordSync(p, SyncSignal, v, op.Value, &op.Tag)
 			if v.res == Register {
 				m.busIssue(v, op.Value, p.id)
-				if op.Exec != nil {
-					op.Exec()
-				}
 				p.ip++
 				p.busy += m.cfg.SyncOpCost
 				if m.cfg.SyncOpCost > 0 {
@@ -623,7 +760,7 @@ func (m *Machine) step(p *proc) {
 			}
 			// Memory write: blocks through the module queue.
 			_, end := m.mods[v.module].enqueue(m.now, m.memLatency(v.module, p.id))
-			m.addTrace(p, m.now, end, TraceService, op.Tag)
+			m.addTrace(p, m.now, end, TraceService, &op.Tag)
 			p.waitMem += end - m.now
 			p.ip++
 			p.state = stateBlocked
@@ -632,7 +769,7 @@ func (m *Machine) step(p *proc) {
 			return
 
 		case OpWait:
-			v := m.vars[op.Var]
+			v := &m.vars[op.Var]
 			m.syncOps++
 			if v.visibleTo(p.id) >= op.Value {
 				if m.inj != nil && v.res == Register {
@@ -644,15 +781,12 @@ func (m *Machine) step(p *proc) {
 						p.state = stateBlocked
 						p.blockedSince = m.now
 						p.waitSync += d
-						m.addTrace(p, m.now, m.now+d, TraceWait, op.Tag)
+						m.addTrace(p, m.now, m.now+d, TraceWait, &op.Tag)
 						m.post(m.now+d, event{kind: evStep, p: p})
 						return
 					}
 				}
-				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: op.Value}, op.Tag)
-				if op.Exec != nil {
-					op.Exec()
-				}
+				m.recordSync(p, SyncWaitDone, v, op.Value, &op.Tag)
 				p.ip++
 				p.busy += m.cfg.SyncOpCost
 				if m.cfg.SyncOpCost > 0 {
@@ -665,7 +799,7 @@ func (m *Machine) step(p *proc) {
 			p.blockedSince = m.now
 			if v.res == Register {
 				// Spin on the local register image: woken by commit.
-				v.addWaiter(m.allocWait(p, op.Value, op.Tag))
+				v.addWaiter(m.allocWait(p, op))
 				return
 			}
 			// Poll through the memory module: each probe is a module access.
@@ -673,17 +807,14 @@ func (m *Machine) step(p *proc) {
 			return
 
 		case OpWriteIf:
-			v := m.vars[op.Var]
+			v := &m.vars[op.Var]
 			m.syncOps++
 			if v.res != Register {
-				panic(fmt.Sprintf("sim: conditional write on memory variable %s", v.name.String()))
+				panic(fmt.Sprintf("sim: conditional write on memory variable %s", m.VarName(op.Var)))
 			}
-			if op.fires(v.visibleTo(p.id)) {
-				m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncSignal, Var: v.id, Value: op.Value}, op.Tag)
+			if v.visibleTo(p.id) >= op.CondGE {
+				m.recordSync(p, SyncSignal, v, op.Value, &op.Tag)
 				m.busIssue(v, op.Value, p.id)
-			}
-			if op.Exec != nil {
-				op.Exec()
 			}
 			p.ip++
 			p.busy += m.cfg.SyncOpCost
@@ -694,13 +825,13 @@ func (m *Machine) step(p *proc) {
 			continue
 
 		case OpRMW:
-			v := m.vars[op.Var]
+			v := &m.vars[op.Var]
 			m.syncOps++
 			if v.res != Memory {
-				panic(fmt.Sprintf("sim: RMW on register variable %s", v.name.String()))
+				panic(fmt.Sprintf("sim: RMW on register variable %s", m.VarName(op.Var)))
 			}
 			_, end := m.mods[v.module].enqueue(m.now, m.memLatency(v.module, p.id))
-			m.addTrace(p, m.now, end, TraceService, op.Tag)
+			m.addTrace(p, m.now, end, TraceService, &op.Tag)
 			p.waitMem += end - m.now
 			p.ip++
 			p.state = stateBlocked
@@ -716,10 +847,10 @@ func (m *Machine) step(p *proc) {
 
 // memLatency returns the service time for the next access to module mod,
 // including any injected slow-bank delay.
-func (m *Machine) memLatency(mod, procID int) int64 {
+func (m *Machine) memLatency(mod int32, procID int) int64 {
 	lat := m.cfg.MemLatency
 	if m.inj != nil {
-		lat += m.inj.ModuleDelay(m.mods[mod].accesses, mod, procID)
+		lat += m.inj.ModuleDelay(m.mods[mod].accesses, int(mod), procID)
 	}
 	return lat
 }
@@ -731,7 +862,8 @@ func (m *Machine) poll(p *proc, v *syncVar, op *Op) {
 	m.post(end, event{kind: evPoll, p: p, op: op, v: v})
 }
 
-// wake resumes register waiters whose condition a commit has satisfied. The
+// wake resumes register waiters whose condition a commit has satisfied (a
+// memory variable has none: its waiters poll through the module). The
 // minWait frontier makes the common case — a commit that advances the value
 // but releases nobody — O(1): the waiter list is only scanned when the
 // committed value actually crosses some waiter's threshold, so a same-cycle
@@ -740,12 +872,13 @@ func (m *Machine) poll(p *proc, v *syncVar, op *Op) {
 // the vacated tail is nil-ed so released waiters aren't pinned by the
 // backing array.
 func (m *Machine) wake(v *syncVar) {
-	if len(v.waiters) == 0 || v.committed < v.minWait {
+	r := v.reg
+	if r == nil || len(r.waiters) == 0 || v.committed < r.minWait {
 		return
 	}
-	kept := v.waiters[:0]
+	kept := r.waiters[:0]
 	newMin := int64(math.MaxInt64)
-	for _, w := range v.waiters {
+	for _, w := range r.waiters {
 		if v.committed >= w.min {
 			if m.inj != nil {
 				m.staleChecks++
@@ -765,12 +898,12 @@ func (m *Machine) wake(v *syncVar) {
 			}
 		}
 	}
-	tail := v.waiters[len(kept):]
+	tail := r.waiters[len(kept):]
 	for i := range tail {
 		tail[i] = nil
 	}
-	v.waiters = kept
-	v.minWait = newMin
+	r.waiters = kept
+	r.minWait = newMin
 }
 
 // release resumes one satisfied register waiter, charging the full blocked
@@ -780,8 +913,8 @@ func (m *Machine) wake(v *syncVar) {
 func (m *Machine) release(v *syncVar, w *blockedWait) {
 	p := w.p
 	p.waitSync += m.now - p.blockedSince
-	m.addTrace(p, p.blockedSince, m.now, TraceWait, w.tag)
-	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncWaitDone, Var: v.id, Value: w.min}, w.tag)
+	m.addTrace(p, p.blockedSince, m.now, TraceWait, &w.op.Tag)
+	m.recordSync(p, SyncWaitDone, v, w.min, &w.op.Tag)
 	p.ip++
 	m.post(m.now, event{kind: evStep, p: p})
 	m.freeWait(w)
@@ -803,7 +936,7 @@ func (m *Machine) busIssue(v *syncVar, val int64, procID int) {
 		}
 	}
 	pe := m.allocPending(procID, val)
-	v.pend = append(v.pend, pe)
+	v.reg.pend = append(v.reg.pend, pe)
 	e := m.allocEntry(v, pe)
 	if m.inj != nil {
 		if m.inj.DropBroadcast(seq, procID, int64(v.id)) {
@@ -902,12 +1035,13 @@ func (m *Machine) commitTorn(e *busEntry) {
 // order is irrelevant: swap-remove, and nil the vacated tail slot so the
 // backing array doesn't pin the recycled entry.
 func (m *Machine) removePend(v *syncVar, pe *pending) {
-	for i, q := range v.pend {
+	r := v.reg
+	for i, q := range r.pend {
 		if q == pe {
-			last := len(v.pend) - 1
-			v.pend[i] = v.pend[last]
-			v.pend[last] = nil
-			v.pend = v.pend[:last]
+			last := len(r.pend) - 1
+			r.pend[i] = r.pend[last]
+			r.pend[last] = nil
+			r.pend = r.pend[:last]
 			m.freePending(pe)
 			return
 		}
@@ -926,7 +1060,8 @@ func (m *Machine) collectStats() Stats {
 		s.Procs[i] = ProcStats{Busy: p.busy, WaitSync: p.waitSync, WaitMem: p.waitMem, Idle: idle}
 		s.Iterations += p.iterations
 	}
-	for _, mo := range m.mods {
+	for i := range m.mods {
+		mo := &m.mods[i]
 		s.ModuleAccesses += mo.accesses
 		s.ModuleQueueWait += mo.queueWait
 		if mo.maxQueue > s.MaxModuleQueue {
@@ -942,8 +1077,8 @@ func (m *Machine) collectStats() Stats {
 
 // ExecSerial executes the program's compute semantics serially in iteration
 // order (sync ops skipped) and returns total compute cycles — the serial
-// baseline and the oracle for serial equivalence. By convention, workload
-// semantics live only on OpCompute ops.
+// baseline and the oracle for serial equivalence. Workload semantics live
+// only on OpCompute ops.
 func ExecSerial(iters int64, prog Program) int64 {
 	var total int64
 	var ops []Op
@@ -952,8 +1087,8 @@ func ExecSerial(iters int64, prog Program) int64 {
 		for _, op := range ops {
 			if op.Kind == OpCompute {
 				total += op.Cycles
-				if op.Exec != nil {
-					op.Exec()
+				if op.Eff != nil {
+					op.Eff.Apply(op.Arg)
 				}
 			}
 		}

@@ -9,8 +9,8 @@ import (
 func TestComputeSequenceTiming(t *testing.T) {
 	m := New(Config{Processors: 1})
 	stats, err := m.RunProcesses([][]Op{{
-		Compute(5, nil, "a"),
-		Compute(7, nil, "b"),
+		Compute(5, nil, 0, "a"),
+		Compute(7, nil, 0, "b"),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +26,10 @@ func TestComputeSequenceTiming(t *testing.T) {
 func TestExecRunsAtCompletionInOrder(t *testing.T) {
 	m := New(Config{Processors: 2})
 	var order []string
-	mark := func(s string) func() { return func() { order = append(order, s) } }
+	mark := func(s string) Effect { return EffectFunc(func(int64) { order = append(order, s) }) }
 	_, err := m.RunProcesses([][]Op{
-		{Compute(5, mark("p0@5"), ""), Compute(5, mark("p0@10"), "")},
-		{Compute(3, mark("p1@3"), ""), Compute(4, mark("p1@7"), "")},
+		{Compute(5, mark("p0@5"), 0, ""), Compute(5, mark("p0@10"), 0, "")},
+		{Compute(3, mark("p1@3"), 0, ""), Compute(4, mark("p1@7"), 0, "")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestExecRunsAtCompletionInOrder(t *testing.T) {
 
 func TestSelfSchedulingDistributesIterations(t *testing.T) {
 	m := New(Config{Processors: 4})
-	prog := func(dst []Op, iter int64) []Op { return append(dst, Compute(10, nil, "")) }
+	prog := func(dst []Op, iter int64) []Op { return append(dst, Compute(10, nil, 0, "")) }
 	stats, err := m.RunLoop(20, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSelfSchedulingDistributesIterations(t *testing.T) {
 
 func TestSchedOverheadAccounted(t *testing.T) {
 	m := New(Config{Processors: 1, SchedOverhead: 3})
-	stats, err := m.RunLoop(4, func(dst []Op, _ int64) []Op { return append(dst, Compute(10, nil, "")) })
+	stats, err := m.RunLoop(4, func(dst []Op, _ int64) []Op { return append(dst, Compute(10, nil, 0, "")) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestRegisterVisibilityOwnWriteImmediate(t *testing.T) {
 	m := New(Config{Processors: 2, BusLatency: 10, SyncOpCost: 0})
 	v := m.NewRegVar("pc", 0)
 	stats, err := m.RunProcesses([][]Op{
-		{WriteVar(v, 1, ""), WaitGE(v, 1, "own"), Compute(1, nil, "")},
-		{WaitGE(v, 1, "other"), Compute(1, nil, "")},
+		{WriteVar(v, 1, ""), WaitGE(v, 1, "own"), Compute(1, nil, 0, "")},
+		{WaitGE(v, 1, "other"), Compute(1, nil, 0, "")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestBusCoverageElidesSupersededWrite(t *testing.T) {
 		pc := m.NewRegVar("pc", 0)
 		stats, err := m.RunProcesses([][]Op{
 			{WriteVar(blockerVar, 1, "")}, // occupies the bus 0..10
-			{Compute(1, nil, ""), WriteVar(pc, 1, ""), Compute(1, nil, ""), WriteVar(pc, 2, ""), WaitGE(pc, 2, "")},
+			{Compute(1, nil, 0, ""), WriteVar(pc, 1, ""), Compute(1, nil, 0, ""), WriteVar(pc, 2, ""), WaitGE(pc, 2, "")},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -171,8 +171,8 @@ func TestZeroBusLatencyCommitsImmediately(t *testing.T) {
 	m := New(Config{Processors: 2, SyncOpCost: 0})
 	v := m.NewRegVar("v", 0)
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(5, nil, ""), WriteVar(v, 1, "")},
-		{WaitGE(v, 1, ""), Compute(2, nil, "")},
+		{Compute(5, nil, 0, ""), WriteVar(v, 1, "")},
+		{WaitGE(v, 1, ""), Compute(2, nil, 0, "")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestPollingWaitGeneratesModuleTraffic(t *testing.T) {
 	m := New(Config{Processors: 2, MemLatency: 2})
 	flag := m.NewMemVar("flag", 0, 0)
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(9, nil, ""), WriteVar(flag, 1, "")},
+		{Compute(9, nil, 0, ""), WriteVar(flag, 1, "")},
 		{WaitGE(flag, 1, "spin")},
 	})
 	if err != nil {
@@ -281,8 +281,8 @@ func TestProducerConsumerValueFlows(t *testing.T) {
 	v := m.NewRegVar("pc", 0)
 	var got int64 = -1
 	_, err := m.RunProcesses([][]Op{
-		{Compute(10, func() { arr.Set(0, 42) }, "produce"), WriteVar(v, 1, "")},
-		{WaitGE(v, 1, ""), Compute(1, func() { got = arr.Get(0) }, "consume")},
+		{Compute(10, EffectFunc(func(int64) { arr.Set(0, 42) }), 0, "produce"), WriteVar(v, 1, "")},
+		{WaitGE(v, 1, ""), Compute(1, EffectFunc(func(int64) { got = arr.Get(0) }), 0, "consume")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestRunLoopDeterministic(t *testing.T) {
 		prog := func(dst []Op, iter int64) []Op {
 			return append(dst,
 				WaitGE(v, iter-1, ""),
-				Compute(3+iter%4, nil, ""),
+				Compute(3+iter%4, nil, 0, ""),
 				WriteVar(v, iter, ""),
 			)
 		}
@@ -321,7 +321,7 @@ func TestExecSerial(t *testing.T) {
 	prog := func(dst []Op, iter int64) []Op {
 		return append(dst,
 			WaitGE(0, 0, "ignored"),
-			Compute(2, func() { arr.Set(iter, arr.Get(iter-1)+1) }, ""),
+			Compute(2, EffectFunc(func(int64) { arr.Set(iter, arr.Get(iter-1)+1) }), 0, ""),
 		)
 	}
 	total := ExecSerial(10, prog)
@@ -356,8 +356,8 @@ func TestMachineSingleUse(t *testing.T) {
 func TestIdleAccounting(t *testing.T) {
 	m := New(Config{Processors: 2})
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, "")},
-		{Compute(4, nil, "")},
+		{Compute(10, nil, 0, "")},
+		{Compute(4, nil, 0, "")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,13 +384,10 @@ func TestRMWOnRegisterPanics(t *testing.T) {
 func TestWriteVarIf(t *testing.T) {
 	m := New(Config{Processors: 1, SyncOpCost: 0})
 	v := m.NewRegVar("pc", 3)
-	ge := func(min int64) func(int64) bool {
-		return func(cur int64) bool { return cur >= min }
-	}
 	stats, err := m.RunProcesses([][]Op{{
-		WriteVarIf(v, 10, ge(5), "skipped"), // 3 < 5: no write
-		WriteVarIf(v, 10, ge(3), "taken"),   // 3 >= 3: writes 10
-		WriteVarIf(v, 20, ge(10), "taken2"), // own write visible: 10 >= 10
+		WriteVarIfGE(v, 10, 5, "skipped"), // 3 < 5: no write
+		WriteVarIfGE(v, 10, 3, "taken"),   // 3 >= 3: writes 10
+		WriteVarIfGE(v, 20, 10, "taken2"), // own write visible: 10 >= 10
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +451,7 @@ func TestChunkedDispatchCoversAllIterations(t *testing.T) {
 	m := New(Config{Processors: 3, Dispatch: DispatchChunked, ChunkSize: 5, SchedOverhead: 2})
 	seen := make(map[int64]int)
 	stats, err := m.RunLoop(23, func(dst []Op, iter int64) []Op {
-		return append(dst, Compute(1, func() { seen[iter]++ }, ""))
+		return append(dst, Compute(1, EffectFunc(func(int64) { seen[iter]++ }), 0, ""))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +470,7 @@ func TestChunkedDispatchAmortizesOverhead(t *testing.T) {
 	run := func(d Dispatch) Stats {
 		m := New(Config{Processors: 1, Dispatch: d, ChunkSize: 8, SchedOverhead: 4})
 		stats, err := m.RunLoop(64, func(dst []Op, iter int64) []Op {
-			return append(dst, Compute(2, nil, ""))
+			return append(dst, Compute(2, nil, 0, ""))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -498,7 +495,7 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 		if iter > 1 {
 			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
 		}
-		ops = append(ops, Compute(1, nil, ""), WriteVar(v, iter, "advance"))
+		ops = append(ops, Compute(1, nil, 0, ""), WriteVar(v, iter, "advance"))
 		return ops
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -509,7 +506,7 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 func TestReversedDispatchWorksForIndependentLoop(t *testing.T) {
 	m := New(Config{Processors: 2, Dispatch: DispatchReversed})
 	stats, err := m.RunLoop(10, func(dst []Op, iter int64) []Op {
-		return append(dst, Compute(3, nil, ""))
+		return append(dst, Compute(3, nil, 0, ""))
 	})
 	if err != nil {
 		t.Fatal(err)

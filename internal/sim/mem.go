@@ -14,14 +14,15 @@
 // suffers from.
 //
 // The simulator is deterministic: identical inputs produce identical cycle
-// counts, so tests assert exact numbers. Statement semantics (Exec
-// callbacks) run at op completion in global event order, which lets tests
+// counts, so tests assert exact numbers. Statement semantics (op effects)
+// are applied at op completion in global event order, which lets tests
 // check serial equivalence: a synchronization scheme that fails to enforce
 // a dependence produces different array contents than serial execution.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -157,6 +158,9 @@ func (m *Mem) AddScalar(name string, v int64) { m.scalars[name] += v }
 // the first differences found ("" when identical). Used by the
 // serial-equivalence oracle.
 func (m *Mem) Diff(other *Mem) string {
+	if m.same(other) {
+		return "" // a passing check sorts and formats nothing
+	}
 	var b strings.Builder
 	const maxReport = 8
 	reports := 0
@@ -201,6 +205,31 @@ func (m *Mem) Diff(other *Mem) string {
 		fmt.Fprintf(&b, "... and %d more differences\n", reports-maxReport)
 	}
 	return b.String()
+}
+
+// same reports, without allocating, that every array, grid and scalar of
+// m has the same bounds and contents in other. It is stricter than Diff's
+// walk (equal values under different bounds are not the same), so a false
+// answer only sends Diff on to the walk that reports.
+func (m *Mem) same(other *Mem) bool {
+	for name, a := range m.arrays {
+		oa := other.arrays[name]
+		if oa == nil || a.Lo != oa.Lo || a.Hi != oa.Hi || !slices.Equal(a.vals, oa.vals) {
+			return false
+		}
+	}
+	for name, g := range m.grids {
+		og := other.grids[name]
+		if og == nil || g.Lo1 != og.Lo1 || g.Hi1 != og.Hi1 || g.Lo2 != og.Lo2 || g.Hi2 != og.Hi2 || !slices.Equal(g.vals, og.vals) {
+			return false
+		}
+	}
+	for name, v := range m.scalars {
+		if other.scalars[name] != v {
+			return false
+		}
+	}
+	return true
 }
 
 func sortedKeys[V any](m map[string]V) []string {

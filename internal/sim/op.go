@@ -3,10 +3,10 @@ package sim
 import "fmt"
 
 // VarID identifies a synchronization variable declared on a Machine.
-type VarID int
+type VarID int32
 
 // Residence says where a synchronization variable lives.
-type Residence int
+type Residence uint8
 
 // Residences.
 const (
@@ -23,12 +23,12 @@ const (
 )
 
 // OpKind enumerates process operations.
-type OpKind int
+type OpKind uint8
 
 // Op kinds.
 const (
 	// OpCompute models useful work: Cycles of computation, with the
-	// statement semantics (Exec) applied at completion.
+	// statement semantics (Eff applied to Arg) at completion.
 	OpCompute OpKind = iota
 	// OpWrite sets a synchronization variable to Value. Sync values are
 	// monotonically non-decreasing by construction in every scheme here
@@ -40,8 +40,8 @@ const (
 	// OpRMW atomically applies Apply to a Memory variable (fetch&add class;
 	// used by the counter barrier). The processor blocks until served.
 	OpRMW
-	// OpWriteIf writes Value to a Register variable only when its guard
-	// (Cond, or CondGE when HasCondGE) holds for the locally visible value; otherwise it is a no-op (no bus
+	// OpWriteIf writes Value to a Register variable only when the locally
+	// visible value is at least CondGE; otherwise it is a no-op (no bus
 	// traffic). This models the improved mark_PC of Fig 4.3, which skips
 	// the update when the process does not yet own its PC.
 	OpWriteIf
@@ -71,15 +71,44 @@ func (a MemAccess) String() string {
 	return s
 }
 
-// Op is one step of a process program.
+// Effect is the semantics of a statement: what its execution does to the
+// workload's memory. The machine calls Apply(op.Arg) when the op carrying
+// the effect completes, in global event order; ExecSerial calls it in
+// program order. For loop programs Arg is the iteration number of the
+// statement instance, so a code generator binds one effect per statement
+// per run and stamps each op with the iteration instead of building a
+// closure per op.
+//
+// An effect may hold buffers and state owned by its run (an index vector,
+// input and output values, iteration locals): the machine is
+// single-goroutine and applies one effect at a time, running it to
+// completion before the next, so per-run scratch reused by every Apply is
+// never observed half-written. An effect must not keep anything that
+// belongs to the op it came from, since op storage is recycled (Program).
+type Effect interface {
+	Apply(arg int64)
+}
+
+// EffectFunc adapts a function to Effect, for hand-built programs and
+// tests. A code generator should not make one per op, since each closure
+// is an allocation; it binds one effect per statement per run instead.
+type EffectFunc func(arg int64)
+
+// Apply implements Effect.
+func (f EffectFunc) Apply(arg int64) { f(arg) }
+
+// Op is one step of a process program. Programs are rebuilt every
+// iteration, so the fields are ordered to keep the struct small: the
+// narrow Var, Kind and HasPost share the last word.
 type Op struct {
-	Kind   OpKind
 	Cycles int64             // OpCompute duration
-	Var    VarID             // sync-op target
 	Value  int64             // OpWrite value / OpWait threshold
 	Apply  func(int64) int64 // OpRMW update function
-	Cond   func(int64) bool  // OpWriteIf guard over the visible value, unless HasCondGE
-	Exec   func()            // semantics, run at completion (any kind)
+	// Eff is the statement semantics an OpCompute applies to Arg when it
+	// completes; nil for pure work. Only compute ops carry one (the
+	// machine and ExecSerial apply no other kind's).
+	Eff Effect
+	Arg int64
 	// Tag names the op for traces, stall reports and static verification.
 	// It is kept as parts and rendered only when one of those readers asks
 	// (Label.String), so builders may stamp one on every op for free; the
@@ -87,23 +116,23 @@ type Op struct {
 	Tag Label
 
 	// Touch lists the shared-memory elements whose accesses take effect
-	// when Exec runs, for the happens-before race checkers. Only a machine
-	// recording a sync trace reads it (EnableSyncTrace), so code generators
-	// set it only when Machine.SyncTracing reports true.
+	// when Eff is applied, for the happens-before race checkers. Only a
+	// machine recording a sync trace reads it (EnableSyncTrace), so code
+	// generators set it only when Machine.SyncTracing reports true.
 	Touch []MemAccess
 	// Post is the synchronization variable's value after this op completes,
 	// as guaranteed by the scheme's protocol. OpWrite implies Post == Value;
 	// OpRMW builders whose protocol serializes updates (e.g. ticketed key
 	// increments) stamp it explicitly so static analysis can model them.
 	// Valid iff HasPost.
-	Post    int64
+	Post int64
+	// CondGE is an OpWriteIf's guard "visible value >= CondGE", declared
+	// structurally so static analysis knows what the write's firing
+	// implies. WriteVarIfGE sets it.
+	CondGE  int64
+	Var     VarID // sync-op target
+	Kind    OpKind
 	HasPost bool
-	// CondGE is an OpWriteIf guard of the form "visible value >= CondGE"
-	// (valid iff HasCondGE, which then replaces Cond), declared structurally
-	// so static analysis knows what the write's firing implies.
-	// WriteVarIfGE sets it.
-	CondGE    int64
-	HasCondGE bool
 }
 
 func (o Op) String() string {
@@ -129,9 +158,10 @@ func tag(t string) string {
 	return " " + t
 }
 
-// Compute returns a compute op.
-func Compute(cycles int64, exec func(), tag string) Op {
-	return Op{Kind: OpCompute, Cycles: cycles, Exec: exec, Tag: Text(tag)}
+// Compute returns a compute op of the given duration that applies eff to
+// arg when it completes (eff may be nil for pure work).
+func Compute(cycles int64, eff Effect, arg int64, tag string) Op {
+	return Op{Kind: OpCompute, Cycles: cycles, Eff: eff, Arg: arg, Tag: Text(tag)}
 }
 
 // WriteVar returns a posted synchronization write.
@@ -157,27 +187,13 @@ func RMWPost(v VarID, apply func(int64) int64, post int64, tag string) Op {
 	return Op{Kind: OpRMW, Var: v, Apply: apply, Post: post, HasPost: true, Tag: Text(tag)}
 }
 
-// WriteVarIf returns a conditional register write: value is posted only when
-// cond holds for the locally visible value at issue time.
-func WriteVarIf(v VarID, value int64, cond func(int64) bool, tag string) Op {
-	return Op{Kind: OpWriteIf, Var: v, Value: value, Cond: cond, Tag: Text(tag)}
-}
-
-// WriteVarIfGE is WriteVarIf with the guard "visible value >= min", declared
-// structurally so static verification can reason about what a fired write
-// implies (the improved mark_PC fires only once ownership has arrived).
+// WriteVarIfGE returns a conditional register write: value is posted only
+// when the locally visible value at issue time is at least min. The guard
+// is declared structurally so static verification can reason about what a
+// fired write implies (the improved mark_PC fires only once ownership has
+// arrived).
 func WriteVarIfGE(v VarID, value, min int64, tag string) Op {
-	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, HasCondGE: true, Tag: Text(tag)}
-}
-
-// fires reports whether an OpWriteIf posts its write when the locally
-// visible value is cur: the structural CondGE guard when declared (no
-// closure to build per op), otherwise Cond.
-func (o *Op) fires(cur int64) bool {
-	if o.HasCondGE {
-		return cur >= o.CondGE
-	}
-	return o.Cond(cur)
+	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, Tag: Text(tag)}
 }
 
 // Program appends the op sequence of one process (iteration) to dst and
@@ -195,4 +211,10 @@ func (o *Op) fires(cur int64) bool {
 // refers to the old ops. The returned slice is the machine's until it comes
 // back as the next dst, so a program must not return storage it keeps for
 // itself. A caller that keeps the result passes nil.
+//
+// Semantics ride on the ops as effects (Effect), not closures: a program
+// stamps each statement's op with an effect it bound once for the run and
+// with the iteration as Arg, so building an iteration allocates nothing.
+// An effect may hold the run's buffers but nothing of its op, which the
+// next program call overwrites.
 type Program func(dst []Op, iter int64) []Op

@@ -20,14 +20,14 @@ func recycleBody(reg, mem, ctr VarID, useMem bool, sum *int64) func([]Op, int64)
 			ops = append(ops, WaitGE(mem, iter-1, "flag"))
 		}
 		for k := int64(0); k <= iter%3; k++ {
-			ops = append(ops, Compute(2+k, func() { *sum += iter }, "work"))
+			ops = append(ops, Compute(2+k, EffectFunc(func(int64) { *sum += iter }), 0, "work"))
 		}
 		ops = append(ops, WriteVar(reg, iter, "signal"))
 		if useMem {
 			ops = append(ops, RMW(ctr, func(x int64) int64 { return x + 1 }, "count"), WriteVar(mem, iter, "flag-set"))
 		}
 		if iter%2 == 0 {
-			ops = append(ops, Compute(3, func() { *sum += iter }, "tail"))
+			ops = append(ops, Compute(3, EffectFunc(func(int64) { *sum += iter }), 0, "tail"))
 		}
 		return ops
 	}
@@ -75,7 +75,7 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 					full := dst[:cap(dst)]
 					for i := range full {
 						if i%2 == 0 {
-							full[i] = Compute(1, func() { panic("sim: executed a recycled op") }, "poison")
+							full[i] = Compute(1, EffectFunc(func(int64) { panic("sim: executed a recycled op") }), 0, "poison")
 						} else {
 							full[i] = WaitGE(never, 1, "poison")
 						}

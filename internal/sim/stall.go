@@ -86,8 +86,8 @@ func (m *Machine) stallError(base error, maxed bool) error {
 			op := p.ops[p.ip]
 			bp.Op = m.describeOp(op)
 			if op.Kind == OpWait && int(op.Var) < len(m.vars) {
-				v := m.vars[op.Var]
-				bp.Var, bp.VarID = v.name.String(), v.id
+				v := &m.vars[op.Var]
+				bp.Var, bp.VarID = m.VarName(op.Var), v.id
 				bp.Have, bp.Want = v.visibleTo(p.id), op.Value
 				bp.wait = true
 			}

@@ -70,16 +70,15 @@ func (m *Machine) SyncTraceEvents() []SyncEvent {
 	return append([]SyncEvent(nil), m.syncTrace...)
 }
 
-// recordSync appends e, tagged with the op's rendered label, when the
-// machine is recording a sync trace.
-func (m *Machine) recordSync(e SyncEvent, tag Label) {
+// recordSync records a signal or completed wait on v by processor p, tagged
+// with the op's rendered label, when the machine is recording a sync trace.
+// The label is passed by reference and the event built only when
+// recording, so an untraced run copies neither.
+func (m *Machine) recordSync(p *proc, kind SyncKind, v *syncVar, value int64, tag *Label) {
 	if !m.syncTracing {
 		return
 	}
-	e.Tag = tag.String()
-	e.Seq = int64(len(m.syncTrace))
-	e.Time = m.now
-	m.syncTrace = append(m.syncTrace, e)
+	m.appendSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: kind, Var: v.id, Value: value}, tag)
 }
 
 // recordAccess logs an op's Touch list at semantics time.
@@ -87,11 +86,15 @@ func (m *Machine) recordAccess(p *proc, op *Op) {
 	if !m.syncTracing || len(op.Touch) == 0 {
 		return
 	}
-	m.recordSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: op.Touch}, op.Tag)
+	m.appendSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: op.Touch}, &op.Tag)
+}
+
+func (m *Machine) appendSync(e SyncEvent, tag *Label) {
+	e.Tag = tag.String()
+	e.Seq = int64(len(m.syncTrace))
+	e.Time = m.now
+	m.syncTrace = append(m.syncTrace, e)
 }
 
 // VarCount returns the number of declared synchronization variables.
 func (m *Machine) VarCount() int { return len(m.vars) }
-
-// VarName returns the declared name of a synchronization variable.
-func (m *Machine) VarName(v VarID) string { return m.vars[v].name.String() }

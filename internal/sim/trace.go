@@ -52,7 +52,9 @@ func (m *Machine) Trace() []TraceEvent {
 	return out
 }
 
-func (m *Machine) addTrace(p *proc, start, end int64, kind TraceKind, tag Label) {
+// addTrace records one interval when the machine is tracing. It takes the
+// op's label by reference, so an untraced run never copies one.
+func (m *Machine) addTrace(p *proc, start, end int64, kind TraceKind, tag *Label) {
 	if !m.tracing || end <= start {
 		return
 	}

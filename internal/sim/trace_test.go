@@ -10,8 +10,8 @@ func TestTraceRecordsComputeAndWait(t *testing.T) {
 	m.EnableTrace()
 	v := m.NewRegVar("v", 0)
 	_, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, "produce"), WriteVar(v, 1, "pub")},
-		{WaitGE(v, 1, "consume-wait"), Compute(3, nil, "consume")},
+		{Compute(10, nil, 0, "produce"), WriteVar(v, 1, "pub")},
+		{WaitGE(v, 1, "consume-wait"), Compute(3, nil, 0, "consume")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestTraceRecordsModuleService(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := New(Config{Processors: 1})
-	if _, err := m.RunProcesses([][]Op{{Compute(5, nil, "")}}); err != nil {
+	if _, err := m.RunProcesses([][]Op{{Compute(5, nil, 0, "")}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Trace()) != 0 {

@@ -24,14 +24,14 @@ func TestStaleReleaseDuringDrainPinned(t *testing.T) {
 		st, err := m.RunProcesses([][]Op{
 			// Writer: raises the gate to 2 (releasing the >=1 and >=2
 			// waiters in one commit), then to 5 after the laggards report.
-			{Compute(5, nil, "work"), WriteVar(v, 2, "raise2"),
+			{Compute(5, nil, 0, "work"), WriteVar(v, 2, "raise2"),
 				WaitGE(done, 2, "laggards"), WriteVar(v, 5, "raise5")},
-			{WaitGE(v, 1, "w1"), Compute(2, nil, ""), WriteVar(done, 1, "")},
-			{WaitGE(v, 2, "w2"), Compute(2, nil, ""), WriteVar(done, 2, "")},
+			{WaitGE(v, 1, "w1"), Compute(2, nil, 0, ""), WriteVar(done, 1, "")},
+			{WaitGE(v, 2, "w2"), Compute(2, nil, 0, ""), WriteVar(done, 2, "")},
 			// Unsatisfied until the second raise: must survive the first
 			// drain in place.
-			{WaitGE(v, 5, "w5"), Compute(1, nil, "")},
-			{WaitGE(v, 4, "w4"), Compute(1, nil, "")},
+			{WaitGE(v, 5, "w5"), Compute(1, nil, 0, "")},
+			{WaitGE(v, 4, "w4"), Compute(1, nil, 0, "")},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,6 @@
 package stmtorient
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -33,7 +32,7 @@ import (
 // SC to k-1 when the first iteration is k; with 1-based iterations that is 0).
 type SimSCs struct {
 	K    int
-	vars []sim.VarID
+	base sim.VarID // SC[i] is register base+i
 }
 
 // NewSimSCs declares K statement counters on the machine.
@@ -41,15 +40,11 @@ func NewSimSCs(m *sim.Machine, k int) *SimSCs {
 	if k < 1 {
 		panic("stmtorient: need at least one SC")
 	}
-	s := &SimSCs{K: k, vars: make([]sim.VarID, k)}
-	for i := 0; i < k; i++ {
-		s.vars[i] = m.NewRegVar(fmt.Sprintf("SC[%d]", i), 0)
-	}
-	return s
+	return &SimSCs{K: k, base: m.NewRegVars(k, sim.IndexedNames("SC[%d]"), nil)}
 }
 
 // Var returns the physical register backing logical counter c.
-func (s *SimSCs) Var(c int64) sim.VarID { return s.vars[int(c)%s.K] }
+func (s *SimSCs) Var(c int64) sim.VarID { return s.base + sim.VarID(int(c)%s.K) }
 
 // AdvanceOps appends Advance on logical counter c with the given 1-based
 // sequence number to dst: wait until the previous advance committed
@@ -67,7 +62,7 @@ func (s *SimSCs) AdvanceOps(dst []sim.Op, c, seq int64) []sim.Op {
 // Non-positive minSeq needs no wait and yields a free no-op compute.
 func (s *SimSCs) AwaitOp(c, minSeq int64) sim.Op {
 	if minSeq <= 0 {
-		return sim.Compute(0, nil, "await:noop")
+		return sim.Compute(0, nil, 0, "await:noop")
 	}
 	op := sim.WaitGE(s.Var(c), minSeq, "")
 	op.Tag = sim.Tagf("await c=%d seq>=%d", c, minSeq)

@@ -72,7 +72,7 @@ func stretchWait3(op sim.Op) (sim.Op, bool) {
 	src := iter - 5
 	tag := fmt.Sprintf("wait_PC(5,%d) i=%d", step, iter)
 	if src < 1 {
-		return sim.Compute(0, nil, tag+" noop"), true
+		return sim.Compute(0, nil, 0, tag+" noop"), true
 	}
 	return sim.WaitGE(op.Var, core.PC{Owner: src, Step: step}.Pack(), tag), true
 }

@@ -58,20 +58,39 @@ func (f FFT) SerialMem() (*sim.Mem, int64) {
 	return mem, int64(f.Stages()) * n * f.Cost
 }
 
-// stageOp builds processor pid's compute for one stage.
-func (f FFT) stageOp(v *sim.Grid, pid, stage int) sim.Op {
-	return sim.Compute(f.Chunk*f.Cost, func() {
-		lo := int64(pid) * f.Chunk
-		dist := int64(1<<(stage-1)) * f.Chunk
-		for e := lo; e < lo+f.Chunk; e++ {
-			partnerE := e ^ dist
-			if e < partnerE {
-				v.Set(int64(stage), e, v.Get(int64(stage-1), e)+v.Get(int64(stage-1), partnerE))
-			} else {
-				v.Set(int64(stage), e, v.Get(int64(stage-1), partnerE)-v.Get(int64(stage-1), e))
-			}
+// fftStages is one run's stage computation as a sim.Effect: an op's Arg
+// names processor pid's stage s as s*P+pid.
+type fftStages struct {
+	f FFT
+	v *sim.Grid
+}
+
+// Apply implements sim.Effect.
+func (st *fftStages) Apply(arg int64) {
+	f, v := st.f, st.v
+	stage, pid := arg/int64(f.P), arg%int64(f.P)
+	lo := pid * f.Chunk
+	dist := int64(1<<(stage-1)) * f.Chunk
+	for e := lo; e < lo+f.Chunk; e++ {
+		partnerE := e ^ dist
+		if e < partnerE {
+			v.Set(stage, e, v.Get(stage-1, e)+v.Get(stage-1, partnerE))
+		} else {
+			v.Set(stage, e, v.Get(stage-1, partnerE)-v.Get(stage-1, e))
 		}
-	}, fmt.Sprintf("fft p%d s%d", pid, stage))
+	}
+}
+
+// setup declares the run's buffers and returns its stage effect.
+func (f FFT) setup(m *sim.Machine) *fftStages {
+	return &fftStages{f: f, v: f.Setup(m.Mem())}
+}
+
+// stageOp builds processor pid's compute for one stage.
+func (f FFT) stageOp(st *fftStages, pid, stage int) sim.Op {
+	op := sim.Compute(f.Chunk*f.Cost, st, int64(stage*f.P+pid), "")
+	op.Tag = sim.Tagf("fft p%d s%d", int64(pid), int64(stage))
+	return op
 }
 
 // Pairwise builds the paper's fft() procedure: per stage, BASIC_FFT, then
@@ -79,7 +98,7 @@ func (f FFT) stageOp(v *sim.Grid, pid, stage int) sim.Op {
 // stage-i output this processor consumes in stage i+1. One PC per
 // processor, step = completed stage, no folding (process == processor).
 func (f FFT) Pairwise(m *sim.Machine) [][]sim.Op {
-	v := f.Setup(m.Mem())
+	st := f.setup(m)
 	pcs := make([]sim.VarID, f.P)
 	for pid := 0; pid < f.P; pid++ {
 		pcs[pid] = m.NewRegVar(fmt.Sprintf("fftPC[%d]", pid), 0)
@@ -89,7 +108,7 @@ func (f FFT) Pairwise(m *sim.Machine) [][]sim.Op {
 	for pid := 0; pid < f.P; pid++ {
 		var ops []sim.Op
 		for s := 1; s <= stages; s++ {
-			ops = append(ops, f.stageOp(v, pid, s))
+			ops = append(ops, f.stageOp(st, pid, s))
 			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), fmt.Sprintf("fft:mark p%d s%d", pid, s)))
 			if s < stages {
 				next := pid ^ (1 << s) // stage s+1 partner (distance 2^s)
@@ -104,13 +123,13 @@ func (f FFT) Pairwise(m *sim.Machine) [][]sim.Op {
 // WithBarrier builds the conventional alternative: a full barrier between
 // stages (as in the paper's reference [7]).
 func (f FFT) WithBarrier(m *sim.Machine, b BarrierOps) [][]sim.Op {
-	v := f.Setup(m.Mem())
+	st := f.setup(m)
 	stages := f.Stages()
 	progs := make([][]sim.Op, f.P)
 	for pid := 0; pid < f.P; pid++ {
 		var ops []sim.Op
 		for s := 1; s <= stages; s++ {
-			ops = append(ops, f.stageOp(v, pid, s))
+			ops = append(ops, f.stageOp(st, pid, s))
 			if s < stages {
 				ops = append(ops, b(pid, int64(s))...)
 			}

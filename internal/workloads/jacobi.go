@@ -53,21 +53,40 @@ func (j Jacobi) SerialMem() (*sim.Mem, int64) {
 	return mem, int64(j.Sweeps) * n * j.Cost
 }
 
+// jacobiSweeps is one run's strip sweep as a sim.Effect: an op's Arg names
+// processor pid's sweep s as s*P+pid.
+type jacobiSweeps struct {
+	j Jacobi
+	u *sim.Grid
+}
+
+// Apply implements sim.Effect.
+func (sw *jacobiSweeps) Apply(arg int64) {
+	j, u := sw.j, sw.u
+	sweep, pid := arg/int64(j.P), arg%int64(j.P)
+	lo := pid * j.Strip
+	for c := lo; c < lo+j.Strip; c++ {
+		u.Set(sweep, c, (u.Get(sweep-1, c-1)+u.Get(sweep-1, c+1))/2)
+	}
+}
+
+// setup declares the run's buffers and returns its sweep effect.
+func (j Jacobi) setup(m *sim.Machine) *jacobiSweeps {
+	return &jacobiSweeps{j: j, u: j.Setup(m.Mem())}
+}
+
 // sweepOp builds processor pid's compute for one sweep over its strip.
-func (j Jacobi) sweepOp(u *sim.Grid, pid, sweep int) sim.Op {
-	return sim.Compute(j.Strip*j.Cost, func() {
-		lo := int64(pid) * j.Strip
-		for c := lo; c < lo+j.Strip; c++ {
-			u.Set(int64(sweep), c, (u.Get(int64(sweep-1), c-1)+u.Get(int64(sweep-1), c+1))/2)
-		}
-	}, fmt.Sprintf("jacobi p%d s%d", pid, sweep))
+func (j Jacobi) sweepOp(sw *jacobiSweeps, pid, sweep int) sim.Op {
+	op := sim.Compute(j.Strip*j.Cost, sw, int64(sweep*j.P+pid), "")
+	op.Tag = sim.Tagf("jacobi p%d s%d", int64(pid), int64(sweep))
+	return op
 }
 
 // NeighborSync builds the paper's regime: after sweep s a processor marks
 // its own PC and waits only for its left and right neighbors to finish
 // sweep s before starting sweep s+1. Run with m.RunProcesses.
 func (j Jacobi) NeighborSync(m *sim.Machine) [][]sim.Op {
-	u := j.Setup(m.Mem())
+	sw := j.setup(m)
 	pcs := make([]sim.VarID, j.P)
 	for pid := 0; pid < j.P; pid++ {
 		pcs[pid] = m.NewRegVar(fmt.Sprintf("jacPC[%d]", pid), 0)
@@ -76,7 +95,7 @@ func (j Jacobi) NeighborSync(m *sim.Machine) [][]sim.Op {
 	for pid := 0; pid < j.P; pid++ {
 		var ops []sim.Op
 		for s := 1; s <= j.Sweeps; s++ {
-			ops = append(ops, j.sweepOp(u, pid, s))
+			ops = append(ops, j.sweepOp(sw, pid, s))
 			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), fmt.Sprintf("jac:mark p%d s%d", pid, s)))
 			if s < j.Sweeps {
 				if pid > 0 {
@@ -95,12 +114,12 @@ func (j Jacobi) NeighborSync(m *sim.Machine) [][]sim.Op {
 // WithBarrier builds the conventional alternative: a global barrier
 // between sweeps.
 func (j Jacobi) WithBarrier(m *sim.Machine, b BarrierOps) [][]sim.Op {
-	u := j.Setup(m.Mem())
+	sw := j.setup(m)
 	progs := make([][]sim.Op, j.P)
 	for pid := 0; pid < j.P; pid++ {
 		var ops []sim.Op
 		for s := 1; s <= j.Sweeps; s++ {
-			ops = append(ops, j.sweepOp(u, pid, s))
+			ops = append(ops, j.sweepOp(sw, pid, s))
 			if s < j.Sweeps {
 				ops = append(ops, b(pid, int64(s))...)
 			}

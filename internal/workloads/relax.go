@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"github.com/csrd-repro/datasync/internal/core"
 	"github.com/csrd-repro/datasync/internal/loop"
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -50,11 +48,29 @@ func (r Relax) SerialMem() (*sim.Mem, int64) {
 	return mem, (r.N - 1) * (r.N - 1) * r.Cost
 }
 
+// cells is the cell update of one relaxation run as a sim.Effect: an op's
+// Arg names its cell (i, j) as i*stride+j, with stride N+1.
+type cells struct {
+	a      *sim.Grid
+	stride int64
+}
+
+// Apply implements sim.Effect.
+func (c *cells) Apply(arg int64) {
+	i, j := arg/c.stride, arg%c.stride
+	c.a.Set(i, j, c.a.Get(i-1, j)+c.a.Get(i, j-1))
+}
+
+// setup declares the run's grid and returns its cell-update effect.
+func (r Relax) setup(m *sim.Machine) *cells {
+	return &cells{a: r.SetupGrid(m.Mem()), stride: r.N + 1}
+}
+
 // cell returns the compute op for one cell update.
-func (r Relax) cell(a *sim.Grid, i, j int64) sim.Op {
-	return sim.Compute(r.Cost, func() {
-		a.Set(i, j, a.Get(i-1, j)+a.Get(i, j-1))
-	}, fmt.Sprintf("relax(%d,%d)", i, j))
+func (r Relax) cell(c *cells, i, j int64) sim.Op {
+	op := sim.Compute(r.Cost, c, i*c.stride+j, "")
+	op.Tag = sim.Tagf("relax(%d,%d)", i, j)
+	return op
 }
 
 // groups returns the inner-loop group boundaries.
@@ -70,7 +86,7 @@ func (r Relax) SyncPoints() int64 { return int64(len(r.groups())) }
 // group and transfer_PC at the end. Run it with m.RunLoop(r.N-1, prog).
 func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 	pcs := core.NewSimPCs(m, x)
-	a := r.SetupGrid(m.Mem())
+	c := r.setup(m)
 	groups := r.groups()
 	return func(ops []sim.Op, lpid int64) []sim.Op {
 		i := lpid + 1 // process executes outer iteration I = lpid+1
@@ -82,7 +98,7 @@ func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 				ops = append(ops, pcs.WaitPC(lpid, 1, k))
 			}
 			for j := k; j <= end; j++ {
-				ops = append(ops, r.cell(a, i, j))
+				ops = append(ops, r.cell(c, i, j))
 			}
 			ops = append(ops, pcs.MarkPC(lpid, k))
 		}
@@ -102,7 +118,7 @@ func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 // the dedicated-counter pipeline.
 func (r Relax) PipelinedSC(m *sim.Machine, k int) sim.Program {
 	scs := stmtorient.NewSimSCs(m, k)
-	a := r.SetupGrid(m.Mem())
+	c := r.setup(m)
 	groups := r.groups()
 	// classCount[m] = number of groups folded onto SC m.
 	classCount := make([]int64, k)
@@ -120,7 +136,7 @@ func (r Relax) PipelinedSC(m *sim.Machine, k int) sim.Program {
 				ops = append(ops, scs.AwaitOp(int64(gi), (lpid-2)*cnt+rank+1))
 			}
 			for j := g[0]; j <= g[1]; j++ {
-				ops = append(ops, r.cell(a, i, j))
+				ops = append(ops, r.cell(c, i, j))
 			}
 			ops = scs.AdvanceOps(ops, int64(gi), (lpid-1)*cnt+rank+1)
 		}
@@ -135,7 +151,7 @@ type BarrierOps func(pid int, round int64) []sim.Op
 // front, processor pid computes every front cell whose rank ≡ pid (mod P),
 // then all processors meet at a barrier. Run with m.RunProcesses.
 func (r Relax) Wavefront(m *sim.Machine, barrier BarrierOps) [][]sim.Op {
-	a := r.SetupGrid(m.Mem())
+	cs := r.setup(m)
 	p := m.Config().Processors
 	nest := loop.MustNew([]loop.Index{
 		{Name: "I", Lo: 2, Hi: r.N}, {Name: "J", Lo: 2, Hi: r.N}}, nil)
@@ -146,7 +162,7 @@ func (r Relax) Wavefront(m *sim.Machine, barrier BarrierOps) [][]sim.Op {
 		for f, front := range fronts {
 			for c, idx := range front {
 				if c%p == pid {
-					ops = append(ops, r.cell(a, idx[0], idx[1]))
+					ops = append(ops, r.cell(cs, idx[0], idx[1]))
 				}
 			}
 			ops = append(ops, barrier(pid, int64(f)+1)...)

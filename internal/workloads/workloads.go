@@ -51,25 +51,24 @@ func Fig21(n, stmtCost int64) *codegen.Workload {
 		[]loop.Node{loop.S(s1), loop.S(s2), loop.S(s3), loop.S(s4), loop.S(s5)},
 	)
 	return &codegen.Workload{
-		Name: "fig2.1",
-		Nest: nest,
+		Name:   "fig2.1",
+		Nest:   nest,
+		Locals: 2, // t2, t3
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(idx []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{10*idx[0] + 3}
+			s1: func(idx, in, _, out []int64) {
+				out[0] = 10*idx[0] + 3
 			},
-			s2: func(_ []int64, in []int64, locals map[string]int64) []int64 {
-				locals["t2"] = in[0]
-				return nil
+			s2: func(_, in, locals, _ []int64) {
+				locals[0] = in[0] // t2
 			},
-			s3: func(_ []int64, in []int64, locals map[string]int64) []int64 {
-				locals["t3"] = in[0]
-				return nil
+			s3: func(_, in, locals, _ []int64) {
+				locals[1] = in[0] // t3
 			},
-			s4: func(_ []int64, _ []int64, locals map[string]int64) []int64 {
-				return []int64{locals["t2"] + locals["t3"]}
+			s4: func(_, _, locals, out []int64) {
+				out[0] = locals[0] + locals[1]
 			},
-			s5: func(_ []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0]}
+			s5: func(_, in, _, out []int64) {
+				out[0] = in[0]
 			},
 		},
 		Setup: func(mem *sim.Mem) {
@@ -103,14 +102,14 @@ func Nested(n, m, stmtCost int64) *codegen.Workload {
 		Name: "example2-nested",
 		Nest: nest,
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(idx []int64, _ []int64, _ map[string]int64) []int64 {
-				return []int64{idx[0]*100 + idx[1]}
+			s1: func(idx, _, _, out []int64) {
+				out[0] = idx[0]*100 + idx[1]
 			},
-			s2: func(_ []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0] + 1}
+			s2: func(_, in, _, out []int64) {
+				out[0] = in[0] + 1
 			},
-			s3: func(_ []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0] * 2}
+			s3: func(_, in, _, out []int64) {
+				out[0] = in[0] * 2
 			},
 		},
 		Setup: func(mem *sim.Mem) {
@@ -164,10 +163,10 @@ func Branchy(n, stmtCost int64) *codegen.Workload {
 		Name: "example3-branchy",
 		Nest: nest,
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(idx []int64, _ []int64, _ map[string]int64) []int64 { return []int64{idx[0] * 3} },
-			s2: func(_ []int64, in []int64, _ map[string]int64) []int64 { return []int64{in[0] + 1000} },
-			s3: func(_ []int64, in []int64, _ map[string]int64) []int64 { return []int64{in[0] - 5} },
-			s4: func(_ []int64, in []int64, _ map[string]int64) []int64 { return []int64{in[0]} },
+			s1: func(idx, _, _, out []int64) { out[0] = idx[0] * 3 },
+			s2: func(_, in, _, out []int64) { out[0] = in[0] + 1000 },
+			s3: func(_, in, _, out []int64) { out[0] = in[0] - 5 },
+			s4: func(_, in, _, out []int64) { out[0] = in[0] },
 		},
 		Setup: func(mem *sim.Mem) {
 			a := mem.Array("A", 1, n+1)
@@ -208,11 +207,11 @@ func SelfRMW(n, stmtCost int64) *codegen.Workload {
 		Name: "self-rmw",
 		Nest: nest,
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(idx []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0]*3 + idx[0]}
+			s1: func(idx, in, _, out []int64) {
+				out[0] = in[0]*3 + idx[0]
 			},
-			s2: func(_ []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0]}
+			s2: func(_, in, _, out []int64) {
+				out[0] = in[0]
 			},
 		},
 		Setup: func(mem *sim.Mem) {
@@ -245,8 +244,8 @@ func Chain(n int64, k int, stmtCost int64) *codegen.Workload {
 			Cost:   stmtCost,
 		}
 		jj := int64(j)
-		sem[s] = func(_ []int64, in []int64, _ map[string]int64) []int64 {
-			return []int64{in[0] + jj}
+		sem[s] = func(_, in, _, out []int64) {
+			out[0] = in[0] + jj
 		}
 		nodes = append(nodes, loop.S(s))
 	}
@@ -282,8 +281,8 @@ func Stencil(n, stmtCost int64) *codegen.Workload {
 		Name: "stencil",
 		Nest: nest,
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(_ []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0] + in[1]}
+			s1: func(_, in, _, out []int64) {
+				out[0] = in[0] + in[1]
 			},
 		},
 		Setup: func(mem *sim.Mem) {
@@ -305,8 +304,8 @@ func Recurrence(n, d, stmtCost int64) *codegen.Workload {
 		Name: fmt.Sprintf("recurrence(d=%d)", d),
 		Nest: nest,
 		Sem: map[*deps.Stmt]codegen.Sem{
-			s1: func(idx []int64, in []int64, _ map[string]int64) []int64 {
-				return []int64{in[0] + idx[0]}
+			s1: func(idx, in, _, out []int64) {
+				out[0] = in[0] + idx[0]
 			},
 		},
 		Setup: func(mem *sim.Mem) {
@@ -332,8 +331,8 @@ func RandomBranchy(rng *rand.Rand, n int64) *codegen.Workload {
 			Reads:  []deps.Ref{ref1(rarr, roff)},
 			Cost:   int64(1 + rng.Intn(3)),
 		}
-		sem[s] = func(idx []int64, in []int64, _ map[string]int64) []int64 {
-			return []int64{in[0]*2 + idx[0] + k}
+		sem[s] = func(idx, in, _, out []int64) {
+			out[0] = in[0]*2 + idx[0] + k
 		}
 		return s
 	}
@@ -383,12 +382,12 @@ func Random(rng *rand.Rand, n int64, nStmts int) *codegen.Workload {
 			s.Reads = append(s.Reads, ref1(arrays[rng.Intn(len(arrays))], int64(rng.Intn(2*margin-1)-(margin-1))))
 		}
 		k := int64(si + 1)
-		sem[s] = func(idx []int64, in []int64, _ map[string]int64) []int64 {
+		sem[s] = func(idx, in, _, out []int64) {
 			v := idx[0]*7 + k*13
 			for _, x := range in {
 				v += 3*x + 1
 			}
-			return []int64{v}
+			out[0] = v
 		}
 		nodes = append(nodes, loop.S(s))
 	}

@@ -27,8 +27,9 @@ func TestFig21Shape(t *testing.T) {
 	}
 	// Semantics: run iteration 1 by hand through the Sem closures.
 	s1 := w.Nest.Stmts()[0]
-	out := w.Sem[s1]([]int64{7}, nil, map[string]int64{})
-	if len(out) != 1 || out[0] != 73 {
+	out := make([]int64, 1)
+	w.Sem[s1]([]int64{7}, nil, make([]int64, w.Locals), out)
+	if out[0] != 73 {
 		t.Errorf("S1 semantics = %v, want [73]", out)
 	}
 }

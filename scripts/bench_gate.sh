@@ -3,10 +3,11 @@
 #
 # Measures a fresh benchmark snapshot of the canonical workload x scheme grid
 # and compares it against the committed baseline (the highest-numbered
-# BENCH_*.json at the repo root). Fails when normalized cycle throughput —
-# simulated cycles per wall second, scaled by the host calibration loop so
-# baselines recorded on other machines stay comparable — regresses by more
-# than GATE_PCT percent.
+# BENCH_*.json at the repo root). Fails when any point's simulated fields
+# differ from the baseline, when a point is in only one snapshot, or when
+# normalized cycle throughput — simulated cycles per wall second, scaled by
+# the host calibration loop so baselines recorded on other machines stay
+# comparable — regresses by more than GATE_PCT percent.
 #
 # Environment:
 #   GATE_PCT          regression threshold in percent (default 10)
