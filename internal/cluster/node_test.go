@@ -261,17 +261,8 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4}, Chunk: []int64{1, 2, 4}},
 	}
-	_, keys, err := service.SweepPointKeys(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := tc.nodes[0].Ring()
-	ownerCount := map[string]int{}
-	for _, k := range keys {
-		ownerCount[ring.Owner(k).ID]++
-	}
-	if len(ownerCount) != 3 {
-		t.Fatalf("grid's 12 keys spread over %d of 3 members (%v); enlarge the test grid", len(ownerCount), ownerCount)
+	if owners := chainOwners(t, tc.nodes[0].Ring(), sweep); len(owners) != 3 {
+		t.Fatalf("grid's chains placed on %d of 3 members (%v); enlarge the test grid", len(owners), owners)
 	}
 
 	// Kill node 2 before the sweep: its sub-grids must be dispatched, fail,

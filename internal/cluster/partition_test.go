@@ -109,16 +109,10 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4}, Chunk: []int64{1, 2, 4}},
 	}
-	_, keys, err := service.SweepPointKeys(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerCount := map[string]int{}
-	for _, k := range keys {
-		ownerCount[tc.nodes[0].Ring().Owner(k).ID]++
-	}
-	if len(ownerCount) != 3 {
-		t.Fatalf("grid's 12 keys spread over %d of 3 members (%v); enlarge the test grid", len(ownerCount), ownerCount)
+	// Every member, the skewed executor included, must be handed a chain
+	// for its fence to be exercised.
+	if owners := chainOwners(t, tc.nodes[0].Ring(), sweep); len(owners) != 3 {
+		t.Fatalf("grid's chains placed on %d of 3 members (%v); enlarge the test grid", len(owners), owners)
 	}
 
 	// Skew the views: the executor n1 has demoted n2, the coordinator n0

@@ -22,9 +22,12 @@ import (
 // plan stay finished.
 const maxSweepPlans = 5
 
-// sweepTask is one owner-aligned sub-grid of a sweep: indices into the full
-// point list, preferring execution on the node that owns those keys (so
+// sweepTask is one owner-aligned sub-grid of a sweep: whole evaluation
+// chains (service.SweepChains) as indices into the full point list,
+// preferring execution on the node that owns the chains' first keys (so
 // results land in — and later hit — the owner's shard of the cluster cache).
+// A chain never spans two tasks: the executor collapses a chain's points
+// onto its evaluated ones, which needs the whole chain on one node.
 type sweepTask struct {
 	owner   string
 	indices []int
@@ -32,7 +35,11 @@ type sweepTask struct {
 
 // sweepRun coordinates one cluster-wide sweep with work-stealing. One
 // worker per live member drains a per-owner task queue; a worker whose own
-// queue is empty steals from the longest remaining queue. A peer that stops
+// queue is empty steals from the longest remaining queue of an owner that
+// cannot take it itself now: one executing a task, or one whose worker has
+// exited. An owner's first task is therefore always dispatched to the owner,
+// so an executor whose view is skewed fences off the plan before any of its
+// work can be stolen, and an idle owner keeps its keys' results. A peer that stops
 // answering is marked dead, its in-flight task is requeued, and its worker
 // exits — survivors (always including self, which executes in-process and
 // cannot die) steal the orphaned tasks, so the sweep completes with a
@@ -51,6 +58,11 @@ type sweepRun struct {
 	queues  map[string][]*sweepTask
 	pending int  // tasks queued or executing; 0 means the sweep is drained
 	skewed  bool // a dispatch was fenced off: abort this plan, re-plan
+	// busy counts the tasks each member's worker is executing; working
+	// marks the members whose worker is running. Only the queue of an
+	// owner that is busy or has no worker may be stolen from.
+	busy    map[string]int
+	working map[string]bool
 
 	points []service.SweepPoint
 	done   []bool
@@ -114,6 +126,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 
 	// points and done persist across re-plans: a fence reject aborts the
 	// plan, never the results already merged under it.
+	chains := service.SweepChains(req, sels)
 	points := make([]service.SweepPoint, len(sels))
 	done := make([]bool, len(sels))
 
@@ -149,21 +162,22 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		}
 		run.cond = sync.NewCond(&run.mu)
 
-		// Owner-aligned sub-grids over the not-yet-done points: group
-		// indices by the owning member on this plan's live ring, then chunk
-		// each group so stealing has useful granularity.
-		byOwner := make(map[string][]int)
-		for i, k := range keys {
-			if done[i] {
+		// Owner-aligned sub-grids over the not-yet-done chains: place each
+		// chain on the member owning its first point's key on this plan's
+		// live ring, then pack each member's chains into tasks of about
+		// StealChunk points so stealing has useful granularity. Tasks
+		// finish whole, so a chain is done or undone as a whole.
+		byOwner := make(map[string][][]int)
+		for _, c := range chains {
+			if done[c[0]] {
 				continue
 			}
-			id := ring.Owner(k).ID
-			byOwner[id] = append(byOwner[id], i)
+			id := ring.Owner(keys[c[0]]).ID
+			byOwner[id] = append(byOwner[id], c)
 		}
-		for id, idx := range byOwner {
-			for start := 0; start < len(idx); start += n.opts.StealChunk {
-				end := min(start+n.opts.StealChunk, len(idx))
-				run.queues[id] = append(run.queues[id], &sweepTask{owner: id, indices: idx[start:end]})
+		for id, cs := range byOwner {
+			for _, idx := range packChains(cs, n.opts.StealChunk) {
+				run.queues[id] = append(run.queues[id], &sweepTask{owner: id, indices: idx})
 				run.pending++
 			}
 		}
@@ -215,6 +229,24 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 	enc.Encode(resp)
 }
 
+// packChains packs chains, in order, into tasks of at most size points; a
+// chain longer than size is a task of its own.
+func packChains(chains [][]int, size int) [][]int {
+	var tasks [][]int
+	var cur []int
+	for _, c := range chains {
+		if len(cur) > 0 && len(cur)+len(c) > size {
+			tasks = append(tasks, cur)
+			cur = nil
+		}
+		cur = append(cur, c...)
+	}
+	if len(cur) > 0 {
+		tasks = append(tasks, cur)
+	}
+	return tasks
+}
+
 // execute runs one worker per live member and waits for this plan to drain,
 // abort on a fence reject, or see the request context end. It reports
 // whether the plan was fenced off (the coordinator then re-plans); points
@@ -229,8 +261,17 @@ func (run *sweepRun) execute(ctx context.Context) bool {
 	})
 	defer stop()
 
+	members := run.n.ring.Load().Members()
+	run.mu.Lock()
+	run.busy = make(map[string]int)
+	run.working = make(map[string]bool)
+	for _, m := range members {
+		run.working[m.ID] = true
+	}
+	run.mu.Unlock()
+
 	var wg sync.WaitGroup
-	for _, m := range run.n.ring.Load().Members() {
+	for _, m := range members {
 		wg.Add(1)
 		go func(m Member) {
 			defer wg.Done()
@@ -247,19 +288,23 @@ func (run *sweepRun) execute(ctx context.Context) bool {
 // worker drains tasks for one member until the sweep completes, the
 // context ends, or the member leaves the ring mid-sweep.
 func (run *sweepRun) worker(ctx context.Context, m Member) {
+	run.mu.Lock()
+	defer func() {
+		// The member's queue becomes stealable once its worker is gone.
+		delete(run.working, m.ID)
+		run.cond.Broadcast()
+		run.mu.Unlock()
+	}()
 	for {
-		run.mu.Lock()
 		var task *sweepTask
 		var stolen bool
 		for {
 			if run.pending == 0 || run.skewed || ctx.Err() != nil {
-				run.mu.Unlock()
 				return
 			}
 			if m.ID != run.n.self.ID && !run.n.ring.Load().Has(m.ID) {
 				// The member died (another worker's call failed): its
 				// queued tasks stay stealable, but it executes nothing more.
-				run.mu.Unlock()
 				return
 			}
 			task, stolen = run.takeLocked(m.ID)
@@ -268,18 +313,28 @@ func (run *sweepRun) worker(ctx context.Context, m Member) {
 			}
 			run.cond.Wait()
 		}
+		// While the member executes, its own queue may be stolen from.
+		run.busy[m.ID]++
+		run.cond.Broadcast()
 		run.mu.Unlock()
 
 		if stolen {
 			run.n.steals.Add(1)
 		}
 		run.runTask(ctx, m, task)
+
+		run.mu.Lock()
+		run.busy[m.ID]--
 	}
 }
 
 // takeLocked pops a task for member id: its own queue first, otherwise a
-// steal from the longest other queue (ID-ordered tiebreak, so concurrent
-// runs disagree only on timing, never on which queue is "longest").
+// steal from the longest queue of another owner that is executing a task
+// or has no worker (ID-ordered tiebreak, so concurrent runs disagree only
+// on timing, never on which queue is "longest"). An owner that is idle
+// with a running worker takes its own queue: stealing from it would keep
+// its first dispatch, and with it the ring-version fence check, from ever
+// reaching it.
 func (run *sweepRun) takeLocked(id string) (*sweepTask, bool) {
 	if q := run.queues[id]; len(q) > 0 {
 		run.queues[id] = q[1:]
@@ -287,7 +342,7 @@ func (run *sweepRun) takeLocked(id string) (*sweepTask, bool) {
 	}
 	owners := make([]string, 0, len(run.queues))
 	for o, q := range run.queues {
-		if o != id && len(q) > 0 {
+		if o != id && len(q) > 0 && (run.busy[o] > 0 || !run.working[o]) {
 			owners = append(owners, o)
 		}
 	}

@@ -41,6 +41,7 @@ func (s *SimPCs) slot(iter int64) sim.VarID { return s.base + sim.VarID(Fold(ite
 func (s *SimPCs) GetPC(iter int64) sim.Op {
 	op := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
 	op.Tag = sim.Tagf("get_PC i=%d", iter)
+	op.OwnCheck = true
 	return op
 }
 
@@ -86,6 +87,7 @@ func (s *SimPCs) MarkPC(iter, step int64) sim.Op {
 	owned := PC{Owner: iter, Step: 0}.Pack()
 	op := sim.WriteVarIfGE(s.slot(iter), want, owned, "")
 	op.Tag = sim.Tagf("mark_PC(%d) i=%d", step, iter)
+	op.OwnCheck = true
 	return op
 }
 
@@ -95,6 +97,7 @@ func (s *SimPCs) MarkPC(iter, step int64) sim.Op {
 func (s *SimPCs) TransferPCOps(dst []sim.Op, iter int64) []sim.Op {
 	own := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
 	own.Tag = sim.Tagf("transfer_PC:own i=%d", iter)
+	own.OwnCheck = true
 	release := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
 	release.Tag = sim.Tagf("transfer_PC:release i=%d", iter)
 	return append(dst, own, release)

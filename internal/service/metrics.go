@@ -29,13 +29,27 @@ func (h *histogram) observe(sec float64) {
 	h.n++
 }
 
+// sweepOutcome is how a sweep point got its result.
+type sweepOutcome uint8
+
+const (
+	pointSimulated sweepOutcome = iota // run on the pool
+	pointCached                        // served by the cache
+	pointCollapsed                     // copied from a neighbour a run witness proved equal
+	numSweepOutcomes
+)
+
+var sweepOutcomeNames = [numSweepOutcomes]string{"simulated", "cached", "collapsed"}
+
 // Metrics is the observability surface: request counters by route and
-// status, and per-scheme job latency histograms, rendered in the Prometheus
-// text exposition format together with pool and cache gauges.
+// status, per-scheme job latency histograms and sweep point outcomes,
+// rendered in the Prometheus text exposition format together with pool and
+// cache gauges.
 type Metrics struct {
-	mu       sync.Mutex
-	requests map[string]int64 // "route|code" -> count
-	jobLat   map[string]*histogram
+	mu          sync.Mutex
+	requests    map[string]int64 // "route|code" -> count
+	jobLat      map[string]*histogram
+	sweepPoints [numSweepOutcomes]int64
 }
 
 // NewMetrics builds an empty registry.
@@ -63,6 +77,14 @@ func (m *Metrics) ObserveJob(scheme string, d time.Duration) {
 		m.jobLat[scheme] = h
 	}
 	h.observe(d.Seconds())
+	m.mu.Unlock()
+}
+
+// observeSweepPoint counts one successfully answered sweep point by how
+// it got its result.
+func (m *Metrics) observeSweepPoint(o sweepOutcome) {
+	m.mu.Lock()
+	m.sweepPoints[o]++
 	m.mu.Unlock()
 }
 
@@ -117,6 +139,11 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 			route, code = k[:i], k[i+1:]
 		}
 		fmt.Fprintf(w, "dsserve_requests_total{route=%q,code=%q} %d\n", route, code, m.requests[k])
+	}
+
+	fmt.Fprintf(w, "# HELP dsserve_sweep_points_total Sweep points answered on this node: simulated, served by the cache, or collapsed onto an evaluated point a run witness proved equal.\n# TYPE dsserve_sweep_points_total counter\n")
+	for o, name := range sweepOutcomeNames {
+		fmt.Fprintf(w, "dsserve_sweep_points_total{outcome=%q} %d\n", name, m.sweepPoints[o])
 	}
 
 	schemes := make([]string, 0, len(m.jobLat))

@@ -96,10 +96,7 @@ func SchemeNames() []string {
 // scheme carries per-run renamed storage, so scheme values must never be
 // shared between runs.
 func (s SchemeSpec) Build() (codegen.Scheme, error) {
-	x := s.X
-	if x <= 0 {
-		x = 8
-	}
+	x := s.foldedPCs()
 	g := s.G
 	if g <= 0 {
 		g = 1
@@ -121,6 +118,15 @@ func (s SchemeSpec) Build() (codegen.Scheme, error) {
 		return nil, fmt.Errorf("scheme: name required (one of %v)", SchemeNames())
 	}
 	return nil, fmt.Errorf("unknown scheme %q (one of %v)", s.Name, SchemeNames())
+}
+
+// foldedPCs is the number X of folded process counters the scheme is built
+// with: the requested X, or the default of 8.
+func (s SchemeSpec) foldedPCs() int {
+	if s.X <= 0 {
+		return 8
+	}
+	return s.X
 }
 
 // Verifiable reports whether the scheme is in scope for the static

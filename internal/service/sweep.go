@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/csrd-repro/datasync/internal/cache"
+	"github.com/csrd-repro/datasync/internal/codegen"
 )
 
 // maxSweepPoints caps one sweep request's grid: large studies should be
@@ -202,10 +203,99 @@ func SweepPointKeys(req SweepRequest) ([]GridSel, []cache.Key, error) {
 	return sels, keys, nil
 }
 
+// collapseAxis is the grid dimension along which a scheme's sweep points
+// are chained, so that a run witness of one point can answer the next
+// (DESIGN.md "Sweep collapse").
+type collapseAxis uint8
+
+const (
+	// alongNone: every point is its own chain.
+	alongNone collapseAxis = iota
+	// alongX: the process schemes, chained in ascending X at fixed
+	// (P, chunk, G, busLatency). A bus-free run answers every X; an
+	// ownership-prompt run answers every multiple of its X.
+	alongX
+	// alongBus: ref and instance, whose runs ignore X, chained in
+	// ascending busLatency at fixed (P, chunk, G). A bus-free run answers
+	// every latency.
+	alongBus
+)
+
+func collapseAxisOf(scheme string) collapseAxis {
+	switch scheme {
+	case "process", "process-basic":
+		return alongX
+	case "ref", "instance":
+		return alongBus
+	}
+	return alongNone
+}
+
+// SweepChains groups the points sels of the sweep req (indices into sels)
+// into the chains EvalSweep evaluates, each in the order it evaluates them.
+// A chain holds every point that differs from the others only along the
+// scheme's collapse axis, so it is the same whether computed over a whole
+// grid or over any sub-grid holding it whole: the cluster coordinator
+// places and packs whole chains, and the executor that receives them
+// rebuilds the same chains. Chains are listed in grid order of their first
+// point.
+func SweepChains(req SweepRequest, sels []GridSel) [][]int {
+	axis := collapseAxisOf(req.Scheme.Name)
+	type chainKey struct {
+		x        int
+		p        int
+		chunk, g int64
+		hasG     bool
+		lat      int64
+	}
+	pos := make(map[chainKey]int)
+	var chains [][]int
+	for i, sel := range sels {
+		k := chainKey{x: sel.X, p: sel.P, chunk: sel.Chunk, g: sel.G, hasG: sel.HasG, lat: sel.BusLatency}
+		switch axis {
+		case alongNone:
+			chains = append(chains, []int{i})
+			continue
+		case alongX:
+			k.x = 0
+		case alongBus:
+			k.x, k.lat = 0, 0
+		}
+		c, ok := pos[k]
+		if !ok {
+			c = len(chains)
+			pos[k] = c
+			chains = append(chains, nil)
+		}
+		chains[c] = append(chains[c], i)
+	}
+	for _, c := range chains {
+		sort.SliceStable(c, func(a, b int) bool {
+			sa, sb := sels[c[a]], sels[c[b]]
+			if axis == alongBus {
+				return sa.BusLatency < sb.BusLatency
+			}
+			return pointX(req, sa) < pointX(req, sb)
+		})
+	}
+	return chains
+}
+
+// pointX is the number of folded process counters point sel runs with.
+func pointX(req SweepRequest, sel GridSel) int {
+	sspec, _ := pointSpecs(req, sel)
+	return sspec.foldedPCs()
+}
+
 // EvalSweep evaluates one sweep request on this server's pool and cache.
 // It is the engine behind POST /sweep and the per-node execution step of
 // the cluster's work-stealing sweep dispatch. The returned error covers
 // only an unbuildable request; per-point failures ride in the points.
+//
+// Points are evaluated chain by chain (SweepChains), the chains
+// concurrently. Within a chain a point whose result a run witness of an
+// earlier evaluated point proves equal is not simulated: it copies that
+// point's result (DESIGN.md "Sweep collapse").
 func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
 	wl, err := req.Workload.Build()
 	if err != nil {
@@ -219,32 +309,18 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 		return nil, err
 	}
 
-	// Fan the grid across the pool. The caller's goroutine is not a pool
+	// Fan the chains across the pool. The caller's goroutine is not a pool
 	// worker, so waiting for a queue slot (SubmitWait via patientCtx)
 	// cannot deadlock the pool; interactive /run traffic keeps its
 	// fail-fast 429 behaviour while a sweep patiently shares capacity.
 	ctx = patientCtx(ctx)
 	resp := &SweepResponse{Workload: wl.Name, Points: make([]SweepPoint, len(points))}
 	var wg sync.WaitGroup
-	for i, sel := range points {
-		i := i
-		sspec, cspec := pointSpecs(req, sel)
-		pt := sweepPoint(req, sel)
+	for _, chain := range SweepChains(req, points) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rr, _, err := s.evalRun(ctx, wl, sspec, cspec.SimConfig())
-			if err != nil {
-				pt.Error = OneLine(err)
-			} else {
-				pt.Scheme = rr.Scheme
-				pt.Cached = rr.Cached
-				pt.Cycles = rr.Cycles
-				pt.SyncTraffic = rr.BusTx + rr.Polls
-				pt.SyncOps = rr.SyncOps
-				pt.Speedup = rr.Speedup
-			}
-			resp.Points[i] = pt
+			s.evalChain(ctx, wl, req, points, chain, resp.Points)
 		}()
 	}
 	wg.Wait()
@@ -261,6 +337,64 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 	}
 	resp.Pareto = ParetoFront(resp.Points)
 	return resp, nil
+}
+
+// evalChain evaluates the points chain of sels in order into out. A point
+// is answered by the latest evaluated point of the chain whose witness
+// covers it: a bus-free run covers every later point, an ownership-prompt
+// run of a process scheme every later point whose X is a multiple of its
+// own. A covered point keeps its own coordinates and scheme name, takes the
+// covering point's result and cache provenance, and writes no cache entry.
+// Every other point is evaluated through the cache and the pool.
+func (s *Server) evalChain(ctx context.Context, wl *codegen.Workload, req SweepRequest, sels []GridSel, chain []int, out []SweepPoint) {
+	axis := collapseAxisOf(req.Scheme.Name)
+	type witness struct {
+		i                  int // index of the evaluated point
+		x                  int
+		busFree, ownPrompt bool
+	}
+	var evaluated []witness
+	for _, i := range chain {
+		sspec, cspec := pointSpecs(req, sels[i])
+		pt := sweepPoint(req, sels[i])
+		x := sspec.foldedPCs()
+		cover := -1
+		for j := len(evaluated) - 1; j >= 0 && cover < 0; j-- {
+			w := evaluated[j]
+			if w.busFree || axis == alongX && w.ownPrompt && x%w.x == 0 {
+				cover = w.i
+			}
+		}
+		if cover >= 0 {
+			sch, _ := sspec.Build() // the request's scheme built in EvalSweep
+			src := out[cover]
+			pt.Scheme = sch.Name()
+			pt.Cached = src.Cached
+			pt.Cycles, pt.SyncTraffic, pt.SyncOps, pt.Speedup = src.Cycles, src.SyncTraffic, src.SyncOps, src.Speedup
+			s.metrics.observeSweepPoint(pointCollapsed)
+			out[i] = pt
+			continue
+		}
+		rr, hit, err := s.evalRun(ctx, wl, sspec, cspec.SimConfig())
+		if err != nil {
+			pt.Error = OneLine(err)
+			out[i] = pt
+			continue
+		}
+		pt.Scheme = rr.Scheme
+		pt.Cached = rr.Cached
+		pt.Cycles = rr.Cycles
+		pt.SyncTraffic = rr.BusTx + rr.Polls
+		pt.SyncOps = rr.SyncOps
+		pt.Speedup = rr.Speedup
+		out[i] = pt
+		if hit {
+			s.metrics.observeSweepPoint(pointCached)
+		} else {
+			s.metrics.observeSweepPoint(pointSimulated)
+		}
+		evaluated = append(evaluated, witness{i: i, x: x, busFree: rr.Stats.BusFree, ownPrompt: rr.Stats.OwnershipPrompt})
+	}
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -345,6 +345,9 @@ type Machine struct {
 	busSaved  int64
 	syncOps   int64
 	polls     int64
+	// ownLate records that some ownership check (Op.OwnCheck) found its
+	// threshold not yet bus-committed; it refutes Stats.OwnershipPrompt.
+	ownLate bool
 
 	inj         *fault.Injector // nil unless cfg.FaultPlan injects simulator faults
 	staleChecks int64           // deterministic coordinate for stale-read rolls
@@ -771,6 +774,9 @@ func (m *Machine) step(p *proc) {
 		case OpWait:
 			v := &m.vars[op.Var]
 			m.syncOps++
+			if op.OwnCheck && v.committed < op.Value {
+				m.ownLate = true
+			}
 			if v.visibleTo(p.id) >= op.Value {
 				if m.inj != nil && v.res == Register {
 					m.staleChecks++
@@ -811,6 +817,9 @@ func (m *Machine) step(p *proc) {
 			m.syncOps++
 			if v.res != Register {
 				panic(fmt.Sprintf("sim: conditional write on memory variable %s", m.VarName(op.Var)))
+			}
+			if op.OwnCheck && v.committed < op.CondGE {
+				m.ownLate = true
 			}
 			if v.visibleTo(p.id) >= op.CondGE {
 				m.recordSync(p, SyncSignal, v, op.Value, &op.Tag)
@@ -1072,6 +1081,13 @@ func (m *Machine) collectStats() Stats {
 		s.Faults = m.inj.Counts()
 	}
 	s.Recovery = m.recovery
+	// The witnesses speak only for a clean run that completed: an armed
+	// simulator fault can delay, drop or reorder broadcasts behind the
+	// run's back, and recovery acts only on the halts such a plan injects.
+	if m.err == nil && m.inj == nil {
+		s.BusFree = m.busIssued == 0
+		s.OwnershipPrompt = !m.ownLate
+	}
 	return s
 }
 

@@ -99,7 +99,7 @@ func (f EffectFunc) Apply(arg int64) { f(arg) }
 
 // Op is one step of a process program. Programs are rebuilt every
 // iteration, so the fields are ordered to keep the struct small: the
-// narrow Var, Kind and HasPost share the last word.
+// narrow Var, Kind, HasPost and OwnCheck share the last word.
 type Op struct {
 	Cycles int64             // OpCompute duration
 	Value  int64             // OpWrite value / OpWait threshold
@@ -133,6 +133,11 @@ type Op struct {
 	Var     VarID // sync-op target
 	Kind    OpKind
 	HasPost bool
+	// OwnCheck marks an ownership check of a folded process counter: the
+	// wait of get_PC or transfer_PC, or the guard of the improved mark_PC.
+	// The machine records whether every such check found its threshold
+	// already bus-committed (Stats.OwnershipPrompt).
+	OwnCheck bool
 }
 
 func (o Op) String() string {

@@ -43,6 +43,23 @@ type Stats struct {
 	// run performed, nil when none happened (recovery disarmed, or armed
 	// but never needed).
 	Recovery *RecoveryReport
+
+	// BusFree and OwnershipPrompt are run witnesses: facts the run proved
+	// about itself, which a sweep planner uses to answer neighbouring grid
+	// points without simulating them (DESIGN.md "Sweep collapse"). They
+	// are set only for a run that completed with no simulator fault armed;
+	// false means "not proven". Neither is serialized, so the JSON of a
+	// run and every digest over it are unchanged.
+	//
+	// BusFree: no register write reached the sync bus, the only reader of
+	// BusLatency and BusCoverage, so the run is the same at every bus
+	// latency.
+	BusFree bool `json:"-"`
+	// OwnershipPrompt: every ownership check of a folded process counter
+	// (Op.OwnCheck) found its threshold already bus-committed, so no
+	// iteration ever waited for, or read early, the ownership of its
+	// PC[i mod X] slot. The run is then the same at any multiple of X.
+	OwnershipPrompt bool `json:"-"`
 }
 
 // BusyTotal sums busy cycles over processors.
