@@ -35,7 +35,7 @@ func TestRequestKeySensitivity(t *testing.T) {
 		"workload extent": RequestKey(workloads.Fig21(41, 4), "ref", canonCfg),
 		"statement cost":  RequestKey(workloads.Fig21(40, 5), "ref", canonCfg),
 		"scheme":          RequestKey(workloads.Fig21(40, 4), "process(X=8,improved)", canonCfg),
-		"extra":           RequestKey(workloads.Fig21(40, 4), "ref", canonCfg, "mode=verify"),
+		"verify extra":    VerifyKey(workloads.Fig21(40, 4), "ref", canonCfg, false, 0),
 	}
 	cfgMuts := map[string]func(*sim.Config){
 		"Processors":    func(c *sim.Config) { c.Processors = 4 },

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,6 +469,76 @@ func TestGossipConvergesOnIntersection(t *testing.T) {
 	}
 	if n.Ring().Size() != 2 {
 		t.Errorf("live ring size = %d, want 2 (a, b)", n.Ring().Size())
+	}
+}
+
+// TestGossipDoesNotUndoFirsthandReadmission is the regression test for the
+// rejoin flap behind an intermittent ring-version mismatch in
+// TestClusterKillReplicaServeRestartRejoin. Two survivors of a restarted
+// node readmit it on their own probes, one probe interval apart. The first
+// then probed the second, read "not alive" from a view the second had not
+// yet refreshed, and demoted the node again, so right after the second
+// survivor's readmission the rings disagreed. A gossiped demotion must
+// rest on evidence newer than this node's own: a report whose last failure
+// to reach the member predates the start of this node's unbroken run of
+// successful probes is stale, while a fresh failure still demotes (the
+// intersection rule for asymmetric partitions).
+func TestGossipDoesNotUndoFirsthandReadmission(t *testing.T) {
+	var cUp atomic.Bool
+	stubC := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := "nobody" // a wrong identity is a failed probe
+		if cUp.Load() {
+			id = "c"
+		}
+		json.NewEncoder(w).Encode(map[string]any{"node": id})
+	}))
+	defer stubC.Close()
+	var failedAgo atomic.Int64 // b's last failure to reach c, µs before its answer
+	stubB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{
+			"node": "b",
+			"peers": []map[string]any{
+				{"id": "c", "alive": false, "unreachableAgoUs": failedAgo.Load()},
+			},
+		})
+	}))
+	defer stubB.Close()
+
+	members := []Member{{ID: "a", Addr: "http://127.0.0.1:1"}, {ID: "b", Addr: stubB.URL}, {ID: "c", Addr: stubC.URL}}
+	n := quietNode(t, Options{Self: "a", SuspectAfter: 2, RejoinAfter: 2, DemoteCooldown: -1, Replicas: -1}, members)
+	b, c := members[1], members[2]
+
+	// c goes down and a demotes it on its own probes; b, which also lost
+	// c, last failed to reach it ten seconds before it came back.
+	n.probeOne(c)
+	n.probeOne(c)
+	if got := n.PeerState("c"); got != "demoted" {
+		t.Fatalf("c after SuspectAfter failed probes: %q, want demoted", got)
+	}
+	failedAgo.Store((10 * time.Second).Microseconds())
+	cUp.Store(true)
+	n.probeOne(c)
+	n.probeOne(c)
+	if got := n.PeerState("c"); got != "alive" {
+		t.Fatalf("c after RejoinAfter successful probes: %q, want alive", got)
+	}
+
+	// b has not re-probed c yet: its stale view must not undo a's
+	// firsthand readmission.
+	n.probeOne(b)
+	if got := n.PeerState("c"); got != "alive" {
+		t.Fatalf("c after b's stale gossip: %q, want alive (a saw c answer after b last failed to reach it)", got)
+	}
+	if n.Ring().Size() != 3 {
+		t.Fatalf("live ring size %d after stale gossip, want 3", n.Ring().Size())
+	}
+
+	// b failing to reach c now is fresh evidence: a demotes c, converging
+	// on the intersection of the two live sets.
+	failedAgo.Store(0)
+	n.probeOne(b)
+	if got := n.PeerState("c"); got != "demoted" {
+		t.Errorf("c after b's fresh gossip: %q, want demoted", got)
 	}
 }
 

@@ -464,6 +464,10 @@ func (n *Node) demote(id string, cause demoteCause) {
 	ph.state = peerDemoted
 	ph.failures, ph.successes = 0, 0
 	ph.lastChange = now
+	if cause == causeTransport || cause == causeDrain {
+		// Firsthand evidence, like a failed probe.
+		ph.lastFailure, ph.upSince = now, time.Time{}
+	}
 	n.demotions.Add(1)
 	n.rebuildRingLocked()
 	live := n.ring.Load()
@@ -554,7 +558,8 @@ func (n *Node) Handler() http.Handler {
 }
 
 // maxBody mirrors the service's request cap; the router reads the body to
-// compute the canon key, then replays it into the inner handler.
+// prepare the request, and replays it into the inner handler when it
+// cannot.
 const maxBody = 1 << 20
 
 func (n *Node) middleware(inner http.Handler) http.Handler {
@@ -641,10 +646,13 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 	})
 }
 
-// routeOrServe computes the request's canonical content address and serves
-// it locally when this node owns it, otherwise forwards it to the owner.
-// Requests whose key cannot be computed (malformed JSON, unknown workload)
-// fall through to the local handler, which owns the error vocabulary.
+// routeOrServe prepares the request (service.Prepare: decode, build and
+// canon key, once) and serves it locally when this node owns its key,
+// otherwise forwards it to the owner. A request served here carries the
+// prepared request to the handler, which therefore neither decodes nor
+// keys it again. Requests that do not prepare (malformed JSON, unknown
+// workload) fall through to the local handler, which owns the error
+// vocabulary.
 //
 // When a forward fails, the failed peer is demoted and the loop re-reads
 // the live ring, so the next iteration targets the key's successor — the
@@ -656,17 +664,16 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read request: %w", err))
 		return
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-
-	key, ok := requestKey(r.URL.Path, body)
-	if !ok {
+	p, err := service.Prepare(r.URL.Path, bytes.NewReader(body))
+	if err != nil {
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		n.serveLocal(w, r, inner)
 		return
 	}
 	for attempt := 0; attempt <= n.opts.Replicas; attempt++ {
-		owner := n.ring.Load().Owner(key)
+		owner := n.ring.Load().Owner(p.Key)
 		if owner.ID == n.self.ID {
-			n.serveKeyed(w, r, inner, key, body)
+			n.serveKeyed(w, r, inner, p)
 			return
 		}
 		if done := n.forward(w, r, owner, body); done {
@@ -676,7 +683,7 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 	// Every routable peer is unreachable: this node — a survivor — serves
 	// the request itself. Determinism makes that safe: any node computes
 	// the same bytes.
-	n.serveKeyed(w, r, inner, key, body)
+	n.serveKeyed(w, r, inner, p)
 }
 
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Handler) {
@@ -684,59 +691,20 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 	inner.ServeHTTP(w, r)
 }
 
-// serveKeyed serves a keyed request locally, with replica accounting: when
-// the key's configured (full-membership) owner is some other node, this
-// node is standing in for it — a local cache entry then is a replica hit
-// (handoff or replication paid off), a miss means recompute. The counters
-// measure exactly what replication is for.
-func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, key cache.Key, body []byte) {
-	if n.full.Owner(key).ID != n.self.ID {
-		if n.srv.CacheHas(key) {
+// serveKeyed serves a prepared request locally, with replica accounting:
+// when the key's configured (full-membership) owner is some other node,
+// this node is standing in for it — a local cache entry then is a replica
+// hit (handoff or replication paid off), a miss means recompute. The
+// counters measure exactly what replication is for.
+func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, p *service.Prepared) {
+	if n.full.Owner(p.Key).ID != n.self.ID {
+		if n.srv.CacheHas(p.Key) {
 			n.replicaHits.Add(1)
 		} else {
 			n.replicaMisses.Add(1)
 		}
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	n.serveLocal(w, r, inner)
-}
-
-// requestKey computes the canonical content address for a routable POST
-// body. ok=false means the body does not decode into a keyable request —
-// the local handler will produce the authoritative error.
-func requestKey(path string, body []byte) (cache.Key, bool) {
-	switch path {
-	case "/run":
-		var req service.RunRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.RunKey(req)
-		return k, err == nil
-	case "/verify":
-		var req service.VerifyRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.VerifyKey(req)
-		return k, err == nil
-	case "/compile":
-		var req service.CompileRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return cache.Key{}, false
-		}
-		k, err := service.CompileRequestKey(req)
-		return k, err == nil
-	}
-	return cache.Key{}, false
-}
-
-// strictUnmarshal mirrors the service's strict decoding so the router and
-// the handler agree on what constitutes a well-formed request.
-func strictUnmarshal(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
+	n.serveLocal(w, r.WithContext(service.WithPrepared(r.Context(), p)), inner)
 }
 
 // statusClientClosedRequest is the nginx-conventional status for "the
@@ -800,18 +768,28 @@ func (n *Node) healthInfo() map[string]any {
 	ring := n.ring.Load()
 	n.peersMu.Lock()
 	peers := make([]map[string]any, 0, n.full.Size())
+	now := time.Now()
 	for _, m := range n.full.Members() {
 		state := "self"
-		if ph, ok := n.peers[m.ID]; ok {
+		ph, ok := n.peers[m.ID]
+		if ok {
 			state = ph.state.String()
 		}
-		peers = append(peers, map[string]any{
+		peer := map[string]any{
 			"id":    m.ID,
 			"addr":  m.Addr,
 			"state": state,
 			// alive is the pre-detector vocabulary: present in the live ring.
 			"alive": state != "demoted",
-		})
+		}
+		if ok && ph.state == peerDemoted && !ph.lastFailure.IsZero() {
+			// Lets a prober tell a fresh failure from a stale view
+			// (absorbGossip). The key sorts after "state", so the encoded
+			// entry keeps "id" and "state" on adjacent lines for
+			// line-oriented readers such as scripts/cluster_smoke.sh.
+			peer["unreachableAgoUs"] = now.Sub(ph.lastFailure).Microseconds()
+		}
+		peers = append(peers, peer)
 	}
 	n.peersMu.Unlock()
 	return map[string]any{

@@ -27,6 +27,14 @@ package cluster
 // consistently. Readmission is never gossiped: each node must witness the
 // recovery with its own probes, which keeps a stale third-party view from
 // resurrecting a dead peer.
+//
+// Nor may a stale view bury a recovered one. A demoted member's entry
+// carries how long ago the reporter last failed to reach it; when this
+// node has seen the member answer since then — its unbroken run of
+// successful probes began after the reporter's failure — the report is
+// older than this node's own evidence and is ignored. Without the check a
+// restarted node flapped: the survivor that readmitted it first demoted
+// it again on the gossip of a survivor whose next probe had not come yet.
 
 import (
 	"encoding/json"
@@ -64,6 +72,12 @@ type peerHealth struct {
 	lastProbe   time.Time
 	lastChange  time.Time
 	lastReadmit time.Time // gates the demote cooldown
+	// lastFailure is the last firsthand evidence the peer is gone: a
+	// failed probe, an exhausted transport or its drain announcement.
+	// upSince is when the current unbroken run of successful probes
+	// began (zero after any such failure).
+	lastFailure time.Time
+	upSince     time.Time
 }
 
 // healthzView is the slice of a peer's /healthz body the prober consumes.
@@ -73,6 +87,10 @@ type healthzView struct {
 	Peers       []struct {
 		ID    string `json:"id"`
 		Alive bool   `json:"alive"`
+		// UnreachableAgoUs is how long before answering the peer last
+		// failed to reach this member (demoted members only; absent when
+		// the peer has no firsthand failure).
+		UnreachableAgoUs *int64 `json:"unreachableAgoUs"`
 	} `json:"peers"`
 }
 
@@ -122,7 +140,7 @@ func (n *Node) probeOne(m Member) {
 	}
 	n.observeProbe(m.ID, ok)
 	if ok {
-		n.absorbGossip(m.ID, view)
+		n.absorbGossip(m.ID, view, time.Now())
 	}
 }
 
@@ -158,6 +176,9 @@ func (n *Node) observeProbe(id string, ok bool) {
 	ph.lastProbe = now
 	if ok {
 		ph.failures = 0
+		if ph.upSince.IsZero() {
+			ph.upSince = now
+		}
 		switch ph.state {
 		case peerSuspect:
 			ph.state = peerAlive
@@ -174,6 +195,7 @@ func (n *Node) observeProbe(id string, ok bool) {
 	}
 	ph.successes = 0
 	ph.failures++
+	ph.lastFailure, ph.upSince = now, time.Time{}
 	if ph.state == peerAlive {
 		ph.state = peerSuspect
 		ph.lastChange = now
@@ -186,11 +208,15 @@ func (n *Node) observeProbe(id string, ok bool) {
 	}
 }
 
-// absorbGossip folds a probed peer's view into ours: count version skew,
-// and demote (cooldown-gated) any member the peer reports not-alive that
-// we still hold alive. Never self, never the reporting peer itself — its
-// own liveness is exactly what the probe just measured firsthand.
-func (n *Node) absorbGossip(from string, view healthzView) {
+// absorbGossip folds a probed peer's view, read at time at, into ours:
+// count version skew, and demote (cooldown-gated) any member the peer
+// reports not-alive that we still hold alive — unless the report is stale:
+// the latest instant the peer's last failure to reach the member can have
+// happened (at minus its reported age) lies before our own unbroken run of
+// successful probes of that member began. Never self, never the reporting
+// peer itself — its own liveness is exactly what the probe just measured
+// firsthand.
+func (n *Node) absorbGossip(from string, view healthzView, at time.Time) {
 	if view.RingVersion != "" && view.RingVersion != n.ring.Load().Version() {
 		n.ringSkews.Add(1)
 	}
@@ -201,8 +227,10 @@ func (n *Node) absorbGossip(from string, view healthzView) {
 		n.peersMu.Lock()
 		ph, known := n.peers[p.ID]
 		holdAlive := known && ph.state != peerDemoted
+		stale := holdAlive && p.UnreachableAgoUs != nil && !ph.upSince.IsZero() &&
+			at.Add(-time.Duration(*p.UnreachableAgoUs)*time.Microsecond).Before(ph.upSince)
 		n.peersMu.Unlock()
-		if holdAlive {
+		if holdAlive && !stale {
 			n.demote(p.ID, causeGossip)
 		}
 	}

@@ -33,6 +33,7 @@ package cluster
 // demote a peer — the prober owns liveness.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -424,7 +425,7 @@ func (n *Node) readPeerJSON(w http.ResponseWriter, r *http.Request, limit int64,
 	case err != nil:
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read %s: %w", what, err))
 	default:
-		if err := strictUnmarshal(body, dst); err != nil {
+		if err := service.DecodeStrict(bytes.NewReader(body), dst); err != nil {
 			n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode %s: %w", what, err))
 			return false
 		}

@@ -95,7 +95,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 	r.Body = io.NopCloser(bytes.NewReader(body))
 
 	var req service.SweepRequest
-	if err := strictUnmarshal(body, &req); err != nil {
+	if err := service.DecodeStrict(bytes.NewReader(body), &req); err != nil {
 		n.serveLocal(w, r, inner)
 		return
 	}

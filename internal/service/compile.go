@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/frontend"
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -193,60 +194,58 @@ func compileSchemeNames(specs []SchemeSpec) ([]string, error) {
 	return names, nil
 }
 
+// compileResult is the cache value for /compile: the outcome and the
+// entry's hit body.
+type compileResult struct {
+	out CompileOutcome
+	hit hitBody
+}
+
+func (cr *compileResult) decorate(key cache.Key, hit bool) CompileResponse {
+	return CompileResponse{Key: key.String(), Cached: hit, CompileOutcome: cr.out}
+}
+
 // handleCompile serves POST /compile: content-addressed through the cache
 // (its own "compile" canon section), evaluated as a single pool job. A
 // request that lowers zero loops is an input error: 400 with the first
 // positioned diagnostic in the error field plus the full rejection list.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req CompileRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.prepared(w, r, "/compile")
+	if !ok {
 		return
 	}
-	if req.Source == "" {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("compile: source required"))
-		return
-	}
-	filename := req.Filename
-	if filename == "" {
-		filename = "input.go"
-	}
-	if err := req.Config.SimConfig().Check(); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := CompileRequestKey(req)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, hit, err := s.cache.Do(key, func() (any, error) {
-		return s.executeCompile(r.Context(), filename, req)
+	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+		return s.executeCompile(r.Context(), p.filename, p.comp)
 	})
-	s.notifyFill(key, hit, err)
+	s.notifyFill(p.Key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	resp := CompileResponse{Key: key.String(), Cached: hit, CompileOutcome: *v.(*CompileOutcome)}
-	if len(resp.Loops) == 0 {
+	cr := v.(*compileResult)
+	if len(cr.out.Loops) == 0 {
 		msg := "compile: no lowerable loops in source"
-		if len(resp.Rejected) > 0 {
-			msg = resp.Rejected[0].String()
+		if len(cr.out.Rejected) > 0 {
+			msg = cr.out.Rejected[0].String()
 		}
 		s.writeJSON(w, http.StatusBadRequest, struct {
 			Error string `json:"error"`
 			CompileResponse
-		}{Error: msg, CompileResponse: resp})
+		}{Error: msg, CompileResponse: cr.decorate(p.Key, hit)})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if hit {
+		s.writeHit(w, cr.hit.bytes(func() any { return cr.decorate(p.Key, true) }))
+		return
+	}
+	s.writeJSON(w, http.StatusOK, cr.decorate(p.Key, false))
 }
 
 // executeCompile runs the whole compile (lowering plus every loop x scheme
 // evaluation) as one bounded pool job.
-func (s *Server) executeCompile(ctx context.Context, filename string, req CompileRequest) (*CompileOutcome, error) {
+func (s *Server) executeCompile(ctx context.Context, filename string, req CompileRequest) (*compileResult, error) {
 	type outcome struct {
-		out *CompileOutcome
+		res *compileResult
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -256,14 +255,18 @@ func (s *Server) executeCompile(ctx context.Context, filename string, req Compil
 			return
 		}
 		out, err := CompileSource(filename, []byte(req.Source), req.Schemes, req.Config)
-		done <- outcome{out: out, err: err}
+		if err != nil {
+			done <- outcome{err: err}
+			return
+		}
+		done <- outcome{res: &compileResult{out: *out}}
 	})
 	if err != nil {
 		return nil, err
 	}
 	select {
 	case o := <-done:
-		return o.out, o.err
+		return o.res, o.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
 	}

@@ -4,29 +4,55 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/cache"
 )
 
-// latencyBounds are the histogram bucket upper bounds, in seconds.
-var latencyBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
+// jobBounds are the job latency histogram's bucket upper bounds, in
+// seconds.
+var jobBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
+
+// requestBounds are the request duration histogram's bucket upper bounds,
+// in seconds. They start at 50µs: a cache hit is answered in well under a
+// millisecond.
+var requestBounds = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
 type histogram struct {
-	counts [len0 + 1]int64 // one per bound, plus +Inf
+	bounds []float64
+	counts []int64 // one per bound, plus +Inf
 	sum    float64
 	n      int64
 }
 
-const len0 = 8 // len(latencyBounds); fixed so histogram is an array
+func newHistogram(bounds []float64) *histogram {
+	return &histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
 
 func (h *histogram) observe(sec float64) {
-	i := sort.SearchFloat64s(latencyBounds, sec)
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(h.bounds, sec)]++
 	h.sum += sec
 	h.n++
+}
+
+// render writes the histogram's series under one label.
+func (h *histogram) render(w io.Writer, name, label, value string) {
+	cum := int64(0)
+	for i, b := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%g\"} %d\n", name, label, value, b, cum)
+	}
+	cum += h.counts[len(h.bounds)]
+	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, cum)
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, h.sum)
+	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.n)
+}
+
+// requestSeries is one request counter series.
+type requestSeries struct {
+	route string
+	code  int
 }
 
 // sweepOutcome is how a sweep point got its result.
@@ -42,12 +68,13 @@ const (
 var sweepOutcomeNames = [numSweepOutcomes]string{"simulated", "cached", "collapsed"}
 
 // Metrics is the observability surface: request counters by route and
-// status, per-scheme job latency histograms and sweep point outcomes,
-// rendered in the Prometheus text exposition format together with pool and
-// cache gauges.
+// status, request duration histograms by route, per-scheme job latency
+// histograms and sweep point outcomes, rendered in the Prometheus text
+// exposition format together with pool and cache gauges.
 type Metrics struct {
 	mu          sync.Mutex
-	requests    map[string]int64 // "route|code" -> count
+	requests    map[requestSeries]int64
+	requestLat  map[string]*histogram // by route label
 	jobLat      map[string]*histogram
 	sweepPoints [numSweepOutcomes]int64
 }
@@ -55,15 +82,23 @@ type Metrics struct {
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests: make(map[string]int64),
-		jobLat:   make(map[string]*histogram),
+		requests:   make(map[requestSeries]int64),
+		requestLat: make(map[string]*histogram),
+		jobLat:     make(map[string]*histogram),
 	}
 }
 
-// ObserveRequest counts one finished HTTP request.
-func (m *Metrics) ObserveRequest(route string, code int) {
+// ObserveRequest counts one finished HTTP request and records its
+// duration. route must come from a bounded set (routeLabel).
+func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", route, code)]++
+	m.requests[requestSeries{route, code}]++
+	h := m.requestLat[route]
+	if h == nil {
+		h = newHistogram(requestBounds)
+		m.requestLat[route] = h
+	}
+	h.observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -73,7 +108,7 @@ func (m *Metrics) ObserveJob(scheme string, d time.Duration) {
 	m.mu.Lock()
 	h := m.jobLat[scheme]
 	if h == nil {
-		h = &histogram{}
+		h = newHistogram(jobBounds)
 		m.jobLat[scheme] = h
 	}
 	h.observe(d.Seconds())
@@ -127,18 +162,24 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	keys := make([]string, 0, len(m.requests))
+	keys := make([]requestSeries, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].route != keys[j].route {
+			return keys[i].route < keys[j].route
+		}
+		return keys[i].code < keys[j].code
+	})
 	fmt.Fprintf(w, "# TYPE dsserve_requests_total counter\n")
 	for _, k := range keys {
-		route, code := k, ""
-		if i := strings.LastIndexByte(k, '|'); i >= 0 {
-			route, code = k[:i], k[i+1:]
-		}
-		fmt.Fprintf(w, "dsserve_requests_total{route=%q,code=%q} %d\n", route, code, m.requests[k])
+		fmt.Fprintf(w, "dsserve_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
+	}
+
+	fmt.Fprintf(w, "# HELP dsserve_request_duration_seconds Request duration by route, measured by the handler of the node that served the request.\n# TYPE dsserve_request_duration_seconds histogram\n")
+	for _, route := range sortedKeys(m.requestLat) {
+		m.requestLat[route].render(w, "dsserve_request_duration_seconds", "route", route)
 	}
 
 	fmt.Fprintf(w, "# HELP dsserve_sweep_points_total Sweep points answered on this node: simulated, served by the cache, or collapsed onto an evaluated point a run witness proved equal.\n# TYPE dsserve_sweep_points_total counter\n")
@@ -146,22 +187,17 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 		fmt.Fprintf(w, "dsserve_sweep_points_total{outcome=%q} %d\n", name, m.sweepPoints[o])
 	}
 
-	schemes := make([]string, 0, len(m.jobLat))
-	for s := range m.jobLat {
-		schemes = append(schemes, s)
-	}
-	sort.Strings(schemes)
 	fmt.Fprintf(w, "# HELP dsserve_job_latency_seconds Executed job latency by scheme (cache hits excluded).\n# TYPE dsserve_job_latency_seconds histogram\n")
-	for _, s := range schemes {
-		h := m.jobLat[s]
-		cum := int64(0)
-		for i, b := range latencyBounds {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "dsserve_job_latency_seconds_bucket{scheme=%q,le=\"%g\"} %d\n", s, b, cum)
-		}
-		cum += h.counts[len0]
-		fmt.Fprintf(w, "dsserve_job_latency_seconds_bucket{scheme=%q,le=\"+Inf\"} %d\n", s, cum)
-		fmt.Fprintf(w, "dsserve_job_latency_seconds_sum{scheme=%q} %g\n", s, h.sum)
-		fmt.Fprintf(w, "dsserve_job_latency_seconds_count{scheme=%q} %d\n", s, h.n)
+	for _, s := range sortedKeys(m.jobLat) {
+		m.jobLat[s].render(w, "dsserve_job_latency_seconds", "scheme", s)
 	}
+}
+
+func sortedKeys(m map[string]*histogram) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

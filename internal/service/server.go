@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -217,66 +216,24 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// ---- canonical content addresses ----
-//
-// These are the single source of request identity, shared by the handlers
-// (cache addressing) and the cluster router (ownership): a request's canon
-// key decides both where its result is cached and which node owns it, so
-// the two can never disagree.
-
-// RunKey computes the canonical content address of a run request.
-func RunKey(req RunRequest) (cache.Key, error) {
-	wl, err := req.Workload.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	sch, err := req.Scheme.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.RequestKey(wl, sch.Name(), req.Config.SimConfig()), nil
-}
-
-// VerifyKey computes the canonical content address of a verify request: the
-// run address extended with the verification-mode discriminator.
-func VerifyKey(req VerifyRequest) (cache.Key, error) {
-	wl, err := req.Workload.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	sch, err := req.Scheme.Build()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.RequestKey(wl, sch.Name(), req.Config.SimConfig(),
-		fmt.Sprintf("mode=verify dynamic=%v maxIters=%d", req.Dynamic, req.MaxIters)), nil
-}
-
-// CompileRequestKey computes the canonical content address of a compile
-// request (defaults applied, scheme selection canonicalized to built names).
-func CompileRequestKey(req CompileRequest) (cache.Key, error) {
-	filename := req.Filename
-	if filename == "" {
-		filename = "input.go"
-	}
-	names, err := compileSchemeNames(req.Schemes)
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.CompileKey(filename, []byte(req.Source), names, req.Config.SimConfig()), nil
-}
-
 // ---- evaluation ----
 
-// runResult is the cache value for /run: everything except the per-request
-// Cached/Key decoration.
+// runResult is the cache value for /run: the response without the
+// per-request Cached/Key decoration, and the entry's hit body.
 type runResult struct {
 	resp RunResponse
+	hit  hitBody
 }
 
-// evalRun answers one run request through cache, singleflight and pool.
-// wait selects the backpressure policy: false returns ErrQueueFull to the
-// caller (turned into 429); true retries until ctx expires (sweep points).
+// decorate returns the response as served under key.
+func (rr *runResult) decorate(key cache.Key, hit bool) RunResponse {
+	resp := rr.resp
+	resp.Cached = hit
+	resp.Key = key.String()
+	return resp
+}
+
+// evalRun answers one sweep point through cache, singleflight and pool.
 func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (RunResponse, bool, error) {
 	sch, err := sspec.Build()
 	if err != nil {
@@ -285,27 +242,36 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 	if err := cfg.Check(); err != nil {
 		return RunResponse{}, false, err
 	}
-	if ok, retryAfter := s.breaker.Allow(); !ok {
-		return RunResponse{}, false, &breakerError{retryAfter: retryAfter}
-	}
 	key := cache.RequestKey(wl, sch.Name(), cfg)
+	rr, hit, err := s.doRun(ctx, key, wl, sspec, cfg)
+	if err != nil {
+		return RunResponse{}, false, err
+	}
+	return rr.decorate(key, hit), hit, nil
+}
+
+// doRun answers a built, validated and keyed run through the breaker,
+// the cache, singleflight and the pool. Outside a sweep the pool's
+// backpressure fails fast with ErrQueueFull (turned into 429); a sweep's
+// patient context waits for a queue slot instead.
+func (s *Server) doRun(ctx context.Context, key cache.Key, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, bool, error) {
+	if ok, retryAfter := s.breaker.Allow(); !ok {
+		return nil, false, &breakerError{retryAfter: retryAfter}
+	}
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeRun(ctx, wl, sspec, cfg)
 	})
 	s.notifyFill(key, hit, err)
 	if err != nil {
-		return RunResponse{}, false, err
+		return nil, false, err
 	}
-	resp := v.(*runResult).resp
-	resp.Cached = hit
-	resp.Key = key.String()
 	if hit {
 		// A cache hit never reaches executeRun's outcome observer, but it
 		// is still a served request: without this a half-open trial that
 		// lands on the cache would leave the trial slot occupied forever.
 		s.breaker.Success()
 	}
-	return resp, hit, nil
+	return v.(*runResult), hit, nil
 }
 
 // executeRun runs one simulation on the pool and packages the measurements.
@@ -415,70 +381,61 @@ func patientCtx(ctx context.Context) context.Context {
 // ---- handlers ----
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.prepared(w, r, "/run")
+	if !ok {
 		return
 	}
-	wl, err := req.Workload.Build()
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, _, err := s.evalRun(r.Context(), wl, req.Scheme, req.Config.SimConfig())
-	if err != nil {
+	rr, hit, err := s.doRun(r.Context(), p.Key, p.wl, p.run.Scheme, p.cfg)
+	switch {
+	case err != nil:
 		s.evalError(w, err)
-		return
+	case hit:
+		s.writeHit(w, rr.hit.bytes(func() any { return rr.decorate(p.Key, true) }))
+	default:
+		s.writeJSON(w, http.StatusOK, rr.decorate(p.Key, false))
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// verifyResult is the cache value for /verify: the response without the
+// per-request Cached/Key decoration, and the entry's hit body.
+type verifyResult struct {
+	resp VerifyResponse
+	hit  hitBody
+}
+
+func (vr *verifyResult) decorate(key cache.Key, hit bool) VerifyResponse {
+	resp := vr.resp
+	resp.Cached = hit
+	resp.Key = key.String()
+	return resp
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if !s.decode(w, r, &req) {
+	p, ok := s.prepared(w, r, "/verify")
+	if !ok {
 		return
 	}
-	if !req.Scheme.Verifiable() {
-		s.httpError(w, http.StatusBadRequest,
-			fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", req.Scheme.Name))
-		return
-	}
-	wl, err := req.Workload.Build()
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := req.Scheme.Build(); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.Config.SimConfig().Check(); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := VerifyKey(req)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, hit, err := s.cache.Do(key, func() (any, error) {
-		return s.executeVerify(r.Context(), wl, req)
+	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+		return s.executeVerify(r.Context(), p.wl, p.ver)
 	})
-	s.notifyFill(key, hit, err)
+	s.notifyFill(p.Key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	resp := *v.(*VerifyResponse)
-	resp.Cached = hit
-	resp.Key = key.String()
-	s.writeJSON(w, http.StatusOK, resp)
+	vr := v.(*verifyResult)
+	if hit {
+		s.writeHit(w, vr.hit.bytes(func() any { return vr.decorate(p.Key, true) }))
+		return
+	}
+	s.writeJSON(w, http.StatusOK, vr.decorate(p.Key, false))
 }
 
 // executeVerify runs the static (and optionally dynamic) checkers on the pool.
-func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req VerifyRequest) (*VerifyResponse, error) {
+func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req VerifyRequest) (*verifyResult, error) {
 	type outcome struct {
-		resp *VerifyResponse
-		err  error
+		res *verifyResult
+		err error
 	}
 	done := make(chan outcome, 1)
 	err := s.pool.Submit(func(jobCtx context.Context) {
@@ -496,11 +453,12 @@ func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req Ve
 			done <- outcome{err: err}
 			return
 		}
-		resp := &VerifyResponse{
+		res := &verifyResult{resp: VerifyResponse{
 			Workload: wl.Name,
 			Scheme:   sp.Scheme,
 			Static:   verify.Static(sp, verify.Options{MaxIters: req.MaxIters}),
-		}
+		}}
+		resp := &res.resp
 		resp.OK = resp.Static.OK()
 		if req.Dynamic {
 			// A broken scheme may deadlock or fail serial equivalence; the
@@ -520,14 +478,14 @@ func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req Ve
 				resp.OK = false
 			}
 		}
-		done <- outcome{resp: resp}
+		done <- outcome{res: res}
 	})
 	if err != nil {
 		return nil, err
 	}
 	select {
 	case o := <-done:
-		return o.resp, o.err
+		return o.res, o.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
 	}
@@ -577,12 +535,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
-// decode parses a JSON body strictly; unknown fields are an input error so
-// a typo'd parameter fails loudly instead of silently taking a default.
+// decode parses a JSON body strictly (DecodeStrict), answering the 400
+// itself when it cannot.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxBody), dst); err != nil {
 		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return false
 	}
@@ -622,9 +578,7 @@ func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeIndented(w, v); err != nil {
 		s.log.Error("encode response", "err", err)
 	}
 }
@@ -657,12 +611,13 @@ func (s *Server) logged(next http.Handler) http.Handler {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		s.metrics.ObserveRequest(routeLabel(r.URL.Path), sw.code)
+		dur := time.Since(start)
+		s.metrics.ObserveRequest(routeLabel(r.URL.Path), sw.code, dur)
 		s.log.Info("request",
 			"method", r.Method,
 			"route", r.URL.Path,
 			"status", sw.code,
-			"dur_ms", float64(time.Since(start).Microseconds())/1000,
+			"dur_ms", float64(dur.Microseconds())/1000,
 			"queue", s.pool.QueueDepth(),
 			"inflight", s.pool.InFlight(),
 		)

@@ -379,3 +379,85 @@ func TestRequestMetricRouteCardinality(t *testing.T) {
 		t.Errorf("request series after 100 unknown paths = %q, want [%q]", series, want)
 	}
 }
+
+// metricValue returns the value of the exposition line starting with
+// series, or -1 when there is none.
+func metricValue(t *testing.T, ts *httptest.Server, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			var v float64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	return -1
+}
+
+// TestRequestDurationHistogram: every served request adds one observation
+// to its route's duration histogram — a cache hit included — and paths
+// outside the routed set land only in the "other" series.
+func TestRequestDurationHistogram(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	req := RunRequest{
+		Workload: WorkloadSpec{Name: "fig21", N: 16},
+		Scheme:   SchemeSpec{Name: "process", X: 4},
+		Config:   ConfigSpec{P: 4},
+	}
+	if resp, body := post(t, ts, "/run", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fill: %d %s", resp.StatusCode, body)
+	}
+	const count = `dsserve_request_duration_seconds_count{route="/run"}`
+	if got := metricValue(t, ts, count); got != 1 {
+		t.Fatalf("%s = %v after the fill, want 1", count, got)
+	}
+	if resp, body := post(t, ts, "/run", req); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"cached": true`) {
+		t.Fatalf("second /run is not a hit: %d %s", resp.StatusCode, body)
+	}
+	if got := metricValue(t, ts, count); got != 2 {
+		t.Errorf("%s = %v after one hit, want 2", count, got)
+	}
+	// The hit is far below the top bucket: its +Inf and 5s buckets agree.
+	if inf, top := metricValue(t, ts, `dsserve_request_duration_seconds_bucket{route="/run",le="+Inf"}`),
+		metricValue(t, ts, `dsserve_request_duration_seconds_bucket{route="/run",le="5"}`); inf != 2 || top != 2 {
+		t.Errorf("/run +Inf bucket %v, 5s bucket %v, want 2 and 2", inf, top)
+	}
+
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/probe-%d", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	routes := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "dsserve_request_duration_seconds_count{route="); ok {
+			routes[strings.SplitN(rest, "}", 2)[0]] = true
+		}
+	}
+	for r := range routes {
+		switch r {
+		case `"/run"`, `"/metrics"`, `"other"`:
+		default:
+			t.Errorf("unexpected request duration series for route %s", r)
+		}
+	}
+	if got := metricValue(t, ts, `dsserve_request_duration_seconds_count{route="other"}`); got != 5 {
+		t.Errorf("other route observations = %v, want 5", got)
+	}
+}

@@ -30,10 +30,10 @@ func encodeCacheValue(k cache.Key, v any) (CacheEntry, bool) {
 	switch t := v.(type) {
 	case *runResult:
 		kind, payload = "run", t.resp
-	case *VerifyResponse:
-		kind, payload = "verify", t
-	case *CompileOutcome:
-		kind, payload = "compile", t
+	case *verifyResult:
+		kind, payload = "verify", t.resp
+	case *compileResult:
+		kind, payload = "compile", t.out
 	default:
 		return CacheEntry{}, false
 	}
@@ -69,13 +69,13 @@ func (s *Server) ImportCacheEntry(e CacheEntry) error {
 		// Strip any per-request decoration the exporter carried; it is
 		// recomputed per request.
 		resp.Cached, resp.Key = false, ""
-		v = &resp
+		v = &verifyResult{resp: resp}
 	case "compile":
 		var out CompileOutcome
 		if err := json.Unmarshal(e.Body, &out); err != nil {
 			return fmt.Errorf("service: import compile entry %s: %w", e.Key, err)
 		}
-		v = &out
+		v = &compileResult{out: out}
 	default:
 		return fmt.Errorf("service: import entry %s: unknown kind %q", e.Key, e.Kind)
 	}
