@@ -12,12 +12,13 @@
 // stealing:
 //
 //	dsserve -addr :8077 -node-id a -advertise http://10.0.0.1:8077 \
-//	        -peers b=http://10.0.0.2:8077,c=http://10.0.0.3:8077*2 \
+//	        -peers b=http://10.0.0.2:8077,c=http://10.0.0.3:8077 \
 //	        -peer-token secret
 //
 // Liveness is at GET /healthz (including the node's cluster view),
 // Prometheus-style metrics at GET /metrics. On SIGTERM or SIGINT the server
-// stops accepting connections, drains queued and in-flight jobs, and exits 0.
+// stops accepting connections, hands its cache entries to their next owners
+// (cluster members only), drains queued and in-flight jobs, and exits 0.
 package main
 
 import (
@@ -43,24 +44,19 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (full queue answers 429)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-job timeout")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive stall-class failures that open the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "shutdown budget for draining in-flight jobs")
 
 	nodeID := flag.String("node-id", "solo", "this node's stable cluster identity")
 	advertise := flag.String("advertise", "", "base URL peers reach this node at (default http://127.0.0.1<addr>)")
-	peersSpec := flag.String("peers", "", "other cluster members as id=addr[*weight],... (empty: single-node)")
+	peersSpec := flag.String("peers", "", "other cluster members as id=addr,... (empty: single-node)")
 	peerToken := flag.String("peer-token", "", "shared secret authenticating peer-forwarded requests")
-	nodeWeight := flag.Int("node-weight", 1, "this node's share of the key space relative to weight-1 peers")
-	stealChunk := flag.Int("steal-chunk", 16, "max sweep points per work-stealing sub-grid")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant sustained request rate in req/s (0: no rate limit)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst capacity (default ceil(rate))")
-	tenantInflight := flag.Int("tenant-inflight", 0, "per-tenant in-flight request cap (0: no cap)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer liveness probe period (0: no active probing, membership changes only on transport errors)")
 	suspectAfter := flag.Int("suspect-after", 3, "consecutive probe failures that demote a suspect peer")
 	rejoinAfter := flag.Int("rejoin-after", 2, "consecutive probe successes that readmit a demoted peer")
-	drainHandoff := flag.Bool("drain-handoff", true, "on shutdown, stream cache entries to their next owners before draining")
 	replicas := flag.Int("replicas", 1, "ring-successors each cache fill is replicated to (0: no replication)")
 	antiEntropy := flag.Duration("anti-entropy", time.Minute, "periodic anti-entropy scan interval; scans also run on ring transitions (0: disabled)")
 	linkFault := flag.String("link-fault", "", "seeded peer-link fault plan, e.g. seed=42,drop=link:0.1,partition=split:a+b/c:1000:5000 (testing only)")
@@ -68,7 +64,7 @@ func main() {
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	self := cluster.Member{ID: *nodeID, Addr: *advertise, Weight: *nodeWeight}
+	self := cluster.Member{ID: *nodeID, Addr: *advertise}
 	if self.Addr == "" {
 		a := *addr
 		if strings.HasPrefix(a, ":") {
@@ -102,15 +98,10 @@ func main() {
 		linkPlan = &lp
 	}
 	node, err := cluster.New(cluster.Options{
-		Self:       self.ID,
-		Members:    append(peers, self),
-		PeerToken:  *peerToken,
-		StealChunk: *stealChunk,
-		Tenant: cluster.TenantPolicy{
-			Rate:        *tenantRate,
-			Burst:       *tenantBurst,
-			MaxInFlight: *tenantInflight,
-		},
+		Self:                self.ID,
+		Members:             append(peers, self),
+		PeerToken:           *peerToken,
+		Tenant:              cluster.TenantPolicy{Rate: *tenantRate, Burst: *tenantBurst},
 		ProbeInterval:       *probeInterval,
 		SuspectAfter:        *suspectAfter,
 		RejoinAfter:         *rejoinAfter,
@@ -123,7 +114,6 @@ func main() {
 		QueueCap:         *queue,
 		JobTimeout:       *timeout,
 		CacheSize:        *cacheSize,
-		RetryAfter:       *retryAfter,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		Logger:           log,
@@ -165,11 +155,7 @@ func main() {
 		service.Fatal(os.Stderr, "dsserve", err)
 		os.Exit(1)
 	}
-	if *drainHandoff {
-		rep := node.DrainHandoff(shutCtx)
-		log.Info("drain handoff", "peers", rep.Peers, "entries", rep.Entries,
-			"bytes", rep.Bytes, "batches", rep.Batches, "failedBatches", rep.FailedBatches)
-	}
+	node.DrainHandoff(shutCtx)
 	node.Stop()
 	if err := srv.Drain(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
 		service.Fatal(os.Stderr, "dsserve", err)

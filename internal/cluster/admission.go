@@ -12,8 +12,8 @@ const DefaultTenant = "anon"
 
 // maxTenants bounds the admission table: a hostile client minting a fresh
 // tenant name per request must not grow node memory without bound. Past
-// the cap, idle full-bucket tenants are evicted first; if every tenant is
-// active, new names share the overflow bucket.
+// the cap, idle full-bucket tenants are evicted first; if every bucket is
+// short of full, new names share the overflow bucket.
 const maxTenants = 4096
 
 // overflowTenant absorbs tenants past the table cap, so cardinality abuse
@@ -21,22 +21,15 @@ const maxTenants = 4096
 const overflowTenant = "~overflow"
 
 // TenantPolicy is the per-tenant admission policy: a token bucket over
-// request arrivals plus an in-flight quota. The zero value disables
-// admission entirely.
+// request arrivals. The zero value disables admission entirely.
 type TenantPolicy struct {
 	// Rate is the sustained request rate per tenant in requests/second;
-	// <= 0 disables rate limiting.
+	// <= 0 disables admission.
 	Rate float64
 	// Burst is the token bucket capacity (instantaneous burst headroom).
 	// Defaults to ceil(Rate), minimum 1, when Rate is set.
 	Burst int
-	// MaxInFlight caps a tenant's concurrently admitted requests;
-	// <= 0 disables the quota.
-	MaxInFlight int
 }
-
-// Enabled reports whether any limit is configured.
-func (p TenantPolicy) Enabled() bool { return p.Rate > 0 || p.MaxInFlight > 0 }
 
 func (p TenantPolicy) burst() float64 {
 	if p.Burst > 0 {
@@ -47,9 +40,8 @@ func (p TenantPolicy) burst() float64 {
 
 // tenantState is one tenant's bucket.
 type tenantState struct {
-	tokens   float64
-	last     time.Time
-	inflight int
+	tokens float64
+	last   time.Time
 }
 
 // Admission enforces a TenantPolicy per tenant. It sits in front of the
@@ -76,13 +68,12 @@ func NewAdmission(pol TenantPolicy) *Admission {
 	}
 }
 
-// Admit charges one request to the tenant's bucket. When admitted, release
-// must be called exactly once as the request finishes (it returns the
-// in-flight slot). When shed, retryAfter estimates the wait until a token
-// accrues, for the 429's Retry-After header.
-func (a *Admission) Admit(tenant string) (release func(), retryAfter time.Duration, ok bool) {
-	if a == nil || !a.pol.Enabled() {
-		return func() {}, 0, true
+// Admit charges one request to the tenant's bucket. When shed, retryAfter
+// estimates the wait until a token accrues, for the 429's Retry-After
+// header.
+func (a *Admission) Admit(tenant string) (retryAfter time.Duration, ok bool) {
+	if a == nil || a.pol.Rate <= 0 {
+		return 0, true
 	}
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -94,29 +85,14 @@ func (a *Admission) Admit(tenant string) (release func(), retryAfter time.Durati
 	ts, tenant := a.stateLocked(tenant)
 	a.refillLocked(ts)
 
-	if a.pol.MaxInFlight > 0 && ts.inflight >= a.pol.MaxInFlight {
+	if ts.tokens < 1 {
 		a.sheds[tenant]++
-		return nil, time.Second, false
+		wait := time.Duration((1 - ts.tokens) / a.pol.Rate * float64(time.Second))
+		// Ceil to a whole second so the header never renders 0.
+		return ((wait-1)/time.Second + 1) * time.Second, false
 	}
-	if a.pol.Rate > 0 {
-		if ts.tokens < 1 {
-			a.sheds[tenant]++
-			wait := time.Duration((1 - ts.tokens) / a.pol.Rate * float64(time.Second))
-			// Ceil to a whole second so the header never renders 0.
-			return nil, ((wait-1)/time.Second + 1) * time.Second, false
-		}
-		ts.tokens--
-	}
-
-	ts.inflight++
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			ts.inflight--
-			a.mu.Unlock()
-		})
-	}, 0, true
+	ts.tokens--
+	return 0, true
 }
 
 // Charge debits extra tokens from a tenant's rate bucket, beyond the one
@@ -164,23 +140,22 @@ func (a *Admission) stateLocked(tenant string) (*tenantState, string) {
 // touched, capped at the burst capacity.
 func (a *Admission) refillLocked(ts *tenantState) {
 	now := a.now()
-	if a.pol.Rate > 0 {
-		ts.tokens = math.Min(a.pol.burst(), ts.tokens+now.Sub(ts.last).Seconds()*a.pol.Rate)
-	}
+	ts.tokens = a.tokensAt(ts, now)
 	ts.last = now
 }
 
-// evictIdleLocked drops one tenant with a full bucket and nothing in
-// flight — state indistinguishable from a fresh entry, so eviction cannot
-// grant anyone extra budget. Reports whether a slot was freed.
+// tokensAt is the bucket's balance at now, capped at the burst capacity.
+func (a *Admission) tokensAt(ts *tenantState, now time.Time) float64 {
+	return math.Min(a.pol.burst(), ts.tokens+now.Sub(ts.last).Seconds()*a.pol.Rate)
+}
+
+// evictIdleLocked drops one tenant whose bucket has refilled to full —
+// state indistinguishable from a fresh entry, so eviction cannot grant
+// anyone extra budget. Reports whether a slot was freed.
 func (a *Admission) evictIdleLocked() bool {
 	now := a.now()
 	for name, ts := range a.tenants {
-		tokens := ts.tokens
-		if a.pol.Rate > 0 {
-			tokens = math.Min(a.pol.burst(), tokens+now.Sub(ts.last).Seconds()*a.pol.Rate)
-		}
-		if ts.inflight == 0 && (a.pol.Rate <= 0 || tokens >= a.pol.burst()) {
+		if a.tokensAt(ts, now) >= a.pol.burst() {
 			delete(a.tenants, name)
 			return true
 		}

@@ -25,13 +25,12 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	a, clk := testAdmission(TenantPolicy{Rate: 2, Burst: 2})
 
 	for i := 0; i < 2; i++ {
-		release, _, ok := a.Admit("hot")
+		_, ok := a.Admit("hot")
 		if !ok {
 			t.Fatalf("request %d within burst was shed", i)
 		}
-		release()
 	}
-	_, retryAfter, ok := a.Admit("hot")
+	retryAfter, ok := a.Admit("hot")
 	if ok {
 		t.Fatal("request over burst was admitted")
 	}
@@ -41,49 +40,19 @@ func TestAdmissionTokenBucket(t *testing.T) {
 
 	// Rate 2/s: half a second accrues one token.
 	clk.advance(500 * time.Millisecond)
-	if release, _, ok := a.Admit("hot"); !ok {
+	if _, ok := a.Admit("hot"); !ok {
 		t.Fatal("request after token accrual was shed")
-	} else {
-		release()
 	}
 
 	// An unrelated tenant has its own untouched bucket.
-	if release, _, ok := a.Admit("cool"); !ok {
+	if _, ok := a.Admit("cool"); !ok {
 		t.Fatal("fresh tenant was shed by another tenant's exhaustion")
-	} else {
-		release()
 	}
 
 	sheds := a.Sheds()
 	if len(sheds) != 1 || sheds[0].Tenant != "hot" || sheds[0].Shed != 1 {
 		t.Errorf("sheds = %+v, want exactly one shed for tenant hot", sheds)
 	}
-}
-
-// TestAdmissionInFlight: the in-flight quota sheds concurrent excess and
-// recovers as releases come back; release is idempotent.
-func TestAdmissionInFlight(t *testing.T) {
-	a, _ := testAdmission(TenantPolicy{MaxInFlight: 2})
-
-	r1, _, ok1 := a.Admit("t")
-	r2, _, ok2 := a.Admit("t")
-	if !ok1 || !ok2 {
-		t.Fatal("requests within the in-flight quota were shed")
-	}
-	if _, retryAfter, ok := a.Admit("t"); ok || retryAfter <= 0 {
-		t.Fatalf("third concurrent request: ok=%v retryAfter=%v, want shed with positive Retry-After", ok, retryAfter)
-	}
-	r1()
-	r1() // double release must not free a second slot
-	if r3, _, ok := a.Admit("t"); !ok {
-		t.Fatal("request after release was shed")
-	} else {
-		defer r3()
-	}
-	if _, _, ok := a.Admit("t"); ok {
-		t.Fatal("double release freed two slots")
-	}
-	r2()
 }
 
 // TestAdmissionChargeDebt: Charge debits beyond the burst (work debt), so
@@ -93,14 +62,13 @@ func TestAdmissionInFlight(t *testing.T) {
 func TestAdmissionChargeDebt(t *testing.T) {
 	a, clk := testAdmission(TenantPolicy{Rate: 1, Burst: 5})
 
-	release, _, ok := a.Admit("hot") // 5 tokens -> 4
+	_, ok := a.Admit("hot") // 5 tokens -> 4
 	if !ok {
 		t.Fatal("first request was shed")
 	}
-	release()
 	a.Charge("hot", 10) // 4 tokens -> -6: deeper than the burst allows
 
-	_, retryAfter, ok := a.Admit("hot")
+	retryAfter, ok := a.Admit("hot")
 	if ok {
 		t.Fatal("tenant in work debt was admitted")
 	}
@@ -108,20 +76,16 @@ func TestAdmissionChargeDebt(t *testing.T) {
 		t.Errorf("retryAfter = %v, want >= 7s (6 tokens of debt plus the next whole token)", retryAfter)
 	}
 	clk.advance(7 * time.Second) // -6 + 7 = 1 token
-	if release, _, ok := a.Admit("hot"); !ok {
+	if _, ok := a.Admit("hot"); !ok {
 		t.Fatal("tenant still shed after the debt amortized")
-	} else {
-		release()
 	}
 
 	// Charge is a no-op without rate limiting, for zero weight, and on a
 	// nil Admission.
-	b, _ := testAdmission(TenantPolicy{MaxInFlight: 1})
+	b, _ := testAdmission(TenantPolicy{})
 	b.Charge("t", 100)
-	if release, _, ok := b.Admit("t"); !ok {
+	if _, ok := b.Admit("t"); !ok {
 		t.Fatal("Charge debited a tenant despite rate limiting being disabled")
-	} else {
-		release()
 	}
 	a.Charge("hot", 0)
 	var nilA *Admission
@@ -133,29 +97,25 @@ func TestAdmissionChargeDebt(t *testing.T) {
 func TestAdmissionDisabled(t *testing.T) {
 	a, _ := testAdmission(TenantPolicy{})
 	for i := 0; i < 100; i++ {
-		release, _, ok := a.Admit("any")
+		_, ok := a.Admit("any")
 		if !ok {
 			t.Fatal("disabled policy shed a request")
 		}
-		release()
 	}
 	var nilA *Admission
-	if release, _, ok := nilA.Admit("any"); !ok {
+	if _, ok := nilA.Admit("any"); !ok {
 		t.Fatal("nil Admission shed a request")
-	} else {
-		release()
 	}
 }
 
 // TestAdmissionDefaultTenant: requests without a tenant share one bucket.
 func TestAdmissionDefaultTenant(t *testing.T) {
 	a, _ := testAdmission(TenantPolicy{Rate: 1, Burst: 1})
-	release, _, ok := a.Admit("")
+	_, ok := a.Admit("")
 	if !ok {
 		t.Fatal("first anonymous request shed")
 	}
-	release()
-	if _, _, ok := a.Admit(""); ok {
+	if _, ok := a.Admit(""); ok {
 		t.Fatal("anonymous requests do not share the default bucket")
 	}
 	if sheds := a.Sheds(); len(sheds) != 1 || sheds[0].Tenant != DefaultTenant {
@@ -165,18 +125,17 @@ func TestAdmissionDefaultTenant(t *testing.T) {
 
 // TestAdmissionCardinalityBound: a client minting a fresh tenant name per
 // request cannot grow the table past maxTenants — once every slot is held by
-// an active tenant, new names degrade into the shared overflow bucket.
+// an active tenant, new names degrade into the shared overflow bucket. At a
+// negligible rate a tenant that spent its one-token burst stays short of a
+// full bucket, and so unevictable, for as long as the test runs.
 func TestAdmissionCardinalityBound(t *testing.T) {
-	a, _ := testAdmission(TenantPolicy{MaxInFlight: 1})
+	a, clk := testAdmission(TenantPolicy{Rate: 0.001, Burst: 1})
 
-	// Fill the table with active (in-flight, unevictable) tenants.
-	releases := make([]func(), 0, maxTenants)
+	// Fill the table with active (drained, unevictable) tenants.
 	for i := 0; i < maxTenants; i++ {
-		release, _, ok := a.Admit(fmt.Sprintf("tenant-%d", i))
-		if !ok {
+		if _, ok := a.Admit(fmt.Sprintf("tenant-%d", i)); !ok {
 			t.Fatalf("tenant %d shed while filling the table", i)
 		}
-		releases = append(releases, release)
 	}
 	if got := len(a.tenants); got != maxTenants {
 		t.Fatalf("table holds %d tenants, want %d", got, maxTenants)
@@ -184,26 +143,27 @@ func TestAdmissionCardinalityBound(t *testing.T) {
 
 	// A fresh name lands in the overflow bucket, which then limits the next
 	// fresh name too — shared, stricter limiting instead of memory growth.
-	release, _, ok := a.Admit("fresh-1")
-	if !ok {
+	if _, ok := a.Admit("fresh-1"); !ok {
 		t.Fatal("first overflow request shed")
 	}
-	defer release()
-	if _, _, ok := a.Admit("fresh-2"); ok {
-		t.Fatal("distinct overflow tenants did not share the overflow bucket's quota")
+	if _, ok := a.Admit("fresh-2"); ok {
+		t.Fatal("distinct overflow tenants did not share the overflow bucket's budget")
 	}
 	if got := len(a.tenants); got > maxTenants+1 {
 		t.Errorf("table grew to %d tenants, bound is %d + overflow", got, maxTenants)
 	}
 
-	// Once a tenant goes idle its slot is reclaimable for a new name.
-	for _, r := range releases {
-		r()
-	}
-	if release, _, ok := a.Admit("brand-new"); !ok {
+	// Once the buckets refill (1,000 s at this rate) the slots are
+	// reclaimable for a new name.
+	clk.advance(time.Hour)
+	if _, ok := a.Admit("brand-new"); !ok {
 		t.Fatal("new tenant shed even though idle slots were reclaimable")
-	} else {
-		release()
+	}
+	if a.tenants["brand-new"] == nil {
+		t.Fatal("new tenant stayed in overflow although idle slots were reclaimable")
+	}
+	if got := len(a.tenants); got > maxTenants+1 {
+		t.Errorf("table grew to %d tenants, bound is %d + overflow", got, maxTenants)
 	}
 }
 
@@ -217,31 +177,27 @@ func TestAdmissionIdleEvictionRecreatesFreshBucket(t *testing.T) {
 
 	// Drain the victim to zero tokens, then let it go idle.
 	for i := 0; i < 2; i++ {
-		release, _, ok := a.Admit("victim")
+		_, ok := a.Admit("victim")
 		if !ok {
 			t.Fatalf("victim request %d within burst was shed", i)
 		}
-		release()
-	}
-
-	// Fill the rest of the table with tenants held in flight: inflight > 0
-	// makes them unevictable regardless of tokens.
-	var releases []func()
-	for i := len(a.tenants); i < maxTenants; i++ {
-		release, _, ok := a.Admit(fmt.Sprintf("held-%d", i))
-		if !ok {
-			t.Fatalf("tenant %d shed while filling the table", i)
-		}
-		releases = append(releases, release)
 	}
 
 	// The victim's bucket refills to full while idle: now evictable.
 	clk.advance(5 * time.Second)
 
+	// Fill the rest of the table with active tenants: each spends a token
+	// now, and the clock does not move again until the newcomer arrives,
+	// so their buckets stay short of full and unevictable.
+	for i := len(a.tenants); i < maxTenants; i++ {
+		if _, ok := a.Admit(fmt.Sprintf("held-%d", i)); !ok {
+			t.Fatalf("tenant %d shed while filling the table", i)
+		}
+	}
+
 	// A new name at the cap evicts the victim and gets its own bucket —
 	// not the overflow bucket.
-	release, _, ok := a.Admit("newcomer")
-	if !ok {
+	if _, ok := a.Admit("newcomer"); !ok {
 		t.Fatal("newcomer shed despite an evictable idle slot")
 	}
 	if a.tenants["victim"] != nil {
@@ -250,24 +206,18 @@ func TestAdmissionIdleEvictionRecreatesFreshBucket(t *testing.T) {
 	if a.tenants["newcomer"] == nil {
 		t.Fatal("newcomer was remapped to overflow despite an evictable slot")
 	}
-	release()
 
 	// The evicted victim returns: once another idle-full slot exists, its
 	// next request re-creates a fresh bucket with the full burst.
 	clk.advance(5 * time.Second) // newcomer refills to full, becomes evictable
 	for i := 0; i < 2; i++ {
-		release, _, ok := a.Admit("victim")
+		_, ok := a.Admit("victim")
 		if !ok {
 			t.Fatalf("evicted victim's request %d was shed; want a fresh full bucket", i)
 		}
-		release()
 	}
 	if a.tenants["victim"] == nil {
 		t.Fatal("victim's return did not re-create its bucket")
-	}
-
-	for _, r := range releases {
-		r()
 	}
 }
 
@@ -280,19 +230,16 @@ func TestAdmissionOverflowFallbackUnderRatePolicy(t *testing.T) {
 
 	// Every bucket is drained at the same instant: no idle-full slot exists.
 	for i := 0; i < maxTenants; i++ {
-		release, _, ok := a.Admit(fmt.Sprintf("t-%d", i))
-		if !ok {
+		if _, ok := a.Admit(fmt.Sprintf("t-%d", i)); !ok {
 			t.Fatalf("tenant %d shed while filling the table", i)
 		}
-		release()
 	}
 
 	// A fresh name cannot evict anything and lands in the overflow bucket.
-	release, _, ok := a.Admit("fresh-a")
+	_, ok := a.Admit("fresh-a")
 	if !ok {
 		t.Fatal("first overflow request shed (overflow bucket starts full)")
 	}
-	release()
 	if a.tenants["fresh-a"] != nil {
 		t.Fatal("fresh tenant got its own bucket past the cap with nothing evictable")
 	}
@@ -302,7 +249,7 @@ func TestAdmissionOverflowFallbackUnderRatePolicy(t *testing.T) {
 
 	// The next fresh name shares the (now drained) overflow bucket, and the
 	// shed is attributed to the overflow tenant.
-	if _, _, ok := a.Admit("fresh-b"); ok {
+	if _, ok := a.Admit("fresh-b"); ok {
 		t.Fatal("second overflow tenant did not share the overflow bucket's quota")
 	}
 	foundOverflowShed := false
@@ -318,11 +265,10 @@ func TestAdmissionOverflowFallbackUnderRatePolicy(t *testing.T) {
 	// Time passes, the per-tenant buckets refill and become evictable: a
 	// fresh name escapes the overflow bucket and gets its own again.
 	clk.advance(2 * time.Second)
-	release, _, ok = a.Admit("fresh-c")
+	_, ok = a.Admit("fresh-c")
 	if !ok {
 		t.Fatal("fresh tenant shed after slots became evictable")
 	}
-	release()
 	if a.tenants["fresh-c"] == nil {
 		t.Fatal("fresh tenant stayed in overflow after slots became evictable")
 	}

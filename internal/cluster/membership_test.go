@@ -151,7 +151,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 
 	// The successor serves the dead owner's key from its replica: same
 	// bytes, no recompute, replica-hit counted.
-	beforeHits := tc.nodes[succIdx].Membership().ReplicaHits
+	beforeHits := tc.nodes[succIdx].replicaHits.Load()
 	resp, replicaBody := postNode(t, tc.addrs[succIdx], "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replica serve: %d %s", resp.StatusCode, replicaBody)
@@ -162,7 +162,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	if !bytes.Equal(replicaBody, cachedBody) {
 		t.Errorf("replica response bytes differ from the pre-kill cached response:\npre-kill: %s\nreplica:  %s", cachedBody, replicaBody)
 	}
-	if got := tc.nodes[succIdx].Membership().ReplicaHits; got != beforeHits+1 {
+	if got := tc.nodes[succIdx].replicaHits.Load(); got != beforeHits+1 {
 		t.Errorf("successor replicaHits = %d, want %d", got, beforeHits+1)
 	}
 
@@ -180,8 +180,8 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 			t.Errorf("%s ring version %s after rejoin, want the full membership's %s",
 				tc.nodes[i].self.ID, got, full.Version())
 		}
-		if ms := tc.nodes[i].Membership(); ms.Rejoins < 1 || ms.Demotions < 1 {
-			t.Errorf("%s rejoins=%d demotions=%d, want both >= 1", tc.nodes[i].self.ID, ms.Rejoins, ms.Demotions)
+		if rejoins, demotions := tc.nodes[i].rejoins.Load(), tc.nodes[i].demotions.Load(); rejoins < 1 || demotions < 1 {
+			t.Errorf("%s rejoins=%d demotions=%d, want both >= 1", tc.nodes[i].self.ID, rejoins, demotions)
 		}
 	}
 
@@ -273,7 +273,7 @@ func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
 	if hits*10 < len(reqs)*9 {
 		t.Errorf("warm hit rate %d/%d after handoff, want >= 90%%", hits, len(reqs))
 	}
-	recv := tc.nodes[1].Membership().HandoffRecvEntries + tc.nodes[2].Membership().HandoffRecvEntries
+	recv := tc.nodes[1].handoffRecvEntries.Load() + tc.nodes[2].handoffRecvEntries.Load()
 	if recv < int64(len(reqs)) {
 		t.Errorf("survivors imported %d entries, want >= %d", recv, len(reqs))
 	}
@@ -363,9 +363,10 @@ func TestProbeStateMachine(t *testing.T) {
 	if n.Ring().Size() != 2 {
 		t.Fatal("readmission did not restore the live ring")
 	}
-	ms := n.Membership()
-	if ms.Probes != 4 || ms.ProbeFailures != 2 || ms.Demotions != 1 || ms.Rejoins != 1 {
-		t.Errorf("counters %+v, want probes=4 failures=2 demotions=1 rejoins=1", ms)
+	probes, failures := n.probes.Load(), n.probeFailures.Load()
+	demotions, rejoins := n.demotions.Load(), n.rejoins.Load()
+	if probes != 4 || failures != 2 || demotions != 1 || rejoins != 1 {
+		t.Errorf("probes=%d failures=%d demotions=%d rejoins=%d, want 4, 2, 1, 1", probes, failures, demotions, rejoins)
 	}
 
 	// A suspect peer that recovers before confirmation resets cleanly.
@@ -408,8 +409,8 @@ func TestDemoteCooldownAndUnknownID(t *testing.T) {
 	if got := n.PeerState("b"); got != "alive" {
 		t.Fatalf("transport demotion inside cooldown: %q, want alive (suppressed)", got)
 	}
-	if ms := n.Membership(); ms.Demotions != 1 {
-		t.Errorf("demotions = %d after suppressed flap, want 1", ms.Demotions)
+	if got := n.demotions.Load(); got != 1 {
+		t.Errorf("demotions = %d after suppressed flap, want 1", got)
 	}
 
 	// A drain announcement is authoritative and bypasses the cooldown.
@@ -424,8 +425,8 @@ func TestDemoteCooldownAndUnknownID(t *testing.T) {
 	if got := n.Ring().Version(); got != before {
 		t.Error("unknown-ID demotion changed the ring")
 	}
-	if ms := n.Membership(); ms.UnknownDemotions != 1 {
-		t.Errorf("unknownDemotions = %d, want 1", ms.UnknownDemotions)
+	if got := n.unknownDemotions.Load(); got != 1 {
+		t.Errorf("unknownDemotions = %d, want 1", got)
 	}
 	if got := n.PeerState("zebra"); got != "" {
 		t.Errorf("PeerState(zebra) = %q, want empty", got)
@@ -464,8 +465,8 @@ func TestGossipConvergesOnIntersection(t *testing.T) {
 	if got := n.PeerState("c"); got != "demoted" {
 		t.Errorf("gossiped-dead peer = %q, want demoted", got)
 	}
-	if ms := n.Membership(); ms.RingSkews < 1 {
-		t.Errorf("ringSkews = %d, want >= 1 (versions differed)", ms.RingSkews)
+	if got := n.ringSkews.Load(); got < 1 {
+		t.Errorf("ringSkews = %d, want >= 1 (versions differed)", got)
 	}
 	if n.Ring().Size() != 2 {
 		t.Errorf("live ring size = %d, want 2 (a, b)", n.Ring().Size())
@@ -624,7 +625,7 @@ func TestClusterMembershipRaces(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			r := n.Ring()
 			r.Owner(key)
-			r.SuccessorsPos(key.Ring(), 2)
+			r.Successors(key, 2)
 			n.healthInfo()
 			n.degraded()
 			n.metricsAppend(io.Discard)

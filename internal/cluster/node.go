@@ -107,10 +107,6 @@ type Options struct {
 	// every outbound peer exchange (fault.LinkPlan: drops, delays,
 	// duplicates, black holes, partition episodes). Chaos harnesses only.
 	LinkFaults *fault.LinkPlan
-	// LinkClock overrides the clock deciding partition-episode windows
-	// (default time.Now; probe harnesses inject a manual clock to replay
-	// even the time-windowed faults deterministically).
-	LinkClock func() time.Time
 	// Logger receives peer-event logs (default slog.Default).
 	Logger *slog.Logger
 }
@@ -234,38 +230,6 @@ type Node struct {
 	underreplicated  atomic.Int64 // gauge: owned keys missing >=1 replica at the last scan
 }
 
-// MembershipStats snapshots the membership, replication and handoff
-// counters (tests and /metrics).
-type MembershipStats struct {
-	Probes, ProbeFailures, Demotions, Rejoins      int64
-	RingSkews, UnknownDemotions                    int64
-	ReplicaPushes, ReplicaPushErrors, ReplicaDrops int64
-	ReplicaHits, ReplicaMisses                     int64
-	HandoffSentEntries, HandoffSentBytes           int64
-	HandoffRecvEntries, HandoffRecvBytes           int64
-}
-
-// Membership returns the current membership/replication counter snapshot.
-func (n *Node) Membership() MembershipStats {
-	return MembershipStats{
-		Probes:             n.probes.Load(),
-		ProbeFailures:      n.probeFailures.Load(),
-		Demotions:          n.demotions.Load(),
-		Rejoins:            n.rejoins.Load(),
-		RingSkews:          n.ringSkews.Load(),
-		UnknownDemotions:   n.unknownDemotions.Load(),
-		ReplicaPushes:      n.replicaPushes.Load(),
-		ReplicaPushErrors:  n.replicaPushErrors.Load(),
-		ReplicaDrops:       n.replicaDrops.Load(),
-		ReplicaHits:        n.replicaHits.Load(),
-		ReplicaMisses:      n.replicaMisses.Load(),
-		HandoffSentEntries: n.handoffSentEntries.Load(),
-		HandoffSentBytes:   n.handoffSentBytes.Load(),
-		HandoffRecvEntries: n.handoffRecvEntries.Load(),
-		HandoffRecvBytes:   n.handoffRecvBytes.Load(),
-	}
-}
-
 // New builds the node and its underlying service.Server (whose /healthz
 // and /metrics are extended with cluster state via the service hooks).
 func New(opts Options, srvOpts service.Options) (*Node, error) {
@@ -331,11 +295,7 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 		if err := opts.LinkFaults.Check(); err != nil {
 			return nil, err
 		}
-		clock := opts.LinkClock
-		if clock == nil {
-			clock = time.Now
-		}
-		n.linkInj = fault.NewLinkInjectorAt(*opts.LinkFaults, clock)
+		n.linkInj = fault.NewLinkInjector(*opts.LinkFaults)
 		lt := newLinkTransport(n, n.linkInj)
 		for _, cl := range n.clients {
 			cl.Transport = lt
@@ -384,11 +344,6 @@ func (n *Node) Server() *service.Server { return n.srv }
 // Ring exposes the current membership view.
 func (n *Node) Ring() *Ring { return n.ring.Load() }
 
-// Counters snapshots the peer-protocol counters (forwards, steals, errors).
-func (n *Node) Counters() (forwards, steals, peerErrors int64) {
-	return n.forwards.Load(), n.steals.Load(), n.peerErrors.Load()
-}
-
 // LinkCounts snapshots the injected link-fault counters (zero value when
 // injection is unarmed).
 func (n *Node) LinkCounts() fault.LinkCounts {
@@ -396,12 +351,6 @@ func (n *Node) LinkCounts() fault.LinkCounts {
 		return fault.LinkCounts{}
 	}
 	return n.linkInj.Counts()
-}
-
-// FenceStats snapshots the ring-fence counters: executor-side rejects and
-// coordinator-side re-plans.
-func (n *Node) FenceStats() (rejects, replans int64) {
-	return n.ringFenceRejects.Load(), n.sweepReplans.Load()
 }
 
 // demoteCause names why a peer left the live ring; it decides whether the
@@ -463,7 +412,6 @@ func (n *Node) demote(id string, cause demoteCause) {
 	}
 	ph.state = peerDemoted
 	ph.failures, ph.successes = 0, 0
-	ph.lastChange = now
 	if cause == causeTransport || cause == causeDrain {
 		// Firsthand evidence, like a failed probe.
 		ph.lastFailure, ph.upSince = now, time.Time{}
@@ -477,10 +425,9 @@ func (n *Node) demote(id string, cause demoteCause) {
 
 // readmitLocked returns a demoted peer to the live ring (peersMu held).
 func (n *Node) readmitLocked(id string, ph *peerHealth) {
-	now := time.Now()
 	ph.state = peerAlive
 	ph.failures, ph.successes = 0, 0
-	ph.lastChange, ph.lastReadmit = now, now
+	ph.lastReadmit = time.Now()
 	n.rejoins.Add(1)
 	n.rebuildRingLocked()
 	live := n.ring.Load()
@@ -557,11 +504,6 @@ func (n *Node) Handler() http.Handler {
 	return n.middleware(n.srv.Handler())
 }
 
-// maxBody mirrors the service's request cap; the router reads the body to
-// prepare the request, and replays it into the inner handler when it
-// cannot.
-const maxBody = 1 << 20
-
 func (n *Node) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		forwarded := r.Header.Get(HeaderForwarded) != ""
@@ -624,14 +566,12 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 		// Per-tenant admission, charged once at the edge: forwarded peer
 		// traffic was already admitted by the node the user actually hit.
 		if !forwarded {
-			release, retryAfter, ok := n.adm.Admit(r.Header.Get(HeaderTenant))
-			if !ok {
+			if retryAfter, ok := n.adm.Admit(r.Header.Get(HeaderTenant)); !ok {
 				w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
 				n.writeError(w, http.StatusTooManyRequests,
 					fmt.Errorf("cluster: tenant over admission limits; retry later"))
 				return
 			}
-			defer release()
 		}
 
 		switch {
@@ -659,14 +599,14 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 // replica holder, by construction of K-successor replication. Owner loss
 // thus degrades to a replica read before it degrades to a recompute.
 func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.Handler) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-	if err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read request: %w", err))
-		return
+	body, readErr := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBody))
+	var p *service.Prepared
+	err := readErr
+	if err == nil {
+		p, err = service.Prepare(r.URL.Path, bytes.NewReader(body))
 	}
-	p, err := service.Prepare(r.URL.Path, bytes.NewReader(body))
 	if err != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.Body = replayBody(body, readErr)
 		n.serveLocal(w, r, inner)
 		return
 	}
@@ -685,6 +625,24 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 	// the same bytes.
 	n.serveKeyed(w, r, inner, p)
 }
+
+// replayBody is a request body replaying what the router read of the
+// original: the bytes, then the read error if there was one. A request the
+// router hands to the local handler is thus answered in the handler's own
+// words, exactly as on a single node; a body over service.MaxBody gets
+// "request body too large".
+func replayBody(body []byte, err error) io.ReadCloser {
+	r := io.Reader(bytes.NewReader(body))
+	if err != nil {
+		r = io.MultiReader(r, errReader{err})
+	}
+	return io.NopCloser(r)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Handler) {
 	w.Header().Set(HeaderNode, n.self.ID)
@@ -806,27 +764,26 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_steals_total Sweep sub-grids executed by a node that does not own them.\n# TYPE dsserve_steals_total counter\ndsserve_steals_total %d\n", n.steals.Load())
 	fmt.Fprintf(w, "# HELP dsserve_peer_errors_total Peer calls that exhausted their retries (node-loss signals).\n# TYPE dsserve_peer_errors_total counter\ndsserve_peer_errors_total %d\n", n.peerErrors.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_members Live members in this node's ring view.\n# TYPE dsserve_ring_members gauge\ndsserve_ring_members %d\n", n.ring.Load().Size())
-	ms := n.Membership()
 	deg := 0
 	if d, _ := n.degraded(); d {
 		deg = 1
 	}
-	fmt.Fprintf(w, "# HELP dsserve_probes_total Liveness probes sent to peers.\n# TYPE dsserve_probes_total counter\ndsserve_probes_total %d\n", ms.Probes)
-	fmt.Fprintf(w, "# HELP dsserve_probe_failures_total Probes that failed (transport error or identity mismatch).\n# TYPE dsserve_probe_failures_total counter\ndsserve_probe_failures_total %d\n", ms.ProbeFailures)
-	fmt.Fprintf(w, "# HELP dsserve_demotions_total Peers demoted out of the live ring.\n# TYPE dsserve_demotions_total counter\ndsserve_demotions_total %d\n", ms.Demotions)
-	fmt.Fprintf(w, "# HELP dsserve_rejoins_total Demoted peers readmitted to the live ring.\n# TYPE dsserve_rejoins_total counter\ndsserve_rejoins_total %d\n", ms.Rejoins)
-	fmt.Fprintf(w, "# HELP dsserve_ring_skew_total Peer exchanges that observed a differing ring version.\n# TYPE dsserve_ring_skew_total counter\ndsserve_ring_skew_total %d\n", ms.RingSkews)
-	fmt.Fprintf(w, "# HELP dsserve_unknown_demotions_total Demotion requests for IDs outside the configured membership (ignored).\n# TYPE dsserve_unknown_demotions_total counter\ndsserve_unknown_demotions_total %d\n", ms.UnknownDemotions)
+	fmt.Fprintf(w, "# HELP dsserve_probes_total Liveness probes sent to peers.\n# TYPE dsserve_probes_total counter\ndsserve_probes_total %d\n", n.probes.Load())
+	fmt.Fprintf(w, "# HELP dsserve_probe_failures_total Probes that failed (transport error or identity mismatch).\n# TYPE dsserve_probe_failures_total counter\ndsserve_probe_failures_total %d\n", n.probeFailures.Load())
+	fmt.Fprintf(w, "# HELP dsserve_demotions_total Peers demoted out of the live ring.\n# TYPE dsserve_demotions_total counter\ndsserve_demotions_total %d\n", n.demotions.Load())
+	fmt.Fprintf(w, "# HELP dsserve_rejoins_total Demoted peers readmitted to the live ring.\n# TYPE dsserve_rejoins_total counter\ndsserve_rejoins_total %d\n", n.rejoins.Load())
+	fmt.Fprintf(w, "# HELP dsserve_ring_skew_total Peer exchanges that observed a differing ring version.\n# TYPE dsserve_ring_skew_total counter\ndsserve_ring_skew_total %d\n", n.ringSkews.Load())
+	fmt.Fprintf(w, "# HELP dsserve_unknown_demotions_total Demotion requests for IDs outside the configured membership (ignored).\n# TYPE dsserve_unknown_demotions_total counter\ndsserve_unknown_demotions_total %d\n", n.unknownDemotions.Load())
 	fmt.Fprintf(w, "# HELP dsserve_degraded Whether more than half of the configured peers are demoted.\n# TYPE dsserve_degraded gauge\ndsserve_degraded %d\n", deg)
-	fmt.Fprintf(w, "# HELP dsserve_replica_pushes_total Cache entries pushed to ring-successors.\n# TYPE dsserve_replica_pushes_total counter\ndsserve_replica_pushes_total %d\n", ms.ReplicaPushes)
-	fmt.Fprintf(w, "# HELP dsserve_replica_push_errors_total Replica pushes that failed (best-effort).\n# TYPE dsserve_replica_push_errors_total counter\ndsserve_replica_push_errors_total %d\n", ms.ReplicaPushErrors)
-	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue or evicted before their push.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", ms.ReplicaDrops)
-	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication or handoff paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", ms.ReplicaHits)
-	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", ms.ReplicaMisses)
-	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", ms.HandoffSentEntries)
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Cache bytes handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", ms.HandoffSentBytes)
-	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers (drain handoff or replication).\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", ms.HandoffRecvEntries)
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Cache bytes imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", ms.HandoffRecvBytes)
+	fmt.Fprintf(w, "# HELP dsserve_replica_pushes_total Cache entries pushed to ring-successors.\n# TYPE dsserve_replica_pushes_total counter\ndsserve_replica_pushes_total %d\n", n.replicaPushes.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_push_errors_total Replica pushes that failed (best-effort).\n# TYPE dsserve_replica_push_errors_total counter\ndsserve_replica_push_errors_total %d\n", n.replicaPushErrors.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue or evicted before their push.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", n.replicaDrops.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication or handoff paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", n.replicaMisses.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", n.handoffSentEntries.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Cache bytes handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers (drain handoff or replication).\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Cache bytes imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Owned keys missing at least one successor replica at the last anti-entropy scan.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
 	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -215,7 +216,7 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 	}
 
 	for _, i := range edges {
-		if fwd, _, _ := tc.nodes[i].Counters(); fwd != 1 {
+		if fwd := tc.nodes[i].forwards.Load(); fwd != 1 {
 			t.Errorf("edge node %s forwards = %d, want 1", tc.nodes[i].self.ID, fwd)
 		}
 	}
@@ -225,7 +226,7 @@ func TestClusterForwardAndCrossNodeCacheHit(t *testing.T) {
 			ownerNode = n
 		}
 	}
-	if fwd, _, _ := ownerNode.Counters(); fwd != 0 {
+	if fwd := ownerNode.forwards.Load(); fwd != 0 {
 		t.Errorf("owner forwarded its own key %d times", fwd)
 	}
 }
@@ -287,7 +288,7 @@ func TestClusterSweepHealsAroundDeadNode(t *testing.T) {
 	if tc.nodes[0].Ring().Has(deadID) {
 		t.Error("dead member still in the coordinator's ring view")
 	}
-	_, steals, peerErrs := tc.nodes[0].Counters()
+	steals, peerErrs := tc.nodes[0].steals.Load(), tc.nodes[0].peerErrors.Load()
 	if peerErrs < 1 {
 		t.Errorf("peerErrors = %d, want >= 1 (the dead node's dispatch must have failed)", peerErrs)
 	}
@@ -337,7 +338,7 @@ func TestClusterForwardClientCancelKeepsPeerAlive(t *testing.T) {
 	if !tc.nodes[edge].Ring().Has(owner.ID) {
 		t.Errorf("caller cancellation mid-forward marked peer %s dead", owner.ID)
 	}
-	if _, _, peerErrs := tc.nodes[edge].Counters(); peerErrs != 0 {
+	if peerErrs := tc.nodes[edge].peerErrors.Load(); peerErrs != 0 {
 		t.Errorf("peerErrors = %d after caller cancellation, want 0", peerErrs)
 	}
 }
@@ -493,6 +494,47 @@ func TestClusterHealthz(t *testing.T) {
 	for _, name := range []string{"dsserve_peer_forwards_total", "dsserve_steals_total", "dsserve_peer_errors_total", "dsserve_ring_members 3"} {
 		if !strings.Contains(string(metrics), name) {
 			t.Errorf("metrics missing %s", name)
+		}
+	}
+}
+
+// TestRouterOversizedBody: a /run or /sweep body over service.MaxBody gets
+// the answer a single service gives — 400 "decode request: http: request
+// body too large" — through a cluster of one and through a cluster of
+// three, never a decode error about a body the router cut short.
+func TestRouterOversizedBody(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	oracle := httptest.NewServer(service.NewServer(service.Options{Logger: quiet}).Handler())
+	defer oracle.Close()
+	post := func(addr, path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(addr+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+
+	// A string value that runs past the cap: the decoder reads until the
+	// body reader fails, so the read error is what gets reported.
+	body := []byte(`{"workload": {"name": "` + strings.Repeat("x", service.MaxBody+1024) + `"}}`)
+	for _, path := range []string{"/run", "/sweep"} {
+		wantCode, want := post(oracle.URL, path, body)
+		if wantCode != http.StatusBadRequest || !strings.Contains(want, "request body too large") {
+			t.Fatalf("single service %s: %d %s, want 400 request body too large", path, wantCode, want)
+		}
+		for _, size := range []int{1, 3} {
+			tc := startCluster(t, size, Options{})
+			for i, addr := range tc.addrs {
+				if code, got := post(addr, path, body); code != wantCode || got != want {
+					t.Errorf("%d-node cluster, node %d %s: %d %s, want %d %s", size, i, path, code, got, wantCode, want)
+				}
+			}
 		}
 	}
 }

@@ -144,8 +144,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	// Once the executor has fenced off at least one dispatch, converge the
 	// coordinator's view; its next plan carries a fence n1 agrees with.
 	waitFor(t, 5*time.Second, func() bool {
-		rejects, _ := tc.nodes[1].FenceStats()
-		return rejects >= 1
+		return tc.nodes[1].ringFenceRejects.Load() >= 1
 	}, "executor to fence off a dispatch")
 	tc.nodes[0].demote("n2", causeDrain)
 
@@ -166,7 +165,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 
 	requireSweepMatchesOracle(t, sweep, got)
 
-	if _, replans := tc.nodes[0].FenceStats(); replans < 1 {
+	if replans := tc.nodes[0].sweepReplans.Load(); replans < 1 {
 		t.Errorf("coordinator replans = %d, want >= 1", replans)
 	}
 	// A fence reject is view skew, not peer death: the rejecting executor
@@ -174,7 +173,7 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	if !tc.nodes[0].Ring().Has("n1") {
 		t.Error("coordinator demoted the fencing executor")
 	}
-	if _, _, peerErrs := tc.nodes[0].Counters(); peerErrs != 0 {
+	if peerErrs := tc.nodes[0].peerErrors.Load(); peerErrs != 0 {
 		t.Errorf("peerErrors = %d after fence rejects, want 0", peerErrs)
 	}
 	if m := getMetrics(t, tc.addrs[1]); !strings.Contains(m, "dsserve_ring_fence_rejects_total") {
@@ -267,7 +266,8 @@ func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
 	if rep.Underreplicated != 0 || rep.Pushed != 0 {
 		t.Fatalf("post-repair scan: %+v, want 0 underreplicated", rep)
 	}
-	scans, pushes, under := tc.nodes[0].AntiEntropyStats()
+	n0 := tc.nodes[0]
+	scans, pushes, under := n0.antiScans.Load(), n0.antiPushes.Load(), n0.underreplicated.Load()
 	if scans < 2 || pushes != 6 || under != 0 {
 		t.Errorf("stats = (%d scans, %d pushes, %d under), want (>=2, 6, 0)", scans, pushes, under)
 	}
@@ -305,7 +305,7 @@ func TestInternalBodyBounds413(t *testing.T) {
 	if resp := post("/internal/handoff", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized handoff: %d, want 413", resp.StatusCode)
 	}
-	big := bytes.Repeat([]byte("x"), maxBody+1024)
+	big := bytes.Repeat([]byte("x"), service.MaxBody+1024)
 	if resp := post("/internal/departing", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized departure: %d, want 413", resp.StatusCode)
 	}

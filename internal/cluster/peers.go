@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
-// ParsePeers parses the -peers flag: a comma-separated list of
-// "id=addr" entries, each with an optional "*weight" suffix, e.g.
+// ParsePeers parses the -peers flag: a comma-separated list of "id=addr"
+// entries, e.g.
 //
-//	a=http://10.0.0.1:8077,b=http://10.0.0.2:8077*2
+//	a=http://10.0.0.1:8077,b=http://10.0.0.2:8077
 //
 // An empty spec yields no peers (a cluster of one). Every node in a
 // cluster must be started with the same membership — ring versions (and
@@ -25,21 +24,16 @@ func ParsePeers(spec string) ([]Member, error) {
 		if entry == "" {
 			continue
 		}
-		id, rest, ok := strings.Cut(entry, "=")
-		if !ok || id == "" || rest == "" {
-			return nil, fmt.Errorf("cluster: peer entry %q is not id=addr[*weight]", entry)
+		id, addr, ok := strings.Cut(entry, "=")
+		if !ok || id == "" || addr == "" {
+			return nil, fmt.Errorf("cluster: peer entry %q is not id=addr", entry)
 		}
-		m := Member{ID: id}
-		if addr, w, ok := strings.Cut(rest, "*"); ok {
-			weight, err := strconv.Atoi(w)
-			if err != nil || weight < 1 {
-				return nil, fmt.Errorf("cluster: peer entry %q has invalid weight %q", entry, w)
-			}
-			m.Addr, m.Weight = addr, weight
-		} else {
-			m.Addr = rest
+		if strings.Contains(addr, "*") {
+			// The *weight suffix of earlier releases: refuse it rather than
+			// take "addr*2" for an address no peer will ever answer at.
+			return nil, fmt.Errorf("cluster: peer entry %q: member weights are not supported", entry)
 		}
-		out = append(out, m)
+		out = append(out, Member{ID: id, Addr: addr})
 	}
 	return out, nil
 }

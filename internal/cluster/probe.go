@@ -42,6 +42,8 @@ import (
 	"math/rand"
 	"net/http"
 	"time"
+
+	"github.com/csrd-repro/datasync/internal/service"
 )
 
 // peerState is the failure detector's verdict on one peer.
@@ -67,10 +69,8 @@ func (s peerState) String() string {
 // peerHealth is the per-peer detector state, guarded by Node.peersMu.
 type peerHealth struct {
 	state       peerState
-	failures    int // consecutive probe failures
-	successes   int // consecutive probe successes while demoted
-	lastProbe   time.Time
-	lastChange  time.Time
+	failures    int       // consecutive probe failures
+	successes   int       // consecutive probe successes while demoted
 	lastReadmit time.Time // gates the demote cooldown
 	// lastFailure is the last firsthand evidence the peer is gone: a
 	// failed probe, an exhausted transport or its drain announcement.
@@ -156,7 +156,7 @@ func (n *Node) fetchHealthz(m Member) (healthzView, bool) {
 	if err != nil {
 		return view, false
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxBody))
 	resp.Body.Close()
 	if err != nil || json.Unmarshal(body, &view) != nil || view.Node != m.ID {
 		return view, false
@@ -173,7 +173,6 @@ func (n *Node) observeProbe(id string, ok bool) {
 		return
 	}
 	now := time.Now()
-	ph.lastProbe = now
 	if ok {
 		ph.failures = 0
 		if ph.upSince.IsZero() {
@@ -182,7 +181,6 @@ func (n *Node) observeProbe(id string, ok bool) {
 		switch ph.state {
 		case peerSuspect:
 			ph.state = peerAlive
-			ph.lastChange = now
 			n.log.Info("cluster: suspect peer recovered", "peer", id)
 		case peerDemoted:
 			ph.successes++
@@ -198,7 +196,6 @@ func (n *Node) observeProbe(id string, ok bool) {
 	ph.lastFailure, ph.upSince = now, time.Time{}
 	if ph.state == peerAlive {
 		ph.state = peerSuspect
-		ph.lastChange = now
 		n.log.Warn("cluster: peer suspect", "peer", id, "failures", ph.failures)
 	}
 	confirm := ph.state == peerSuspect && ph.failures >= n.opts.SuspectAfter

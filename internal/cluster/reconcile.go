@@ -362,11 +362,6 @@ func (n *Node) AntiEntropyScan(ctx context.Context) AntiEntropyReport {
 	return rep
 }
 
-// AntiEntropyStats snapshots the scan counters (tests).
-func (n *Node) AntiEntropyStats() (scans, pushes, underreplicated int64) {
-	return n.antiScans.Load(), n.antiPushes.Load(), n.underreplicated.Load()
-}
-
 // ---- drain handoff ----
 
 // DrainHandoff announces this node's departure and pushes its cache to the
@@ -462,7 +457,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // handleHas answers which of the asked keys the local cache holds.
 func (n *Node) handleHas(w http.ResponseWriter, r *http.Request) {
 	var req hasRequest
-	if !n.readPeerJSON(w, r, maxBody, "has query", &req) {
+	if !n.readPeerJSON(w, r, service.MaxBody, "has query", &req) {
 		return
 	}
 	resp := hasResponse{Has: make([]bool, len(req.Keys))}
@@ -477,7 +472,7 @@ func (n *Node) handleHas(w http.ResponseWriter, r *http.Request) {
 // bypasses the cooldown) so its keys reassign before its listener closes.
 func (n *Node) handleDeparting(w http.ResponseWriter, r *http.Request) {
 	var req departingRequest
-	if !n.readPeerJSON(w, r, maxBody, "departure", &req) {
+	if !n.readPeerJSON(w, r, service.MaxBody, "departure", &req) {
 		return
 	}
 	if req.Node == "" {

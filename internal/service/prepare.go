@@ -14,9 +14,10 @@ import (
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// maxBody caps a request body. The cluster router reads at most this many
-// bytes to prepare a request, the handlers decode through the same cap.
-const maxBody = 1 << 20
+// MaxBody caps a request body. The handlers and the cluster router read
+// bodies through http.MaxBytesReader with this cap, so a body over it gets
+// the same "request body too large" answer on every path.
+const MaxBody = 1 << 20
 
 // DecodeStrict decodes one JSON value from r; unknown fields are an error
 // so a typo'd parameter fails loudly instead of silently taking a default.
@@ -131,7 +132,7 @@ func (s *Server) prepared(w http.ResponseWriter, r *http.Request, route string) 
 	if p, ok := r.Context().Value(ctxKeyPrepared{}).(*Prepared); ok && p.route == route {
 		return p, true
 	}
-	p, err := Prepare(route, http.MaxBytesReader(w, r.Body, maxBody))
+	p, err := Prepare(route, http.MaxBytesReader(w, r.Body, MaxBody))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return nil, false

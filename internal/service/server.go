@@ -28,8 +28,6 @@ type Options struct {
 	JobTimeout time.Duration
 	// CacheSize is the result cache capacity in entries (default 1024).
 	CacheSize int
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// BreakerThreshold is how many consecutive stall-class failures
 	// (diagnosed deadlocks/livelocks under a fault plan) open the circuit
 	// breaker (default 5).
@@ -72,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 5
@@ -538,12 +533,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decode parses a JSON body strictly (DecodeStrict), answering the 400
 // itself when it cannot.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxBody), dst); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, MaxBody), dst); err != nil {
 		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return false
 	}
 	return true
 }
+
+// retryAfterHint is the Retry-After of a 429 from the full queue, and of a
+// 503 from an open breaker that names no cooldown of its own.
+const retryAfterHint = time.Second
 
 // evalError maps evaluation failures to HTTP: backpressure to 429 +
 // Retry-After, cancellation to 503, everything else to 400 (the request
@@ -551,10 +550,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 func (s *Server) evalError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterHint/time.Second)))
 		s.httpError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrBreakerOpen):
-		ra := s.opts.RetryAfter
+		ra := retryAfterHint
 		var be *breakerError
 		if errors.As(err, &be) && be.retryAfter > 0 {
 			ra = be.retryAfter

@@ -314,18 +314,26 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 	// cannot deadlock the pool; interactive /run traffic keeps its
 	// fail-fast 429 behaviour while a sweep patiently shares capacity.
 	ctx = patientCtx(ctx)
-	resp := &SweepResponse{Workload: wl.Name, Points: make([]SweepPoint, len(points))}
+	out := make([]SweepPoint, len(points))
 	var wg sync.WaitGroup
 	for _, chain := range SweepChains(req, points) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.evalChain(ctx, wl, req, points, chain, resp.Points)
+			s.evalChain(ctx, wl, req, points, chain, out)
 		}()
 	}
 	wg.Wait()
+	return NewSweepResponse(wl.Name, out), nil
+}
 
-	for _, p := range resp.Points {
+// NewSweepResponse assembles a sweep's response from its points, in grid
+// order: the success, failure and cache-hit counts and the Pareto front
+// over every point. EvalSweep and the cluster's sweep coordinator both
+// answer with it, so a merged cluster sweep matches a single node's.
+func NewSweepResponse(workload string, points []SweepPoint) *SweepResponse {
+	resp := &SweepResponse{Workload: workload, Points: points}
+	for _, p := range points {
 		if p.Error != "" {
 			resp.Failed++
 			continue
@@ -335,8 +343,8 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 			resp.CacheHits++
 		}
 	}
-	resp.Pareto = ParetoFront(resp.Points)
-	return resp, nil
+	resp.Pareto = ParetoFront(points)
+	return resp
 }
 
 // evalChain evaluates the points chain of sels in order into out. A point
