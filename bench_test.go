@@ -43,8 +43,8 @@ func runScheme(b *testing.B, mk func() codegen.Scheme, n, cost int64, p int) {
 }
 
 // BenchmarkSnapshot times one exper.Snapshot, the grid every BENCH_*.json
-// records (a fresh Workload per point, plus the host calibration loop);
-// allocs/op is the grid's allocation count.
+// records (a fresh Workload per point); allocs/op is the grid's allocation
+// count.
 func BenchmarkSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,16 +9,15 @@
 //	dsbench -json out.json  # machine-readable benchmark snapshot
 //	dsbench -compare old.json new.json   # per-grid-point delta table
 //
-// -json measures the canonical workload x scheme grid on the base machine
-// and writes a BenchSnapshot ("-" for stdout): every point's deterministic
-// simulator measurements plus its best-of-repeats wall time and a host
-// calibration figure. -compare diffs two snapshots and prints a
-// per-grid-point delta table and the count of points whose simulated
-// fields differ; with -gate N it exits non-zero when any simulated field
-// differs, when a point is in only one snapshot, or when the normalized
-// cycle throughput regressed by more than N percent, which is how
-// scripts/bench_gate.sh turns the committed BENCH_*.json baseline into a CI
-// regression gate.
+// -json runs the canonical workload x scheme grid on the base machine and
+// writes a BenchSnapshot ("-" for stdout): every point's deterministic
+// simulator measurements. The committed BENCH_*.json files are such
+// snapshots, and the newest is the engine's exact oracle
+// (internal/exper's TestSnapshotMatchesNewestBaseline). -compare diffs two
+// snapshots, prints a per-grid-point table naming every changed simulated
+// field, and exits non-zero when any simulated field differs or a point is
+// in only one snapshot. Engine speed is measured end to end by bench/dsload
+// (sim.cycles_per_s, points_per_s), not here.
 //
 // -runtime executes the Fig 2.1 Doacross on the real concurrent runtime —
 // packed and split-field counter sets — with the metrics layer enabled and
@@ -31,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -90,9 +90,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	md := flag.Bool("md", false, "render tables as GitHub markdown")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark snapshot to this file (\"-\" for stdout) and exit")
-	repeats := flag.Int("repeats", 3, "-json: run every grid point this many times and record the best wall time")
-	compare := flag.Bool("compare", false, "compare two snapshot files (old.json new.json) and print the per-point delta table")
-	gatePct := flag.Float64("gate", 0, "-compare: exit non-zero if any simulated field differs, a point is in only one snapshot, or normalized cycle throughput regressed by more than this percent (0 = report only)")
+	compare := flag.Bool("compare", false, "compare two snapshot files (old.json new.json), print the per-point delta table and exit non-zero on any simulated-field mismatch or one-sided point")
 	rt := flag.Bool("runtime", false, "run the goroutine runtime with waiter metrics and print RunStats")
 	rtn := flag.Int64("rtn", 100_000, "-runtime: iterations")
 	rtx := flag.Int("rtx", 8, "-runtime: physical process counters (X)")
@@ -104,14 +102,14 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-compare needs exactly two snapshot files, got %d args", flag.NArg()))
 		}
-		if err := compareSnapshots(flag.Arg(0), flag.Arg(1), *gatePct); err != nil {
+		if err := compareSnapshots(flag.Arg(0), flag.Arg(1)); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
 	if *jsonOut != "" {
-		if err := writeSnapshot(*jsonOut, *repeats); err != nil {
+		if err := writeSnapshot(*jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -167,68 +165,51 @@ func main() {
 }
 
 // writeSnapshot measures the canonical grid and writes the JSON snapshot to
-// path ("-" for stdout).
-func writeSnapshot(path string, repeats int) error {
-	snap, err := exper.SnapshotTimed(repeats)
+// path ("-" for stdout). A file that does not close cleanly is an error, so
+// a truncated write never reports success.
+func writeSnapshot(path string) error {
+	snap, err := exper.Snapshot()
 	if err != nil {
 		return err
 	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if path == "-" {
+		return encodeSnapshot(os.Stdout, snap)
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if path != "-" {
-		fmt.Fprintf(os.Stderr, "dsbench: wrote %d records to %s\n", len(snap.Records), path)
+	err = encodeSnapshot(f, snap)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "dsbench: wrote %d records to %s\n", len(snap.Records), path)
 	return nil
 }
 
-// compareSnapshots loads two snapshot files, prints the delta table and,
-// when gatePct > 0, fails on any simulated-field mismatch, any point in
-// only one snapshot, or a normalized-throughput regression beyond gatePct.
-func compareSnapshots(oldPath, newPath string, gatePct float64) error {
-	oldSnap, err := loadSnapshot(oldPath)
+func encodeSnapshot(w io.Writer, snap *exper.BenchSnapshot) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(snap)
+}
+
+// compareSnapshots loads two snapshot files, prints the delta table and
+// fails on any simulated-field mismatch or any point in only one snapshot.
+func compareSnapshots(oldPath, newPath string) error {
+	oldSnap, err := exper.LoadSnapshot(oldPath)
 	if err != nil {
 		return err
 	}
-	newSnap, err := loadSnapshot(newPath)
+	newSnap, err := exper.LoadSnapshot(newPath)
 	if err != nil {
 		return err
 	}
 	res := exper.Compare(oldSnap, newSnap)
 	fmt.Print(res.Report)
-	if gatePct > 0 {
-		if err := res.Gate(gatePct); err != nil {
-			return err
-		}
-		fmt.Printf("bench gate: PASS (threshold %.1f%%)\n", gatePct)
-	}
-	return nil
-}
-
-func loadSnapshot(path string) (*exper.BenchSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap exper.BenchSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(snap.Records) == 0 {
-		return nil, fmt.Errorf("%s: snapshot has no records", path)
-	}
-	return &snap, nil
+	return res.Gate()
 }
 
 // fatal prints a one-line diagnostic through the renderer shared with

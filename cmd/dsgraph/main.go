@@ -17,9 +17,9 @@ import (
 	"io"
 	"os"
 
-	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
 	"github.com/csrd-repro/datasync/internal/lang"
+	"github.com/csrd-repro/datasync/internal/service"
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
@@ -91,7 +91,7 @@ func main() {
 	}
 
 	if *iter > 0 {
-		sch, err := pickScheme(*schemeName, *x)
+		sch, err := service.SchemeSpec{Name: *schemeName, X: *x}.Build()
 		if err != nil {
 			fatal(err)
 		}
@@ -140,22 +140,6 @@ func printDOT(lin *deps.Graph, enforced []deps.Arc) {
 			lin.Stmts[a.Src].Name, lin.Stmts[a.Dst].Name, a.Kind)
 	}
 	fmt.Println("}")
-}
-
-func pickScheme(name string, x int) (codegen.Scheme, error) {
-	switch name {
-	case "process":
-		return codegen.ProcessOriented{X: x, Improved: true}, nil
-	case "process-basic":
-		return codegen.ProcessOriented{X: x, Improved: false}, nil
-	case "statement":
-		return codegen.StatementOriented{}, nil
-	case "ref":
-		return codegen.RefBased{}, nil
-	case "instance":
-		return codegen.NewInstanceBased(), nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
 }
 
 func readSource(path string) (string, error) {

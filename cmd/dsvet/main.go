@@ -32,9 +32,9 @@ import (
 	"github.com/csrd-repro/datasync/internal/fault"
 	"github.com/csrd-repro/datasync/internal/frontend"
 	"github.com/csrd-repro/datasync/internal/lang"
+	"github.com/csrd-repro/datasync/internal/service"
 	"github.com/csrd-repro/datasync/internal/sim"
 	"github.com/csrd-repro/datasync/internal/verify"
-	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
 type pairResult struct {
@@ -76,16 +76,15 @@ func main() {
 		usage(err)
 	}
 
-	cfg := sim.Config{Processors: *p, BusLatency: 1, MemLatency: 2, Modules: *p,
-		SyncOpCost: 1, SchedOverhead: 1}
+	cspec := service.ConfigSpec{P: *p, Recover: &sim.Recover{AfterCycles: *recoverCycles}}
 	if *faultSpec != "" {
 		plan, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
 			usage(err)
 		}
-		cfg.FaultPlan = plan
+		cspec.Fault = &plan
 	}
-	cfg.Recover = sim.Recover{AfterCycles: *recoverCycles}
+	cfg := cspec.SimConfig()
 	if err := cfg.Check(); err != nil {
 		usage(err)
 	}
@@ -93,9 +92,9 @@ func main() {
 	hard := false
 	for _, w := range ws {
 		for _, s := range schemes {
-			sp, err := codegen.ExtractSyncProgram(w, s.build())
+			sp, err := codegen.ExtractSyncProgram(w, freshScheme(s))
 			if err != nil {
-				usage(fmt.Errorf("%s/%s: %v", w.Name, s.name, err))
+				usage(fmt.Errorf("%s/%s: %v", w.Name, s.Name, err))
 			}
 			pr := pairResult{Workload: w.Name, Scheme: sp.Scheme,
 				Static: verify.Static(sp, verify.Options{MaxIters: *maxIter})}
@@ -109,7 +108,7 @@ func main() {
 				// iteration) goes through the same vector-clock replay: the
 				// resumption shares its iteration with the pre-halt prefix,
 				// so it is happens-before ordered like any other execution.
-				res, events, rerr := codegen.RunSyncTraced(w, s.build(), cfg)
+				res, events, rerr := codegen.RunSyncTraced(w, freshScheme(s), cfg)
 				if rerr != nil {
 					pr.RunError = rerr.Error()
 					hard = true
@@ -193,53 +192,55 @@ func selectWorkloads(name, file, source string, n, m, d, cost int64) ([]*codegen
 		}
 		return []*codegen.Workload{w}, nil
 	}
-	switch name {
-	case "fig21":
-		return []*codegen.Workload{workloads.Fig21(n, cost)}, nil
-	case "nested":
-		return []*codegen.Workload{workloads.Nested(n, m, cost)}, nil
-	case "branchy":
-		return []*codegen.Workload{workloads.Branchy(n, cost)}, nil
-	case "recurrence":
-		return []*codegen.Workload{workloads.Recurrence(n, d, cost)}, nil
-	case "stencil":
-		return []*codegen.Workload{workloads.Stencil(n, cost)}, nil
-	case "all":
-		return []*codegen.Workload{
-			workloads.Fig21(40, 4),
-			workloads.Nested(10, 8, 4),
-			workloads.Branchy(40, 4),
-			workloads.Recurrence(60, 3, 4),
-			workloads.Stencil(11, 4),
-		}, nil
+	specs := allWorkloads
+	if name != "all" {
+		specs = []service.WorkloadSpec{{Name: name, N: n, M: m, D: d, Cost: cost}}
 	}
-	return nil, fmt.Errorf("unknown workload %q", name)
+	var ws []*codegen.Workload
+	for _, spec := range specs {
+		w, err := spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, w)
+	}
+	return ws, nil
 }
 
-type schemeSel struct {
-	name string
-	// build returns a fresh scheme per use: the instance-based scheme keeps
-	// per-run state, and the extraction and -dynamic runs must not share it.
-	build func() codegen.Scheme
+// allWorkloads are the built-in workloads -workload all verifies, at fixed
+// sizes independent of the size flags.
+var allWorkloads = []service.WorkloadSpec{
+	{Name: "fig21", N: 40, Cost: 4},
+	{Name: "nested", N: 10, M: 8, Cost: 4},
+	{Name: "branchy", N: 40, Cost: 4},
+	{Name: "recurrence", N: 60, D: 3, Cost: 4},
+	{Name: "stencil", N: 11, Cost: 4},
 }
 
-func selectSchemes(name string, x, k int) ([]schemeSel, error) {
-	all := []schemeSel{
-		{"process", func() codegen.Scheme { return codegen.ProcessOriented{X: x, Improved: true} }},
-		{"process-basic", func() codegen.Scheme { return codegen.ProcessOriented{X: x, Improved: false} }},
-		{"statement", func() codegen.Scheme { return codegen.StatementOriented{K: k} }},
-		{"ref", func() codegen.Scheme { return codegen.RefBased{} }},
-		{"instance", func() codegen.Scheme { return codegen.Scheme(codegen.NewInstanceBased()) }},
-	}
-	if name == "all" {
-		return all, nil
-	}
-	for _, s := range all {
-		if s.name == name {
-			return []schemeSel{s}, nil
+// selectSchemes resolves -scheme into the verifiable schemes it names.
+func selectSchemes(name string, x, k int) ([]service.SchemeSpec, error) {
+	var specs []service.SchemeSpec
+	for _, n := range service.SchemeNames() {
+		spec := service.SchemeSpec{Name: n, X: x, K: k}
+		if spec.Verifiable() && (name == "all" || name == n) {
+			specs = append(specs, spec)
 		}
 	}
-	return nil, fmt.Errorf("unknown scheme %q (pipeline is not statically verifiable; see package doc)", name)
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("unknown scheme %q (pipeline is not statically verifiable; see package doc)", name)
+	}
+	return specs, nil
+}
+
+// freshScheme returns a fresh scheme per use: the instance-based scheme keeps
+// per-run state, and the extraction and -dynamic runs must not share it.
+// selectSchemes only returns specs that build.
+func freshScheme(s service.SchemeSpec) codegen.Scheme {
+	sch, err := s.Build()
+	if err != nil {
+		usage(err)
+	}
+	return sch
 }
 
 func usage(err error) {

@@ -95,7 +95,12 @@ type allocCase struct {
 // effects replaced per-op closures, the event heap ordered pointer-free
 // keys and the variable table was sized once, they allocated 2017 / 941
 // (134,682 / 69,320 bytes), 1683 / 693 (85,410 / 41,250 bytes) and
-// 2608 / 936 (312,355 / 154,008 bytes).
+// 2608 / 936 (312,355 / 154,008 bytes). With every scheme of the BENCH_*.json
+// grid covered, the six cases measure (fresh / shared allocations, fresh /
+// shared bytes): fig21/process 317 / 71 (50,882 / 21,842), branchy/statement
+// 297 / 74 (41,298 / 17,064), stencil/instance 1002 / 34 (157,568 / 21,832),
+// recurrence/process-basic 144 / 70 (19,000 / 13,850), fig21/ref 820 / 41
+// (165,848 / 23,770) and nested/pipeline 197 / 130 (90,010 / 82,450).
 func TestRunAllocations(t *testing.T) {
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
@@ -107,6 +112,15 @@ func TestRunAllocations(t *testing.T) {
 		{"stencil/instance", func() *codegen.Workload { return workloads.Stencil(12, 4) },
 			func() codegen.Scheme { return codegen.NewInstanceBased() },
 			1103, 38, 173325, 24016},
+		{"recurrence/process-basic", func() *codegen.Workload { return workloads.Recurrence(60, 2, 4) },
+			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: false} },
+			159, 77, 20900, 15235},
+		{"fig21/ref", func() *codegen.Workload { return workloads.Fig21(60, 4) },
+			func() codegen.Scheme { return codegen.RefBased{} },
+			902, 46, 182433, 26147},
+		{"nested/pipeline", func() *codegen.Workload { return workloads.Nested(12, 8, 4) },
+			func() codegen.Scheme { return codegen.PipelinedOuter{X: 8, G: 1} },
+			217, 143, 99011, 90695},
 	}
 	cfg := sweepMixConfig(4, 1)
 	for _, c := range cases {

@@ -1,24 +1,25 @@
 package exper
 
 import (
+	"encoding/json"
 	"fmt"
-	"math"
+	"os"
 	"runtime"
-	"time"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
-// SnapshotVersion identifies the snapshot schema. v2 added per-record wall
-// times and the host calibration figure that makes cycle-throughput
-// comparable across machines.
-const SnapshotVersion = "dsbench-snapshot-v2"
+// SnapshotVersion identifies the snapshot schema. v3 dropped v2's per-record
+// wall times and host calibration figure: a snapshot records only simulated
+// results, which are properties of the abstract machine, not of the host.
+// v1 and v2 files still load (json.Unmarshal ignores their extra fields).
+const SnapshotVersion = "dsbench-snapshot-v3"
 
 // BenchRecord is one measured point of the benchmark snapshot: a workload x
 // scheme x machine triple with the headline simulator measurements. The
 // simulator is deterministic, so records from two builds of the same code
-// are directly diffable.
+// are equal field for field.
 type BenchRecord struct {
 	Workload     string  `json:"workload"`
 	Scheme       string  `json:"scheme"`
@@ -34,62 +35,18 @@ type BenchRecord struct {
 	Polls        int64   `json:"polls"`
 	SyncVars     int     `json:"syncVars"`
 	StorageWords int64   `json:"storageWords"`
-	// WallNanos is the best-of-repeats wall time of the whole simulate-and-
-	// verify run of this point (0 in untimed snapshots). Simulated results
-	// are deterministic; only this field varies between hosts.
-	WallNanos int64 `json:"wallNanos,omitempty"`
 }
 
 // BenchSnapshot is the machine-readable output of `dsbench -json`: a
-// canonical workload x scheme grid measured on the base machine. CI compares
-// it against the committed BENCH_*.json baseline (scripts/bench_gate.sh) and
-// uploads the delta table, so perf movement between commits is gated rather
-// than merely archived.
+// canonical workload x scheme grid measured on the base machine. The
+// committed BENCH_*.json files are snapshots, and the newest one is an exact
+// oracle: TestSnapshotMatchesNewestBaseline requires a fresh snapshot to
+// equal it on every simulated field of every point.
 type BenchSnapshot struct {
-	Version string `json:"version"`
-	Go      string `json:"go"`
-	// CalibNanos is the best-of-3 wall time of a fixed, simulator-
-	// independent arithmetic loop on the measuring host. Dividing a
-	// snapshot's cycle throughput by the host's calibration throughput
-	// cancels raw scalar speed, so baselines recorded on one machine gate
-	// runs on another.
-	CalibNanos int64         `json:"calibNanos,omitempty"`
-	Records    []BenchRecord `json:"records"`
+	Version string        `json:"version"`
+	Go      string        `json:"go"`
+	Records []BenchRecord `json:"records"`
 }
-
-// Calibrate times the fixed reference loop (2^24 splitmix64 rounds): one
-// untimed warmup round to settle CPU frequency scaling, then the best of 5
-// timed rounds. The minimum is the host's unloaded speed — robust against
-// noise spikes, which only ever make rounds slower.
-func Calibrate() int64 {
-	round := func() int64 {
-		start := time.Now()
-		x := uint64(0x9e3779b97f4a7c15)
-		var acc uint64
-		for i := 0; i < 1<<24; i++ {
-			x += 0x9e3779b97f4a7c15
-			z := x
-			z ^= z >> 30
-			z *= 0xbf58476d1ce4e5b9
-			z ^= z >> 27
-			z *= 0x94d049bb133111eb
-			acc += z ^ z>>31
-		}
-		calibSink = acc
-		return time.Since(start).Nanoseconds()
-	}
-	round() // warmup
-	best := int64(math.MaxInt64)
-	for r := 0; r < 5; r++ {
-		if d := round(); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// calibSink defeats dead-code elimination of the calibration loop.
-var calibSink uint64
 
 // benchPair is one cell of the canonical grid. Scheme construction is
 // deferred (mk) because the instance-based scheme is stateful and must be
@@ -140,60 +97,50 @@ func snapshotPairs() []benchPair {
 }
 
 // Snapshot measures the canonical grid at 4 and 8 processors on the base
-// machine and returns the machine-readable snapshot, timing each point once.
-func Snapshot() (*BenchSnapshot, error) { return SnapshotTimed(1) }
-
-// SnapshotTimed measures the canonical grid, running every point `repeats`
-// times and recording the best wall time (simulated results must agree
-// between repeats — the engine is deterministic, and a disagreement is
-// reported as an error rather than averaged away).
-func SnapshotTimed(repeats int) (*BenchSnapshot, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	snap := &BenchSnapshot{Version: SnapshotVersion, Go: runtime.Version(), CalibNanos: Calibrate()}
+// machine and returns the machine-readable snapshot.
+func Snapshot() (*BenchSnapshot, error) {
+	snap := &BenchSnapshot{Version: SnapshotVersion, Go: runtime.Version()}
 	for _, procs := range []int{4, 8} {
 		for _, pair := range snapshotPairs() {
-			var rec BenchRecord
-			best := int64(math.MaxInt64)
-			for r := 0; r < repeats; r++ {
-				start := time.Now()
-				res, err := codegen.Run(pair.build(), pair.mk(), baseCfg(procs))
-				wall := time.Since(start).Nanoseconds()
-				if err != nil {
-					return nil, fmt.Errorf("snapshot %s/%s at P=%d: %w", pair.workload, pair.scheme, procs, err)
-				}
-				if wall < best {
-					best = wall
-				}
-				if r > 0 {
-					if rec.Cycles != res.Stats.Cycles {
-						return nil, fmt.Errorf("snapshot %s/%s at P=%d: nondeterministic cycles (%d then %d)",
-							pair.workload, pair.scheme, procs, rec.Cycles, res.Stats.Cycles)
-					}
-					continue
-				}
-				st := res.Stats
-				rec = BenchRecord{
-					Workload:     pair.workload,
-					Scheme:       pair.scheme,
-					Processors:   procs,
-					Iterations:   st.Iterations,
-					SerialCycles: res.SerialCycles,
-					Cycles:       st.Cycles,
-					Speedup:      res.Speedup(),
-					Utilization:  st.Utilization(),
-					SyncOps:      st.SyncOps,
-					WaitSync:     st.WaitSyncTotal(),
-					BusTx:        st.BusBroadcasts,
-					Polls:        st.Polls,
-					SyncVars:     res.Foot.SyncVars,
-					StorageWords: res.Foot.StorageWords,
-				}
+			res, err := codegen.Run(pair.build(), pair.mk(), baseCfg(procs))
+			if err != nil {
+				return nil, fmt.Errorf("snapshot %s/%s at P=%d: %w", pair.workload, pair.scheme, procs, err)
 			}
-			rec.WallNanos = best
-			snap.Records = append(snap.Records, rec)
+			st := res.Stats
+			snap.Records = append(snap.Records, BenchRecord{
+				Workload:     pair.workload,
+				Scheme:       pair.scheme,
+				Processors:   procs,
+				Iterations:   st.Iterations,
+				SerialCycles: res.SerialCycles,
+				Cycles:       st.Cycles,
+				Speedup:      res.Speedup(),
+				Utilization:  st.Utilization(),
+				SyncOps:      st.SyncOps,
+				WaitSync:     st.WaitSyncTotal(),
+				BusTx:        st.BusBroadcasts,
+				Polls:        st.Polls,
+				SyncVars:     res.Foot.SyncVars,
+				StorageWords: res.Foot.StorageWords,
+			})
 		}
 	}
 	return snap, nil
+}
+
+// LoadSnapshot reads a snapshot file of any version. A file without records
+// is an error: comparing against it would pass vacuously.
+func LoadSnapshot(path string) (*BenchSnapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var snap BenchSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(snap.Records) == 0 {
+		return nil, fmt.Errorf("%s: snapshot has no records", path)
+	}
+	return &snap, nil
 }
