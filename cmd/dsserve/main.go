@@ -44,8 +44,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (full queue answers 429)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-job timeout")
 	cacheSize := flag.Int("cache-size", 1024, "result cache capacity in entries")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive stall-class failures that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")
 	drainWait := flag.Duration("drain-wait", 30*time.Second, "shutdown budget for draining in-flight jobs")
 
 	nodeID := flag.String("node-id", "solo", "this node's stable cluster identity")
@@ -110,13 +108,11 @@ func main() {
 		LinkFaults:          linkPlan,
 		Logger:              log,
 	}, service.Options{
-		Workers:          *workers,
-		QueueCap:         *queue,
-		JobTimeout:       *timeout,
-		CacheSize:        *cacheSize,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Logger:           log,
+		Workers:    *workers,
+		QueueCap:   *queue,
+		JobTimeout: *timeout,
+		CacheSize:  *cacheSize,
+		Logger:     log,
 	})
 	if err != nil {
 		service.Fatal(os.Stderr, "dsserve", err)

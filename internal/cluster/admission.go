@@ -38,23 +38,23 @@ func (p TenantPolicy) burst() float64 {
 	return math.Max(1, math.Ceil(p.Rate))
 }
 
-// tenantState is one tenant's bucket.
+// tenantState is one tenant's bucket and its shed count. The count lives
+// and dies with the bucket, so the shed series are bounded by the table.
 type tenantState struct {
 	tokens float64
 	last   time.Time
+	shed   int64
 }
 
 // Admission enforces a TenantPolicy per tenant. It sits in front of the
-// whole node — cache, breaker and pool — so a hot tenant is shed with 429s
-// while the stall-class circuit breaker (which tracks service health, not
-// tenant behaviour) stays closed for everyone else.
+// whole node — cache and pool — so a hot tenant is shed with 429s while
+// every other tenant keeps being served.
 type Admission struct {
 	pol TenantPolicy
 	now func() time.Time // injectable clock for tests
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
-	sheds   map[string]int64
 }
 
 // NewAdmission builds an Admission for the policy (nil-safe to use when
@@ -64,7 +64,6 @@ func NewAdmission(pol TenantPolicy) *Admission {
 		pol:     pol,
 		now:     time.Now,
 		tenants: make(map[string]*tenantState),
-		sheds:   make(map[string]int64),
 	}
 }
 
@@ -82,11 +81,11 @@ func (a *Admission) Admit(tenant string) (retryAfter time.Duration, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	ts, tenant := a.stateLocked(tenant)
+	ts := a.stateLocked(tenant)
 	a.refillLocked(ts)
 
 	if ts.tokens < 1 {
-		a.sheds[tenant]++
+		ts.shed++
 		wait := time.Duration((1 - ts.tokens) / a.pol.Rate * float64(time.Second))
 		// Ceil to a whole second so the header never renders 0.
 		return ((wait-1)/time.Second + 1) * time.Second, false
@@ -112,16 +111,14 @@ func (a *Admission) Charge(tenant string, tokens int) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ts, _ := a.stateLocked(tenant)
+	ts := a.stateLocked(tenant)
 	a.refillLocked(ts)
 	ts.tokens -= float64(tokens)
 }
 
 // stateLocked resolves a tenant name to its bucket, creating it (or
-// falling back to the overflow bucket at the table cap) as needed. It
-// returns the possibly-remapped name so callers charge the bucket they
-// actually got.
-func (a *Admission) stateLocked(tenant string) (*tenantState, string) {
+// falling back to the overflow bucket at the table cap) as needed.
+func (a *Admission) stateLocked(tenant string) *tenantState {
 	ts := a.tenants[tenant]
 	if ts == nil {
 		if len(a.tenants) >= maxTenants && !a.evictIdleLocked() {
@@ -133,7 +130,7 @@ func (a *Admission) stateLocked(tenant string) (*tenantState, string) {
 			a.tenants[tenant] = ts
 		}
 	}
-	return ts, tenant
+	return ts
 }
 
 // refillLocked accrues tokens for the time since the bucket was last
@@ -151,7 +148,9 @@ func (a *Admission) tokensAt(ts *tenantState, now time.Time) float64 {
 
 // evictIdleLocked drops one tenant whose bucket has refilled to full —
 // state indistinguishable from a fresh entry, so eviction cannot grant
-// anyone extra budget. Reports whether a slot was freed.
+// anyone extra budget. The tenant's shed count goes with it: its series
+// restarts from zero if the tenant returns, an ordinary counter reset.
+// Reports whether a slot was freed.
 func (a *Admission) evictIdleLocked() bool {
 	now := a.now()
 	for name, ts := range a.tenants {
@@ -163,16 +162,19 @@ func (a *Admission) evictIdleLocked() bool {
 	return false
 }
 
-// Sheds snapshots the per-tenant shed counters, sorted by tenant name.
+// Sheds snapshots the shed counters of the tenants in the table that
+// were ever shed, sorted by tenant name.
 func (a *Admission) Sheds() []TenantSheds {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]TenantSheds, 0, len(a.sheds))
-	for name, n := range a.sheds {
-		out = append(out, TenantSheds{Tenant: name, Shed: n})
+	var out []TenantSheds
+	for name, ts := range a.tenants {
+		if ts.shed > 0 {
+			out = append(out, TenantSheds{Tenant: name, Shed: ts.shed})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

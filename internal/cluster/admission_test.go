@@ -273,3 +273,29 @@ func TestAdmissionOverflowFallbackUnderRatePolicy(t *testing.T) {
 		t.Fatal("fresh tenant stayed in overflow after slots became evictable")
 	}
 }
+
+// TestAdmissionShedSeriesBound: a tenant's shed count lives in its bucket,
+// so a client minting names that are each shed once and then go idle
+// leaves at most maxTenants+1 shed series, not one per name ever seen.
+// An evicted tenant's count goes with its bucket.
+func TestAdmissionShedSeriesBound(t *testing.T) {
+	a, clk := testAdmission(TenantPolicy{Rate: 1, Burst: 1})
+	for i := 0; i < 3*maxTenants; i++ {
+		name := fmt.Sprintf("t-%d", i)
+		if _, ok := a.Admit(name); !ok {
+			t.Fatalf("tenant %s shed on its first request", name)
+		}
+		if _, ok := a.Admit(name); ok {
+			t.Fatalf("tenant %s admitted past its one-token burst", name)
+		}
+		if (i+1)%maxTenants == 0 {
+			clk.advance(2 * time.Second) // every bucket refills: all evictable
+		}
+	}
+	if got := len(a.tenants); got > maxTenants+1 {
+		t.Errorf("table holds %d tenants, bound is %d + overflow", got, maxTenants)
+	}
+	if got := len(a.Sheds()); got > maxTenants+1 {
+		t.Errorf("%d shed series after %d minted tenants, bound is %d + overflow", got, 3*maxTenants, maxTenants)
+	}
+}

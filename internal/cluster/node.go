@@ -338,7 +338,7 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// Server exposes the underlying service server (drain, breaker, tests).
+// Server exposes the underlying service server (drain, tests).
 func (n *Node) Server() *service.Server { return n.srv }
 
 // Ring exposes the current membership view.

@@ -19,8 +19,8 @@
 //     owner-aligned sub-grids dispatched cluster-wide, idle nodes stealing
 //     pending sub-grids, lost nodes' sub-grids re-dispatched to survivors.
 //   - Admission (admission.go): per-tenant token buckets in front of
-//     everything, so one hot tenant is shed with 429s without opening the
-//     stall-class circuit breaker for everyone.
+//     everything, so one hot tenant is shed with 429s while every other
+//     tenant keeps being served.
 package cluster
 
 import (

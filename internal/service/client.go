@@ -13,10 +13,10 @@ import (
 )
 
 // Client is a small retrying JSON client for dsserve. Backpressure answers
-// (429 queue-full, 503 breaker-open/draining) and transport errors are
-// retried with capped exponential backoff plus jitter; a Retry-After header
-// overrides the computed delay. Everything else is returned to the caller
-// on the first attempt.
+// (429 queue-full, 503 draining) and transport errors are retried with
+// capped exponential backoff plus jitter; a Retry-After header overrides
+// the computed delay. Everything else is returned to the caller on the
+// first attempt.
 type Client struct {
 	// Base is the server address, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -38,8 +38,6 @@ type Client struct {
 	// injector here: every peer exchange — forwards, sweep dispatches,
 	// handoff, replication — then crosses the same chaos schedule.
 	Transport http.RoundTripper
-	// OnRetry, when set, observes each retry decision (smoke scripts log it).
-	OnRetry func(attempt int, delay time.Duration, cause string)
 }
 
 func (c *Client) withDefaults() Client {
@@ -114,9 +112,6 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 		delay := cl.backoff(attempt)
 		if retryAfter > 0 {
 			delay = retryAfter
-		}
-		if cl.OnRetry != nil {
-			cl.OnRetry(attempt, delay, lastErr.Error())
 		}
 		if err := sleepCtx(ctx, delay); err != nil {
 			return err
@@ -211,11 +206,7 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte) (status 
 		if attempt >= cl.MaxAttempts {
 			return 0, nil, nil, fmt.Errorf("client: giving up after %d attempts: %w", attempt, lastErr)
 		}
-		delay := cl.backoff(attempt)
-		if cl.OnRetry != nil {
-			cl.OnRetry(attempt, delay, lastErr.Error())
-		}
-		if err := sleepCtx(ctx, delay); err != nil {
+		if err := sleepCtx(ctx, cl.backoff(attempt)); err != nil {
 			return 0, nil, nil, err
 		}
 	}
@@ -249,13 +240,4 @@ func parseRetryAfter(ra string, now time.Time) time.Duration {
 		return maxRetryAfter
 	}
 	return d
-}
-
-// Run posts one run request.
-func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	var resp RunResponse
-	if err := c.PostJSON(ctx, "/run", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

@@ -12,24 +12,27 @@ import (
 	"time"
 )
 
-// TestClientRetriesBackpressure: 503s with Retry-After are retried until
-// the server recovers; the final answer comes through.
+// TestClientRetriesBackpressure: 429s and 503s with Retry-After are
+// retried until the server recovers; the final answer comes through.
 func TestClientRetriesBackpressure(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
+		switch calls.Add(1) {
+		case 1:
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(errorResponse{Error: "queue full"})
+		case 2:
 			w.Header().Set("Retry-After", "0")
 			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(errorResponse{Error: "breaker open"})
-			return
+			json.NewEncoder(w).Encode(errorResponse{Error: "draining"})
+		default:
+			json.NewEncoder(w).Encode(RunResponse{Cycles: 42})
 		}
-		json.NewEncoder(w).Encode(RunResponse{Cycles: 42})
 	}))
 	defer ts.Close()
 
-	var retries int
-	c := Client{Base: ts.URL, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
-		OnRetry: func(int, time.Duration, string) { retries++ }}
+	c := Client{Base: ts.URL, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	var resp RunResponse
 	if err := c.PostJSON(context.Background(), "/run", RunRequest{}, &resp); err != nil {
 		t.Fatalf("retrying client gave up: %v", err)
@@ -37,8 +40,8 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	if resp.Cycles != 42 {
 		t.Errorf("cycles = %d, want 42", resp.Cycles)
 	}
-	if calls.Load() != 3 || retries != 2 {
-		t.Errorf("calls = %d retries = %d, want 3/2", calls.Load(), retries)
+	if calls.Load() != 3 {
+		t.Errorf("attempts = %d, want 3 (two retries)", calls.Load())
 	}
 }
 
@@ -131,21 +134,25 @@ func TestClientHonorsHTTPDateRetryAfter(t *testing.T) {
 // promptly instead of parking for the full delay — the regression this pins
 // is a bare time.Sleep in the retry loop.
 func TestClientCancelDuringBackoff(t *testing.T) {
+	var calls atomic.Int64
+	answered := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "20")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(errorResponse{Error: "breaker open"})
+		json.NewEncoder(w).Encode(errorResponse{Error: "draining"})
+		if calls.Add(1) == 1 {
+			close(answered)
+		}
 	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	backingOff := make(chan struct{})
-	c := Client{Base: ts.URL, MaxAttempts: 3,
-		OnRetry: func(int, time.Duration, string) { close(backingOff) }}
+	c := Client{Base: ts.URL, MaxAttempts: 3}
 	done := make(chan error, 1)
 	go func() { done <- c.PostJSON(ctx, "/run", RunRequest{}, nil) }()
 
-	<-backingOff // the client is now inside the 20s backoff sleep
+	<-answered // the first 503 is out: the client heads into the 20s backoff
+	time.Sleep(50 * time.Millisecond)
 	start := time.Now()
 	cancel()
 	select {
@@ -158,6 +165,9 @@ func TestClientCancelDuringBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client still blocked 5s after cancellation mid-backoff")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("attempts = %d, want 1 (cancelled during the first backoff)", n)
 	}
 }
 

@@ -103,7 +103,8 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 }
 
 // ObserveJob records one executed (non-cached) job's latency under its
-// scheme name.
+// scheme name, one of SchemeNames: the built scheme's name embeds the
+// client's X, K and G and would add a series per value.
 func (m *Metrics) ObserveJob(scheme string, d time.Duration) {
 	m.mu.Lock()
 	h := m.jobLat[scheme]
@@ -123,11 +124,8 @@ func (m *Metrics) observeSweepPoint(o sweepOutcome) {
 	m.mu.Unlock()
 }
 
-// Resilience carries the circuit-breaker, fault-injection and recovery
-// gauges into Render.
+// Resilience carries the fault-injection and recovery counters into Render.
 type Resilience struct {
-	BreakerState   BreakerState
-	BreakerOpens   int64
 	WatchdogTrips  int64
 	InjectedFaults int64
 	// RecoveredRuns counts runs completed via ownership reclamation;
@@ -136,9 +134,9 @@ type Resilience struct {
 	RecoveryCost  int64
 }
 
-// Render writes the exposition text: pool gauges, cache counters, breaker
-// and fault-injection state, request totals and latency histograms, with
-// label sets sorted for deterministic output.
+// Render writes the exposition text: pool gauges, cache counters,
+// fault-injection and recovery counters, request totals and latency
+// histograms, with label sets sorted for deterministic output.
 func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience) {
 	fmt.Fprintf(w, "# HELP dsserve_queue_depth Jobs waiting for a worker.\n# TYPE dsserve_queue_depth gauge\ndsserve_queue_depth %d\n", pool.QueueDepth())
 	fmt.Fprintf(w, "# TYPE dsserve_queue_capacity gauge\ndsserve_queue_capacity %d\n", pool.QueueCap())
@@ -152,8 +150,6 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 	fmt.Fprintf(w, "# HELP dsserve_cache_dedups_total Concurrent identical requests that piggybacked on an in-flight computation.\n# TYPE dsserve_cache_dedups_total counter\ndsserve_cache_dedups_total %d\n", cs.Dedups)
 	fmt.Fprintf(w, "# TYPE dsserve_cache_evictions_total counter\ndsserve_cache_evictions_total %d\n", cs.Evictions)
 
-	fmt.Fprintf(w, "# HELP dsserve_breaker_state Circuit breaker state: 0 closed, 1 half-open, 2 open.\n# TYPE dsserve_breaker_state gauge\ndsserve_breaker_state %d\n", int(res.BreakerState))
-	fmt.Fprintf(w, "# TYPE dsserve_breaker_opens_total counter\ndsserve_breaker_opens_total %d\n", res.BreakerOpens)
 	fmt.Fprintf(w, "# HELP dsserve_watchdog_trips_total Stall-class job failures (diagnosed deadlocks and livelocks).\n# TYPE dsserve_watchdog_trips_total counter\ndsserve_watchdog_trips_total %d\n", res.WatchdogTrips)
 	fmt.Fprintf(w, "# HELP dsserve_injected_faults_total Faults the simulator injected across all executed runs.\n# TYPE dsserve_injected_faults_total counter\ndsserve_injected_faults_total %d\n", res.InjectedFaults)
 	fmt.Fprintf(w, "# HELP dsserve_recovered_runs_total Runs completed via PC ownership reclamation after a processor halt.\n# TYPE dsserve_recovered_runs_total counter\ndsserve_recovered_runs_total %d\n", res.RecoveredRuns)

@@ -28,13 +28,6 @@ type Options struct {
 	JobTimeout time.Duration
 	// CacheSize is the result cache capacity in entries (default 1024).
 	CacheSize int
-	// BreakerThreshold is how many consecutive stall-class failures
-	// (diagnosed deadlocks/livelocks under a fault plan) open the circuit
-	// breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit sheds load before
-	// admitting a half-open trial (default 5s).
-	BreakerCooldown time.Duration
 	// Logger receives structured request logs (default: slog.Default).
 	Logger *slog.Logger
 	// HealthInfo, when set, contributes extra fields to the /healthz body
@@ -71,12 +64,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -90,7 +77,6 @@ type Server struct {
 	pool     *Pool
 	cache    *cache.Cache
 	metrics  *Metrics
-	breaker  *Breaker
 	log      *slog.Logger
 	draining atomic.Bool
 
@@ -118,14 +104,10 @@ func NewServer(opts Options) *Server {
 		pool:    NewPool(opts.Workers, opts.QueueCap, opts.JobTimeout),
 		cache:   cache.New(opts.CacheSize),
 		metrics: NewMetrics(),
-		breaker: NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		log:     opts.Logger,
 		simRun:  codegen.Run,
 	}
 }
-
-// Breaker exposes the circuit breaker (for introspection and tests).
-func (s *Server) Breaker() *Breaker { return s.breaker }
 
 // Pool exposes the worker pool (for drain and introspection).
 func (s *Server) Pool() *Pool { return s.pool }
@@ -245,26 +227,17 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 	return rr.decorate(key, hit), hit, nil
 }
 
-// doRun answers a built, validated and keyed run through the breaker,
-// the cache, singleflight and the pool. Outside a sweep the pool's
-// backpressure fails fast with ErrQueueFull (turned into 429); a sweep's
-// patient context waits for a queue slot instead.
+// doRun answers a built, validated and keyed run through the cache,
+// singleflight and the pool. Outside a sweep the pool's backpressure fails
+// fast with ErrQueueFull (turned into 429); a sweep's patient context waits
+// for a queue slot instead.
 func (s *Server) doRun(ctx context.Context, key cache.Key, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, bool, error) {
-	if ok, retryAfter := s.breaker.Allow(); !ok {
-		return nil, false, &breakerError{retryAfter: retryAfter}
-	}
 	v, hit, err := s.cache.Do(key, func() (any, error) {
 		return s.executeRun(ctx, wl, sspec, cfg)
 	})
 	s.notifyFill(key, hit, err)
 	if err != nil {
 		return nil, false, err
-	}
-	if hit {
-		// A cache hit never reaches executeRun's outcome observer, but it
-		// is still a served request: without this a half-open trial that
-		// lands on the cache would leave the trial slot occupied forever.
-		s.breaker.Success()
 	}
 	return v.(*runResult), hit, nil
 }
@@ -295,7 +268,7 @@ func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec Sch
 		}
 		res, err := s.simRun(wl, sch, cfg)
 		if err == nil {
-			s.metrics.ObserveJob(sch.Name(), time.Since(start))
+			s.metrics.ObserveJob(sspec.Name, time.Since(start))
 		}
 		s.observeOutcome(res, err)
 		done <- outcome{res: res, err: err}
@@ -334,36 +307,25 @@ func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec Sch
 	}
 }
 
-// observeOutcome feeds one executed job into the breaker and fault
-// counters: a stall-class failure (a diagnosed deadlock/livelock under an
-// active fault plan) is a breaker failure; a completed run is a success.
-// A recovered run is a completed run — the stall was healed, the service
-// is serving — so it keeps the circuit closed and counts toward the
-// recovery gauges. Other errors — bad specs, organic deadlocks — leave the
-// circuit alone: they say nothing about service health.
+// observeOutcome feeds one executed job into the fault counters: a
+// stall-class failure (a diagnosed deadlock/livelock under an active fault
+// plan) is a watchdog trip and answers 400 like any unrunnable request; a
+// recovered run is a completed run that also counts toward the recovery
+// gauges.
 func (s *Server) observeOutcome(res codegen.Result, err error) {
 	var se *sim.StallError
 	switch {
 	case errors.As(err, &se):
 		s.watchdogTrips.Add(1)
 		s.injectedFaults.Add(se.Faults.Total())
-		s.breaker.Failure()
 	case err == nil:
 		s.injectedFaults.Add(res.Stats.Faults.Total())
 		if rec := res.Stats.Recovery; rec != nil && rec.Recovered {
 			s.recoveredRuns.Add(1)
 			s.recoveryCost.Add(rec.CostCycles)
 		}
-		s.breaker.Success()
 	}
 }
-
-// breakerError carries the remaining cooldown into the 503 Retry-After
-// header; it unwraps to ErrBreakerOpen.
-type breakerError struct{ retryAfter time.Duration }
-
-func (e *breakerError) Error() string { return ErrBreakerOpen.Error() }
-func (e *breakerError) Unwrap() error { return ErrBreakerOpen }
 
 // ctxKeyPatient marks contexts whose submissions should wait out a full
 // queue instead of failing fast (sweep fan-out).
@@ -516,8 +478,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.Render(w, s.pool, s.cache.Snapshot(), Resilience{
-		BreakerState:   s.breaker.State(),
-		BreakerOpens:   s.breaker.Opens(),
 		WatchdogTrips:  s.watchdogTrips.Load(),
 		InjectedFaults: s.injectedFaults.Load(),
 		RecoveredRuns:  s.recoveredRuns.Load(),
@@ -540,27 +500,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// retryAfterHint is the Retry-After of a 429 from the full queue, and of a
-// 503 from an open breaker that names no cooldown of its own.
+// retryAfterHint is the Retry-After of a 429 from the full queue.
 const retryAfterHint = time.Second
 
 // evalError maps evaluation failures to HTTP: backpressure to 429 +
 // Retry-After, cancellation to 503, everything else to 400 (the request
-// described an unrunnable job: bad spec, deadlocking scheme, livelock cap).
+// described an unrunnable job: bad spec, deadlocking scheme, livelock cap,
+// a stall diagnosed under a fault plan).
 func (s *Server) evalError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterHint/time.Second)))
 		s.httpError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrBreakerOpen):
-		ra := retryAfterHint
-		var be *breakerError
-		if errors.As(err, &be) && be.retryAfter > 0 {
-			ra = be.retryAfter
-		}
-		// Ceil to a whole second: a sub-second cooldown must not render 0.
-		w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
-		s.httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrDraining):
 		s.httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

@@ -438,19 +438,7 @@ func TestRequestDurationHistogram(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	routes := map[string]bool{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, "dsserve_request_duration_seconds_count{route="); ok {
-			routes[strings.SplitN(rest, "}", 2)[0]] = true
-		}
-	}
-	for r := range routes {
+	for r := range labelValues(t, ts, "dsserve_request_duration_seconds_count{route=") {
 		switch r {
 		case `"/run"`, `"/metrics"`, `"other"`:
 		default:
@@ -459,5 +447,46 @@ func TestRequestDurationHistogram(t *testing.T) {
 	}
 	if got := metricValue(t, ts, `dsserve_request_duration_seconds_count{route="other"}`); got != 5 {
 		t.Errorf("other route observations = %v, want 5", got)
+	}
+}
+
+// labelValues returns the quoted label values of the exposition lines that
+// start with prefix, a series name with its opening label.
+func labelValues(t *testing.T, ts *httptest.Server, prefix string) map[string]bool {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	values := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			values[strings.SplitN(rest, "}", 2)[0]] = true
+		}
+	}
+	return values
+}
+
+// TestJobLatencySchemeCardinality: the job latency histogram is labelled by
+// the request's built-in scheme name, not by the built scheme's name, which
+// embeds the client's X. Forty values of X add one series, not forty.
+func TestJobLatencySchemeCardinality(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 2})
+	for x := 1; x <= 40; x++ {
+		req := RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 16},
+			Scheme: SchemeSpec{Name: "process", X: x}, Config: ConfigSpec{P: 4}}
+		if resp, body := post(t, ts, "/run", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("X=%d: %d %s", x, resp.StatusCode, body)
+		}
+	}
+	const prefix = "dsserve_job_latency_seconds_count{scheme="
+	got := labelValues(t, ts, prefix)
+	if len(got) != 1 || !got[`"process"`] {
+		t.Errorf("job latency series after 40 values of X: %v, want only \"process\"", got)
+	}
+	if n := metricValue(t, ts, prefix+`"process"}`); n != 40 {
+		t.Errorf("process job observations = %v, want 40", n)
 	}
 }

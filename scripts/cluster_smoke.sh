@@ -5,8 +5,8 @@
 #
 # Rolling-restart leg: three nodes agree on the ring, a request computed via
 # one node is a cache hit via another (the forward visible in /metrics), a
-# sweep merges cluster-wide, and a hot tenant is shed with 429s while the
-# breaker stays closed. Then the cluster rolls: SIGTERM node b (clean drain,
+# sweep merges cluster-wide, and a hot tenant is shed with 429s while a
+# cool tenant is served. Then the cluster rolls: SIGTERM node b (clean drain,
 # the cache handoff visible in the survivors' /metrics), hard-kill node c
 # (the prober demotes it, healthz flips to degraded, and a replicated key is
 # still served from cache), and restart c (readmitted within the probe
@@ -146,8 +146,7 @@ echo "$out" | grep -q '"failed": 0' || fail "cluster sweep had failures: $out"
 echo "cluster smoke: cluster-wide sweep merged"
 
 # Hot tenant: burn the token bucket, expect 429 + Retry-After, the shed
-# visible in /metrics, and the breaker still closed (tenant misbehaviour is
-# not service unhealth).
+# visible in /metrics, and a cool tenant still served.
 shed=0
 for _ in $(seq 1 12); do
   code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE_A/run" \
@@ -160,10 +159,9 @@ curl -s -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: hot' -d "$body" \
 m=$(curl -fsS "$BASE_A/metrics")
 echo "$m" | grep -q 'dsserve_tenant_shed_total{tenant="hot"}' ||
   fail "metrics missing hot tenant shed counter: $m"
-echo "$m" | grep -q 'dsserve_breaker_state 0' || fail "breaker left closed state during tenant shedding"
 curl -fsS -X POST "$BASE_B/run" -H 'X-DSServe-Tenant: cool' -d "$body" >/dev/null ||
   fail "cool tenant rejected during hot tenant shedding"
-echo "cluster smoke: hot tenant shed $shed/12 with breaker closed"
+echo "cluster smoke: hot tenant shed $shed/12, cool tenant served"
 
 # Step 1 — SIGTERM node b: it must drain cleanly (exit 0) AND hand its cache
 # off to the next owners, visible in the survivors' /metrics. The survivors

@@ -2,8 +2,9 @@
 # Smoke-test the dsserve HTTP service end to end: start it, answer one /run
 # per scheme (every scheme on a workload it is defined for), require the
 # repeated request to come from the content-addressed cache, check /verify
-# and /sweep, drive the circuit breaker through a full open/shed/recover
-# cycle with dsprobe, then SIGTERM it and require a clean drain (exit 0).
+# and /sweep, require a stall to be an ordinary 400 that names the deadlock
+# and a halted run with recovery armed to heal, then SIGTERM it and require
+# a clean drain (exit 0).
 set -euo pipefail
 
 ADDR="${DSSERVE_ADDR:-127.0.0.1:8077}"
@@ -13,9 +14,8 @@ BIN="$BINDIR/dsserve"
 LOG="$(mktemp)"
 
 go build -o "$BIN" ./cmd/dsserve
-go build -o "$BINDIR/dsprobe" ./cmd/dsprobe
 
-"$BIN" -addr "$ADDR" -workers 4 -queue 32 -breaker-threshold 3 -breaker-cooldown 2s 2>"$LOG" &
+"$BIN" -addr "$ADDR" -workers 4 -queue 32 2>"$LOG" &
 PID=$!
 cleanup() {
   kill "$PID" 2>/dev/null || true
@@ -91,21 +91,28 @@ out=$(curl -fsS -X POST "$BASE/sweep" \
   -d '{"workload":{"name":"fig21","n":30},"scheme":{"name":"process"},"grid":{"x":[2,4],"p":[2,4]}}')
 echo "$out" | grep -q '"pareto"' || { echo "unexpected /sweep response: $out" >&2; exit 1; }
 
-# Resilience: dsprobe opens the breaker with deterministic stall-fault runs,
-# checks the 503 + Retry-After shed (and /metrics), waits out the cooldown,
-# and recovers through the retrying client.
-"$BINDIR/dsprobe" -addr "$BASE" -stalls 3 -cooldown 2s
+# A stall is an ordinary answer: total broadcast drop deadlocks the run,
+# which is a 400 naming the deadlock, and the clean request after it is
+# served.
+stall='{"workload":{"name":"recurrence","n":20,"d":2},"scheme":{"name":"process","x":4},"config":{"p":4,"fault":{"seed":1,"dropProb":1}}}'
+resp=$(curl -s -w '\n%{http_code}' -X POST "$BASE/run" -d "$stall")
+code=$(echo "$resp" | tail -n1)
+body=$(echo "$resp" | head -n -1)
+[ "$code" = "400" ] || { echo "stall gave $code, want 400: $body" >&2; exit 1; }
+echo "$body" | grep -q 'deadlock' || { echo "stall answer lacks the diagnosis: $body" >&2; exit 1; }
+run_req '{"workload":{"name":"fig21","n":30},"scheme":{"name":"ref"},"config":{"p":4}}' '"cached": false'
 
-# Self-healing: the halt probe proves a halted-processor run is diagnosed
-# without recovery, heals with recovery armed (recovered: true), and leaves
-# the breaker closed with the recovery counters in /metrics. It runs after
-# the breaker probe so the healed stall lands on a closed, settled circuit.
-"$BINDIR/dsprobe" -addr "$BASE" -halt
+# Self-healing: a halted processor with recovery armed is reclaimed and the
+# run completes with recovered: true, raising the recovery counters.
+run_req '{"workload":{"name":"recurrence","n":26,"d":2},"scheme":{"name":"process","x":4},"config":{"p":4,"maxCycles":200000,"fault":{"haltProc":1,"haltAtCycle":50},"recover":{"afterCycles":40}}}' \
+  '"recovered": true'
 
 # Snapshot the recovery metrics for the CI artifact.
 RECOVERY_METRICS_OUT="${RECOVERY_METRICS_OUT:-$BINDIR/recovery-metrics.txt}"
-curl -fsS "$BASE/metrics" | grep -E 'dsserve_(recovered_runs|recovery_cost_cycles|watchdog_trips|breaker)' \
+curl -fsS "$BASE/metrics" | grep -E 'dsserve_(recovered_runs|recovery_cost_cycles|watchdog_trips)' \
   > "$RECOVERY_METRICS_OUT"
+grep -q '^dsserve_recovered_runs_total 1$' "$RECOVERY_METRICS_OUT" ||
+  { echo "recovered run not counted:" >&2; cat "$RECOVERY_METRICS_OUT" >&2; exit 1; }
 echo "service smoke: recovery metrics snapshot at $RECOVERY_METRICS_OUT"
 
 # A bad request is a 400 with a one-line diagnostic, not a crash.
