@@ -122,46 +122,53 @@ func main() {
 		return
 	}
 
-	all := exper.All()
 	if *list {
-		for _, e := range all {
+		for _, e := range exper.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
+	if !report(os.Stdout, os.Stderr, *runFlag, *md) {
+		os.Exit(1)
+	}
+}
+
+// report runs the experiments whose ids the comma-separated list names
+// (all of them when it is empty) and writes their tables to w, as plain
+// text or GitHub markdown. It reports whether every experiment ran; a
+// failure is written to errw and the others still run.
+func report(w, errw io.Writer, ids string, md bool) bool {
 	want := map[string]bool{}
-	for _, id := range strings.Split(*runFlag, ",") {
+	for _, id := range strings.Split(ids, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
 			want[id] = true
 		}
 	}
-	failed := false
-	for _, e := range all {
+	ok := true
+	for _, e := range exper.All() {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		if *md {
-			fmt.Printf("### %s: %s\n\n", e.ID, e.Title)
+		if md {
+			fmt.Fprintf(w, "### %s: %s\n\n", e.ID, e.Title)
 		} else {
-			fmt.Printf("==== %s: %s ====\n\n", e.ID, e.Title)
+			fmt.Fprintf(w, "==== %s: %s ====\n\n", e.ID, e.Title)
 		}
 		tables, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			failed = true
+			fmt.Fprintf(errw, "%s failed: %v\n", e.ID, err)
+			ok = false
 			continue
 		}
 		for _, t := range tables {
-			if *md {
-				fmt.Println(t.Markdown())
+			if md {
+				fmt.Fprintln(w, t.Markdown())
 			} else {
-				fmt.Println(t.Render())
+				fmt.Fprintln(w, t.Render())
 			}
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return ok
 }
 
 // writeSnapshot measures the canonical grid and writes the JSON snapshot to

@@ -55,6 +55,13 @@ type Admission struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
+	// fullAt is, after a scan of the table found no idle-full bucket, the
+	// earliest time any of its buckets can have refilled to full; until
+	// then evictIdleLocked need not scan. Tokens only fall between
+	// refills, so no bucket becomes full sooner; a new bucket, which
+	// starts full, resets it.
+	fullAt time.Time
+	scans  int // full-table scans made, for tests
 }
 
 // NewAdmission builds an Admission for the policy (nil-safe to use when
@@ -128,6 +135,7 @@ func (a *Admission) stateLocked(tenant string) *tenantState {
 		if ts == nil {
 			ts = &tenantState{tokens: a.pol.burst(), last: a.now()}
 			a.tenants[tenant] = ts
+			a.fullAt = time.Time{}
 		}
 	}
 	return ts
@@ -150,15 +158,27 @@ func (a *Admission) tokensAt(ts *tenantState, now time.Time) float64 {
 // state indistinguishable from a fresh entry, so eviction cannot grant
 // anyone extra budget. The tenant's shed count goes with it: its series
 // restarts from zero if the tenant returns, an ordinary counter reset.
-// Reports whether a slot was freed.
+// Reports whether a slot was freed. A scan that frees none remembers when
+// the first bucket can be full again, so a client minting names at a full,
+// drained table costs one scan per refill, not one per request.
 func (a *Admission) evictIdleLocked() bool {
 	now := a.now()
+	if now.Before(a.fullAt) {
+		return false
+	}
+	a.scans++
+	soonest := time.Duration(math.MaxInt64)
 	for name, ts := range a.tenants {
-		if a.tokensAt(ts, now) >= a.pol.burst() {
+		short := a.pol.burst() - a.tokensAt(ts, now)
+		if short <= 0 {
 			delete(a.tenants, name)
 			return true
 		}
+		if d := short / a.pol.Rate * float64(time.Second); d < float64(soonest) {
+			soonest = time.Duration(d)
+		}
 	}
+	a.fullAt = now.Add(soonest)
 	return false
 }
 

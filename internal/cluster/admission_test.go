@@ -299,3 +299,37 @@ func TestAdmissionShedSeriesBound(t *testing.T) {
 		t.Errorf("%d shed series after %d minted tenants, bound is %d + overflow", got, 3*maxTenants, maxTenants)
 	}
 }
+
+// TestAdmissionFreshNamesScanOncePerRefill: at a full table of drained
+// buckets, a client minting a new tenant name per request makes one scan
+// of the table, not one per request, until a bucket can be full again;
+// then the next fresh name scans, evicts it and gets its own bucket.
+func TestAdmissionFreshNamesScanOncePerRefill(t *testing.T) {
+	a, clk := testAdmission(TenantPolicy{Rate: 0.001, Burst: 1})
+	for i := 0; i < maxTenants; i++ {
+		if _, ok := a.Admit(fmt.Sprintf("tenant-%d", i)); !ok {
+			t.Fatalf("tenant %d shed while filling the table", i)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		a.Admit(fmt.Sprintf("fresh-%d", i))
+		clk.advance(time.Second)
+	}
+	// The first fresh name scans and creates the overflow bucket, which
+	// starts full; the second scans again and finds it drained.
+	if a.scans != 2 {
+		t.Errorf("%d table scans for 1,000 fresh names at a drained table, want 2", a.scans)
+	}
+	if got := len(a.tenants); got != maxTenants+1 {
+		t.Errorf("table holds %d tenants, want %d + overflow", got, maxTenants)
+	}
+	// Every bucket refills 1,000 s after it drained: the next fresh name
+	// scans and reclaims a slot.
+	clk.advance(time.Hour)
+	if _, ok := a.Admit("brand-new"); !ok || a.tenants["brand-new"] == nil {
+		t.Fatal("fresh name after the refill did not get its own bucket")
+	}
+	if a.scans != 3 {
+		t.Errorf("%d table scans after the refill, want 3", a.scans)
+	}
+}

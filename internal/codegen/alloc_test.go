@@ -96,31 +96,38 @@ type allocCase struct {
 // keys and the variable table was sized once, they allocated 2017 / 941
 // (134,682 / 69,320 bytes), 1683 / 693 (85,410 / 41,250 bytes) and
 // 2608 / 936 (312,355 / 154,008 bytes). With every scheme of the BENCH_*.json
-// grid covered, the six cases measure (fresh / shared allocations, fresh /
+// grid covered, the six cases measured (fresh / shared allocations, fresh /
 // shared bytes): fig21/process 317 / 71 (50,882 / 21,842), branchy/statement
 // 297 / 74 (41,298 / 17,064), stencil/instance 1002 / 34 (157,568 / 21,832),
 // recurrence/process-basic 144 / 70 (19,000 / 13,850), fig21/ref 820 / 41
-// (165,848 / 23,770) and nested/pipeline 197 / 130 (90,010 / 82,450).
+// (165,848 / 23,770) and nested/pipeline 197 / 130 (90,010 / 82,450). Since
+// the data-oriented plan numbers elements densely, the serial oracle applies
+// effects without building ops and the dependence analysis lists each
+// statement's references once, they measure fig21/process 236 / 71
+// (43,818 / 21,842), branchy/statement 236 / 74 (36,434 / 17,064),
+// stencil/instance 92 / 34 (75,922 / 21,832), recurrence/process-basic
+// 136 / 70 (18,504 / 13,850), fig21/ref 127 / 41 (79,034 / 23,770) and
+// nested/pipeline 170 / 110 (87,106 / 80,850).
 func TestRunAllocations(t *testing.T) {
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} },
-			349, 79, 55971, 24027},
+			260, 79, 48200, 24027},
 		{"branchy/statement", func() *codegen.Workload { return workloads.Branchy(60, 4) },
 			func() codegen.Scheme { return codegen.StatementOriented{} },
-			327, 82, 45428, 18771},
+			260, 82, 40078, 18771},
 		{"stencil/instance", func() *codegen.Workload { return workloads.Stencil(12, 4) },
 			func() codegen.Scheme { return codegen.NewInstanceBased() },
-			1103, 38, 173325, 24016},
+			102, 38, 83515, 24016},
 		{"recurrence/process-basic", func() *codegen.Workload { return workloads.Recurrence(60, 2, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: false} },
-			159, 77, 20900, 15235},
+			150, 77, 20355, 15235},
 		{"fig21/ref", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.RefBased{} },
-			902, 46, 182433, 26147},
+			140, 46, 86938, 26147},
 		{"nested/pipeline", func() *codegen.Workload { return workloads.Nested(12, 8, 4) },
 			func() codegen.Scheme { return codegen.PipelinedOuter{X: 8, G: 1} },
-			217, 143, 99011, 90695},
+			187, 121, 95817, 88935},
 	}
 	cfg := sweepMixConfig(4, 1)
 	for _, c := range cases {

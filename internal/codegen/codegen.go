@@ -97,12 +97,33 @@ type serialRun struct {
 	mem    *sim.Mem
 }
 
-// serialOracle returns the workload's serial execution.
+// serialOracle returns the workload's serial execution: every statement
+// instance applied in place, iterations in order, its cost summed.
 func (w *Workload) serialOracle() serialRun {
 	r, _ := w.serial.get(func() (serialRun, error) {
 		mem := sim.NewMem()
 		w.Setup(mem)
-		return serialRun{cycles: sim.ExecSerial(w.Nest.Iterations(), w.serialProgram(mem)), mem: mem}, nil
+		pos := w.stmtTable().pos
+		// Iterations run one at a time, so they share one iteration's
+		// locals, cleared as each starts.
+		f := w.newFrame(1)
+		ips := w.bindInPlace(mem, f)
+		locals := f.localsOf(1)
+		var cycles int64
+		var body []*deps.Stmt
+		// The iteration's flat body and costs are resolved on an index
+		// vector of their own: an effect decodes into the frame's.
+		idx := make([]int64, w.Nest.Depth())
+		for iter := int64(1); iter <= w.Nest.Iterations(); iter++ {
+			clear(locals)
+			idx = w.Nest.IndexInto(idx, iter)
+			body = w.Nest.FlatBodyInto(body, idx)
+			for _, s := range body {
+				cycles += w.cost(s, idx)
+				ips[pos[s]].apply(f, iter, locals)
+			}
+		}
+		return serialRun{cycles: cycles, mem: mem}, nil
 	})
 	return r
 }
@@ -246,20 +267,6 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 		return Result{}, m, fmt.Errorf("codegen: %s on %s violates serial equivalence:\n%s", sch.Name(), w.Name, diff)
 	}
 	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serial.cycles}, m, nil
-}
-
-// serialProgram builds the pure-compute program bound to the given memory.
-func (w *Workload) serialProgram(mem *sim.Mem) sim.Program {
-	r := w.bindStmts(mem, 0, false)
-	var body []*deps.Stmt
-	return func(ops []sim.Op, iter int64) []sim.Op {
-		idx := w.Nest.IndexInto(r.progIdx, iter)
-		body = w.Nest.FlatBodyInto(body, idx)
-		for _, s := range body {
-			ops = append(ops, sim.Compute(w.cost(s, idx), r.effs[r.info.pos[s]], iter, s.Name))
-		}
-		return ops
-	}
 }
 
 // frame is the scratch a statement execution works in: the index vector,

@@ -151,20 +151,17 @@ func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
 	runWorkers(w.Nest.Iterations(), procs, func(iter int64) {
 		idx := w.Nest.IndexOf(iter)
 		f := w.newFrame(1)
+		var order []int
+		var tickets []int64
 		for _, st := range w.Nest.FlatBody(idx) {
 			accs := plan.Accesses(iter, pos[st])
-			minAcc := map[dataorient.Elem]*dataorient.Access{}
-			for _, a := range accs {
-				if cur, ok := minAcc[a.Elem]; !ok || a.Ticket < cur.Ticket {
-					minAcc[a.Elem] = a
-				}
-			}
-			for _, a := range minAcc {
-				rk.Acquire(a)
+			order, tickets = minTickets(order[:0], tickets[:0], accs)
+			for j, ei := range order {
+				rk.AcquireTicket(ei, tickets[j])
 			}
 			ips[pos[st]].apply(f, iter, f.localsOf(1))
-			for _, a := range accs {
-				rk.Release(a)
+			for i := range accs {
+				rk.Release(&accs[i])
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/csrd-repro/datasync/internal/core"
@@ -48,7 +49,7 @@ func analyzeWorkload(w *Workload) (*depInfo, error) {
 		di.incoming[a.Dst] = append(di.incoming[a.Dst], a)
 		isSource[a.Src] = true
 	}
-	for p := 0; p < len(w.Nest.Stmts()); p++ {
+	for p := range w.stmtTable().list {
 		if isSource[p] {
 			di.sources = append(di.sources, p)
 			di.step[p] = int64(len(di.sources))
@@ -333,9 +334,7 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 	r := w.bindMachine(m)
 
 	// Scratch buffers reused across iterations (prog is called sequentially
-	// by the machine and nothing below escapes the call); a statement's
-	// reference count is small, so a linear scan replaces a per-statement
-	// dedup map. First-seen element order is preserved exactly.
+	// by the machine and nothing below escapes the call).
 	var (
 		body    []*deps.Stmt
 		order   []int // element indices in the plan's Order
@@ -346,38 +345,38 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 		body = w.Nest.FlatBodyInto(body, idx)
 		for _, s := range body {
 			accs := plan.Accesses(iter, r.info.pos[s])
-			// The statement executes as one atomic compute, so per element
-			// the wait condition is the minimum ticket among the
-			// statement's own accesses (a statement reading and writing
-			// the same element must not wait on its own increment).
-			order, tickets = order[:0], tickets[:0]
-			for _, a := range accs {
-				seen := false
-				for j, ei := range order {
-					if ei == a.ElemIdx {
-						if a.Ticket < tickets[j] {
-							tickets[j] = a.Ticket
-						}
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					order = append(order, a.ElemIdx)
-					tickets = append(tickets, a.Ticket)
-				}
-			}
+			order, tickets = minTickets(order[:0], tickets[:0], accs)
 			for j, ei := range order {
 				ops = append(ops, keys.WaitTicketOp(ei, tickets[j]))
 			}
 			ops = r.appendStmt(ops, s, iter, idx)
-			for _, a := range accs {
-				ops = append(ops, keys.IncOp(a))
+			for i := range accs {
+				ops = append(ops, keys.IncOp(&accs[i]))
 			}
 		}
 		return ops
 	}
 	return prog, foot, nil
+}
+
+// minTickets appends to order each element a statement instance's
+// accesses touch, in first-seen order, and to tickets the least ticket
+// among its accesses to that element. The statement executes as one
+// atomic compute, so that ticket is its wait condition: a statement
+// reading and writing the same element must not wait on its own
+// increment. A statement has few references, so a linear scan replaces a
+// dedup map.
+func minTickets(order []int, tickets []int64, accs []dataorient.Access) ([]int, []int64) {
+	for i := range accs {
+		a := &accs[i]
+		j := slices.Index(order, a.ElemIdx)
+		if j < 0 {
+			order, tickets = append(order, a.ElemIdx), append(tickets, a.Ticket)
+		} else if a.Ticket < tickets[j] {
+			tickets[j] = a.Ticket
+		}
+	}
+	return order, tickets
 }
 
 // InstanceBased is the instance-based (HEP full/empty) scheme: renamed
@@ -420,8 +419,8 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 		for _, s := range body {
 			accs := plan.Accesses(iter, r.info.pos[s])
 			writeAccs, readAccs := accs[:len(s.Writes)], accs[len(s.Writes):]
-			for _, a := range readAccs {
-				ops = append(ops, bits.ConsumeOp(a))
+			for i := range readAccs {
+				ops = append(ops, bits.ConsumeOp(&readAccs[i]))
 			}
 			// Renamed storage is single-assignment: race checking sees each
 			// (element, version) as its own location, so the renaming's
@@ -430,17 +429,17 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 			if r.tracing {
 				touches = make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
 				for _, a := range readAccs {
-					touches = append(touches, accessTouch(a.Elem, a.Epoch, false))
+					touches = append(touches, accessTouch(plan.Order[a.ElemIdx], a.Epoch, false))
 				}
 				for _, a := range writeAccs {
-					touches = append(touches, accessTouch(a.Elem, a.Epoch+1, true))
+					touches = append(touches, accessTouch(plan.Order[a.ElemIdx], a.Epoch+1, true))
 				}
 			}
 			// Renamed copies also take DataLatency to land before the
 			// full/empty bits may be set (requirement (1)).
 			ops = r.appendCompute(ops, s, iter, idx, touches)
-			for _, a := range writeAccs {
-				ops = bits.FillOps(ops, a)
+			for i := range writeAccs {
+				ops = bits.FillOps(ops, &writeAccs[i])
 			}
 		}
 		return ops
@@ -466,13 +465,13 @@ func (e *renamed) Apply(iter int64) {
 	accs := e.plan.Accesses(iter, e.pos)
 	writeAccs, readAccs := accs[:e.nw], accs[e.nw:]
 	in := e.f.in[:len(readAccs)]
-	for k, a := range readAccs {
-		in[k] = e.vs.Get(a.ElemIdx, a.Epoch)
+	for k := range readAccs {
+		in[k] = e.vs.Get(readAccs[k].ElemIdx, readAccs[k].Epoch)
 	}
 	out := e.f.out[:e.nw]
 	e.sem(e.f.nest.IndexInto(e.f.idx, iter), in, e.f.localsOf(iter), out)
-	for k, a := range writeAccs {
-		e.vs.Set(a.ElemIdx, a.Epoch+1, out[k])
+	for k := range writeAccs {
+		e.vs.Set(writeAccs[k].ElemIdx, writeAccs[k].Epoch+1, out[k])
 	}
 }
 

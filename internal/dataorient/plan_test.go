@@ -29,6 +29,17 @@ func fig21Nest(n int64) *loop.Nest {
 
 func elem(c int64) Elem { return Elem{Array: "A", Dims: 1, C: [3]int64{c, 0, 0}} }
 
+// elemIdx returns e's index in the plan's Order, failing the test when the
+// plan never touches e.
+func elemIdx(t *testing.T, p *Plan, e Elem) int {
+	t.Helper()
+	ei, ok := p.Lookup(e)
+	if !ok {
+		t.Fatalf("plan touches no %s", e)
+	}
+	return ei
+}
+
 // TestFig31aTickets reproduces Fig 3.1a: accesses to the element A[i+3]
 // (for an interior i) get tickets 0 (S1 write), 1 and 1 (S3, S2 reads),
 // 3 (S4 write), 4 (S5 read).
@@ -36,7 +47,7 @@ func TestFig31aTickets(t *testing.T) {
 	const n = 20
 	p := BuildPlan(fig21Nest(n))
 	// Element A[10] (= i+3 for i=7): accessed by S1@7, S3@8, S2@9, S4@10, S5@11.
-	seq := p.Elems[elem(10)]
+	seq := p.Seq(elemIdx(t, p, elem(10)))
 	if len(seq) != 5 {
 		t.Fatalf("A[10] has %d accesses, want 5", len(seq))
 	}
@@ -60,7 +71,7 @@ func TestFig31aTickets(t *testing.T) {
 				i, a.ID.Lpid, a.ID.StmtPos, a.Kind, a.Ticket, w)
 		}
 	}
-	if got := p.FinalKey(elem(10)); got != 5 {
+	if got := p.FinalKey(elemIdx(t, p, elem(10))); got != 5 {
 		t.Errorf("final key = %d, want 5", got)
 	}
 }
@@ -71,17 +82,20 @@ func TestBoundaryElementsDifferentCounts(t *testing.T) {
 	const n = 20
 	p := BuildPlan(fig21Nest(n))
 	// A[0] is only read by S5@1: one access, ticket 0 (initial data).
-	seq := p.Elems[elem(0)]
+	seq := p.Seq(elemIdx(t, p, elem(0)))
 	if len(seq) != 1 || seq[0].Kind != deps.Read || seq[0].Ticket != 0 {
 		t.Errorf("A[0] plan wrong: %+v", seq)
 	}
 	// A[4] = 1+3: written by S1@1, read by S3@2, S2@3, written by S4@4, read by S5@5.
-	if got := p.FinalKey(elem(4)); got != 5 {
+	if got := p.FinalKey(elemIdx(t, p, elem(4))); got != 5 {
 		t.Errorf("A[4] accesses = %d, want 5", got)
 	}
-	// A[N+3] is only written by S1@N.
-	if got := p.FinalKey(elem(n + 3)); got != 1 {
+	// A[N+3] is only written by S1@N, and nothing touches A[N+4].
+	if got := p.FinalKey(elemIdx(t, p, elem(n+3))); got != 1 {
 		t.Errorf("A[N+3] accesses = %d, want 1", got)
+	}
+	if ei, ok := p.Lookup(elem(n + 4)); ok {
+		t.Errorf("Lookup(A[N+4]) = %d, true; the loop never touches it", ei)
 	}
 }
 
@@ -89,7 +103,7 @@ func TestBoundaryElementsDifferentCounts(t *testing.T) {
 // opens a new version; readers between writes consume distinct copies.
 func TestEpochsAndCopies(t *testing.T) {
 	p := BuildPlan(fig21Nest(20))
-	seq := p.Elems[elem(10)]
+	seq := p.Seq(elemIdx(t, p, elem(10)))
 	s1, s3, s2, s4, s5 := seq[0], seq[1], seq[2], seq[3], seq[4]
 	if s1.Epoch != 0 || s1.Readers != 2 {
 		t.Errorf("S1 write: epoch=%d readers=%d, want 0,2", s1.Epoch, s1.Readers)
@@ -140,8 +154,8 @@ func TestFootprint(t *testing.T) {
 // structural invariants tickets must satisfy.
 func TestTicketOrderSound(t *testing.T) {
 	p := BuildPlan(fig21Nest(50))
-	for _, e := range p.Order {
-		seq := p.Elems[e]
+	for ei, e := range p.Order {
+		seq := p.Seq(ei)
 		var count int64
 		for i, a := range seq {
 			switch a.Kind {
@@ -171,7 +185,7 @@ func TestVersionStore(t *testing.T) {
 		a.Set(i, 100+i)
 	}
 	s := NewVersionStore(p, mem)
-	ei := p.Elems[elem(10)][0].ElemIdx
+	ei := p.Seq(elemIdx(t, p, elem(10)))[0].ElemIdx
 	if got := s.Get(ei, 0); got != 110 {
 		t.Errorf("initial = %d, want 110", got)
 	}
@@ -184,7 +198,7 @@ func TestVersionStore(t *testing.T) {
 		t.Errorf("Last = %d,%v, want 55,true", v, ok)
 	}
 	// A[0] is only read (by S5 at I=1).
-	if _, ok := s.Last(p.Elems[elem(0)][0].ElemIdx); ok {
+	if _, ok := s.Last(p.Seq(elemIdx(t, p, elem(0)))[0].ElemIdx); ok {
 		t.Error("Last of never-written element should be false")
 	}
 	s.WriteBack(mem)
@@ -208,7 +222,7 @@ func TestRuntimeKeysEnforceOrder(t *testing.T) {
 		work <- i
 	}
 	close(work)
-	get := func(id AccessID) *Access { return p.Accesses(id.Lpid, id.StmtPos)[id.RefSlot] }
+	get := func(id AccessID) *Access { return &p.Accesses(id.Lpid, id.StmtPos)[id.RefSlot] }
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -263,7 +277,7 @@ func TestRuntimeKeysEnforceOrder(t *testing.T) {
 		}
 	}
 	// Keys ended at their access counts.
-	if rk.Key(elem(10)) != 5 {
-		t.Errorf("final key A[10] = %d, want 5", rk.Key(elem(10)))
+	if rk.Key(elemIdx(t, p, elem(10))) != 5 {
+		t.Errorf("final key A[10] = %d, want 5", rk.Key(elemIdx(t, p, elem(10))))
 	}
 }

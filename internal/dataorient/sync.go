@@ -28,7 +28,7 @@ func NewSimKeys(m *sim.Machine, p *Plan) *SimKeys {
 // keyNames names element i's key "key:A[i]".
 type keyNames struct{ p *Plan }
 
-func (n keyNames) VarName(i int) string { return "key:" + n.p.names[i] }
+func (n keyNames) VarName(i int) string { return "key:" + n.p.name(i) }
 
 // Keys returns the number of keys declared.
 func (k *SimKeys) Keys() int { return len(k.plan.Order) }
@@ -46,7 +46,7 @@ func (k *SimKeys) WaitOp(a *Access) sim.Op {
 // statement's own increments).
 func (k *SimKeys) WaitTicketOp(ei int, ticket int64) sim.Op {
 	op := sim.WaitGE(k.base+sim.VarID(ei), ticket, "")
-	op.Tag = sim.TagSf("key:wait %s>=%d", k.plan.names[ei], ticket)
+	op.Tag = sim.TagSf("key:wait %s>=%d", k.plan.name(ei), ticket)
 	return op
 }
 
@@ -55,7 +55,7 @@ func (k *SimKeys) WaitTicketOp(ei int, ticket int64) sim.Op {
 // value is statically a.Ticket+1 — stamped for the static verifier.
 func (k *SimKeys) IncOp(a *Access) sim.Op {
 	op := sim.RMWPost(k.base+sim.VarID(a.ElemIdx), inc, a.Ticket+1, "")
-	op.Tag = sim.TagSf("key:inc %s", k.plan.names[a.ElemIdx])
+	op.Tag = sim.TagSf("key:inc %s", k.plan.name(a.ElemIdx))
 	return op
 }
 
@@ -81,7 +81,7 @@ type bitNames struct{ p *Plan }
 func (n bitNames) VarName(b int) string {
 	ws := n.p.bitWrites
 	w := ws[sort.Search(len(ws), func(i int) bool { return ws[i].Bit > b })-1]
-	return sim.TagSf("fe:%s.v%d.c%d", n.p.names[w.ElemIdx], w.Epoch+1, int64(b-w.Bit)).String()
+	return sim.TagSf("fe:%s.v%d.c%d", n.p.name(w.ElemIdx), w.Epoch+1, int64(b-w.Bit)).String()
 }
 
 // Bits returns the number of full/empty bits declared.
@@ -97,7 +97,7 @@ func (b *SimBits) FillOps(dst []sim.Op, a *Access) []sim.Op {
 	copies := max(a.Readers, 1)
 	for c := 0; c < copies; c++ {
 		op := sim.WriteVar(b.base+sim.VarID(a.Bit+c), 1, "")
-		op.Tag = sim.TagSf("fe:fill %s.v%d.c%d", b.plan.names[a.ElemIdx], a.Epoch+1, int64(c))
+		op.Tag = sim.TagSf("fe:fill %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch+1, int64(c))
 		dst = append(dst, op)
 	}
 	return dst
@@ -113,7 +113,7 @@ func (b *SimBits) ConsumeOp(a *Access) sim.Op {
 		return sim.Compute(0, nil, 0, "fe:init-data")
 	}
 	op := sim.WaitGE(b.base+sim.VarID(a.Bit), 1, "")
-	op.Tag = sim.TagSf("fe:consume %s.v%d.c%d", b.plan.names[a.ElemIdx], a.Epoch, int64(a.CopyIdx))
+	op.Tag = sim.TagSf("fe:consume %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch, int64(a.CopyIdx))
 	return op
 }
 
@@ -154,7 +154,7 @@ func (s *VersionStore) Set(ei int, v int64, val int64) {
 func (s *VersionStore) slot(ei int, v int64) int {
 	base := s.plan.verBase[ei]
 	if v < 0 || base+int(v) >= s.plan.verBase[ei+1] {
-		panic(fmt.Sprintf("dataorient: %s has no version %d", s.plan.names[ei], v))
+		panic(fmt.Sprintf("dataorient: %s has no version %d", s.plan.name(ei), v))
 	}
 	return base + int(v)
 }
@@ -225,33 +225,33 @@ func (r *elemRef) set(e Elem, v int64) {
 	r.grid.Set(e.C[0], e.C[1], v)
 }
 
-// RuntimeKeys is the goroutine implementation of reference-based keys.
+// RuntimeKeys is the goroutine implementation of reference-based keys:
+// one atomic key per planned element, indexed like the plan's Order.
 type RuntimeKeys struct {
-	plan *Plan
-	keys map[Elem]*atomic.Int64
+	keys []atomic.Int64
 }
 
 // NewRuntimeKeys allocates one atomic key per planned element.
 func NewRuntimeKeys(p *Plan) *RuntimeKeys {
-	rk := &RuntimeKeys{plan: p, keys: make(map[Elem]*atomic.Int64, len(p.Order))}
-	for _, e := range p.Order {
-		rk.keys[e] = new(atomic.Int64)
-	}
-	return rk
+	return &RuntimeKeys{keys: make([]atomic.Int64, len(p.Order))}
 }
 
 // Acquire spins until the access's ticket is reached.
-func (rk *RuntimeKeys) Acquire(a *Access) {
-	k := rk.keys[a.Elem]
-	for k.Load() < a.Ticket {
+func (rk *RuntimeKeys) Acquire(a *Access) { rk.AcquireTicket(a.ElemIdx, a.Ticket) }
+
+// AcquireTicket spins until the key of element ei (its index in the plan's
+// Order) reaches ticket: the runtime counterpart of SimKeys.WaitTicketOp.
+func (rk *RuntimeKeys) AcquireTicket(ei int, ticket int64) {
+	k := &rk.keys[ei]
+	for k.Load() < ticket {
 		runtime.Gosched()
 	}
 }
 
 // Release increments the element's key after the access.
 func (rk *RuntimeKeys) Release(a *Access) {
-	rk.keys[a.Elem].Add(1)
+	rk.keys[a.ElemIdx].Add(1)
 }
 
-// Key returns the current key value of an element (for tests).
-func (rk *RuntimeKeys) Key(e Elem) int64 { return rk.keys[e].Load() }
+// Key returns the current key value of element ei (for tests).
+func (rk *RuntimeKeys) Key(ei int) int64 { return rk.keys[ei].Load() }

@@ -20,7 +20,7 @@ func TestSimKeysProtocol(t *testing.T) {
 	// The five accesses to A[10] (see plan_test), one per processor where
 	// possible; run them in adversarial order (late accesses first in
 	// program position, correctness ensured by the key protocol alone).
-	seq := plan.Elems[elem(10)]
+	seq := plan.Seq(elemIdx(t, plan, elem(10)))
 	if len(seq) != 5 {
 		t.Fatalf("A[10] accesses = %d", len(seq))
 	}
@@ -57,7 +57,7 @@ func TestSimKeysFinalValue(t *testing.T) {
 	plan := BuildPlan(fig21Nest(10))
 	m := sim.New(sim.Config{Processors: 1, MemLatency: 1, SyncOpCost: 0})
 	keys := NewSimKeys(m, plan)
-	seq := plan.Elems[elem(5)]
+	seq := plan.Seq(elemIdx(t, plan, elem(5)))
 	var ops []sim.Op
 	for _, a := range seq {
 		ops = append(ops, keys.WaitOp(a), keys.IncOp(a))
@@ -66,7 +66,7 @@ func TestSimKeysFinalValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The key ends at the total access count — what FinalKey predicts.
-	want := plan.FinalKey(elem(5))
+	want := plan.FinalKey(elemIdx(t, plan, elem(5)))
 	if got := m.VarValue(keysVar(t, keys, elem(5))); got != want {
 		t.Errorf("final key = %d, want %d", got, want)
 	}
@@ -74,11 +74,7 @@ func TestSimKeysFinalValue(t *testing.T) {
 
 func keysVar(t *testing.T, k *SimKeys, e Elem) sim.VarID {
 	t.Helper()
-	seq, ok := k.plan.Elems[e]
-	if !ok {
-		t.Fatalf("no key for %s", e)
-	}
-	return k.base + sim.VarID(seq[0].ElemIdx)
+	return k.base + sim.VarID(elemIdx(t, k.plan, e))
 }
 
 // TestSimBitsProtocol drives the instance-based full/empty protocol: the
@@ -90,7 +86,7 @@ func TestSimBitsProtocol(t *testing.T) {
 	if bits.Bits() == 0 {
 		t.Fatal("no bits declared")
 	}
-	seq := plan.Elems[elem(10)]
+	seq := plan.Seq(elemIdx(t, plan, elem(10)))
 	write, read := seq[0], seq[1] // S1 write (2 copies), S3 read (copy 0 or 1)
 	var consumedAt, filledAt int64 = -1, -1
 	progs := [][]sim.Op{
@@ -120,7 +116,7 @@ func TestConsumeInitialDataIsFree(t *testing.T) {
 	m := sim.New(sim.Config{Processors: 1})
 	bits := NewSimBits(m, plan)
 	// A[0] is read once (S5@1) from initial data: epoch 0, free no-op.
-	a := plan.Elems[elem(0)][0]
+	a := plan.Seq(elemIdx(t, plan, elem(0)))[0]
 	op := bits.ConsumeOp(a)
 	if op.Kind != sim.OpCompute || op.Cycles != 0 {
 		t.Errorf("ConsumeOp(initial) = %v, want free no-op", op)
@@ -131,7 +127,7 @@ func TestSyncBuilderPanics(t *testing.T) {
 	plan := BuildPlan(fig21Nest(10))
 	m := sim.New(sim.Config{Processors: 1})
 	bits := NewSimBits(m, plan)
-	seq := plan.Elems[elem(5)]
+	seq := plan.Seq(elemIdx(t, plan, elem(5)))
 	var w, r *Access
 	for _, a := range seq {
 		if a.Kind == deps.Write && w == nil {

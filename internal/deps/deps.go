@@ -212,10 +212,14 @@ type Graph struct {
 // body (textual) order.
 func Analyze(stmts []*Stmt, depth int) *Graph {
 	g := &Graph{Stmts: stmts, Depth: depth}
-	for ai, a := range stmts {
-		for bi, b := range stmts {
-			for _, r1 := range a.refs() {
-				for _, r2 := range b.refs() {
+	refs := make([][]Ref, len(stmts))
+	for i, s := range stmts {
+		refs[i] = s.refs()
+	}
+	for ai := range stmts {
+		for bi := range stmts {
+			for _, r1 := range refs[ai] {
+				for _, r2 := range refs[bi] {
 					if r1.Access == Read && r2.Access == Read {
 						continue
 					}

@@ -89,7 +89,10 @@ func E2DataOriented() ([]*Table, error) {
 	const n = 100
 	w := workloads.Fig21(n, 1)
 	plan := dataorient.BuildPlan(w.Nest)
-	elem := dataorient.Elem{Array: "A", Dims: 1, C: [3]int64{10}}
+	ei, ok := plan.Lookup(dataorient.Elem{Array: "A", Dims: 1, C: [3]int64{10}})
+	if !ok {
+		return nil, fmt.Errorf("E2: the Fig 2.1 plan touches no A[10]")
+	}
 	stmts := w.Nest.Stmts()
 
 	t := &Table{
@@ -97,7 +100,7 @@ func E2DataOriented() ([]*Table, error) {
 		Title:   "Fig 3.1a — reference-based key protocol for element A[10]",
 		Columns: []string{"access", "iteration", "kind", "wait until key>=", "then"},
 	}
-	for _, a := range plan.Elems[elem] {
+	for _, a := range plan.Seq(ei) {
 		t.AddRow(stmts[a.ID.StmtPos].Name, a.ID.Lpid, a.Kind.String(), a.Ticket, "++key")
 	}
 	t.Note("reads between two writes share a ticket and proceed in any order (S2,S3).")
@@ -107,7 +110,7 @@ func E2DataOriented() ([]*Table, error) {
 		Title:   "Fig 3.1b — instance-based renaming for element A[10]",
 		Columns: []string{"access", "iteration", "kind", "version", "copies/copy#"},
 	}
-	for _, a := range plan.Elems[elem] {
+	for _, a := range plan.Seq(ei) {
 		detail := fmt.Sprintf("consumes copy %d", a.CopyIdx)
 		ver := a.Epoch
 		if a.Kind == deps.Write {

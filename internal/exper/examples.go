@@ -148,13 +148,13 @@ func E7NestedLoop() ([]*Table, error) {
 	// coalesced process counters see a uniform protocol.
 	plan := dataorient.BuildPlan(w.Nest)
 	counts := map[string]map[int64]int64{}
-	for _, e := range plan.Order {
+	for ei, e := range plan.Order {
 		m := counts[e.Array]
 		if m == nil {
 			m = map[int64]int64{}
 			counts[e.Array] = m
 		}
-		m[plan.FinalKey(e)]++
+		m[plan.FinalKey(ei)]++
 	}
 	t2 := &Table{
 		ID:      "E7.2",

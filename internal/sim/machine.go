@@ -1090,24 +1090,3 @@ func (m *Machine) collectStats() Stats {
 	}
 	return s
 }
-
-// ExecSerial executes the program's compute semantics serially in iteration
-// order (sync ops skipped) and returns total compute cycles — the serial
-// baseline and the oracle for serial equivalence. Workload semantics live
-// only on OpCompute ops.
-func ExecSerial(iters int64, prog Program) int64 {
-	var total int64
-	var ops []Op
-	for i := int64(1); i <= iters; i++ {
-		ops = prog(ops[:0], i)
-		for _, op := range ops {
-			if op.Kind == OpCompute {
-				total += op.Cycles
-				if op.Eff != nil {
-					op.Eff.Apply(op.Arg)
-				}
-			}
-		}
-	}
-	return total
-}

@@ -315,24 +315,6 @@ func TestRunLoopDeterministic(t *testing.T) {
 	}
 }
 
-func TestExecSerial(t *testing.T) {
-	mem := NewMem()
-	arr := mem.Array("A", 0, 10)
-	prog := func(dst []Op, iter int64) []Op {
-		return append(dst,
-			WaitGE(0, 0, "ignored"),
-			Compute(2, EffectFunc(func(int64) { arr.Set(iter, arr.Get(iter-1)+1) }), 0, ""),
-		)
-	}
-	total := ExecSerial(10, prog)
-	if total != 20 {
-		t.Errorf("serial cycles = %d, want 20", total)
-	}
-	if arr.Get(10) != 10 {
-		t.Errorf("recurrence result = %d, want 10", arr.Get(10))
-	}
-}
-
 func TestRunProcessesWrongCount(t *testing.T) {
 	m := New(Config{Processors: 2})
 	if _, err := m.RunProcesses([][]Op{{}}); err == nil {

@@ -73,11 +73,10 @@ func (a MemAccess) String() string {
 
 // Effect is the semantics of a statement: what its execution does to the
 // workload's memory. The machine calls Apply(op.Arg) when the op carrying
-// the effect completes, in global event order; ExecSerial calls it in
-// program order. For loop programs Arg is the iteration number of the
-// statement instance, so a code generator binds one effect per statement
-// per run and stamps each op with the iteration instead of building a
-// closure per op.
+// the effect completes, in global event order. For loop programs Arg is
+// the iteration number of the statement instance, so a code generator
+// binds one effect per statement per run and stamps each op with the
+// iteration instead of building a closure per op.
 //
 // An effect may hold buffers and state owned by its run (an index vector,
 // input and output values, iteration locals): the machine is
@@ -106,7 +105,7 @@ type Op struct {
 	Apply  func(int64) int64 // OpRMW update function
 	// Eff is the statement semantics an OpCompute applies to Arg when it
 	// completes; nil for pure work. Only compute ops carry one (the
-	// machine and ExecSerial apply no other kind's).
+	// machine applies no other kind's).
 	Eff Effect
 	Arg int64
 	// Tag names the op for traces, stall reports and static verification.
