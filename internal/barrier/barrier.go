@@ -54,7 +54,7 @@ func NewSimCounter(m *sim.Machine, module int) *SimCounter {
 // (rounds are 1-based): arrive, then poll until all P arrived.
 func (b *SimCounter) Ops(round int64) []sim.Op {
 	return []sim.Op{
-		sim.RMW(b.v, func(x int64) int64 { return x + 1 }, fmt.Sprintf("barrier:arrive r%d", round)),
+		sim.RMW(b.v, 1, fmt.Sprintf("barrier:arrive r%d", round)),
 		sim.WaitGE(b.v, round*int64(b.p), fmt.Sprintf("barrier:depart r%d", round)),
 	}
 }

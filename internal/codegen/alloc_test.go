@@ -72,6 +72,35 @@ func BenchmarkSweepMix(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(points), "B/point")
 }
 
+// TestSweepMixAllocations caps what one simulated point of the sweep mix
+// allocates, the figures BenchmarkSweepMix reports as allocs/point and
+// B/point, over one run of the whole 720-point mix. Twelve runs measured
+// 53.7917 to 53.7986 allocations per point (38,730 to 38,735 in all) and
+// 20,801.18 to 20,801.67 bytes per point. The count moves by a few
+// because allocations the runtime makes on its own land in the measured
+// window, at random points of the mix. The ceilings sit a few allocations
+// and about one byte above the largest of each.
+func TestSweepMixAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const allocsCeiling, bytesCeiling = 53.81, 20802.7
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	points := runSweepMix(t)
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(points)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(points)
+	t.Logf("%d points: %.4f allocs/point, %.2f B/point", points, allocs, bytes)
+	if allocs > allocsCeiling {
+		t.Errorf("%.4f allocations per sweep point, ceiling %v", allocs, allocsCeiling)
+	}
+	if bytes > bytesCeiling {
+		t.Errorf("%.2f bytes per sweep point, ceiling %v", bytes, bytesCeiling)
+	}
+}
+
 // allocCase is one pinned point of TestRunAllocations.
 type allocCase struct {
 	name  string
@@ -107,27 +136,34 @@ type allocCase struct {
 // (43,818 / 21,842), branchy/statement 236 / 74 (36,434 / 17,064),
 // stencil/instance 92 / 34 (75,922 / 21,832), recurrence/process-basic
 // 136 / 70 (18,504 / 13,850), fig21/ref 127 / 41 (79,034 / 23,770) and
-// nested/pipeline 170 / 110 (87,106 / 80,850).
+// nested/pipeline 170 / 110 (87,106 / 80,850). Since events hold no
+// pointers, ops are 120 bytes and built in place, the walkers read dense
+// per-statement tables and the dependence summary keeps each sink's arcs
+// as (source, distance) pairs, they measure fig21/process 221 / 58
+// (39,338 / 18,322), branchy/statement 220 / 59 (35,280 / 16,840),
+// stencil/instance 91 / 33 (73,944 / 19,912), recurrence/process-basic
+// 124 / 60 (15,696 / 11,690), fig21/ref 125 / 40 (75,802 / 20,250) and
+// nested/pipeline 155 / 95 (61,362 / 55,002).
 func TestRunAllocations(t *testing.T) {
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} },
-			260, 79, 48200, 24027},
+			243, 64, 43272, 20154},
 		{"branchy/statement", func() *codegen.Workload { return workloads.Branchy(60, 4) },
 			func() codegen.Scheme { return codegen.StatementOriented{} },
-			260, 82, 40078, 18771},
+			242, 65, 38808, 18524},
 		{"stencil/instance", func() *codegen.Workload { return workloads.Stencil(12, 4) },
 			func() codegen.Scheme { return codegen.NewInstanceBased() },
-			102, 38, 83515, 24016},
+			100, 36, 81338, 21903},
 		{"recurrence/process-basic", func() *codegen.Workload { return workloads.Recurrence(60, 2, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: false} },
-			150, 77, 20355, 15235},
+			136, 66, 17266, 12859},
 		{"fig21/ref", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.RefBased{} },
-			140, 46, 86938, 26147},
+			137, 44, 83382, 22275},
 		{"nested/pipeline", func() *codegen.Workload { return workloads.Nested(12, 8, 4) },
 			func() codegen.Scheme { return codegen.PipelinedOuter{X: 8, G: 1} },
-			187, 121, 95817, 88935},
+			170, 104, 67498, 60502},
 	}
 	cfg := sweepMixConfig(4, 1)
 	for _, c := range cases {

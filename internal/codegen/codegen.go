@@ -103,24 +103,24 @@ func (w *Workload) serialOracle() serialRun {
 	r, _ := w.serial.get(func() (serialRun, error) {
 		mem := sim.NewMem()
 		w.Setup(mem)
-		pos := w.stmtTable().pos
+		si := w.stmtTable()
 		// Iterations run one at a time, so they share one iteration's
 		// locals, cleared as each starts.
 		f := w.newFrame(1)
 		ips := w.bindInPlace(mem, f)
 		locals := f.localsOf(1)
 		var cycles int64
-		var body []*deps.Stmt
+		var body []int
 		// The iteration's flat body and costs are resolved on an index
 		// vector of their own: an effect decodes into the frame's.
 		idx := make([]int64, w.Nest.Depth())
 		for iter := int64(1); iter <= w.Nest.Iterations(); iter++ {
 			clear(locals)
 			idx = w.Nest.IndexInto(idx, iter)
-			body = w.Nest.FlatBodyInto(body, idx)
-			for _, s := range body {
-				cycles += w.cost(s, idx)
-				ips[pos[s]].apply(f, iter, locals)
+			body = si.flat(body, idx)
+			for _, pos := range body {
+				cycles += w.cost(si.list[pos], idx)
+				ips[pos].apply(f, iter, locals)
 			}
 		}
 		return serialRun{cycles: cycles, mem: mem}, nil
@@ -128,27 +128,95 @@ func (w *Workload) serialOracle() serialRun {
 	return r
 }
 
-// stmtInfo is the per-workload statement table every run shares.
+// stmtInfo is the per-workload statement table every run shares. Code
+// that runs per statement per iteration names a statement by its position
+// in list and reads per-position slices, never a map keyed by statement.
 type stmtInfo struct {
-	list []*deps.Stmt       // flattened body order
-	pos  map[*deps.Stmt]int // position in list
+	list []*deps.Stmt // flattened body order
+	// body is the nest's body with every statement resolved to its
+	// position in list.
+	body []pnode
+	// straight lists every position in order when the body has no
+	// conditionals, so every iteration executes all of list; nil otherwise.
+	straight []int
 	// maxReads and maxWrites size a frame's input and output buffers.
 	maxReads, maxWrites int
+}
+
+// pnode is one node of a nest body with its statement resolved to a
+// position in the statement table: a statement (pos >= 0) or a conditional
+// (pos < 0) with its arms resolved the same way.
+type pnode struct {
+	pos       int
+	cond      func(idx []int64) bool
+	then, els []pnode
+}
+
+// resolveBody resolves nodes, numbering their statements from *next in the
+// order loop.Nest.Stmts lists them: textual order, a conditional's THEN arm
+// before its ELSE arm.
+func resolveBody(nodes []loop.Node, next *int) []pnode {
+	out := make([]pnode, 0, len(nodes))
+	for _, node := range nodes {
+		switch v := node.(type) {
+		case loop.StmtNode:
+			out = append(out, pnode{pos: *next})
+			*next++
+		case loop.IfNode:
+			n := pnode{pos: -1, cond: v.Cond}
+			n.then = resolveBody(v.Then, next)
+			n.els = resolveBody(v.Else, next)
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // stmtTable returns the workload's statement table.
 func (w *Workload) stmtTable() *stmtInfo {
 	si, _ := w.stmts.get(func() (*stmtInfo, error) {
 		list := w.Nest.Stmts()
-		si := &stmtInfo{list: list, pos: make(map[*deps.Stmt]int, len(list))}
+		si := &stmtInfo{list: list}
+		next := 0
+		si.body = resolveBody(w.Nest.Body, &next)
+		if !w.Nest.HasBranches() {
+			si.straight = make([]int, len(list))
+		}
 		for i, s := range list {
-			si.pos[s] = i
+			if si.straight != nil {
+				si.straight[i] = i
+			}
 			si.maxReads = max(si.maxReads, len(s.Reads))
 			si.maxWrites = max(si.maxWrites, len(s.Writes))
 		}
 		return si, nil
 	})
 	return si
+}
+
+// flat returns the positions of the statements the iteration with index
+// vector idx executes, in body order: the shared straight list (callers
+// must not modify it) or, for a body with conditionals, a list built in
+// dst's storage.
+func (si *stmtInfo) flat(dst []int, idx []int64) []int {
+	if si.straight != nil {
+		return si.straight
+	}
+	return appendFlat(dst[:0], si.body, idx)
+}
+
+func appendFlat(out []int, nodes []pnode, idx []int64) []int {
+	for i := range nodes {
+		switch n := &nodes[i]; {
+		case n.pos >= 0:
+			out = append(out, n.pos)
+		case n.cond(idx):
+			out = appendFlat(out, n.then, idx)
+		default:
+			out = appendFlat(out, n.els, idx)
+		}
+	}
+	return out
 }
 
 // depInfo returns the workload's dependence summary (analyzeWorkload).
@@ -349,15 +417,22 @@ func (b *boundRef) set(idx []int64, v int64) {
 // inPlace is the normal (un-renamed) binding of one statement: its
 // semantics over references resolved against one memory. As a sim.Effect,
 // Apply(iter) executes the statement instance of iteration iter in the
-// run's frame.
+// run's frame; as a sim.Toucher it lists the elements that instance
+// accesses.
 type inPlace struct {
 	f             *frame
+	s             *deps.Stmt
 	sem           Sem
 	reads, writes []boundRef
 }
 
 // Apply implements sim.Effect.
 func (e *inPlace) Apply(iter int64) { e.apply(e.f, iter, e.f.localsOf(iter)) }
+
+// Touches implements sim.Toucher.
+func (e *inPlace) Touches(iter int64) []sim.MemAccess {
+	return stmtTouches(e.s, e.f.nest.IndexInto(e.f.idx, iter))
+}
 
 // apply executes the statement instance of iteration iter in frame f with
 // the iteration's locals. A statement without semantics does nothing.
@@ -378,8 +453,10 @@ func (e *inPlace) apply(f *frame, iter int64, locals []int64) {
 }
 
 // stmtRun is one run's binding of the workload's statements: an effect per
-// statement position (nil for a statement without semantics) over the
-// run's memory and frame, plus what the run's compute ops depend on.
+// statement position over the run's memory and frame, plus what the run's
+// compute ops depend on. A statement without semantics has no effect (nil),
+// unless the machine records a sync trace: then it gets one that does
+// nothing but list its accesses, so its reads of shared data are traced.
 type stmtRun struct {
 	w    *Workload
 	info *stmtInfo
@@ -388,15 +465,14 @@ type stmtRun struct {
 	// into the frame's, and a program may be called between two effects.
 	progIdx []int64
 	lat     int64
-	tracing bool
 }
 
 // newStmtRun returns a run binding with no effects yet, for a machine with
-// the given data latency and sync-trace setting.
-func (w *Workload) newStmtRun(lat int64, tracing bool) *stmtRun {
+// the given data latency.
+func (w *Workload) newStmtRun(lat int64) *stmtRun {
 	si := w.stmtTable()
 	return &stmtRun{w: w, info: si, effs: make([]sim.Effect, len(si.list)),
-		progIdx: make([]int64, w.Nest.Depth()), lat: lat, tracing: tracing}
+		progIdx: make([]int64, w.Nest.Depth()), lat: lat}
 }
 
 // semOf returns statement s's semantics, nil for a statement that writes
@@ -412,10 +488,10 @@ func (w *Workload) semOf(s *deps.Stmt) Sem {
 // bindStmts binds every statement to mem in place, for a run whose machine
 // has the given data latency and sync-trace setting.
 func (w *Workload) bindStmts(mem *sim.Mem, lat int64, tracing bool) *stmtRun {
-	r := w.newStmtRun(lat, tracing)
+	r := w.newStmtRun(lat)
 	ips := w.bindInPlace(mem, w.newFrame(w.Nest.Iterations()))
 	for pos := range ips {
-		if ips[pos].sem != nil {
+		if ips[pos].sem != nil || tracing {
 			r.effs[pos] = &ips[pos]
 		}
 	}
@@ -423,7 +499,7 @@ func (w *Workload) bindStmts(mem *sim.Mem, lat int64, tracing bool) *stmtRun {
 }
 
 // bindInPlace resolves every statement's references against mem, by
-// position; a statement without semantics gets a zero inPlace (nil sem).
+// position; a statement without semantics gets no references (nil sem).
 // The bindings share frame f.
 func (w *Workload) bindInPlace(mem *sim.Mem, f *frame) []inPlace {
 	si := w.stmtTable()
@@ -434,12 +510,11 @@ func (w *Workload) bindInPlace(mem *sim.Mem, f *frame) []inPlace {
 	bound := make([]boundRef, 0, refs)
 	effs := make([]inPlace, len(si.list))
 	for pos, s := range si.list {
-		sem := w.semOf(s)
-		if sem == nil {
+		e := &effs[pos]
+		e.f, e.s, e.sem = f, s, w.semOf(s)
+		if e.sem == nil {
 			continue
 		}
-		e := &effs[pos]
-		e.f, e.sem = f, sem
 		for _, rd := range s.Reads {
 			bound = append(bound, bindRef(mem, rd))
 		}
@@ -458,40 +533,24 @@ func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
 	return w.bindStmts(m.Mem(), m.Config().DataLatency, m.SyncTracing())
 }
 
-// appendCompute appends the op(s) for one execution of statement s in
-// iteration iter (index vector idx): the compute itself and, when the
-// machine models a data-write latency and the statement writes shared
-// arrays, a commit phase after which the written values become visible —
-// the paper's requirement (1): a source may signal only after its effect
-// can be observed. The statement's effect is applied to iter at the end of
-// the last op, so a scheme that published before the commit phase would
-// let a consumer read stale values and fail serial equivalence. That op
-// carries touch, the statement's concrete element accesses for the
-// happens-before race checkers, which callers build only when the machine
-// records a sync trace (r.tracing). It appends into the caller's program
-// slice, which the machine recycles from iteration to iteration.
-func (r *stmtRun) appendCompute(ops []sim.Op, s *deps.Stmt, iter int64, idx []int64, touch []sim.MemAccess) []sim.Op {
-	eff := r.effs[r.info.pos[s]]
+// appendStmt appends the op(s) for one execution of the statement at
+// position pos in iteration iter (index vector idx): the compute itself
+// and, when the machine models a data-write latency and the statement
+// writes shared arrays, a commit phase after which the written values
+// become visible — the paper's requirement (1): a source may signal only
+// after its effect can be observed. The statement's effect is applied to
+// iter at the end of the last op, so a scheme that published before the
+// commit phase would let a consumer read stale values and fail serial
+// equivalence. It fills the ops in place in the caller's program slice,
+// which the machine recycles from iteration to iteration.
+func (r *stmtRun) appendStmt(ops []sim.Op, pos int, iter int64, idx []int64) []sim.Op {
+	s, eff := r.info.list[pos], r.effs[pos]
 	cost := r.w.cost(s, idx)
 	if r.lat <= 0 || len(s.Writes) == 0 {
-		op := sim.Compute(cost, eff, iter, s.Name)
-		op.Touch = touch
-		return append(ops, op)
+		return sim.AppendCompute(ops, cost, eff, iter, sim.Text(s.Name))
 	}
-	commit := sim.Compute(r.lat, eff, iter, "")
-	commit.Tag = sim.TagSf("%s:commit", s.Name)
-	commit.Touch = touch
-	return append(ops, sim.Compute(cost, nil, 0, s.Name), commit)
-}
-
-// appendStmt is appendCompute for an in-place statement, with its element
-// accesses as the touch list when tracing.
-func (r *stmtRun) appendStmt(ops []sim.Op, s *deps.Stmt, iter int64, idx []int64) []sim.Op {
-	var touch []sim.MemAccess
-	if r.tracing {
-		touch = stmtTouches(s, idx)
-	}
-	return r.appendCompute(ops, s, iter, idx, touch)
+	ops = sim.AppendCompute(ops, cost, nil, 0, sim.Text(s.Name))
+	return sim.AppendCompute(ops, r.lat, eff, iter, sim.TagSf("%s:commit", s.Name))
 }
 
 // stmtTouches lists the concrete shared-memory elements one execution of

@@ -1,0 +1,5 @@
+//go:build !race
+
+package codegen_test
+
+const raceEnabled = false

@@ -90,7 +90,7 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 	}
 	r := w.bindMachine(m)
 	need := make([]int64, len(dists)) // per-j scratch, cleared on entry
-	var body []*deps.Stmt
+	var body []int
 
 	prog := func(ops []sim.Op, lpid int64) []sim.Op {
 		i := outer.Lo + lpid - 1
@@ -102,8 +102,8 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 			// progress any arc requires of process lpid-d1 at this j
 			// (progress is at least 1, so 0 means no arc needs a wait).
 			clear(need)
-			for k, a := range arcs {
-				d1, d2 := a.Dist[0], a.Dist[1]
+			for k := range arcs {
+				d1, d2 := arcs[k].Dist[0], arcs[k].Dist[1]
 				if lpid-d1 < 1 {
 					continue // source process before the loop start
 				}
@@ -115,19 +115,19 @@ func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Fo
 			}
 			for k, d1 := range dists {
 				if need[k] > 0 {
-					ops = append(ops, pcs.WaitPC(lpid, d1, need[k]))
+					ops = pcs.WaitPC(ops, lpid, d1, need[k])
 				}
 			}
 			// Statement effects take the instance's coalesced iteration
 			// number, not the process number.
 			iter := w.Nest.LpidOf(idx)
-			body = w.Nest.FlatBodyInto(body, idx)
-			for _, st := range body {
-				ops = r.appendStmt(ops, st, iter, idx)
+			body = r.info.flat(body, idx)
+			for _, pos := range body {
+				ops = r.appendStmt(ops, pos, iter, idx)
 			}
 			sinceMark++
 			if sinceMark == g && j < inner.Hi {
-				ops = append(ops, pcs.MarkPC(lpid, j-inner.Lo+1))
+				ops = pcs.MarkPC(ops, lpid, j-inner.Lo+1)
 				sinceMark = 0
 			}
 		}

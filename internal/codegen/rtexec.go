@@ -28,18 +28,17 @@ func RunRuntime(w *Workload, x, procs int) (*sim.Mem, error) {
 	mem := sim.NewMem()
 	w.Setup(mem)
 	ips := w.bindInPlace(mem, nil)
-	pos := w.stmtTable().pos
 
 	_, err = core.Runner{X: x, Procs: procs}.Run(w.Nest.Iterations(), func(iter int64, p *core.Proc) {
 		idx := w.Nest.IndexOf(iter)
 		f := w.newFrame(1)
 		transferred := false
-		for _, a := range di.schedule(nil, w.Nest, iter, idx) {
+		for _, a := range di.schedule(nil, iter, idx) {
 			switch a.kind {
 			case actWait:
 				p.Wait(a.dist, a.step)
 			case actStmt:
-				ips[pos[a.stmt]].apply(f, iter, f.localsOf(1))
+				ips[a.pos].apply(f, iter, f.localsOf(1))
 			case actPublish:
 				p.Mark(a.step)
 			case actTransfer:
@@ -97,24 +96,23 @@ func RunRuntimeStatement(w *Workload, k, procs int) (*sim.Mem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
-	sg := buildSCGrouping(di, w, k)
+	sg := buildSCGrouping(di, k)
 	scs := stmtorient.NewSCSet(sg.k)
 	mem := sim.NewMem()
 	w.Setup(mem)
 	ips := w.bindInPlace(mem, nil)
-	pos := w.stmtTable().pos
+	si := w.stmtTable()
 
 	runWorkers(w.Nest.Iterations(), procs, func(iter int64) {
 		idx := w.Nest.IndexOf(iter)
 		f := w.newFrame(1)
 		advanced := make(map[int64]bool)
-		for _, st := range w.Nest.FlatBody(idx) {
-			p := di.pos[st]
+		for _, p := range si.flat(nil, idx) {
 			for _, a := range di.incoming[p] {
-				scs.Await(sg.group[a.Src], iter-a.Dist[0])
+				scs.Await(sg.group[a.src], iter-a.dist)
 			}
-			ips[pos[st]].apply(f, iter, f.localsOf(1))
-			if g, ok := sg.group[p]; ok && sg.lastOfGroup[p] && !advanced[g] {
+			ips[p].apply(f, iter, f.localsOf(1))
+			if g := sg.group[p]; sg.lastOfGroup[p] && !advanced[g] {
 				scs.Advance(g, iter)
 				advanced[g] = true
 			}
@@ -146,20 +144,20 @@ func RunRuntimeRefBased(w *Workload, procs int) (*sim.Mem, error) {
 	mem := sim.NewMem()
 	w.Setup(mem)
 	ips := w.bindInPlace(mem, nil)
-	pos := w.stmtTable().pos
+	si := w.stmtTable()
 
 	runWorkers(w.Nest.Iterations(), procs, func(iter int64) {
 		idx := w.Nest.IndexOf(iter)
 		f := w.newFrame(1)
 		var order []int
 		var tickets []int64
-		for _, st := range w.Nest.FlatBody(idx) {
-			accs := plan.Accesses(iter, pos[st])
+		for _, pos := range si.flat(nil, idx) {
+			accs := plan.Accesses(iter, pos)
 			order, tickets = minTickets(order[:0], tickets[:0], accs)
 			for j, ei := range order {
 				rk.AcquireTicket(ei, tickets[j])
 			}
-			ips[pos[st]].apply(f, iter, f.localsOf(1))
+			ips[pos].apply(f, iter, f.localsOf(1))
 			for i := range accs {
 				rk.Release(&accs[i])
 			}
@@ -188,7 +186,7 @@ func RunRuntimePipelined(w *Workload, x, procs int, g int64) (*sim.Mem, error) {
 	mem := sim.NewMem()
 	w.Setup(mem)
 	ips := w.bindInPlace(mem, nil)
-	pos := w.stmtTable().pos
+	si := w.stmtTable()
 	outer, inner := w.Nest.Indexes[0], w.Nest.Indexes[1]
 
 	_, err = core.Runner{X: x, Procs: procs}.Run(outer.Extent(), func(lpid int64, p *core.Proc) {
@@ -206,8 +204,8 @@ func RunRuntimePipelined(w *Workload, x, procs int, g int64) (*sim.Mem, error) {
 			}
 			iter := w.Nest.LpidOf(idx)
 			f := w.newFrame(1)
-			for _, st := range w.Nest.FlatBody(idx) {
-				ips[pos[st]].apply(f, iter, f.localsOf(1))
+			for _, pos := range si.flat(nil, idx) {
+				ips[pos].apply(f, iter, f.localsOf(1))
 			}
 			sinceMark++
 			if sinceMark == g && j < inner.Hi {

@@ -8,20 +8,30 @@ import (
 	"github.com/csrd-repro/datasync/internal/core"
 	"github.com/csrd-repro/datasync/internal/dataorient"
 	"github.com/csrd-repro/datasync/internal/deps"
-	"github.com/csrd-repro/datasync/internal/loop"
 	"github.com/csrd-repro/datasync/internal/sim"
 	"github.com/csrd-repro/datasync/internal/stmtorient"
 )
 
 // depInfo is the per-workload dependence summary every scheme shares. It is
 // computed once per Workload (Workload.depInfo) and read-only after that.
+// Its per-statement tables are slices indexed by statement position.
 type depInfo struct {
-	pos      map[*deps.Stmt]int
-	enforced []deps.Arc         // linearized, minimal
-	incoming map[int][]deps.Arc // by sink position
-	sources  []int              // source positions, ascending
-	step     map[int]int64      // source position -> step number (1-based)
-	lastSrc  int                // position of the statically last source; -1 if none
+	body     []pnode    // the statement table's resolved body
+	enforced []deps.Arc // linearized, minimal
+	incoming [][]depArc // by sink position: its enforced arcs
+	sources  []int      // source positions, ascending
+	step     []int64    // by position: source step number (1-based), 0 for a non-source
+	lastSrc  int        // position of the statically last source; -1 if none
+	// endTransfer reports that ownership must be passed at the body end:
+	// the statically last source sits inside a branch (Example 3).
+	endTransfer bool
+}
+
+// depArc is an enforced dependence arc as its sink reads it: the source
+// statement's position and the linearized distance.
+type depArc struct {
+	src  int
+	dist int64
 }
 
 func analyzeWorkload(w *Workload) (*depInfo, error) {
@@ -37,25 +47,26 @@ func analyzeWorkload(w *Workload) (*depInfo, error) {
 	if w.Nest.HasBranches() {
 		enforced = lin.Deduped()
 	}
+	si := w.stmtTable()
 	di := &depInfo{
-		pos:      w.stmtTable().pos,
+		body:     si.body,
 		enforced: enforced,
-		incoming: make(map[int][]deps.Arc),
-		step:     make(map[int]int64),
+		incoming: make([][]depArc, len(si.list)),
+		step:     make([]int64, len(si.list)),
 		lastSrc:  -1,
 	}
-	isSource := make(map[int]bool)
-	for _, a := range di.enforced {
-		di.incoming[a.Dst] = append(di.incoming[a.Dst], a)
-		isSource[a.Src] = true
+	for _, a := range enforced {
+		di.incoming[a.Dst] = append(di.incoming[a.Dst], depArc{src: a.Src, dist: a.Dist[0]})
+		di.step[a.Src] = -1 // numbered below, in position order
 	}
-	for p := range w.stmtTable().list {
-		if isSource[p] {
+	for p, st := range di.step {
+		if st != 0 {
 			di.sources = append(di.sources, p)
 			di.step[p] = int64(len(di.sources))
 			di.lastSrc = p
 		}
 	}
+	di.endTransfer = di.lastSrc >= 0 && !topLevel(di.body, di.lastSrc)
 	return di, nil
 }
 
@@ -77,35 +88,22 @@ func describeUnknown(arcs []deps.Arc) string {
 
 // maxSourceStep returns the highest step among sources inside the nodes
 // (recursively); 0 if none.
-func (di *depInfo) maxSourceStep(nodes []loop.Node) int64 {
-	var max int64
-	for _, n := range nodes {
-		s := int64(0)
-		switch v := n.(type) {
-		case loop.StmtNode:
-			s = di.step[di.pos[v.S]]
-		case loop.IfNode:
-			s = di.maxSourceStep(v.Then)
-			if e := di.maxSourceStep(v.Else); e > s {
-				s = e
-			}
-		}
-		if s > max {
-			max = s
+func (di *depInfo) maxSourceStep(nodes []pnode) int64 {
+	var s int64
+	for i := range nodes {
+		if n := &nodes[i]; n.pos >= 0 {
+			s = max(s, di.step[n.pos])
+		} else {
+			s = max(s, di.maxSourceStep(n.then), di.maxSourceStep(n.els))
 		}
 	}
-	return max
+	return s
 }
 
-// topLevelStmt reports whether the flattened position belongs to a
-// top-level (unconditioned) statement of the body.
-func topLevelStmt(n *loop.Nest, pos int, di *depInfo) bool {
-	for _, node := range n.Body {
-		if v, ok := node.(loop.StmtNode); ok && di.pos[v.S] == pos {
-			return true
-		}
-	}
-	return false
+// topLevel reports whether position pos belongs to a top-level
+// (unconditioned) statement of the body.
+func topLevel(body []pnode, pos int) bool {
+	return slices.ContainsFunc(body, func(n pnode) bool { return n.pos == pos })
 }
 
 // ---- Process-oriented scheme (section 4) ----
@@ -147,25 +145,25 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 		// The basic primitives acquire the PC once, before the
 		// iteration's first publication or transfer.
 		owned := s.Improved
-		acts = di.schedule(acts[:0], w.Nest, iter, idx)
+		acts = di.schedule(acts[:0], iter, idx)
 		for _, a := range acts {
 			switch a.kind {
 			case actWait:
-				ops = append(ops, pcs.WaitPC(iter, a.dist, a.step))
+				ops = pcs.WaitPC(ops, iter, a.dist, a.step)
 			case actStmt:
-				ops = r.appendStmt(ops, a.stmt, iter, idx)
+				ops = r.appendStmt(ops, a.pos, iter, idx)
 			case actPublish:
 				if s.Improved {
-					ops = append(ops, pcs.MarkPC(iter, a.step))
+					ops = pcs.MarkPC(ops, iter, a.step)
 					continue
 				}
 				if !owned {
-					ops, owned = append(ops, pcs.GetPC(iter)), true
+					ops, owned = pcs.GetPC(ops, iter), true
 				}
-				ops = append(ops, pcs.SetPC(iter, a.step))
+				ops = pcs.SetPC(ops, iter, a.step)
 			case actTransfer:
 				if !owned {
-					ops, owned = append(ops, pcs.GetPC(iter)), true
+					ops, owned = pcs.GetPC(ops, iter), true
 				}
 				ops = pcs.TransferPCOps(ops, iter)
 			}
@@ -202,15 +200,16 @@ func (StatementOriented) Finalize(*sim.Mem) {}
 // scGrouping folds the loop's source statements onto k physical statement
 // counters and decides where each group's advance is emitted: after its
 // last member when that member is unconditioned, otherwise at the body end
-// (the all-paths rule of Example 3).
+// (the all-paths rule of Example 3). Its tables are indexed by statement
+// position.
 type scGrouping struct {
 	k            int
-	group        map[int]int64 // source pos -> physical SC
-	lastOfGroup  map[int]bool  // positions carrying a group's advance
+	group        []int64 // physical SC of a source; -1 for a non-source
+	lastOfGroup  []bool  // positions carrying a group's advance
 	advanceAtEnd bool
 }
 
-func buildSCGrouping(di *depInfo, w *Workload, k int) scGrouping {
+func buildSCGrouping(di *depInfo, k int) scGrouping {
 	if k == 0 || k > len(di.sources) {
 		k = len(di.sources)
 	}
@@ -219,17 +218,20 @@ func buildSCGrouping(di *depInfo, w *Workload, k int) scGrouping {
 	}
 	g := scGrouping{
 		k:           k,
-		group:       make(map[int]int64, len(di.sources)),
-		lastOfGroup: make(map[int]bool),
+		group:       make([]int64, len(di.step)),
+		lastOfGroup: make([]bool, len(di.step)),
 	}
-	lastPosOfGroup := make(map[int64]int)
+	for p := range g.group {
+		g.group[p] = -1
+	}
+	lastPosOfGroup := make([]int, k)
 	for ord, p := range di.sources {
-		c := int64(ord % k)
-		g.group[p] = c
+		c := ord % k
+		g.group[p] = int64(c)
 		lastPosOfGroup[c] = p
 	}
-	for _, p := range lastPosOfGroup {
-		if topLevelStmt(w.Nest, p, di) {
+	for _, p := range lastPosOfGroup[:min(k, len(di.sources))] {
+		if topLevel(di.body, p) {
 			g.lastOfGroup[p] = true
 		} else {
 			g.advanceAtEnd = true
@@ -244,7 +246,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	if err != nil {
 		return nil, Footprint{}, err
 	}
-	sg := buildSCGrouping(di, w, s.K)
+	sg := buildSCGrouping(di, s.K)
 	k := sg.k
 	foot := Footprint{SyncVars: k, InitOps: int64(k), StorageWords: int64(k)}
 	sw := &scWalker{di: di, sg: sg, scs: stmtorient.NewSimSCs(m, k), r: w.bindMachine(m),
@@ -252,7 +254,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		sw.ops, sw.iter, sw.idx = ops, iter, w.Nest.IndexInto(sw.r.progIdx, iter)
 		clear(sw.advanced)
-		sw.walk(w.Nest.Body)
+		sw.walk(di.body)
 		if sg.advanceAtEnd {
 			for g := int64(0); g < int64(k); g++ {
 				if !sw.advanced[g] {
@@ -283,32 +285,29 @@ type scWalker struct {
 	idx  []int64
 }
 
-func (sw *scWalker) walk(nodes []loop.Node) {
+func (sw *scWalker) walk(nodes []pnode) {
 	di, sg := sw.di, &sw.sg
-	for _, node := range nodes {
-		switch v := node.(type) {
-		case loop.StmtNode:
-			p := di.pos[v.S]
+	for i := range nodes {
+		n := &nodes[i]
+		if p := n.pos; p >= 0 {
 			for _, a := range di.incoming[p] {
-				d := a.Dist[0]
-				sw.ops = append(sw.ops, sw.scs.AwaitOp(sg.group[a.Src], sw.iter-d))
+				sw.ops = sw.scs.AwaitOps(sw.ops, sg.group[a.src], sw.iter-a.dist)
 			}
-			sw.ops = sw.r.appendStmt(sw.ops, v.S, sw.iter, sw.idx)
-			if g, ok := sg.group[p]; ok && sg.lastOfGroup[p] && !sw.advanced[g] {
+			sw.ops = sw.r.appendStmt(sw.ops, p, sw.iter, sw.idx)
+			if g := sg.group[p]; sg.lastOfGroup[p] && !sw.advanced[g] {
 				sw.ops = sw.scs.AdvanceOps(sw.ops, g, sw.iter)
 				sw.advanced[g] = true
 			}
-		case loop.IfNode:
-			// Advances are emitted at static positions regardless of the
-			// branch outcome (the all-paths rule of Example 3), so arms
-			// only contribute their computes and awaits; group advances
-			// whose last member hides inside an arm are deferred to the
-			// body end.
-			if v.Cond(sw.idx) {
-				sw.walk(v.Then)
-			} else {
-				sw.walk(v.Else)
-			}
+			continue
+		}
+		// Advances are emitted at static positions regardless of the branch
+		// outcome (the all-paths rule of Example 3), so arms only
+		// contribute their computes and awaits; group advances whose last
+		// member hides inside an arm are deferred to the body end.
+		if n.cond(sw.idx) {
+			sw.walk(n.then)
+		} else {
+			sw.walk(n.els)
 		}
 	}
 }
@@ -336,22 +335,22 @@ func (RefBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint,
 	// Scratch buffers reused across iterations (prog is called sequentially
 	// by the machine and nothing below escapes the call).
 	var (
-		body    []*deps.Stmt
+		body    []int // statement positions
 		order   []int // element indices in the plan's Order
 		tickets []int64
 	)
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexInto(r.progIdx, iter)
-		body = w.Nest.FlatBodyInto(body, idx)
-		for _, s := range body {
-			accs := plan.Accesses(iter, r.info.pos[s])
+		body = r.info.flat(body, idx)
+		for _, pos := range body {
+			accs := plan.Accesses(iter, pos)
 			order, tickets = minTickets(order[:0], tickets[:0], accs)
 			for j, ei := range order {
-				ops = append(ops, keys.WaitTicketOp(ei, tickets[j]))
+				ops = keys.WaitTicketOps(ops, ei, tickets[j])
 			}
-			ops = r.appendStmt(ops, s, iter, idx)
+			ops = r.appendStmt(ops, pos, iter, idx)
 			for i := range accs {
-				ops = append(ops, keys.IncOp(&accs[i]))
+				ops = keys.IncOps(ops, &accs[i])
 			}
 		}
 		return ops
@@ -412,32 +411,20 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 	ib.vs = dataorient.NewVersionStore(plan, m.Mem())
 	r := w.bindRenamed(m, plan, ib.vs)
 
-	var body []*deps.Stmt
+	var body []int // statement positions
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		idx := w.Nest.IndexInto(r.progIdx, iter)
-		body = w.Nest.FlatBodyInto(body, idx)
-		for _, s := range body {
-			accs := plan.Accesses(iter, r.info.pos[s])
-			writeAccs, readAccs := accs[:len(s.Writes)], accs[len(s.Writes):]
+		body = r.info.flat(body, idx)
+		for _, pos := range body {
+			accs := plan.Accesses(iter, pos)
+			nw := len(r.info.list[pos].Writes)
+			writeAccs, readAccs := accs[:nw], accs[nw:]
 			for i := range readAccs {
-				ops = append(ops, bits.ConsumeOp(&readAccs[i]))
-			}
-			// Renamed storage is single-assignment: race checking sees each
-			// (element, version) as its own location, so the renaming's
-			// elimination of anti/output conflicts is visible to the checker.
-			var touches []sim.MemAccess
-			if r.tracing {
-				touches = make([]sim.MemAccess, 0, len(readAccs)+len(writeAccs))
-				for _, a := range readAccs {
-					touches = append(touches, accessTouch(plan.Order[a.ElemIdx], a.Epoch, false))
-				}
-				for _, a := range writeAccs {
-					touches = append(touches, accessTouch(plan.Order[a.ElemIdx], a.Epoch+1, true))
-				}
+				ops = bits.ConsumeOps(ops, &readAccs[i])
 			}
 			// Renamed copies also take DataLatency to land before the
 			// full/empty bits may be set (requirement (1)).
-			ops = r.appendCompute(ops, s, iter, idx, touches)
+			ops = r.appendStmt(ops, pos, iter, idx)
 			for i := range writeAccs {
 				ops = bits.FillOps(ops, &writeAccs[i])
 			}
@@ -450,7 +437,8 @@ func (ib *InstanceBased) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 // renamed is the instance-based binding of one statement: as a
 // sim.Effect, Apply(iter) executes the statement instance of iteration
 // iter over the run's version store, reading the versions its planned
-// accesses name and storing the versions they create.
+// accesses name and storing the versions they create. As a sim.Toucher it
+// lists those versions.
 type renamed struct {
 	f    *frame
 	sem  Sem
@@ -460,8 +448,11 @@ type renamed struct {
 	nw   int // the statement's writes, which lead its accesses
 }
 
-// Apply implements sim.Effect.
+// Apply implements sim.Effect. A statement without semantics does nothing.
 func (e *renamed) Apply(iter int64) {
+	if e.sem == nil {
+		return
+	}
 	accs := e.plan.Accesses(iter, e.pos)
 	writeAccs, readAccs := accs[:e.nw], accs[e.nw:]
 	in := e.f.in[:len(readAccs)]
@@ -475,15 +466,33 @@ func (e *renamed) Apply(iter int64) {
 	}
 }
 
+// Touches implements sim.Toucher. Renamed storage is single-assignment:
+// race checking sees each (element, version) as its own location, so the
+// renaming's elimination of anti/output conflicts is visible to the
+// checker.
+func (e *renamed) Touches(iter int64) []sim.MemAccess {
+	accs := e.plan.Accesses(iter, e.pos)
+	writeAccs, readAccs := accs[:e.nw], accs[e.nw:]
+	touches := make([]sim.MemAccess, 0, len(accs))
+	for _, a := range readAccs {
+		touches = append(touches, accessTouch(e.plan.Order[a.ElemIdx], a.Epoch, false))
+	}
+	for _, a := range writeAccs {
+		touches = append(touches, accessTouch(e.plan.Order[a.ElemIdx], a.Epoch+1, true))
+	}
+	return touches
+}
+
 // bindRenamed binds every statement to the version store vs for a run on
-// m; statements without semantics get no effect.
+// m; statements without semantics get no effect unless m records a sync
+// trace.
 func (w *Workload) bindRenamed(m *sim.Machine, plan *dataorient.Plan, vs *dataorient.VersionStore) *stmtRun {
-	r := w.newStmtRun(m.Config().DataLatency, m.SyncTracing())
+	r := w.newStmtRun(m.Config().DataLatency)
 	f := w.newFrame(w.Nest.Iterations())
 	effs := make([]renamed, len(r.info.list))
 	for pos, s := range r.info.list {
 		sem := w.semOf(s)
-		if sem == nil {
+		if sem == nil && !m.SyncTracing() {
 			continue
 		}
 		effs[pos] = renamed{f: f, sem: sem, plan: plan, vs: vs, pos: pos, nw: len(s.Writes)}

@@ -36,69 +36,56 @@ func (s *SimPCs) Vars() []sim.VarID {
 
 func (s *SimPCs) slot(iter int64) sim.VarID { return s.base + sim.VarID(Fold(iter, s.X)) }
 
-// GetPC is the basic get_PC(): busy-wait for ownership of the proper PC,
-// i.e. wait_PC(0, 0).
-func (s *SimPCs) GetPC(iter int64) sim.Op {
-	op := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
-	op.Tag = sim.Tagf("get_PC i=%d", iter)
-	op.OwnCheck = true
-	return op
+// The primitives append their ops to dst and return the extended slice,
+// filling each op in place: a code generator builds every iteration's
+// program this way into the buffer the machine recycles.
+
+// GetPC appends the basic get_PC(): busy-wait for ownership of the proper
+// PC, i.e. wait_PC(0, 0).
+func (s *SimPCs) GetPC(dst []sim.Op, iter int64) []sim.Op {
+	return sim.AppendWaitGE(dst, s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf("get_PC i=%d", iter))
 }
 
-// SetPC is the basic set_PC(step): update the owned PC's step after
+// SetPC appends the basic set_PC(step): update the owned PC's step after
 // completing a source statement.
-func (s *SimPCs) SetPC(iter, step int64) sim.Op {
-	op := sim.WriteVar(s.slot(iter), PC{Owner: iter, Step: step}.Pack(), "")
-	op.Tag = sim.Tagf("set_PC(%d) i=%d", step, iter)
-	return op
+func (s *SimPCs) SetPC(dst []sim.Op, iter, step int64) []sim.Op {
+	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter, Step: step}.Pack(), sim.Tagf("set_PC(%d) i=%d", step, iter))
 }
 
-// ReleasePC is the basic release_PC(): pass the PC to process iter+X.
-func (s *SimPCs) ReleasePC(iter int64) sim.Op {
-	op := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
-	op.Tag = sim.Tagf("release_PC i=%d", iter)
-	return op
+// ReleasePC appends the basic release_PC(): pass the PC to process iter+X.
+func (s *SimPCs) ReleasePC(dst []sim.Op, iter int64) []sim.Op {
+	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf("release_PC i=%d", iter))
 }
 
-// WaitPC is wait_PC(dist, step): spin until the source process iter-dist
-// has completed its step-th source statement. Ownership having moved past
-// iter-dist also satisfies the wait (lexicographic order), which is sound
-// because ownership transfers only after the owner's last source statement.
-// A source before the first iteration does not exist; such waits are
-// satisfied immediately (a zero-cycle no-op), mirroring PCSet.Wait.
-func (s *SimPCs) WaitPC(iter, dist, step int64) sim.Op {
+// WaitPC appends wait_PC(dist, step): spin until the source process
+// iter-dist has completed its step-th source statement. Ownership having
+// moved past iter-dist also satisfies the wait (lexicographic order), which
+// is sound because ownership transfers only after the owner's last source
+// statement. A source before the first iteration does not exist; such waits
+// are satisfied immediately (a zero-cycle no-op), mirroring PCSet.Wait.
+func (s *SimPCs) WaitPC(dst []sim.Op, iter, dist, step int64) []sim.Op {
 	src := iter - dist
 	if src < 1 {
-		op := sim.Compute(0, nil, 0, "")
-		op.Tag = sim.Tagf("wait_PC(%d,%d) i=%d noop", dist, step, iter)
-		return op
+		return sim.AppendCompute(dst, 0, nil, 0, sim.Tagf("wait_PC(%d,%d) i=%d noop", dist, step, iter))
 	}
-	op := sim.WaitGE(s.slot(src), PC{Owner: src, Step: step}.Pack(), "")
-	op.Tag = sim.Tagf("wait_PC(%d,%d) i=%d", dist, step, iter)
-	return op
+	return sim.AppendWaitGE(dst, s.slot(src), PC{Owner: src, Step: step}.Pack(), false, sim.Tagf("wait_PC(%d,%d) i=%d", dist, step, iter))
 }
 
-// MarkPC is the improved mark_PC(step) of Fig 4.3: update the step only if
-// this process already owns the PC (ownership has been transferred to it);
-// otherwise proceed without waiting — the final transfer_PC will publish
-// completion of all source statements at once.
-func (s *SimPCs) MarkPC(iter, step int64) sim.Op {
+// MarkPC appends the improved mark_PC(step) of Fig 4.3: update the step
+// only if this process already owns the PC (ownership has been transferred
+// to it); otherwise proceed without waiting — the final transfer_PC will
+// publish completion of all source statements at once.
+func (s *SimPCs) MarkPC(dst []sim.Op, iter, step int64) []sim.Op {
 	want := PC{Owner: iter, Step: step}.Pack()
 	owned := PC{Owner: iter, Step: 0}.Pack()
-	op := sim.WriteVarIfGE(s.slot(iter), want, owned, "")
-	op.Tag = sim.Tagf("mark_PC(%d) i=%d", step, iter)
-	op.OwnCheck = true
-	return op
+	return sim.AppendWriteVarIfGE(dst, s.slot(iter), want, owned, true, sim.Tagf("mark_PC(%d) i=%d", step, iter))
 }
 
 // TransferPCOps appends transfer_PC() to dst: acquire ownership if not yet
 // owned, then pass the PC to the next owner. Two ops: a wait and the
 // release write.
 func (s *SimPCs) TransferPCOps(dst []sim.Op, iter int64) []sim.Op {
-	own := sim.WaitGE(s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), "")
-	own.Tag = sim.Tagf("transfer_PC:own i=%d", iter)
-	own.OwnCheck = true
-	release := sim.WriteVar(s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), "")
-	release.Tag = sim.Tagf("transfer_PC:release i=%d", iter)
-	return append(dst, own, release)
+	v := s.slot(iter)
+	dst = sim.AppendWaitGE(dst, v, PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf("transfer_PC:own i=%d", iter))
+	return sim.AppendWriteVar(dst, v, PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf("transfer_PC:release i=%d", iter))
 }

@@ -15,21 +15,12 @@ func TestSimPCsBasicProtocol(t *testing.T) {
 	}
 	// Process 1 on proc 0: get, set(1), release. Process 3 on proc 1:
 	// waits for process 1's step 1, then gets ownership after release.
-	progs := [][]sim.Op{
-		{
-			pcs.GetPC(1),
-			sim.Compute(5, nil, 0, "S1@1"),
-			pcs.SetPC(1, 1),
-			pcs.ReleasePC(1),
-		},
-		{
-			pcs.WaitPC(3, 2, 1), // wait_PC(2,1): process 1 at step 1
-			pcs.GetPC(3),
-			sim.Compute(1, nil, 0, "S1@3"),
-			pcs.SetPC(3, 1),
-			pcs.ReleasePC(3),
-		},
-	}
+	p1 := append(pcs.GetPC(nil, 1), sim.Compute(5, nil, 0, "S1@1"))
+	p1 = pcs.ReleasePC(pcs.SetPC(p1, 1, 1), 1)
+	p3 := pcs.GetPC(pcs.WaitPC(nil, 3, 2, 1), 3) // wait_PC(2,1): process 1 at step 1
+	p3 = append(p3, sim.Compute(1, nil, 0, "S1@3"))
+	p3 = pcs.ReleasePC(pcs.SetPC(p3, 3, 1), 3)
+	progs := [][]sim.Op{p1, p3}
 	if _, err := m.RunProcesses(progs); err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +40,8 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	// Process 2's early mark (issued before ownership arrives) is skipped
 	// without waiting; its transfer then blocks until process 1 releases.
 	progs := [][]sim.Op{
-		pcs.TransferPCOps([]sim.Op{
-			sim.Compute(10, nil, 0, "slow"),
-			pcs.MarkPC(1, 1),
-		}, 1),
-		pcs.TransferPCOps([]sim.Op{
-			pcs.MarkPC(2, 1), // not owned yet at cycle 0: skipped
-		}, 2),
+		pcs.TransferPCOps(pcs.MarkPC([]sim.Op{sim.Compute(10, nil, 0, "slow")}, 1, 1), 1),
+		pcs.TransferPCOps(pcs.MarkPC(nil, 2, 1), 2), // mark not owned yet at cycle 0: skipped
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {
@@ -87,7 +73,7 @@ func TestSimPCsWaitSatisfiedByOwnershipAdvance(t *testing.T) {
 	pcs := NewSimPCs(m, 2)
 	// Process 1 releases; a waiter on process 1's step 7 (never marked)
 	// must be satisfied by the ownership advance.
-	ops := append(pcs.TransferPCOps(nil, 1), pcs.WaitPC(3, 2, 7))
+	ops := pcs.WaitPC(pcs.TransferPCOps(nil, 1), 3, 2, 7)
 	if _, err := m.RunProcesses([][]sim.Op{ops}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +86,9 @@ func TestSimPCsWaitSatisfiedByOwnershipAdvance(t *testing.T) {
 func TestSimPCsWaitBoundaryNoOp(t *testing.T) {
 	m := sim.New(sim.Config{Processors: 1, SyncOpCost: 0})
 	pcs := NewSimPCs(m, 2)
-	ops := []sim.Op{
-		pcs.WaitPC(1, 2, 1), // source iteration -1 does not exist
-		pcs.WaitPC(2, 2, 3), // source iteration 0 does not exist
-		pcs.WaitPC(3, 3, 1), // source iteration 0, dist == iter
-	}
+	ops := pcs.WaitPC(nil, 1, 2, 1) // source iteration -1 does not exist
+	ops = pcs.WaitPC(ops, 2, 2, 3)  // source iteration 0 does not exist
+	ops = pcs.WaitPC(ops, 3, 3, 1)  // source iteration 0, dist == iter
 	ops = pcs.TransferPCOps(ops, 1)
 	stats, err := m.RunProcesses([][]sim.Op{ops})
 	if err != nil {
@@ -128,8 +112,8 @@ func TestSimPCsWaitBoundaryInExpandedProgram(t *testing.T) {
 	progs := make([][]sim.Op, 2)
 	for pid := 0; pid < 2; pid++ {
 		for it := int64(1 + pid); it <= n; it += 2 {
-			progs[pid] = append(progs[pid], pcs.WaitPC(it, dist, 1))
-			progs[pid] = append(progs[pid], pcs.MarkPC(it, 1))
+			progs[pid] = pcs.WaitPC(progs[pid], it, dist, 1)
+			progs[pid] = pcs.MarkPC(progs[pid], it, 1)
 			progs[pid] = pcs.TransferPCOps(progs[pid], it)
 		}
 	}

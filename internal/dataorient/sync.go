@@ -33,33 +33,29 @@ func (n keyNames) VarName(i int) string { return "key:" + n.p.name(i) }
 // Keys returns the number of keys declared.
 func (k *SimKeys) Keys() int { return len(k.plan.Order) }
 
-// WaitOp polls the element's key until the access's ticket is reached.
-func (k *SimKeys) WaitOp(a *Access) sim.Op {
-	return k.WaitTicketOp(a.ElemIdx, a.Ticket)
+// WaitOps appends the poll of the element's key until the access's ticket
+// is reached.
+func (k *SimKeys) WaitOps(dst []sim.Op, a *Access) []sim.Op {
+	return k.WaitTicketOps(dst, a.ElemIdx, a.Ticket)
 }
 
-// WaitTicketOp polls the key of element ei (its index in the plan's Order)
-// until the given ticket is reached. Code generators that execute a whole
-// statement as one atomic compute wait on the minimum ticket among the
-// statement's accesses to the element (its accesses are consecutive in the
-// element's serial order, so the later tickets differ only by the
-// statement's own increments).
-func (k *SimKeys) WaitTicketOp(ei int, ticket int64) sim.Op {
-	op := sim.WaitGE(k.base+sim.VarID(ei), ticket, "")
-	op.Tag = sim.TagSf("key:wait %s>=%d", k.plan.name(ei), ticket)
-	return op
+// WaitTicketOps appends the poll of the key of element ei (its index in the
+// plan's Order) until the given ticket is reached. Code generators that
+// execute a whole statement as one atomic compute wait on the minimum
+// ticket among the statement's accesses to the element (its accesses are
+// consecutive in the element's serial order, so the later tickets differ
+// only by the statement's own increments).
+func (k *SimKeys) WaitTicketOps(dst []sim.Op, ei int, ticket int64) []sim.Op {
+	return sim.AppendWaitGE(dst, k.base+sim.VarID(ei), ticket, false, sim.TagSf("key:wait %s>=%d", k.plan.name(ei), ticket))
 }
 
-// IncOp increments the element's key after the access completes. The access
-// executes only once the key has reached its ticket, so the post-increment
-// value is statically a.Ticket+1 — stamped for the static verifier.
-func (k *SimKeys) IncOp(a *Access) sim.Op {
-	op := sim.RMWPost(k.base+sim.VarID(a.ElemIdx), inc, a.Ticket+1, "")
-	op.Tag = sim.TagSf("key:inc %s", k.plan.name(a.ElemIdx))
-	return op
+// IncOps appends the increment of the element's key after the access
+// completes. The access executes only once the key has reached its ticket,
+// so the post-increment value is statically a.Ticket+1 — stamped for the
+// static verifier.
+func (k *SimKeys) IncOps(dst []sim.Op, a *Access) []sim.Op {
+	return sim.AppendRMWPost(dst, k.base+sim.VarID(a.ElemIdx), 1, a.Ticket+1, sim.TagSf("key:inc %s", k.plan.name(a.ElemIdx)))
 }
-
-func inc(x int64) int64 { return x + 1 }
 
 // SimBits places the instance-based full/empty bits: one per consumable
 // copy of each written version, declared as one block in the plan's bit
@@ -96,25 +92,23 @@ func (b *SimBits) FillOps(dst []sim.Op, a *Access) []sim.Op {
 	}
 	copies := max(a.Readers, 1)
 	for c := 0; c < copies; c++ {
-		op := sim.WriteVar(b.base+sim.VarID(a.Bit+c), 1, "")
-		op.Tag = sim.TagSf("fe:fill %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch+1, int64(c))
-		dst = append(dst, op)
+		dst = sim.AppendWriteVar(dst, b.base+sim.VarID(a.Bit+c), 1,
+			sim.TagSf("fe:fill %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch+1, int64(c)))
 	}
 	return dst
 }
 
-// ConsumeOp returns the poll that waits for the reader's own copy to be
+// ConsumeOps appends the poll that waits for the reader's own copy to be
 // full. Reads of initial data need no wait and get a free no-op.
-func (b *SimBits) ConsumeOp(a *Access) sim.Op {
+func (b *SimBits) ConsumeOps(dst []sim.Op, a *Access) []sim.Op {
 	if a.Kind != deps.Read {
-		panic("dataorient: ConsumeOp on a write access")
+		panic("dataorient: ConsumeOps on a write access")
 	}
 	if a.Epoch == 0 {
-		return sim.Compute(0, nil, 0, "fe:init-data")
+		return sim.AppendCompute(dst, 0, nil, 0, sim.Text("fe:init-data"))
 	}
-	op := sim.WaitGE(b.base+sim.VarID(a.Bit), 1, "")
-	op.Tag = sim.TagSf("fe:consume %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch, int64(a.CopyIdx))
-	return op
+	return sim.AppendWaitGE(dst, b.base+sim.VarID(a.Bit), 1, false,
+		sim.TagSf("fe:consume %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch, int64(a.CopyIdx)))
 }
 
 // VersionStore holds the renamed (single-assignment) storage of an

@@ -25,18 +25,16 @@ func TestSimKeysProtocol(t *testing.T) {
 		t.Fatalf("A[10] accesses = %d", len(seq))
 	}
 	var order []int
-	record := func(i int) sim.Op {
-		return sim.Compute(1, sim.EffectFunc(func(int64) { order = append(order, i) }), 0, "access")
+	// access appends the protocol of access i: wait for its ticket,
+	// record it, increment the key.
+	access := func(ops []sim.Op, i int) []sim.Op {
+		ops = append(keys.WaitOps(ops, seq[i]),
+			sim.Compute(1, sim.EffectFunc(func(int64) { order = append(order, i) }), 0, "access"))
+		return keys.IncOps(ops, seq[i])
 	}
 	// Processor programs: p0 gets the two writes (in order), p1/p2 the
 	// unordered readers, p3 the final read.
-	progs := [][]sim.Op{
-		{keys.WaitOp(seq[0]), record(0), keys.IncOp(seq[0]),
-			keys.WaitOp(seq[3]), record(3), keys.IncOp(seq[3])},
-		{keys.WaitOp(seq[1]), record(1), keys.IncOp(seq[1])},
-		{keys.WaitOp(seq[2]), record(2), keys.IncOp(seq[2])},
-		{keys.WaitOp(seq[4]), record(4), keys.IncOp(seq[4])},
-	}
+	progs := [][]sim.Op{access(access(nil, 0), 3), access(nil, 1), access(nil, 2), access(nil, 4)}
 	if _, err := m.RunProcesses(progs); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +58,7 @@ func TestSimKeysFinalValue(t *testing.T) {
 	seq := plan.Seq(elemIdx(t, plan, elem(5)))
 	var ops []sim.Op
 	for _, a := range seq {
-		ops = append(ops, keys.WaitOp(a), keys.IncOp(a))
+		ops = keys.IncOps(keys.WaitOps(ops, a), a)
 	}
 	if _, err := m.RunProcesses([][]sim.Op{ops}); err != nil {
 		t.Fatal(err)
@@ -92,7 +90,7 @@ func TestSimBitsProtocol(t *testing.T) {
 	progs := [][]sim.Op{
 		append(bits.FillOps([]sim.Op{sim.Compute(9, nil, 0, "produce")}, write),
 			sim.Compute(1, sim.EffectFunc(func(int64) { filledAt = 1 }), 0, "")),
-		{bits.ConsumeOp(read), sim.Compute(1, sim.EffectFunc(func(int64) { consumedAt = 1 }), 0, "consume")},
+		append(bits.ConsumeOps(nil, read), sim.Compute(1, sim.EffectFunc(func(int64) { consumedAt = 1 }), 0, "consume")),
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {
@@ -117,9 +115,9 @@ func TestConsumeInitialDataIsFree(t *testing.T) {
 	bits := NewSimBits(m, plan)
 	// A[0] is read once (S5@1) from initial data: epoch 0, free no-op.
 	a := plan.Seq(elemIdx(t, plan, elem(0)))[0]
-	op := bits.ConsumeOp(a)
-	if op.Kind != sim.OpCompute || op.Cycles != 0 {
-		t.Errorf("ConsumeOp(initial) = %v, want free no-op", op)
+	ops := bits.ConsumeOps(nil, a)
+	if len(ops) != 1 || ops[0].Kind != sim.OpCompute || ops[0].Cycles != 0 {
+		t.Errorf("ConsumeOps(initial) = %v, want one free no-op", ops)
 	}
 }
 
@@ -138,8 +136,8 @@ func TestSyncBuilderPanics(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(){
-		"FillOps(read)":    func() { bits.FillOps(nil, r) },
-		"ConsumeOp(write)": func() { bits.ConsumeOp(w) },
+		"FillOps(read)":     func() { bits.FillOps(nil, r) },
+		"ConsumeOps(write)": func() { bits.ConsumeOps(nil, w) },
 	} {
 		func() {
 			defer func() {

@@ -231,17 +231,28 @@ func E4SchemeComparison() ([]*Table, error) {
 		Title:   "Generated program for one interior iteration (basic primitives, Fig 4.2b)",
 		Columns: []string{"#", "operation"},
 	}
+	_, ops, err := fig42bProgram(n, cost)
+	if err != nil {
+		return nil, err
+	}
+	for i, op := range ops {
+		t2.AddRow(i+1, op.Tag.String())
+	}
+	return []*Table{t, t2}, nil
+}
+
+// fig42bProgram instruments the Fig 2.1 loop (N=n) with the basic
+// process-oriented primitives over X=4 counters and returns the program of
+// interior iteration 10 (Fig 4.2b) with the machine it was built on.
+func fig42bProgram(n, cost int64) (*sim.Machine, []sim.Op, error) {
 	w := workloads.Fig21(n, cost)
 	m := sim.New(baseCfg(4))
 	w.Setup(m.Mem())
 	prog, _, err := codegen.ProcessOriented{X: 4, Improved: false}.Instrument(m, w)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, op := range prog(nil, 10) {
-		t2.AddRow(i+1, op.Tag.String())
-	}
-	return []*Table{t, t2}, nil
+	return m, prog(nil, 10), nil
 }
 
 // E5ImprovedPrimitives measures Fig 4.3's improved primitives and the

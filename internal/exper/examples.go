@@ -202,14 +202,10 @@ func E8Branches() ([]*Table, error) {
 		Title:   "Generated ops for an odd and an even iteration (process-oriented, improved)",
 		Columns: []string{"iteration 11 (takes THEN)", "iteration 12 (takes ELSE)"},
 	}
-	w := workloads.Branchy(n, cost)
-	m := sim.New(baseCfg(4))
-	w.Setup(m.Mem())
-	prog, _, err := codegen.ProcessOriented{X: 4, Improved: true}.Instrument(m, w)
+	_, odd, even, err := fig53Programs(n, cost)
 	if err != nil {
 		return nil, err
 	}
-	odd, even := prog(nil, 11), prog(nil, 12)
 	for i := 0; i < len(odd) || i < len(even); i++ {
 		var a, b string
 		if i < len(odd) {
@@ -223,6 +219,21 @@ func E8Branches() ([]*Table, error) {
 	t2.Note("the arm that runs also publishes the skipped arm's step (the covering mark),")
 	t2.Note("and the ELSE path publishes the THEN step early — Fig 5.3's rule.")
 	return []*Table{t, t2}, nil
+}
+
+// fig53Programs instruments the branchy loop (N=n) with the improved
+// process-oriented primitives over X=4 counters and returns the programs of
+// iteration 11, which takes the THEN arm, and iteration 12, which takes the
+// ELSE arm (Fig 5.3), with the machine they were built on.
+func fig53Programs(n, cost int64) (m *sim.Machine, odd, even []sim.Op, err error) {
+	w := workloads.Branchy(n, cost)
+	m = sim.New(baseCfg(4))
+	w.Setup(m.Mem())
+	prog, _, err := codegen.ProcessOriented{X: 4, Improved: true}.Instrument(m, w)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return m, prog(nil, 11), prog(nil, 12), nil
 }
 
 // E9Barriers reproduces Example 4 (Fig 5.4): the counter barrier's hot spot

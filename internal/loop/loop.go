@@ -53,11 +53,15 @@ func (IfNode) isNode() {}
 // S is shorthand for wrapping a statement.
 func S(s *deps.Stmt) Node { return StmtNode{S: s} }
 
-// Nest is a rectangular loop nest with the given body.
+// Nest is a rectangular loop nest with the given body. Build one with New;
+// Indexes must not change afterwards, since New derives the iteration count
+// and the flat body from them once.
 type Nest struct {
 	Indexes []Index
 	Body    []Node
 
+	// iterations is the product of the levels' extents.
+	iterations int64
 	// straight is the flattened body of a nest without conditionals
 	// (every iteration executes it), nil otherwise.
 	straight []*deps.Stmt
@@ -73,7 +77,10 @@ func New(indexes []Index, body []Node) (*Nest, error) {
 			return nil, fmt.Errorf("loop: index %s has empty range [%d,%d]", ix.Name, ix.Lo, ix.Hi)
 		}
 	}
-	n := &Nest{Indexes: indexes, Body: body}
+	n := &Nest{Indexes: indexes, Body: body, iterations: 1}
+	for _, ix := range indexes {
+		n.iterations *= ix.Extent()
+	}
 	stmts := n.Stmts()
 	if len(stmts) > 0 && !n.HasBranches() {
 		n.straight = stmts[:len(stmts):len(stmts)]
@@ -113,15 +120,9 @@ func (n *Nest) Extents() []int64 {
 }
 
 // Iterations returns the total number of iterations (the number of
-// processes after full coalescing). It does not allocate: IndexOf calls it
-// on every dispatch for its range check.
-func (n *Nest) Iterations() int64 {
-	total := int64(1)
-	for _, ix := range n.Indexes {
-		total *= ix.Extent()
-	}
-	return total
-}
+// processes after full coalescing), computed once by New: IndexInto checks
+// its range on every statement execution and program build.
+func (n *Nest) Iterations() int64 { return n.iterations }
 
 // Stmts returns the body statements flattened in textual order, descending
 // into both arms of conditionals.
@@ -181,11 +182,15 @@ func (n *Nest) IndexOf(lpid int64) []int64 {
 // indices; it returns dst[:Depth]. Code that decodes an lpid per statement
 // execution reuses one buffer instead of allocating a vector each time.
 func (n *Nest) IndexInto(dst []int64, lpid int64) []int64 {
-	if lpid < 1 || lpid > n.Iterations() {
-		panic(fmt.Sprintf("loop: lpid %d out of range [1,%d]", lpid, n.Iterations()))
+	if lpid < 1 || lpid > n.iterations {
+		panic(fmt.Sprintf("loop: lpid %d out of range [1,%d]", lpid, n.iterations))
 	}
 	rem := lpid - 1
 	idx := dst[:len(n.Indexes)]
+	if len(idx) == 1 {
+		idx[0] = n.Indexes[0].Lo + rem // a single level needs no division
+		return idx
+	}
 	for k := len(n.Indexes) - 1; k >= 0; k-- {
 		e := n.Indexes[k].Extent()
 		idx[k] = n.Indexes[k].Lo + rem%e

@@ -37,7 +37,7 @@ func randomTerminatingRun(t *testing.T, rng *rand.Rand) Stats {
 			case 1:
 				ops = append(ops, WriteVar(memVar, int64(k+1), "mem-write"))
 			case 2:
-				ops = append(ops, RMW(memVar, func(x int64) int64 { return x + 1 }, "mem-rmw"))
+				ops = append(ops, RMW(memVar, 1, "mem-rmw"))
 			}
 		}
 		ops = append(ops, WriteVar(chain, int64(k+1), "chain-advance"))

@@ -12,50 +12,52 @@ type evKind uint8
 
 const (
 	// evStep resumes processor p at its current instruction pointer (used
-	// for sync-op issue cost, scheduling overhead, stale-read re-checks and
-	// waiter releases).
+	// for sync-op issue cost, scheduling overhead and stale-read re-checks).
 	evStep evKind = iota
 	// evDispatch hands processor p its next self-scheduled iteration.
 	evDispatch
-	// evCompute completes compute op `op` on p: run semantics, record the
-	// access batch, continue stepping.
+	// evCompute completes p's compute op p.ops[p.ip-1]: run semantics,
+	// record the access batch, continue stepping.
 	evCompute
-	// evMemWrite completes a memory-module write of op on p: free the
-	// module port, commit the value to v, wake pollers, continue stepping.
+	// evMemWrite completes p's memory-module write p.ops[p.ip-1]: free the
+	// module port, commit the value, wake pollers, continue stepping.
 	evMemWrite
-	// evRMW completes a memory-module read-modify-write of op on p.
+	// evRMW completes p's memory-module fetch-and-add p.ops[p.ip-1].
 	evRMW
-	// evPoll completes one busy-wait probe of memory variable v by p.
+	// evPoll completes one busy-wait probe by p of the memory variable its
+	// wait op p.ops[p.ip] names.
 	evPoll
-	// evRelease performs a deferred (stale-read-lagged) release of waiter w
-	// on register variable v.
+	// evRelease performs a deferred (stale-read-lagged) release of p, parked
+	// on register variable arg with threshold val.
 	evRelease
-	// evCommit commits bus entry e (zero-latency bus with an injected
+	// evCommit commits bus entry arg (zero-latency bus with an injected
 	// broadcast delay).
 	evCommit
-	// evBusDone finishes e's broadcast: commit it, free the bus, start the
-	// next queued broadcast.
+	// evBusDone finishes bus entry arg's broadcast: commit it, free the
+	// bus, start the next queued broadcast.
 	evBusDone
-	// evDupCommit delivers an injected duplicate of value val to v.
+	// evDupCommit delivers an injected duplicate of value val to variable
+	// arg.
 	evDupCommit
-	// evTornSecond lands the second half of a torn two-field commit of e;
-	// val carries the intermediate word the first half exposed.
+	// evTornSecond lands the second half of a torn two-field commit of bus
+	// entry arg; val carries the intermediate word the first half exposed.
 	evTornSecond
 	// evReclaim reclaims halted processor p's PC ownership (recovery).
 	evReclaim
 )
 
-// event holds the operands of one scheduled engine action: the action kind
-// and the operands the kind needs. The operand fields form a small union —
-// each kind reads only its own subset.
+// event holds the operands of one scheduled engine action: the kind, the
+// processor it acts for, one int32 operand (a variable or a bus entry) and
+// one value. It holds no pointer: an event that completes an op finds it
+// through its processor (an op-carrying event blocks its processor, so the
+// instruction pointer still names the op), variables are VarIDs and bus
+// entries are indices into the machine's entry slab. Copying one into and
+// out of the queue slab moves 24 bytes and needs no GC write barrier.
 type event struct {
-	kind evKind
-	p    *proc
-	op   *Op
-	v    *syncVar
-	e    *busEntry
-	w    *blockedWait
 	val  int64
+	p    int32
+	arg  int32
+	kind evKind
 }
 
 // evKey orders one scheduled event: its time, the global tie-breaking
@@ -161,63 +163,70 @@ func (m *Machine) post(t int64, ev event) {
 	m.seq++
 }
 
-// exec dispatches one popped event. The switch replaces the closure call of
-// the old engine; each arm reproduces its closure's body exactly, in the
-// same order, so runs are bit-identical to the pre-typed engine.
+// exec dispatches one popped event. Each arm reproduces the engine's
+// original closure body exactly, in the same order, so runs are
+// bit-identical across engine rewrites.
 func (m *Machine) exec(ev *event) {
 	switch ev.kind {
 	case evStep:
-		m.step(ev.p)
+		m.step(&m.procs[ev.p])
 
 	case evDispatch:
-		m.dispatch(ev.p)
+		m.dispatch(&m.procs[ev.p])
 
 	case evCompute:
-		if ev.op.Eff != nil {
-			ev.op.Eff.Apply(ev.op.Arg)
+		p := &m.procs[ev.p]
+		op := &p.ops[p.ip-1]
+		if op.Eff != nil {
+			op.Eff.Apply(op.Arg)
 		}
-		m.recordAccess(ev.p, ev.op)
-		m.step(ev.p)
+		m.recordAccess(p, op)
+		m.step(p)
 
 	case evMemWrite:
-		v := ev.v
+		p := &m.procs[ev.p]
+		op := &p.ops[p.ip-1]
+		v := &m.vars[op.Var]
 		m.mods[v.module].jobs--
-		if ev.op.Value > v.committed {
-			v.committed = ev.op.Value
+		if op.Value > v.committed {
+			v.committed = op.Value
 		}
 		m.wake(v)
-		m.step(ev.p)
+		m.step(p)
 
 	case evRMW:
-		v := ev.v
+		p := &m.procs[ev.p]
+		op := &p.ops[p.ip-1]
+		v := &m.vars[op.Var]
 		m.mods[v.module].jobs--
-		v.committed = ev.op.Apply(v.committed)
-		m.recordSync(ev.p, SyncSignal, v, v.committed, &ev.op.Tag)
+		v.committed += op.Value
+		m.recordSync(p, SyncSignal, v, v.committed, &op.Tag)
 		m.wake(v)
-		m.step(ev.p)
+		m.step(p)
 
 	case evPoll:
-		v := ev.v
+		p := &m.procs[ev.p]
+		op := &p.ops[p.ip]
+		v := &m.vars[op.Var]
 		m.mods[v.module].jobs--
-		if v.committed >= ev.op.Value {
-			p := ev.p
+		if v.committed >= op.Value {
 			p.waitSync += m.now - p.blockedSince
-			m.addTrace(p, p.blockedSince, m.now, TraceWait, &ev.op.Tag)
-			m.recordSync(p, SyncWaitDone, v, ev.op.Value, &ev.op.Tag)
+			m.addTrace(p, p.blockedSince, m.now, TraceWait, &op.Tag)
+			m.recordSync(p, SyncWaitDone, v, op.Value, &op.Tag)
 			p.ip++
 			m.step(p)
 			return
 		}
-		m.poll(ev.p, v, ev.op)
+		m.poll(p, v)
 
 	case evRelease:
-		m.release(ev.v, ev.w)
+		m.release(&m.vars[ev.arg], &m.procs[ev.p], ev.val)
 
 	case evCommit:
-		m.commit(ev.e)
+		m.commit(ev.arg)
 
 	case evBusDone:
-		m.commit(ev.e)
+		m.commit(ev.arg)
 		m.busActive = false
 		if m.busHead < len(m.busQueue) {
 			m.busStart()
@@ -226,76 +235,49 @@ func (m *Machine) exec(ev *event) {
 	case evDupCommit:
 		// The duplicate delivery lands after the original; monotone sync
 		// variables must absorb it without effect.
-		if ev.val > ev.v.committed {
-			ev.v.committed = ev.val
+		v := &m.vars[ev.arg]
+		if ev.val > v.committed {
+			v.committed = ev.val
 		}
-		m.wake(ev.v)
+		m.wake(v)
 
 	case evTornSecond:
 		// Second half of a torn commit: the variable holds exactly the
 		// written word unless a later write already advanced past it.
-		e := ev.e
-		v, final := e.v, e.pe.val
+		e := &m.entries[ev.arg]
+		v, final := &m.vars[e.v], e.val
 		if v.committed == ev.val || final > v.committed {
 			v.committed = final
 		}
-		m.removePend(v, e.pe)
+		m.removePend(v, ev.arg)
 		m.wake(v)
-		m.freeEntry(e)
+		m.freeEntry(ev.arg)
 
 	case evReclaim:
-		m.reclaim(ev.p)
+		m.reclaim(&m.procs[ev.p])
 	}
 }
 
-// Per-run freelists. The commit loop churns through pending writes, bus
-// entries and blocked waiters at event rate; recycling them keeps the hot
-// path allocation-free after warm-up. The machine is single-goroutine, so
-// plain slices beat sync.Pool here (no per-P caches, no GC victimization).
+// The bus entry slab. The commit loop churns through register writes at
+// event rate; entries live in one run-owned slice and are named by index,
+// and freed indices are reused, so the hot path allocates nothing once the
+// slab has grown to the run's peak of writes in flight. The machine is
+// single-goroutine, so a plain free list beats sync.Pool here.
 
-func (m *Machine) allocPending(proc int, val int64) *pending {
-	if n := len(m.pendFree); n > 0 {
-		pe := m.pendFree[n-1]
-		m.pendFree[n-1] = nil
-		m.pendFree = m.pendFree[:n-1]
-		pe.proc, pe.val = proc, val
-		return pe
-	}
-	return &pending{proc: proc, val: val}
-}
-
-func (m *Machine) freePending(pe *pending) {
-	m.pendFree = append(m.pendFree, pe)
-}
-
-func (m *Machine) allocEntry(v *syncVar, pe *pending) *busEntry {
+// allocEntry returns a bus entry for processor proc's write of val to v.
+func (m *Machine) allocEntry(v VarID, proc int, val int64) int32 {
+	e := busEntry{val: val, v: v, proc: int32(proc)}
 	if n := len(m.entryFree); n > 0 {
-		e := m.entryFree[n-1]
-		m.entryFree[n-1] = nil
+		ei := m.entryFree[n-1]
 		m.entryFree = m.entryFree[:n-1]
-		*e = busEntry{v: v, pe: pe}
-		return e
+		m.entries[ei] = e
+		return ei
 	}
-	return &busEntry{v: v, pe: pe}
+	m.entries = append(m.entries, e)
+	return int32(len(m.entries) - 1)
 }
 
-func (m *Machine) freeEntry(e *busEntry) {
-	*e = busEntry{}
-	m.entryFree = append(m.entryFree, e)
-}
-
-func (m *Machine) allocWait(p *proc, op *Op) *blockedWait {
-	if n := len(m.waitFree); n > 0 {
-		w := m.waitFree[n-1]
-		m.waitFree[n-1] = nil
-		m.waitFree = m.waitFree[:n-1]
-		w.p, w.min, w.op = p, op.Value, op
-		return w
-	}
-	return &blockedWait{p: p, min: op.Value, op: op}
-}
-
-func (m *Machine) freeWait(w *blockedWait) {
-	w.p, w.op = nil, nil
-	m.waitFree = append(m.waitFree, w)
+// freeEntry returns a committed entry's index to the free list.
+func (m *Machine) freeEntry(ei int32) {
+	m.entryFree = append(m.entryFree, ei)
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 // TestEventQOrdering checks the 4-ary heap pops events in strict (t, seq)
 // order regardless of push order — the total order the engine's determinism
@@ -52,72 +56,72 @@ func TestEventQOrdering(t *testing.T) {
 	}
 }
 
-// TestRemovePendReleasesTailSlot pins the removePend fix: the vacated
-// backing-array slot must not keep pointing at the removed *pending (the
-// old append-shift delete pinned freed entries for the run's lifetime), and
-// removed entries must reach the freelist for reuse.
-func TestRemovePendReleasesTailSlot(t *testing.T) {
-	m := New(Config{Processors: 3, BusLatency: 4, SyncOpCost: 1})
-	v := m.NewRegVar("v", 0)
-	_, err := m.RunProcesses([][]Op{
-		{WriteVar(v, 1, "w1")},
-		{WriteVar(v, 2, "w2")},
-		{WriteVar(v, 3, "w3")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := m.vars[v].reg
-	if len(sv.pend) != 0 {
-		t.Fatalf("%d pend entries after the run, want 0", len(sv.pend))
-	}
-	// Three broadcasts queued at once, so the backing array held >= 2
-	// entries; every vacated slot must be nil.
-	if cap(sv.pend) < 2 {
-		t.Fatalf("pend backing capacity %d; the scenario should have queued concurrent writes", cap(sv.pend))
-	}
-	for i, pe := range sv.pend[:cap(sv.pend)] {
-		if pe != nil {
-			t.Errorf("pend backing slot %d still retains %+v", i, *pe)
+// TestEngineLayout guards the sizes the drain loop's speed rests on: an
+// event is copied into and out of the queue slab on every post and pop, so
+// it must stay small and hold no pointer (which would also cost a GC write
+// barrier per copy), and every op of every iteration is built and read at
+// least once, so Op must not grow.
+func TestEngineLayout(t *testing.T) {
+	ev := reflect.TypeOf(event{})
+	for i := 0; i < ev.NumField(); i++ {
+		if f := ev.Field(i); hasPointers(f.Type) {
+			t.Errorf("event field %s (%s) holds a pointer", f.Name, f.Type)
 		}
 	}
-	if len(m.pendFree) == 0 {
-		t.Error("no pending entries reached the freelist")
+	if size := unsafe.Sizeof(event{}); size > 24 {
+		t.Errorf("event is %d bytes, want at most 24", size)
+	}
+	if size := unsafe.Sizeof(Op{}); size > 120 {
+		t.Errorf("Op is %d bytes, want at most 120", size)
 	}
 }
 
-// TestWaiterDrainReleasesTailSlots pins the in-place waiter drain: after a
-// commit releases waiters, the survivors are compacted over the old slots
-// and the vacated tail is nil-ed, so the backing array does not retain
-// released *blockedWait records.
-func TestWaiterDrainReleasesTailSlots(t *testing.T) {
-	m := New(Config{Processors: 4, BusLatency: 1, SyncOpCost: 1})
-	v := m.NewRegVar("gate", 0)
-	st, err := m.RunProcesses([][]Op{
-		{Compute(3, nil, 0, "work"), WriteVar(v, 3, "raise")},
-		{WaitGE(v, 1, "w1")},
-		{WaitGE(v, 2, "w2")},
-		{WaitGE(v, 3, "w3")},
+// hasPointers reports whether a value of type typ holds a pointer the
+// garbage collector must trace.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// TestBusEntrySlabRecycled checks that committed bus entries return to the
+// run's slab for reuse: a dependent loop keeps at most one write per
+// processor in flight, so its hundreds of broadcasts must be served by a
+// slab no larger than that peak, every entry must be free again after the
+// run and no variable may still list a write in flight.
+func TestBusEntrySlabRecycled(t *testing.T) {
+	const procs, iters = 3, 120
+	m := New(Config{Processors: procs, BusLatency: 2, SyncOpCost: 1})
+	v := m.NewRegVar("chain", 0)
+	st, err := m.RunLoop(iters, func(ops []Op, iter int64) []Op {
+		return append(ops, WaitGE(v, iter-1, "chain"), Compute(1, nil, 0, "work"), WriteVar(v, iter, "signal"))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CheckConservation(); err != nil {
-		t.Error(err)
+	if st.BusBroadcasts != iters {
+		t.Fatalf("%d broadcasts, want %d", st.BusBroadcasts, iters)
 	}
-	sv := m.vars[v].reg
-	if len(sv.waiters) != 0 {
-		t.Fatalf("%d waiters after the run, want 0", len(sv.waiters))
+	if len(m.entries) > procs {
+		t.Errorf("bus entry slab grew to %d entries for at most %d writes in flight", len(m.entries), procs)
 	}
-	if cap(sv.waiters) < 3 {
-		t.Fatalf("waiter backing capacity %d, want >= 3 (all three waiters parked)", cap(sv.waiters))
+	if len(m.entryFree) != len(m.entries) {
+		t.Errorf("%d of %d bus entries free after the run, want all", len(m.entryFree), len(m.entries))
 	}
-	for i, w := range sv.waiters[:cap(sv.waiters)] {
-		if w != nil {
-			t.Errorf("waiter backing slot %d still retains a released waiter (min %d)", i, w.min)
-		}
-	}
-	if len(m.waitFree) == 0 {
-		t.Error("no blockedWait records reached the freelist")
+	if r := m.vars[v].reg; len(r.pend) != 0 || len(r.waiters) != 0 {
+		t.Errorf("after the run %d writes are in flight and %d waiters parked, want none", len(r.pend), len(r.waiters))
 	}
 }

@@ -37,6 +37,13 @@ func TagSf(format, s string, args ...int64) Label {
 	return l
 }
 
+// set overwrites l with m field by field: the two strings are stored with
+// a write barrier each, where copying the struct whole into an op on the
+// heap would take the bulk barrier of a typed memory move.
+func (l *Label) set(m Label) {
+	l.format, l.str, l.args = m.format, m.str, m.args
+}
+
 // String renders the label.
 func (l Label) String() string {
 	if l.format == "" {

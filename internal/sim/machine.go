@@ -155,12 +155,6 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// pending is an issued-but-uncommitted register write.
-type pending struct {
-	proc int
-	val  int64
-}
-
 // syncVar is one entry of the machine's variable table. It carries no name:
 // VarName renders one from the variable's declaration when asked. Memory
 // variables (the many per-element keys and full/empty bits) need only a
@@ -176,8 +170,11 @@ type syncVar struct {
 
 // regState is the bus and waiter state of a register variable.
 type regState struct {
-	pend    []*pending // register writes in flight (bus queue + active)
-	waiters []*blockedWait
+	// pend names the bus entries of this variable's writes in flight (bus
+	// queue and active broadcast): each is also its writer's local image of
+	// the value until it commits.
+	pend    []int32
+	waiters []blockedWait
 	// minWait is the smallest threshold among waiters (valid only when
 	// waiters is non-empty). A commit below it cannot release anyone, so
 	// wake can skip the waiter scan entirely — the batching invariant that
@@ -187,7 +184,7 @@ type regState struct {
 
 // addWaiter parks w on register variable v, maintaining the minWait
 // frontier.
-func (v *syncVar) addWaiter(w *blockedWait) {
+func (v *syncVar) addWaiter(w blockedWait) {
 	r := v.reg
 	if len(r.waiters) == 0 || w.min < r.minWait {
 		r.minWait = w.min
@@ -195,29 +192,29 @@ func (v *syncVar) addWaiter(w *blockedWait) {
 	r.waiters = append(r.waiters, w)
 }
 
-// visibleTo returns the value processor p observes: the committed value,
-// merged with p's own in-flight writes (a processor always sees its own
-// writes in its local register image).
-func (v *syncVar) visibleTo(p int) int64 {
+// visibleTo returns the value processor p observes of v: the committed
+// value, merged with p's own in-flight writes (a processor always sees its
+// own writes in its local register image).
+func (m *Machine) visibleTo(v *syncVar, p int) int64 {
 	val := v.committed
 	if v.reg == nil {
 		return val
 	}
-	for _, pe := range v.reg.pend {
-		if pe.proc == p && pe.val > val {
-			val = pe.val
+	for _, ei := range v.reg.pend {
+		if e := &m.entries[ei]; int(e.proc) == p && e.val > val {
+			val = e.val
 		}
 	}
 	return val
 }
 
-// blockedWait is a processor parked on a register wait op. The op stays
-// valid while it is parked: its processor cannot dispatch the next
-// iteration (which recycles the op storage) before the wait is released.
+// blockedWait is processor p parked on a register wait op with threshold
+// min. The op itself is p.ops[p.ip] while it is parked: its processor
+// cannot move past the op, or dispatch the next iteration (which recycles
+// the op storage), before the wait is released.
 type blockedWait struct {
-	p   *proc
 	min int64
-	op  *Op
+	p   int32
 }
 
 type module struct {
@@ -245,12 +242,18 @@ func (mo *module) enqueue(now, latency int64) (start, end int64) {
 	return start, end
 }
 
+// busEntry is processor proc's write of val to register variable v on its
+// way over the synchronization bus. Until it commits it is also the
+// writer's local image of the value (the variable's pend list names it), so
+// the entry of a dropped broadcast is never freed.
 type busEntry struct {
-	v     *syncVar
-	pe    *pending
-	seen  bool  // started broadcasting (no longer coverable)
+	val   int64
 	extra int64 // injected extra bus-hold cycles (fault delay)
-	torn  *tornSplit
+	split tornSplit
+	v     VarID
+	proc  int32
+	seen  bool // started broadcasting (no longer coverable)
+	torn  bool // injected torn commit, split as split says
 	dup   bool // injected duplicate delivery
 }
 
@@ -303,18 +306,18 @@ type proc struct {
 type Machine struct {
 	cfg Config
 	mem *Mem
-	// vars is the variable table. Variables are declared before the run
-	// and the table never moves during it, so events and bus entries may
-	// hold *syncVar. A block declaration grows it by exactly the block.
+	// vars is the variable table, indexed by VarID. Variables are declared
+	// before the run and the table never moves during it. A block
+	// declaration grows it by exactly the block.
 	vars []syncVar
 	// decls records, in VarID order, how each declared variable is named.
 	decls []varDecl
 	mods  []module
 
-	// busQueue[busHead:] are the broadcasts waiting for the bus. Dequeue
-	// advances busHead (nil-ing the vacated slot) instead of reslicing, so
-	// the backing array is reused once the queue drains empty.
-	busQueue  []*busEntry
+	// busQueue[busHead:] are the bus entries waiting for the bus. Dequeue
+	// advances busHead instead of reslicing, so the backing array is reused
+	// once the queue drains empty.
+	busQueue  []int32
 	busHead   int
 	busActive bool
 
@@ -322,12 +325,12 @@ type Machine struct {
 	now    int64
 	seq    int64
 
-	// Per-run freelists for the commit loop's transient objects.
-	pendFree  []*pending
-	entryFree []*busEntry
-	waitFree  []*blockedWait
+	// entries is the run's bus entry slab; entryFree lists the free slots.
+	entries   []busEntry
+	entryFree []int32
 
-	procs   []*proc
+	// procs is indexed by processor id, which events carry.
+	procs   []proc
 	program Program
 	// opsCap is the largest op buffer a processor's program has needed so
 	// far; opsBlock is storage for the first buffers of processors that
@@ -510,8 +513,8 @@ func (m *Machine) RunLoop(iters int64, prog Program) (Stats, error) {
 	if m.cfg.Dispatch == DispatchReversed {
 		m.nextIter = iters
 	}
-	for _, p := range m.procs {
-		m.post(0, event{kind: evDispatch, p: p})
+	for i := range m.procs {
+		m.post(0, event{kind: evDispatch, p: int32(i)})
 	}
 	return m.drain()
 }
@@ -523,10 +526,11 @@ func (m *Machine) RunProcesses(progs [][]Op) (Stats, error) {
 		return Stats{}, fmt.Errorf("sim: %d programs for %d processors", len(progs), m.cfg.Processors)
 	}
 	m.startRun()
-	for i, p := range m.procs {
+	for i := range m.procs {
+		p := &m.procs[i]
 		p.ops = progs[i]
 		p.iterations = 1
-		m.post(0, event{kind: evStep, p: p})
+		m.post(0, event{kind: evStep, p: int32(i)})
 	}
 	return m.drain()
 }
@@ -536,13 +540,11 @@ func (m *Machine) startRun() {
 		panic("sim: Machine can run only once")
 	}
 	m.ran = true
-	m.procs = make([]*proc, m.cfg.Processors)
-	procs := make([]proc, m.cfg.Processors)
+	m.procs = make([]proc, m.cfg.Processors)
 	m.mods = make([]module, m.cfg.Modules)
 	for i := range m.procs {
 		// chunkNext > chunkEnd marks "no chunk held".
-		procs[i] = proc{id: i, state: stateRunning, chunkNext: 1, chunkEnd: 0}
-		m.procs[i] = &procs[i]
+		m.procs[i] = proc{id: i, state: stateRunning, chunkNext: 1, chunkEnd: 0}
 	}
 	m.unbuffered = m.cfg.Processors
 	// A processor has at most one event pending at a time, the bus one
@@ -577,12 +579,12 @@ func (m *Machine) drain() (Stats, error) {
 }
 
 func (m *Machine) blockedReport() string {
-	if !slices.ContainsFunc(m.procs, func(p *proc) bool { return p.state == stateBlocked }) {
+	if !slices.ContainsFunc(m.procs, func(p proc) bool { return p.state == stateBlocked }) {
 		return ""
 	}
 	var b strings.Builder
-	for _, p := range m.procs {
-		if p.state == stateBlocked {
+	for i := range m.procs {
+		if p := &m.procs[i]; p.state == stateBlocked {
 			op := "?"
 			if p.ip < len(p.ops) {
 				op = m.describeOp(p.ops[p.ip])
@@ -661,7 +663,7 @@ func (m *Machine) dispatch(p *proc) {
 	p.ip = 0
 	if overhead > 0 {
 		p.busy += overhead
-		m.post(m.now+overhead, event{kind: evStep, p: p})
+		m.post(m.now+overhead, event{kind: evStep, p: int32(p.id)})
 		return
 	}
 	m.step(p)
@@ -740,7 +742,7 @@ func (m *Machine) step(p *proc) {
 				continue
 			}
 			m.addTrace(p, m.now, m.now+cycles, TraceCompute, &op.Tag)
-			m.post(m.now+cycles, event{kind: evCompute, p: p, op: op})
+			m.post(m.now+cycles, event{kind: evCompute, p: int32(p.id)})
 			return
 
 		case OpWrite:
@@ -756,7 +758,7 @@ func (m *Machine) step(p *proc) {
 				p.ip++
 				p.busy += m.cfg.SyncOpCost
 				if m.cfg.SyncOpCost > 0 {
-					m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: p})
+					m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: int32(p.id)})
 					return
 				}
 				continue
@@ -768,7 +770,7 @@ func (m *Machine) step(p *proc) {
 			p.ip++
 			p.state = stateBlocked
 			p.blockedSince = m.now
-			m.post(end, event{kind: evMemWrite, p: p, op: op, v: v})
+			m.post(end, event{kind: evMemWrite, p: int32(p.id)})
 			return
 
 		case OpWait:
@@ -777,7 +779,7 @@ func (m *Machine) step(p *proc) {
 			if op.OwnCheck && v.committed < op.Value {
 				m.ownLate = true
 			}
-			if v.visibleTo(p.id) >= op.Value {
+			if m.visibleTo(v, p.id) >= op.Value {
 				if m.inj != nil && v.res == Register {
 					m.staleChecks++
 					if d := m.inj.StaleRead(m.staleChecks, p.id, int64(v.id)); d > 0 {
@@ -788,7 +790,7 @@ func (m *Machine) step(p *proc) {
 						p.blockedSince = m.now
 						p.waitSync += d
 						m.addTrace(p, m.now, m.now+d, TraceWait, &op.Tag)
-						m.post(m.now+d, event{kind: evStep, p: p})
+						m.post(m.now+d, event{kind: evStep, p: int32(p.id)})
 						return
 					}
 				}
@@ -796,7 +798,7 @@ func (m *Machine) step(p *proc) {
 				p.ip++
 				p.busy += m.cfg.SyncOpCost
 				if m.cfg.SyncOpCost > 0 {
-					m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: p})
+					m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: int32(p.id)})
 					return
 				}
 				continue
@@ -805,11 +807,11 @@ func (m *Machine) step(p *proc) {
 			p.blockedSince = m.now
 			if v.res == Register {
 				// Spin on the local register image: woken by commit.
-				v.addWaiter(m.allocWait(p, op))
+				v.addWaiter(blockedWait{min: op.Value, p: int32(p.id)})
 				return
 			}
 			// Poll through the memory module: each probe is a module access.
-			m.poll(p, v, op)
+			m.poll(p, v)
 			return
 
 		case OpWriteIf:
@@ -821,14 +823,14 @@ func (m *Machine) step(p *proc) {
 			if op.OwnCheck && v.committed < op.CondGE {
 				m.ownLate = true
 			}
-			if v.visibleTo(p.id) >= op.CondGE {
+			if m.visibleTo(v, p.id) >= op.CondGE {
 				m.recordSync(p, SyncSignal, v, op.Value, &op.Tag)
 				m.busIssue(v, op.Value, p.id)
 			}
 			p.ip++
 			p.busy += m.cfg.SyncOpCost
 			if m.cfg.SyncOpCost > 0 {
-				m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: p})
+				m.post(m.now+m.cfg.SyncOpCost, event{kind: evStep, p: int32(p.id)})
 				return
 			}
 			continue
@@ -845,7 +847,7 @@ func (m *Machine) step(p *proc) {
 			p.ip++
 			p.state = stateBlocked
 			p.blockedSince = m.now
-			m.post(end, event{kind: evRMW, p: p, op: op, v: v})
+			m.post(end, event{kind: evRMW, p: int32(p.id)})
 			return
 
 		default:
@@ -864,11 +866,12 @@ func (m *Machine) memLatency(mod int32, procID int) int64 {
 	return lat
 }
 
-// poll issues one busy-wait probe of a memory variable through its module.
-func (m *Machine) poll(p *proc, v *syncVar, op *Op) {
+// poll issues one busy-wait probe of memory variable v, which p's current
+// wait op names, through its module.
+func (m *Machine) poll(p *proc, v *syncVar) {
 	m.polls++
 	_, end := m.mods[v.module].enqueue(m.now, m.memLatency(v.module, p.id))
-	m.post(end, event{kind: evPoll, p: p, op: op, v: v})
+	m.post(end, event{kind: evPoll, p: int32(p.id)})
 }
 
 // wake resumes register waiters whose condition a commit has satisfied (a
@@ -877,9 +880,7 @@ func (m *Machine) poll(p *proc, v *syncVar, op *Op) {
 // but releases nobody — O(1): the waiter list is only scanned when the
 // committed value actually crosses some waiter's threshold, so a same-cycle
 // burst of commits touches each syncVar's waiters at most once per
-// releasing commit. Survivors are filtered in place over v.waiters[:0] and
-// the vacated tail is nil-ed so released waiters aren't pinned by the
-// backing array.
+// releasing commit. Survivors are filtered in place over v.waiters[:0].
 func (m *Machine) wake(v *syncVar) {
 	r := v.reg
 	if r == nil || len(r.waiters) == 0 || v.committed < r.minWait {
@@ -891,15 +892,15 @@ func (m *Machine) wake(v *syncVar) {
 		if v.committed >= w.min {
 			if m.inj != nil {
 				m.staleChecks++
-				if d := m.inj.StaleRead(m.staleChecks, w.p.id, int64(v.id)); d > 0 {
+				if d := m.inj.StaleRead(m.staleChecks, int(w.p), int64(v.id)); d > 0 {
 					// The waiter's local register image lags this commit:
 					// it keeps spinning on the stale value for d cycles
 					// before observing the release.
-					m.post(m.now+d, event{kind: evRelease, v: v, w: w})
+					m.post(m.now+d, event{kind: evRelease, p: w.p, arg: int32(v.id), val: w.min})
 					continue
 				}
 			}
-			m.release(v, w)
+			m.release(v, &m.procs[w.p], w.min)
 		} else {
 			kept = append(kept, w)
 			if w.min < newMin {
@@ -907,26 +908,20 @@ func (m *Machine) wake(v *syncVar) {
 			}
 		}
 	}
-	tail := r.waiters[len(kept):]
-	for i := range tail {
-		tail[i] = nil
-	}
 	r.waiters = kept
 	r.minWait = newMin
 }
 
-// release resumes one satisfied register waiter, charging the full blocked
-// interval (including any injected stale-read lag) to WaitSync. The waiter
-// has already left v.waiters (wake removed it), so its record is recycled
-// here.
-func (m *Machine) release(v *syncVar, w *blockedWait) {
-	p := w.p
+// release resumes processor p, parked on register variable v with
+// threshold min, charging the full blocked interval (including any injected
+// stale-read lag) to WaitSync. The wait op is still p.ops[p.ip].
+func (m *Machine) release(v *syncVar, p *proc, min int64) {
+	op := &p.ops[p.ip]
 	p.waitSync += m.now - p.blockedSince
-	m.addTrace(p, p.blockedSince, m.now, TraceWait, &w.op.Tag)
-	m.recordSync(p, SyncWaitDone, v, w.min, &w.op.Tag)
+	m.addTrace(p, p.blockedSince, m.now, TraceWait, &op.Tag)
+	m.recordSync(p, SyncWaitDone, v, min, &op.Tag)
 	p.ip++
-	m.post(m.now, event{kind: evStep, p: p})
-	m.freeWait(w)
+	m.post(m.now, event{kind: evStep, p: int32(p.id)})
 }
 
 // busIssue posts a register write on the synchronization bus.
@@ -936,80 +931,80 @@ func (m *Machine) busIssue(v *syncVar, val int64, procID int) {
 	if m.cfg.BusCoverage {
 		// A queued-but-unstarted broadcast of the same variable from the
 		// same processor is covered by this newer write.
-		for _, e := range m.busQueue[m.busHead:] {
-			if !e.seen && e.v == v && e.pe.proc == procID {
-				e.pe.val = val
+		for _, ei := range m.busQueue[m.busHead:] {
+			if e := &m.entries[ei]; !e.seen && e.v == v.id && int(e.proc) == procID {
+				e.val = val
 				m.busSaved++
 				return
 			}
 		}
 	}
-	pe := m.allocPending(procID, val)
-	v.reg.pend = append(v.reg.pend, pe)
-	e := m.allocEntry(v, pe)
+	ei := m.allocEntry(v.id, procID, val)
+	v.reg.pend = append(v.reg.pend, ei)
+	e := &m.entries[ei]
 	if m.inj != nil {
 		if m.inj.DropBroadcast(seq, procID, int64(v.id)) {
 			// The broadcast is lost: the writer keeps its local image (the
 			// pend entry) but no commit ever happens, so remote waiters on
 			// this value starve. The drain-time diagnosis attributes the
-			// resulting stall to this drop. The pend entry must outlive the
-			// run (it IS the local image); only the bus entry is recycled.
-			m.freeEntry(e)
+			// resulting stall to this drop. The entry must outlive the run:
+			// it IS the local image.
 			return
 		}
 		e.extra = m.inj.DelayBroadcast(seq, procID, int64(v.id))
 		if lb, win, of, torn := m.inj.TornUpdate(seq, procID, int64(v.id)); torn {
-			e.torn = &tornSplit{lowBits: lb, window: win, ownerFirst: of}
+			e.torn, e.split = true, tornSplit{lowBits: lb, window: win, ownerFirst: of}
 		} else {
 			e.dup = m.inj.DupBroadcast(seq, procID, int64(v.id))
 		}
 	}
 	if m.cfg.BusLatency == 0 {
 		if e.extra > 0 {
-			m.post(m.now+e.extra, event{kind: evCommit, e: e})
+			m.post(m.now+e.extra, event{kind: evCommit, arg: ei})
 			return
 		}
-		m.commit(e)
+		m.commit(ei)
 		return
 	}
-	m.busQueue = append(m.busQueue, e)
+	m.busQueue = append(m.busQueue, ei)
 	if !m.busActive {
 		m.busStart()
 	}
 }
 
 func (m *Machine) busStart() {
-	e := m.busQueue[m.busHead]
-	m.busQueue[m.busHead] = nil
+	ei := m.busQueue[m.busHead]
 	m.busHead++
 	if m.busHead == len(m.busQueue) {
 		m.busQueue = m.busQueue[:0]
 		m.busHead = 0
 	}
+	e := &m.entries[ei]
 	e.seen = true
 	m.busActive = true
-	m.post(m.now+m.cfg.BusLatency+e.extra, event{kind: evBusDone, e: e})
+	m.post(m.now+m.cfg.BusLatency+e.extra, event{kind: evBusDone, arg: ei})
 }
 
-// commit makes a register write globally visible and wakes waiters.
-func (m *Machine) commit(e *busEntry) {
-	if e.torn != nil {
-		m.commitTorn(e)
+// commit makes bus entry ei's write globally visible and wakes waiters.
+func (m *Machine) commit(ei int32) {
+	e := &m.entries[ei]
+	if e.torn {
+		m.commitTorn(ei)
 		return
 	}
-	v, val := e.v, e.pe.val
+	v, val, dup := &m.vars[e.v], e.val, e.dup
 	if val > v.committed {
 		v.committed = val
 	}
-	m.removePend(v, e.pe)
+	m.removePend(v, ei)
 	m.wake(v)
-	if e.dup {
+	if dup {
 		// The duplicate delivery lands one cycle later; monotone sync
 		// variables must absorb it without effect. The value rides in the
 		// event itself, so the entry can be recycled now.
-		m.post(m.now+1, event{kind: evDupCommit, v: v, val: val})
+		m.post(m.now+1, event{kind: evDupCommit, arg: int32(v.id), val: val})
 	}
-	m.freeEntry(e)
+	m.freeEntry(ei)
 }
 
 // commitTorn commits an injected torn two-field <owner,step> update: one
@@ -1019,13 +1014,13 @@ func (m *Machine) commit(e *busEntry) {
 // split. Step-first tears are the order paper §6 proves safe; owner-first
 // tears expose <newOwner, oldStep>, which can release waiters early and may
 // even move the committed value downward when the second half lands.
-func (m *Machine) commitTorn(e *busEntry) {
-	v := e.v
-	final := e.pe.val
-	mask := int64(1)<<e.torn.lowBits - 1
+func (m *Machine) commitTorn(ei int32) {
+	e := &m.entries[ei]
+	v, final, split := &m.vars[e.v], e.val, e.split
+	mask := int64(1)<<split.lowBits - 1
 	old := v.committed
 	var first int64
-	if e.torn.ownerFirst {
+	if split.ownerFirst {
 		first = (final &^ mask) | (old & mask) // new owner, stale step
 	} else {
 		first = (old &^ mask) | (final & mask) // stale owner, new step
@@ -1035,25 +1030,19 @@ func (m *Machine) commitTorn(e *busEntry) {
 	}
 	m.wake(v)
 	// The second half (evTornSecond) carries the intermediate word in the
-	// event and finds the final word through e.pe, which stays parked until
-	// the split completes.
-	m.post(m.now+e.torn.window, event{kind: evTornSecond, e: e, val: first})
+	// event and finds the final word in the entry, which stays parked in
+	// pend until the split completes.
+	m.post(m.now+split.window, event{kind: evTornSecond, arg: ei, val: first})
 }
 
-// removePend unparks a committed write. visibleTo takes a max over pend, so
-// order is irrelevant: swap-remove, and nil the vacated tail slot so the
-// backing array doesn't pin the recycled entry.
-func (m *Machine) removePend(v *syncVar, pe *pending) {
+// removePend unparks committed bus entry ei from v's writes in flight.
+// visibleTo takes a max over pend, so order is irrelevant: swap-remove.
+func (m *Machine) removePend(v *syncVar, ei int32) {
 	r := v.reg
-	for i, q := range r.pend {
-		if q == pe {
-			last := len(r.pend) - 1
-			r.pend[i] = r.pend[last]
-			r.pend[last] = nil
-			r.pend = r.pend[:last]
-			m.freePending(pe)
-			return
-		}
+	if i := slices.Index(r.pend, ei); i >= 0 {
+		last := len(r.pend) - 1
+		r.pend[i] = r.pend[last]
+		r.pend = r.pend[:last]
 	}
 }
 
@@ -1061,7 +1050,8 @@ func (m *Machine) collectStats() Stats {
 	s := Stats{Cycles: m.now, SyncOps: m.syncOps, Polls: m.polls,
 		BusBroadcasts: m.busIssued - m.busSaved, BusSaved: m.busSaved}
 	s.Procs = make([]ProcStats, len(m.procs))
-	for i, p := range m.procs {
+	for i := range m.procs {
+		p := &m.procs[i]
 		idle := int64(0)
 		if p.state == stateDone {
 			idle = m.now - p.finishedAt

@@ -190,10 +190,9 @@ func TestModuleContentionSerializes(t *testing.T) {
 	// completions at 3, 6, 9, 12.
 	m := New(Config{Processors: 4, MemLatency: 3})
 	v := m.NewMemVar("ctr", 0, 0)
-	inc := func(x int64) int64 { return x + 1 }
 	progs := make([][]Op, 4)
 	for i := range progs {
-		progs[i] = []Op{RMW(v, inc, "")}
+		progs[i] = []Op{RMW(v, 1, "")}
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {
@@ -360,7 +359,7 @@ func TestRMWOnRegisterPanics(t *testing.T) {
 			t.Error("RMW on register did not panic")
 		}
 	}()
-	m.RunProcesses([][]Op{{RMW(v, func(x int64) int64 { return x }, "")}})
+	m.RunProcesses([][]Op{{RMW(v, 0, "")}})
 }
 
 func TestWriteVarIf(t *testing.T) {

@@ -37,8 +37,9 @@ const (
 	OpWrite
 	// OpWait blocks until the variable's visible value is >= Value.
 	OpWait
-	// OpRMW atomically applies Apply to a Memory variable (fetch&add class;
-	// used by the counter barrier). The processor blocks until served.
+	// OpRMW atomically adds Value to a Memory variable (fetch&add: the
+	// counter barrier's arrival, a data-oriented key's increment). The
+	// processor blocks until served.
 	OpRMW
 	// OpWriteIf writes Value to a Register variable only when the locally
 	// visible value is at least CondGE; otherwise it is a no-op (no bus
@@ -97,12 +98,15 @@ type EffectFunc func(arg int64)
 func (f EffectFunc) Apply(arg int64) { f(arg) }
 
 // Op is one step of a process program. Programs are rebuilt every
-// iteration, so the fields are ordered to keep the struct small: the
-// narrow Var, Kind, HasPost and OwnCheck share the last word.
+// iteration and the machine reads every op at least once, so the struct is
+// kept small (at most 120 bytes, pinned by a test): it holds no list, the
+// shared-memory accesses of its semantics come from the effect itself
+// (Toucher), and the narrow Var, Kind, HasPost and OwnCheck share the last
+// word. Builders on the hot path fill ops in place (AppendCompute and its
+// siblings) rather than copy one in.
 type Op struct {
-	Cycles int64             // OpCompute duration
-	Value  int64             // OpWrite value / OpWait threshold
-	Apply  func(int64) int64 // OpRMW update function
+	Cycles int64 // OpCompute duration
+	Value  int64 // OpWrite value / OpWait threshold / OpRMW addend
 	// Eff is the statement semantics an OpCompute applies to Arg when it
 	// completes; nil for pure work. Only compute ops carry one (the
 	// machine applies no other kind's).
@@ -114,11 +118,6 @@ type Op struct {
 	// rendered text is part of the sync trace and must stay stable.
 	Tag Label
 
-	// Touch lists the shared-memory elements whose accesses take effect
-	// when Eff is applied, for the happens-before race checkers. Only a
-	// machine recording a sync trace reads it (EnableSyncTrace), so code
-	// generators set it only when Machine.SyncTracing reports true.
-	Touch []MemAccess
 	// Post is the synchronization variable's value after this op completes,
 	// as guaranteed by the scheme's protocol. OpWrite implies Post == Value;
 	// OpRMW builders whose protocol serializes updates (e.g. ticketed key
@@ -178,17 +177,9 @@ func WaitGE(v VarID, value int64, tag string) Op {
 	return Op{Kind: OpWait, Var: v, Value: value, Tag: Text(tag)}
 }
 
-// RMW returns an atomic read-modify-write on a memory variable.
-func RMW(v VarID, apply func(int64) int64, tag string) Op {
-	return Op{Kind: OpRMW, Var: v, Apply: apply, Tag: Text(tag)}
-}
-
-// RMWPost is RMW for protocols that serialize updates, stamping the value
-// the variable is guaranteed to hold once the op completes (e.g. a ticketed
-// increment performed only after the key reached the ticket). The stamp
-// lets static verification model the op without executing it.
-func RMWPost(v VarID, apply func(int64) int64, post int64, tag string) Op {
-	return Op{Kind: OpRMW, Var: v, Apply: apply, Post: post, HasPost: true, Tag: Text(tag)}
+// RMW returns an atomic fetch-and-add of delta on a memory variable.
+func RMW(v VarID, delta int64, tag string) Op {
+	return Op{Kind: OpRMW, Var: v, Value: delta, Tag: Text(tag)}
 }
 
 // WriteVarIfGE returns a conditional register write: value is posted only
@@ -198,6 +189,79 @@ func RMWPost(v VarID, apply func(int64) int64, post int64, tag string) Op {
 // arrived).
 func WriteVarIfGE(v VarID, value, min int64, tag string) Op {
 	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, Tag: Text(tag)}
+}
+
+// The Append builders are the constructors above for programs built every
+// iteration: each extends ops by one op filled where it will live and
+// returns the longer slice, so no op is built and then copied in by
+// append. They take the tag as a Label, so a builder's Tagf arguments are
+// not rendered either.
+
+// grow extends ops by one op and returns the slice and the new op. A slot
+// of the recycled buffer is not cleared: clearing an op, which holds
+// pointers, costs a bulk write barrier whenever the collector is marking,
+// and every builder overwrites all of the op's fields anyway (fill).
+func grow(ops []Op) ([]Op, *Op) {
+	if n := len(ops); n < cap(ops) {
+		ops = ops[:n+1]
+	} else {
+		ops = append(ops, Op{})
+	}
+	return ops, &ops[len(ops)-1]
+}
+
+// fill overwrites every field of op with a kind op on v carrying value and
+// tag, its other fields zero.
+func (op *Op) fill(kind OpKind, v VarID, value int64, tag Label) {
+	op.Cycles, op.Value, op.Eff, op.Arg = 0, value, nil, 0
+	op.Tag.set(tag)
+	op.Post, op.CondGE, op.Var, op.Kind, op.HasPost, op.OwnCheck = 0, 0, v, kind, false, false
+}
+
+// AppendCompute appends Compute(cycles, eff, arg, tag).
+func AppendCompute(ops []Op, cycles int64, eff Effect, arg int64, tag Label) []Op {
+	ops, op := grow(ops)
+	op.Cycles, op.Value, op.Eff, op.Arg = cycles, 0, eff, arg
+	op.Tag.set(tag)
+	op.Post, op.CondGE, op.Var, op.Kind, op.HasPost, op.OwnCheck = 0, 0, 0, OpCompute, false, false
+	return ops
+}
+
+// AppendWriteVar appends WriteVar(v, value, tag).
+func AppendWriteVar(ops []Op, v VarID, value int64, tag Label) []Op {
+	ops, op := grow(ops)
+	op.fill(OpWrite, v, value, tag)
+	return ops
+}
+
+// AppendWaitGE appends WaitGE(v, value, tag), marked as an ownership check
+// (Op.OwnCheck) when own is set.
+func AppendWaitGE(ops []Op, v VarID, value int64, own bool, tag Label) []Op {
+	ops, op := grow(ops)
+	op.fill(OpWait, v, value, tag)
+	op.OwnCheck = own
+	return ops
+}
+
+// AppendWriteVarIfGE appends WriteVarIfGE(v, value, min, tag), marked as an
+// ownership check (Op.OwnCheck) when own is set.
+func AppendWriteVarIfGE(ops []Op, v VarID, value, min int64, own bool, tag Label) []Op {
+	ops, op := grow(ops)
+	op.fill(OpWriteIf, v, value, tag)
+	op.CondGE, op.OwnCheck = min, own
+	return ops
+}
+
+// AppendRMWPost appends a fetch-and-add of delta on a memory variable for a
+// protocol that serializes updates, stamping the value the variable is
+// guaranteed to hold once the op completes (e.g. a ticketed increment
+// performed only after the key reached the ticket). The stamp lets static
+// verification model the op without executing it.
+func AppendRMWPost(ops []Op, v VarID, delta, post int64, tag Label) []Op {
+	ops, op := grow(ops)
+	op.fill(OpRMW, v, delta, tag)
+	op.Post, op.HasPost = post, true
+	return ops
 }
 
 // Program appends the op sequence of one process (iteration) to dst and

@@ -100,7 +100,7 @@ func (m *Machine) scheduleReclaim(p *proc) {
 	}
 	p.reclaimScheduled = true
 	m.reclaims++
-	m.post(m.now+m.cfg.Recover.AfterCycles, event{kind: evReclaim, p: p})
+	m.post(m.now+m.cfg.Recover.AfterCycles, event{kind: evReclaim, p: int32(p.id)})
 }
 
 // reclaim forcibly takes the halted processor's PC ownership: the orphan

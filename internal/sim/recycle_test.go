@@ -24,7 +24,7 @@ func recycleBody(reg, mem, ctr VarID, useMem bool, sum *int64) func([]Op, int64)
 		}
 		ops = append(ops, WriteVar(reg, iter, "signal"))
 		if useMem {
-			ops = append(ops, RMW(ctr, func(x int64) int64 { return x + 1 }, "count"), WriteVar(mem, iter, "flag-set"))
+			ops = append(ops, RMW(ctr, 1, "count"), WriteVar(mem, iter, "flag-set"))
 		}
 		if iter%2 == 0 {
 			ops = append(ops, Compute(3, EffectFunc(func(int64) { *sum += iter }), 0, "tail"))
@@ -105,6 +105,46 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 		}
 		if c.cfg.Recover.Enabled() && (want.Recovery == nil || want.Recovery.Iteration == 0) {
 			t.Errorf("%s: the halt did not strike mid-iteration: %+v", c.name, want.Recovery)
+		}
+	}
+}
+
+// markEffect is a comparable effect, so ops carrying it compare with ==.
+type markEffect struct{ id int }
+
+func (markEffect) Apply(int64) {}
+
+// TestAppendBuildersOverwriteRecycledSlots pins that the in-place builders
+// leave nothing of a recycled slot behind: each appended over a buffer
+// whose every field is set, and appended past the buffer's capacity, must
+// equal the op its value constructor returns.
+func TestAppendBuildersOverwriteRecycledSlots(t *testing.T) {
+	poison := Op{Cycles: 9, Value: 9, Eff: markEffect{9}, Arg: 9, Tag: Tagf("poison %d", 9),
+		Post: 9, CondGE: 9, Var: 9, Kind: OpRMW, HasPost: true, OwnCheck: true}
+	owned := func(op Op) Op { op.OwnCheck = true; return op }
+	post := RMW(2, 1, "inc")
+	post.Post, post.HasPost = 6, true
+	cases := []struct {
+		name  string
+		build func([]Op) []Op
+		want  Op
+	}{
+		{"compute", func(b []Op) []Op { return AppendCompute(b, 3, markEffect{1}, 4, Text("c")) },
+			Compute(3, markEffect{1}, 4, "c")},
+		{"write", func(b []Op) []Op { return AppendWriteVar(b, 2, 5, Text("w")) }, WriteVar(2, 5, "w")},
+		{"wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, false, Text("g")) }, WaitGE(2, 5, "g")},
+		{"owned wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, true, Text("g")) }, owned(WaitGE(2, 5, "g"))},
+		{"writeif", func(b []Op) []Op { return AppendWriteVarIfGE(b, 2, 5, 3, true, Text("m")) },
+			owned(WriteVarIfGE(2, 5, 3, "m"))},
+		{"rmw", func(b []Op) []Op { return AppendRMWPost(b, 2, 1, 6, Text("inc")) }, post},
+	}
+	for _, c := range cases {
+		recycled := []Op{poison, poison}
+		if got := c.build(recycled[:1]); len(got) != 2 || got[1] != c.want {
+			t.Errorf("%s over a recycled slot = %#v, want %#v", c.name, got[1:], c.want)
+		}
+		if got := c.build(recycled); len(got) != 3 || got[2] != c.want || got[0] != poison {
+			t.Errorf("%s past capacity = %#v, want the old ops and %#v", c.name, got, c.want)
 		}
 	}
 }

@@ -77,7 +77,8 @@ func (e *StallError) Error() string {
 // wait; pure slowdown faults explain a blown cycle cap.
 func (m *Machine) stallError(base error, maxed bool) error {
 	e := &StallError{Cycle: m.now, MaxCycles: maxed, Faults: m.inj.Counts(), msg: base.Error()}
-	for _, p := range m.procs {
+	for i := range m.procs {
+		p := &m.procs[i]
 		if p.state != stateBlocked {
 			continue
 		}
@@ -88,7 +89,7 @@ func (m *Machine) stallError(base error, maxed bool) error {
 			if op.Kind == OpWait && int(op.Var) < len(m.vars) {
 				v := &m.vars[op.Var]
 				bp.Var, bp.VarID = m.VarName(op.Var), v.id
-				bp.Have, bp.Want = v.visibleTo(p.id), op.Value
+				bp.Have, bp.Want = m.visibleTo(v, p.id), op.Value
 				bp.wait = true
 			}
 		}

@@ -4,7 +4,8 @@ import "fmt"
 
 // The synchronization trace is the dynamic-analysis feed of the machine: a
 // totally ordered record of every synchronization-variable transition, every
-// completed wait, and every shared-memory access (as declared by Op.Touch).
+// completed wait, and every shared-memory access (as a Toucher effect lists
+// them).
 // The verify package replays it with vector clocks to find conflicting
 // accesses unordered by happens-before, TSan-style.
 //
@@ -27,7 +28,7 @@ const (
 	// SyncWaitDone is a completed busy-wait. Value is the wait threshold.
 	SyncWaitDone
 	// SyncAccess is a batch of shared-memory accesses performed by one
-	// statement execution (the op's Touch list).
+	// statement execution (its effect's Touches).
 	SyncAccess
 )
 
@@ -61,8 +62,22 @@ type SyncEvent struct {
 func (m *Machine) EnableSyncTrace() { m.syncTracing = true }
 
 // SyncTracing reports whether the machine records a sync trace, the only
-// reader of Op.Touch.
+// reader of Toucher lists.
 func (m *Machine) SyncTracing() bool { return m.syncTracing }
+
+// Toucher is an Effect that lists the shared-memory elements one
+// application accesses, for the happens-before race checkers. A machine
+// recording a sync trace asks each completed compute op's effect for the
+// list of its Arg, once the effect has been applied; an untraced run never
+// asks, so a program builds no lists. An effect that accesses shared memory
+// without changing it (a statement without semantics that reads shared
+// data) is still a Toucher whose Apply does nothing, so its reads reach the
+// trace.
+type Toucher interface {
+	Effect
+	// Touches returns a new list of the accesses of Apply(arg).
+	Touches(arg int64) []MemAccess
+}
 
 // SyncTraceEvents returns the recorded synchronization trace in causal
 // order.
@@ -81,12 +96,18 @@ func (m *Machine) recordSync(p *proc, kind SyncKind, v *syncVar, value int64, ta
 	m.appendSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: kind, Var: v.id, Value: value}, tag)
 }
 
-// recordAccess logs an op's Touch list at semantics time.
+// recordAccess logs the accesses of a completed compute op's effect.
 func (m *Machine) recordAccess(p *proc, op *Op) {
-	if !m.syncTracing || len(op.Touch) == 0 {
+	if !m.syncTracing {
 		return
 	}
-	m.appendSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: op.Touch}, &op.Tag)
+	t, ok := op.Eff.(Toucher)
+	if !ok {
+		return
+	}
+	if acc := t.Touches(op.Arg); len(acc) > 0 {
+		m.appendSync(SyncEvent{Proc: p.id, Iter: p.iter, Kind: SyncAccess, Acc: acc}, &op.Tag)
+	}
 }
 
 func (m *Machine) appendSync(e SyncEvent, tag *Label) {

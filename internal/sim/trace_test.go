@@ -49,10 +49,9 @@ func TestTraceRecordsModuleService(t *testing.T) {
 	m := New(Config{Processors: 2, MemLatency: 4})
 	m.EnableTrace()
 	v := m.NewMemVar("c", 0, 0)
-	inc := func(x int64) int64 { return x + 1 }
 	_, err := m.RunProcesses([][]Op{
-		{RMW(v, inc, "rmw0")},
-		{RMW(v, inc, "rmw1")},
+		{RMW(v, 1, "rmw0")},
+		{RMW(v, 1, "rmw1")},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,25 +48,22 @@ func (s *SimSCs) Var(c int64) sim.VarID { return s.base + sim.VarID(int(c)%s.K) 
 
 // AdvanceOps appends Advance on logical counter c with the given 1-based
 // sequence number to dst: wait until the previous advance committed
-// (SC >= seq-1; values never skip, so >= equals ==), then publish seq.
+// (SC >= seq-1; values never skip, so >= equals ==), then publish seq. Both
+// ops are filled in place.
 func (s *SimSCs) AdvanceOps(dst []sim.Op, c, seq int64) []sim.Op {
 	v := s.Var(c)
-	wait := sim.WaitGE(v, seq-1, "")
-	wait.Tag = sim.Tagf("advance:wait c=%d seq=%d", c, seq)
-	set := sim.WriteVar(v, seq, "")
-	set.Tag = sim.Tagf("advance:set c=%d seq=%d", c, seq)
-	return append(dst, wait, set)
+	dst = sim.AppendWaitGE(dst, v, seq-1, false, sim.Tagf("advance:wait c=%d seq=%d", c, seq))
+	return sim.AppendWriteVar(dst, v, seq, sim.Tagf("advance:set c=%d seq=%d", c, seq))
 }
 
-// AwaitOp is Await: wait until logical counter c has reached minSeq.
-// Non-positive minSeq needs no wait and yields a free no-op compute.
-func (s *SimSCs) AwaitOp(c, minSeq int64) sim.Op {
+// AwaitOps appends Await to dst: wait until logical counter c has reached
+// minSeq. Non-positive minSeq needs no wait and yields a free no-op
+// compute.
+func (s *SimSCs) AwaitOps(dst []sim.Op, c, minSeq int64) []sim.Op {
 	if minSeq <= 0 {
-		return sim.Compute(0, nil, 0, "await:noop")
+		return sim.AppendCompute(dst, 0, nil, 0, sim.Text("await:noop"))
 	}
-	op := sim.WaitGE(s.Var(c), minSeq, "")
-	op.Tag = sim.Tagf("await c=%d seq>=%d", c, minSeq)
-	return op
+	return sim.AppendWaitGE(dst, s.Var(c), minSeq, false, sim.Tagf("await c=%d seq>=%d", c, minSeq))
 }
 
 // SCSet is the runtime (goroutine) statement-counter set.

@@ -15,10 +15,8 @@ func TestSimAdvanceAwaitFig32(t *testing.T) {
 	a := m.Mem().Array("A", 0, 2)
 	var got int64 = -1
 	prog1 := scs.AdvanceOps([]sim.Op{sim.Compute(5, sim.EffectFunc(func(int64) { a.Set(1, 7) }), 0, "S1@1")}, 0, 1)
-	prog2 := []sim.Op{
-		scs.AwaitOp(0, 1), // Await(1): source at distance 1
-		sim.Compute(1, sim.EffectFunc(func(int64) { got = a.Get(1) }), 0, "S2@2"),
-	}
+	prog2 := append(scs.AwaitOps(nil, 0, 1), // Await(1): source at distance 1
+		sim.Compute(1, sim.EffectFunc(func(int64) { got = a.Get(1) }), 0, "S2@2"))
 	if _, err := m.RunProcesses([][]sim.Op{prog1, prog2}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +48,11 @@ func TestSimAdvanceSerializesInstances(t *testing.T) {
 func TestAwaitNoopForNonPositiveSeq(t *testing.T) {
 	m := sim.New(sim.Config{Processors: 1})
 	scs := NewSimSCs(m, 2)
-	op := scs.AwaitOp(1, 0)
-	if op.Kind != sim.OpCompute || op.Cycles != 0 {
-		t.Errorf("AwaitOp(.,0) = %v, want free no-op", op)
+	ops := scs.AwaitOps(nil, 1, 0)
+	if len(ops) != 1 || ops[0].Kind != sim.OpCompute || ops[0].Cycles != 0 {
+		t.Errorf("AwaitOps(.,0) = %v, want one free no-op", ops)
 	}
-	if _, err := m.RunProcesses([][]sim.Op{{op}}); err != nil {
+	if _, err := m.RunProcesses([][]sim.Op{ops}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -95,12 +95,12 @@ func (r Relax) PipelinedPC(m *sim.Machine, x int) sim.Program {
 			if lpid > 1 {
 				// Wait until process i-1 completed the group ending at
 				// end (it marks step k after finishing [k, k+G-1]).
-				ops = append(ops, pcs.WaitPC(lpid, 1, k))
+				ops = pcs.WaitPC(ops, lpid, 1, k)
 			}
 			for j := k; j <= end; j++ {
 				ops = append(ops, r.cell(c, i, j))
 			}
-			ops = append(ops, pcs.MarkPC(lpid, k))
+			ops = pcs.MarkPC(ops, lpid, k)
 		}
 		return pcs.TransferPCOps(ops, lpid)
 	}
@@ -133,7 +133,7 @@ func (r Relax) PipelinedSC(m *sim.Machine, k int) sim.Program {
 			if lpid > 1 {
 				// Process i awaits process i-1's advance for this group:
 				// its sequence number in the process-major order.
-				ops = append(ops, scs.AwaitOp(int64(gi), (lpid-2)*cnt+rank+1))
+				ops = scs.AwaitOps(ops, int64(gi), (lpid-2)*cnt+rank+1)
 			}
 			for j := g[0]; j <= g[1]; j++ {
 				ops = append(ops, r.cell(c, i, j))
