@@ -18,7 +18,6 @@ import (
 	"github.com/csrd-repro/datasync/internal/dataorient"
 	"github.com/csrd-repro/datasync/internal/exper"
 	"github.com/csrd-repro/datasync/internal/sim"
-	"github.com/csrd-repro/datasync/internal/stmtorient"
 	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
@@ -322,17 +321,6 @@ func BenchmarkRuntimeWaitSatisfied(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Wait(2, 1, 1)
-	}
-}
-
-// BenchmarkRuntimeSCAdvanceAwait measures the statement-counter runtime.
-func BenchmarkRuntimeSCAdvanceAwait(b *testing.B) {
-	s := stmtorient.NewSCSet(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq := int64(i) + 1
-		s.Await(0, seq-1)
-		s.Advance(0, seq)
 	}
 }
 

@@ -1,8 +1,8 @@
 // dslrun: the whole pipeline in one program — parse a Doacross loop written
 // in the package lang mini-language, run the dependence analysis, print the
-// enforced arcs, then execute the loop pipelined on real goroutines with
-// folded process counters (codegen.RunRuntime), verified against serial
-// execution.
+// enforced arcs, then execute the process-oriented program with folded
+// process counters on real goroutines (codegen.RunGoroutines, which runs
+// the same program the simulator runs), verified against serial execution.
 //
 //	go run ./examples/dslrun
 package main
@@ -44,7 +44,7 @@ func main() {
 	}
 
 	start := time.Now()
-	mem, err := codegen.RunRuntime(w, 8, 4)
+	mem, err := codegen.RunGoroutines(w, codegen.ProcessOriented{X: 8, Improved: true}, 4)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run:", err)
 		os.Exit(1)

@@ -313,16 +313,9 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 	if syncTrace {
 		m.EnableSyncTrace()
 	}
-	w.Setup(m.Mem())
-	prog, foot, err := sch.Instrument(m, w)
+	prog, foot, iters, err := instrument(m, w, sch)
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("codegen: instrument %s: %w", sch.Name(), err)
-	}
-	// Most schemes run one process per (coalesced) iteration; schemes that
-	// pipeline an outer loop report their own process count.
-	iters := w.Nest.Iterations()
-	if pc, ok := sch.(interface{ Processes(*Workload) int64 }); ok {
-		iters = pc.Processes(w)
 	}
 	stats, err := m.RunLoop(iters, prog)
 	if err != nil {
@@ -330,20 +323,49 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 		// failure; return it so the dynamic checker can examine the run.
 		return Result{}, m, fmt.Errorf("codegen: %s on %s: %w", sch.Name(), w.Name, err)
 	}
-	sch.Finalize(m.Mem())
-	if diff := serial.mem.Diff(m.Mem()); diff != "" {
-		return Result{}, m, fmt.Errorf("codegen: %s on %s violates serial equivalence:\n%s", sch.Name(), w.Name, diff)
+	if err := checkSerial(w, sch, m.Mem()); err != nil {
+		return Result{}, m, err
 	}
 	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serial.cycles}, m, nil
+}
+
+// instrument sets the workload's memory up on m and instruments it under
+// the scheme, returning the program, the footprint and the number of
+// processes to run the program for. Most schemes run one process per
+// (coalesced) iteration; schemes that pipeline an outer loop report their
+// own process count. Every executor and ExtractSyncProgram start here.
+func instrument(m *sim.Machine, w *Workload, sch Scheme) (sim.Program, Footprint, int64, error) {
+	w.Setup(m.Mem())
+	prog, foot, err := sch.Instrument(m, w)
+	if err != nil {
+		return nil, Footprint{}, 0, err
+	}
+	iters := w.Nest.Iterations()
+	if pc, ok := sch.(interface{ Processes(*Workload) int64 }); ok {
+		iters = pc.Processes(w)
+	}
+	return prog, foot, iters, nil
+}
+
+// checkSerial finishes an executed run: it folds the scheme's renamed
+// storage back into mem (Finalize) and compares mem with the serial
+// oracle's memory.
+func checkSerial(w *Workload, sch Scheme, mem *sim.Mem) error {
+	sch.Finalize(mem)
+	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
+		return fmt.Errorf("codegen: %s on %s violates serial equivalence:\n%s", sch.Name(), w.Name, diff)
+	}
+	return nil
 }
 
 // frame is the scratch a statement execution works in: the index vector,
 // the input and output values and the locals of the iteration it belongs
 // to. A simulated run has one frame, sized once and shared by every
 // statement effect of the run: the machine applies one effect at a time,
-// each to completion, so no two executions ever use it at once. The
-// goroutine executors run iterations concurrently, so each of their
-// iterations has a frame of its own, newFrame(1), read with localsOf(1).
+// each to completion, so no two executions ever use it at once.
+// RunGoroutines applies effects on several workers at once, so each worker
+// forks the run's frame: the fork has scratch of its own and shares the
+// per-iteration locals, whose slots no two iterations share.
 type frame struct {
 	nest    *loop.Nest
 	idx     []int64
@@ -366,6 +388,12 @@ func (w *Workload) newFrame(iters int64) *frame {
 		nLocal: w.Locals,
 		locals: buf[depth+si.maxReads+si.maxWrites:],
 	}
+}
+
+// fork returns a frame with the scratch of f's size and f's locals.
+func (f *frame) fork() *frame {
+	return &frame{nest: f.nest, idx: make([]int64, len(f.idx)), in: make([]int64, cap(f.in)),
+		out: make([]int64, cap(f.out)), nLocal: f.nLocal, locals: f.locals}
 }
 
 // localsOf returns iteration iter's local slots.

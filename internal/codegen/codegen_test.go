@@ -323,9 +323,11 @@ func TestRandomBranchyPropertyAllSchemes(t *testing.T) {
 			}
 		}
 		// And on real goroutines.
-		w := workloads.RandomBranchy(rand.New(rand.NewSource(seed)), n)
-		if _, err := codegen.RunRuntime(w, x, p); err != nil {
-			t.Fatalf("trial %d runtime (seed %d): %v", trial, seed, err)
+		for _, sch := range allSchemes(x) {
+			w := workloads.RandomBranchy(rand.New(rand.NewSource(seed)), n)
+			if _, err := codegen.RunGoroutines(w, sch, p); err != nil {
+				t.Fatalf("trial %d goroutines (seed %d) %s: %v", trial, seed, sch.Name(), err)
+			}
 		}
 	}
 }
@@ -344,8 +346,10 @@ func TestSelfReadModifyWrite(t *testing.T) {
 			}
 		}
 	}
-	if _, err := codegen.RunRuntime(workloads.SelfRMW(60, 1), 4, 3); err != nil {
-		t.Errorf("runtime: %v", err)
+	for _, sch := range allSchemes(4) {
+		if _, err := codegen.RunGoroutines(workloads.SelfRMW(60, 1), sch, 3); err != nil {
+			t.Errorf("goroutines %s: %v", sch.Name(), err)
+		}
 	}
 }
 

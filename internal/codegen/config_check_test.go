@@ -28,3 +28,26 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentRejectsInvalidCounters: a scheme without process counters
+// or with a negative statement-counter budget is an error from every
+// executor, not a panic while declaring the counters.
+func TestInstrumentRejectsInvalidCounters(t *testing.T) {
+	for _, c := range []struct {
+		sch  codegen.Scheme
+		w    *codegen.Workload
+		want string
+	}{
+		{codegen.ProcessOriented{X: 0, Improved: true}, workloads.Fig21(10, 1), "X=0"},
+		{codegen.ProcessOriented{X: -1}, workloads.Fig21(10, 1), "X=-1"},
+		{codegen.PipelinedOuter{X: 0, G: 1}, workloads.Stencil(6, 1), "X=0"},
+		{codegen.StatementOriented{K: -1}, workloads.Fig21(10, 1), "K=-1"},
+	} {
+		if _, err := codegen.Run(c.w, c.sch, cfg(2)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run %s: err = %v, want one naming %s", c.sch.Name(), err, c.want)
+		}
+		if _, err := codegen.RunGoroutines(c.w, c.sch, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunGoroutines %s: err = %v, want one naming %s", c.sch.Name(), err, c.want)
+		}
+	}
+}

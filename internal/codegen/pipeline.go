@@ -62,6 +62,9 @@ func pipelineArcs(w *Workload) ([]deps.Arc, error) {
 // Instrument implements Scheme. The returned program is indexed by the
 // outer iteration's 1-based rank (use with Processes, as Run does).
 func (s PipelinedOuter) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
+	if s.X < 1 {
+		return nil, Footprint{}, fmt.Errorf("codegen: need at least one process counter, got X=%d", s.X)
+	}
 	arcs, err := pipelineArcs(w)
 	if err != nil {
 		return nil, Footprint{}, fmt.Errorf("codegen: %w", err)

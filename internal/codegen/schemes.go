@@ -129,6 +129,9 @@ func (ProcessOriented) Finalize(*sim.Mem) {}
 
 // Instrument implements Scheme.
 func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
+	if s.X < 1 {
+		return nil, Footprint{}, fmt.Errorf("need at least one process counter, got X=%d", s.X)
+	}
 	di, err := w.depInfo()
 	if err != nil {
 		return nil, Footprint{}, err
@@ -242,6 +245,9 @@ func buildSCGrouping(di *depInfo, k int) scGrouping {
 
 // Instrument implements Scheme.
 func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, Footprint, error) {
+	if s.K < 0 {
+		return nil, Footprint{}, fmt.Errorf("need a non-negative number of statement counters, got K=%d", s.K)
+	}
 	di, err := w.depInfo()
 	if err != nil {
 		return nil, Footprint{}, err
@@ -448,19 +454,23 @@ type renamed struct {
 	nw   int // the statement's writes, which lead its accesses
 }
 
-// Apply implements sim.Effect. A statement without semantics does nothing.
-func (e *renamed) Apply(iter int64) {
+// Apply implements sim.Effect.
+func (e *renamed) Apply(iter int64) { e.applyIn(e.f, iter) }
+
+// applyIn executes the statement instance of iteration iter in frame f. A
+// statement without semantics does nothing.
+func (e *renamed) applyIn(f *frame, iter int64) {
 	if e.sem == nil {
 		return
 	}
 	accs := e.plan.Accesses(iter, e.pos)
 	writeAccs, readAccs := accs[:e.nw], accs[e.nw:]
-	in := e.f.in[:len(readAccs)]
+	in := f.in[:len(readAccs)]
 	for k := range readAccs {
 		in[k] = e.vs.Get(readAccs[k].ElemIdx, readAccs[k].Epoch)
 	}
-	out := e.f.out[:e.nw]
-	e.sem(e.f.nest.IndexInto(e.f.idx, iter), in, e.f.localsOf(iter), out)
+	out := f.out[:e.nw]
+	e.sem(f.nest.IndexInto(f.idx, iter), in, f.localsOf(iter), out)
 	for k := range writeAccs {
 		e.vs.Set(writeAccs[k].ElemIdx, writeAccs[k].Epoch+1, out[k])
 	}

@@ -90,14 +90,9 @@ type SyncProgram struct {
 // execute.
 func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 	m := sim.New(sim.Config{Processors: 1})
-	w.Setup(m.Mem())
-	prog, _, err := sch.Instrument(m, w)
+	prog, _, iters, err := instrument(m, w, sch)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: extract sync program: %w", err)
-	}
-	iters := w.Nest.Iterations()
-	if pc, ok := sch.(interface{ Processes(*Workload) int64 }); ok {
-		iters = pc.Processes(w)
 	}
 	sp := &SyncProgram{
 		Workload: w,

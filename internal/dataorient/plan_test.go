@@ -1,7 +1,6 @@
 package dataorient
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/deps"
@@ -204,80 +203,5 @@ func TestVersionStore(t *testing.T) {
 	s.WriteBack(mem)
 	if a.Get(10) != 55 || a.Get(0) != 100 {
 		t.Errorf("after WriteBack A[10]=%d A[0]=%d, want 55 and the untouched 100", a.Get(10), a.Get(0))
-	}
-}
-
-// TestRuntimeKeysEnforceOrder drives the ref-based runtime protocol with
-// goroutines on the Fig 2.1 loop and checks serial equivalence.
-func TestRuntimeKeysEnforceOrder(t *testing.T) {
-	const n = 120
-	nest := fig21Nest(n)
-	p := BuildPlan(nest)
-	rk := NewRuntimeKeys(p)
-	a := make([]int64, n+4+1) // A[0..N+3], slot i holds A[i]
-	out := make([]int64, n+1)
-	var wg sync.WaitGroup
-	work := make(chan int64, n)
-	for i := int64(1); i <= n; i++ {
-		work <- i
-	}
-	close(work)
-	get := func(id AccessID) *Access { return &p.Accesses(id.Lpid, id.StmtPos)[id.RefSlot] }
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				// S1: A[I+3] = 10*i+3
-				ac := get(AccessID{i, 0, 0})
-				rk.Acquire(ac)
-				a[i+3] = 10*i + 3
-				rk.Release(ac)
-				// S2: t2 = A[I+1]
-				ac = get(AccessID{i, 1, 0})
-				rk.Acquire(ac)
-				t2 := a[i+1]
-				rk.Release(ac)
-				// S3: t3 = A[I+2]
-				ac = get(AccessID{i, 2, 0})
-				rk.Acquire(ac)
-				t3 := a[i+2]
-				rk.Release(ac)
-				// S4: A[I] = t2 + t3
-				ac = get(AccessID{i, 3, 0})
-				rk.Acquire(ac)
-				a[i] = t2 + t3
-				rk.Release(ac)
-				// S5: out[i] = A[I-1]
-				ac = get(AccessID{i, 4, 0})
-				rk.Acquire(ac)
-				out[i] = a[i-1]
-				rk.Release(ac)
-			}
-		}()
-	}
-	wg.Wait()
-	// Serial oracle.
-	wa := make([]int64, n+4+1)
-	wout := make([]int64, n+1)
-	for i := int64(1); i <= n; i++ {
-		wa[i+3] = 10*i + 3
-		t2, t3 := wa[i+1], wa[i+2]
-		wa[i] = t2 + t3
-		wout[i] = wa[i-1]
-	}
-	for i := range wa {
-		if a[i] != wa[i] {
-			t.Fatalf("A[%d] = %d, want %d", i, a[i], wa[i])
-		}
-	}
-	for i := range wout {
-		if out[i] != wout[i] {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], wout[i])
-		}
-	}
-	// Keys ended at their access counts.
-	if rk.Key(elemIdx(t, p, elem(10))) != 5 {
-		t.Errorf("final key A[10] = %d, want 5", rk.Key(elemIdx(t, p, elem(10))))
 	}
 }

@@ -2,9 +2,7 @@ package dataorient
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"github.com/csrd-repro/datasync/internal/deps"
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -218,34 +216,3 @@ func (r *elemRef) set(e Elem, v int64) {
 	}
 	r.grid.Set(e.C[0], e.C[1], v)
 }
-
-// RuntimeKeys is the goroutine implementation of reference-based keys:
-// one atomic key per planned element, indexed like the plan's Order.
-type RuntimeKeys struct {
-	keys []atomic.Int64
-}
-
-// NewRuntimeKeys allocates one atomic key per planned element.
-func NewRuntimeKeys(p *Plan) *RuntimeKeys {
-	return &RuntimeKeys{keys: make([]atomic.Int64, len(p.Order))}
-}
-
-// Acquire spins until the access's ticket is reached.
-func (rk *RuntimeKeys) Acquire(a *Access) { rk.AcquireTicket(a.ElemIdx, a.Ticket) }
-
-// AcquireTicket spins until the key of element ei (its index in the plan's
-// Order) reaches ticket: the runtime counterpart of SimKeys.WaitTicketOp.
-func (rk *RuntimeKeys) AcquireTicket(ei int, ticket int64) {
-	k := &rk.keys[ei]
-	for k.Load() < ticket {
-		runtime.Gosched()
-	}
-}
-
-// Release increments the element's key after the access.
-func (rk *RuntimeKeys) Release(a *Access) {
-	rk.keys[a.ElemIdx].Add(1)
-}
-
-// Key returns the current key value of element ei (for tests).
-func (rk *RuntimeKeys) Key(ei int) int64 { return rk.keys[ei].Load() }

@@ -114,11 +114,7 @@ func cellValue(t *testing.T, tb *Table, rowMatch string, col int) float64 {
 	for _, row := range tb.Rows {
 		joined := strings.Join(row, " ")
 		if strings.Contains(joined, rowMatch) {
-			var v float64
-			if _, err := fmt.Sscanf(row[col], "%f", &v); err != nil {
-				t.Fatalf("cell %q not numeric: %v", row[col], err)
-			}
-			return v
+			return num(t, row[col])
 		}
 	}
 	t.Fatalf("no row matching %q in %s", rowMatch, tb.ID)
@@ -256,5 +252,112 @@ func TestE14ShapeHolds(t *testing.T) {
 			t.Errorf("%s: cycles %v not above previous latency tier %v", row[1], v, p)
 		}
 		prev[row[1]] = v
+	}
+}
+
+// num parses a numeric table cell.
+func num(t *testing.T, cell string) float64 {
+	t.Helper()
+	var v float64
+	if _, err := fmt.Sscanf(cell, "%f", &v); err != nil {
+		t.Fatalf("cell %q not numeric: %v", cell, err)
+	}
+	return v
+}
+
+// TestE5ShapeHolds guards Fig 4.3's claim: the improved primitives never
+// broadcast more than the basic ones, and write coverage saves
+// transactions only once the bus is slow enough for writes to queue.
+func TestE5ShapeHolds(t *testing.T) {
+	tables, err := E5ImprovedPrimitives()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := map[string]float64{} // "primitives latency coverage" -> bus tx
+	for _, row := range tables[0].Rows {
+		prim, lat, cov := strings.Fields(row[0])[0], row[1], row[2]
+		tx[prim+" "+lat+" "+cov] = num(t, row[3])
+		saved := num(t, row[4])
+		if lat == "1" && saved != 0 {
+			t.Errorf("%s latency 1 coverage %s: %v tx saved, want 0", prim, cov, saved)
+		}
+		if lat == "8" && cov == "on" && saved <= 0 {
+			t.Errorf("%s latency 8 coverage on: no tx saved", prim)
+		}
+	}
+	for _, lc := range []string{"1 off", "1 on", "8 off", "8 on"} {
+		basic, okB := tx["basic "+lc]
+		improved, okI := tx["improved "+lc]
+		if !okB || !okI {
+			t.Fatalf("E5.1 lacks the basic or improved row at latency/coverage %s", lc)
+		}
+		if improved > basic {
+			t.Errorf("latency/coverage %s: improved %v bus tx above basic %v", lc, improved, basic)
+		}
+	}
+}
+
+// TestE7ShapeHolds guards Example 2: outer pipelining at G=1 is the
+// fastest schedule of the nest, the reference-based keys the costliest in
+// sync variables, and both arrays show the boundary problem (elements
+// accessed once and twice).
+func TestE7ShapeHolds(t *testing.T) {
+	tables, err := E7NestedLoop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fastest, mostVars string
+	var minCycles, maxVars float64
+	for _, row := range tables[0].Rows {
+		if vars := num(t, row[1]); mostVars == "" || vars > maxVars {
+			mostVars, maxVars = row[0], vars
+		}
+		if cycles := num(t, row[3]); fastest == "" || cycles < minCycles {
+			fastest, minCycles = row[0], cycles
+		}
+	}
+	if fastest != "pipeline(X=8,G=1)" {
+		t.Errorf("fewest cycles: %s, want pipeline(X=8,G=1)", fastest)
+	}
+	if mostVars != "data(ref-based)" {
+		t.Errorf("most sync vars: %s, want data(ref-based)", mostVars)
+	}
+	counts := map[string]bool{} // "array accesses" present
+	for _, row := range tables[1].Rows {
+		counts[row[0]+" "+row[1]] = true
+	}
+	for _, want := range []string{"A 1", "A 2", "B 1", "B 2"} {
+		if !counts[want] {
+			t.Errorf("E7.2 has no %q row: the boundary problem is not visible", want)
+		}
+	}
+}
+
+// TestE11ShapeHolds guards section 6: a PC is updated at most once per
+// source statement, small X lets the improved mark_PC skip updates, and
+// write coverage saves more the slower the bus.
+func TestE11ShapeHolds(t *testing.T) {
+	tables, err := E11Hardware()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSource := map[string]float64{} // "primitives X" -> tx per source stmt
+	for _, row := range tables[0].Rows {
+		v := num(t, row[5])
+		if v > 1 {
+			t.Errorf("%s X=%s: %v bus tx per source statement, above the section 6 bound of 1", row[0], row[1], v)
+		}
+		perSource[row[0]+" "+row[1]] = v
+	}
+	if perSource["improved 2"] >= perSource["basic 2"] {
+		t.Errorf("improved X=2 (%v tx per source) not below basic X=2 (%v)", perSource["improved 2"], perSource["basic 2"])
+	}
+	prev := -1.0
+	for _, row := range tables[1].Rows {
+		saved := num(t, row[3])
+		if saved < prev {
+			t.Errorf("bus latency %s: %v saved, below the %v of a faster bus", row[0], saved, prev)
+		}
+		prev = saved
 	}
 }

@@ -101,8 +101,9 @@ func TestTwinIdentity(t *testing.T) {
 }
 
 // TestAcceptedCorpus lowers every accepted fixture and requires each
-// workload to verify race-free under every statically checkable scheme and
-// to execute with serial equivalence under the process scheme.
+// workload to verify race-free under every statically checkable scheme, to
+// execute with serial equivalence under the process scheme on the
+// simulator, and to do so under every scheme on goroutines.
 func TestAcceptedCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.go"))
 	if err != nil || len(files) == 0 {
@@ -126,6 +127,11 @@ func TestAcceptedCorpus(t *testing.T) {
 			}
 			if _, err := codegen.Run(lp.Workload, codegen.ProcessOriented{X: 4, Improved: true}, cfg); err != nil {
 				t.Errorf("run: %v", err)
+			}
+			for name, build := range allSchemes() {
+				if _, err := codegen.RunGoroutines(lp.Workload, build(), 3); err != nil {
+					t.Errorf("%s on goroutines: %v", name, err)
+				}
 			}
 		})
 	}

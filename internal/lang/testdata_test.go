@@ -19,8 +19,8 @@ func abs64(v int64) int64 {
 }
 
 // TestTestdataProgramsUnderAllSchemes parses every .do program under
-// testdata and runs it under every applicable scheme on the simulator plus
-// the runtime executor, each checked for serial equivalence.
+// testdata and runs it under every applicable scheme on the simulator and
+// on goroutines, each run checked for serial equivalence.
 func TestTestdataProgramsUnderAllSchemes(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.do")
 	if err != nil || len(files) == 0 {
@@ -41,30 +41,29 @@ func TestTestdataProgramsUnderAllSchemes(t *testing.T) {
 				}
 				return w
 			}
-			schemes := []codegen.Scheme{
-				codegen.ProcessOriented{X: 4, Improved: true},
-				codegen.ProcessOriented{X: 2, Improved: false},
-				codegen.StatementOriented{},
-				codegen.StatementOriented{K: 1},
-				codegen.RefBased{},
-				codegen.NewInstanceBased(),
+			schemes := func() []codegen.Scheme {
+				s := []codegen.Scheme{
+					codegen.ProcessOriented{X: 4, Improved: true},
+					codegen.ProcessOriented{X: 2, Improved: false},
+					codegen.StatementOriented{},
+					codegen.StatementOriented{K: 1},
+					codegen.RefBased{},
+					codegen.NewInstanceBased(),
+				}
+				if parse().Nest.Depth() == 2 {
+					s = append(s, codegen.PipelinedOuter{X: 4, G: 2})
+				}
+				return s
 			}
-			for _, sch := range schemes {
+			for _, sch := range schemes() {
 				if _, err := codegen.Run(parse(), sch, cfg); err != nil {
 					t.Errorf("%s: %v", sch.Name(), err)
 				}
 			}
-			w := parse()
-			if w.Nest.Depth() == 2 {
-				if _, err := codegen.Run(parse(), codegen.PipelinedOuter{X: 4, G: 2}, cfg); err != nil {
-					t.Errorf("pipeline: %v", err)
+			for _, sch := range schemes() {
+				if _, err := codegen.RunGoroutines(parse(), sch, 3); err != nil {
+					t.Errorf("%s on goroutines: %v", sch.Name(), err)
 				}
-				if _, err := codegen.RunRuntimePipelined(parse(), 4, 3, 2); err != nil {
-					t.Errorf("pipeline runtime: %v", err)
-				}
-			}
-			if _, err := codegen.RunRuntime(parse(), 4, 3); err != nil {
-				t.Errorf("runtime: %v", err)
 			}
 		})
 	}

@@ -166,6 +166,28 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCounterBoundsRejected: a negative or oversized counter budget is a
+// 400, not a crash of the pool worker that would have instrumented it, and
+// the server keeps serving.
+func TestCounterBoundsRejected(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	for _, scheme := range []map[string]any{
+		{"name": "statement", "k": -1},
+		{"name": "statement", "k": 1 << 30},
+		{"name": "process", "x": 1 << 30},
+		{"name": "pipeline", "x": maxCounters + 1},
+	} {
+		body := map[string]any{"workload": map[string]any{"name": "fig21", "n": 20}, "scheme": scheme}
+		if resp, out := post(t, ts, "/run", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scheme %v: status %d, want 400 (%s)", scheme, resp.StatusCode, out)
+		}
+	}
+	ok := RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 20}, Scheme: SchemeSpec{Name: "statement", K: 1}}
+	if resp, out := post(t, ts, "/run", ok); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid run after the rejections: status %d (%s)", resp.StatusCode, out)
+	}
+}
+
 // TestVerifyEndpoint: /verify returns a clean static report for a correct
 // pair, caches it, and rejects the pipeline scheme.
 func TestVerifyEndpoint(t *testing.T) {

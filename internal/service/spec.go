@@ -92,10 +92,21 @@ func SchemeNames() []string {
 	return []string{"process", "process-basic", "pipeline", "statement", "ref", "instance"}
 }
 
+// maxCounters bounds a scheme's X and K. Every counter is a synchronization
+// variable the run declares, so without a bound one request could make a
+// pool worker allocate billions of them.
+const maxCounters = 1024
+
 // Build returns a fresh scheme instance. Fresh matters: the instance-based
 // scheme carries per-run renamed storage, so scheme values must never be
 // shared between runs.
 func (s SchemeSpec) Build() (codegen.Scheme, error) {
+	if s.K < 0 {
+		return nil, fmt.Errorf("scheme: k must not be negative, got %d", s.K)
+	}
+	if s.X > maxCounters || s.K > maxCounters {
+		return nil, fmt.Errorf("scheme: x and k may not exceed %d", maxCounters)
+	}
 	x := s.foldedPCs()
 	g := s.G
 	if g <= 0 {

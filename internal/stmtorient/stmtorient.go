@@ -20,12 +20,7 @@
 // the caller's contract via explicit sequence numbers.
 package stmtorient
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"github.com/csrd-repro/datasync/internal/sim"
-)
+import "github.com/csrd-repro/datasync/internal/sim"
 
 // SimSCs is a folded set of K statement counters on a simulated machine.
 // Counters start at 0; sequence numbers are 1-based (the paper initializes
@@ -64,46 +59,4 @@ func (s *SimSCs) AwaitOps(dst []sim.Op, c, minSeq int64) []sim.Op {
 		return sim.AppendCompute(dst, 0, nil, 0, sim.Text("await:noop"))
 	}
 	return sim.AppendWaitGE(dst, s.Var(c), minSeq, false, sim.Tagf("await c=%d seq>=%d", c, minSeq))
-}
-
-// SCSet is the runtime (goroutine) statement-counter set.
-type SCSet struct {
-	k   int
-	scs []atomic.Int64
-}
-
-// NewSCSet builds K runtime statement counters initialized to 0.
-func NewSCSet(k int) *SCSet {
-	if k < 1 {
-		panic("stmtorient: need at least one SC")
-	}
-	return &SCSet{k: k, scs: make([]atomic.Int64, k)}
-}
-
-// K returns the number of physical counters.
-func (s *SCSet) K() int { return s.k }
-
-// Load returns the current value of the physical counter backing c.
-func (s *SCSet) Load(c int64) int64 { return s.scs[int(c)%s.k].Load() }
-
-// Advance publishes sequence number seq on logical counter c after its
-// predecessor (seq-1) has been published.
-func (s *SCSet) Advance(c, seq int64) {
-	v := &s.scs[int(c)%s.k]
-	for v.Load() < seq-1 {
-		runtime.Gosched()
-	}
-	v.Store(seq)
-}
-
-// Await spins until logical counter c reaches minSeq (immediately true for
-// non-positive minSeq).
-func (s *SCSet) Await(c, minSeq int64) {
-	if minSeq <= 0 {
-		return
-	}
-	v := &s.scs[int(c)%s.k]
-	for v.Load() < minSeq {
-		runtime.Gosched()
-	}
 }

@@ -1,7 +1,6 @@
 package stmtorient
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -66,53 +65,6 @@ func TestFoldingSharesPhysicalCounters(t *testing.T) {
 	if scs.Var(0) == scs.Var(1) {
 		t.Error("logical counters 0 and 1 should not share")
 	}
-}
-
-func TestSCSetRuntimeChain(t *testing.T) {
-	// Runtime Advance/Await on a distance-2 recurrence with one source
-	// statement, 4 workers.
-	const n = 200
-	s := NewSCSet(1)
-	a := make([]int64, n+1)
-	work := make(chan int64, n)
-	for i := int64(1); i <= n; i++ {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				s.Await(0, i-2) // await source instance i-2
-				if i <= 2 {
-					a[i] = i
-				} else {
-					a[i] = a[i-2] + 2
-				}
-				s.Advance(0, i)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := int64(1); i <= n; i++ {
-		if a[i] != i {
-			t.Fatalf("a[%d] = %d, want %d", i, a[i], i)
-		}
-	}
-	if s.Load(0) != n {
-		t.Errorf("final SC = %d, want %d", s.Load(0), n)
-	}
-}
-
-func TestSCSetValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSCSet(0) did not panic")
-		}
-	}()
-	NewSCSet(0)
 }
 
 func TestSimSCsValidation(t *testing.T) {
