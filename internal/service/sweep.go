@@ -308,6 +308,17 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 	if err != nil {
 		return nil, err
 	}
+	// Every point's scheme must build, not only the request's: a grid X
+	// may break a bound the base X keeps (SweepPointKeys checks the same).
+	names := make([]string, len(points))
+	for i, sel := range points {
+		sspec, _ := pointSpecs(req, sel)
+		sch, err := sspec.Build()
+		if err != nil {
+			return nil, err
+		}
+		names[i] = sch.Name()
+	}
 
 	// Fan the chains across the pool. The caller's goroutine is not a pool
 	// worker, so waiting for a queue slot (SubmitWait via patientCtx)
@@ -320,7 +331,7 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.evalChain(ctx, wl, req, points, chain, out)
+			s.evalChain(ctx, wl, req, points, names, chain, out)
 		}()
 	}
 	wg.Wait()
@@ -347,14 +358,15 @@ func NewSweepResponse(workload string, points []SweepPoint) *SweepResponse {
 	return resp
 }
 
-// evalChain evaluates the points chain of sels in order into out. A point
+// evalChain evaluates the points chain of sels in order into out; names
+// holds each point's scheme name. A point
 // is answered by the latest evaluated point of the chain whose witness
 // covers it: a bus-free run covers every later point, an ownership-prompt
 // run of a process scheme every later point whose X is a multiple of its
 // own. A covered point keeps its own coordinates and scheme name, takes the
 // covering point's result and cache provenance, and writes no cache entry.
 // Every other point is evaluated through the cache and the pool.
-func (s *Server) evalChain(ctx context.Context, wl *codegen.Workload, req SweepRequest, sels []GridSel, chain []int, out []SweepPoint) {
+func (s *Server) evalChain(ctx context.Context, wl *codegen.Workload, req SweepRequest, sels []GridSel, names []string, chain []int, out []SweepPoint) {
 	axis := collapseAxisOf(req.Scheme.Name)
 	type witness struct {
 		i                  int // index of the evaluated point
@@ -374,9 +386,8 @@ func (s *Server) evalChain(ctx context.Context, wl *codegen.Workload, req SweepR
 			}
 		}
 		if cover >= 0 {
-			sch, _ := sspec.Build() // the request's scheme built in EvalSweep
 			src := out[cover]
-			pt.Scheme = sch.Name()
+			pt.Scheme = names[i]
 			pt.Cached = src.Cached
 			pt.Cycles, pt.SyncTraffic, pt.SyncOps, pt.Speedup = src.Cycles, src.SyncTraffic, src.SyncOps, src.Speedup
 			s.metrics.observeSweepPoint(pointCollapsed)

@@ -127,3 +127,22 @@ func TestParetoFront(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepGridCounterBound: a grid X above the counter bound is a 400 even
+// when the base scheme is valid and an earlier point's bus-free run would
+// cover it, and the server keeps serving.
+func TestSweepGridCounterBound(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 2, QueueCap: 8})
+	req := SweepRequest{
+		Workload: WorkloadSpec{Source: "DO I = 1, 16\n  S1: A[I] = B[I] + 1\nEND DO\n"},
+		Scheme:   SchemeSpec{Name: "process"},
+		Grid:     SweepGrid{X: []int{2, 2 * maxCounters}},
+	}
+	if resp, body := post(t, ts, "/sweep", req); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("grid x %v: status %d, want 400 (%s)", req.Grid.X, resp.StatusCode, body)
+	}
+	req.Grid.X = []int{2, 4}
+	if resp, body := post(t, ts, "/sweep", req); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid sweep after the rejection: status %d (%s)", resp.StatusCode, body)
+	}
+}
