@@ -38,6 +38,7 @@ import (
 	"github.com/csrd-repro/datasync/internal/core"
 	"github.com/csrd-repro/datasync/internal/exper"
 	"github.com/csrd-repro/datasync/internal/service"
+	"github.com/csrd-repro/datasync/internal/spin"
 )
 
 // runtimeReport runs the Fig 2.1 loop body on the concurrent runtime with
@@ -55,7 +56,7 @@ func runtimeReport(n int64, x, procs, chunk int) error {
 		a := make([]int64, n+5)
 		out := make([]int64, n+1)
 		r := core.Runner{X: x, Procs: procs, Chunk: chunk, Metrics: true,
-			Watchdog: 30 * time.Second, NewSet: v.mk}
+			Spin: spin.Config{Watchdog: 30 * time.Second}, NewSet: v.mk}
 		res, err := r.Run(n, func(i int64, p *core.Proc) {
 			a[i+3] = 10*i + 3 // S1, step 1
 			p.Mark(1)

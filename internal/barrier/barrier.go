@@ -165,9 +165,9 @@ func spinCfg(cfg []spin.Config) spin.Config {
 
 // StallError reports a barrier wait that outlived the armed watchdog
 // deadline: the stuck participant, its round, and the underlying deadline
-// diagnosis. It is returned, not panicked, so an injected stall inside a
-// barrier degrades into an error the caller can report — the same shape
-// core.Runner.Run uses for livelocked waits.
+// diagnosis. It is returned, not panicked, so a participant that never
+// arrives degrades into an error the caller can report, as core.Runner.Run
+// returns a *core.WaitError for a livelocked wait.
 type StallError struct {
 	PID   int
 	Round int64

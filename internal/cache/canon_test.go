@@ -77,7 +77,6 @@ func TestRequestKeySensitivity(t *testing.T) {
 		"DelayProb":   func(p *fault.Plan) { p.DelayProb = 0.5 },
 		"DelayCycles": func(p *fault.Plan) { p.DelayCycles = 16 },
 		"TornOrder":   func(p *fault.Plan) { p.TornOrder = fault.OwnerFirst },
-		"StallMillis": func(p *fault.Plan) { p.StallIter = 1; p.StallMillis = 9 },
 	}
 	basePlan := fault.Plan{Seed: 1, DropProb: 0.01, DelayProb: 0.1, DelayCycles: 8, TornProb: 0.1}
 	for name, mut := range faultMuts {
@@ -117,8 +116,8 @@ func TestRequestKeyCoversConfig(t *testing.T) {
 	if n := reflect.TypeOf(sim.Config{}).NumField(); n != 13 {
 		t.Errorf("sim.Config has %d fields; update cache.writeConfig and this test (encodes 13)", n)
 	}
-	if n := reflect.TypeOf(fault.Plan{}).NumField(); n != 19 {
-		t.Errorf("fault.Plan has %d fields; update fault.Plan.Canon and this test (encodes 19)", n)
+	if n := reflect.TypeOf(fault.Plan{}).NumField(); n != 17 {
+		t.Errorf("fault.Plan has %d fields; update fault.Plan.Canon and this test (encodes 17)", n)
 	}
 	if n := reflect.TypeOf(sim.Recover{}).NumField(); n != 2 {
 		t.Errorf("sim.Recover has %d fields; update sim.Recover.Canon and this test (encodes 2)", n)

@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -22,12 +23,31 @@ func goroutineSchemes(x int) []codegen.Scheme {
 	return append(allSchemes(x), codegen.StatementOriented{K: 1})
 }
 
-// TestRunGoroutines is the goroutine executor's matrix: every built-in
-// workload under the six schemes at P = 1, 3 and 8, plus the outer
-// pipeline at G = 1 and 2 on the depth-2 workloads. Each run must match
-// the serial memory image.
+// runRow is one row of TestRunGoroutines: a workload run on goroutines
+// under each of its schemes at each worker count.
+type runRow struct {
+	name    string
+	build   func() *codegen.Workload
+	schemes func() []codegen.Scheme // fresh instances: instance-based is stateful
+	procs   []int
+	wantErr bool                 // the scheme must refuse the workload
+	check   func(*sim.Mem) error // an extra check on the returned memory
+}
+
+func one(s ...codegen.Scheme) func() []codegen.Scheme {
+	return func() []codegen.Scheme { return s }
+}
+
+func process(x int) codegen.Scheme { return codegen.ProcessOriented{X: x, Improved: true} }
+
+// TestRunGoroutines is the goroutine executor's table. Its matrix rows run
+// every built-in workload under the six schemes at P = 1, 3 and 8, plus
+// the outer pipeline at G = 1 and 2 on the depth-2 workloads; the rows
+// after them take larger sizes, single schemes, random loops and the
+// returned memory. Each run must match the serial memory image.
 func TestRunGoroutines(t *testing.T) {
-	builtins := []struct {
+	var rows []runRow
+	for _, b := range []struct {
 		name  string
 		build func() *codegen.Workload
 	}{
@@ -36,52 +56,66 @@ func TestRunGoroutines(t *testing.T) {
 		{"branchy", func() *codegen.Workload { return workloads.Branchy(60, 4) }},
 		{"recurrence", func() *codegen.Workload { return workloads.Recurrence(60, 2, 4) }},
 		{"stencil", func() *codegen.Workload { return workloads.Stencil(9, 4) }},
-	}
-	for _, b := range builtins {
-		for _, p := range []int{1, 3, 8} {
-			schemes := goroutineSchemes(4)
-			if b.build().Nest.Depth() == 2 {
-				schemes = append(schemes, codegen.PipelinedOuter{X: 4, G: 1}, codegen.PipelinedOuter{X: 4, G: 2})
-			}
-			for _, sch := range schemes {
-				if _, err := codegen.RunGoroutines(b.build(), sch, p); err != nil {
-					t.Errorf("%s %s P=%d: %v", b.name, sch.Name(), p, err)
-				}
+	} {
+		schemes := func() []codegen.Scheme { return goroutineSchemes(4) }
+		if b.build().Nest.Depth() == 2 {
+			schemes = func() []codegen.Scheme {
+				return append(goroutineSchemes(4), codegen.PipelinedOuter{X: 4, G: 1}, codegen.PipelinedOuter{X: 4, G: 2})
 			}
 		}
+		rows = append(rows, runRow{name: b.name + "_matrix", build: b.build, schemes: schemes, procs: []int{1, 3, 8}})
 	}
-}
-
-// TestRunRuntimeFig21 runs the canonical loop at several counter and
-// worker counts.
-func TestRunRuntimeFig21(t *testing.T) {
-	for _, c := range []struct{ x, procs int }{{1, 2}, {4, 4}, {8, 3}} {
-		if _, err := codegen.RunGoroutines(workloads.Fig21(300, 1), codegen.ProcessOriented{X: c.x, Improved: true}, c.procs); err != nil {
-			t.Errorf("X=%d procs=%d: %v", c.x, c.procs, err)
+	outIs1000 := func(mem *sim.Mem) error {
+		// OUT[1] = A[0] initial = 1000+0.
+		if out := mem.Lookup("OUT"); out == nil || out.Get(1) != 1000 {
+			return errors.New("OUT[1] is not the initial A[0] = 1000")
+		}
+		return nil
+	}
+	statement := func(ks ...int) func() []codegen.Scheme {
+		return func() (out []codegen.Scheme) {
+			for _, k := range ks {
+				out = append(out, codegen.StatementOriented{K: k})
+			}
+			return out
 		}
 	}
-}
-
-// TestRunRuntimeNested runs the coalesced Example 2 nest on goroutines.
-func TestRunRuntimeNested(t *testing.T) {
-	if _, err := codegen.RunGoroutines(workloads.Nested(20, 15, 1), codegen.ProcessOriented{X: 8, Improved: true}, 4); err != nil {
-		t.Fatal(err)
+	rows = append(rows,
+		runRow{name: "fig21_N300", build: func() *codegen.Workload { return workloads.Fig21(300, 1) },
+			schemes: one(process(1), process(4), process(8)), procs: []int{2, 3, 4}},
+		runRow{name: "nested_20x15", build: func() *codegen.Workload { return workloads.Nested(20, 15, 1) },
+			schemes: one(process(8)), procs: []int{4}},
+		runRow{name: "branchy_N200", build: func() *codegen.Workload { return workloads.Branchy(200, 1) },
+			schemes: one(process(4), codegen.ProcessOriented{X: 4}), procs: []int{4}},
+		runRow{name: "stencil_pipeline_N30", build: func() *codegen.Workload { return workloads.Stencil(30, 1) },
+			schemes: one(codegen.PipelinedOuter{X: 8, G: 1}, codegen.PipelinedOuter{X: 8, G: 4}), procs: []int{4}},
+		runRow{name: "nested_pipeline_25x20", build: func() *codegen.Workload { return workloads.Nested(25, 20, 1) },
+			schemes: one(codegen.PipelinedOuter{X: 4, G: 2}), procs: []int{4}},
+		runRow{name: "pipeline_rejects_depth1", build: func() *codegen.Workload { return workloads.Fig21(10, 1) },
+			schemes: one(codegen.PipelinedOuter{X: 2, G: 1}), procs: []int{2}, wantErr: true},
+		runRow{name: "returned_memory", build: func() *codegen.Workload { return workloads.Fig21(50, 1) },
+			schemes: func() []codegen.Scheme { return []codegen.Scheme{process(4), codegen.NewInstanceBased()} },
+			procs:   []int{2}, check: outIs1000},
+		runRow{name: "statement_fig21_N200", build: func() *codegen.Workload { return workloads.Fig21(200, 1) },
+			schemes: statement(0, 1, 2), procs: []int{4}},
+		runRow{name: "statement_branchy_N120", build: func() *codegen.Workload { return workloads.Branchy(120, 1) },
+			schemes: statement(0, 1, 2), procs: []int{3}},
+		runRow{name: "statement_nested_15x12", build: func() *codegen.Workload { return workloads.Nested(15, 12, 1) },
+			schemes: statement(0), procs: []int{4}},
+	)
+	for _, ref := range []struct {
+		name  string
+		build func() *codegen.Workload
+	}{
+		{"fig21_N150", func() *codegen.Workload { return workloads.Fig21(150, 1) }},
+		{"branchy_N100", func() *codegen.Workload { return workloads.Branchy(100, 1) }},
+		{"nested_12x10", func() *codegen.Workload { return workloads.Nested(12, 10, 1) }},
+		{"selfrmw_N80", func() *codegen.Workload { return workloads.SelfRMW(80, 1) }},
+	} {
+		rows = append(rows, runRow{name: "ref_" + ref.name, build: ref.build, schemes: one(codegen.RefBased{}), procs: []int{4}})
 	}
-}
-
-// TestRunRuntimeBranchy runs the Example 3 loop on goroutines: covering
-// marks must keep every path live under real concurrency.
-func TestRunRuntimeBranchy(t *testing.T) {
-	for _, improved := range []bool{true, false} {
-		if _, err := codegen.RunGoroutines(workloads.Branchy(200, 1), codegen.ProcessOriented{X: 4, Improved: improved}, 4); err != nil {
-			t.Errorf("improved=%v: %v", improved, err)
-		}
-	}
-}
-
-// TestRunRuntimeRandom: random loops under the process-oriented scheme at
-// random counter and worker counts, exact serial equivalence.
-func TestRunRuntimeRandom(t *testing.T) {
+	// Random loops under the process-oriented scheme at random counter and
+	// worker counts.
 	trials := 15
 	if testing.Short() {
 		trials = 4
@@ -93,34 +127,32 @@ func TestRunRuntimeRandom(t *testing.T) {
 		x := 1 + rng.Intn(8)
 		procs := 1 + rng.Intn(6)
 		seed := rng.Int63()
-		w := workloads.Random(rand.New(rand.NewSource(seed)), n, nStmts)
-		if _, err := codegen.RunGoroutines(w, codegen.ProcessOriented{X: x, Improved: true}, procs); err != nil {
-			t.Fatalf("trial %d (seed %d n=%d stmts=%d X=%d procs=%d): %v",
-				trial, seed, n, nStmts, x, procs, err)
-		}
+		rows = append(rows, runRow{
+			name:    fmt.Sprintf("random_seed%d_n%d_stmts%d", seed, n, nStmts),
+			build:   func() *codegen.Workload { return workloads.Random(rand.New(rand.NewSource(seed)), n, nStmts) },
+			schemes: one(process(x)), procs: []int{procs}})
 	}
-}
 
-// TestRunRuntimePipelinedStencil: Example 1's pipeline on goroutines.
-func TestRunRuntimePipelinedStencil(t *testing.T) {
-	for _, g := range []int64{1, 4} {
-		if _, err := codegen.RunGoroutines(workloads.Stencil(30, 1), codegen.PipelinedOuter{X: 8, G: g}, 4); err != nil {
-			t.Errorf("G=%d: %v", g, err)
-		}
-	}
-}
-
-// TestRunRuntimePipelinedNested: outer pipelining of Example 2's nest.
-func TestRunRuntimePipelinedNested(t *testing.T) {
-	if _, err := codegen.RunGoroutines(workloads.Nested(25, 20, 1), codegen.PipelinedOuter{X: 4, G: 2}, 4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunRuntimePipelinedRejectsDepth1 propagates shape errors.
-func TestRunRuntimePipelinedRejectsDepth1(t *testing.T) {
-	if _, err := codegen.RunGoroutines(workloads.Fig21(10, 1), codegen.PipelinedOuter{X: 2, G: 1}, 2); err == nil {
-		t.Error("depth-1 workload accepted")
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for _, p := range r.procs {
+				for _, sch := range r.schemes() {
+					mem, err := codegen.RunGoroutines(r.build(), sch, p)
+					switch {
+					case r.wantErr:
+						if err == nil {
+							t.Errorf("%s P=%d: accepted, want a refusal", sch.Name(), p)
+						}
+					case err != nil:
+						t.Errorf("%s P=%d: %v", sch.Name(), p, err)
+					case r.check != nil:
+						if err := r.check(mem); err != nil {
+							t.Errorf("%s P=%d: %v", sch.Name(), p, err)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -143,55 +175,6 @@ func TestUnknownDistanceRejected(t *testing.T) {
 		if _, err := codegen.RunGoroutines(w, sch, 2); err == nil ||
 			!strings.Contains(err.Error(), "constant distance") {
 			t.Errorf("%s on goroutines: err = %v, want constant-distance rejection", sch.Name(), err)
-		}
-	}
-}
-
-// TestRunRuntimeReturnsMemory: the returned memory holds the results, the
-// renamed storage of the instance-based scheme folded back in.
-func TestRunRuntimeReturnsMemory(t *testing.T) {
-	for _, sch := range []codegen.Scheme{codegen.ProcessOriented{X: 4, Improved: true}, codegen.NewInstanceBased()} {
-		mem, err := codegen.RunGoroutines(workloads.Fig21(50, 1), sch, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := mem.Lookup("OUT")
-		if out == nil {
-			t.Fatal("OUT array missing")
-		}
-		// OUT[1] = A[0] initial = 1000+0.
-		if got := out.Get(1); got != 1000 {
-			t.Errorf("%s: OUT[1] = %d, want 1000", sch.Name(), got)
-		}
-	}
-}
-
-// TestRunRuntimeStatementMatrix: the statement-oriented scheme across
-// workloads and counter budgets.
-func TestRunRuntimeStatementMatrix(t *testing.T) {
-	for _, k := range []int{0, 1, 2} {
-		if _, err := codegen.RunGoroutines(workloads.Fig21(200, 1), codegen.StatementOriented{K: k}, 4); err != nil {
-			t.Errorf("fig21 K=%d: %v", k, err)
-		}
-		if _, err := codegen.RunGoroutines(workloads.Branchy(120, 1), codegen.StatementOriented{K: k}, 3); err != nil {
-			t.Errorf("branchy K=%d: %v", k, err)
-		}
-	}
-	if _, err := codegen.RunGoroutines(workloads.Nested(15, 12, 1), codegen.StatementOriented{}, 4); err != nil {
-		t.Errorf("nested: %v", err)
-	}
-}
-
-// TestRunRuntimeRefBasedMatrix: the key protocol across workloads.
-func TestRunRuntimeRefBasedMatrix(t *testing.T) {
-	for _, w := range []*codegen.Workload{
-		workloads.Fig21(150, 1),
-		workloads.Branchy(100, 1),
-		workloads.Nested(12, 10, 1),
-		workloads.SelfRMW(80, 1),
-	} {
-		if _, err := codegen.RunGoroutines(w, codegen.RefBased{}, 4); err != nil {
-			t.Error(err)
 		}
 	}
 }

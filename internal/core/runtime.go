@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/csrd-repro/datasync/internal/fault"
 	"github.com/csrd-repro/datasync/internal/spin"
 )
 
@@ -16,7 +15,7 @@ import (
 // on adjacent slots share nothing, so a neighbor's mark never invalidates a
 // spinning reader's line). It implements both the basic primitives of
 // Fig 4.2a (Get/Set/Release) and the improved primitives of Fig 4.3
-// (Mark/Transfer); Bind plays the role of load_index.
+// (Mark/Transfer); a Proc plays the role of load_index.
 //
 // All waits busy-wait through the tiered backoff of package spin, per the
 // paper's section 6 observation that context switching is too expensive for
@@ -160,21 +159,12 @@ func (s *PCSet) Transfer(iter int64) {
 }
 
 // Proc is a counter set bound to one iteration (the result of load_index):
-// the primitives without the iteration argument. It works over any
-// CounterSet implementation.
+// the primitives without the iteration argument. Runner.Run hands one to
+// each iteration of the body.
 type Proc struct {
 	s    CounterSet
 	iter int64
 }
-
-// Bind is load_index(lpid): it fixes the iteration the primitives act for.
-func (s *PCSet) Bind(iter int64) *Proc { return &Proc{s: s, iter: iter} }
-
-// Bind is load_index(lpid) over the split-field representation.
-func (s *SplitPCSet) Bind(iter int64) *Proc { return &Proc{s: s, iter: iter} }
-
-// NewProc binds any CounterSet to one iteration.
-func NewProc(s CounterSet, iter int64) *Proc { return &Proc{s: s, iter: iter} }
 
 // Iter returns the bound iteration (lpid).
 func (p *Proc) Iter() int64 { return p.iter }
@@ -205,36 +195,15 @@ type Runner struct {
 	// deadlock-free while dispatch overhead is amortized.
 	Chunk int
 	// Spin tunes the backoff tiers of every wait (zero = spin.Defaults).
+	// A positive Spin.Watchdog bounds any single wait: a tripped watchdog
+	// aborts the run with a *WaitError.
 	Spin spin.Config
-	// Watchdog, when positive, bounds any single wait; it overrides
-	// Spin.Watchdog. A tripped watchdog aborts the run with a *WaitError.
-	Watchdog time.Duration
 	// Metrics enables the per-slot instrumentation, surfaced in
 	// RunStats.Metrics.
 	Metrics bool
 	// NewSet overrides the counter-set implementation; the default builds
 	// the packed PCSet. Use SplitCounters for the §6 split-field variant.
 	NewSet func(x int, o Options) CounterSet
-	// Fault, when non-nil, applies the plan's runtime faults: the stall
-	// fault (StallIter/StallMillis) holds one iteration's body for the
-	// configured duration — or until a watchdog trips — so watchdog and
-	// StallReport paths can be driven deterministically. Simulator-only
-	// faults in the plan are ignored here.
-	Fault *fault.Plan
-	// Recover arms the ownership-reclamation supervisor: instead of
-	// aborting the run, a tripped watchdog reclaims the stalled worker's PC
-	// ownership (the transfer_PC handoff — a PC names an iteration, not the
-	// worker running it), revokes the worker's lease, re-executes the
-	// orphan iteration and its unstarted chunk residue on the reporting
-	// worker, then retries the tripped wait. Requires a watchdog; when none
-	// is set, DefaultRecoverWatchdog applies. Body may be re-executed for a
-	// reclaimed iteration: its writes must be idempotent per iteration, or
-	// guarded with Proc.Revoked.
-	Recover bool
-	// RecoverAttempts bounds reclamations per run (defaults to
-	// DefaultRecoverAttempts). When spent, Run returns a
-	// *RecoveryExhaustedError naming the unreclaimable slot.
-	RecoverAttempts int
 }
 
 // SplitCounters is a Runner.NewSet factory selecting the split-field
@@ -250,7 +219,6 @@ type RunStats struct {
 	Chunk      int
 	Elapsed    time.Duration
 	Metrics    *MetricsSnapshot // nil unless Runner.Metrics
-	Recovery   *RecoveryReport  // nil unless Runner.Recover reclaimed ownership
 }
 
 // String renders a one-line summary plus the metrics tables when collected.
@@ -272,8 +240,9 @@ type RunResult struct {
 
 // Run executes iterations 1..n of body and returns the counter set used
 // plus run statistics. It returns an error — with the partial result for
-// inspection — when a watchdog-equipped wait livelocks or when some
-// iteration never transferred its PC (a protocol violation in body).
+// inspection — when a watchdog-equipped wait livelocks (the first
+// *WaitError, naming the op, iteration, slot and <owner,step>) or when
+// some iteration never transferred its PC (a protocol violation in body).
 func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 	procs := r.Procs
 	if procs <= 0 {
@@ -287,10 +256,6 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	cfg := r.Spin
-	if r.Watchdog > 0 {
-		cfg.Watchdog = r.Watchdog
-	}
 	var m *Metrics
 	if r.Metrics {
 		m = NewMetrics(x)
@@ -299,16 +264,11 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 	if mk == nil {
 		mk = func(x int, o Options) CounterSet { return NewPCSetOpts(x, o) }
 	}
-	if r.Recover {
-		return r.runRecover(n, body, procs, x, chunk, cfg, m, mk)
-	}
-	set := mk(x, Options{Spin: cfg, Metrics: m})
+	set := mk(x, Options{Spin: r.Spin, Metrics: m})
 
 	start := time.Now()
 	var next atomic.Int64
-	var mu sync.Mutex
-	var trips []*WaitError
-	var tripped atomic.Bool
+	var trip atomic.Pointer[WaitError]
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
 		wg.Add(1)
@@ -317,14 +277,10 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 			defer func() {
 				// A watchdog trip abandons this worker's remaining
 				// iterations; every other watchdog-equipped waiter then
-				// trips in turn, so Run terminates with every trip
-				// collected for the aggregate stall report.
+				// trips in turn, so Run terminates and reports the first.
 				if e := recover(); e != nil {
 					if we, ok := e.(*WaitError); ok {
-						mu.Lock()
-						trips = append(trips, we)
-						mu.Unlock()
-						tripped.Store(true)
+						trip.CompareAndSwap(nil, we)
 						return
 					}
 					panic(e)
@@ -340,15 +296,6 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 					hi = n
 				}
 				for it := lo; it <= hi; it++ {
-					if r.Fault != nil && r.Fault.StallsRuntime() && it == r.Fault.StallIter {
-						// Hold this iteration's PC hostage: sleep in short
-						// slices so a tripped watchdog elsewhere releases
-						// the stall early and the run still terminates.
-						deadline := time.Now().Add(r.Fault.StallDuration())
-						for time.Now().Before(deadline) && !tripped.Load() {
-							time.Sleep(time.Millisecond)
-						}
-					}
 					body(it, &Proc{s: set, iter: it})
 				}
 			}
@@ -359,8 +306,8 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 		Iterations: n, Procs: procs, X: x, Chunk: int(chunk),
 		Elapsed: time.Since(start), Metrics: m.Snapshot(),
 	}}
-	if len(trips) > 0 {
-		return res, buildStallError(trips, x, r.Fault)
+	if we := trip.Load(); we != nil {
+		return res, we
 	}
 	// Every iteration must have transferred its PC exactly once; the final
 	// owners are n+1 .. n+x in some slot order.
@@ -374,7 +321,7 @@ func (r Runner) Run(n int64, body func(it int64, p *Proc)) (*RunResult, error) {
 // still owning its PC: body broke the transfer_PC contract (never called
 // Transfer, or not exactly once). Distinct from a stall — the run finished,
 // but its final counter state is wrong — so services and CLIs can classify
-// it as a caller bug rather than a fault-induced livelock.
+// it as a caller bug rather than a livelock.
 type ProtocolViolationError struct {
 	// Iter is the iteration that still owns the slot.
 	Iter int64 `json:"iter"`

@@ -265,7 +265,7 @@ func TestRunnerDefaults(t *testing.T) {
 
 func TestProcBinding(t *testing.T) {
 	s := NewPCSet(2)
-	p := s.Bind(1)
+	p := &Proc{s: s, iter: 1}
 	if p.Iter() != 1 {
 		t.Errorf("Iter = %d", p.Iter())
 	}
@@ -357,8 +357,9 @@ func TestRunnerWatchdogTurnsLivelockIntoError(t *testing.T) {
 	// marks: a guaranteed livelock. The watchdog must abort the run with a
 	// *WaitError instead of hanging forever.
 	fast := spin.Config{HotSpins: 1, YieldSpins: 1,
-		SleepMin: 50 * time.Microsecond, SleepMax: 200 * time.Microsecond}
-	_, err := Runner{X: 2, Procs: 2, Spin: fast, Watchdog: 20 * time.Millisecond}.
+		SleepMin: 50 * time.Microsecond, SleepMax: 200 * time.Microsecond,
+		Watchdog: 20 * time.Millisecond}
+	_, err := Runner{X: 2, Procs: 2, Spin: fast}.
 		Run(4, func(i int64, p *Proc) {
 			p.Wait(0, 1)
 			p.Transfer()
@@ -451,25 +452,5 @@ func TestRunnerSplitCounters(t *testing.T) {
 	}
 	if tot := res.Stats.Metrics.Totals(); tot.Handoffs != n {
 		t.Errorf("split handoffs = %d, want %d", tot.Handoffs, n)
-	}
-}
-
-func TestNewProcBindsAnyCounterSet(t *testing.T) {
-	for name, s := range map[string]CounterSet{
-		"packed": NewPCSet(2),
-		"split":  NewSplitPCSet(2),
-	} {
-		p := NewProc(s, 1)
-		if p.Iter() != 1 {
-			t.Errorf("%s: Iter = %d", name, p.Iter())
-		}
-		p.Mark(1)
-		if got := s.Load(0); got != (PC{1, 1}) {
-			t.Errorf("%s: Mark through interface did not apply: %v", name, got)
-		}
-		p.Transfer()
-		if got := s.Load(0).Owner; got != 3 {
-			t.Errorf("%s: Transfer through interface: owner %d, want 3", name, got)
-		}
 	}
 }

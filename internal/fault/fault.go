@@ -1,5 +1,5 @@
 // Package fault is a seeded, deterministic fault-injection layer for the
-// synchronization-bus simulator and the concurrent runtime.
+// synchronization-bus simulator and the cluster's peer links.
 //
 // A Plan describes which faults to inject and how often; it is plain data
 // (JSON-serializable, comparable, zero value = no faults) so it can travel
@@ -11,13 +11,12 @@
 // schedule on every run, which is what makes a chaos failure debuggable.
 //
 // The package deliberately imports nothing from the rest of the repository:
-// internal/sim and internal/core both consume it, so it must sit below both.
+// internal/sim consumes it, so it must sit below it.
 package fault
 
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Torn-update store orders (paper §6): a two-field <owner,step> PC update
@@ -83,12 +82,6 @@ type Plan struct {
 	// never executes another op, so everything depending on it stalls.
 	HaltProc    int   `json:"haltProc,omitempty"`
 	HaltAtCycle int64 `json:"haltAtCycle,omitempty"`
-
-	// StallMillis > 0 makes the runtime iteration StallIter (1-based) hold
-	// its process counter for that long before proceeding — the
-	// never-released-PC experiment for core.Runner's watchdog.
-	StallIter   int64 `json:"stallIter,omitempty"`
-	StallMillis int64 `json:"stallMillis,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything at all. A disabled plan
@@ -98,30 +91,14 @@ type Plan struct {
 func (p Plan) Enabled() bool {
 	return p.DropProb > 0 || p.DelayProb > 0 || p.DupProb > 0 ||
 		p.StaleProb > 0 || p.TornProb > 0 || p.ModuleDelayProb > 0 ||
-		p.SlowFactor >= 2 || p.HaltAtCycle >= 1 || p.StallMillis > 0
-}
-
-// SimEnabled reports whether any simulator-level fault is armed (everything
-// except the runtime stall).
-func (p Plan) SimEnabled() bool {
-	return p.DropProb > 0 || p.DelayProb > 0 || p.DupProb > 0 ||
-		p.StaleProb > 0 || p.TornProb > 0 || p.ModuleDelayProb > 0 ||
 		p.SlowFactor >= 2 || p.HaltAtCycle >= 1
 }
-
-// StallsRuntime reports whether the runtime-stall fault is armed.
-func (p Plan) StallsRuntime() bool { return p.StallMillis > 0 && p.StallIter >= 1 }
 
 // Halts reports whether the processor-halt fault is armed — the one fault
 // class ownership reclamation (sim.Config.Recover) can heal: a halted
 // processor's PC is a transferable token, so a recovery layer can reclaim
 // it, while drops and slowdowns have nothing to reclaim.
 func (p Plan) Halts() bool { return p.HaltAtCycle >= 1 }
-
-// StallDuration returns the armed runtime stall length.
-func (p Plan) StallDuration() time.Duration {
-	return time.Duration(p.StallMillis) * time.Millisecond
-}
 
 // Check validates the plan. It is called from sim.Config.Check so a bad
 // fault spec is an input error, not a crash.
@@ -144,8 +121,7 @@ func (p Plan) Check() error {
 	}{
 		{"delayCycles", p.DelayCycles}, {"staleCycles", p.StaleCycles},
 		{"tornWindow", p.TornWindow}, {"moduleDelayCycles", p.ModuleDelayCycles},
-		{"haltAtCycle", p.HaltAtCycle}, {"stallMillis", p.StallMillis},
-		{"stallIter", p.StallIter}, {"slowFactor", p.SlowFactor},
+		{"haltAtCycle", p.HaltAtCycle}, {"slowFactor", p.SlowFactor},
 	}
 	for _, c := range cycles {
 		if c.v < 0 {
@@ -163,9 +139,6 @@ func (p Plan) Check() error {
 	}
 	if p.HaltProc < 0 {
 		return fmt.Errorf("fault: haltProc must be >= 0 (got %d)", p.HaltProc)
-	}
-	if p.StallMillis > 0 && p.StallIter < 1 {
-		return fmt.Errorf("fault: stallMillis needs stallIter >= 1 (got %d)", p.StallIter)
 	}
 	return nil
 }
@@ -210,7 +183,9 @@ func (p Plan) tornOwnerFirst() bool { return p.TornOrder == OwnerFirst }
 
 // Canon renders every field in a fixed order for the cache canon key. Only
 // called for enabled plans — cache.RequestKey skips disabled plans entirely
-// so clean runs keep their established content addresses.
+// so clean runs keep their established content addresses. The trailing
+// ";stall=0/0" is the constant left by a removed runtime-stall fault: it
+// keeps every armed plan's content address byte-identical.
 func (p Plan) Canon() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", p.Seed)
@@ -222,7 +197,7 @@ func (p Plan) Canon() string {
 	fmt.Fprintf(&b, ";mod=%g/%d", p.ModuleDelayProb, p.ModuleDelayCycles)
 	fmt.Fprintf(&b, ";slow=%d/%d", p.SlowProc, p.SlowFactor)
 	fmt.Fprintf(&b, ";halt=%d/%d", p.HaltProc, p.HaltAtCycle)
-	fmt.Fprintf(&b, ";stall=%d/%d", p.StallIter, p.StallMillis)
+	b.WriteString(";stall=0/0")
 	return b.String()
 }
 

@@ -10,7 +10,7 @@ import (
 // method on its injector declines.
 func TestZeroValueDisabled(t *testing.T) {
 	var p Plan
-	if p.Enabled() || p.SimEnabled() || p.StallsRuntime() {
+	if p.Enabled() {
 		t.Fatal("zero plan must be disabled")
 	}
 	if err := p.Check(); err != nil {
@@ -151,7 +151,6 @@ func TestCheckRejectsBadPlans(t *testing.T) {
 		{TornProb: 0.1, TornOrder: "sideways"},
 		{TornLowBits: 63},
 		{SlowProc: -1},
-		{StallMillis: 10}, // needs StallIter
 	}
 	for i, p := range bad {
 		if err := p.Check(); err == nil {
@@ -170,12 +169,12 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("ParseSpec = %+v, want %+v", p, want)
 	}
 
-	p, err = ParseSpec("torn=pc:1:owner-first:4,stall=iter3:250,slow=proc1:2,halt=proc0:100,mem=mod:0.5,stale=reg:0.2:9,dup=bus:0.3")
+	p, err = ParseSpec("torn=pc:1:owner-first:4,slow=proc1:2,halt=proc0:100,mem=mod:0.5,stale=reg:0.2:9,dup=bus:0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = Plan{TornProb: 1, TornOrder: OwnerFirst, TornWindow: 4,
-		StallIter: 3, StallMillis: 250, SlowProc: 1, SlowFactor: 2,
+		SlowProc: 1, SlowFactor: 2,
 		HaltProc: 0, HaltAtCycle: 100, ModuleDelayProb: 0.5,
 		StaleProb: 0.2, StaleCycles: 9, DupProb: 0.3}
 	if p != want {
@@ -188,7 +187,7 @@ func TestParseSpec(t *testing.T) {
 		"nonsense=bus:0.5",   // unknown key
 		"drop=bus:2",         // out of range (caught by Check)
 		"torn=pc:1:sideways", // bad order
-		"stall=iter0:100",    // stall needs iter >= 1
+		"stall=iter1:5",      // unknown key: faults are simulator-only
 		"seed",               // not key=value
 	} {
 		if _, err := ParseSpec(bad); err == nil {
@@ -204,7 +203,7 @@ func TestCanonCoversEveryField(t *testing.T) {
 		DupProb: 0.1, StaleProb: 0.1, StaleCycles: 3, TornProb: 0.1,
 		TornOrder: StepFirst, TornWindow: 2, TornLowBits: 20,
 		ModuleDelayProb: 0.1, ModuleDelayCycles: 2, SlowProc: 1,
-		SlowFactor: 2, HaltProc: 1, HaltAtCycle: 9, StallIter: 1, StallMillis: 5}
+		SlowFactor: 2, HaltProc: 1, HaltAtCycle: 9}
 	muts := []func(*Plan){
 		func(p *Plan) { p.Seed = 2 },
 		func(p *Plan) { p.DropProb = 0.2 },
@@ -223,8 +222,6 @@ func TestCanonCoversEveryField(t *testing.T) {
 		func(p *Plan) { p.SlowFactor = 3 },
 		func(p *Plan) { p.HaltProc = 2 },
 		func(p *Plan) { p.HaltAtCycle = 10 },
-		func(p *Plan) { p.StallIter = 2 },
-		func(p *Plan) { p.StallMillis = 6 },
 	}
 	ref := base.Canon()
 	for i, mut := range muts {

@@ -19,13 +19,12 @@ type Counts struct {
 	ModuleDelays int64 `json:"moduleDelays,omitempty"`
 	SlowOps      int64 `json:"slowOps,omitempty"`
 	Halts        int64 `json:"halts,omitempty"`
-	Stalls       int64 `json:"stalls,omitempty"`
 }
 
 // Total is the number of injected faults across all kinds.
 func (c Counts) Total() int64 {
 	return c.Drops + c.Delays + c.Dups + c.StaleReads + c.Torn +
-		c.ModuleDelays + c.SlowOps + c.Halts + c.Stalls
+		c.ModuleDelays + c.SlowOps + c.Halts
 }
 
 // String renders the non-zero kinds, or "none".
@@ -44,7 +43,6 @@ func (c Counts) String() string {
 	add("moduleDelays", c.ModuleDelays)
 	add("slowOps", c.SlowOps)
 	add("halts", c.Halts)
-	add("stalls", c.Stalls)
 	if len(parts) == 0 {
 		return "none"
 	}
@@ -61,14 +59,14 @@ func (c *Counts) Add(o Counts) {
 	c.ModuleDelays += o.ModuleDelays
 	c.SlowOps += o.SlowOps
 	c.Halts += o.Halts
-	c.Stalls += o.Stalls
 }
 
 // Injector applies a Plan and records what was actually injected. The
 // decision methods are pure functions of their coordinates (plus the seed),
 // so the schedule is reproducible; the injector itself only adds counting.
-// Counters are atomic because core.Runner consults the injector from many
-// goroutines; the simulator is single-threaded and pays nothing for it.
+// Counters are atomic so that a snapshot is safe from any goroutine; the
+// simulator, the injector's one user, is single-threaded and pays nothing
+// for it.
 type Injector struct {
 	plan Plan
 
@@ -80,7 +78,6 @@ type Injector struct {
 	moduleDelays atomic.Int64
 	slowOps      atomic.Int64
 	halts        atomic.Int64
-	stalls       atomic.Int64
 
 	halted atomic.Bool
 
@@ -107,7 +104,6 @@ func (in *Injector) Counts() Counts {
 		ModuleDelays: in.moduleDelays.Load(),
 		SlowOps:      in.slowOps.Load(),
 		Halts:        in.halts.Load(),
-		Stalls:       in.stalls.Load(),
 	}
 }
 
@@ -197,9 +193,6 @@ func (in *Injector) Halted(proc int, now int64) bool {
 
 // HaltActive reports whether the halt fault has fired.
 func (in *Injector) HaltActive() bool { return in.halted.Load() }
-
-// NoteStall counts one runtime stall injection.
-func (in *Injector) NoteStall() { in.stalls.Add(1) }
 
 // VarDropped returns how many broadcasts of varID were dropped — the basis
 // for "the injected fault explains this stall".

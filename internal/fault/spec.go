@@ -20,7 +20,6 @@ import (
 //	mem=mod:P[:C]         delay a module access C cycles with probability P (C default 4)
 //	slow=procN:F          multiply proc N's compute by factor F
 //	halt=procN:C          halt proc N at cycle C
-//	stall=iterN:MS        runtime: iteration N holds its PC for MS milliseconds
 //
 // Example: 'drop=bus:0.01,delay=bus:0.05:6,seed=42'.
 func ParseSpec(spec string) (Plan, error) {
@@ -83,20 +82,6 @@ func (p *Plan) applySpecItem(key string, parts []string) error {
 		return specProcPair(key, parts, &p.SlowProc, &p.SlowFactor)
 	case "halt":
 		return specProcPair(key, parts, &p.HaltProc, &p.HaltAtCycle)
-	case "stall":
-		if len(parts) != 2 || !strings.HasPrefix(parts[0], "iter") {
-			return fmt.Errorf("fault: stall wants iterN:millis (got %q)", strings.Join(parts, ":"))
-		}
-		it, err := strconv.ParseInt(strings.TrimPrefix(parts[0], "iter"), 10, 64)
-		if err != nil {
-			return fmt.Errorf("fault: stall iteration %q: %v", parts[0], err)
-		}
-		ms, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("fault: stall millis %q: %v", parts[1], err)
-		}
-		p.StallIter, p.StallMillis = it, ms
-		return nil
 	default:
 		return fmt.Errorf("fault: unknown spec key %q", key)
 	}

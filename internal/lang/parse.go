@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
@@ -560,51 +561,25 @@ func (p *parser) parseFactor(st *deps.Stmt) (exprNode, error) {
 }
 
 // DefaultSetup builds a Setup that declares every referenced array with
-// bounds inferred from the subscripts over the iteration space (affine
-// subscripts reach their extrema at the corner index vectors), initialized
-// deterministically from name and coordinates. It is shared with the Go
-// frontend so a .do program and its Go-source twin see identical inputs.
+// bounds inferred from the subscripts over the iteration space (see
+// addRef), initialized deterministically from name and coordinates. It is
+// shared with the Go frontend so a .do program and its Go-source twin see
+// identical inputs.
 func DefaultSetup(n *loop.Nest) func(mem *sim.Mem) {
-	type bounds struct {
-		dims     int
-		min, max [2]int64
-	}
-	const huge = int64(1) << 62
-	all := make(map[string]*bounds)
-	corners := cornerVectors(n)
-	for _, s := range n.Stmts() {
-		for _, r := range append(append([]deps.Ref{}, s.Writes...), s.Reads...) {
-			b := all[r.Array]
-			if b == nil {
-				b = &bounds{dims: len(r.Index), min: [2]int64{huge, huge}, max: [2]int64{-huge, -huge}}
-				all[r.Array] = b
-			}
-			for d, sub := range r.Index {
-				for _, idx := range corners {
-					v := sub.Eval(idx)
-					if v < b.min[d] {
-						b.min[d] = v
-					}
-					if v > b.max[d] {
-						b.max[d] = v
-					}
-				}
-			}
-		}
-	}
+	boxes := addBoxes(nil, n.Indexes, n.Body)
 	return func(mem *sim.Mem) {
-		for name, b := range all {
+		for _, b := range boxes {
 			nameV := int64(0)
-			for _, ch := range name {
+			for _, ch := range b.array {
 				nameV = nameV*31 + int64(ch)
 			}
 			if b.dims == 1 {
-				a := mem.Array(name, b.min[0], b.max[0])
+				a := mem.Array(b.array, int64(b.min[0]), int64(b.max[0]))
 				for i := a.Lo; i <= a.Hi; i++ {
 					a.Set(i, nameV%1000+13*i)
 				}
 			} else {
-				g := mem.Grid(name, b.min[0], b.max[0], b.min[1], b.max[1])
+				g := mem.Grid(b.array, int64(b.min[0]), int64(b.max[0]), int64(b.min[1]), int64(b.max[1]))
 				for i := g.Lo1; i <= g.Hi1; i++ {
 					for j := g.Lo2; j <= g.Hi2; j++ {
 						g.Set(i, j, nameV%1000+13*i+7*j)
@@ -615,20 +590,74 @@ func DefaultSetup(n *loop.Nest) func(mem *sim.Mem) {
 	}
 }
 
-// cornerVectors returns the 2^depth corner index vectors of the space.
-func cornerVectors(n *loop.Nest) [][]int64 {
-	depth := n.Depth()
-	out := make([][]int64, 0, 1<<depth)
-	for mask := 0; mask < 1<<depth; mask++ {
-		idx := make([]int64, depth)
-		for k, ix := range n.Indexes {
-			if mask&(1<<k) != 0 {
-				idx[k] = ix.Hi
-			} else {
-				idx[k] = ix.Lo
-			}
-		}
-		out = append(out, idx)
+// Footprint returns the nest's iteration count and the total element count
+// of the arrays DefaultSetup declares for it. Both are computed in float64,
+// so no loop bound or subscript can overflow them; they are exact below
+// 2^53, far above any size a caller would run. Footprint does not
+// allocate: it sits on every request's build path.
+func Footprint(n *loop.Nest) (iterations, elements float64) {
+	iterations = 1
+	for _, ix := range n.Indexes {
+		iterations *= float64(ix.Hi) - float64(ix.Lo) + 1
 	}
-	return out
+	var buf [8]arrayBox
+	for _, b := range addBoxes(buf[:0], n.Indexes, n.Body) {
+		size := 1.0
+		for d := 0; d < b.dims; d++ {
+			size *= b.max[d] - b.min[d] + 1
+		}
+		elements += size
+	}
+	return iterations, elements
+}
+
+// arrayBox is the bounding box of one array's subscripts over the
+// iteration space. A one-dimensional array uses only min[0] and max[0].
+type arrayBox struct {
+	array    string
+	dims     int
+	min, max [2]float64
+}
+
+// addBoxes widens boxes by every reference of the statements in nodes.
+func addBoxes(boxes []arrayBox, ixs []loop.Index, nodes []loop.Node) []arrayBox {
+	for _, node := range nodes {
+		switch v := node.(type) {
+		case loop.StmtNode:
+			for _, refs := range [2][]deps.Ref{v.S.Writes, v.S.Reads} {
+				for _, r := range refs {
+					boxes = addRef(boxes, ixs, r)
+				}
+			}
+		case loop.IfNode:
+			boxes = addBoxes(boxes, ixs, v.Then)
+			boxes = addBoxes(boxes, ixs, v.Else)
+		}
+	}
+	return boxes
+}
+
+// addRef widens r's array box by r's subscripts. An affine subscript
+// reaches its extrema at the corners of the iteration space, so each term
+// adds the smaller or larger of its values at its index's two bounds.
+func addRef(boxes []arrayBox, ixs []loop.Index, r deps.Ref) []arrayBox {
+	k := 0
+	for k < len(boxes) && boxes[k].array != r.Array {
+		k++
+	}
+	if k == len(boxes) {
+		inf := math.Inf(1)
+		boxes = append(boxes, arrayBox{array: r.Array, dims: len(r.Index),
+			min: [2]float64{inf, inf}, max: [2]float64{-inf, -inf}})
+	}
+	b := &boxes[k]
+	for d, sub := range r.Index {
+		lo, hi := float64(sub.Const), float64(sub.Const)
+		for i, c := range sub.Coef {
+			a, z := float64(c)*float64(ixs[i].Lo), float64(c)*float64(ixs[i].Hi)
+			lo, hi = lo+math.Min(a, z), hi+math.Max(a, z)
+		}
+		b.min[d], b.max[d] = math.Min(b.min[d], lo), math.Max(b.max[d], hi)
+	}
+	return boxes
 }

@@ -8,6 +8,8 @@ import (
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
+	"github.com/csrd-repro/datasync/internal/expr"
+	"github.com/csrd-repro/datasync/internal/loop"
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
@@ -133,4 +135,71 @@ func FuzzParse(f *testing.F) {
 		mem := sim.NewMem()
 		w.Setup(mem)
 	})
+}
+
+// TestFootprintMatchesDefaultSetup: for every testdata program, Footprint
+// counts exactly the iterations of the nest and the elements of the arrays
+// DefaultSetup declares; bounds and subscripts past int64 range stay
+// finite and above them.
+func TestFootprintMatchesDefaultSetup(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.do")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		mem := sim.NewMem()
+		w.Setup(mem)
+		var want int64
+		seen := map[string]bool{}
+		for _, s := range w.Nest.Stmts() {
+			for _, r := range append(append([]deps.Ref{}, s.Writes...), s.Reads...) {
+				if seen[r.Array] {
+					continue
+				}
+				seen[r.Array] = true
+				if a := mem.Lookup(r.Array); a != nil {
+					want += a.Len()
+				} else {
+					want += mem.LookupGrid(r.Array).Len()
+				}
+			}
+		}
+		iters, elems := Footprint(w.Nest)
+		if iters != float64(w.Nest.Iterations()) || elems != float64(want) {
+			t.Errorf("%s: Footprint = %v iterations, %v elements; want %d, %d",
+				file, iters, elems, w.Nest.Iterations(), want)
+		}
+	}
+	// A descending subscript, a grid, and an array only the else arm
+	// touches: A[10-I] spans [1,9], G[I,2J] 9 x 7, B[I] [1,9].
+	down := deps.Ref{Array: "A", Index: []expr.Affine{{Coef: []int64{-1, 0}, Const: 10}}}
+	grid := deps.Ref{Array: "G", Index: []expr.Affine{expr.Index(2, 0, 0), {Coef: []int64{0, 2}}}}
+	elseOnly := deps.Ref{Array: "B", Index: []expr.Affine{expr.Index(2, 0, 0)}}
+	nest := loop.MustNew([]loop.Index{{Name: "I", Lo: 1, Hi: 9}, {Name: "J", Lo: 0, Hi: 3}}, []loop.Node{
+		loop.S(&deps.Stmt{Name: "S1", Writes: []deps.Ref{down}, Reads: []deps.Ref{grid}}),
+		loop.IfNode{Name: "C", Cond: func([]int64) bool { return true },
+			Else: []loop.Node{loop.S(&deps.Stmt{Name: "S2", Writes: []deps.Ref{elseOnly}})}},
+	})
+	mem := sim.NewMem()
+	DefaultSetup(nest)(mem)
+	want := mem.Lookup("A").Len() + mem.LookupGrid("G").Len() + mem.Lookup("B").Len()
+	if iters, elems := Footprint(nest); iters != 36 || elems != float64(want) || want != 9+9*7+9 {
+		t.Errorf("hand-built nest: Footprint = %v iterations, %v elements; want 36, %d (81)", iters, elems, want)
+	}
+
+	w, err := Parse("DO I = 1, 2\n  S1: A[9223372036854775807*I] = A[I]\nEND DO\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, elems := Footprint(w.Nest); !(elems > 1<<62) || elems > 1<<64 {
+		t.Errorf("an overflowing subscript counts %v elements, want about 2^63", elems)
+	}
 }

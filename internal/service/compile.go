@@ -100,7 +100,7 @@ func (o *CompileOutcome) Hard() bool {
 // requested scheme place synchronization, verify it statically (when the
 // scheme is in the static model), and measure a run. Scheme refusals are
 // per-scheme data, not errors; the returned error covers only an invalid
-// machine configuration.
+// machine configuration and a loop over maxWorkloadSize.
 func CompileSource(filename string, src []byte, specs []SchemeSpec, cfg ConfigSpec) (*CompileOutcome, error) {
 	simCfg := cfg.SimConfig()
 	if err := simCfg.Check(); err != nil {
@@ -112,6 +112,11 @@ func CompileSource(filename string, src []byte, specs []SchemeSpec, cfg ConfigSp
 		}
 	}
 	res := frontend.Lower(filename, src)
+	for _, lp := range res.Loops {
+		if err := checkSize(lp.Workload); err != nil {
+			return nil, fmt.Errorf("compile: loop at %s: %w", lp.Pos, err)
+		}
+	}
 	out := &CompileOutcome{Rejected: res.Rejected}
 	for _, lp := range res.Loops {
 		g := lp.Workload.Nest.Analyze()

@@ -124,6 +124,7 @@ func TestCompileBadInputs(t *testing.T) {
 		{"empty source", CompileRequest{}},
 		{"unknown scheme", CompileRequest{Source: compileSrc, Schemes: []SchemeSpec{{Name: "nope"}}}},
 		{"bad config", CompileRequest{Source: compileSrc, Config: ConfigSpec{P: -1}}},
+		{"loop over the size limit", CompileRequest{Source: "package p\n\nfunc f(a []int) {\n\tfor i := 1; i <= 1<<40; i++ {\n\t\ta[i] = a[i-1] + 1\n\t}\n}\n"}},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, "/compile", tc.req)

@@ -149,6 +149,15 @@ func TestBadRequests(t *testing.T) {
 		{"unparsable program", RunRequest{Workload: WorkloadSpec{Source: "DO I=1,N garbage"}, Scheme: SchemeSpec{Name: "ref"}}},
 		{"unknown field", map[string]any{"workload": map[string]any{"name": "fig21"}, "shceme": map[string]any{}}},
 		{"pipeline on depth-1", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "pipeline"}}},
+		// Sizes past the makeslice limit: a worker that tried to build
+		// them would panic at once rather than allocate.
+		{"fig21 iterations over the size limit", RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 1 << 60}, Scheme: SchemeSpec{Name: "process"}}},
+		{"stencil n squared over the size limit", RunRequest{Workload: WorkloadSpec{Name: "stencil", N: 1 << 32}, Scheme: SchemeSpec{Name: "process"}}},
+		{"iterations over the size limit, no arrays", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 70000\n  S1: T = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+		{".do loop bound over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 1125899906842624\n  S1: A[I] = A[I-1] + 1\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+		{".do subscript extent over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 2\n  S1: A[1125899906842624*I] = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+		{"runtime stall fault", map[string]any{"workload": map[string]any{"name": "fig21"}, "scheme": map[string]any{"name": "ref"},
+			"config": map[string]any{"fault": map[string]any{"stallIter": 1, "stallMillis": 5}}}},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, "/run", tc.body)
@@ -163,6 +172,10 @@ func TestBadRequests(t *testing.T) {
 		if strings.Contains(er.Error, "\n") {
 			t.Errorf("%s: error not one line: %q", tc.name, er.Error)
 		}
+	}
+	ok := RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 20}, Scheme: SchemeSpec{Name: "process"}}
+	if resp, out := post(t, ts, "/run", ok); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid run after the rejections: status %d (%s)", resp.StatusCode, out)
 	}
 }
 

@@ -39,8 +39,42 @@ func WorkloadNames() []string {
 	return []string{"fig21", "nested", "branchy", "recurrence", "stencil"}
 }
 
-// Build materializes the workload.
+// maxWorkloadSize bounds a workload's iteration count and the total element
+// count of its arrays. A run allocates and simulates in proportion to both,
+// so without a bound one request could make a pool worker allocate past the
+// heap. The sizes in use are far below it: the load generator draws n up to
+// 120 (stencil n up to 20, 400 iterations) and the largest .do program, in
+// examples/dslrun, has 4,000 iterations.
+const maxWorkloadSize = 1 << 16
+
+// checkSize rejects a workload over maxWorkloadSize. Every request path
+// that builds a workload passes through it: WorkloadSpec.Build for /run,
+// /verify and /sweep (and the cluster's Prepare), CompileSource for each
+// loop lowered from Go source.
+func checkSize(w *codegen.Workload) error {
+	iters, elems := lang.Footprint(w.Nest)
+	if iters > maxWorkloadSize {
+		return fmt.Errorf("workload: %.0f iterations exceed the limit of %d", iters, maxWorkloadSize)
+	}
+	if elems > maxWorkloadSize {
+		return fmt.Errorf("workload: arrays of %.0f elements exceed the limit of %d", elems, maxWorkloadSize)
+	}
+	return nil
+}
+
+// Build materializes the workload, rejecting one over maxWorkloadSize.
 func (s WorkloadSpec) Build() (*codegen.Workload, error) {
+	w, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSize(w); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+func (s WorkloadSpec) build() (*codegen.Workload, error) {
 	n, m, d, cost := s.N, s.M, s.D, s.Cost
 	if n <= 0 {
 		n = 40

@@ -371,7 +371,7 @@ type Machine struct {
 // New builds a machine with the given configuration.
 func New(cfg Config) *Machine {
 	m := &Machine{cfg: cfg.normalized(), mem: NewMem()}
-	if m.cfg.FaultPlan.SimEnabled() {
+	if m.cfg.FaultPlan.Enabled() {
 		m.inj = fault.NewInjector(m.cfg.FaultPlan)
 	}
 	return m
