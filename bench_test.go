@@ -229,11 +229,12 @@ func BenchmarkE9Barriers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := sim.New(benchCfg(p))
 				ops := v.ops(m)
+				phase := m.Text("phase")
 				progs := make([][]sim.Op, p)
 				for pid := 0; pid < p; pid++ {
 					var prog []sim.Op
 					for r := int64(1); r <= rounds; r++ {
-						prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), nil, 0, "phase"))
+						prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), 0, 0, phase))
 						prog = append(prog, ops(pid, r)...)
 					}
 					progs[pid] = prog

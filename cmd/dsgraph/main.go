@@ -103,7 +103,7 @@ func main() {
 		}
 		fmt.Printf("\n%s program for iteration %d (%d sync vars):\n", sch.Name(), *iter, foot.SyncVars)
 		for i, op := range prog(nil, *iter) {
-			fmt.Printf("%3d. %s\n", i+1, op.Tag.String())
+			fmt.Printf("%3d. %s\n", i+1, m.Render(op.Tag))
 		}
 	}
 }

@@ -41,21 +41,22 @@ func Log2(p int) int {
 // lives in one memory module, arrivals are RMWs and the departure spin is
 // polling traffic through the same module.
 type SimCounter struct {
+	m *sim.Machine // registers the ops' tags
 	v sim.VarID
 	p int
 }
 
 // NewSimCounter places the barrier counter in the given module.
 func NewSimCounter(m *sim.Machine, module int) *SimCounter {
-	return &SimCounter{v: m.NewMemVar("barrier:count", module, 0), p: m.Config().Processors}
+	return &SimCounter{m: m, v: m.NewMemVar("barrier:count", module, 0), p: m.Config().Processors}
 }
 
 // Ops returns one processor's ops for the round-th barrier episode
 // (rounds are 1-based): arrive, then poll until all P arrived.
 func (b *SimCounter) Ops(round int64) []sim.Op {
 	return []sim.Op{
-		sim.RMW(b.v, 1, fmt.Sprintf("barrier:arrive r%d", round)),
-		sim.WaitGE(b.v, round*int64(b.p), fmt.Sprintf("barrier:depart r%d", round)),
+		sim.RMW(b.v, 1, b.m.Text(fmt.Sprintf("barrier:arrive r%d", round))),
+		sim.WaitGE(b.v, round*int64(b.p), b.m.Text(fmt.Sprintf("barrier:depart r%d", round))),
 	}
 }
 
@@ -66,6 +67,7 @@ func (b *SimCounter) Vars() int { return 1 }
 // memory modules (spread round-robin, as on a machine without
 // synchronization registers) or in broadcast registers.
 type SimFlags struct {
+	m         *sim.Machine // registers the ops' tags
 	p, stages int
 	flags     [][]sim.VarID // [stage][pid]
 }
@@ -74,7 +76,7 @@ type SimFlags struct {
 func NewSimFlags(m *sim.Machine, res sim.Residence) *SimFlags {
 	p := m.Config().Processors
 	stages := Log2(p)
-	b := &SimFlags{p: p, stages: stages}
+	b := &SimFlags{m: m, p: p, stages: stages}
 	mods := m.Config().Modules
 	for s := 0; s < stages; s++ {
 		row := make([]sim.VarID, p)
@@ -98,8 +100,8 @@ func (b *SimFlags) Ops(pid int, round int64) []sim.Op {
 	for s := 0; s < b.stages; s++ {
 		partner := pid ^ (1 << s)
 		ops = append(ops,
-			sim.WriteVar(b.flags[s][pid], round, fmt.Sprintf("bfly:set p%d s%d r%d", pid, s, round)),
-			sim.WaitGE(b.flags[s][partner], round, fmt.Sprintf("bfly:wait p%d s%d r%d", pid, s, round)),
+			sim.WriteVar(b.flags[s][pid], round, b.m.Text(fmt.Sprintf("bfly:set p%d s%d r%d", pid, s, round))),
+			sim.WaitGE(b.flags[s][partner], round, b.m.Text(fmt.Sprintf("bfly:wait p%d s%d r%d", pid, s, round))),
 		)
 	}
 	return ops
@@ -112,6 +114,7 @@ func (b *SimFlags) Vars() int { return b.p * b.stages }
 // (a synchronization register; process == processor, so no folding and no
 // ownership transfer), set_PC(i) then spin on the stage-i partner's step.
 type SimPCBarrier struct {
+	m         *sim.Machine // registers the ops' tags
 	p, stages int
 	pcs       []sim.VarID
 }
@@ -119,7 +122,7 @@ type SimPCBarrier struct {
 // NewSimPCBarrier declares the P process counters.
 func NewSimPCBarrier(m *sim.Machine) *SimPCBarrier {
 	p := m.Config().Processors
-	b := &SimPCBarrier{p: p, stages: Log2(p), pcs: make([]sim.VarID, p)}
+	b := &SimPCBarrier{m: m, p: p, stages: Log2(p), pcs: make([]sim.VarID, p)}
 	for pid := 0; pid < p; pid++ {
 		b.pcs[pid] = m.NewRegVar(fmt.Sprintf("bfly:PC[%d]", pid), 0)
 	}
@@ -135,8 +138,8 @@ func (b *SimPCBarrier) Ops(pid int, round int64) []sim.Op {
 		step := base + int64(s) + 1
 		partner := pid ^ (1 << s)
 		ops = append(ops,
-			sim.WriteVar(b.pcs[pid], step, fmt.Sprintf("pcbfly:set p%d i%d", pid, step)),
-			sim.WaitGE(b.pcs[partner], step, fmt.Sprintf("pcbfly:wait p%d i%d", pid, step)),
+			sim.WriteVar(b.pcs[pid], step, b.m.Text(fmt.Sprintf("pcbfly:set p%d i%d", pid, step))),
+			sim.WaitGE(b.pcs[partner], step, b.m.Text(fmt.Sprintf("pcbfly:wait p%d i%d", pid, step))),
 		)
 	}
 	return ops

@@ -37,6 +37,7 @@ func simBarrierHolds(t *testing.T, p int, rounds int64, build func(m *sim.Machin
 	t.Helper()
 	m := sim.New(sim.Config{Processors: p, BusLatency: 1, MemLatency: 2, Modules: p, SyncOpCost: 1})
 	ops := build(m)
+	work := m.Text("work")
 	finished := make([]int64, p)
 	var violations int
 	progs := make([][]sim.Op, p)
@@ -48,14 +49,14 @@ func simBarrierHolds(t *testing.T, p int, rounds int64, build func(m *sim.Machin
 			// Skewed work before the barrier; the check runs when the
 			// processor begins the episode's work: all must have finished
 			// the previous round.
-			prog = append(prog, sim.Compute(int64(1+(pid*7+int(r)*3)%13), sim.EffectFunc(func(int64) {
+			prog = append(prog, sim.Compute(int64(1+(pid*7+int(r)*3)%13), m.AddEffect(sim.EffectFunc(func(int64) {
 				for q := 0; q < p; q++ {
 					if finished[q] < r-1 {
 						violations++
 					}
 				}
 				finished[pid] = r
-			}), 0, "work"))
+			})), 0, work))
 			prog = append(prog, ops(pid, r)...)
 		}
 		progs[pid] = prog

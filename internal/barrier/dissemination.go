@@ -31,6 +31,7 @@ func Stages(p int) int {
 // SimDissemination is the flag-matrix dissemination barrier on a simulated
 // machine, valid for any P.
 type SimDissemination struct {
+	m         *sim.Machine // registers the ops' tags
 	p, stages int
 	flags     [][]sim.VarID // [stage][pid]: value = round signaled
 }
@@ -38,7 +39,7 @@ type SimDissemination struct {
 // NewSimDissemination declares the flag matrix with the given residence.
 func NewSimDissemination(m *sim.Machine, res sim.Residence) *SimDissemination {
 	p := m.Config().Processors
-	b := &SimDissemination{p: p, stages: Stages(p)}
+	b := &SimDissemination{m: m, p: p, stages: Stages(p)}
 	mods := m.Config().Modules
 	for s := 0; s < b.stages; s++ {
 		row := make([]sim.VarID, p)
@@ -62,8 +63,8 @@ func (b *SimDissemination) Ops(pid int, round int64) []sim.Op {
 		to := (pid + (1 << s)) % b.p
 		from := (pid - (1<<s)%b.p + b.p) % b.p
 		ops = append(ops,
-			sim.WriteVar(b.flags[s][to], round, fmt.Sprintf("diss:signal p%d->p%d s%d r%d", pid, to, s, round)),
-			sim.WaitGE(b.flags[s][pid], round, fmt.Sprintf("diss:wait p%d<-p%d s%d r%d", pid, from, s, round)),
+			sim.WriteVar(b.flags[s][to], round, b.m.Text(fmt.Sprintf("diss:signal p%d->p%d s%d r%d", pid, to, s, round))),
+			sim.WaitGE(b.flags[s][pid], round, b.m.Text(fmt.Sprintf("diss:wait p%d<-p%d s%d r%d", pid, from, s, round))),
 		)
 	}
 	return ops
@@ -77,6 +78,7 @@ func (b *SimDissemination) Vars() int { return b.p * b.stages }
 // PC-style variable economy of Fig 5.4 applied to the dissemination
 // pattern: P variables for any P.
 type SimPCDissemination struct {
+	m         *sim.Machine // registers the ops' tags
 	p, stages int
 	pcs       []sim.VarID
 }
@@ -84,7 +86,7 @@ type SimPCDissemination struct {
 // NewSimPCDissemination declares the P process counters.
 func NewSimPCDissemination(m *sim.Machine) *SimPCDissemination {
 	p := m.Config().Processors
-	b := &SimPCDissemination{p: p, stages: Stages(p), pcs: make([]sim.VarID, p)}
+	b := &SimPCDissemination{m: m, p: p, stages: Stages(p), pcs: make([]sim.VarID, p)}
 	for pid := 0; pid < p; pid++ {
 		b.pcs[pid] = m.NewRegVar(fmt.Sprintf("diss:PC[%d]", pid), 0)
 	}
@@ -101,8 +103,8 @@ func (b *SimPCDissemination) Ops(pid int, round int64) []sim.Op {
 		step := base + int64(s) + 1
 		from := (pid - (1<<s)%b.p + b.p) % b.p
 		ops = append(ops,
-			sim.WriteVar(b.pcs[pid], step, fmt.Sprintf("dissPC:set p%d i%d", pid, step)),
-			sim.WaitGE(b.pcs[from], step, fmt.Sprintf("dissPC:wait p%d<-p%d i%d", pid, from, step)),
+			sim.WriteVar(b.pcs[pid], step, b.m.Text(fmt.Sprintf("dissPC:set p%d i%d", pid, step))),
+			sim.WaitGE(b.pcs[from], step, b.m.Text(fmt.Sprintf("dissPC:wait p%d<-p%d i%d", pid, from, step))),
 		)
 	}
 	return ops

@@ -481,27 +481,37 @@ func (e *inPlace) apply(f *frame, iter int64, locals []int64) {
 }
 
 // stmtRun is one run's binding of the workload's statements: an effect per
-// statement position over the run's memory and frame, plus what the run's
-// compute ops depend on. A statement without semantics has no effect (nil),
-// unless the machine records a sync trace: then it gets one that does
-// nothing but list its accesses, so its reads of shared data are traced.
+// statement position over the run's memory and frame, registered on the
+// machine, plus what the run's compute ops depend on. A statement without
+// semantics has no effect (0), unless the machine records a sync trace:
+// then it gets one that does nothing but list its accesses, so its reads
+// of shared data are traced.
 type stmtRun struct {
 	w    *Workload
 	info *stmtInfo
-	effs []sim.Effect
+	effs []sim.EffID
+	// names is the first statement's name in the machine's name table;
+	// the name of the statement at position pos is names+pos.
+	names sim.StrID
 	// progIdx is the program builder's own index buffer: effects decode
 	// into the frame's, and a program may be called between two effects.
 	progIdx []int64
 	lat     int64
 }
 
-// newStmtRun returns a run binding with no effects yet, for a machine with
-// the given data latency.
-func (w *Workload) newStmtRun(lat int64) *stmtRun {
+// newStmtRun returns a run binding with no effects yet for a run on m, the
+// statement names registered.
+func (w *Workload) newStmtRun(m *sim.Machine) *stmtRun {
 	si := w.stmtTable()
-	return &stmtRun{w: w, info: si, effs: make([]sim.Effect, len(si.list)),
-		progIdx: make([]int64, w.Nest.Depth()), lat: lat}
+	return &stmtRun{w: w, info: si, effs: make([]sim.EffID, len(si.list)),
+		names:   m.AddNames(len(si.list), stmtNames(si.list)),
+		progIdx: make([]int64, w.Nest.Depth()), lat: m.Config().DataLatency}
 }
+
+// stmtNames names statement position pos by the statement's name.
+type stmtNames []*deps.Stmt
+
+func (s stmtNames) Name(pos int) string { return s[pos].Name }
 
 // semOf returns statement s's semantics, nil for a statement that writes
 // nothing and has none.
@@ -513,14 +523,14 @@ func (w *Workload) semOf(s *deps.Stmt) Sem {
 	return sem
 }
 
-// bindStmts binds every statement to mem in place, for a run whose machine
-// has the given data latency and sync-trace setting.
-func (w *Workload) bindStmts(mem *sim.Mem, lat int64, tracing bool) *stmtRun {
-	r := w.newStmtRun(lat)
-	ips := w.bindInPlace(mem, w.newFrame(w.Nest.Iterations()))
+// bindMachine binds every statement for a run on m: in place against its
+// memory, under its data latency and sync-trace setting.
+func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
+	r := w.newStmtRun(m)
+	ips := w.bindInPlace(m.Mem(), w.newFrame(w.Nest.Iterations()))
 	for pos := range ips {
-		if ips[pos].sem != nil || tracing {
-			r.effs[pos] = &ips[pos]
+		if ips[pos].sem != nil || m.SyncTracing() {
+			r.effs[pos] = m.AddEffect(&ips[pos])
 		}
 	}
 	return r
@@ -555,12 +565,6 @@ func (w *Workload) bindInPlace(mem *sim.Mem, f *frame) []inPlace {
 	return effs
 }
 
-// bindMachine binds the statements for a run on m: in place against its
-// memory, under its data latency and sync-trace setting.
-func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
-	return w.bindStmts(m.Mem(), m.Config().DataLatency, m.SyncTracing())
-}
-
 // appendStmt appends the op(s) for one execution of the statement at
 // position pos in iteration iter (index vector idx): the compute itself
 // and, when the machine models a data-write latency and the statement
@@ -572,14 +576,17 @@ func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
 // equivalence. It fills the ops in place in the caller's program slice,
 // which the machine recycles from iteration to iteration.
 func (r *stmtRun) appendStmt(ops []sim.Op, pos int, iter int64, idx []int64) []sim.Op {
-	s, eff := r.info.list[pos], r.effs[pos]
+	s, eff, name := r.info.list[pos], r.effs[pos], r.names+sim.StrID(pos)
 	cost := r.w.cost(s, idx)
 	if r.lat <= 0 || len(s.Writes) == 0 {
-		return sim.AppendCompute(ops, cost, eff, iter, sim.Text(s.Name))
+		return sim.AppendCompute(ops, cost, eff, iter, sim.Text(name))
 	}
-	ops = sim.AppendCompute(ops, cost, nil, 0, sim.Text(s.Name))
-	return sim.AppendCompute(ops, r.lat, eff, iter, sim.TagSf("%s:commit", s.Name))
+	ops = sim.AppendCompute(ops, cost, 0, 0, sim.Text(name))
+	return sim.AppendCompute(ops, r.lat, eff, iter, sim.TagSf(tagCommit, name))
 }
+
+// tagCommit tags a statement's commit phase.
+var tagCommit = sim.RegisterFormat("%s:commit")
 
 // stmtTouches lists the concrete shared-memory elements one execution of
 // the statement accesses at the given iteration.

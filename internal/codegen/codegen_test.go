@@ -63,7 +63,7 @@ func TestFig42bProgramShape(t *testing.T) {
 	}
 	var tags []string
 	for _, op := range prog(nil, 10) {
-		tags = append(tags, op.Tag.String())
+		tags = append(tags, m.Render(op.Tag))
 	}
 	got := strings.Join(tags, "; ")
 	want := []string{
@@ -91,7 +91,7 @@ func TestFig42bImprovedProgramShape(t *testing.T) {
 	}
 	var tags []string
 	for _, op := range prog(nil, 10) {
-		tags = append(tags, op.Tag.String())
+		tags = append(tags, m.Render(op.Tag))
 	}
 	got := strings.Join(tags, "; ")
 	want := "S1; mark_PC(1) i=10; wait_PC(2,1) i=10; S2; mark_PC(2) i=10; " +
@@ -113,8 +113,8 @@ func TestBoundaryIterationSkipsWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range prog(nil, 1) {
-		if strings.HasPrefix(op.Tag.String(), "wait_PC(") {
-			t.Errorf("iteration 1 contains %s", op.Tag.String())
+		if strings.HasPrefix(m.Render(op.Tag), "wait_PC(") {
+			t.Errorf("iteration 1 contains %s", m.Render(op.Tag))
 		}
 	}
 }
@@ -155,14 +155,14 @@ func TestBranchyCoveringMarks(t *testing.T) {
 	}
 	// Odd iteration: Then (S2, step 2) runs; Else (S3, step 3) skipped:
 	// mark(2) from S2, then covering mark(3).
-	oddTags := tags(prog(nil, 11))
+	oddTags := tags(m, prog(nil, 11))
 	if !containsInOrder(oddTags, "S2", "mark_PC(2) i=11", "mark_PC(3) i=11", "S4") {
 		t.Errorf("odd iteration misses covering mark: %v", oddTags)
 	}
 	// Even iteration: Else (S3) runs; Then (S2, step 2) skipped: covering
 	// mark(2) is published early, before S3 executes (the paper's "added
 	// as the first statement in branch B").
-	evenTags := tags(prog(nil, 12))
+	evenTags := tags(m, prog(nil, 12))
 	if !containsInOrder(evenTags, "mark_PC(2) i=12", "S3", "mark_PC(3) i=12", "S4") {
 		t.Errorf("even iteration misses early covering mark: %v", evenTags)
 	}
@@ -174,10 +174,10 @@ func TestBranchyCoveringMarks(t *testing.T) {
 	}
 }
 
-func tags(ops []sim.Op) []string {
+func tags(m *sim.Machine, ops []sim.Op) []string {
 	out := make([]string, len(ops))
 	for i, op := range ops {
-		out[i] = op.Tag.String()
+		out[i] = m.Render(op.Tag)
 	}
 	return out
 }
@@ -391,13 +391,13 @@ func TestEarlySignalDetected(t *testing.T) {
 	var got int64 = -1
 	_, err := m.RunProcesses([][]sim.Op{
 		{
-			sim.Compute(10, nil, 0, "S1"),
-			sim.WriteVar(pc, 1, "signal-too-early"), // before the commit!
-			sim.Compute(5, sim.EffectFunc(func(int64) { arr.Set(0, 42) }), 0, "S1:commit"),
+			sim.Compute(10, 0, 0, m.Text("S1")),
+			sim.WriteVar(pc, 1, m.Text("signal-too-early")), // before the commit!
+			sim.Compute(5, m.AddEffect(sim.EffectFunc(func(int64) { arr.Set(0, 42) })), 0, m.Text("S1:commit")),
 		},
 		{
-			sim.WaitGE(pc, 1, "wait"),
-			sim.Compute(1, sim.EffectFunc(func(int64) { got = arr.Get(0) }), 0, "S2"),
+			sim.WaitGE(pc, 1, m.Text("wait")),
+			sim.Compute(1, m.AddEffect(sim.EffectFunc(func(int64) { got = arr.Get(0) })), 0, m.Text("S2")),
 		},
 	})
 	if err != nil {

@@ -96,3 +96,29 @@ func BenchmarkColdMiss(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRunGoroutines reports the time, allocations and bytes of one
+// run of a scheme's emitted program on goroutines (ns/op, allocs/op, B/op)
+// over the run-cold request mix: codegen.RunGoroutines instruments the
+// Workload, runs its iterations on P workers and checks the memory against
+// serial execution. Workloads are warmed by an earlier run, so the op is
+// the executor and the check, not the run invariants.
+func BenchmarkRunGoroutines(b *testing.B) {
+	mix := coldMissMix(256)
+	ws := make([]*codegen.Workload, len(mix))
+	run := func(b *testing.B, i int) {
+		m := mix[i%len(mix)]
+		if _, err := codegen.RunGoroutines(ws[i%len(mix)], m.mk(), m.p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, m := range mix {
+		ws[i] = m.build()
+		run(b, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(b, i)
+	}
+}

@@ -75,7 +75,7 @@ func RunGoroutines(w *Workload, sch Scheme, procs int) (*sim.Mem, error) {
 
 // goroutineRun is one RunGoroutines execution, shared by its workers.
 type goroutineRun struct {
-	m       *sim.Machine // names the variables in a stall report
+	m       *sim.Machine // holds the effects and names the ops refer to
 	prog    sim.Program
 	iters   int64
 	vars    []atomic.Int64 // by sim.VarID
@@ -120,7 +120,7 @@ func (g *goroutineRun) work() error {
 func (g *goroutineRun) exec(op *sim.Op, iter int64, fr *workerFrame) error {
 	switch op.Kind {
 	case sim.OpCompute:
-		switch e := op.Eff.(type) {
+		switch e := g.m.Effect(op.Eff).(type) {
 		case nil:
 		case *inPlace:
 			f := fr.of(e.f)
@@ -128,7 +128,7 @@ func (g *goroutineRun) exec(op *sim.Op, iter int64, fr *workerFrame) error {
 		case *renamed:
 			e.applyIn(fr.of(e.f), op.Arg)
 		default:
-			return fmt.Errorf("iteration %d: %s: effect %T cannot run on goroutines", iter, op.Tag, op.Eff)
+			return fmt.Errorf("iteration %d: %s: effect %T cannot run on goroutines", iter, g.m.Render(op.Tag), e)
 		}
 	case sim.OpWrite:
 		g.vars[op.Var].Store(op.Value)
@@ -146,7 +146,7 @@ func (g *goroutineRun) exec(op *sim.Op, iter int64, fr *workerFrame) error {
 			}
 			if err := b.Pause(); err != nil {
 				return fmt.Errorf("iteration %d stuck at %s (%s = %d, waits for >= %d): %w",
-					iter, op.Tag, g.m.VarName(op.Var), v.Load(), op.Value, err)
+					iter, g.m.Render(op.Tag), g.m.VarName(op.Var), v.Load(), op.Value, err)
 			}
 		}
 	}

@@ -215,10 +215,11 @@ func (s without) Instrument(m *sim.Machine, w *codegen.Workload) (sim.Program, c
 	}
 	hold := m.NewRegVar("hold", 0)
 	last := w.Nest.Iterations()
+	holdTag, releaseTag := m.Text("hold"), m.Text("release")
 	var buf []sim.Op
 	return func(dst []sim.Op, iter int64) []sim.Op {
 		if s.kind == sim.OpWait && iter == 1 {
-			dst = append(dst, sim.WaitGE(hold, 1, "hold"))
+			dst = append(dst, sim.WaitGE(hold, 1, holdTag))
 		}
 		buf = prog(buf[:0], iter)
 		for _, op := range buf {
@@ -227,7 +228,7 @@ func (s without) Instrument(m *sim.Machine, w *codegen.Workload) (sim.Program, c
 			}
 		}
 		if s.kind == sim.OpWait && iter == last {
-			dst = append(dst, sim.WriteVar(hold, 1, "release"))
+			dst = append(dst, sim.WriteVar(hold, 1, releaseTag))
 		}
 		return dst
 	}, foot, nil

@@ -497,7 +497,7 @@ func (e *renamed) Touches(iter int64) []sim.MemAccess {
 // m; statements without semantics get no effect unless m records a sync
 // trace.
 func (w *Workload) bindRenamed(m *sim.Machine, plan *dataorient.Plan, vs *dataorient.VersionStore) *stmtRun {
-	r := w.newStmtRun(m.Config().DataLatency)
+	r := w.newStmtRun(m)
 	f := w.newFrame(w.Nest.Iterations())
 	effs := make([]renamed, len(r.info.list))
 	for pos, s := range r.info.list {
@@ -506,7 +506,7 @@ func (w *Workload) bindRenamed(m *sim.Machine, plan *dataorient.Plan, vs *dataor
 			continue
 		}
 		effs[pos] = renamed{f: f, sem: sem, plan: plan, vs: vs, pos: pos, nw: len(s.Writes)}
-		r.effs[pos] = &effs[pos]
+		r.effs[pos] = m.AddEffect(&effs[pos])
 	}
 	return r
 }

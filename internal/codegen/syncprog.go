@@ -113,21 +113,22 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 		stmtPos[s.Name] = i
 	}
 	sp.At = func(iter int64) []SyncOp {
-		return translateOps(prog(nil, iter), stmtPos)
+		return translateOps(m, prog(nil, iter), stmtPos)
 	}
 	return sp, nil
 }
 
 // translateOps maps one iteration's simulator ops onto abstract steps. The
 // execution point of a statement is its last compute op carrying the
-// statement's tag (the commit op under a data-write latency).
-func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
+// statement's tag (the commit op under a data-write latency). Tags render
+// through m, the machine the ops were built for.
+func translateOps(m *sim.Machine, ops []sim.Op, stmtPos map[string]int) []SyncOp {
 	last := make(map[string]int) // stmt name -> index of its execution op
 	for i, op := range ops {
 		if op.Kind != sim.OpCompute {
 			continue
 		}
-		name := strings.TrimSuffix(op.Tag.String(), ":commit")
+		name := strings.TrimSuffix(m.Render(op.Tag), ":commit")
 		if _, ok := stmtPos[name]; ok {
 			last[name] = i
 		}
@@ -136,22 +137,22 @@ func translateOps(ops []sim.Op, stmtPos map[string]int) []SyncOp {
 	for i, op := range ops {
 		switch op.Kind {
 		case sim.OpCompute:
-			name := strings.TrimSuffix(op.Tag.String(), ":commit")
+			name := strings.TrimSuffix(m.Render(op.Tag), ":commit")
 			if pos, ok := stmtPos[name]; ok && last[name] == i {
 				out = append(out, SyncOp{Kind: SyncStmt, Stmt: pos, Tag: name})
 			}
 		case sim.OpWait:
-			out = append(out, SyncOp{Kind: SyncWait, Var: int(op.Var), Value: op.Value, Tag: op.Tag.String()})
+			out = append(out, SyncOp{Kind: SyncWait, Var: int(op.Var), Value: op.Value, Tag: m.Render(op.Tag)})
 		case sim.OpWrite:
-			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: op.Tag.String()})
+			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: m.Render(op.Tag)})
 		case sim.OpWriteIf:
 			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value,
-				Conditional: true, Guard: op.CondGE, HasGuard: true, Tag: op.Tag.String()})
+				Conditional: true, Guard: op.CondGE, HasGuard: true, Tag: m.Render(op.Tag)})
 		case sim.OpRMW:
 			if op.HasPost {
-				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: op.Tag.String()})
+				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: m.Render(op.Tag)})
 			} else {
-				out = append(out, SyncOp{Kind: SyncOpaque, Var: int(op.Var), Tag: op.Tag.String()})
+				out = append(out, SyncOp{Kind: SyncOpaque, Var: int(op.Var), Tag: m.Render(op.Tag)})
 			}
 		}
 	}

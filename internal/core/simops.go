@@ -6,6 +6,18 @@ import "github.com/csrd-repro/datasync/internal/sim"
 // sim.Labels rendered only when a trace asks. The rendered text must not
 // drift: it feeds the sync traces the engine oracle digests.
 
+// The primitives' tag formats.
+var (
+	tagGetPC           = sim.RegisterFormat("get_PC i=%d")
+	tagSetPC           = sim.RegisterFormat("set_PC(%d) i=%d")
+	tagReleasePC       = sim.RegisterFormat("release_PC i=%d")
+	tagWaitPCNoop      = sim.RegisterFormat("wait_PC(%d,%d) i=%d noop")
+	tagWaitPC          = sim.RegisterFormat("wait_PC(%d,%d) i=%d")
+	tagMarkPC          = sim.RegisterFormat("mark_PC(%d) i=%d")
+	tagTransferOwn     = sim.RegisterFormat("transfer_PC:own i=%d")
+	tagTransferRelease = sim.RegisterFormat("transfer_PC:release i=%d")
+)
+
 // SimPCs binds a folded set of X process counters to synchronization
 // registers of a simulated machine and builds the paper's primitives as
 // simulator ops.
@@ -43,18 +55,18 @@ func (s *SimPCs) slot(iter int64) sim.VarID { return s.base + sim.VarID(Fold(ite
 // GetPC appends the basic get_PC(): busy-wait for ownership of the proper
 // PC, i.e. wait_PC(0, 0).
 func (s *SimPCs) GetPC(dst []sim.Op, iter int64) []sim.Op {
-	return sim.AppendWaitGE(dst, s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf("get_PC i=%d", iter))
+	return sim.AppendWaitGE(dst, s.slot(iter), PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf(tagGetPC, iter))
 }
 
 // SetPC appends the basic set_PC(step): update the owned PC's step after
 // completing a source statement.
 func (s *SimPCs) SetPC(dst []sim.Op, iter, step int64) []sim.Op {
-	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter, Step: step}.Pack(), sim.Tagf("set_PC(%d) i=%d", step, iter))
+	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter, Step: step}.Pack(), sim.Tagf(tagSetPC, step, iter))
 }
 
 // ReleasePC appends the basic release_PC(): pass the PC to process iter+X.
 func (s *SimPCs) ReleasePC(dst []sim.Op, iter int64) []sim.Op {
-	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf("release_PC i=%d", iter))
+	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf(tagReleasePC, iter))
 }
 
 // WaitPC appends wait_PC(dist, step): spin until the source process
@@ -66,9 +78,9 @@ func (s *SimPCs) ReleasePC(dst []sim.Op, iter int64) []sim.Op {
 func (s *SimPCs) WaitPC(dst []sim.Op, iter, dist, step int64) []sim.Op {
 	src := iter - dist
 	if src < 1 {
-		return sim.AppendCompute(dst, 0, nil, 0, sim.Tagf("wait_PC(%d,%d) i=%d noop", dist, step, iter))
+		return sim.AppendCompute(dst, 0, 0, 0, sim.Tagf(tagWaitPCNoop, dist, step, iter))
 	}
-	return sim.AppendWaitGE(dst, s.slot(src), PC{Owner: src, Step: step}.Pack(), false, sim.Tagf("wait_PC(%d,%d) i=%d", dist, step, iter))
+	return sim.AppendWaitGE(dst, s.slot(src), PC{Owner: src, Step: step}.Pack(), false, sim.Tagf(tagWaitPC, dist, step, iter))
 }
 
 // MarkPC appends the improved mark_PC(step) of Fig 4.3: update the step
@@ -78,7 +90,7 @@ func (s *SimPCs) WaitPC(dst []sim.Op, iter, dist, step int64) []sim.Op {
 func (s *SimPCs) MarkPC(dst []sim.Op, iter, step int64) []sim.Op {
 	want := PC{Owner: iter, Step: step}.Pack()
 	owned := PC{Owner: iter, Step: 0}.Pack()
-	return sim.AppendWriteVarIfGE(dst, s.slot(iter), want, owned, true, sim.Tagf("mark_PC(%d) i=%d", step, iter))
+	return sim.AppendWriteVarIfGE(dst, s.slot(iter), want, owned, true, sim.Tagf(tagMarkPC, step, iter))
 }
 
 // TransferPCOps appends transfer_PC() to dst: acquire ownership if not yet
@@ -86,6 +98,6 @@ func (s *SimPCs) MarkPC(dst []sim.Op, iter, step int64) []sim.Op {
 // release write.
 func (s *SimPCs) TransferPCOps(dst []sim.Op, iter int64) []sim.Op {
 	v := s.slot(iter)
-	dst = sim.AppendWaitGE(dst, v, PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf("transfer_PC:own i=%d", iter))
-	return sim.AppendWriteVar(dst, v, PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf("transfer_PC:release i=%d", iter))
+	dst = sim.AppendWaitGE(dst, v, PC{Owner: iter, Step: 0}.Pack(), true, sim.Tagf(tagTransferOwn, iter))
+	return sim.AppendWriteVar(dst, v, PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf(tagTransferRelease, iter))
 }

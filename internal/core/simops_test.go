@@ -15,10 +15,10 @@ func TestSimPCsBasicProtocol(t *testing.T) {
 	}
 	// Process 1 on proc 0: get, set(1), release. Process 3 on proc 1:
 	// waits for process 1's step 1, then gets ownership after release.
-	p1 := append(pcs.GetPC(nil, 1), sim.Compute(5, nil, 0, "S1@1"))
+	p1 := append(pcs.GetPC(nil, 1), sim.Compute(5, 0, 0, m.Text("S1@1")))
 	p1 = pcs.ReleasePC(pcs.SetPC(p1, 1, 1), 1)
 	p3 := pcs.GetPC(pcs.WaitPC(nil, 3, 2, 1), 3) // wait_PC(2,1): process 1 at step 1
-	p3 = append(p3, sim.Compute(1, nil, 0, "S1@3"))
+	p3 = append(p3, sim.Compute(1, 0, 0, m.Text("S1@3")))
 	p3 = pcs.ReleasePC(pcs.SetPC(p3, 3, 1), 3)
 	progs := [][]sim.Op{p1, p3}
 	if _, err := m.RunProcesses(progs); err != nil {
@@ -40,7 +40,7 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	// Process 2's early mark (issued before ownership arrives) is skipped
 	// without waiting; its transfer then blocks until process 1 releases.
 	progs := [][]sim.Op{
-		pcs.TransferPCOps(pcs.MarkPC([]sim.Op{sim.Compute(10, nil, 0, "slow")}, 1, 1), 1),
+		pcs.TransferPCOps(pcs.MarkPC([]sim.Op{sim.Compute(10, 0, 0, m.Text("slow"))}, 1, 1), 1),
 		pcs.TransferPCOps(pcs.MarkPC(nil, 2, 1), 2), // mark not owned yet at cycle 0: skipped
 	}
 	stats, err := m.RunProcesses(progs)

@@ -22,7 +22,7 @@ func PlanDigest(p *Plan) string {
 	}
 	fmt.Fprintf(h, "elems %d\n", len(p.Order))
 	for i, e := range p.Order {
-		fmt.Fprintf(h, "%d %s %d %v %q %q final=%d:", i, e.Array, e.Dims, e.C, e, keyNames{p}.VarName(i), p.FinalKey(i))
+		fmt.Fprintf(h, "%d %s %d %v %q %q final=%d:", i, e.Array, e.Dims, e.C, e, keyNames{p}.Name(i), p.FinalKey(i))
 		for _, a := range planSeq(p, i) {
 			access(a)
 		}
@@ -44,7 +44,7 @@ func PlanDigest(p *Plan) string {
 		fmt.Fprintf(h, "bitWrite e%d ep%d b%d\n", w.ElemIdx, w.Epoch, w.Bit)
 	}
 	for b := 0; b < int(p.foot.Bits); b++ {
-		fmt.Fprintf(h, "bit %d %s\n", b, bitNames{p}.VarName(b))
+		fmt.Fprintf(h, "bit %d %s\n", b, bitNames{p}.Name(b))
 	}
 	fmt.Fprintf(h, "foot %+v\n", p.Footprint())
 	return fmt.Sprintf("%x", h.Sum(nil))

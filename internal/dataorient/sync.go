@@ -14,19 +14,35 @@ import (
 // poll until key >= ticket, access, increment. The keys are one block of
 // variables in the plan's element order, so element i's key is base+i.
 type SimKeys struct {
-	plan *Plan
-	base sim.VarID
+	plan  *Plan
+	base  sim.VarID
+	elems sim.StrID // element i's name in labels
 }
 
 // NewSimKeys declares the plan's keys on the machine.
 func NewSimKeys(m *sim.Machine, p *Plan) *SimKeys {
-	return &SimKeys{plan: p, base: m.NewMemVars(len(p.Order), keyNames{p})}
+	return &SimKeys{plan: p, base: m.NewMemVars(len(p.Order), keyNames{p}),
+		elems: m.AddNames(len(p.Order), elemNames{p})}
 }
+
+// The data-oriented ops' tag formats.
+var (
+	tagKeyWait  = sim.RegisterFormat("key:wait %s>=%d")
+	tagKeyInc   = sim.RegisterFormat("key:inc %s")
+	tagFill     = sim.RegisterFormat("fe:fill %s.v%d.c%d")
+	tagInitData = sim.RegisterFormat("fe:init-data")
+	tagConsume  = sim.RegisterFormat("fe:consume %s.v%d.c%d")
+)
+
+// elemNames names element i "A[i]".
+type elemNames struct{ p *Plan }
+
+func (n elemNames) Name(i int) string { return n.p.name(i) }
 
 // keyNames names element i's key "key:A[i]".
 type keyNames struct{ p *Plan }
 
-func (n keyNames) VarName(i int) string { return "key:" + n.p.name(i) }
+func (n keyNames) Name(i int) string { return "key:" + n.p.name(i) }
 
 // Keys returns the number of keys declared.
 func (k *SimKeys) Keys() int { return len(k.plan.Order) }
@@ -44,7 +60,7 @@ func (k *SimKeys) WaitOps(dst []sim.Op, a *Access) []sim.Op {
 // consecutive in the element's serial order, so the later tickets differ
 // only by the statement's own increments).
 func (k *SimKeys) WaitTicketOps(dst []sim.Op, ei int, ticket int64) []sim.Op {
-	return sim.AppendWaitGE(dst, k.base+sim.VarID(ei), ticket, false, sim.TagSf("key:wait %s>=%d", k.plan.name(ei), ticket))
+	return sim.AppendWaitGE(dst, k.base+sim.VarID(ei), ticket, false, sim.TagSf(tagKeyWait, k.elems+sim.StrID(ei), ticket))
 }
 
 // IncOps appends the increment of the element's key after the access
@@ -52,7 +68,7 @@ func (k *SimKeys) WaitTicketOps(dst []sim.Op, ei int, ticket int64) []sim.Op {
 // so the post-increment value is statically a.Ticket+1 — stamped for the
 // static verifier.
 func (k *SimKeys) IncOps(dst []sim.Op, a *Access) []sim.Op {
-	return sim.AppendRMWPost(dst, k.base+sim.VarID(a.ElemIdx), 1, a.Ticket+1, sim.TagSf("key:inc %s", k.plan.name(a.ElemIdx)))
+	return sim.AppendRMWPost(dst, k.base+sim.VarID(a.ElemIdx), 1, a.Ticket+1, sim.TagSf(tagKeyInc, k.elems+sim.StrID(a.ElemIdx)))
 }
 
 // SimBits places the instance-based full/empty bits: one per consumable
@@ -60,22 +76,24 @@ func (k *SimKeys) IncOps(dst []sim.Op, a *Access) []sim.Op {
 // order (Access.Bit), so bit b is base+b. Reads of initial data (epoch 0)
 // have no bit and need no synchronization.
 type SimBits struct {
-	plan *Plan
-	base sim.VarID
+	plan  *Plan
+	base  sim.VarID
+	elems sim.StrID // element i's name in labels
 }
 
 // NewSimBits declares the plan's full/empty bits on the machine.
 func NewSimBits(m *sim.Machine, p *Plan) *SimBits {
-	return &SimBits{plan: p, base: m.NewMemVars(int(p.foot.Bits), bitNames{p})}
+	return &SimBits{plan: p, base: m.NewMemVars(int(p.foot.Bits), bitNames{p}),
+		elems: m.AddNames(len(p.Order), elemNames{p})}
 }
 
 // bitNames names bit b "fe:A[i].v<version>.c<copy>".
 type bitNames struct{ p *Plan }
 
-func (n bitNames) VarName(b int) string {
+func (n bitNames) Name(b int) string {
 	ws := n.p.bitWrites
 	w := ws[sort.Search(len(ws), func(i int) bool { return ws[i].Bit > b })-1]
-	return sim.TagSf("fe:%s.v%d.c%d", n.p.name(w.ElemIdx), w.Epoch+1, int64(b-w.Bit)).String()
+	return fmt.Sprintf("fe:%s.v%d.c%d", n.p.name(w.ElemIdx), w.Epoch+1, b-w.Bit)
 }
 
 // Bits returns the number of full/empty bits declared.
@@ -91,7 +109,7 @@ func (b *SimBits) FillOps(dst []sim.Op, a *Access) []sim.Op {
 	copies := max(a.Readers, 1)
 	for c := 0; c < copies; c++ {
 		dst = sim.AppendWriteVar(dst, b.base+sim.VarID(a.Bit+c), 1,
-			sim.TagSf("fe:fill %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch+1, int64(c)))
+			sim.TagSf(tagFill, b.elems+sim.StrID(a.ElemIdx), a.Epoch+1, int64(c)))
 	}
 	return dst
 }
@@ -103,10 +121,10 @@ func (b *SimBits) ConsumeOps(dst []sim.Op, a *Access) []sim.Op {
 		panic("dataorient: ConsumeOps on a write access")
 	}
 	if a.Epoch == 0 {
-		return sim.AppendCompute(dst, 0, nil, 0, sim.Text("fe:init-data"))
+		return sim.AppendCompute(dst, 0, 0, 0, sim.Tagf(tagInitData))
 	}
 	return sim.AppendWaitGE(dst, b.base+sim.VarID(a.Bit), 1, false,
-		sim.TagSf("fe:consume %s.v%d.c%d", b.plan.name(a.ElemIdx), a.Epoch, int64(a.CopyIdx)))
+		sim.TagSf(tagConsume, b.elems+sim.StrID(a.ElemIdx), a.Epoch, int64(a.CopyIdx)))
 }
 
 // VersionStore holds the renamed (single-assignment) storage of an

@@ -29,7 +29,7 @@ func TestSimKeysProtocol(t *testing.T) {
 	// record it, increment the key.
 	access := func(ops []sim.Op, i int) []sim.Op {
 		ops = append(keys.WaitOps(ops, seq[i]),
-			sim.Compute(1, sim.EffectFunc(func(int64) { order = append(order, i) }), 0, "access"))
+			sim.Compute(1, m.AddEffect(sim.EffectFunc(func(int64) { order = append(order, i) })), 0, m.Text("access")))
 		return keys.IncOps(ops, seq[i])
 	}
 	// Processor programs: p0 gets the two writes (in order), p1/p2 the
@@ -88,9 +88,9 @@ func TestSimBitsProtocol(t *testing.T) {
 	write, read := seq[0], seq[1] // S1 write (2 copies), S3 read (copy 0 or 1)
 	var consumedAt, filledAt int64 = -1, -1
 	progs := [][]sim.Op{
-		append(bits.FillOps([]sim.Op{sim.Compute(9, nil, 0, "produce")}, write),
-			sim.Compute(1, sim.EffectFunc(func(int64) { filledAt = 1 }), 0, "")),
-		append(bits.ConsumeOps(nil, read), sim.Compute(1, sim.EffectFunc(func(int64) { consumedAt = 1 }), 0, "consume")),
+		append(bits.FillOps([]sim.Op{sim.Compute(9, 0, 0, m.Text("produce"))}, write),
+			sim.Compute(1, m.AddEffect(sim.EffectFunc(func(int64) { filledAt = 1 })), 0, sim.Label{})),
+		append(bits.ConsumeOps(nil, read), sim.Compute(1, m.AddEffect(sim.EffectFunc(func(int64) { consumedAt = 1 })), 0, m.Text("consume"))),
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {

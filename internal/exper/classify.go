@@ -231,12 +231,12 @@ func E4SchemeComparison() ([]*Table, error) {
 		Title:   "Generated program for one interior iteration (basic primitives, Fig 4.2b)",
 		Columns: []string{"#", "operation"},
 	}
-	_, ops, err := fig42bProgram(n, cost)
+	m, ops, err := fig42bProgram(n, cost)
 	if err != nil {
 		return nil, err
 	}
 	for i, op := range ops {
-		t2.AddRow(i+1, op.Tag.String())
+		t2.AddRow(i+1, m.Render(op.Tag))
 	}
 	return []*Table{t, t2}, nil
 }

@@ -202,17 +202,17 @@ func E8Branches() ([]*Table, error) {
 		Title:   "Generated ops for an odd and an even iteration (process-oriented, improved)",
 		Columns: []string{"iteration 11 (takes THEN)", "iteration 12 (takes ELSE)"},
 	}
-	_, odd, even, err := fig53Programs(n, cost)
+	m, odd, even, err := fig53Programs(n, cost)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < len(odd) || i < len(even); i++ {
 		var a, b string
 		if i < len(odd) {
-			a = odd[i].Tag.String()
+			a = m.Render(odd[i].Tag)
 		}
 		if i < len(even) {
-			b = even[i].Tag.String()
+			b = m.Render(even[i].Tag)
 		}
 		t2.AddRow(a, b)
 	}
@@ -235,6 +235,9 @@ func fig53Programs(n, cost int64) (m *sim.Machine, odd, even []sim.Op, err error
 	}
 	return m, prog(nil, 11), prog(nil, 12), nil
 }
+
+// tagPhase tags the compute phase between two barrier episodes.
+var tagPhase = sim.RegisterFormat("phase")
 
 // E9Barriers reproduces Example 4 (Fig 5.4): the counter barrier's hot spot
 // against the butterfly barriers, and the synchronization-variable counts.
@@ -271,7 +274,7 @@ func E9Barriers() ([]*Table, error) {
 			for pid := 0; pid < p; pid++ {
 				var prog []sim.Op
 				for r := int64(1); r <= rounds; r++ {
-					prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), nil, 0, "phase"))
+					prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), 0, 0, sim.Tagf(tagPhase)))
 					prog = append(prog, ops(pid, r)...)
 				}
 				progs[pid] = prog
@@ -320,7 +323,7 @@ func E9Barriers() ([]*Table, error) {
 			for pid := 0; pid < p; pid++ {
 				var prog []sim.Op
 				for r := int64(1); r <= rounds; r++ {
-					prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), nil, 0, "phase"))
+					prog = append(prog, sim.Compute(int64(5+(pid*3+int(r)*7)%11), 0, 0, sim.Tagf(tagPhase)))
 					prog = append(prog, ops(pid, r)...)
 				}
 				progs[pid] = prog

@@ -42,7 +42,7 @@ func checkProgram(t *testing.T, m *sim.Machine, ops []sim.Op, iter int64, x int,
 			continue
 		}
 		if w.kind == sim.OpCompute {
-			if op.Eff == nil || op.Arg != iter || op.Cycles <= 0 {
+			if op.Eff == 0 || op.Arg != iter || op.Cycles <= 0 {
 				t.Errorf("%s: compute %+v is not a statement execution of iteration %d", at, op, iter)
 			}
 			continue

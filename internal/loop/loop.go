@@ -11,6 +11,7 @@ package loop
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/csrd-repro/datasync/internal/deps"
 )
@@ -72,14 +73,20 @@ func New(indexes []Index, body []Node) (*Nest, error) {
 	if len(indexes) == 0 {
 		return nil, fmt.Errorf("loop: nest needs at least one index")
 	}
+	n := &Nest{Indexes: indexes, Body: body, iterations: 1}
 	for _, ix := range indexes {
 		if ix.Hi < ix.Lo {
 			return nil, fmt.Errorf("loop: index %s has empty range [%d,%d]", ix.Name, ix.Lo, ix.Hi)
 		}
-	}
-	n := &Nest{Indexes: indexes, Body: body, iterations: 1}
-	for _, ix := range indexes {
-		n.iterations *= ix.Extent()
+		// Hi-Lo is exact in uint64; the extent Hi-Lo+1 must fit an int64.
+		if uint64(ix.Hi)-uint64(ix.Lo) >= math.MaxInt64 {
+			return nil, fmt.Errorf("loop: index %s range [%d,%d] has more than %d iterations", ix.Name, ix.Lo, ix.Hi, int64(math.MaxInt64))
+		}
+		e := ix.Extent()
+		if n.iterations > math.MaxInt64/e {
+			return nil, fmt.Errorf("loop: nest has more than %d iterations", int64(math.MaxInt64))
+		}
+		n.iterations *= e
 	}
 	stmts := n.Stmts()
 	if len(stmts) > 0 && !n.HasBranches() {

@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,41 @@ func TestNewValidation(t *testing.T) {
 	s := stmt1("S1", 0, -1)
 	if _, err := New([]Index{{"I", 1, 4}, {"J", 1, 4}}, []Node{S(s)}); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+}
+
+// TestNewRefusesOverflow: an extent or an iteration count past int64 is
+// an error, not a wrapped count. The largest counts that fit are accepted.
+func TestNewRefusesOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ix   []Index
+	}{
+		{"extent from MinInt64", []Index{{"I", math.MinInt64, 0}}},
+		{"full int64 range", []Index{{"I", math.MinInt64, math.MaxInt64}}},
+		{"extent MaxInt64+1", []Index{{"I", 0, math.MaxInt64}}},
+		{"two extents of 2^32", []Index{{"I", 1, 1 << 32}, {"J", 1, 1 << 32}}},
+		{"product past int64", []Index{{"I", 1, 1 << 21}, {"J", 1, 1 << 21}, {"K", 1, 1 << 21}}},
+	} {
+		if n, err := New(c.ix, nil); err == nil {
+			t.Errorf("%s: accepted with %d iterations", c.name, n.Iterations())
+		}
+	}
+	for _, c := range []struct {
+		ix   []Index
+		want int64
+	}{
+		{[]Index{{"I", 1, math.MaxInt64}}, math.MaxInt64},
+		{[]Index{{"I", math.MinInt64, -2}}, math.MaxInt64},
+		{[]Index{{"I", 1, 1 << 31}, {"J", 1, 1 << 31}}, 1 << 62},
+		{[]Index{{"I", 1, 7}, {"J", 1, math.MaxInt64 / 7}}, math.MaxInt64 / 7 * 7},
+	} {
+		n, err := New(c.ix, nil)
+		if err != nil {
+			t.Errorf("%v: %v", c.ix, err)
+		} else if n.Iterations() != c.want {
+			t.Errorf("%v: %d iterations, want %d", c.ix, n.Iterations(), c.want)
+		}
 	}
 }
 

@@ -153,6 +153,7 @@ func TestBadRequests(t *testing.T) {
 		// them would panic at once rather than allocate.
 		{"fig21 iterations over the size limit", RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 1 << 60}, Scheme: SchemeSpec{Name: "process"}}},
 		{"stencil n squared over the size limit", RunRequest{Workload: WorkloadSpec{Name: "stencil", N: 1 << 32}, Scheme: SchemeSpec{Name: "process"}}},
+		{"nested n*m past int64", RunRequest{Workload: WorkloadSpec{Name: "nested", N: 4, M: 1 << 62}, Scheme: SchemeSpec{Name: "process"}}},
 		{"iterations over the size limit, no arrays", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 70000\n  S1: T = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
 		{".do loop bound over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 1125899906842624\n  S1: A[I] = A[I-1] + 1\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
 		{".do subscript extent over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 2\n  S1: A[1125899906842624*I] = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},

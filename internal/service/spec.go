@@ -10,6 +10,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/fault"
@@ -94,6 +95,14 @@ func (s WorkloadSpec) build() (*codegen.Workload, error) {
 			return nil, fmt.Errorf("parse program: %w", err)
 		}
 		return w, nil
+	}
+	// Every built-in's outer loop runs to n, and nested's inner loop to m,
+	// so a larger n or m is over the size limit. Refuse it before building:
+	// its nest's iteration count may not fit an int64, which loop.New
+	// refuses and the built-ins' loop.MustNew turns into a panic.
+	builtin := slices.Contains(WorkloadNames(), s.Name)
+	if builtin && (n > maxWorkloadSize || (s.Name == "nested" && m > maxWorkloadSize)) {
+		return nil, fmt.Errorf("workload: %s with n = %d, m = %d exceeds the size limit of %d", s.Name, n, m, maxWorkloadSize)
 	}
 	switch s.Name {
 	case "fig21":

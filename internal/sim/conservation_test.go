@@ -28,19 +28,19 @@ func randomTerminatingRun(t *testing.T, rng *rand.Rand) Stats {
 	for k := 0; k < p; k++ {
 		var ops []Op
 		if k > 0 {
-			ops = append(ops, WaitGE(chain, int64(k), "chain-wait"))
+			ops = append(ops, WaitGE(chain, int64(k), m.Text("chain-wait")))
 		}
 		for extra := rng.Intn(4); extra > 0; extra-- {
 			switch rng.Intn(3) {
 			case 0:
-				ops = append(ops, Compute(int64(rng.Intn(9)), nil, 0, "work"))
+				ops = append(ops, Compute(int64(rng.Intn(9)), 0, 0, m.Text("work")))
 			case 1:
-				ops = append(ops, WriteVar(memVar, int64(k+1), "mem-write"))
+				ops = append(ops, WriteVar(memVar, int64(k+1), m.Text("mem-write")))
 			case 2:
-				ops = append(ops, RMW(memVar, 1, "mem-rmw"))
+				ops = append(ops, RMW(memVar, 1, m.Text("mem-rmw")))
 			}
 		}
-		ops = append(ops, WriteVar(chain, int64(k+1), "chain-advance"))
+		ops = append(ops, WriteVar(chain, int64(k+1), m.Text("chain-advance")))
 		progs[k] = ops
 	}
 	stats, err := m.RunProcesses(progs)
@@ -87,17 +87,19 @@ func TestCycleConservationSelfScheduled(t *testing.T) {
 		for i := range costs {
 			costs[i] = int64(1 + rng.Intn(7))
 		}
+		pred, body, adv := m.Text("pred"), m.Text("body"), m.Text("adv")
+		flagSet, flagPoll := m.Text("flag-set"), m.Text("flag-poll")
 		stats, err := m.RunLoop(n, func(dst []Op, iter int64) []Op {
 			ops := append(dst,
-				WaitGE(v, iter-1, "pred"),
-				Compute(costs[iter], nil, 0, "body"),
-				WriteVar(v, iter, "adv"),
+				WaitGE(v, iter-1, pred),
+				Compute(costs[iter], 0, 0, body),
+				WriteVar(v, iter, adv),
 			)
 			if iter == n/2 {
-				ops = append(ops, WriteVar(mv, 1, "flag-set"))
+				ops = append(ops, WriteVar(mv, 1, flagSet))
 			}
 			if iter == n { // polling wait on the memory flag
-				ops = append(ops, WaitGE(mv, 1, "flag-poll"))
+				ops = append(ops, WaitGE(mv, 1, flagPoll))
 			}
 			return ops
 		})

@@ -1,11 +1,14 @@
 package sim
 
+import "math/bits"
+
 // The event engine. Every scheduled action of the machine is one tagged
 // event dispatched in Machine.exec — no per-event closures, no interface
 // boxing through container/heap. Events are totally ordered by (time,
-// sequence number), so the pop order is independent of the heap's internal
-// shape: the 4-ary heap below pops exactly the sequence a binary heap would,
-// which is what keeps runs bit-identical across engine rewrites.
+// sequence number), so the pop order is independent of how the queue
+// stores them: the timing wheel below pops exactly the sequence a binary
+// heap would, which is what keeps runs bit-identical across engine
+// rewrites.
 
 // evKind tags one scheduled engine action.
 type evKind uint8
@@ -51,8 +54,7 @@ const (
 // one value. It holds no pointer: an event that completes an op finds it
 // through its processor (an op-carrying event blocks its processor, so the
 // instruction pointer still names the op), variables are VarIDs and bus
-// entries are indices into the machine's entry slab. Copying one into and
-// out of the queue slab moves 24 bytes and needs no GC write barrier.
+// entries are indices into the machine's entry slab.
 type event struct {
 	val  int64
 	p    int32
@@ -60,17 +62,130 @@ type event struct {
 	kind evKind
 }
 
-// evKey orders one scheduled event: its time, the global tie-breaking
-// sequence number, and the slot of eventQ.ops holding its operands. The
-// key has no pointers, so sifting it through the heap copies 24 bytes and
-// needs no GC write barrier.
-type evKey struct {
-	t, seq int64
-	slot   int32
+// wheelBits sets the timing wheel's size: W = 1<<wheelBits buckets, one bit
+// of the occupancy word each. Almost every event is due a few cycles after
+// the one being executed (an op's cost, a module's service time, a bus
+// broadcast), far inside W.
+const (
+	wheelBits = 6
+	wheelSize = 1 << wheelBits
+	wheelMask = wheelSize - 1
+)
+
+// eventQ is a timing wheel over an overflow heap. Let now be the time of
+// the last pop (no event is ever posted before it). An event due in
+// [now, now+W) goes to the wheel bucket of its time mod W; since the wheel
+// spans fewer than W cycles, every event of one bucket is due at the same
+// time, and buckets are FIFO, so a bucket pops in sequence order (sequence
+// numbers grow in post order). An event due at now+W or later goes to the
+// overflow heap, which orders by (time, seq) itself.
+//
+// The next event is the earlier of the wheel's first occupied bucket at or
+// after now and the heap's top. At equal times the heap's event goes first:
+// it was posted while now was at most t-W, and the wheel's while now was
+// past t-W, that is later, with a larger sequence number. So the pop order
+// is exactly (time, seq).
+//
+// Wheel events live in one slab; buckets and the free list are lists
+// threaded through it by index, so scheduling an event allocates nothing
+// once the slab has grown to the run's peak of pending wheel events.
+type eventQ struct {
+	now    int64
+	occ    uint64 // bit b set iff bucket b is non-empty
+	head   [wheelSize]int32
+	tail   [wheelSize]int32
+	slab   []wheelEntry
+	free   int32 // first free slab entry, -1 if none
+	queued int   // events on the wheel
+	over   overflowHeap
 }
 
-// before is the total event order: time, then issue sequence. Sequence
-// numbers are unique, so the slot never decides.
+// wheelEntry is one wheel event: its operands, its sequence number and the
+// next entry of its bucket (or of the free list), -1 at the end. It holds
+// no pointer, so the slab is never scanned by the collector.
+type wheelEntry struct {
+	val  int64
+	seq  int64
+	p    int32
+	arg  int32
+	next int32
+	kind evKind
+}
+
+func (q *eventQ) len() int { return q.queued + len(q.over) }
+
+// reserve sizes the wheel's slab for n pending events and empties the
+// free list; call it before the first push.
+func (q *eventQ) reserve(n int) {
+	q.slab = make([]wheelEntry, 0, n)
+	q.free = -1
+}
+
+// push schedules ev at time t with tie-break sequence seq.
+func (q *eventQ) push(t, seq int64, ev event) {
+	if uint64(t-q.now) >= wheelSize {
+		q.over.push(evKey{t: t, seq: seq, ev: ev})
+		return
+	}
+	i := q.free
+	if i >= 0 {
+		q.free = q.slab[i].next
+	} else {
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, wheelEntry{})
+	}
+	// Field by field: a composite literal would be built on the stack with
+	// narrow stores and copied with wide loads, which stall forwarding.
+	e := &q.slab[i]
+	e.val, e.seq, e.p, e.arg, e.next, e.kind = ev.val, seq, ev.p, ev.arg, -1, ev.kind
+	b := t & wheelMask
+	if q.occ&(1<<b) == 0 {
+		q.occ |= 1 << b
+		q.head[b] = i
+	} else {
+		q.slab[q.tail[b]].next = i
+	}
+	q.tail[b] = i
+	q.queued++
+}
+
+// pop removes the earliest event and returns its time, its sequence number
+// and its operands. The queue must not be empty.
+func (q *eventQ) pop() (t, seq int64, ev event) {
+	if q.occ != 0 {
+		// The first occupied bucket at or after now's, wrapping.
+		d := bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(q.now&wheelMask)))
+		t = q.now + int64(d)
+		if len(q.over) == 0 || t < q.over[0].t {
+			b := t & wheelMask
+			i := q.head[b]
+			e := &q.slab[i]
+			if e.next < 0 {
+				q.occ &^= 1 << b
+			} else {
+				q.head[b] = e.next
+			}
+			seq, ev = e.seq, event{val: e.val, p: e.p, arg: e.arg, kind: e.kind}
+			e.next = q.free
+			q.free = i
+			q.queued--
+			q.now = t
+			return t, seq, ev
+		}
+	}
+	k := q.over.pop()
+	q.now = k.t
+	return k.t, k.seq, k.ev
+}
+
+// evKey is one overflow event: its time, its sequence number and its
+// operands.
+type evKey struct {
+	t, seq int64
+	ev     event
+}
+
+// before is the total event order: time, then issue sequence (unique).
 func (a *evKey) before(b *evKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -78,83 +193,47 @@ func (a *evKey) before(b *evKey) bool {
 	return a.seq < b.seq
 }
 
-// eventQ is an inlined 4-ary min-heap of event keys over a slab of event
-// operands. 4-ary halves the tree depth of a binary heap (fewer cache lines
-// touched per push/pop on the drain loop's hot path) and needs no interface
-// dispatch. An event's operands stay in their slot from push to pop; freed
-// slots are reused, so the slab and the key array are both recycled for the
-// whole run and scheduling an event allocates nothing once they have grown
-// to the run's peak of pending events.
-type eventQ struct {
-	keys []evKey
-	ops  []event
-	free []int32
-}
+// overflowHeap is a binary min-heap of the events due W or more cycles
+// after the wheel's now: fault delays, deferred iterations, recovery
+// timers and long module queues. They are rare, so it stores its events
+// whole.
+type overflowHeap []evKey
 
-func (q *eventQ) len() int { return len(q.keys) }
-
-// reserve sizes the queue for n pending events.
-func (q *eventQ) reserve(n int) {
-	q.keys = make([]evKey, 0, n)
-	q.ops = make([]event, 0, n)
-	q.free = make([]int32, 0, n)
-}
-
-// push schedules ev at time t with tie-break sequence seq.
-func (q *eventQ) push(t, seq int64, ev event) {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.ops[slot] = ev
-	} else {
-		slot = int32(len(q.ops))
-		q.ops = append(q.ops, ev)
-	}
-	q.keys = append(q.keys, evKey{t: t, seq: seq, slot: slot})
-	i := len(q.keys) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !q.keys[i].before(&q.keys[parent]) {
+func (h *overflowHeap) push(k evKey) {
+	*h = append(*h, k)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(&s[parent]) {
 			break
 		}
-		q.keys[i], q.keys[parent] = q.keys[parent], q.keys[i]
+		s[i], s[parent] = s[parent], s[i]
 		i = parent
 	}
 }
 
-// pop removes the earliest event and returns its key and operands; its
-// slot is free for the next push.
-func (q *eventQ) pop() (evKey, event) {
-	top := q.keys[0]
-	n := len(q.keys) - 1
-	q.keys[0] = q.keys[n]
-	q.keys = q.keys[:n]
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
+func (h *overflowHeap) pop() evKey {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		best, l := i, 2*i+1
+		if l < n && s[l].before(&s[best]) {
+			best = l
+		}
+		if r := l + 1; r < n && s[r].before(&s[best]) {
+			best = r
+		}
+		if best == i {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.keys[c].before(&q.keys[best]) {
-				best = c
-			}
-		}
-		if !q.keys[best].before(&q.keys[i]) {
-			break
-		}
-		q.keys[i], q.keys[best] = q.keys[best], q.keys[i]
+		s[i], s[best] = s[best], s[i]
 		i = best
 	}
-	ev := q.ops[top.slot]
-	q.free = append(q.free, top.slot)
-	return top, ev
+	*h = s
+	return top
 }
 
 // post schedules ev at time t, stamping the global tie-break sequence.
@@ -177,8 +256,8 @@ func (m *Machine) exec(ev *event) {
 	case evCompute:
 		p := &m.procs[ev.p]
 		op := &p.ops[p.ip-1]
-		if op.Eff != nil {
-			op.Eff.Apply(op.Arg)
+		if op.Eff != 0 {
+			m.effects[op.Eff-1].Apply(op.Arg)
 		}
 		m.recordAccess(p, op)
 		m.step(p)

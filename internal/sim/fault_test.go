@@ -11,12 +11,13 @@ import (
 
 // chainProg is a dependent loop: iteration i waits for its predecessor's
 // signal, computes, then signals. The canonical victim for bus faults.
-func chainProg(v VarID) Program {
+func chainProg(m *Machine, v VarID) Program {
+	waitPred, work, signal := m.Text("wait-pred"), m.Text("work"), m.Text("signal")
 	return func(ops []Op, iter int64) []Op {
 		if iter > 1 {
-			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
+			ops = append(ops, WaitGE(v, iter-1, waitPred))
 		}
-		ops = append(ops, Compute(3, nil, 0, "work"), WriteVar(v, iter, "signal"))
+		ops = append(ops, Compute(3, 0, 0, work), WriteVar(v, iter, signal))
 		return ops
 	}
 }
@@ -27,7 +28,7 @@ func TestFaultZeroPlanZeroEffect(t *testing.T) {
 	run := func(cfg Config) Stats {
 		m := New(cfg)
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(40, chainProg(v))
+		st, err := m.RunLoop(40, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestFaultDropCausesDiagnosedDeadlock(t *testing.T) {
 	m := New(Config{Processors: 2, BusLatency: 1,
 		FaultPlan: fault.Plan{Seed: 1, DropProb: 1}})
 	v := m.NewRegVar("chain", 0)
-	st, err := m.RunLoop(4, chainProg(v))
+	st, err := m.RunLoop(4, chainProg(m, v))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)
@@ -76,7 +77,7 @@ func TestFaultDelayKeepsResultAndDeterminism(t *testing.T) {
 	run := func(plan fault.Plan) (Stats, int64) {
 		m := New(Config{Processors: 4, BusLatency: 1, SyncOpCost: 1, FaultPlan: plan})
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(60, chainProg(v))
+		st, err := m.RunLoop(60, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestFaultDupHarmless(t *testing.T) {
 	m := New(Config{Processors: 4, BusLatency: 1,
 		FaultPlan: fault.Plan{Seed: 5, DupProb: 0.5}})
 	v := m.NewRegVar("chain", 0)
-	st, err := m.RunLoop(50, chainProg(v))
+	st, err := m.RunLoop(50, chainProg(m, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFaultStaleReadAccounted(t *testing.T) {
 	run := func(plan fault.Plan) Stats {
 		m := New(Config{Processors: 4, BusLatency: 1, SyncOpCost: 1, FaultPlan: plan})
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(60, chainProg(v))
+		st, err := m.RunLoop(60, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +166,8 @@ func TestFaultTornOrders(t *testing.T) {
 			FaultPlan: fault.Plan{TornProb: 1, TornOrder: order, TornWindow: 4}})
 		v := m.NewRegVar("PC[0]", pack(1, 3))
 		_, err := m.RunProcesses([][]Op{
-			{WriteVar(v, pack(2, 0), "release")},
-			{WaitGE(v, pack(2, 2), "wait-2-2")},
+			{WriteVar(v, pack(2, 0), m.Text("release"))},
+			{WaitGE(v, pack(2, 2), m.Text("wait-2-2"))},
 		})
 		return err
 	}
@@ -189,7 +190,7 @@ func TestFaultHaltDiagnosed(t *testing.T) {
 	m := New(Config{Processors: 2, BusLatency: 1, SyncOpCost: 1,
 		FaultPlan: fault.Plan{HaltProc: 0, HaltAtCycle: 5}})
 	v := m.NewRegVar("chain", 0)
-	_, err := m.RunLoop(20, chainProg(v))
+	_, err := m.RunLoop(20, chainProg(m, v))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)
@@ -208,7 +209,7 @@ func TestFaultSlowProcessorAndModuleDelay(t *testing.T) {
 	run := func(plan fault.Plan) Stats {
 		m := New(Config{Processors: 4, BusLatency: 1, FaultPlan: plan})
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(40, chainProg(v))
+		st, err := m.RunLoop(40, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,8 +227,8 @@ func TestFaultSlowProcessorAndModuleDelay(t *testing.T) {
 		FaultPlan: fault.Plan{Seed: 9, ModuleDelayProb: 1, ModuleDelayCycles: 7}})
 	f := m.NewMemVar("flag", 0, 0)
 	st, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, 0, "work"), WriteVar(f, 1, "set")},
-		{WaitGE(f, 1, "poll")},
+		{Compute(10, 0, 0, m.Text("work")), WriteVar(f, 1, m.Text("set"))},
+		{WaitGE(f, 1, m.Text("poll"))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +244,7 @@ func TestFaultLivelockExplainedBySlowdown(t *testing.T) {
 	m := New(Config{Processors: 1, MaxCycles: 5_000, MemLatency: 2,
 		FaultPlan: fault.Plan{Seed: 2, ModuleDelayProb: 0.5, ModuleDelayCycles: 4}})
 	v := m.NewMemVar("never", 0, 0)
-	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, "stuck-poll")}})
+	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, m.Text("stuck-poll"))}})
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)

@@ -1,28 +1,66 @@
 package sim
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+	"strings"
+	"sync/atomic"
+)
 
-// Label is an op's tag kept as its parts: a format, up to three integer
-// arguments and one string argument. Op builders stamp a label on every op
-// of every iteration, but only a timeline or sync trace, a stall report or
-// the static verifier ever reads one, so building a Label never allocates
-// and the text is rendered only by String. Rendering replaces each "%d" in
-// the format with the next integer argument and each "%s" with the string
-// argument; a Label made by Text renders its text verbatim.
+// Label is an op's tag kept as its parts: a registered format, up to three
+// integer arguments and one string argument, named by its index in the
+// name table of the machine the op runs on. Op builders stamp a label on
+// every op of every iteration, but only a timeline or sync trace, a stall
+// report or the static verifier ever reads one, so building a Label never
+// allocates, it holds no pointer, and the text is rendered only by
+// Machine.Render. Rendering replaces each "%d" in the format with the next
+// integer argument and each "%s" with the string argument. The zero Label
+// renders "".
 type Label struct {
-	// format is empty for a Text label, whose text is str.
-	format string
-	str    string
-	args   [3]int64
+	args [3]int64
+	str  StrID
+	fmt  Format
 }
 
-// Text returns a label whose rendering is exactly s.
-func Text(s string) Label { return Label{str: s} }
+// Format names a label format registered with RegisterFormat.
+type Format uint16
 
-// Tagf returns a label rendering format with its "%d" verbs replaced by
+// Verbatim is the format "%s": a label of it renders its string argument
+// verbatim.
+const Verbatim Format = 1
+
+var (
+	// formats is the format registry, by Format. Format 0 is the empty
+	// format of the zero Label.
+	formats = []string{"", "%s"}
+	// formatsSealed is set by the first New: from then on the registry
+	// is read without a lock and must not change.
+	formatsSealed atomic.Bool
+)
+
+// RegisterFormat registers a label format and returns its name. Call it
+// from a package-level variable declaration only: the registry is filled
+// at package initialization and read by every machine without a lock, so
+// registering once a machine exists panics.
+func RegisterFormat(format string) Format {
+	if formatsSealed.Load() {
+		panic("sim: label formats must be registered at package initialization")
+	}
+	if len(formats) > math.MaxUint16 {
+		panic("sim: too many label formats")
+	}
+	formats = append(formats, format)
+	return Format(len(formats) - 1)
+}
+
+// StrID names a string of a machine's name table (Machine.AddNames,
+// Machine.Text).
+type StrID int32
+
+// Tagf returns a label rendering format f with its "%d" verbs replaced by
 // args, in order. It takes at most three arguments.
-func Tagf(format string, args ...int64) Label {
-	l := Label{format: format}
+func Tagf(f Format, args ...int64) Label {
+	l := Label{fmt: f}
 	if len(args) > len(l.args) {
 		panic("sim: Tagf takes at most three arguments")
 	}
@@ -30,45 +68,125 @@ func Tagf(format string, args ...int64) Label {
 	return l
 }
 
-// TagSf is Tagf with a string argument for the format's "%s" verbs.
-func TagSf(format, s string, args ...int64) Label {
-	l := Tagf(format, args...)
+// TagSf is Tagf with string s of the machine's name table for the format's
+// "%s" verbs.
+func TagSf(f Format, s StrID, args ...int64) Label {
+	l := Tagf(f, args...)
 	l.str = s
 	return l
 }
 
-// set overwrites l with m field by field: the two strings are stored with
-// a write barrier each, where copying the struct whole into an op on the
-// heap would take the bulk barrier of a typed memory move.
-func (l *Label) set(m Label) {
-	l.format, l.str, l.args = m.format, m.str, m.args
+// Text returns a label rendering string s of the machine's name table
+// verbatim.
+func Text(s StrID) Label { return Label{fmt: Verbatim, str: s} }
+
+// Text registers s in the machine's name table and returns a label
+// rendering it verbatim, for hand-built programs.
+func (m *Machine) Text(s string) Label {
+	m.mustNotHaveRun("strings")
+	return Text(StrID(m.strs.add(1, nameDecl{text: s})))
 }
 
-// String renders the label.
-func (l Label) String() string {
-	if l.format == "" {
-		return l.str
+// AddNames registers a block of n strings, the i-th rendered as
+// names.Name(i) when a label asks for it, and returns the name of the
+// first; the others follow consecutively.
+func (m *Machine) AddNames(n int, names Namer) StrID {
+	m.mustNotHaveRun("strings")
+	return StrID(m.strs.add(n, nameDecl{names: names}))
+}
+
+// Render renders label l, taking its string argument from the machine's
+// name table.
+func (m *Machine) Render(l Label) string {
+	f := formats[l.fmt]
+	var s string
+	if strings.Contains(f, "%s") {
+		s = m.strs.name(int32(l.str))
 	}
-	b := make([]byte, 0, len(l.format)+len(l.str)+32)
+	return render(f, s, l.args[:])
+}
+
+// render expands format: each "%d" takes the next of args (nothing once
+// they run out) and each "%s" takes s.
+func render(format, s string, args []int64) string {
+	b := make([]byte, 0, len(format)+len(s)+32)
 	k := 0
-	f := l.format
-	for i := 0; i < len(f); i++ {
-		if f[i] == '%' && i+1 < len(f) {
-			switch f[i+1] {
+	for i := 0; i < len(format); i++ {
+		if format[i] == '%' && i+1 < len(format) {
+			switch format[i+1] {
 			case 'd':
-				if k < len(l.args) {
-					b = strconv.AppendInt(b, l.args[k], 10)
+				if k < len(args) {
+					b = strconv.AppendInt(b, args[k], 10)
 				}
 				k++
 				i++
 				continue
 			case 's':
-				b = append(b, l.str...)
+				b = append(b, s...)
 				i++
 				continue
 			}
 		}
-		b = append(b, f[i])
+		b = append(b, format[i])
 	}
 	return string(b)
+}
+
+// Namer names the members of a block of variables or strings declared
+// together: Name(i) renders the block's i-th.
+type Namer interface {
+	Name(i int) string
+}
+
+// IndexedNames names the i-th member of a block by the format with each
+// "%d" replaced by i, e.g. IndexedNames("PC[%d]").
+type IndexedNames string
+
+// Name implements Namer.
+func (f IndexedNames) Name(i int) string { return render(string(f), "", []int64{int64(i)}) }
+
+// nameTable names a run's variables or strings by blocks of consecutive
+// ids, one declaration per block, so a block of any size costs one entry
+// and no name is rendered until asked.
+type nameTable struct {
+	decls []nameDecl
+	n     int32 // ids declared
+}
+
+// nameDecl names the ids from first up to the next declaration's first:
+// text names a single id, names a block.
+type nameDecl struct {
+	first int32
+	text  string
+	names Namer
+}
+
+// add declares the next n ids, named by d, and returns the first.
+func (t *nameTable) add(n int, d nameDecl) int32 {
+	d.first = t.n
+	t.decls = append(t.decls, d)
+	t.n += int32(n)
+	return d.first
+}
+
+// name renders the name of id.
+func (t *nameTable) name(id int32) string {
+	// The last declaration starting at or before id names it.
+	lo, hi := 0, len(t.decls)
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if t.decls[mid].first <= id {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if lo >= len(t.decls) {
+		return ""
+	}
+	d := t.decls[lo]
+	if d.names != nil {
+		return d.names.Name(int(id - d.first))
+	}
+	return d.text
 }

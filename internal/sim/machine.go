@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/csrd-repro/datasync/internal/fault"
 )
@@ -310,9 +311,13 @@ type Machine struct {
 	// before the run and the table never moves during it. A block
 	// declaration grows it by exactly the block.
 	vars []syncVar
-	// decls records, in VarID order, how each declared variable is named.
-	decls []varDecl
-	mods  []module
+	// varNames names the variables by VarID.
+	varNames nameTable
+	// effects are the compute ops' effects by EffID-1; strs is the name
+	// table of the labels' string arguments.
+	effects []Effect
+	strs    nameTable
+	mods    []module
 
 	// busQueue[busHead:] are the bus entries waiting for the bus. Dequeue
 	// advances busHead instead of reslicing, so the backing array is reused
@@ -332,17 +337,16 @@ type Machine struct {
 	// procs is indexed by processor id, which events carry.
 	procs   []proc
 	program Program
-	// opsCap is the largest op buffer a processor's program has needed so
-	// far; opsBlock is storage for the first buffers of processors that
-	// have not dispatched yet, sized from it (dispatch).
-	opsCap     int
-	opsBlock   []Op
-	unbuffered int
-	nextIter   int64
-	lastIter   int64
-	selfSched  bool
-	ran        bool
-	err        error
+	// opsBlock is the storage of the first op buffers of the processors
+	// that have not dispatched yet, opsSize ops each, sized from the first
+	// iteration the program built (buildOps); opsSize is 0 until then.
+	opsBlock  []Op
+	opsSize   int
+	nextIter  int64
+	lastIter  int64
+	selfSched bool
+	ran       bool
+	err       error
 
 	busIssued int64
 	busSaved  int64
@@ -370,6 +374,9 @@ type Machine struct {
 
 // New builds a machine with the given configuration.
 func New(cfg Config) *Machine {
+	if !formatsSealed.Load() {
+		formatsSealed.Store(true)
+	}
 	m := &Machine{cfg: cfg.normalized(), mem: NewMem()}
 	if m.cfg.FaultPlan.Enabled() {
 		m.inj = fault.NewInjector(m.cfg.FaultPlan)
@@ -383,34 +390,10 @@ func (m *Machine) Config() Config { return m.cfg }
 // Mem returns the machine's data memory, for building workload programs.
 func (m *Machine) Mem() *Mem { return m.mem }
 
-// VarNamer names the variables of a block declared together: VarName(i)
-// renders the name of the block's i-th variable. Names are rendered only
-// when asked (VarName, stall reports), so a scheme declaring a variable per
-// element on every run stores no name per variable.
-type VarNamer interface {
-	VarName(i int) string
-}
-
-// IndexedNames names the i-th variable of a block by the format with each
-// "%d" replaced by i, e.g. IndexedNames("PC[%d]").
-type IndexedNames string
-
-// VarName implements VarNamer.
-func (f IndexedNames) VarName(i int) string { return Tagf(string(f), int64(i)).String() }
-
-// varDecl records how the variables from first up to the next
-// declaration's first are named: text for a single variable, names for a
-// block.
-type varDecl struct {
-	first VarID
-	text  string
-	names VarNamer
-}
-
 // NewRegVar declares a synchronization-register variable (broadcast on the
 // sync bus) with the given initial value.
 func (m *Machine) NewRegVar(name string, init int64) VarID {
-	v := m.declare(1, varDecl{text: name}, Register)
+	v := m.declare(1, nameDecl{text: name}, Register)
 	m.vars[v].committed = init
 	return v
 }
@@ -418,8 +401,8 @@ func (m *Machine) NewRegVar(name string, init int64) VarID {
 // NewRegVars declares a block of n register variables named by names;
 // variable i starts at init(i), or at 0 when init is nil. It returns the
 // first variable's id; the others follow consecutively.
-func (m *Machine) NewRegVars(n int, names VarNamer, init func(i int) int64) VarID {
-	first := m.declare(n, varDecl{names: names}, Register)
+func (m *Machine) NewRegVars(n int, names Namer, init func(i int) int64) VarID {
+	first := m.declare(n, nameDecl{names: names}, Register)
 	if init != nil {
 		for i := 0; i < n; i++ {
 			m.vars[int(first)+i].committed = init(i)
@@ -434,7 +417,7 @@ func (m *Machine) NewMemVar(name string, mod int, init int64) VarID {
 	if mod < 0 || mod >= m.cfg.Modules {
 		panic(fmt.Sprintf("sim: module %d out of range [0,%d)", mod, m.cfg.Modules))
 	}
-	v := m.declare(1, varDecl{text: name}, Memory)
+	v := m.declare(1, nameDecl{text: name}, Memory)
 	m.vars[v].module = int32(mod)
 	m.vars[v].committed = init
 	return v
@@ -444,8 +427,8 @@ func (m *Machine) NewMemVar(name string, mod int, init int64) VarID {
 // names, all starting at 0. Variable i lives in module i mod Modules, the
 // way interleaved memory spreads an array. It returns the first variable's
 // id; the others follow consecutively.
-func (m *Machine) NewMemVars(n int, names VarNamer) VarID {
-	first := m.declare(n, varDecl{names: names}, Memory)
+func (m *Machine) NewMemVars(n int, names Namer) VarID {
+	first := m.declare(n, nameDecl{names: names}, Memory)
 	for i := 0; i < n; i++ {
 		m.vars[int(first)+i].module = int32(i % m.cfg.Modules)
 	}
@@ -454,10 +437,8 @@ func (m *Machine) NewMemVars(n int, names VarNamer) VarID {
 
 // declare appends n variables of the given residence to the table, growing
 // it by exactly n when it is full, and records their naming.
-func (m *Machine) declare(n int, d varDecl, res Residence) VarID {
-	if m.ran {
-		panic("sim: variables must be declared before the run")
-	}
+func (m *Machine) declare(n int, d nameDecl, res Residence) VarID {
+	m.mustNotHaveRun("variables")
 	first := VarID(len(m.vars))
 	if n > 1 && cap(m.vars)-len(m.vars) < n {
 		grown := make([]syncVar, len(m.vars), len(m.vars)+n)
@@ -475,8 +456,7 @@ func (m *Machine) declare(n int, d varDecl, res Residence) VarID {
 		}
 		m.vars = append(m.vars, v)
 	}
-	d.first = first
-	m.decls = append(m.decls, d)
+	m.varNames.add(n, d)
 	return first
 }
 
@@ -485,22 +465,39 @@ func (m *Machine) VarValue(v VarID) int64 { return m.vars[v].committed }
 
 // VarName returns the declared name of a synchronization variable,
 // rendered from its declaration.
-func (m *Machine) VarName(v VarID) string {
-	// The last declaration starting at or before v names it.
-	lo, hi := 0, len(m.decls)
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if m.decls[mid].first <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
+func (m *Machine) VarName(v VarID) string { return m.varNames.name(int32(v)) }
+
+// mustNotHaveRun panics when the machine has started its run: what must be
+// declared before it (variables, effects, strings) is read without a lock
+// by programs built on several goroutines at once (codegen.RunGoroutines).
+func (m *Machine) mustNotHaveRun(what string) {
+	if m.ran {
+		panic("sim: " + what + " must be declared before the run")
 	}
-	d := m.decls[lo]
-	if d.names != nil {
-		return d.names.VarName(int(v - d.first))
+}
+
+// AddEffect registers effect e for the machine's compute ops and returns
+// its name; a nil effect is EffID 0, no effect.
+func (m *Machine) AddEffect(e Effect) EffID {
+	if e == nil {
+		return 0
 	}
-	return d.text
+	m.mustNotHaveRun("effects")
+	if m.effects == nil {
+		// A loop body has a handful of statements: one allocation
+		// rather than a doubling sequence.
+		m.effects = make([]Effect, 0, 8)
+	}
+	m.effects = append(m.effects, e)
+	return EffID(len(m.effects))
+}
+
+// Effect returns the effect named id, nil for EffID 0.
+func (m *Machine) Effect(id EffID) Effect {
+	if id == 0 {
+		return nil
+	}
+	return m.effects[id-1]
 }
 
 // RunLoop executes iterations 1..iters of the program on the machine's
@@ -546,7 +543,6 @@ func (m *Machine) startRun() {
 		// chunkNext > chunkEnd marks "no chunk held".
 		m.procs[i] = proc{id: i, state: stateRunning, chunkNext: 1, chunkEnd: 0}
 	}
-	m.unbuffered = m.cfg.Processors
 	// A processor has at most one event pending at a time, the bus one
 	// more; faults and deferred releases may add a few, and the queue
 	// grows past this if they do.
@@ -556,13 +552,13 @@ func (m *Machine) startRun() {
 func (m *Machine) drain() (Stats, error) {
 	maxed := false
 	for m.events.len() > 0 && m.err == nil {
-		key, ev := m.events.pop()
-		if key.t > m.cfg.MaxCycles {
+		t, _, ev := m.events.pop()
+		if t > m.cfg.MaxCycles {
 			maxed = true
 			m.err = fmt.Errorf("sim: exceeded MaxCycles=%d (livelock?)", m.cfg.MaxCycles)
 			break
 		}
-		m.now = key.t
+		m.now = t
 		m.exec(&ev)
 	}
 	if m.err == nil {
@@ -595,8 +591,27 @@ func (m *Machine) blockedReport() string {
 	return b.String()
 }
 
+// describeOp renders op for a stall report: its kind and operands, its
+// tag, and the current value of the variable it names.
 func (m *Machine) describeOp(op Op) string {
-	s := op.String()
+	var s string
+	switch op.Kind {
+	case OpCompute:
+		s = fmt.Sprintf("compute(%d)", op.Cycles)
+	case OpWrite:
+		s = fmt.Sprintf("write(v%d=%d)", op.Var, op.Value)
+	case OpWait:
+		s = fmt.Sprintf("wait(v%d>=%d)", op.Var, op.Value)
+	case OpRMW:
+		s = fmt.Sprintf("rmw(v%d)", op.Var)
+	case OpWriteIf:
+		s = fmt.Sprintf("writeif(v%d=%d)", op.Var, op.Value)
+	default:
+		s = fmt.Sprintf("op(%d)", int(op.Kind))
+	}
+	if tag := m.Render(op.Tag); tag != "" {
+		s += " " + tag
+	}
 	if int(op.Var) < len(m.vars) && (op.Kind == OpWait || op.Kind == OpWrite || op.Kind == OpRMW) {
 		s += fmt.Sprintf(" [%s=%d]", m.VarName(op.Var), m.vars[op.Var].committed)
 	}
@@ -658,8 +673,7 @@ func (m *Machine) dispatch(p *proc) {
 	}
 	p.iter = it
 	p.iterations++
-	p.ops = m.program(m.opsBuf(p), it)
-	m.opsCap = max(m.opsCap, cap(p.ops))
+	p.ops = m.buildOps(p, it)
 	p.ip = 0
 	if overhead > 0 {
 		p.busy += overhead
@@ -669,29 +683,45 @@ func (m *Machine) dispatch(p *proc) {
 	m.step(p)
 }
 
-// opsBuf returns the buffer processor p's next iteration program appends
-// to: its previous iteration's ops, recycled. The first processor to
-// dispatch grows its buffer by appending; every later first dispatch takes
-// a slice of one block sized from the largest buffer seen, so a run
-// allocates op storage a constant number of times rather than a growth
-// sequence per processor.
-func (m *Machine) opsBuf(p *proc) []Op {
+// buildOps builds iteration it's program for processor p into p's op
+// buffer: its previous iteration's ops, recycled. A processor's first
+// buffer is a slice of one block for all processors, sized from the first
+// iteration the run builds: that one is built into a pooled scratch buffer
+// and copied to the block, so a run allocates its op storage once instead
+// of growing a buffer by doubling. A later iteration longer than its
+// processor's slice grows that buffer by append.
+func (m *Machine) buildOps(p *proc, it int64) []Op {
 	if p.ops != nil {
-		return p.ops[:0]
+		return m.program(p.ops[:0], it)
 	}
-	if m.unbuffered > 0 {
-		m.unbuffered--
+	if m.opsSize == 0 {
+		scratch := opsScratch.Get().(*[]Op)
+		ops := m.program((*scratch)[:0], it)
+		m.opsSize = max(len(ops)+len(ops)>>opsSlackShift, 1)
+		m.opsBlock = make([]Op, m.opsSize*m.cfg.Processors)
+		buf := append(m.takeOps(), ops...)
+		*scratch = ops
+		opsScratch.Put(scratch)
+		return buf
 	}
-	if m.opsCap == 0 {
-		return nil
-	}
-	if len(m.opsBlock) < m.opsCap {
-		m.opsBlock = make([]Op, m.opsCap*(m.unbuffered+1))
-	}
-	buf := m.opsBlock[:0:m.opsCap]
-	m.opsBlock = m.opsBlock[m.opsCap:]
+	return m.program(m.takeOps(), it)
+}
+
+// takeOps cuts the next processor's empty first buffer from the block.
+func (m *Machine) takeOps() []Op {
+	buf := m.opsBlock[:0:m.opsSize]
+	m.opsBlock = m.opsBlock[m.opsSize:]
 	return buf
 }
+
+// opsSlackShift sizes each processor's first buffer at 1+2^-shift times
+// the first iteration's length, room for iterations a little longer than
+// it (branch arms, data-oriented fills with more readers).
+const opsSlackShift = 1
+
+// opsScratch holds scratch buffers for the first iteration of a run. Ops
+// hold no pointer, so a pooled buffer is never scanned.
+var opsScratch = sync.Pool{New: func() any { return new([]Op) }}
 
 // step advances a processor from the current time until it blocks,
 // schedules a future event, or finishes.
@@ -735,8 +765,8 @@ func (m *Machine) step(p *proc) {
 			}
 			p.busy += cycles
 			if cycles == 0 {
-				if op.Eff != nil {
-					op.Eff.Apply(op.Arg)
+				if op.Eff != 0 {
+					m.effects[op.Eff-1].Apply(op.Arg)
 				}
 				m.recordAccess(p, op)
 				continue

@@ -9,8 +9,8 @@ import (
 func TestComputeSequenceTiming(t *testing.T) {
 	m := New(Config{Processors: 1})
 	stats, err := m.RunProcesses([][]Op{{
-		Compute(5, nil, 0, "a"),
-		Compute(7, nil, 0, "b"),
+		Compute(5, 0, 0, m.Text("a")),
+		Compute(7, 0, 0, m.Text("b")),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +26,10 @@ func TestComputeSequenceTiming(t *testing.T) {
 func TestExecRunsAtCompletionInOrder(t *testing.T) {
 	m := New(Config{Processors: 2})
 	var order []string
-	mark := func(s string) Effect { return EffectFunc(func(int64) { order = append(order, s) }) }
+	mark := func(s string) EffID { return m.AddEffect(EffectFunc(func(int64) { order = append(order, s) })) }
 	_, err := m.RunProcesses([][]Op{
-		{Compute(5, mark("p0@5"), 0, ""), Compute(5, mark("p0@10"), 0, "")},
-		{Compute(3, mark("p1@3"), 0, ""), Compute(4, mark("p1@7"), 0, "")},
+		{Compute(5, mark("p0@5"), 0, Label{}), Compute(5, mark("p0@10"), 0, Label{})},
+		{Compute(3, mark("p1@3"), 0, Label{}), Compute(4, mark("p1@7"), 0, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestExecRunsAtCompletionInOrder(t *testing.T) {
 
 func TestSelfSchedulingDistributesIterations(t *testing.T) {
 	m := New(Config{Processors: 4})
-	prog := func(dst []Op, iter int64) []Op { return append(dst, Compute(10, nil, 0, "")) }
+	prog := func(dst []Op, iter int64) []Op { return append(dst, Compute(10, 0, 0, Label{})) }
 	stats, err := m.RunLoop(20, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSelfSchedulingDistributesIterations(t *testing.T) {
 
 func TestSchedOverheadAccounted(t *testing.T) {
 	m := New(Config{Processors: 1, SchedOverhead: 3})
-	stats, err := m.RunLoop(4, func(dst []Op, _ int64) []Op { return append(dst, Compute(10, nil, 0, "")) })
+	stats, err := m.RunLoop(4, func(dst []Op, _ int64) []Op { return append(dst, Compute(10, 0, 0, Label{})) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestRegisterVisibilityOwnWriteImmediate(t *testing.T) {
 	m := New(Config{Processors: 2, BusLatency: 10, SyncOpCost: 0})
 	v := m.NewRegVar("pc", 0)
 	stats, err := m.RunProcesses([][]Op{
-		{WriteVar(v, 1, ""), WaitGE(v, 1, "own"), Compute(1, nil, 0, "")},
-		{WaitGE(v, 1, "other"), Compute(1, nil, 0, "")},
+		{WriteVar(v, 1, Label{}), WaitGE(v, 1, m.Text("own")), Compute(1, 0, 0, Label{})},
+		{WaitGE(v, 1, m.Text("other")), Compute(1, 0, 0, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +101,9 @@ func TestBusFIFOSerializesBroadcasts(t *testing.T) {
 	v1 := m.NewRegVar("a", 0)
 	v2 := m.NewRegVar("b", 0)
 	stats, err := m.RunProcesses([][]Op{
-		{WriteVar(v1, 1, "")},
-		{WriteVar(v2, 1, "")},
-		{WaitGE(v1, 1, ""), WaitGE(v2, 1, "")},
+		{WriteVar(v1, 1, Label{})},
+		{WriteVar(v2, 1, Label{})},
+		{WaitGE(v1, 1, Label{}), WaitGE(v2, 1, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestBusCoverageElidesSupersededWrite(t *testing.T) {
 		blockerVar := m.NewRegVar("blocker", 0)
 		pc := m.NewRegVar("pc", 0)
 		stats, err := m.RunProcesses([][]Op{
-			{WriteVar(blockerVar, 1, "")}, // occupies the bus 0..10
-			{Compute(1, nil, 0, ""), WriteVar(pc, 1, ""), Compute(1, nil, 0, ""), WriteVar(pc, 2, ""), WaitGE(pc, 2, "")},
+			{WriteVar(blockerVar, 1, Label{})}, // occupies the bus 0..10
+			{Compute(1, 0, 0, Label{}), WriteVar(pc, 1, Label{}), Compute(1, 0, 0, Label{}), WriteVar(pc, 2, Label{}), WaitGE(pc, 2, Label{})},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -152,8 +152,8 @@ func TestCoverageStillDeliversFinalValue(t *testing.T) {
 	stats, err := m.RunProcesses([][]Op{
 		// The blocker write holds the bus 0..10, so pc=1 is still queued
 		// when pc=5 is issued and gets covered by it.
-		{WriteVar(blocker, 1, ""), WriteVar(pc, 1, ""), WriteVar(pc, 5, "")},
-		{WaitGE(pc, 5, "")},
+		{WriteVar(blocker, 1, Label{}), WriteVar(pc, 1, Label{}), WriteVar(pc, 5, Label{})},
+		{WaitGE(pc, 5, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +171,8 @@ func TestZeroBusLatencyCommitsImmediately(t *testing.T) {
 	m := New(Config{Processors: 2, SyncOpCost: 0})
 	v := m.NewRegVar("v", 0)
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(5, nil, 0, ""), WriteVar(v, 1, "")},
-		{WaitGE(v, 1, ""), Compute(2, nil, 0, "")},
+		{Compute(5, 0, 0, Label{}), WriteVar(v, 1, Label{})},
+		{WaitGE(v, 1, Label{}), Compute(2, 0, 0, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestModuleContentionSerializes(t *testing.T) {
 	v := m.NewMemVar("ctr", 0, 0)
 	progs := make([][]Op, 4)
 	for i := range progs {
-		progs[i] = []Op{RMW(v, 1, "")}
+		progs[i] = []Op{RMW(v, 1, Label{})}
 	}
 	stats, err := m.RunProcesses(progs)
 	if err != nil {
@@ -217,8 +217,8 @@ func TestSeparateModulesDoNotContend(t *testing.T) {
 	a := m.NewMemVar("a", 0, 0)
 	b := m.NewMemVar("b", 1, 0)
 	stats, err := m.RunProcesses([][]Op{
-		{WriteVar(a, 1, "")},
-		{WriteVar(b, 1, "")},
+		{WriteVar(a, 1, Label{})},
+		{WriteVar(b, 1, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +232,8 @@ func TestPollingWaitGeneratesModuleTraffic(t *testing.T) {
 	m := New(Config{Processors: 2, MemLatency: 2})
 	flag := m.NewMemVar("flag", 0, 0)
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(9, nil, 0, ""), WriteVar(flag, 1, "")},
-		{WaitGE(flag, 1, "spin")},
+		{Compute(9, 0, 0, Label{}), WriteVar(flag, 1, Label{})},
+		{WaitGE(flag, 1, m.Text("spin"))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestPollingWaitGeneratesModuleTraffic(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	m := New(Config{Processors: 1})
 	v := m.NewRegVar("never", 0)
-	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, "stuck")}})
+	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, m.Text("stuck"))}})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock", err)
 	}
@@ -267,7 +267,7 @@ func TestLivelockCaughtByMaxCycles(t *testing.T) {
 	// cap turns that into an error instead of a hang.
 	m := New(Config{Processors: 1, MaxCycles: 10_000})
 	v := m.NewMemVar("never", 0, 0)
-	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, "")}})
+	_, err := m.RunProcesses([][]Op{{WaitGE(v, 1, Label{})}})
 	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Errorf("err = %v, want MaxCycles", err)
 	}
@@ -280,8 +280,8 @@ func TestProducerConsumerValueFlows(t *testing.T) {
 	v := m.NewRegVar("pc", 0)
 	var got int64 = -1
 	_, err := m.RunProcesses([][]Op{
-		{Compute(10, EffectFunc(func(int64) { arr.Set(0, 42) }), 0, "produce"), WriteVar(v, 1, "")},
-		{WaitGE(v, 1, ""), Compute(1, EffectFunc(func(int64) { got = arr.Get(0) }), 0, "consume")},
+		{Compute(10, m.AddEffect(EffectFunc(func(int64) { arr.Set(0, 42) })), 0, m.Text("produce")), WriteVar(v, 1, Label{})},
+		{WaitGE(v, 1, Label{}), Compute(1, m.AddEffect(EffectFunc(func(int64) { got = arr.Get(0) })), 0, m.Text("consume"))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +297,9 @@ func TestRunLoopDeterministic(t *testing.T) {
 		v := m.NewRegVar("pc", 0)
 		prog := func(dst []Op, iter int64) []Op {
 			return append(dst,
-				WaitGE(v, iter-1, ""),
-				Compute(3+iter%4, nil, 0, ""),
-				WriteVar(v, iter, ""),
+				WaitGE(v, iter-1, Label{}),
+				Compute(3+iter%4, 0, 0, Label{}),
+				WriteVar(v, iter, Label{}),
 			)
 		}
 		stats, err := m.RunLoop(30, prog)
@@ -337,8 +337,8 @@ func TestMachineSingleUse(t *testing.T) {
 func TestIdleAccounting(t *testing.T) {
 	m := New(Config{Processors: 2})
 	stats, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, 0, "")},
-		{Compute(4, nil, 0, "")},
+		{Compute(10, 0, 0, Label{})},
+		{Compute(4, 0, 0, Label{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,16 +359,16 @@ func TestRMWOnRegisterPanics(t *testing.T) {
 			t.Error("RMW on register did not panic")
 		}
 	}()
-	m.RunProcesses([][]Op{{RMW(v, 0, "")}})
+	m.RunProcesses([][]Op{{RMW(v, 0, Label{})}})
 }
 
 func TestWriteVarIf(t *testing.T) {
 	m := New(Config{Processors: 1, SyncOpCost: 0})
 	v := m.NewRegVar("pc", 3)
 	stats, err := m.RunProcesses([][]Op{{
-		WriteVarIfGE(v, 10, 5, "skipped"), // 3 < 5: no write
-		WriteVarIfGE(v, 10, 3, "taken"),   // 3 >= 3: writes 10
-		WriteVarIfGE(v, 20, 10, "taken2"), // own write visible: 10 >= 10
+		WriteVarIfGE(v, 10, 5, m.Text("skipped")), // 3 < 5: no write
+		WriteVarIfGE(v, 10, 3, m.Text("taken")),   // 3 >= 3: writes 10
+		WriteVarIfGE(v, 20, 10, m.Text("taken2")), // own write visible: 10 >= 10
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +431,9 @@ func TestGridBounds(t *testing.T) {
 func TestChunkedDispatchCoversAllIterations(t *testing.T) {
 	m := New(Config{Processors: 3, Dispatch: DispatchChunked, ChunkSize: 5, SchedOverhead: 2})
 	seen := make(map[int64]int)
+	see := m.AddEffect(EffectFunc(func(iter int64) { seen[iter]++ }))
 	stats, err := m.RunLoop(23, func(dst []Op, iter int64) []Op {
-		return append(dst, Compute(1, EffectFunc(func(int64) { seen[iter]++ }), 0, ""))
+		return append(dst, Compute(1, see, iter, Label{}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +452,7 @@ func TestChunkedDispatchAmortizesOverhead(t *testing.T) {
 	run := func(d Dispatch) Stats {
 		m := New(Config{Processors: 1, Dispatch: d, ChunkSize: 8, SchedOverhead: 4})
 		stats, err := m.RunLoop(64, func(dst []Op, iter int64) []Op {
-			return append(dst, Compute(2, nil, 0, ""))
+			return append(dst, Compute(2, 0, 0, Label{}))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -472,11 +473,12 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 	// processors hold late iterations whose sources never run.
 	m := New(Config{Processors: 2, Dispatch: DispatchReversed})
 	v := m.NewRegVar("chain", 0)
+	waitPred, advance := m.Text("wait-pred"), m.Text("advance")
 	_, err := m.RunLoop(10, func(ops []Op, iter int64) []Op {
 		if iter > 1 {
-			ops = append(ops, WaitGE(v, iter-1, "wait-pred"))
+			ops = append(ops, WaitGE(v, iter-1, waitPred))
 		}
-		ops = append(ops, Compute(1, nil, 0, ""), WriteVar(v, iter, "advance"))
+		ops = append(ops, Compute(1, 0, 0, Label{}), WriteVar(v, iter, advance))
 		return ops
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -487,7 +489,7 @@ func TestReversedDispatchDeadlocksDependentLoop(t *testing.T) {
 func TestReversedDispatchWorksForIndependentLoop(t *testing.T) {
 	m := New(Config{Processors: 2, Dispatch: DispatchReversed})
 	stats, err := m.RunLoop(10, func(dst []Op, iter int64) []Op {
-		return append(dst, Compute(3, nil, 0, ""))
+		return append(dst, Compute(3, 0, 0, Label{}))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -76,8 +76,9 @@ func (a MemAccess) String() string {
 // workload's memory. The machine calls Apply(op.Arg) when the op carrying
 // the effect completes, in global event order. For loop programs Arg is
 // the iteration number of the statement instance, so a code generator
-// binds one effect per statement per run and stamps each op with the
-// iteration instead of building a closure per op.
+// registers one effect per statement per run (Machine.AddEffect) and
+// stamps each op with its EffID and the iteration instead of building a
+// closure per op.
 //
 // An effect may hold buffers and state owned by its run (an index vector,
 // input and output values, iteration locals): the machine is
@@ -91,33 +92,30 @@ type Effect interface {
 
 // EffectFunc adapts a function to Effect, for hand-built programs and
 // tests. A code generator should not make one per op, since each closure
-// is an allocation; it binds one effect per statement per run instead.
+// is an allocation; it registers one effect per statement per run instead.
 type EffectFunc func(arg int64)
 
 // Apply implements Effect.
 func (f EffectFunc) Apply(arg int64) { f(arg) }
 
+// EffID names an effect registered on the machine (Machine.AddEffect); 0
+// is no effect.
+type EffID int32
+
 // Op is one step of a process program. Programs are rebuilt every
 // iteration and the machine reads every op at least once, so the struct is
-// kept small (at most 120 bytes, pinned by a test): it holds no list, the
-// shared-memory accesses of its semantics come from the effect itself
-// (Toucher), and the narrow Var, Kind, HasPost and OwnCheck share the last
-// word. Builders on the hot path fill ops in place (AppendCompute and its
-// siblings) rather than copy one in.
+// kept small (88 bytes, pinned by a test) and holds no pointer: its effect
+// and the string of its tag are indices into the machine's per-run tables
+// and its tag's format an index into the package's registry, so op
+// buffers are never scanned by the collector and filling an op needs no
+// write barrier. It holds no list either: the shared-memory accesses of its
+// semantics come from the effect itself (Toucher). Builders on the hot path
+// fill ops in place (AppendCompute and its siblings) rather than copy one
+// in.
 type Op struct {
 	Cycles int64 // OpCompute duration
 	Value  int64 // OpWrite value / OpWait threshold / OpRMW addend
-	// Eff is the statement semantics an OpCompute applies to Arg when it
-	// completes; nil for pure work. Only compute ops carry one (the
-	// machine applies no other kind's).
-	Eff Effect
-	Arg int64
-	// Tag names the op for traces, stall reports and static verification.
-	// It is kept as parts and rendered only when one of those readers asks
-	// (Label.String), so builders may stamp one on every op for free; the
-	// rendered text is part of the sync trace and must stay stable.
-	Tag Label
-
+	Arg    int64 // the argument Eff is applied to
 	// Post is the synchronization variable's value after this op completes,
 	// as guaranteed by the scheme's protocol. OpWrite implies Post == Value;
 	// OpRMW builders whose protocol serializes updates (e.g. ticketed key
@@ -127,7 +125,16 @@ type Op struct {
 	// CondGE is an OpWriteIf's guard "visible value >= CondGE", declared
 	// structurally so static analysis knows what the write's firing
 	// implies. WriteVarIfGE sets it.
-	CondGE  int64
+	CondGE int64
+	// Tag names the op for traces, stall reports and static verification.
+	// It is kept as parts and rendered only when one of those readers asks
+	// (Machine.Render), so builders may stamp one on every op for free; the
+	// rendered text is part of the sync trace and must stay stable.
+	Tag Label
+	// Eff is the statement semantics an OpCompute applies to Arg when it
+	// completes; 0 for pure work. Only compute ops carry one (the machine
+	// applies no other kind's).
+	Eff     EffID
 	Var     VarID // sync-op target
 	Kind    OpKind
 	HasPost bool
@@ -138,48 +145,25 @@ type Op struct {
 	OwnCheck bool
 }
 
-func (o Op) String() string {
-	switch o.Kind {
-	case OpCompute:
-		return fmt.Sprintf("compute(%d)%s", o.Cycles, tag(o.Tag.String()))
-	case OpWrite:
-		return fmt.Sprintf("write(v%d=%d)%s", o.Var, o.Value, tag(o.Tag.String()))
-	case OpWait:
-		return fmt.Sprintf("wait(v%d>=%d)%s", o.Var, o.Value, tag(o.Tag.String()))
-	case OpRMW:
-		return fmt.Sprintf("rmw(v%d)%s", o.Var, tag(o.Tag.String()))
-	case OpWriteIf:
-		return fmt.Sprintf("writeif(v%d=%d)%s", o.Var, o.Value, tag(o.Tag.String()))
-	}
-	return fmt.Sprintf("op(%d)", int(o.Kind))
-}
-
-func tag(t string) string {
-	if t == "" {
-		return ""
-	}
-	return " " + t
-}
-
-// Compute returns a compute op of the given duration that applies eff to
-// arg when it completes (eff may be nil for pure work).
-func Compute(cycles int64, eff Effect, arg int64, tag string) Op {
-	return Op{Kind: OpCompute, Cycles: cycles, Eff: eff, Arg: arg, Tag: Text(tag)}
+// Compute returns a compute op of the given duration that applies effect
+// eff to arg when it completes (eff may be 0 for pure work).
+func Compute(cycles int64, eff EffID, arg int64, tag Label) Op {
+	return Op{Kind: OpCompute, Cycles: cycles, Eff: eff, Arg: arg, Tag: tag}
 }
 
 // WriteVar returns a posted synchronization write.
-func WriteVar(v VarID, value int64, tag string) Op {
-	return Op{Kind: OpWrite, Var: v, Value: value, Tag: Text(tag)}
+func WriteVar(v VarID, value int64, tag Label) Op {
+	return Op{Kind: OpWrite, Var: v, Value: value, Tag: tag}
 }
 
 // WaitGE returns a busy-wait until the variable reaches value.
-func WaitGE(v VarID, value int64, tag string) Op {
-	return Op{Kind: OpWait, Var: v, Value: value, Tag: Text(tag)}
+func WaitGE(v VarID, value int64, tag Label) Op {
+	return Op{Kind: OpWait, Var: v, Value: value, Tag: tag}
 }
 
 // RMW returns an atomic fetch-and-add of delta on a memory variable.
-func RMW(v VarID, delta int64, tag string) Op {
-	return Op{Kind: OpRMW, Var: v, Value: delta, Tag: Text(tag)}
+func RMW(v VarID, delta int64, tag Label) Op {
+	return Op{Kind: OpRMW, Var: v, Value: delta, Tag: tag}
 }
 
 // WriteVarIfGE returns a conditional register write: value is posted only
@@ -187,20 +171,19 @@ func RMW(v VarID, delta int64, tag string) Op {
 // is declared structurally so static verification can reason about what a
 // fired write implies (the improved mark_PC fires only once ownership has
 // arrived).
-func WriteVarIfGE(v VarID, value, min int64, tag string) Op {
-	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, Tag: Text(tag)}
+func WriteVarIfGE(v VarID, value, min int64, tag Label) Op {
+	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, Tag: tag}
 }
 
 // The Append builders are the constructors above for programs built every
 // iteration: each extends ops by one op filled where it will live and
 // returns the longer slice, so no op is built and then copied in by
-// append. They take the tag as a Label, so a builder's Tagf arguments are
-// not rendered either.
+// append.
 
 // grow extends ops by one op and returns the slice and the new op. A slot
-// of the recycled buffer is not cleared: clearing an op, which holds
-// pointers, costs a bulk write barrier whenever the collector is marking,
-// and every builder overwrites all of the op's fields anyway (fill).
+// of the recycled buffer is not cleared first: every builder overwrites
+// all of the op's fields anyway (fill), so clearing would write each op
+// twice.
 func grow(ops []Op) ([]Op, *Op) {
 	if n := len(ops); n < cap(ops) {
 		ops = ops[:n+1]
@@ -213,17 +196,15 @@ func grow(ops []Op) ([]Op, *Op) {
 // fill overwrites every field of op with a kind op on v carrying value and
 // tag, its other fields zero.
 func (op *Op) fill(kind OpKind, v VarID, value int64, tag Label) {
-	op.Cycles, op.Value, op.Eff, op.Arg = 0, value, nil, 0
-	op.Tag.set(tag)
-	op.Post, op.CondGE, op.Var, op.Kind, op.HasPost, op.OwnCheck = 0, 0, v, kind, false, false
+	op.Cycles, op.Value, op.Arg, op.Post, op.CondGE = 0, value, 0, 0, 0
+	op.Tag, op.Eff, op.Var, op.Kind, op.HasPost, op.OwnCheck = tag, 0, v, kind, false, false
 }
 
 // AppendCompute appends Compute(cycles, eff, arg, tag).
-func AppendCompute(ops []Op, cycles int64, eff Effect, arg int64, tag Label) []Op {
+func AppendCompute(ops []Op, cycles int64, eff EffID, arg int64, tag Label) []Op {
 	ops, op := grow(ops)
-	op.Cycles, op.Value, op.Eff, op.Arg = cycles, 0, eff, arg
-	op.Tag.set(tag)
-	op.Post, op.CondGE, op.Var, op.Kind, op.HasPost, op.OwnCheck = 0, 0, 0, OpCompute, false, false
+	op.fill(OpCompute, 0, 0, tag)
+	op.Cycles, op.Eff, op.Arg = cycles, eff, arg
 	return ops
 }
 
@@ -281,8 +262,9 @@ func AppendRMWPost(ops []Op, v VarID, delta, post int64, tag Label) []Op {
 // itself. A caller that keeps the result passes nil.
 //
 // Semantics ride on the ops as effects (Effect), not closures: a program
-// stamps each statement's op with an effect it bound once for the run and
-// with the iteration as Arg, so building an iteration allocates nothing.
-// An effect may hold the run's buffers but nothing of its op, which the
-// next program call overwrites.
+// stamps each statement's op with the EffID of an effect it registered
+// once for the run and with the iteration as Arg, so building an iteration
+// allocates nothing. An effect may hold the run's buffers but nothing of
+// its op, which the next program call overwrites. Everything an op names
+// (effects, strings of its tag) is registered before the run.
 type Program func(dst []Op, iter int64) []Op

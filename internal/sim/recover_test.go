@@ -18,7 +18,7 @@ func TestRecoverHealsHaltedChain(t *testing.T) {
 		FaultPlan: fault.Plan{HaltProc: 0, HaltAtCycle: 5},
 		Recover:   Recover{AfterCycles: 40}})
 	v := m.NewRegVar("chain", 0)
-	st, err := m.RunLoop(20, chainProg(v))
+	st, err := m.RunLoop(20, chainProg(m, v))
 	if err != nil {
 		t.Fatalf("recovery-armed run failed: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestRecoverChunkedReassignsResidue(t *testing.T) {
 		FaultPlan: fault.Plan{HaltProc: 1, HaltAtCycle: 6},
 		Recover:   Recover{AfterCycles: 25}})
 	v := m.NewRegVar("chain", 0)
-	st, err := m.RunLoop(64, chainProg(v))
+	st, err := m.RunLoop(64, chainProg(m, v))
 	if err != nil {
 		t.Fatalf("chunked recovery failed: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestRecoverDeterministic(t *testing.T) {
 			FaultPlan: fault.Plan{Seed: 11, HaltProc: 2, HaltAtCycle: 9},
 			Recover:   Recover{AfterCycles: 30}})
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(48, chainProg(v))
+		st, err := m.RunLoop(48, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestRecoverDisarmedInvisible(t *testing.T) {
 	run := func(cfg Config) Stats {
 		m := New(cfg)
 		v := m.NewRegVar("chain", 0)
-		st, err := m.RunLoop(40, chainProg(v))
+		st, err := m.RunLoop(40, chainProg(m, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRecoverDisarmedInvisible(t *testing.T) {
 	m := New(Config{Processors: 2, BusLatency: 1, SyncOpCost: 1,
 		FaultPlan: fault.Plan{HaltProc: 0, HaltAtCycle: 5}})
 	v := m.NewRegVar("chain", 0)
-	_, err := m.RunLoop(20, chainProg(v))
+	_, err := m.RunLoop(20, chainProg(m, v))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)
@@ -144,7 +144,7 @@ func TestRecoverRefusedOnUnreclaimableStall(t *testing.T) {
 		FaultPlan: fault.Plan{Seed: 1, DropProb: 1},
 		Recover:   Recover{AfterCycles: 10}})
 	v := m.NewRegVar("chain", 0)
-	_, err := m.RunLoop(4, chainProg(v))
+	_, err := m.RunLoop(4, chainProg(m, v))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)
@@ -170,7 +170,7 @@ func TestRecoverRefusedWhenReclaimNeverFires(t *testing.T) {
 		FaultPlan: fault.Plan{HaltProc: 0, HaltAtCycle: 5},
 		Recover:   Recover{AfterCycles: 5_000}})
 	v := m.NewRegVar("chain", 0)
-	_, err := m.RunLoop(20, chainProg(v))
+	_, err := m.RunLoop(20, chainProg(m, v))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)

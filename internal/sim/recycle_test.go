@@ -13,21 +13,24 @@ import (
 // wait, an RMW and a memory write. Iterations alternate in length and in
 // which op comes last, so a recycled buffer carries a stale tail past the
 // new length and both a compute and a memory write complete an iteration.
-func recycleBody(reg, mem, ctr VarID, useMem bool, sum *int64) func([]Op, int64) []Op {
+func recycleBody(m *Machine, reg, mem, ctr VarID, useMem bool, sum *int64) func([]Op, int64) []Op {
+	add := m.AddEffect(EffectFunc(func(iter int64) { *sum += iter }))
+	chain, flag, work, signal := m.Text("chain"), m.Text("flag"), m.Text("work"), m.Text("signal")
+	count, flagSet, tail := m.Text("count"), m.Text("flag-set"), m.Text("tail")
 	return func(ops []Op, iter int64) []Op {
-		ops = append(ops, WaitGE(reg, iter-1, "chain"))
+		ops = append(ops, WaitGE(reg, iter-1, chain))
 		if useMem {
-			ops = append(ops, WaitGE(mem, iter-1, "flag"))
+			ops = append(ops, WaitGE(mem, iter-1, flag))
 		}
 		for k := int64(0); k <= iter%3; k++ {
-			ops = append(ops, Compute(2+k, EffectFunc(func(int64) { *sum += iter }), 0, "work"))
+			ops = append(ops, Compute(2+k, add, iter, work))
 		}
-		ops = append(ops, WriteVar(reg, iter, "signal"))
+		ops = append(ops, WriteVar(reg, iter, signal))
 		if useMem {
-			ops = append(ops, RMW(ctr, 1, "count"), WriteVar(mem, iter, "flag-set"))
+			ops = append(ops, RMW(ctr, 1, count), WriteVar(mem, iter, flagSet))
 		}
 		if iter%2 == 0 {
-			ops = append(ops, Compute(3, EffectFunc(func(int64) { *sum += iter }), 0, "tail"))
+			ops = append(ops, Compute(3, add, iter, tail))
 		}
 		return ops
 	}
@@ -67,7 +70,9 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 			mem := m.NewMemVar("flag", 1, 0)
 			ctr := m.NewMemVar("count", 0, 0)
 			var sum int64
-			body := recycleBody(reg, mem, ctr, c.useMem, &sum)
+			body := recycleBody(m, reg, mem, ctr, c.useMem, &sum)
+			panics := m.AddEffect(EffectFunc(func(int64) { panic("sim: executed a recycled op") }))
+			poison := m.Text("poison")
 			reused := 0
 			prog := func(dst []Op, iter int64) []Op { return body(nil, iter) }
 			if recycle {
@@ -75,9 +80,9 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 					full := dst[:cap(dst)]
 					for i := range full {
 						if i%2 == 0 {
-							full[i] = Compute(1, EffectFunc(func(int64) { panic("sim: executed a recycled op") }), 0, "poison")
+							full[i] = Compute(1, panics, 0, poison)
 						} else {
-							full[i] = WaitGE(never, 1, "poison")
+							full[i] = WaitGE(never, 1, poison)
 						}
 					}
 					if cap(dst) > 0 {
@@ -109,34 +114,28 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 	}
 }
 
-// markEffect is a comparable effect, so ops carrying it compare with ==.
-type markEffect struct{ id int }
-
-func (markEffect) Apply(int64) {}
-
 // TestAppendBuildersOverwriteRecycledSlots pins that the in-place builders
 // leave nothing of a recycled slot behind: each appended over a buffer
 // whose every field is set, and appended past the buffer's capacity, must
 // equal the op its value constructor returns.
 func TestAppendBuildersOverwriteRecycledSlots(t *testing.T) {
-	poison := Op{Cycles: 9, Value: 9, Eff: markEffect{9}, Arg: 9, Tag: Tagf("poison %d", 9),
+	poison := Op{Cycles: 9, Value: 9, Eff: 9, Arg: 9, Tag: TagSf(fmtFill, 9, 9, 9, 9),
 		Post: 9, CondGE: 9, Var: 9, Kind: OpRMW, HasPost: true, OwnCheck: true}
 	owned := func(op Op) Op { op.OwnCheck = true; return op }
-	post := RMW(2, 1, "inc")
+	post := RMW(2, 1, Text(5))
 	post.Post, post.HasPost = 6, true
 	cases := []struct {
 		name  string
 		build func([]Op) []Op
 		want  Op
 	}{
-		{"compute", func(b []Op) []Op { return AppendCompute(b, 3, markEffect{1}, 4, Text("c")) },
-			Compute(3, markEffect{1}, 4, "c")},
-		{"write", func(b []Op) []Op { return AppendWriteVar(b, 2, 5, Text("w")) }, WriteVar(2, 5, "w")},
-		{"wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, false, Text("g")) }, WaitGE(2, 5, "g")},
-		{"owned wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, true, Text("g")) }, owned(WaitGE(2, 5, "g"))},
-		{"writeif", func(b []Op) []Op { return AppendWriteVarIfGE(b, 2, 5, 3, true, Text("m")) },
-			owned(WriteVarIfGE(2, 5, 3, "m"))},
-		{"rmw", func(b []Op) []Op { return AppendRMWPost(b, 2, 1, 6, Text("inc")) }, post},
+		{"compute", func(b []Op) []Op { return AppendCompute(b, 3, 1, 4, Text(1)) }, Compute(3, 1, 4, Text(1))},
+		{"write", func(b []Op) []Op { return AppendWriteVar(b, 2, 5, Text(2)) }, WriteVar(2, 5, Text(2))},
+		{"wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, false, Text(3)) }, WaitGE(2, 5, Text(3))},
+		{"owned wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, true, Text(3)) }, owned(WaitGE(2, 5, Text(3)))},
+		{"writeif", func(b []Op) []Op { return AppendWriteVarIfGE(b, 2, 5, 3, true, Text(4)) },
+			owned(WriteVarIfGE(2, 5, 3, Text(4)))},
+		{"rmw", func(b []Op) []Op { return AppendRMWPost(b, 2, 1, 6, Text(5)) }, post},
 	}
 	for _, c := range cases {
 		recycled := []Op{poison, poison}

@@ -101,7 +101,7 @@ func (m *Machine) recordAccess(p *proc, op *Op) {
 	if !m.syncTracing {
 		return
 	}
-	t, ok := op.Eff.(Toucher)
+	t, ok := m.Effect(op.Eff).(Toucher)
 	if !ok {
 		return
 	}
@@ -111,7 +111,7 @@ func (m *Machine) recordAccess(p *proc, op *Op) {
 }
 
 func (m *Machine) appendSync(e SyncEvent, tag *Label) {
-	e.Tag = tag.String()
+	e.Tag = m.Render(*tag)
 	e.Seq = int64(len(m.syncTrace))
 	e.Time = m.now
 	m.syncTrace = append(m.syncTrace, e)

@@ -59,7 +59,7 @@ func (m *Machine) addTrace(p *proc, start, end int64, kind TraceKind, tag *Label
 		return
 	}
 	m.traceEvents = append(m.traceEvents, TraceEvent{
-		Proc: p.id, Iter: p.iter, Start: start, End: end, Kind: kind, Tag: tag.String(),
+		Proc: p.id, Iter: p.iter, Start: start, End: end, Kind: kind, Tag: m.Render(*tag),
 	})
 }
 

@@ -10,8 +10,8 @@ func TestTraceRecordsComputeAndWait(t *testing.T) {
 	m.EnableTrace()
 	v := m.NewRegVar("v", 0)
 	_, err := m.RunProcesses([][]Op{
-		{Compute(10, nil, 0, "produce"), WriteVar(v, 1, "pub")},
-		{WaitGE(v, 1, "consume-wait"), Compute(3, nil, 0, "consume")},
+		{Compute(10, 0, 0, m.Text("produce")), WriteVar(v, 1, m.Text("pub"))},
+		{WaitGE(v, 1, m.Text("consume-wait")), Compute(3, 0, 0, m.Text("consume"))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func TestTraceRecordsModuleService(t *testing.T) {
 	m.EnableTrace()
 	v := m.NewMemVar("c", 0, 0)
 	_, err := m.RunProcesses([][]Op{
-		{RMW(v, 1, "rmw0")},
-		{RMW(v, 1, "rmw1")},
+		{RMW(v, 1, m.Text("rmw0"))},
+		{RMW(v, 1, m.Text("rmw1"))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTraceRecordsModuleService(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := New(Config{Processors: 1})
-	if _, err := m.RunProcesses([][]Op{{Compute(5, nil, 0, "")}}); err != nil {
+	if _, err := m.RunProcesses([][]Op{{Compute(5, 0, 0, Label{})}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Trace()) != 0 {

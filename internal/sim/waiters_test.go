@@ -24,14 +24,14 @@ func TestStaleReleaseDuringDrainPinned(t *testing.T) {
 		st, err := m.RunProcesses([][]Op{
 			// Writer: raises the gate to 2 (releasing the >=1 and >=2
 			// waiters in one commit), then to 5 after the laggards report.
-			{Compute(5, nil, 0, "work"), WriteVar(v, 2, "raise2"),
-				WaitGE(done, 2, "laggards"), WriteVar(v, 5, "raise5")},
-			{WaitGE(v, 1, "w1"), Compute(2, nil, 0, ""), WriteVar(done, 1, "")},
-			{WaitGE(v, 2, "w2"), Compute(2, nil, 0, ""), WriteVar(done, 2, "")},
+			{Compute(5, 0, 0, m.Text("work")), WriteVar(v, 2, m.Text("raise2")),
+				WaitGE(done, 2, m.Text("laggards")), WriteVar(v, 5, m.Text("raise5"))},
+			{WaitGE(v, 1, m.Text("w1")), Compute(2, 0, 0, Label{}), WriteVar(done, 1, Label{})},
+			{WaitGE(v, 2, m.Text("w2")), Compute(2, 0, 0, Label{}), WriteVar(done, 2, Label{})},
 			// Unsatisfied until the second raise: must survive the first
 			// drain in place.
-			{WaitGE(v, 5, "w5"), Compute(1, nil, 0, "")},
-			{WaitGE(v, 4, "w4"), Compute(1, nil, 0, "")},
+			{WaitGE(v, 5, m.Text("w5")), Compute(1, 0, 0, Label{})},
+			{WaitGE(v, 4, m.Text("w4")), Compute(1, 0, 0, Label{})},
 		})
 		if err != nil {
 			t.Fatal(err)

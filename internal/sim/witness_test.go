@@ -12,12 +12,13 @@ import (
 // iteration i takes ownership of PC[(i-1) mod x] (an ownership check),
 // computes, and passes the counter to iteration i+x. PC[k] starts owned by
 // iteration k+1, as the paper initializes it.
-func foldedPCProg(pc VarID, x int64) Program {
+func foldedPCProg(m *Machine, pc VarID, x int64) Program {
+	ownTag, work, release := m.Text("own"), m.Text("work"), m.Text("release")
 	return func(ops []Op, iter int64) []Op {
 		slot := pc + VarID((iter-1)%x)
-		own := WaitGE(slot, iter, "own")
+		own := WaitGE(slot, iter, ownTag)
 		own.OwnCheck = true
-		return append(ops, own, Compute(3, nil, 0, "work"), WriteVar(slot, iter+x, "release"))
+		return append(ops, own, Compute(3, 0, 0, work), WriteVar(slot, iter+x, release))
 	}
 }
 
@@ -25,7 +26,7 @@ func runFolded(t *testing.T, cfg Config, x int64) Stats {
 	t.Helper()
 	m := New(cfg)
 	pc := m.NewRegVars(int(x), IndexedNames("PC[%d]"), func(k int) int64 { return int64(k) + 1 })
-	st, err := m.RunLoop(16, foldedPCProg(pc, x))
+	st, err := m.RunLoop(16, foldedPCProg(m, pc, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +40,11 @@ func TestWitnessBusFree(t *testing.T) {
 		m := New(Config{Processors: 2, BusLatency: 3, SyncOpCost: 1, Modules: 1})
 		key := m.NewMemVar("key", 0, 0)
 		reg := m.NewRegVar("reg", 0)
+		work, memSignal, regSignal := m.Text("work"), m.Text("mem-signal"), m.Text("reg-signal")
 		st, err := m.RunLoop(8, func(ops []Op, iter int64) []Op {
-			ops = append(ops, Compute(2, nil, 0, "work"), WriteVar(key, iter, "mem-signal"))
+			ops = append(ops, Compute(2, 0, 0, work), WriteVar(key, iter, memSignal))
 			if write && iter == 5 {
-				ops = append(ops, WriteVar(reg, 1, "reg-signal"))
+				ops = append(ops, WriteVar(reg, 1, regSignal))
 			}
 			return ops
 		})
@@ -88,10 +90,11 @@ func TestWitnessOwnershipPrompt(t *testing.T) {
 	// The guard of a conditional write is an ownership check too.
 	m := New(Config{Processors: 2, BusLatency: 2, SyncOpCost: 1})
 	pc := m.NewRegVar("PC[0]", 1)
+	markTag, work := m.Text("mark"), m.Text("work")
 	st, err := m.RunLoop(4, func(ops []Op, iter int64) []Op {
-		mark := WriteVarIfGE(pc, iter, iter, "mark")
+		mark := WriteVarIfGE(pc, iter, iter, markTag)
 		mark.OwnCheck = true
-		return append(ops, Compute(1, nil, 0, "work"), mark)
+		return append(ops, Compute(1, 0, 0, work), mark)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +112,9 @@ func TestWitnessesClearedByFaultsAndRecovery(t *testing.T) {
 	memOnly := func(cfg Config) Stats {
 		m := New(cfg)
 		key := m.NewMemVar("key", 0, 0)
+		work, signal := m.Text("work"), m.Text("signal")
 		st, err := m.RunLoop(8, func(ops []Op, iter int64) []Op {
-			return append(ops, Compute(2, nil, 0, "work"), WriteVar(key, iter, "signal"))
+			return append(ops, Compute(2, 0, 0, work), WriteVar(key, iter, signal))
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -30,6 +30,14 @@ type SimSCs struct {
 	base sim.VarID // SC[i] is register base+i
 }
 
+// The counters' op tag formats.
+var (
+	tagAdvanceWait = sim.RegisterFormat("advance:wait c=%d seq=%d")
+	tagAdvanceSet  = sim.RegisterFormat("advance:set c=%d seq=%d")
+	tagAwaitNoop   = sim.RegisterFormat("await:noop")
+	tagAwait       = sim.RegisterFormat("await c=%d seq>=%d")
+)
+
 // NewSimSCs declares K statement counters on the machine.
 func NewSimSCs(m *sim.Machine, k int) *SimSCs {
 	if k < 1 {
@@ -47,8 +55,8 @@ func (s *SimSCs) Var(c int64) sim.VarID { return s.base + sim.VarID(int(c)%s.K) 
 // ops are filled in place.
 func (s *SimSCs) AdvanceOps(dst []sim.Op, c, seq int64) []sim.Op {
 	v := s.Var(c)
-	dst = sim.AppendWaitGE(dst, v, seq-1, false, sim.Tagf("advance:wait c=%d seq=%d", c, seq))
-	return sim.AppendWriteVar(dst, v, seq, sim.Tagf("advance:set c=%d seq=%d", c, seq))
+	dst = sim.AppendWaitGE(dst, v, seq-1, false, sim.Tagf(tagAdvanceWait, c, seq))
+	return sim.AppendWriteVar(dst, v, seq, sim.Tagf(tagAdvanceSet, c, seq))
 }
 
 // AwaitOps appends Await to dst: wait until logical counter c has reached
@@ -56,7 +64,7 @@ func (s *SimSCs) AdvanceOps(dst []sim.Op, c, seq int64) []sim.Op {
 // compute.
 func (s *SimSCs) AwaitOps(dst []sim.Op, c, minSeq int64) []sim.Op {
 	if minSeq <= 0 {
-		return sim.AppendCompute(dst, 0, nil, 0, sim.Text("await:noop"))
+		return sim.AppendCompute(dst, 0, 0, 0, sim.Tagf(tagAwaitNoop))
 	}
-	return sim.AppendWaitGE(dst, s.Var(c), minSeq, false, sim.Tagf("await c=%d seq>=%d", c, minSeq))
+	return sim.AppendWaitGE(dst, s.Var(c), minSeq, false, sim.Tagf(tagAwait, c, minSeq))
 }

@@ -19,7 +19,7 @@ import (
 type breakScheme struct {
 	codegen.Scheme
 	label   string
-	rewrite func(sim.Op) (sim.Op, bool) // replacement op, keep?
+	rewrite func(*sim.Machine, sim.Op) (sim.Op, bool) // replacement op, keep?
 }
 
 func (b breakScheme) Name() string { return b.Scheme.Name() + "+" + b.label }
@@ -33,7 +33,7 @@ func (b breakScheme) Instrument(m *sim.Machine, w *codegen.Workload) (sim.Progra
 		ops := prog(dst, iter)
 		out := ops[:0]
 		for _, op := range ops {
-			if rop, keep := b.rewrite(op); keep {
+			if rop, keep := b.rewrite(m, op); keep {
 				out = append(out, rop)
 			}
 		}
@@ -52,29 +52,34 @@ func brokenWorkload() *codegen.Workload { return workloads.Recurrence(60, 3, 4) 
 func brokenBase() codegen.ProcessOriented { return codegen.ProcessOriented{X: 2, Improved: true} }
 
 // dropWait3 removes every dist-3 wait from the program.
-func dropWait3(op sim.Op) (sim.Op, bool) {
-	return op, !strings.HasPrefix(op.Tag.String(), "wait_PC(3,")
+func dropWait3(m *sim.Machine, op sim.Op) (sim.Op, bool) {
+	return op, !strings.HasPrefix(m.Render(op.Tag), "wait_PC(3,")
 }
+
+// The tags of stretchWait3's rewritten waits.
+var (
+	tagWait5     = sim.RegisterFormat("wait_PC(5,%d) i=%d")
+	tagWait5Noop = sim.RegisterFormat("wait_PC(5,%d) i=%d noop")
+)
 
 // stretchWait3 rewrites every dist-3 wait to distance 5. With X=2 the folded
 // slot of iter-5 is the slot of iter-3, so only the awaited owner changes:
 // the wait is satisfiable but guards the wrong source iteration, and no
 // composition of +2 transfer edges and +5 wait edges spans a distance of 3.
-func stretchWait3(op sim.Op) (sim.Op, bool) {
-	if !strings.HasPrefix(op.Tag.String(), "wait_PC(3,") {
+func stretchWait3(m *sim.Machine, op sim.Op) (sim.Op, bool) {
+	tag := m.Render(op.Tag)
+	if !strings.HasPrefix(tag, "wait_PC(3,") {
 		return op, true
 	}
 	var step, iter int64
-	rest := strings.TrimPrefix(op.Tag.String(), "wait_PC(3,")
-	if _, err := fmt.Sscanf(rest, "%d) i=%d", &step, &iter); err != nil {
-		panic("stretchWait3: unparseable tag " + op.Tag.String())
+	if _, err := fmt.Sscanf(strings.TrimPrefix(tag, "wait_PC(3,"), "%d) i=%d", &step, &iter); err != nil {
+		panic("stretchWait3: unparseable tag " + tag)
 	}
 	src := iter - 5
-	tag := fmt.Sprintf("wait_PC(5,%d) i=%d", step, iter)
 	if src < 1 {
-		return sim.Compute(0, nil, 0, tag+" noop"), true
+		return sim.Compute(0, 0, 0, sim.Tagf(tagWait5Noop, step, iter)), true
 	}
-	return sim.WaitGE(op.Var, core.PC{Owner: src, Step: step}.Pack(), tag), true
+	return sim.WaitGE(op.Var, core.PC{Owner: src, Step: step}.Pack(), sim.Tagf(tagWait5, step, iter)), true
 }
 
 func brokenVariants() []breakScheme {

@@ -61,8 +61,9 @@ func (f FFT) SerialMem() (*sim.Mem, int64) {
 // fftStages is one run's stage computation as a sim.Effect: an op's Arg
 // names processor pid's stage s as s*P+pid.
 type fftStages struct {
-	f FFT
-	v *sim.Grid
+	f  FFT
+	v  *sim.Grid
+	id sim.EffID // its name on the run's machine
 }
 
 // Apply implements sim.Effect.
@@ -81,16 +82,20 @@ func (st *fftStages) Apply(arg int64) {
 	}
 }
 
-// setup declares the run's buffers and returns its stage effect.
+// setup declares the run's buffers and returns its stage effect,
+// registered on m.
 func (f FFT) setup(m *sim.Machine) *fftStages {
-	return &fftStages{f: f, v: f.Setup(m.Mem())}
+	st := &fftStages{f: f, v: f.Setup(m.Mem())}
+	st.id = m.AddEffect(st)
+	return st
 }
+
+// tagStage tags processor p's stage s.
+var tagStage = sim.RegisterFormat("fft p%d s%d")
 
 // stageOp builds processor pid's compute for one stage.
 func (f FFT) stageOp(st *fftStages, pid, stage int) sim.Op {
-	op := sim.Compute(f.Chunk*f.Cost, st, int64(stage*f.P+pid), "")
-	op.Tag = sim.Tagf("fft p%d s%d", int64(pid), int64(stage))
-	return op
+	return sim.Compute(f.Chunk*f.Cost, st.id, int64(stage*f.P+pid), sim.Tagf(tagStage, int64(pid), int64(stage)))
 }
 
 // Pairwise builds the paper's fft() procedure: per stage, BASIC_FFT, then
@@ -109,10 +114,10 @@ func (f FFT) Pairwise(m *sim.Machine) [][]sim.Op {
 		var ops []sim.Op
 		for s := 1; s <= stages; s++ {
 			ops = append(ops, f.stageOp(st, pid, s))
-			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), fmt.Sprintf("fft:mark p%d s%d", pid, s)))
+			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), m.Text(fmt.Sprintf("fft:mark p%d s%d", pid, s))))
 			if s < stages {
 				next := pid ^ (1 << s) // stage s+1 partner (distance 2^s)
-				ops = append(ops, sim.WaitGE(pcs[next], int64(s), fmt.Sprintf("fft:wait p%d s%d", pid, s)))
+				ops = append(ops, sim.WaitGE(pcs[next], int64(s), m.Text(fmt.Sprintf("fft:wait p%d s%d", pid, s))))
 			}
 		}
 		progs[pid] = ops

@@ -56,8 +56,9 @@ func (j Jacobi) SerialMem() (*sim.Mem, int64) {
 // jacobiSweeps is one run's strip sweep as a sim.Effect: an op's Arg names
 // processor pid's sweep s as s*P+pid.
 type jacobiSweeps struct {
-	j Jacobi
-	u *sim.Grid
+	j  Jacobi
+	u  *sim.Grid
+	id sim.EffID // its name on the run's machine
 }
 
 // Apply implements sim.Effect.
@@ -70,16 +71,20 @@ func (sw *jacobiSweeps) Apply(arg int64) {
 	}
 }
 
-// setup declares the run's buffers and returns its sweep effect.
+// setup declares the run's buffers and returns its sweep effect,
+// registered on m.
 func (j Jacobi) setup(m *sim.Machine) *jacobiSweeps {
-	return &jacobiSweeps{j: j, u: j.Setup(m.Mem())}
+	sw := &jacobiSweeps{j: j, u: j.Setup(m.Mem())}
+	sw.id = m.AddEffect(sw)
+	return sw
 }
+
+// tagSweep tags processor p's sweep s.
+var tagSweep = sim.RegisterFormat("jacobi p%d s%d")
 
 // sweepOp builds processor pid's compute for one sweep over its strip.
 func (j Jacobi) sweepOp(sw *jacobiSweeps, pid, sweep int) sim.Op {
-	op := sim.Compute(j.Strip*j.Cost, sw, int64(sweep*j.P+pid), "")
-	op.Tag = sim.Tagf("jacobi p%d s%d", int64(pid), int64(sweep))
-	return op
+	return sim.Compute(j.Strip*j.Cost, sw.id, int64(sweep*j.P+pid), sim.Tagf(tagSweep, int64(pid), int64(sweep)))
 }
 
 // NeighborSync builds the paper's regime: after sweep s a processor marks
@@ -96,13 +101,13 @@ func (j Jacobi) NeighborSync(m *sim.Machine) [][]sim.Op {
 		var ops []sim.Op
 		for s := 1; s <= j.Sweeps; s++ {
 			ops = append(ops, j.sweepOp(sw, pid, s))
-			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), fmt.Sprintf("jac:mark p%d s%d", pid, s)))
+			ops = append(ops, sim.WriteVar(pcs[pid], int64(s), m.Text(fmt.Sprintf("jac:mark p%d s%d", pid, s))))
 			if s < j.Sweeps {
 				if pid > 0 {
-					ops = append(ops, sim.WaitGE(pcs[pid-1], int64(s), fmt.Sprintf("jac:waitL p%d s%d", pid, s)))
+					ops = append(ops, sim.WaitGE(pcs[pid-1], int64(s), m.Text(fmt.Sprintf("jac:waitL p%d s%d", pid, s))))
 				}
 				if pid < j.P-1 {
-					ops = append(ops, sim.WaitGE(pcs[pid+1], int64(s), fmt.Sprintf("jac:waitR p%d s%d", pid, s)))
+					ops = append(ops, sim.WaitGE(pcs[pid+1], int64(s), m.Text(fmt.Sprintf("jac:waitR p%d s%d", pid, s))))
 				}
 			}
 		}

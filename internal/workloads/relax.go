@@ -53,6 +53,7 @@ func (r Relax) SerialMem() (*sim.Mem, int64) {
 type cells struct {
 	a      *sim.Grid
 	stride int64
+	id     sim.EffID // its name on the run's machine
 }
 
 // Apply implements sim.Effect.
@@ -61,16 +62,20 @@ func (c *cells) Apply(arg int64) {
 	c.a.Set(i, j, c.a.Get(i-1, j)+c.a.Get(i, j-1))
 }
 
-// setup declares the run's grid and returns its cell-update effect.
+// setup declares the run's grid and returns its cell-update effect,
+// registered on m.
 func (r Relax) setup(m *sim.Machine) *cells {
-	return &cells{a: r.SetupGrid(m.Mem()), stride: r.N + 1}
+	c := &cells{a: r.SetupGrid(m.Mem()), stride: r.N + 1}
+	c.id = m.AddEffect(c)
+	return c
 }
+
+// tagRelax tags a cell update.
+var tagRelax = sim.RegisterFormat("relax(%d,%d)")
 
 // cell returns the compute op for one cell update.
 func (r Relax) cell(c *cells, i, j int64) sim.Op {
-	op := sim.Compute(r.Cost, c, i*c.stride+j, "")
-	op.Tag = sim.Tagf("relax(%d,%d)", i, j)
-	return op
+	return sim.Compute(r.Cost, c.id, i*c.stride+j, sim.Tagf(tagRelax, i, j))
 }
 
 // groups returns the inner-loop group boundaries.
