@@ -1,8 +1,8 @@
 package codegen
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"github.com/csrd-repro/datasync/internal/sim"
 )
@@ -15,7 +15,7 @@ import (
 // machine — and to check it against the nest's dependence set.
 
 // SyncOpKind classifies abstract synchronization-program steps.
-type SyncOpKind int
+type SyncOpKind uint8
 
 // Abstract step kinds.
 const (
@@ -50,21 +50,23 @@ func (k SyncOpKind) String() string {
 // SyncOp is one abstract step of an iteration's synchronization program.
 type SyncOp struct {
 	Kind        SyncOpKind
-	Var         int   // SyncWait / SyncSignal / SyncOpaque
-	Value       int64 // wait threshold / signalled value
-	Conditional bool  // SyncSignal that may not fire (mark_PC)
-	// Guard, valid iff HasGuard, is the visible value a Conditional signal's
-	// firing implies ("fires only when visible >= Guard"): the improved
-	// mark_PC updates the step only once ownership has arrived.
-	Guard    int64
+	Conditional bool // SyncSignal that may not fire (mark_PC)
+	// HasGuard marks a Conditional signal whose firing implies a visible
+	// value of at least Guard ("fires only when visible >= Guard"): the
+	// improved mark_PC updates the step only once ownership has arrived.
 	HasGuard bool
 	// Accum marks a SyncSignal produced by an atomic increment (ticketed
 	// keys): the variable counts completed accesses, so a wait for value t
 	// is released by the t earliest increments collectively, not by any
 	// single write reaching t.
 	Accum bool
-	Stmt  int // SyncStmt: flattened body position
-	Tag   string
+	Var   sim.VarID // SyncWait / SyncSignal / SyncOpaque
+	Stmt  int32     // SyncStmt: flattened body position
+	Value int64     // wait threshold / signalled value
+	Guard int64     // valid iff HasGuard
+	// Tag is the label of the simulator op the step stands for; a SyncStmt
+	// step has none. SyncProgram.AppendTag renders it.
+	Tag sim.Label
 }
 
 // SyncProgram is a scheme's emitted synchronization program over a
@@ -80,8 +82,23 @@ type SyncProgram struct {
 	// are vacuous and only flow arcs need enforcement (section 3.1,
 	// instance-based).
 	Renamed bool
-	// At returns iteration iter's abstract step sequence (1-based lpids).
-	At func(iter int64) []SyncOp
+	// Machine is the machine the program was instrumented on: its name
+	// table renders the steps' tags.
+	Machine *sim.Machine
+	// At appends iteration iter's abstract step sequence (1-based lpids)
+	// to dst and returns the extended slice. It reuses buffers of its own
+	// from call to call, so it is not safe for concurrent use.
+	At func(dst []SyncOp, iter int64) []SyncOp
+}
+
+// AppendTag appends the text of op's tag to dst: the statement's name for
+// a SyncStmt step, the rendered label otherwise. Tags are rendered only
+// when a report needs one, never while materializing.
+func (sp *SyncProgram) AppendTag(dst []byte, op SyncOp) []byte {
+	if op.Kind == SyncStmt {
+		return append(dst, sp.Workload.Nest.Stmts()[op.Stmt].Name...)
+	}
+	return sp.Machine.AppendRender(dst, op.Tag)
 }
 
 // ExtractSyncProgram instruments the workload under the scheme on a
@@ -100,6 +117,7 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 		Iters:    iters,
 		VarNames: make([]string, m.VarCount()),
 		VarInit:  make([]int64, m.VarCount()),
+		Machine:  m,
 	}
 	for v := 0; v < m.VarCount(); v++ {
 		sp.VarNames[v] = m.VarName(sim.VarID(v))
@@ -108,53 +126,102 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 	if rs, ok := sch.(interface{ RenamedStorage() bool }); ok {
 		sp.Renamed = rs.RenamedStorage()
 	}
-	stmtPos := make(map[string]int)
-	for i, s := range w.Nest.Stmts() {
-		stmtPos[s.Name] = i
+	stmts := w.Nest.Stmts()
+	t := &translator{m: m, stmtPos: make(map[string]int, len(stmts)), lastAt: make([]int, len(stmts))}
+	for i, s := range stmts {
+		t.stmtPos[s.Name] = i
 	}
-	sp.At = func(iter int64) []SyncOp {
-		return translateOps(m, prog(nil, iter), stmtPos)
+	sp.At = func(dst []SyncOp, iter int64) []SyncOp {
+		t.ops = prog(t.ops[:0], iter)
+		return t.translate(dst)
 	}
 	return sp, nil
 }
 
-// translateOps maps one iteration's simulator ops onto abstract steps. The
-// execution point of a statement is its last compute op carrying the
-// statement's tag (the commit op under a data-write latency). Tags render
-// through m, the machine the ops were built for.
-func translateOps(m *sim.Machine, ops []sim.Op, stmtPos map[string]int) []SyncOp {
-	last := make(map[string]int) // stmt name -> index of its execution op
-	for i, op := range ops {
-		if op.Kind != sim.OpCompute {
-			continue
-		}
-		name := strings.TrimSuffix(m.Render(op.Tag), ":commit")
-		if _, ok := stmtPos[name]; ok {
-			last[name] = i
+// translator maps one iteration's simulator ops onto abstract steps. It
+// keeps the op buffer and what it learned of statement tags from one
+// iteration to the next.
+type translator struct {
+	m       *sim.Machine
+	stmtPos map[string]int // statement name -> flattened body position
+	ops     []sim.Op
+	// verbatim and commit hold, by string id, what a label rendering that
+	// string verbatim or as "<string>:commit" names: 0 not looked up yet,
+	// 1 no statement, otherwise the statement's position + 2.
+	verbatim, commit []int32
+	// lastAt[pos] is the index of statement pos's last compute op in the
+	// iteration being translated.
+	lastAt []int
+	buf    []byte
+}
+
+// translate appends the abstract steps of t.ops to dst. The execution
+// point of a statement is its last compute op carrying the statement's
+// tag (the commit op under a data-write latency).
+func (t *translator) translate(dst []SyncOp) []SyncOp {
+	for i, op := range t.ops {
+		if op.Kind == sim.OpCompute {
+			if pos := t.stmt(op.Tag); pos >= 0 {
+				t.lastAt[pos] = i
+			}
 		}
 	}
-	out := make([]SyncOp, 0, len(ops))
-	for i, op := range ops {
+	for i, op := range t.ops {
 		switch op.Kind {
 		case sim.OpCompute:
-			name := strings.TrimSuffix(m.Render(op.Tag), ":commit")
-			if pos, ok := stmtPos[name]; ok && last[name] == i {
-				out = append(out, SyncOp{Kind: SyncStmt, Stmt: pos, Tag: name})
+			if pos := t.stmt(op.Tag); pos >= 0 && t.lastAt[pos] == i {
+				dst = append(dst, SyncOp{Kind: SyncStmt, Stmt: int32(pos)})
 			}
 		case sim.OpWait:
-			out = append(out, SyncOp{Kind: SyncWait, Var: int(op.Var), Value: op.Value, Tag: m.Render(op.Tag)})
+			dst = append(dst, SyncOp{Kind: SyncWait, Var: op.Var, Value: op.Value, Tag: op.Tag})
 		case sim.OpWrite:
-			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value, Tag: m.Render(op.Tag)})
+			dst = append(dst, SyncOp{Kind: SyncSignal, Var: op.Var, Value: op.Value, Tag: op.Tag})
 		case sim.OpWriteIf:
-			out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Value,
-				Conditional: true, Guard: op.CondGE, HasGuard: true, Tag: m.Render(op.Tag)})
+			dst = append(dst, SyncOp{Kind: SyncSignal, Var: op.Var, Value: op.Value,
+				Conditional: true, Guard: op.CondGE, HasGuard: true, Tag: op.Tag})
 		case sim.OpRMW:
 			if op.HasPost {
-				out = append(out, SyncOp{Kind: SyncSignal, Var: int(op.Var), Value: op.Post, Accum: true, Tag: m.Render(op.Tag)})
+				dst = append(dst, SyncOp{Kind: SyncSignal, Var: op.Var, Value: op.Post, Accum: true, Tag: op.Tag})
 			} else {
-				out = append(out, SyncOp{Kind: SyncOpaque, Var: int(op.Var), Tag: m.Render(op.Tag)})
+				dst = append(dst, SyncOp{Kind: SyncOpaque, Var: op.Var, Tag: op.Tag})
 			}
 		}
 	}
-	return out
+	return dst
 }
+
+// stmt returns the body position of the statement a compute op's tag
+// names, -1 for none: the tag with a ":commit" suffix trimmed must be the
+// statement's name. Statement ops render a name of the machine's name
+// table verbatim or as its commit phase, so those two formats are looked
+// up once per string; any other tag is rendered and looked up.
+func (t *translator) stmt(l sim.Label) int {
+	var memo *[]int32
+	switch l.Format() {
+	case sim.Verbatim:
+		memo = &t.verbatim
+	case tagCommit:
+		memo = &t.commit
+	default:
+		return t.lookup(l)
+	}
+	s := int(l.Str())
+	if s >= len(*memo) {
+		*memo = append(*memo, make([]int32, s+1-len(*memo))...)
+	}
+	if (*memo)[s] == 0 {
+		(*memo)[s] = int32(t.lookup(l) + 2)
+	}
+	return int((*memo)[s]) - 2
+}
+
+// lookup renders l and returns the position of the statement it names.
+func (t *translator) lookup(l sim.Label) int {
+	t.buf = t.m.AppendRender(t.buf[:0], l)
+	if pos, ok := t.stmtPos[string(bytes.TrimSuffix(t.buf, commitSuffix))]; ok {
+		return pos
+	}
+	return -1
+}
+
+var commitSuffix = []byte(":commit")

@@ -90,9 +90,19 @@ func (p *Prepared) prepareRun() error {
 	return p.cfg.Check()
 }
 
+// maxVerifyIters bounds a /verify request's maxIters, four times the
+// default window. The static verifier's clocks grow with the square of the
+// window: at the bound one call allocates 37 MB for fig21 under process
+// X=8 and 166 MB for the costliest built-in pair (fig21 under statement),
+// so without a bound one request could exhaust the heap.
+const maxVerifyIters = 2048
+
 func (p *Prepared) prepareVerify() error {
 	if !p.ver.Scheme.Verifiable() {
 		return fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", p.ver.Scheme.Name)
+	}
+	if p.ver.MaxIters > maxVerifyIters {
+		return fmt.Errorf("verify: maxIters may not exceed %d, got %d", maxVerifyIters, p.ver.MaxIters)
 	}
 	wl, key, err := verifyKey(p.ver)
 	if err != nil {

@@ -143,6 +143,7 @@ func TestBadRequests(t *testing.T) {
 		name string
 		body any
 	}{
+		{"verify window over the bound", VerifyRequest{Workload: WorkloadSpec{Name: "fig21", N: 20}, Scheme: SchemeSpec{Name: "process"}, MaxIters: maxVerifyIters + 1}},
 		{"unknown scheme", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "quantum"}}},
 		{"unknown workload", RunRequest{Workload: WorkloadSpec{Name: "nope"}, Scheme: SchemeSpec{Name: "ref"}}},
 		{"bad config", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "ref"}, Config: ConfigSpec{P: -2}}},
@@ -161,7 +162,11 @@ func TestBadRequests(t *testing.T) {
 			"config": map[string]any{"fault": map[string]any{"stallIter": 1, "stallMillis": 5}}}},
 	}
 	for _, tc := range cases {
-		resp, body := post(t, ts, "/run", tc.body)
+		route := "/run"
+		if _, ok := tc.body.(VerifyRequest); ok {
+			route = "/verify"
+		}
+		resp, body := post(t, ts, route, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 			continue

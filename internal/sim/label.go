@@ -98,18 +98,34 @@ func (m *Machine) AddNames(n int, names Namer) StrID {
 // Render renders label l, taking its string argument from the machine's
 // name table.
 func (m *Machine) Render(l Label) string {
+	return string(m.AppendRender(make([]byte, 0, 48), l))
+}
+
+// AppendRender appends the text of label l to dst and returns the
+// extended buffer: Render without allocating when dst has room.
+func (m *Machine) AppendRender(dst []byte, l Label) []byte {
 	f := formats[l.fmt]
 	var s string
 	if strings.Contains(f, "%s") {
 		s = m.strs.name(int32(l.str))
 	}
-	return render(f, s, l.args[:])
+	return appendRender(dst, f, s, l.args[:])
 }
+
+// Format returns the format l renders.
+func (l Label) Format() Format { return l.fmt }
+
+// Str returns l's string argument, a name of the machine's name table.
+func (l Label) Str() StrID { return l.str }
 
 // render expands format: each "%d" takes the next of args (nothing once
 // they run out) and each "%s" takes s.
 func render(format, s string, args []int64) string {
-	b := make([]byte, 0, len(format)+len(s)+32)
+	return string(appendRender(make([]byte, 0, len(format)+len(s)+32), format, s, args))
+}
+
+// appendRender appends the expansion of format to b.
+func appendRender(b []byte, format, s string, args []int64) []byte {
 	k := 0
 	for i := 0; i < len(format); i++ {
 		if format[i] == '%' && i+1 < len(format) {
@@ -129,7 +145,7 @@ func render(format, s string, args []int64) string {
 		}
 		b = append(b, format[i])
 	}
-	return string(b)
+	return b
 }
 
 // Namer names the members of a block of variables or strings declared

@@ -1,0 +1,5 @@
+//go:build !race
+
+package verify_test
+
+const raceEnabled = false

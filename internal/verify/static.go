@@ -1,9 +1,12 @@
 package verify
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"regexp"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
@@ -26,10 +29,7 @@ func Static(sp *codegen.SyncProgram, opt Options) *Report {
 	}
 	rep.Analyzed = w
 
-	c := &checker{sp: sp, rep: rep, w: w, findIdx: make(map[string]int),
-		sigs: make(map[int][]sigRec), vinfo: make(map[int]*varInfo),
-		relOf: make(map[int][]sigRec), relSucc: make(map[int][]int),
-		sites: make(map[string]*siteStat)}
+	c := &checker{sp: sp, rep: rep, w: w}
 	c.materialize()
 	c.classifyVars()
 	c.buildReleases()
@@ -48,7 +48,7 @@ func Static(sp *codegen.SyncProgram, opt Options) *Report {
 type sigRec struct {
 	id       int
 	iter     int64
-	k        int
+	k        int32
 	val      int64
 	cond     bool
 	guard    int64
@@ -56,11 +56,9 @@ type sigRec struct {
 }
 
 type waitRec struct {
-	id   int
-	iter int64
-	k    int
-	v    int
-	t    int64
+	id int
+	v  int
+	t  int64
 }
 
 type varInfo struct {
@@ -69,8 +67,8 @@ type varInfo struct {
 }
 
 type siteStat struct {
+	site, sample     string
 	total, redundant int
-	sample           string
 }
 
 // obligation: the conditional releaser r must be in the past of fallback
@@ -81,42 +79,94 @@ type obligation struct {
 	cand sigRec
 }
 
+// tick is one entry of a vector clock: the first k steps of iteration
+// iter happen before the clock's node. A clock is a slice of ticks in
+// ascending iteration order; an iteration without a tick has k = 0.
+// Analyzed iterations are materialized, so their numbers fit an int32.
+type tick struct{ iter, k int32 }
+
+// clockRef locates a stored clock: n ticks at off in arena block blk.
+type clockRef struct{ blk, off, n int32 }
+
+// span is a run of n entries at off of a flat table.
+type span struct{ off, n int32 }
+
+// The tick arena's first block holds arenaFirst ticks; each later block
+// doubles the one before, up to arenaMax (or the clock it must hold).
+const (
+	arenaFirst = 1 << 10
+	arenaMax   = 1 << 16
+)
+
+// checker holds one verification's tables. Nodes are the analyzed steps,
+// numbered iteration by iteration; every per-node table is a slice indexed
+// by node id and every per-variable table a slice indexed by variable id.
 type checker struct {
 	sp  *codegen.SyncProgram
 	rep *Report
 	w   int64 // analyzed iterations
 
-	evs      [][]codegen.SyncOp
-	base     []int // node-id offset per iteration; base[i+1]-base[i] ops
+	ops      []codegen.SyncOp // every node's step, by node id
+	base     []int            // node-id offset per iteration; base[i+1]-base[i] steps
 	total    int
-	iterOf   []int64
+	iterOf   []int32
 	kOf      []int32
-	retain   []bool  // clock kept after processing (signal/stmt nodes)
-	stmtNode [][]int // [iter][stmtPos] -> node id, -1 when not executed
+	nStmts   int
+	stmtNode []int32 // [(iter-1)*nStmts+stmtPos] -> node id, -1 when not executed
 
-	sigs    map[int][]sigRec
-	waits   []waitRec
-	vinfo   map[int]*varInfo
-	relOf   map[int][]sigRec // wait node -> releasing signals
-	relSucc map[int][]int    // signal node -> released wait nodes
+	// sigBuf[sigStart[v]:sigStart[v+1]] are variable v's signals, sorted
+	// by (value, iter, k).
+	sigStart []int32
+	sigBuf   []sigRec
+	vinfo    []varInfo // by variable
+	waits    []waitRec
+	rel      []span // by node: a wait's releasing signals, in sigBuf
+	// succ[succStart[id]:succStart[id+1]] are the waits signal node id
+	// releases, in ascending node id.
+	succStart []int32
+	succ      []int32
 
 	obls    []obligation
-	oblSeen map[[2]int]bool
+	oblSeen []bool // by sigBuf index of a conditional minimal candidate
 
-	clocks []map[int64]int32
+	// Clocks are shared by segments: a node that is neither its
+	// iteration's first step nor a wait with releasers has its
+	// predecessor's clock with its own iteration's tick advanced by one,
+	// so only segment heads store a clock. clock[id] is the stored clock
+	// of id's segment, in which the tick of id's own iteration reads as
+	// kOf[id]+1 (clockAt). Stored clocks live in an append-only arena of
+	// blocks, so storing one never moves another.
+	arena    [][]tick
+	clock    []clockRef
+	cur, tmp []tick // scratch clocks of the head being computed
 
-	sites   map[string]*siteStat
-	findIdx map[string]int // finding dedup key -> index in rep.Findings
+	sites     map[string]int // wait site -> index in siteStats
+	siteStats []siteStat
+	findIdx   map[string]int // finding dedup key -> index in rep.Findings
+	buf, sbuf []byte         // tag and site scratch
 }
 
 func (c *checker) vname(v int) string { return c.sp.VarNames[v] }
 
-func (c *checker) tagOf(id int) string {
-	op := c.evs[c.iterOf[id]][c.kOf[id]]
-	if op.Tag != "" {
-		return op.Tag
+// appendTag appends node id's tag to dst, its step kind when it has none.
+func (c *checker) appendTag(dst []byte, id int) []byte {
+	op := c.ops[id]
+	n := len(dst)
+	if dst = c.sp.AppendTag(dst, op); len(dst) == n {
+		dst = append(dst, op.Kind.String()...)
 	}
-	return op.Kind.String()
+	return dst
+}
+
+func (c *checker) tagOf(id int) string {
+	c.buf = c.appendTag(c.buf[:0], id)
+	return string(c.buf)
+}
+
+// siteOf returns the wait site of node id's tag.
+func (c *checker) siteOf(id int) string {
+	c.buf = c.appendTag(c.buf[:0], id)
+	return string(appendSite(c.sbuf[:0], c.buf))
 }
 
 // addHard appends a hard finding, deduplicating by key: repeated instances
@@ -126,84 +176,104 @@ func (c *checker) addHard(key string, f Finding) {
 		c.rep.Findings[i].Pairs++
 		return
 	}
+	if c.findIdx == nil {
+		c.findIdx = make(map[string]int)
+	}
 	f.Pairs = 1
 	c.findIdx[key] = len(c.rep.Findings)
 	c.rep.Findings = append(c.rep.Findings, f)
 }
 
 func (c *checker) materialize() {
-	nStmts := len(c.sp.Workload.Nest.Stmts())
-	c.evs = make([][]codegen.SyncOp, c.w+1)
+	c.nStmts = len(c.sp.Workload.Nest.Stmts())
 	c.base = make([]int, c.w+2)
 	for i := int64(1); i <= c.w; i++ {
-		c.evs[i] = c.sp.At(i)
-		c.base[i+1] = c.base[i] + len(c.evs[i])
-	}
-	c.total = c.base[c.w+1]
-	c.rep.Nodes = c.total
-	c.iterOf = make([]int64, c.total)
-	c.kOf = make([]int32, c.total)
-	c.retain = make([]bool, c.total)
-	c.stmtNode = make([][]int, c.w+1)
-	for i := int64(1); i <= c.w; i++ {
-		row := make([]int, nStmts)
-		for s := range row {
-			row[s] = -1
+		c.ops = c.sp.At(c.ops, i)
+		if i == 1 {
+			// Iterations emit programs of about one size.
+			c.ops = slices.Grow(c.ops, len(c.ops)*int(c.w-1))
 		}
-		c.stmtNode[i] = row
-		for k, op := range c.evs[i] {
-			id := c.base[i] + k
-			c.iterOf[id] = i
-			c.kOf[id] = int32(k)
+		c.base[i+1] = len(c.ops)
+	}
+	c.total = len(c.ops)
+	c.rep.Nodes = c.total
+	c.iterOf = make([]int32, c.total)
+	c.kOf = make([]int32, c.total)
+	c.stmtNode = make([]int32, int(c.w)*c.nStmts)
+	for i := range c.stmtNode {
+		c.stmtNode[i] = -1
+	}
+	// Lay the signals out by variable: count, take prefix sums, fill.
+	nv := len(c.sp.VarNames)
+	c.sigStart = make([]int32, nv+1)
+	nWaits := 0
+	for i := range c.ops {
+		switch op := &c.ops[i]; op.Kind {
+		case codegen.SyncSignal:
+			c.sigStart[op.Var+1]++
+		case codegen.SyncWait:
+			nWaits++
+		}
+	}
+	for v := 1; v <= nv; v++ {
+		c.sigStart[v] += c.sigStart[v-1]
+	}
+	c.sigBuf = make([]sigRec, c.sigStart[nv])
+	c.waits = make([]waitRec, 0, nWaits)
+	c.vinfo = make([]varInfo, nv)
+	for i := int64(1); i <= c.w; i++ {
+		row := c.stmtNode[int(i-1)*c.nStmts : int(i)*c.nStmts]
+		for id := c.base[i]; id < c.base[i+1]; id++ {
+			op := &c.ops[id]
+			k := int32(id - c.base[i])
+			c.iterOf[id] = int32(i)
+			c.kOf[id] = k
 			switch op.Kind {
 			case codegen.SyncStmt:
-				row[op.Stmt] = id
-				c.retain[id] = true
+				row[op.Stmt] = int32(id)
 			case codegen.SyncSignal:
 				c.rep.Signals++
-				c.retain[id] = true
-				c.sigs[op.Var] = append(c.sigs[op.Var], sigRec{
+				c.sigBuf[c.sigStart[op.Var]] = sigRec{
 					id: id, iter: i, k: k, val: op.Value,
-					cond: op.Conditional, guard: op.Guard, hasGuard: op.HasGuard})
-				vi := c.info(op.Var)
-				if op.Accum {
+					cond: op.Conditional, guard: op.Guard, hasGuard: op.HasGuard}
+				c.sigStart[op.Var]++
+				if vi := &c.vinfo[op.Var]; op.Accum {
 					vi.accum = true
 				} else {
 					vi.plain = true
 				}
 			case codegen.SyncWait:
 				c.rep.Waits++
-				c.waits = append(c.waits, waitRec{id: id, iter: i, k: k, v: op.Var, t: op.Value})
+				c.waits = append(c.waits, waitRec{id: id, v: int(op.Var), t: op.Value})
 			case codegen.SyncOpaque:
-				c.info(op.Var).opaque = true
+				c.vinfo[op.Var].opaque = true
 			}
 		}
 	}
+	// Filling advanced each start to the next variable's.
+	copy(c.sigStart[1:], c.sigStart[:nv])
+	c.sigStart[0] = 0
 }
 
-func (c *checker) info(v int) *varInfo {
-	vi := c.vinfo[v]
-	if vi == nil {
-		vi = &varInfo{}
-		c.vinfo[v] = vi
-	}
-	return vi
+// sigs returns variable v's signals.
+func (c *checker) sigs(v int) []sigRec { return c.sigBuf[c.sigStart[v]:c.sigStart[v+1]] }
+
+// rels returns the signals releasing node id, a wait.
+func (c *checker) rels(id int) []sigRec {
+	r := c.rel[id]
+	return c.sigBuf[r.off : r.off+r.n]
 }
 
+// classifyVars sorts every variable's signals and reports the variables
+// outside the release model, in ascending variable id.
 func (c *checker) classifyVars() {
-	for _, ss := range c.sigs {
-		ss := ss
-		sort.Slice(ss, func(a, b int) bool {
-			if ss[a].val != ss[b].val {
-				return ss[a].val < ss[b].val
-			}
-			if ss[a].iter != ss[b].iter {
-				return ss[a].iter < ss[b].iter
-			}
-			return ss[a].k < ss[b].k
+	for v := range c.vinfo {
+		slices.SortFunc(c.sigs(v), func(a, b sigRec) int {
+			return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.iter, b.iter), cmp.Compare(a.k, b.k))
 		})
 	}
-	for v, vi := range c.vinfo {
+	for v := range c.vinfo {
+		vi := &c.vinfo[v]
 		switch {
 		case vi.opaque:
 			vi.bad = true
@@ -218,7 +288,7 @@ func (c *checker) classifyVars() {
 				Summary: fmt.Sprintf("variable %s mixes plain writes and atomic increments; release semantics are undefined", c.vname(v)),
 			})
 		case vi.plain:
-			ss := c.sigs[v]
+			ss := c.sigs(v)
 			for j := 0; j+1 < len(ss); j++ {
 				if ss[j].val == ss[j+1].val && ss[j].iter != ss[j+1].iter {
 					vi.bad = true
@@ -236,15 +306,16 @@ func (c *checker) classifyVars() {
 }
 
 func (c *checker) buildReleases() {
-	c.oblSeen = make(map[[2]int]bool)
+	c.rel = make([]span, c.total)
 	for _, w := range c.waits {
-		vi := c.info(w.v)
+		vi := c.vinfo[w.v]
 		if vi.bad {
 			continue
 		}
 		init := c.sp.VarInit[w.v]
-		ss := c.sigs[w.v]
-		var rels []sigRec
+		ss := c.sigs(w.v)
+		first := c.sigStart[w.v]
+		var rel span
 		if vi.accum {
 			// Counting semantics: the key counts completed increments, so
 			// reaching t requires the t-init increments whose protocol
@@ -255,7 +326,7 @@ func (c *checker) buildReleases() {
 			}
 			cnt := sort.Search(len(ss), func(i int) bool { return ss[i].val > w.t })
 			if int64(cnt) < need {
-				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, site(c.tagOf(w.id))), Finding{
+				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, c.siteOf(w.id)), Finding{
 					Class: UnreleasableWait, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("wait %s needs %d increments of %s but the program performs only %d at or below the threshold",
 						c.tagOf(w.id), need, c.vname(w.v), cnt),
@@ -263,21 +334,21 @@ func (c *checker) buildReleases() {
 				continue
 			}
 			if int64(cnt) > need {
-				c.addHard(fmt.Sprintf("overcnt|%d|%s", w.v, site(c.tagOf(w.id))), Finding{
+				c.addHard(fmt.Sprintf("overcnt|%d|%s", w.v, c.siteOf(w.id)), Finding{
 					Class: Unanalyzable, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("wait %s: %d increments can reach threshold %d of %s; which %d complete first is not determined",
 						c.tagOf(w.id), cnt, w.t, c.vname(w.v), need),
 				})
 				continue
 			}
-			rels = ss[:cnt]
+			rel = span{first, int32(cnt)}
 		} else {
 			if init >= w.t {
 				continue // pre-satisfied by the initial value
 			}
 			lo := sort.Search(len(ss), func(i int) bool { return ss[i].val >= w.t })
 			if lo == len(ss) {
-				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, site(c.tagOf(w.id))), Finding{
+				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, c.siteOf(w.id)), Finding{
 					Class: UnreleasableWait, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("no signal on %s ever reaches %d required by %s",
 						c.vname(w.v), w.t, c.tagOf(w.id)),
@@ -295,24 +366,46 @@ func (c *checker) buildReleases() {
 					j++
 				}
 				if j == len(ss) {
-					c.addHard(fmt.Sprintf("condonly|%d|%s", w.v, site(c.tagOf(w.id))), Finding{
+					c.addHard(fmt.Sprintf("condonly|%d|%s", w.v, c.siteOf(w.id)), Finding{
 						Class: UnreleasableWait, Var: c.vname(w.v),
 						Summary: fmt.Sprintf("wait %s can be released only by conditional signals that may never fire", c.tagOf(w.id)),
 					})
 					continue
 				}
-				if !c.oblSeen[[2]int{w.v, lo}] {
-					c.oblSeen[[2]int{w.v, lo}] = true
+				if c.oblSeen == nil {
+					c.oblSeen = make([]bool, len(c.sigBuf))
+				}
+				if seen := &c.oblSeen[first+int32(lo)]; !*seen {
+					*seen = true
 					for m := lo + 1; m <= j; m++ {
 						c.obls = append(c.obls, obligation{v: w.v, r: r, cand: ss[m]})
 					}
 				}
 			}
-			rels = ss[lo : lo+1]
+			rel = span{first + int32(lo), 1}
 		}
-		c.relOf[w.id] = rels
-		for _, r := range rels {
-			c.relSucc[r.id] = append(c.relSucc[r.id], w.id)
+		c.rel[w.id] = rel
+	}
+	// Lay the release successors out by signal, each signal's waits in
+	// ascending node id: count, take prefix sums, and fill back to front.
+	c.succStart = make([]int32, c.total+1)
+	for _, w := range c.waits {
+		for _, r := range c.rels(w.id) {
+			c.succStart[r.id]++
+		}
+	}
+	for id := 1; id < c.total; id++ {
+		c.succStart[id] += c.succStart[id-1]
+	}
+	if c.total > 0 {
+		c.succStart[c.total] = c.succStart[c.total-1]
+	}
+	c.succ = make([]int32, c.succStart[c.total])
+	for i := len(c.waits) - 1; i >= 0; i-- {
+		w := c.waits[i]
+		for _, r := range c.rels(w.id) {
+			c.succStart[r.id]--
+			c.succ[c.succStart[r.id]] = int32(w.id)
 		}
 	}
 }
@@ -322,72 +415,37 @@ func (c *checker) buildReleases() {
 // deadlock finding) if the graph has a cycle.
 func (c *checker) sortAndClock() bool {
 	indeg := make([]int32, c.total)
-	for id := 0; id < c.total; id++ {
+	for id := range indeg {
 		if c.kOf[id] > 0 {
 			indeg[id]++
 		}
-		indeg[id] += int32(len(c.relOf[id]))
+		indeg[id] += c.rel[id].n
 	}
-	queue := make([]int, 0, c.total)
-	for id := 0; id < c.total; id++ {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
+	queue := make([]int32, 0, c.total)
+	for id, d := range indeg {
+		if d == 0 {
+			queue = append(queue, int32(id))
 		}
 	}
-	c.clocks = make([]map[int64]int32, c.total)
-	done := make([]bool, c.total)
+	c.clock = make([]clockRef, c.total)
 	processed := 0
 	for len(queue) > 0 {
-		id := queue[len(queue)-1]
+		id := int(queue[len(queue)-1])
 		queue = queue[:len(queue)-1]
-		done[id] = true
 		processed++
 
-		var cl map[int64]int32
-		if c.kOf[id] == 0 {
-			cl = make(map[int64]int32, 4)
-		} else if pred := id - 1; c.retain[pred] {
-			cl = make(map[int64]int32, len(c.clocks[pred])+2)
-			for i, k := range c.clocks[pred] {
-				cl[i] = k
-			}
+		if c.rel[id].n > 0 || c.kOf[id] == 0 {
+			c.headClock(id, c.rels(id))
 		} else {
-			// A wait's clock has exactly one consumer (its program
-			// successor): steal it instead of copying.
-			cl = c.clocks[pred]
-			c.clocks[pred] = nil
+			c.clock[id] = c.clock[id-1]
 		}
-		if rels := c.relOf[id]; len(rels) > 0 {
-			redundant := true
-			for _, r := range rels {
-				if cl[r.iter] <= int32(r.k) {
-					redundant = false
-					break
-				}
-			}
-			c.tallySite(id, redundant)
-			for _, r := range rels {
-				for i, k := range c.clocks[r.id] {
-					if k > cl[i] {
-						cl[i] = k
-					}
-				}
-			}
-		}
-		// Clock entries count ordered prefix nodes (kOf+1), so a missing
-		// entry (0) means "nothing of that iteration is ordered before" —
-		// including its first node.
-		if it := c.iterOf[id]; c.kOf[id]+1 > cl[it] {
-			cl[it] = c.kOf[id] + 1
-		}
-		c.clocks[id] = cl
 
 		if next := id + 1; next < c.base[c.iterOf[id]+1] {
 			if indeg[next]--; indeg[next] == 0 {
-				queue = append(queue, next)
+				queue = append(queue, int32(next))
 			}
 		}
-		for _, s := range c.relSucc[id] {
+		for _, s := range c.succ[c.succStart[id]:c.succStart[id+1]] {
 			if indeg[s]--; indeg[s] == 0 {
 				queue = append(queue, s)
 			}
@@ -396,17 +454,158 @@ func (c *checker) sortAndClock() bool {
 	if processed == c.total {
 		return true
 	}
-	c.reportCycle(done)
+	// Every node that reached in-degree zero was processed.
+	c.reportCycle(indeg)
 	return false
+}
+
+// headClock computes and stores the clock of segment head id, an
+// iteration's first step or a wait with releasers rels: its predecessor's
+// clock, joined with every releaser's, with its own step counted. A wait
+// whose releasers are all already in its predecessor's past is tallied as
+// redundant at its site.
+func (c *checker) headClock(id int, rels []sigRec) {
+	cur := c.cur[:0]
+	if c.kOf[id] > 0 {
+		cur = c.appendClock(cur, id-1)
+	}
+	if len(rels) > 0 {
+		redundant := true
+		for _, r := range rels {
+			if lookup(cur, r.iter) <= r.k {
+				redundant = false
+				break
+			}
+		}
+		c.tallySite(id, redundant)
+		for _, r := range rels {
+			c.tmp = c.mergeClock(c.tmp[:0], cur, r.id)
+			cur, c.tmp = c.tmp, cur
+		}
+	}
+	// Clock entries count ordered prefix nodes (kOf+1), so a missing
+	// entry (0) means "nothing of that iteration is ordered before" —
+	// including its first node.
+	cur = advance(cur, c.iterOf[id], c.kOf[id]+1)
+	c.clock[id] = c.store(cur)
+	c.cur = cur
+}
+
+// store copies clock cl into the arena.
+func (c *checker) store(cl []tick) clockRef {
+	last := len(c.arena) - 1
+	if last < 0 || cap(c.arena[last])-len(c.arena[last]) < len(cl) {
+		size := arenaFirst
+		if last >= 0 {
+			size = min(2*cap(c.arena[last]), arenaMax)
+		}
+		c.arena = append(c.arena, make([]tick, 0, max(size, len(cl))))
+		last++
+	}
+	b := &c.arena[last]
+	ref := clockRef{int32(last), int32(len(*b)), int32(len(cl))}
+	*b = append(*b, cl...)
+	return ref
+}
+
+// stored returns the stored clock of node id's segment.
+func (c *checker) stored(id int) []tick {
+	r := c.clock[id]
+	return c.arena[r.blk][r.off : r.off+r.n]
+}
+
+// clockAt returns node id's clock entry for iteration iter.
+func (c *checker) clockAt(id int, iter int64) int32 {
+	if iter == int64(c.iterOf[id]) {
+		return c.kOf[id] + 1
+	}
+	return lookup(c.stored(id), iter)
+}
+
+// appendClock appends node id's clock to dst.
+func (c *checker) appendClock(dst []tick, id int) []tick {
+	n := len(dst)
+	dst = append(dst, c.stored(id)...)
+	own := dst[n:]
+	own[search(own, int64(c.iterOf[id]))].k = c.kOf[id] + 1
+	return dst
+}
+
+// mergeClock appends to dst the entry-wise maximum of clock a and node
+// id's clock: a linear merge of two iteration-sorted tick lists.
+func (c *checker) mergeClock(dst, a []tick, id int) []tick {
+	b := c.stored(id)
+	own := tick{c.iterOf[id], c.kOf[id] + 1}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		t := b[j]
+		if t.iter == own.iter {
+			t = own
+		}
+		switch {
+		case a[i].iter < t.iter:
+			dst = append(dst, a[i])
+			i++
+			continue
+		case a[i].iter == t.iter:
+			t.k = max(t.k, a[i].k)
+			i++
+		}
+		dst = append(dst, t)
+		j++
+	}
+	dst = append(dst, a[i:]...)
+	for ; j < len(b); j++ {
+		if t := b[j]; t.iter == own.iter {
+			dst = append(dst, own)
+		} else {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
+// search returns the index of iteration iter's tick in cl, or where it
+// would be inserted.
+func search(cl []tick, iter int64) int {
+	lo, hi := 0, len(cl)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int64(cl[m].iter) < iter {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// lookup returns clock cl's entry for iteration iter.
+func lookup(cl []tick, iter int64) int32 {
+	if i := search(cl, iter); i < len(cl) && int64(cl[i].iter) == iter {
+		return cl[i].k
+	}
+	return 0
+}
+
+// advance raises clock cl's entry for iteration iter to at least k.
+func advance(cl []tick, iter, k int32) []tick {
+	i := search(cl, int64(iter))
+	if i < len(cl) && cl[i].iter == iter {
+		cl[i].k = max(cl[i].k, k)
+		return cl
+	}
+	return slices.Insert(cl, i, tick{iter, k})
 }
 
 // reportCycle extracts one wait-for cycle from the unprocessed residue as a
 // deadlock certificate: walk predecessors (which must themselves be
-// unprocessed) until a node repeats.
-func (c *checker) reportCycle(done []bool) {
+// unprocessed) until a node repeats. A node is unprocessed when its
+// in-degree never reached zero.
+func (c *checker) reportCycle(indeg []int32) {
 	start := -1
 	for id := 0; id < c.total; id++ {
-		if !done[id] {
+		if indeg[id] > 0 {
 			start = id
 			break
 		}
@@ -422,11 +621,11 @@ func (c *checker) reportCycle(done []bool) {
 		pos[cur] = len(path)
 		path = append(path, cur)
 		next := -1
-		if c.kOf[cur] > 0 && !done[cur-1] {
+		if c.kOf[cur] > 0 && indeg[cur-1] > 0 {
 			next = cur - 1
 		} else {
-			for _, r := range c.relOf[cur] {
-				if !done[r.id] {
+			for _, r := range c.rels(cur) {
+				if indeg[r.id] > 0 {
 					next = r.id
 					break
 				}
@@ -453,7 +652,7 @@ func (c *checker) reportCycle(done []bool) {
 
 func (c *checker) checkObligations() {
 	for _, o := range c.obls {
-		if c.clocks[o.cand.id][o.r.iter] > int32(o.r.k) {
+		if c.clockAt(o.cand.id, o.r.iter) > o.r.k {
 			continue
 		}
 		c.addHard(fmt.Sprintf("unsound|%d|%d", o.v, o.r.id), Finding{
@@ -467,12 +666,14 @@ func (c *checker) checkObligations() {
 // checkChains verifies the serialized-writer discipline the release rule
 // relies on: consecutive signal values on a plain variable must be
 // happens-before ordered (or the later one's firing guard must already
-// imply the earlier value is visible).
+// imply the earlier value is visible). Variables are checked in ascending
+// id.
 func (c *checker) checkChains() {
-	for v, ss := range c.sigs {
-		if vi := c.info(v); vi.bad || vi.accum {
+	for v, vi := range c.vinfo {
+		if vi.bad || vi.accum {
 			continue
 		}
+		ss := c.sigs(v)
 		for j := 0; j+1 < len(ss); j++ {
 			a, b := ss[j], ss[j+1]
 			if a.val == b.val {
@@ -484,7 +685,7 @@ func (c *checker) checkChains() {
 			if b.hasGuard && b.guard >= a.val {
 				continue // b fires only once a value >= a.val is visible
 			}
-			if c.clocks[b.id][a.iter] > int32(a.k) {
+			if c.clockAt(b.id, a.iter) > a.k {
 				continue
 			}
 			c.addHard(fmt.Sprintf("chain|%d", v), Finding{
@@ -518,6 +719,7 @@ func (c *checker) checkArcs() {
 		})
 	}
 	seenCross := make(map[string]bool)
+	idx := make([]int64, nest.Depth())
 	for _, a := range g.Arcs {
 		if !a.Known || a.LoopIndep {
 			continue
@@ -535,8 +737,7 @@ func (c *checker) checkArcs() {
 		var fails int64
 		var wSrc, wDst int64
 		for i := int64(1); i <= c.w; i++ {
-			srcIdx := nest.IndexOf(i)
-			idx := nest.IndexOf(i)
+			idx = nest.IndexInto(idx, i)
 			ok := true
 			for l, d := range a.Dist {
 				idx[l] += d
@@ -552,16 +753,16 @@ func (c *checker) checkArcs() {
 			if j > c.w {
 				continue // beyond the (possibly truncated) window
 			}
-			sn := c.stmtNode[i][a.Src]
-			dn := c.stmtNode[j][a.Dst]
+			sn := c.node(i, a.Src)
+			dn := c.node(j, a.Dst)
 			if sn < 0 || dn < 0 {
 				continue // a branch skipped one endpoint: no instance
 			}
 			c.rep.PairsChecked++
-			if c.clocks[dn][i] > c.kOf[sn] {
+			if c.clockAt(dn, i) > c.kOf[sn] {
 				continue
 			}
-			if c.sp.Renamed && c.flowKilled(g, a, i, j, srcIdx) {
+			if c.sp.Renamed && c.flowKilled(g, a, i, j, nest.IndexOf(i)) {
 				continue // the sink reads a later renamed version, not this write
 			}
 			if fails == 0 {
@@ -586,8 +787,8 @@ func (c *checker) checkArcs() {
 		}
 		seen[[2]int{a.Src, a.Dst}] = true
 		for i := int64(1); i <= c.w; i++ {
-			sn := c.stmtNode[i][a.Src]
-			dn := c.stmtNode[i][a.Dst]
+			sn := c.node(i, a.Src)
+			dn := c.node(i, a.Dst)
 			if sn < 0 || dn < 0 || c.kOf[sn] < c.kOf[dn] {
 				continue
 			}
@@ -621,7 +822,7 @@ func (c *checker) flowKilled(g *deps.Graph, a deps.Arc, i, j int64, srcIdx []int
 	for m := i; m <= j; m++ {
 		mIdx := nest.IndexOf(m)
 		for p, st := range g.Stmts {
-			if c.stmtNode[m][p] < 0 {
+			if c.node(m, p) < 0 {
 				continue // branch skipped: the would-be kill never executes
 			}
 			if (m == i && p <= a.Src) || (m == j && p >= a.Dst) {
@@ -658,13 +859,27 @@ func distStr(dist []int64) string {
 	return s
 }
 
+// node returns the node id of statement pos's execution in iteration
+// iter, -1 when a branch skipped it.
+func (c *checker) node(iter int64, pos int) int {
+	return int(c.stmtNode[int(iter-1)*c.nStmts+pos])
+}
+
+// tallySite counts wait waitID at its site, and as redundant there if it
+// is.
 func (c *checker) tallySite(waitID int, redundant bool) {
-	s := site(c.tagOf(waitID))
-	st := c.sites[s]
-	if st == nil {
-		st = &siteStat{sample: c.tagOf(waitID)}
-		c.sites[s] = st
+	c.buf = c.appendTag(c.buf[:0], waitID)
+	c.sbuf = appendSite(c.sbuf[:0], c.buf)
+	i, ok := c.sites[string(c.sbuf)]
+	if !ok {
+		if c.sites == nil {
+			c.sites = make(map[string]int)
+		}
+		i = len(c.siteStats)
+		c.sites[string(c.sbuf)] = i
+		c.siteStats = append(c.siteStats, siteStat{site: string(c.sbuf), sample: string(c.buf)})
 	}
+	st := &c.siteStats[i]
 	st.total++
 	if redundant {
 		st.redundant++
@@ -672,38 +887,130 @@ func (c *checker) tallySite(waitID int, redundant bool) {
 }
 
 func (c *checker) reportRedundant() {
-	keys := make([]string, 0, len(c.sites))
-	for s := range c.sites {
-		keys = append(keys, s)
-	}
-	sort.Strings(keys)
-	for _, s := range keys {
-		st := c.sites[s]
+	slices.SortFunc(c.siteStats, func(a, b siteStat) int { return strings.Compare(a.site, b.site) })
+	for _, st := range c.siteStats {
 		if st.redundant < st.total {
 			continue
 		}
 		c.rep.Notes = append(c.rep.Notes, Finding{
-			Class: RedundantWait, Site: s,
+			Class: RedundantWait, Site: st.site,
 			Summary: fmt.Sprintf("all %d instances of wait site %q are already implied transitively (e.g. %s); the wait could be eliminated",
-				st.total, s, st.sample),
+				st.total, st.site, st.sample),
 		})
 	}
 }
 
-// site normalizes a wait tag to its placement site by erasing the
-// iteration-varying parts: "wait_PC(3,1) i=17" and "wait_PC(3,1) i=42" are
-// the same site; "key:wait A[3]>=2" folds to "key:wait A[*]>=*".
-var (
-	siteIter = regexp.MustCompile(` i=-?\d+( noop)?$`)
-	siteGE   = regexp.MustCompile(`>=-?\d+`)
-	siteElem = regexp.MustCompile(`\[-?\d+(,-?\d+)*\]`)
-	siteVer  = regexp.MustCompile(`\.v\d+(\.c\d+)?`)
-)
+// appendSite appends the placement site of wait tag to dst: the tag with
+// its iteration-varying parts erased, so "wait_PC(3,1) i=17" and
+// "wait_PC(3,1) i=42" are the same site and "key:wait A[3]>=2" folds to
+// "key:wait A[*]>=*". A trailing " i=<n>" or " i=<n> noop" is dropped;
+// ">=<n>" becomes ">=*", "[<n>,...,<n>]" becomes "[*]", and ".v<d>" or
+// ".v<d>.c<d>" becomes ".v*", where <n> is a decimal with an optional
+// minus sign and <d> one without. The three folds never share a
+// character of the tag, so one left-to-right pass applies them all.
+func appendSite(dst, tag []byte) []byte {
+	tag = trimIter(tag)
+	for i := 0; i < len(tag); {
+		end := -1
+		switch tag[i] {
+		case '>':
+			if i+1 < len(tag) && tag[i+1] == '=' {
+				if end = intEnd(tag, i+2); end >= 0 {
+					dst = append(dst, ">=*"...)
+				}
+			}
+		case '[':
+			if end = elemEnd(tag, i); end >= 0 {
+				dst = append(dst, "[*]"...)
+			}
+		case '.':
+			if end = verEnd(tag, i); end >= 0 {
+				dst = append(dst, ".v*"...)
+			}
+		}
+		if end < 0 {
+			dst = append(dst, tag[i])
+			end = i + 1
+		}
+		i = end
+	}
+	return dst
+}
 
-func site(tag string) string {
-	tag = siteIter.ReplaceAllString(tag, "")
-	tag = siteGE.ReplaceAllString(tag, ">=*")
-	tag = siteElem.ReplaceAllString(tag, "[*]")
-	tag = siteVer.ReplaceAllString(tag, ".v*")
+// trimIter returns tag without a trailing " i=<n>" or " i=<n> noop".
+func trimIter(tag []byte) []byte {
+	end := len(tag)
+	if bytes.HasSuffix(tag, []byte(" noop")) {
+		end -= len(" noop")
+	}
+	d := end
+	for d > 0 && isDigit(tag[d-1]) {
+		d--
+	}
+	if d == end {
+		return tag
+	}
+	if d > 0 && tag[d-1] == '-' {
+		d--
+	}
+	if bytes.HasSuffix(tag[:d], []byte(" i=")) {
+		return tag[:d-len(" i=")]
+	}
 	return tag
+}
+
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }
+
+// digitsEnd returns the end of the run of digits starting at tag[i].
+func digitsEnd(tag []byte, i int) int {
+	for i < len(tag) && isDigit(tag[i]) {
+		i++
+	}
+	return i
+}
+
+// intEnd returns the end of the decimal with an optional minus sign that
+// starts at tag[i], -1 when none does.
+func intEnd(tag []byte, i int) int {
+	j := i
+	if j < len(tag) && tag[j] == '-' {
+		j++
+	}
+	if e := digitsEnd(tag, j); e > j {
+		return e
+	}
+	return -1
+}
+
+// elemEnd returns the end of the element subscript "[<n>,...,<n>]" that
+// starts at tag[i], -1 when none does.
+func elemEnd(tag []byte, i int) int {
+	j := intEnd(tag, i+1)
+	for j >= 0 && j < len(tag) && tag[j] == ',' {
+		if j = intEnd(tag, j+1); j < 0 {
+			return -1
+		}
+	}
+	if j >= 0 && j < len(tag) && tag[j] == ']' {
+		return j + 1
+	}
+	return -1
+}
+
+// verEnd returns the end of the version suffix ".v<d>" or ".v<d>.c<d>"
+// that starts at tag[i], -1 when none does.
+func verEnd(tag []byte, i int) int {
+	if i+1 >= len(tag) || tag[i+1] != 'v' {
+		return -1
+	}
+	j := digitsEnd(tag, i+2)
+	if j == i+2 {
+		return -1
+	}
+	if j+1 < len(tag) && tag[j] == '.' && tag[j+1] == 'c' {
+		if e := digitsEnd(tag, j+2); e > j+2 {
+			return e
+		}
+	}
+	return j
 }

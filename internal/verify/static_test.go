@@ -1,10 +1,13 @@
 package verify_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/sim"
 	"github.com/csrd-repro/datasync/internal/verify"
 	"github.com/csrd-repro/datasync/internal/workloads"
 )
@@ -84,25 +87,29 @@ func TestStaticReportShape(t *testing.T) {
 // release each other in a cycle and expects a deadlock certificate.
 func TestStaticDeadlock(t *testing.T) {
 	w := workloads.Recurrence(2, 1, 1)
+	m := sim.New(sim.Config{Processors: 1})
+	iter1 := []codegen.SyncOp{
+		{Kind: codegen.SyncWait, Var: 0, Value: 1, Tag: m.Text("wait A>=1 i=1")},
+		{Kind: codegen.SyncStmt, Stmt: 0},
+		{Kind: codegen.SyncSignal, Var: 1, Value: 1, Tag: m.Text("signal B=1 i=1")},
+	}
+	iter2 := []codegen.SyncOp{
+		{Kind: codegen.SyncWait, Var: 1, Value: 1, Tag: m.Text("wait B>=1 i=2")},
+		{Kind: codegen.SyncStmt, Stmt: 0},
+		{Kind: codegen.SyncSignal, Var: 0, Value: 1, Tag: m.Text("signal A=1 i=2")},
+	}
 	sp := &codegen.SyncProgram{
 		Workload: w,
 		Scheme:   "fabricated-cycle",
 		Iters:    2,
 		VarNames: []string{"A", "B"},
 		VarInit:  []int64{0, 0},
-		At: func(iter int64) []codegen.SyncOp {
+		Machine:  m,
+		At: func(dst []codegen.SyncOp, iter int64) []codegen.SyncOp {
 			if iter == 1 {
-				return []codegen.SyncOp{
-					{Kind: codegen.SyncWait, Var: 0, Value: 1, Tag: "wait A>=1 i=1"},
-					{Kind: codegen.SyncStmt, Stmt: 0, Tag: "S1"},
-					{Kind: codegen.SyncSignal, Var: 1, Value: 1, Tag: "signal B=1 i=1"},
-				}
+				return append(dst, iter1...)
 			}
-			return []codegen.SyncOp{
-				{Kind: codegen.SyncWait, Var: 1, Value: 1, Tag: "wait B>=1 i=2"},
-				{Kind: codegen.SyncStmt, Stmt: 0, Tag: "S1"},
-				{Kind: codegen.SyncSignal, Var: 0, Value: 1, Tag: "signal A=1 i=2"},
-			}
+			return append(dst, iter2...)
 		},
 	}
 	rep := verify.Static(sp, verify.Options{})
@@ -164,5 +171,37 @@ func TestStaticTruncation(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("truncated run should still verify:\n%s", rep)
+	}
+}
+
+// TestStaticFindingOrder: a report lists its hard findings in ascending
+// variable id, so verifying one program twice gives byte-identical JSON.
+// With every wait dropped, fig21 under process-basic X=4 has findings on
+// several variables, as does the statement scheme; their order used to
+// follow map iteration, and a /verify body is cached and replicated as
+// bytes.
+func TestStaticFindingOrder(t *testing.T) {
+	dropWaits := dropOps(func(_ *sim.Machine, op sim.Op) bool { return op.Kind == sim.OpWait })
+	for _, base := range []codegen.Scheme{codegen.ProcessOriented{X: 4}, codegen.StatementOriented{}} {
+		sp, err := codegen.ExtractSyncProgram(workloads.Fig21(20, 1), breakScheme{Scheme: base, label: "drop-waits", rewrite: dropWaits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for i := 0; i < 30; i++ {
+			rep := verify.Static(sp, verify.Options{})
+			if len(rep.Findings) < 2 {
+				t.Fatalf("%s: %d findings, want several:\n%s", sp.Scheme, len(rep.Findings), rep)
+			}
+			b, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = b
+			} else if !bytes.Equal(b, first) {
+				t.Fatalf("%s: call %d encodes differently:\n%s\nfirst call:\n%s", sp.Scheme, i, b, first)
+			}
+		}
 	}
 }
