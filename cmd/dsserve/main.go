@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/cluster"
-	"github.com/csrd-repro/datasync/internal/fault"
 	"github.com/csrd-repro/datasync/internal/service"
 )
 
@@ -57,7 +56,6 @@ func main() {
 	rejoinAfter := flag.Int("rejoin-after", 2, "consecutive probe successes that readmit a demoted peer")
 	replicas := flag.Int("replicas", 1, "ring-successors each cache fill is replicated to (0: no replication)")
 	antiEntropy := flag.Duration("anti-entropy", time.Minute, "periodic anti-entropy scan interval; scans also run on ring transitions (0: disabled)")
-	linkFault := flag.String("link-fault", "", "seeded peer-link fault plan, e.g. seed=42,drop=link:0.1,partition=split:a+b/c:1000:5000 (testing only)")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -86,15 +84,6 @@ func main() {
 	if aeOpt <= 0 {
 		aeOpt = -1
 	}
-	var linkPlan *fault.LinkPlan
-	if *linkFault != "" {
-		lp, err := fault.ParseLinkSpec(*linkFault)
-		if err != nil {
-			service.Fatal(os.Stderr, "dsserve", err)
-			os.Exit(2)
-		}
-		linkPlan = &lp
-	}
 	node, err := cluster.New(cluster.Options{
 		Self:                self.ID,
 		Members:             append(peers, self),
@@ -105,7 +94,6 @@ func main() {
 		RejoinAfter:         *rejoinAfter,
 		Replicas:            replicaOpt,
 		AntiEntropyInterval: aeOpt,
-		LinkFaults:          linkPlan,
 		Logger:              log,
 	}, service.Options{
 		Workers:    *workers,

@@ -34,8 +34,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 }
 
 // restart re-listens on node i's original address and serves its handler
-// again — the in-process analogue of restarting a crashed dsserve on the
-// same host:port.
+// again, test wrappers and link switch included — the in-process analogue
+// of restarting a crashed dsserve on the same host:port.
 func (tc *testCluster) restart(t *testing.T, i int) {
 	t.Helper()
 	addr := strings.TrimPrefix(tc.addrs[i], "http://")
@@ -51,7 +51,7 @@ func (tc *testCluster) restart(t *testing.T, i int) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	hs := &http.Server{Handler: tc.nodes[i].Handler()}
+	hs := &http.Server{Handler: tc.handlers[i]}
 	go hs.Serve(ln)
 	tc.servers[i] = hs
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/cache"
-	"github.com/csrd-repro/datasync/internal/fault"
 	"github.com/csrd-repro/datasync/internal/service"
 )
 
@@ -103,10 +102,6 @@ type Options struct {
 	// (default 60s; negative disables); every live-ring transition also
 	// kicks one. See reconcile.go.
 	AntiEntropyInterval time.Duration
-	// LinkFaults, when non-nil and enabled, arms seeded fault injection on
-	// every outbound peer exchange (fault.LinkPlan: drops, delays,
-	// duplicates, black holes, partition episodes). Chaos harnesses only.
-	LinkFaults *fault.LinkPlan
 	// Logger receives peer-event logs (default slog.Default).
 	Logger *slog.Logger
 }
@@ -181,9 +176,6 @@ type Node struct {
 
 	probeHTTP   *http.Client
 	probeHeader http.Header
-
-	// linkInj is the seeded link-fault injector (nil unless armed).
-	linkInj *fault.LinkInjector
 
 	// aeKick wakes the anti-entropy loop on live-ring transitions
 	// (buffered 1: a burst of transitions coalesces into one scan).
@@ -291,20 +283,6 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 		}
 	}
 
-	if opts.LinkFaults != nil && opts.LinkFaults.Enabled() && ring.Size() > 1 {
-		if err := opts.LinkFaults.Check(); err != nil {
-			return nil, err
-		}
-		n.linkInj = fault.NewLinkInjector(*opts.LinkFaults)
-		lt := newLinkTransport(n, n.linkInj)
-		for _, cl := range n.clients {
-			cl.Transport = lt
-		}
-		n.probeHTTP.Transport = lt
-		n.log.Warn("cluster: seeded link-fault injection armed",
-			"seed", opts.LinkFaults.Seed, "partitions", len(opts.LinkFaults.Partitions))
-	}
-
 	srvOpts.HealthInfo = n.healthInfo
 	srvOpts.MetricsAppend = n.metricsAppend
 	srvOpts.Degraded = n.degraded
@@ -343,15 +321,6 @@ func (n *Node) Server() *service.Server { return n.srv }
 
 // Ring exposes the current membership view.
 func (n *Node) Ring() *Ring { return n.ring.Load() }
-
-// LinkCounts snapshots the injected link-fault counters (zero value when
-// injection is unarmed).
-func (n *Node) LinkCounts() fault.LinkCounts {
-	if n.linkInj == nil {
-		return fault.LinkCounts{}
-	}
-	return n.linkInj.Counts()
-}
 
 // demoteCause names why a peer left the live ring; it decides whether the
 // per-peer cooldown applies.
@@ -787,13 +756,6 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Owned keys missing at least one successor replica at the last anti-entropy scan.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
 	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())
-	lc := n.LinkCounts()
-	fmt.Fprintf(w, "# HELP dsserve_link_faults_injected_total Seeded faults injected into outbound peer exchanges, by kind (all zero unless -link-fault is armed).\n# TYPE dsserve_link_faults_injected_total counter\n")
-	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"drop\"} %d\n", lc.Drops)
-	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"delay\"} %d\n", lc.Delays)
-	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"dup\"} %d\n", lc.Dups)
-	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"blackhole\"} %d\n", lc.BlackHoled)
-	fmt.Fprintf(w, "dsserve_link_faults_injected_total{kind=\"partition\"} %d\n", lc.Partition)
 	sheds := n.adm.Sheds()
 	if len(sheds) > 0 {
 		fmt.Fprintf(w, "# HELP dsserve_tenant_shed_total Requests shed by per-tenant admission (429s), by tenant.\n# TYPE dsserve_tenant_shed_total counter\n")

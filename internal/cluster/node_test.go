@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,9 +22,54 @@ import (
 // testCluster is N in-process nodes listening on real TCP ports, so peer
 // forwarding exercises the same HTTP path production uses.
 type testCluster struct {
-	nodes   []*Node
-	addrs   []string
-	servers []*http.Server
+	nodes    []*Node
+	addrs    []string
+	servers  []*http.Server
+	handlers []http.Handler // what node i serves, test wrappers included
+	links    linkSwitch
+}
+
+// linkSwitch cuts directed peer links inside a test cluster. Every peer
+// exchange (forwards, sweep dispatches, probes, gossip, handoff, replica
+// pushes) names its sender in HeaderNode, so the receiving node can tell
+// which link a request crossed. A request over a cut link has its
+// connection closed before any answer: the sender sees a transport error,
+// as it would across a real partition. Requests without a sender (the
+// test's own) are never cut.
+type linkSwitch struct {
+	mu  sync.Mutex
+	cut map[[2]string]bool // {src, dst}
+}
+
+// set cuts (cut=true) or heals the link src->dst.
+func (s *linkSwitch) set(src, dst string, cut bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cut == nil {
+		s.cut = make(map[[2]string]bool)
+	}
+	s.cut[[2]string{src, dst}] = cut
+}
+
+func (s *linkSwitch) isCut(src, dst string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cut[[2]string{src, dst}]
+}
+
+// wrap puts node self's handler behind the switch.
+func (s *linkSwitch) wrap(self string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !s.isCut(r.Header.Get(HeaderNode), self) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			panic(err)
+		}
+		conn.Close()
+	})
 }
 
 func startCluster(t *testing.T, size int, opts Options) *testCluster {
@@ -32,7 +78,8 @@ func startCluster(t *testing.T, size int, opts Options) *testCluster {
 }
 
 // startClusterWrapped is startCluster with node i's handler wrapped by
-// wrap (when non-nil), so a test can observe or hold peer traffic.
+// wrap (when non-nil), so a test can observe or hold peer traffic. Every
+// node serves behind the cluster's link switch (tc.links), outside wrap.
 func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
@@ -68,10 +115,12 @@ func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, 
 		if wrap != nil {
 			h = wrap(i, h)
 		}
+		h = tc.links.wrap(members[i].ID, h)
 		hs := &http.Server{Handler: h}
 		go hs.Serve(ln)
 		tc.nodes = append(tc.nodes, node)
 		tc.servers = append(tc.servers, hs)
+		tc.handlers = append(tc.handlers, h)
 	}
 	t.Cleanup(func() {
 		for i := range tc.servers {

@@ -158,6 +158,9 @@ type allocCase struct {
 // Ceilings only go down: fig21/ref's fresh bytes keep their old ceiling,
 // which is below the new measurement plus 10%.
 func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
 	cases := []allocCase{
 		{"fig21/process", func() *codegen.Workload { return workloads.Fig21(60, 4) },
 			func() codegen.Scheme { return codegen.ProcessOriented{X: 8, Improved: true} },

@@ -1,5 +1,5 @@
 // Package fault is a seeded, deterministic fault-injection layer for the
-// synchronization-bus simulator and the cluster's peer links.
+// synchronization-bus simulator.
 //
 // A Plan describes which faults to inject and how often; it is plain data
 // (JSON-serializable, comparable, zero value = no faults) so it can travel

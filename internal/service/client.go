@@ -32,23 +32,12 @@ type Client struct {
 	// it for the peer protocol: the shared peer token, the forwarded flag
 	// and the sending node's attribution ride here.
 	Header http.Header
-	// Transport, when set, overrides the HTTP transport for this client's
-	// exchanges (a shallow copy of HTTP gets it, so a shared http.Client is
-	// never mutated). The cluster layer hangs its seeded link-fault
-	// injector here: every peer exchange — forwards, sweep dispatches,
-	// handoff, replication — then crosses the same chaos schedule.
-	Transport http.RoundTripper
 }
 
 func (c *Client) withDefaults() Client {
 	out := *c
 	if out.HTTP == nil {
 		out.HTTP = http.DefaultClient
-	}
-	if out.Transport != nil {
-		hc := *out.HTTP
-		hc.Transport = out.Transport
-		out.HTTP = &hc
 	}
 	if out.MaxAttempts <= 0 {
 		out.MaxAttempts = 5

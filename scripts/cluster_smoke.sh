@@ -1,25 +1,19 @@
 #!/usr/bin/env bash
-# Smoke-test the dsserve cluster end to end with real processes, in two
-# legs that share one build and one set of helpers. Every wait is a bounded
-# loop: the script fails rather than hangs.
+# Smoke-test the dsserve cluster end to end with real processes. Every wait
+# is a bounded loop: the script fails rather than hangs.
 #
-# Rolling-restart leg: three nodes agree on the ring, a request computed via
-# one node is a cache hit via another (the forward visible in /metrics), a
-# sweep merges cluster-wide, and a hot tenant is shed with 429s while a
-# cool tenant is served. Then the cluster rolls: SIGTERM node b (clean drain,
-# the cache handoff visible in the survivors' /metrics), hard-kill node c
-# (the prober demotes it, healthz flips to degraded, and a replicated key is
-# still served from cache), and restart c (readmitted within the probe
-# window, healthz back to ok).
+# Three nodes agree on the ring, a request computed via one node is a cache
+# hit via another (the forward visible in /metrics), a sweep merges
+# cluster-wide, and a hot tenant is shed with 429s while a cool tenant is
+# served. Then the cluster rolls: SIGTERM node b (clean drain, the cache
+# handoff visible in the survivors' /metrics), hard-kill node c (the prober
+# demotes it, healthz flips to degraded, and a replicated key is still
+# served from cache), and restart c (readmitted within the probe window,
+# healthz back to ok).
 #
-# Partition leg: three fresh nodes whose peer links share a seeded fault
-# plan with one partition episode cutting node c from {a, b} on a timer.
-# While it holds, the minority node refuses to coordinate sweeps (503), the
-# majority's sweep matches a standalone single-node oracle, and the cuts are
-# counted in /metrics. Keys filled on the majority meanwhile miss their
-# replica on c; after the heal the probers readmit everyone, anti-entropy
-# pushes the starved replicas until the under-replication gauge is back to
-# zero, and the healed minority node coordinates an oracle-identical sweep.
+# Partitions are rehearsed in process instead, where the test cluster cuts
+# and heals peer links: TestPartitionMinorityRefusesAndHeals in
+# internal/cluster/partition_test.go.
 set -euo pipefail
 
 PORT_BASE="${DSCLUSTER_PORT_BASE:-18081}"
@@ -41,9 +35,8 @@ trap cleanup EXIT
 fail() { echo "$*" >&2; exit 1; }
 
 # start_node ID PORT PEERS [FLAGS...] starts one cluster node and sets PID.
-# -replicas 2 in a 3-node cluster puts every fill on every node: the
-# rolling-restart leg serves from replicas with one node standing, and
-# under-replication after the partition is exactly the fills c missed.
+# -replicas 2 in a 3-node cluster puts every fill on every node, so the
+# cluster serves from replicas with one node standing.
 start_node() {
   local id=$1 port=$2 peers=$3 log
   shift 3
@@ -111,8 +104,6 @@ stop_clean() { # PID...: SIGTERM, then require exit 0 from each
 run_body() { # N: a /run request body
   echo "{\"workload\":{\"name\":\"fig21\",\"n\":$1},\"scheme\":{\"name\":\"process\",\"x\":4},\"config\":{\"p\":4}}"
 }
-
-# ---- Rolling-restart leg ----
 
 PA=$PORT_BASE PB=$((PORT_BASE + 1)) PC=$((PORT_BASE + 2))
 BASE_A="http://127.0.0.1:$PA" BASE_B="http://127.0.0.1:$PB" BASE_C="http://127.0.0.1:$PC"
@@ -206,117 +197,6 @@ curl -fsS -X POST "$BASE_C/run" -H 'X-DSServe-Tenant: rejoin-check' -d "$body" |
 echo "cluster smoke: node c rejoined within the probe window ($rejoins rejoins on a)"
 
 stop_clean "$PID_A" "$PID_C"
-echo "cluster smoke: rolling-restart leg OK"
-
-# ---- Partition leg ----
-
-PA=$((PORT_BASE + 10)) PB=$((PORT_BASE + 11)) PC=$((PORT_BASE + 12)) PO=$((PORT_BASE + 13))
-BASE_A="http://127.0.0.1:$PA" BASE_B="http://127.0.0.1:$PB" BASE_C="http://127.0.0.1:$PC"
-BASE_O="http://127.0.0.1:$PO"
-# The episode is timed from each node's boot: the window must open well
-# after the startup checks and close well after the partition-phase checks.
-# -anti-entropy 1s repairs promptly once the ring heals.
-PART_FLAGS=(-anti-entropy 1s -link-fault "seed=42,partition=split:c:6000:25000")
-start_node a "$PA" "b=$BASE_B,c=$BASE_C" "${PART_FLAGS[@]}"; PID_A=$PID
-start_node b "$PB" "a=$BASE_A,c=$BASE_C" "${PART_FLAGS[@]}"; PID_B=$PID
-start_node c "$PC" "a=$BASE_A,b=$BASE_B" "${PART_FLAGS[@]}"; PID_C=$PID
-# A standalone single-node oracle, outside the cluster and the fault plan.
-LOG_O="$(mktemp)"
-LOGS+=("oracle ($PO)=$LOG_O")
-"$BIN" -addr "127.0.0.1:$PO" -node-id oracle -workers 2 2>"$LOG_O" &
-PID_O=$!
-PIDS+=("$PID_O")
-require_healthy "$BASE_A" "$BASE_B" "$BASE_C" "$BASE_O"
-require_ring_agreement "$BASE_A" "$BASE_B" "$BASE_C"
-
-# Pre-partition traffic flows cross-node: fill via a, hit cached via c.
-curl -fsS -X POST "$BASE_A/run" -d "$body" | grep -q '"cached": false' ||
-  fail "first pre-partition /run was already cached?"
-curl -fsS -X POST "$BASE_C/run" -d "$body" | grep -q '"cached": true' ||
-  fail "pre-partition repeat through c missed the cluster cache"
-echo "partition smoke: pre-partition cluster serves cross-node"
-
-# Sweep bodies are compared byte for byte modulo cache provenance: whether
-# a point was served hot and how many grid cells hit the cache legitimately
-# differ between the cluster and the cold oracle.
-normalize_sweep() {
-  sed -E 's/"cacheHits": [0-9]+/"cacheHits": 0/; s/"cached": true/"cached": false/'
-}
-oracle=$(curl -fsS -X POST "$BASE_O/sweep" -d "$sweep" | normalize_sweep)
-echo "$oracle" | grep -q '"failed": 0' || fail "oracle sweep failed: $oracle"
-
-# Wait for the episode window: both sides must see the cut.
-both_cut() { has_state "$BASE_A" c demoted && has_state "$BASE_C" a demoted; }
-wait_until 80 0.25 both_cut || true
-has_state "$BASE_A" c demoted || fail "node a never demoted c inside the partition window"
-has_state "$BASE_C" a demoted || fail "node c never demoted a inside the partition window"
-echo "partition smoke: partition open, both sides demoted across the cut"
-
-# The minority node must refuse to coordinate a cluster sweep.
-minority=$(mktemp)
-code=$(curl -s -o "$minority" -w '%{http_code}' -X POST "$BASE_C/sweep" -d "$sweep")
-[ "$code" = "503" ] || fail "minority /sweep answered $code, want 503: $(cat "$minority")"
-grep -q 'refuses to coordinate' "$minority" ||
-  fail "minority 503 body is not the coordination refusal: $(cat "$minority")"
-echo "partition smoke: minority node refused sweep coordination with 503"
-
-# The majority's sweep must equal the oracle modulo cache provenance.
-majority=$(curl -fsS -X POST "$BASE_A/sweep" -d "$sweep" | normalize_sweep)
-[ "$majority" = "$oracle" ] ||
-  fail "majority sweep diverges from the oracle during the partition
---- oracle ---
-$oracle
---- majority ---
-$majority"
-echo "partition smoke: majority sweep matches the single-node oracle"
-
-# Fill keys on the majority while c is cut off: their replica pushes cannot
-# reach c, so they are exactly what anti-entropy must repair after the heal.
-for i in $(seq 1 8); do
-  curl -fsS -X POST "$BASE_A/run" -d "$(run_body $((70 + 2 * i)))" >/dev/null ||
-    fail "mid-partition fill $i failed"
-done
-
-# The injected cuts must be counted on the nodes doing the cutting (every
-# side of the partition sends into the wall).
-cuts=$(sum_metric 'dsserve_link_faults_injected_total{kind="partition"}' "$BASE_A" "$BASE_B" "$BASE_C")
-[ "$cuts" -ge 1 ] || fail "no partition-kind link faults recorded across the cluster"
-echo "partition smoke: $cuts partition cuts injected and counted"
-
-# Heal: the window closes on its own; probers must readmit both directions.
-healed() {
-  has_state "$BASE_A" c alive && has_state "$BASE_C" a alive &&
-    has_state "$BASE_B" c alive && has_state "$BASE_C" b alive
-}
-wait_until 120 0.25 healed || true
-has_state "$BASE_A" c alive || fail "node a never readmitted c after the heal"
-has_state "$BASE_C" a alive || fail "node c never readmitted a after the heal"
-echo "partition smoke: partition healed, peers readmitted"
-
-# Anti-entropy must notice the starved replicas and repair them: pushes
-# counted, and the under-replication gauge back to zero on every node.
-repaired() {
-  pushes=$(sum_metric dsserve_antientropy_pushes_total "$BASE_A" "$BASE_B" "$BASE_C")
-  under=$(sum_metric dsserve_underreplicated_keys "$BASE_A" "$BASE_B" "$BASE_C")
-  [ "$pushes" -ge 1 ] && [ "$under" -eq 0 ]
-}
-wait_until 60 0.5 repaired || true
-[ "$pushes" -ge 1 ] || fail "anti-entropy recorded no pushes after the heal"
-[ "$under" -eq 0 ] || fail "under-replicated keys never returned to zero (still $under)"
-echo "partition smoke: anti-entropy repaired the starved replicas ($pushes pushes, 0 under-replicated)"
-
-# The healed minority node coordinates again, oracle-identical.
-healed_sweep=$(curl -fsS -X POST "$BASE_C/sweep" -d "$sweep" | normalize_sweep)
-[ "$healed_sweep" = "$oracle" ] ||
-  fail "post-heal sweep via c diverges from the oracle
---- oracle ---
-$oracle
---- healed ---
-$healed_sweep"
-echo "partition smoke: post-heal sweep via the healed minority matches the oracle"
-
-stop_clean "$PID_A" "$PID_B" "$PID_C" "$PID_O"
-echo "partition smoke: partition leg OK"
 
 trap - EXIT
 echo "cluster smoke: OK"
