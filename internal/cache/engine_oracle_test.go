@@ -35,9 +35,11 @@ import (
 
 type oraclePoint struct {
 	workload string
-	build    func() *codegen.Workload
-	scheme   string
-	mk       func() codegen.Scheme
+	// build builds the point's workload at a statement cost; the oracle
+	// runs it at cost 4.
+	build  func(cost int64) *codegen.Workload
+	scheme string
+	mk     func() codegen.Scheme
 }
 
 // oraclePoints mirrors the dsbench snapshot grid at a smaller iteration
@@ -46,12 +48,12 @@ type oraclePoint struct {
 func oraclePoints() []oraclePoint {
 	flat := []struct {
 		name  string
-		build func() *codegen.Workload
+		build func(cost int64) *codegen.Workload
 	}{
-		{"fig21", func() *codegen.Workload { return workloads.Fig21(40, 4) }},
-		{"branchy", func() *codegen.Workload { return workloads.Branchy(40, 4) }},
-		{"recurrence", func() *codegen.Workload { return workloads.Recurrence(40, 2, 4) }},
-		{"stencil", func() *codegen.Workload { return workloads.Stencil(40, 4) }},
+		{"fig21", func(c int64) *codegen.Workload { return workloads.Fig21(40, c) }},
+		{"branchy", func(c int64) *codegen.Workload { return workloads.Branchy(40, c) }},
+		{"recurrence", func(c int64) *codegen.Workload { return workloads.Recurrence(40, 2, c) }},
+		{"stencil", func(c int64) *codegen.Workload { return workloads.Stencil(40, c) }},
 	}
 	schemes := []struct {
 		name string
@@ -71,7 +73,7 @@ func oraclePoints() []oraclePoint {
 	}
 	out = append(out, oraclePoint{
 		"nested",
-		func() *codegen.Workload { return workloads.Nested(8, 6, 4) },
+		func(c int64) *codegen.Workload { return workloads.Nested(8, 6, c) },
 		"pipeline",
 		func() codegen.Scheme { return codegen.PipelinedOuter{X: 8, G: 1} },
 	})
@@ -151,7 +153,7 @@ func oracleDigests(t *testing.T) map[string]string {
 	got := make(map[string]string)
 	for _, c := range oracleConfigs() {
 		for _, p := range oraclePoints() {
-			d, err := engineDigest(p.build(), p.mk(), c.cfg)
+			d, err := engineDigest(p.build(4), p.mk(), c.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s@%s: %v", p.workload, p.scheme, c.name, err)
 			}
@@ -207,10 +209,37 @@ func TestEngineOracle(t *testing.T) {
 // computes the Workload's shared run invariants (serial oracle, dependence
 // analysis, data plan); every digest must still equal its golden, and the
 // race detector (CI runs go test -race ./internal/...) checks the sharing.
+// The seeded pass does the same with Workloads whose Shape a run at
+// another cost computed.
 func TestEngineOracleSharedWorkload(t *testing.T) {
+	t.Run("own", func(t *testing.T) { sharedOracle(t, func(p oraclePoint) *codegen.Workload { return p.build(4) }) })
+	// A service miss runs a freshly built Workload seeded with the Shape
+	// of an earlier workload of the same spec at any cost. Each point's
+	// Shape is computed here by a run of the workload built at cost 7, so
+	// a serial cycle count or memory image that kept the donor's cost
+	// fails the golden.
+	t.Run("seeded", func(t *testing.T) {
+		cfg := oracleConfigs()[0].cfg
+		sharedOracle(t, func(p oraclePoint) *codegen.Workload {
+			donor := p.build(7)
+			donor.Shape = new(codegen.Shape)
+			if _, err := codegen.Run(donor, p.mk(), cfg); err != nil {
+				t.Fatalf("%s/%s donor at cost 7: %v", p.workload, p.scheme, err)
+			}
+			w := p.build(4)
+			w.Shape = donor.Shape
+			return w
+		})
+	})
+}
+
+// sharedOracle runs every oracle point on one Workload from mk, every
+// configuration from its own goroutine, and checks each digest against
+// its golden.
+func sharedOracle(t *testing.T, mk func(oraclePoint) *codegen.Workload) {
 	cfgs := oracleConfigs()
 	for _, p := range oraclePoints() {
-		w := p.build()
+		w := mk(p)
 		digests := make([]string, len(cfgs))
 		errs := make([]error, len(cfgs))
 		var wg sync.WaitGroup

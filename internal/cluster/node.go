@@ -219,7 +219,7 @@ type Node struct {
 	sweepReplans     atomic.Int64 // coordinator re-plans after a fence reject
 	antiPushes       atomic.Int64 // successful replica pushes driven by anti-entropy
 	antiScans        atomic.Int64 // anti-entropy scans completed
-	underreplicated  atomic.Int64 // gauge: owned keys missing >=1 replica at the last scan
+	underreplicated  atomic.Int64 // gauge: keys missing a copy where the ring places it, at the last scan
 }
 
 // New builds the node and its underlying service.Server (whose /healthz
@@ -753,7 +753,7 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Cache bytes handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers (drain handoff or replication).\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Cache bytes imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Owned keys missing at least one successor replica at the last anti-entropy scan.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
+	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Held keys missing a copy at the last anti-entropy scan: owned keys on a successor, other keys on their owner.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
 	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())
 	sheds := n.adm.Sheds()

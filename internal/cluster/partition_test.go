@@ -311,10 +311,11 @@ func TestProbeJitterBounds(t *testing.T) {
 // both directions, then the cut heals. While it holds, both sides demote
 // across the cut, the minority n2 refuses to coordinate a sweep (503), the
 // majority's sweep equals the single-node oracle, and fills on the
-// majority miss their replica on n2. After the heal both sides readmit
-// each other, anti-entropy pushes the starved replicas until no key is
-// under-replicated (dsserve_underreplicated_keys 0 on every node), and a
-// sweep through the healed minority equals the oracle.
+// majority miss their copy on n2. After the heal both sides readmit each
+// other, anti-entropy pushes the starved copies until no key is
+// under-replicated (dsserve_underreplicated_keys 0 on every node) and n2
+// holds every mid-partition fill, the ones it owns included, and a sweep
+// through the healed minority equals the oracle.
 func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	tc := startCluster(t, 3, Options{
 		ProbeInterval:  25 * time.Millisecond,
@@ -387,20 +388,20 @@ func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return holdsFills(tc.nodes[0], fills) && holdsFills(tc.nodes[1], fills) },
 		"the majority to hold every fill and its replica")
-	// Anti-entropy is driven by a key's owner, so only the fills n0 or n1
-	// own are repaired onto n2; a fill n2 owns stays missing there until
-	// it is recomputed.
-	var repairable []cache.Key
+	// A fill n0 or n1 owns is repaired onto n2 as a missing replica; a
+	// fill n2 owns is restored onto its owner by the nodes holding it.
+	// The fills must include both kinds.
+	owned := 0
 	for _, k := range fills {
 		if tc.nodes[2].srv.CacheHas(k) {
 			t.Fatalf("cut-off n2 holds mid-partition fill %s", k)
 		}
-		if tc.nodes[2].full.Owner(k).ID != "n2" {
-			repairable = append(repairable, k)
+		if tc.nodes[2].full.Owner(k).ID == "n2" {
+			owned++
 		}
 	}
-	if len(repairable) == 0 {
-		t.Fatal("n2 owns every mid-partition fill; choose other fills")
+	if owned == 0 || owned == len(fills) {
+		t.Fatalf("n2 owns %d of %d mid-partition fills; choose fills it owns and fills it does not", owned, len(fills))
 	}
 
 	split(false)
@@ -412,8 +413,8 @@ func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 			pushes += n.antiPushes.Load()
 			under += n.underreplicated.Load()
 		}
-		return pushes >= 1 && under == 0 && holdsFills(tc.nodes[2], repairable)
-	}, "anti-entropy to repair the replicas n2 missed")
+		return pushes >= 1 && under == 0 && holdsFills(tc.nodes[2], fills)
+	}, "anti-entropy to repair every fill n2 missed")
 	requireSweepMatchesOracle(t, sweep, sweepVia(2))
 }
 

@@ -292,13 +292,16 @@ func (n *Node) antiEntropyLoop() {
 // AntiEntropyReport summarizes one scan.
 type AntiEntropyReport struct {
 	Owned           int // keys this node owns on the live ring
-	Underreplicated int // owned keys missing at least one successor copy
+	Held            int // keys this node holds for another live owner
+	Underreplicated int // owned keys missing a successor copy, held keys missing on their owner
 	Pushed          int // missing copies pushed
-	Unverifiable    int // (key, successor) pairs whose presence could not be measured
+	Unverifiable    int // (key, peer) pairs whose presence could not be measured
 }
 
-// AntiEntropyScan measures, for every owned key, its presence on each live
-// successor and pushes the missing copies. It sets the
+// AntiEntropyScan measures, for every key this node holds, its presence
+// where the live ring places it and pushes the missing copies: an owned
+// key on each live successor, a key held for another live owner on that
+// owner (a fill the owner missed while it was cut off). It sets the
 // dsserve_underreplicated_keys gauge to the count found before the pushes;
 // the next scan is the one that reports convergence.
 func (n *Node) AntiEntropyScan(ctx context.Context) AntiEntropyReport {
@@ -309,14 +312,21 @@ func (n *Node) AntiEntropyScan(ctx context.Context) AntiEntropyReport {
 		n.underreplicated.Store(0)
 		return rep
 	}
-	var owned []cache.Key
+	var keys []cache.Key
 	n.srv.RangeCacheKeys(func(k cache.Key) {
+		keys = append(keys, k)
 		if live.Owner(k).ID == n.self.ID {
-			owned = append(owned, k)
+			rep.Owned++
+		} else {
+			rep.Held++
 		}
 	})
-	rep.Owned = len(owned)
-	bySucc := n.groupKeys(owned, func(k cache.Key) []Member { return live.Successors(k, n.opts.Replicas) })
+	bySucc := n.groupKeys(keys, func(k cache.Key) []Member {
+		if owner := live.Owner(k); owner.ID != n.self.ID {
+			return []Member{owner}
+		}
+		return live.Successors(k, n.opts.Replicas)
+	})
 
 	missing := make(map[string][]cache.Key)
 	under := make(map[cache.Key]bool)
@@ -356,7 +366,7 @@ func (n *Node) AntiEntropyScan(ctx context.Context) AntiEntropyReport {
 	n.underreplicated.Store(int64(rep.Underreplicated))
 	if rep.Underreplicated > 0 {
 		n.log.Info("cluster: anti-entropy scan found under-replicated keys",
-			"owned", rep.Owned, "underreplicated", rep.Underreplicated,
+			"owned", rep.Owned, "held", rep.Held, "underreplicated", rep.Underreplicated,
 			"pushed", rep.Pushed, "unverifiable", rep.Unverifiable)
 	}
 	return rep

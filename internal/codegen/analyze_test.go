@@ -25,10 +25,13 @@ func coverStmts() (s1, s2, s3 *deps.Stmt) {
 	return
 }
 
-func arcSet(arcs []deps.Arc, stmts []*deps.Stmt) map[string]bool {
+// arcSet names the summary's enforced arcs "src->dst" by statement name.
+func arcSet(di *depInfo, stmts []*deps.Stmt) map[string]bool {
 	set := make(map[string]bool)
-	for _, a := range arcs {
-		set[stmts[a.Src].Name+"->"+stmts[a.Dst].Name] = true
+	for dst, in := range di.incoming {
+		for _, a := range in {
+			set[stmts[a.src].Name+"->"+stmts[dst].Name] = true
+		}
 	}
 	return set
 }
@@ -45,7 +48,7 @@ func TestCoveringEliminationStraightLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := arcSet(di.enforced, nest.Stmts())
+	set := arcSet(di, nest.Stmts())
 	if !set["S1->S2"] || !set["S2->S3"] {
 		t.Fatalf("covering path arcs missing from enforced set: %v", set)
 	}
@@ -79,7 +82,7 @@ func TestCoveringBypassedForBranchyNest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := arcSet(di.enforced, nest.Stmts())
+	set := arcSet(di, nest.Stmts())
 	for _, want := range []string{"S1->S2", "S2->S3", "S1->S3"} {
 		if !set[want] {
 			t.Errorf("dedup-only enforced set lost %s: %v", want, set)
@@ -87,8 +90,10 @@ func TestCoveringBypassedForBranchyNest(t *testing.T) {
 	}
 	// Dedup still applies: one arc per (src, dst, distance).
 	seen := make(map[[3]int64]int)
-	for _, a := range di.enforced {
-		seen[[3]int64{int64(a.Src), int64(a.Dst), a.Dist[0]}]++
+	for dst, in := range di.incoming {
+		for _, a := range in {
+			seen[[3]int64{int64(a.src), int64(dst), a.dist}]++
+		}
 	}
 	for k, n := range seen {
 		if n > 1 {
@@ -120,7 +125,7 @@ func TestCoveringBypassEvenWhenPathAvoidsBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := arcSet(di.enforced, nest.Stmts())
+	set := arcSet(di, nest.Stmts())
 	if !set["S1->S3"] {
 		t.Errorf("branchy nest must keep S1->S3 even though its covering path avoids the branch: %v", set)
 	}

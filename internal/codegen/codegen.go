@@ -39,8 +39,9 @@ type Sem func(idx, in, locals, out []int64)
 // A Workload is immutable once it has been run: its first Run computes the
 // run invariants every later run of any scheme and configuration shares —
 // the serial oracle, the dependence analysis and the data-oriented plan —
-// and keeps them on the value. Set every field, CostOf and Setup included,
-// before the first Run. Runs of one Workload may proceed concurrently.
+// and keeps them on the value, the cost-free ones in its Shape. Set every
+// field, CostOf, Setup and Shape included, before the first Run. Runs of
+// one Workload may proceed concurrently.
 type Workload struct {
 	Name string
 	Nest *loop.Nest
@@ -55,11 +56,36 @@ type Workload struct {
 	// CostOf, when set, overrides statement costs per iteration — used by
 	// the delayed-iteration experiments (one long-running instance).
 	CostOf func(s *deps.Stmt, idx []int64) int64
+	// Shape, when set, holds the workload's cost-free run invariants (see
+	// Shape). Nil means the workload keeps its own.
+	Shape *Shape
 
-	serial memo[serialRun]
-	stmts  memo[*stmtInfo]
+	own          Shape
+	serialCycles memo[int64]
+	stmts        memo[*stmtInfo]
+	plan         memo[*dataorient.Plan]
+}
+
+// Shape holds the run invariants of a workload that no statement cost
+// enters: the serial oracle's final memory image and the dependence
+// summary. Workloads that differ only in their costs — the same loop nest,
+// semantics and Setup — may share one Shape: hand it to each as its Shape
+// field before that workload's first Run, and the first run of any of them
+// computes what every later one reuses. The zero value is an empty Shape,
+// ready for use. A Shape refers to no Workload and no statement, so it
+// outlives the workload that computed it; it holds the image's words and
+// the summary's position tables only.
+type Shape struct {
+	serial memo[sim.Image]
 	deps   memo[*depInfo]
-	plan   memo[*dataorient.Plan]
+}
+
+// shape returns the Shape the workload's cost-free invariants live in.
+func (w *Workload) shape() *Shape {
+	if w.Shape != nil {
+		return w.Shape
+	}
+	return &w.own
 }
 
 // memo holds one run invariant of a Workload, computed by the first run
@@ -88,19 +114,11 @@ func (m *memo[T]) get(compute func() (T, error)) (T, error) {
 	return m.v, m.err
 }
 
-// serialRun is the serial oracle: the workload's cycles and final memory
-// when its iterations run one after another on one processor. It is
-// shared by every run of the workload, so it is never written after
-// construction.
-type serialRun struct {
-	cycles int64
-	mem    *sim.Mem
-}
-
-// serialOracle returns the workload's serial execution: every statement
-// instance applied in place, iterations in order, its cost summed.
-func (w *Workload) serialOracle() serialRun {
-	r, _ := w.serial.get(func() (serialRun, error) {
+// serialImage returns the serial oracle's final memory: every statement
+// instance applied in place, iterations in order. No cost enters it, so it
+// lives in the workload's Shape.
+func (w *Workload) serialImage() sim.Image {
+	img, _ := w.shape().serial.get(func() (sim.Image, error) {
 		mem := sim.NewMem()
 		w.Setup(mem)
 		si := w.stmtTable()
@@ -109,23 +127,49 @@ func (w *Workload) serialOracle() serialRun {
 		f := w.newFrame(1)
 		ips := w.bindInPlace(mem, f)
 		locals := f.localsOf(1)
-		var cycles int64
 		var body []int
-		// The iteration's flat body and costs are resolved on an index
-		// vector of their own: an effect decodes into the frame's.
-		idx := make([]int64, w.Nest.Depth())
+		idx := f.walk()
 		for iter := int64(1); iter <= w.Nest.Iterations(); iter++ {
 			clear(locals)
 			idx = w.Nest.IndexInto(idx, iter)
 			body = si.flat(body, idx)
 			for _, pos := range body {
-				cycles += w.cost(si.list[pos], idx)
 				ips[pos].apply(f, iter, locals)
 			}
 		}
-		return serialRun{cycles: cycles, mem: mem}, nil
+		return mem.Snapshot(), nil
 	})
-	return r
+	return img
+}
+
+// serialCyclesOf returns the serial oracle's cycles: every executed
+// statement instance's cost, summed over the iterations in order. It reads
+// only the flat bodies and the workload's own costs (CostOf included), so
+// it stays on the Workload while the image may be shared.
+func (w *Workload) serialCyclesOf() int64 {
+	c, _ := w.serialCycles.get(func() (int64, error) {
+		si := w.stmtTable()
+		if si.straight != nil && w.CostOf == nil {
+			// Every iteration runs every statement at its fixed cost.
+			var body int64
+			for _, s := range si.list {
+				body += s.Cost
+			}
+			return body * w.Nest.Iterations(), nil
+		}
+		var cycles int64
+		var body []int
+		idx := make([]int64, w.Nest.Depth())
+		for iter := int64(1); iter <= w.Nest.Iterations(); iter++ {
+			idx = w.Nest.IndexInto(idx, iter)
+			body = si.flat(body, idx)
+			for _, pos := range body {
+				cycles += w.cost(si.list[pos], idx)
+			}
+		}
+		return cycles, nil
+	})
+	return c
 }
 
 // stmtInfo is the per-workload statement table every run shares. Code
@@ -219,9 +263,10 @@ func appendFlat(out []int, nodes []pnode, idx []int64) []int {
 	return out
 }
 
-// depInfo returns the workload's dependence summary (analyzeWorkload).
+// depInfo returns the workload's dependence summary (analyzeWorkload),
+// which lives in its Shape.
 func (w *Workload) depInfo() (*depInfo, error) {
-	return w.deps.get(func() (*depInfo, error) { return analyzeWorkload(w) })
+	return w.shape().deps.get(func() (*depInfo, error) { return analyzeWorkload(w) })
 }
 
 // dataPlan returns the workload's data-oriented synchronization plan.
@@ -304,7 +349,10 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 	if err := cfg.Check(); err != nil {
 		return Result{}, nil, fmt.Errorf("codegen: invalid machine configuration: %w", err)
 	}
-	serial := w.serialOracle()
+	// The serial oracle runs first, so a workload whose semantics fail
+	// fails there, before the machine runs.
+	serialCycles := w.serialCyclesOf()
+	w.serialImage()
 
 	m := sim.New(cfg)
 	if trace {
@@ -326,7 +374,7 @@ func run(w *Workload, sch Scheme, cfg sim.Config, trace, syncTrace bool) (Result
 	if err := checkSerial(w, sch, m.Mem()); err != nil {
 		return Result{}, m, err
 	}
-	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serial.cycles}, m, nil
+	return Result{Scheme: sch.Name(), Stats: stats, Foot: foot, SerialCycles: serialCycles}, m, nil
 }
 
 // instrument sets the workload's memory up on m and instruments it under
@@ -352,7 +400,7 @@ func instrument(m *sim.Machine, w *Workload, sch Scheme) (sim.Program, Footprint
 // oracle's memory.
 func checkSerial(w *Workload, sch Scheme, mem *sim.Mem) error {
 	sch.Finalize(mem)
-	if diff := w.serialOracle().mem.Diff(mem); diff != "" {
+	if diff := w.serialImage().Diff(mem); diff != "" {
 		return fmt.Errorf("codegen: %s on %s violates serial equivalence:\n%s", sch.Name(), w.Name, diff)
 	}
 	return nil
@@ -379,15 +427,29 @@ type frame struct {
 func (w *Workload) newFrame(iters int64) *frame {
 	si := w.stmtTable()
 	depth := w.Nest.Depth()
-	buf := make([]int64, depth+si.maxReads+si.maxWrites+int(iters)*w.Locals)
+	buf := make([]int64, 2*depth+si.maxReads+si.maxWrites+int(iters)*w.Locals)
+	carve := func(n int) []int64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
 	return &frame{
 		nest:   w.Nest,
-		idx:    buf[:depth:depth],
-		in:     buf[depth : depth+si.maxReads : depth+si.maxReads],
-		out:    buf[depth+si.maxReads : depth+si.maxReads+si.maxWrites : depth+si.maxReads+si.maxWrites],
+		idx:    carve(2 * depth)[:depth], // walk's vector rides in its capacity
+		in:     carve(si.maxReads),
+		out:    carve(si.maxWrites),
 		nLocal: w.Locals,
-		locals: buf[depth+si.maxReads+si.maxWrites:],
+		locals: buf,
 	}
+}
+
+// walk returns an index vector of the frame's own for the code that walks
+// the iterations beside the effects (a program builder, the serial
+// oracle): an effect decodes into idx, and may run between two of its
+// steps. A fork has none.
+func (f *frame) walk() []int64 {
+	d := len(f.idx)
+	return f.idx[d : 2*d : 2*d]
 }
 
 // fork returns a frame with the scratch of f's size and f's locals.
@@ -493,19 +555,20 @@ type stmtRun struct {
 	// names is the first statement's name in the machine's name table;
 	// the name of the statement at position pos is names+pos.
 	names sim.StrID
-	// progIdx is the program builder's own index buffer: effects decode
-	// into the frame's, and a program may be called between two effects.
+	// progIdx is the program builder's index vector, the frame's walk():
+	// effects decode into the frame's idx, and a program may be called
+	// between two effects.
 	progIdx []int64
 	lat     int64
 }
 
-// newStmtRun returns a run binding with no effects yet for a run on m, the
-// statement names registered.
-func (w *Workload) newStmtRun(m *sim.Machine) *stmtRun {
+// newStmtRun returns a run binding with no effects yet for a run on m in
+// frame f, the statement names registered.
+func (w *Workload) newStmtRun(m *sim.Machine, f *frame) *stmtRun {
 	si := w.stmtTable()
 	return &stmtRun{w: w, info: si, effs: make([]sim.EffID, len(si.list)),
 		names:   m.AddNames(len(si.list), stmtNames(si.list)),
-		progIdx: make([]int64, w.Nest.Depth()), lat: m.Config().DataLatency}
+		progIdx: f.walk(), lat: m.Config().DataLatency}
 }
 
 // stmtNames names statement position pos by the statement's name.
@@ -526,8 +589,9 @@ func (w *Workload) semOf(s *deps.Stmt) Sem {
 // bindMachine binds every statement for a run on m: in place against its
 // memory, under its data latency and sync-trace setting.
 func (w *Workload) bindMachine(m *sim.Machine) *stmtRun {
-	r := w.newStmtRun(m)
-	ips := w.bindInPlace(m.Mem(), w.newFrame(w.Nest.Iterations()))
+	f := w.newFrame(w.Nest.Iterations())
+	r := w.newStmtRun(m, f)
+	ips := w.bindInPlace(m.Mem(), f)
 	for pos := range ips {
 		if ips[pos].sem != nil || m.SyncTracing() {
 			r.effs[pos] = m.AddEffect(&ips[pos])

@@ -65,9 +65,12 @@ func coldMissMix(count int) []coldMiss {
 
 // BenchmarkColdMiss reports the time, allocations and bytes of one /run
 // cache miss (ns/op, allocs/op, B/op) over the run-cold request mix.
-// "fresh" runs a newly built Workload, as the service does on every miss,
-// so each op also computes the run invariants (serial oracle, dependence
-// summary, data-oriented plan); "shared" runs Workloads an earlier Run
+// "fresh" runs a newly built Workload, so each op also computes the run
+// invariants (serial oracle, dependence summary, data-oriented plan);
+// "seeded" runs a newly built Workload handed the Shape an earlier run
+// computed, as the service does on a miss whose shape its table holds, so
+// each op computes the serial cycles and the plan but not the serial image
+// or the dependence summary; "shared" runs Workloads an earlier Run
 // already warmed, so the difference is what a miss pays for them.
 func BenchmarkColdMiss(b *testing.B) {
 	mix := coldMissMix(256)
@@ -81,6 +84,23 @@ func BenchmarkColdMiss(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := mix[i%len(mix)]
 			run(b, m.build(), m)
+		}
+	})
+	b.Run("seeded", func(b *testing.B) {
+		shapes := make([]*codegen.Shape, len(mix))
+		for i, m := range mix {
+			w := m.build()
+			shapes[i] = new(codegen.Shape)
+			w.Shape = shapes[i]
+			run(b, w, m)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := mix[i%len(mix)]
+			w := m.build()
+			w.Shape = shapes[i%len(mix)]
+			run(b, w, m)
 		}
 	})
 	b.Run("shared", func(b *testing.B) {

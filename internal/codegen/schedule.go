@@ -24,12 +24,13 @@ type action struct {
 // schedule builds the iteration's action list: sink waits before each
 // statement (skipping sources before the loop start), publications after
 // each source statement, covering publications for skipped branch arms,
-// and exactly one transfer per iteration that has any source. idx is the
-// iteration's index vector. It appends to acts, so a caller building
-// iterations one at a time can reuse one buffer.
-func (di *depInfo) schedule(acts []action, iter int64, idx []int64) []action {
+// and exactly one transfer per iteration that has any source. body is the
+// workload's resolved body and idx the iteration's index vector. It appends
+// to acts, so a caller building iterations one at a time can reuse one
+// buffer.
+func (di *depInfo) schedule(acts []action, body []pnode, iter int64, idx []int64) []action {
 	sc := scheduler{di: di, iter: iter, idx: idx, acts: acts}
-	sc.walk(di.body)
+	sc.walk(body)
 	if di.endTransfer {
 		sc.acts = append(sc.acts, action{kind: actTransfer})
 	}

@@ -12,13 +12,13 @@ import (
 	"github.com/csrd-repro/datasync/internal/stmtorient"
 )
 
-// depInfo is the per-workload dependence summary every scheme shares. It is
-// computed once per Workload (Workload.depInfo) and read-only after that.
-// Its per-statement tables are slices indexed by statement position.
+// depInfo is the dependence summary every scheme shares. It is computed
+// once per Shape (Workload.depInfo) and read-only after that. Its
+// per-statement tables are slices indexed by statement position; it names
+// no statement and keeps no arc, so a Shape holding it refers to nothing of
+// the workload that computed it.
 type depInfo struct {
-	body     []pnode    // the statement table's resolved body
-	enforced []deps.Arc // linearized, minimal
-	incoming [][]depArc // by sink position: its enforced arcs
+	incoming [][]depArc // by sink position: its enforced (linearized, minimal) arcs
 	sources  []int      // source positions, ascending
 	step     []int64    // by position: source step number (1-based), 0 for a non-source
 	lastSrc  int        // position of the statically last source; -1 if none
@@ -49,16 +49,27 @@ func analyzeWorkload(w *Workload) (*depInfo, error) {
 	}
 	si := w.stmtTable()
 	di := &depInfo{
-		body:     si.body,
-		enforced: enforced,
 		incoming: make([][]depArc, len(si.list)),
 		step:     make([]int64, len(si.list)),
 		lastSrc:  -1,
 	}
+	// Every sink's arcs are carved from one slab, in enforced order.
+	for _, a := range enforced {
+		di.step[a.Dst]++ // the sink's arc count, until it is carved
+	}
+	arcs, sources := make([]depArc, len(enforced)), 0
+	for p, n := range di.step {
+		di.incoming[p], arcs = arcs[:0:n], arcs[n:]
+		di.step[p] = 0
+	}
 	for _, a := range enforced {
 		di.incoming[a.Dst] = append(di.incoming[a.Dst], depArc{src: a.Src, dist: a.Dist[0]})
-		di.step[a.Src] = -1 // numbered below, in position order
+		if di.step[a.Src] == 0 {
+			di.step[a.Src] = -1 // numbered below, in position order
+			sources++
+		}
 	}
+	di.sources = make([]int, 0, sources)
 	for p, st := range di.step {
 		if st != 0 {
 			di.sources = append(di.sources, p)
@@ -66,7 +77,7 @@ func analyzeWorkload(w *Workload) (*depInfo, error) {
 			di.lastSrc = p
 		}
 	}
-	di.endTransfer = di.lastSrc >= 0 && !topLevel(di.body, di.lastSrc)
+	di.endTransfer = di.lastSrc >= 0 && !topLevel(si.body, di.lastSrc)
 	return di, nil
 }
 
@@ -148,7 +159,7 @@ func (s ProcessOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program, F
 		// The basic primitives acquire the PC once, before the
 		// iteration's first publication or transfer.
 		owned := s.Improved
-		acts = di.schedule(acts[:0], iter, idx)
+		acts = di.schedule(acts[:0], r.info.body, iter, idx)
 		for _, a := range acts {
 			switch a.kind {
 			case actWait:
@@ -212,7 +223,7 @@ type scGrouping struct {
 	advanceAtEnd bool
 }
 
-func buildSCGrouping(di *depInfo, k int) scGrouping {
+func buildSCGrouping(di *depInfo, body []pnode, k int) scGrouping {
 	if k == 0 || k > len(di.sources) {
 		k = len(di.sources)
 	}
@@ -234,7 +245,7 @@ func buildSCGrouping(di *depInfo, k int) scGrouping {
 		lastPosOfGroup[c] = p
 	}
 	for _, p := range lastPosOfGroup[:min(k, len(di.sources))] {
-		if topLevel(di.body, p) {
+		if topLevel(body, p) {
 			g.lastOfGroup[p] = true
 		} else {
 			g.advanceAtEnd = true
@@ -252,7 +263,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	if err != nil {
 		return nil, Footprint{}, err
 	}
-	sg := buildSCGrouping(di, s.K)
+	sg := buildSCGrouping(di, w.stmtTable().body, s.K)
 	k := sg.k
 	foot := Footprint{SyncVars: k, InitOps: int64(k), StorageWords: int64(k)}
 	sw := &scWalker{di: di, sg: sg, scs: stmtorient.NewSimSCs(m, k), r: w.bindMachine(m),
@@ -260,7 +271,7 @@ func (s StatementOriented) Instrument(m *sim.Machine, w *Workload) (sim.Program,
 	prog := func(ops []sim.Op, iter int64) []sim.Op {
 		sw.ops, sw.iter, sw.idx = ops, iter, w.Nest.IndexInto(sw.r.progIdx, iter)
 		clear(sw.advanced)
-		sw.walk(di.body)
+		sw.walk(sw.r.info.body)
 		if sg.advanceAtEnd {
 			for g := int64(0); g < int64(k); g++ {
 				if !sw.advanced[g] {
@@ -497,8 +508,8 @@ func (e *renamed) Touches(iter int64) []sim.MemAccess {
 // m; statements without semantics get no effect unless m records a sync
 // trace.
 func (w *Workload) bindRenamed(m *sim.Machine, plan *dataorient.Plan, vs *dataorient.VersionStore) *stmtRun {
-	r := w.newStmtRun(m)
 	f := w.newFrame(w.Nest.Iterations())
+	r := w.newStmtRun(m, f)
 	effs := make([]renamed, len(r.info.list))
 	for pos, s := range r.info.list {
 		sem := w.semOf(s)

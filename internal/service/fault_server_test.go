@@ -120,6 +120,7 @@ func TestStallsLeaveOtherRequestsServed(t *testing.T) {
 		"dsserve_workers", "dsserve_jobs_completed_total",
 		"dsserve_cache_entries", "dsserve_cache_hits_total", "dsserve_cache_misses_total",
 		"dsserve_cache_dedups_total", "dsserve_cache_evictions_total",
+		"dsserve_shape_hits_total", "dsserve_shape_misses_total", "dsserve_shape_entries",
 		"dsserve_watchdog_trips_total", "dsserve_injected_faults_total",
 		"dsserve_recovered_runs_total", "dsserve_recovery_cost_cycles_total",
 		"dsserve_requests_total", "dsserve_request_duration_seconds",

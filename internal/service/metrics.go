@@ -134,10 +134,10 @@ type Resilience struct {
 	RecoveryCost  int64
 }
 
-// Render writes the exposition text: pool gauges, cache counters,
-// fault-injection and recovery counters, request totals and latency
-// histograms, with label sets sorted for deterministic output.
-func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience) {
+// Render writes the exposition text: pool gauges, result cache and shape
+// table counters, fault-injection and recovery counters, request totals
+// and latency histograms, with label sets sorted for deterministic output.
+func (m *Metrics) Render(w io.Writer, pool *Pool, cs, shapes cache.Stats, res Resilience) {
 	fmt.Fprintf(w, "# HELP dsserve_queue_depth Jobs waiting for a worker.\n# TYPE dsserve_queue_depth gauge\ndsserve_queue_depth %d\n", pool.QueueDepth())
 	fmt.Fprintf(w, "# TYPE dsserve_queue_capacity gauge\ndsserve_queue_capacity %d\n", pool.QueueCap())
 	fmt.Fprintf(w, "# HELP dsserve_jobs_inflight Jobs currently executing.\n# TYPE dsserve_jobs_inflight gauge\ndsserve_jobs_inflight %d\n", pool.InFlight())
@@ -149,6 +149,9 @@ func (m *Metrics) Render(w io.Writer, pool *Pool, cs cache.Stats, res Resilience
 	fmt.Fprintf(w, "# TYPE dsserve_cache_misses_total counter\ndsserve_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# HELP dsserve_cache_dedups_total Concurrent identical requests that piggybacked on an in-flight computation.\n# TYPE dsserve_cache_dedups_total counter\ndsserve_cache_dedups_total %d\n", cs.Dedups)
 	fmt.Fprintf(w, "# TYPE dsserve_cache_evictions_total counter\ndsserve_cache_evictions_total %d\n", cs.Evictions)
+	fmt.Fprintf(w, "# HELP dsserve_shape_hits_total Cache misses whose workload reused a Shape (serial image and dependence summary) from the shape table.\n# TYPE dsserve_shape_hits_total counter\ndsserve_shape_hits_total %d\n", shapes.Hits+shapes.Dedups)
+	fmt.Fprintf(w, "# HELP dsserve_shape_misses_total Cache misses whose workload started a new Shape in the shape table.\n# TYPE dsserve_shape_misses_total counter\ndsserve_shape_misses_total %d\n", shapes.Misses)
+	fmt.Fprintf(w, "# TYPE dsserve_shape_entries gauge\ndsserve_shape_entries %d\n", shapes.Entries)
 
 	fmt.Fprintf(w, "# HELP dsserve_watchdog_trips_total Stall-class job failures (diagnosed deadlocks and livelocks).\n# TYPE dsserve_watchdog_trips_total counter\ndsserve_watchdog_trips_total %d\n", res.WatchdogTrips)
 	fmt.Fprintf(w, "# HELP dsserve_injected_faults_total Faults the simulator injected across all executed runs.\n# TYPE dsserve_injected_faults_total counter\ndsserve_injected_faults_total %d\n", res.InjectedFaults)

@@ -13,6 +13,7 @@ import (
 
 	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/lang"
 	"github.com/csrd-repro/datasync/internal/sim"
 	"github.com/csrd-repro/datasync/internal/verify"
 )
@@ -73,9 +74,12 @@ func (o Options) withDefaults() Options {
 // Server evaluates synchronization programs over the bounded pool with the
 // content-addressed cache in front.
 type Server struct {
-	opts     Options
-	pool     *Pool
-	cache    *cache.Cache
+	opts  Options
+	pool  *Pool
+	cache *cache.Cache
+	// shapes maps a workload's shapeKey to its codegen.Shape, the run
+	// invariants a cache miss would otherwise compute again (seedShape).
+	shapes   *cache.Cache
 	metrics  *Metrics
 	log      *slog.Logger
 	draining atomic.Bool
@@ -103,6 +107,7 @@ func NewServer(opts Options) *Server {
 		opts:    opts,
 		pool:    NewPool(opts.Workers, opts.QueueCap, opts.JobTimeout),
 		cache:   cache.New(opts.CacheSize),
+		shapes:  cache.New(shapeTableSize),
 		metrics: NewMetrics(),
 		log:     opts.Logger,
 		simRun:  codegen.Run,
@@ -195,6 +200,31 @@ type errorResponse struct {
 
 // ---- evaluation ----
 
+// shapeTableSize bounds a server's shape table, in entries. Each holds a
+// serial memory image of at most maxShapeWords words and a dependence
+// summary, so the table holds about 8 MB of images at most. The load
+// generator's misses fall on a few hundred shapes, which 512 entries hold.
+const shapeTableSize = 512
+
+// maxShapeWords is the largest array footprint, in words, whose Shape the
+// table keeps (lang.Footprint's element count, which checkSize bounds).
+// A larger workload computes its own run invariants, as it always did.
+const maxShapeWords = 2048
+
+// seedShape hands wl, before its first run, the Shape of every workload
+// built from a spec with the same shapeKey, from the server's bounded
+// table: only the first miss of a shape computes its serial memory and
+// dependence summary, inside the pool job that runs it. Every run still
+// simulates and checks its own memory against the full serial image. A
+// workload over maxShapeWords keeps a Shape of its own.
+func (s *Server) seedShape(wl *codegen.Workload, spec WorkloadSpec) {
+	if _, words := lang.Footprint(wl.Nest); words > maxShapeWords {
+		return
+	}
+	v, _, _ := s.shapes.Do(spec.shapeKey(), func() (any, error) { return new(codegen.Shape), nil })
+	wl.Shape = v.(*codegen.Shape)
+}
+
 // runResult is the cache value for /run: the response without the
 // per-request Cached/Key decoration, and the entry's hit body.
 type runResult struct {
@@ -220,7 +250,7 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 		return RunResponse{}, false, err
 	}
 	key := cache.RequestKey(wl, sch.Name(), cfg)
-	rr, hit, err := s.doRun(ctx, key, wl, sspec, cfg)
+	rr, hit, err := s.doRun(ctx, key, wl, nil, sspec, cfg)
 	if err != nil {
 		return RunResponse{}, false, err
 	}
@@ -228,11 +258,15 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 }
 
 // doRun answers a built, validated and keyed run through the cache,
-// singleflight and the pool. Outside a sweep the pool's backpressure fails
-// fast with ErrQueueFull (turned into 429); a sweep's patient context waits
-// for a queue slot instead.
-func (s *Server) doRun(ctx context.Context, key cache.Key, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, bool, error) {
+// singleflight and the pool. On a miss it first seeds wl's Shape from
+// spec, unless spec is nil (a sweep seeds its workload once). Outside a
+// sweep the pool's backpressure fails fast with ErrQueueFull (turned into
+// 429); a sweep's patient context waits for a queue slot instead.
+func (s *Server) doRun(ctx context.Context, key cache.Key, wl *codegen.Workload, spec *WorkloadSpec, sspec SchemeSpec, cfg sim.Config) (*runResult, bool, error) {
 	v, hit, err := s.cache.Do(key, func() (any, error) {
+		if spec != nil {
+			s.seedShape(wl, *spec)
+		}
 		return s.executeRun(ctx, wl, sspec, cfg)
 	})
 	s.notifyFill(key, hit, err)
@@ -342,7 +376,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rr, hit, err := s.doRun(r.Context(), p.Key, p.wl, p.run.Scheme, p.cfg)
+	rr, hit, err := s.doRun(r.Context(), p.Key, p.wl, &p.run.Workload, p.run.Scheme, p.cfg)
 	switch {
 	case err != nil:
 		s.evalError(w, err)
@@ -373,6 +407,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+		s.seedShape(p.wl, p.ver.Workload)
 		return s.executeVerify(r.Context(), p.wl, p.ver)
 	})
 	s.notifyFill(p.Key, hit, err)
@@ -477,7 +512,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.Render(w, s.pool, s.cache.Snapshot(), Resilience{
+	s.metrics.Render(w, s.pool, s.cache.Snapshot(), s.shapes.Snapshot(), Resilience{
 		WatchdogTrips:  s.watchdogTrips.Load(),
 		InjectedFaults: s.injectedFaults.Load(),
 		RecoveredRuns:  s.recoveredRuns.Load(),

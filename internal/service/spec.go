@@ -9,9 +9,12 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/fault"
 	"github.com/csrd-repro/datasync/internal/lang"
@@ -75,20 +78,51 @@ func (s WorkloadSpec) Build() (*codegen.Workload, error) {
 	return w, nil
 }
 
+// withDefaults returns the spec with every zero-valued parameter set to
+// its default. build and shapeKey both read the spec through it, so a
+// workload and its Shape's address agree on every parameter.
+func (s WorkloadSpec) withDefaults() WorkloadSpec {
+	if s.N <= 0 {
+		s.N = 40
+	}
+	if s.M <= 0 {
+		s.M = 8
+	}
+	if s.D <= 0 {
+		s.D = 2
+	}
+	if s.Cost <= 0 {
+		s.Cost = 4
+	}
+	return s
+}
+
+// shapeKey is the address of the workload's codegen.Shape in a server's
+// shape table: the spec with its defaults applied and its cost dropped.
+// That is name, n, m and d for a built-in, and the exact source text for
+// a .do program (which names no cost of its own). No cost enters a Shape,
+// so workloads that differ only in cost share one.
+//
+// It is not the canonical request key (cache.RequestKey): that encodes a
+// .do statement by its label and references, not its right-hand side, so
+// two programs that differ only in a right-hand side share a canonical
+// key but not their serial memory.
+func (s WorkloadSpec) shapeKey() cache.Key {
+	if s.Source != "" {
+		return sha256.Sum256([]byte("source\x00" + s.Source))
+	}
+	d := s.withDefaults()
+	b := append(make([]byte, 0, 64), "builtin\x00"...)
+	b = append(b, d.Name...)
+	for _, v := range []int64{d.N, d.M, d.D} {
+		b = binary.AppendVarint(append(b, 0), v)
+	}
+	return sha256.Sum256(b)
+}
+
 func (s WorkloadSpec) build() (*codegen.Workload, error) {
+	s = s.withDefaults()
 	n, m, d, cost := s.N, s.M, s.D, s.Cost
-	if n <= 0 {
-		n = 40
-	}
-	if m <= 0 {
-		m = 8
-	}
-	if d <= 0 {
-		d = 2
-	}
-	if cost <= 0 {
-		cost = 4
-	}
 	if s.Source != "" {
 		w, err := lang.Parse(s.Source)
 		if err != nil {

@@ -320,6 +320,8 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 		names[i] = sch.Name()
 	}
 
+	s.seedShape(wl, req.Workload)
+
 	// Fan the chains across the pool. The caller's goroutine is not a pool
 	// worker, so waiting for a queue slot (SubmitWait via patientCtx)
 	// cannot deadlock the pool; interactive /run traffic keeps its

@@ -168,7 +168,7 @@ func TestBusEntrySlabRecycled(t *testing.T) {
 	if len(m.entryFree) != len(m.entries) {
 		t.Errorf("%d of %d bus entries free after the run, want all", len(m.entryFree), len(m.entries))
 	}
-	if r := m.vars[v].reg; len(r.pend) != 0 || len(r.waiters) != 0 {
+	if r := m.regs[m.vars[v].reg]; len(r.pend) != 0 || len(r.waiters) != 0 {
 		t.Errorf("after the run %d writes are in flight and %d waiters parked, want none", len(r.pend), len(r.waiters))
 	}
 }

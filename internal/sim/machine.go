@@ -157,13 +157,14 @@ func (c Config) normalized() Config {
 }
 
 // syncVar is one entry of the machine's variable table. It carries no name:
-// VarName renders one from the variable's declaration when asked. Memory
-// variables (the many per-element keys and full/empty bits) need only a
-// value and a module; the bus and waiter state of a register variable lives
-// in its regState.
+// VarName renders one from the variable's declaration when asked, and no
+// pointer, so the collector never scans the table. Memory variables (the
+// many per-element keys and full/empty bits) need only a value and a
+// module; the bus and waiter state of a register variable lives in its
+// regState, the Machine's regs[reg].
 type syncVar struct {
 	committed int64
-	reg       *regState // register variables only
+	reg       int32 // index into Machine.regs; -1 for a memory variable
 	id        VarID
 	module    int32
 	res       Residence
@@ -183,10 +184,9 @@ type regState struct {
 	minWait int64
 }
 
-// addWaiter parks w on register variable v, maintaining the minWait
+// addWaiter parks w on the register state r, maintaining the minWait
 // frontier.
-func (v *syncVar) addWaiter(w blockedWait) {
-	r := v.reg
+func (r *regState) addWaiter(w blockedWait) {
 	if len(r.waiters) == 0 || w.min < r.minWait {
 		r.minWait = w.min
 	}
@@ -198,10 +198,10 @@ func (v *syncVar) addWaiter(w blockedWait) {
 // own writes in its local register image).
 func (m *Machine) visibleTo(v *syncVar, p int) int64 {
 	val := v.committed
-	if v.reg == nil {
+	if v.reg < 0 {
 		return val
 	}
-	for _, ei := range v.reg.pend {
+	for _, ei := range m.regs[v.reg].pend {
 		if e := &m.entries[ei]; int(e.proc) == p && e.val > val {
 			val = e.val
 		}
@@ -309,8 +309,10 @@ type Machine struct {
 	mem *Mem
 	// vars is the variable table, indexed by VarID. Variables are declared
 	// before the run and the table never moves during it. A block
-	// declaration grows it by exactly the block.
+	// declaration grows it by exactly the block. regs holds the register
+	// variables' bus and waiter state, in declaration order.
 	vars []syncVar
+	regs []regState
 	// varNames names the variables by VarID.
 	varNames nameTable
 	// effects are the compute ops' effects by EffID-1; strs is the name
@@ -445,14 +447,14 @@ func (m *Machine) declare(n int, d nameDecl, res Residence) VarID {
 		copy(grown, m.vars)
 		m.vars = grown
 	}
-	var regs []regState
-	if res == Register {
-		regs = make([]regState, n)
+	if res == Register && n > 1 && cap(m.regs)-len(m.regs) < n {
+		m.regs = slices.Grow(m.regs, n)
 	}
 	for i := 0; i < n; i++ {
-		v := syncVar{id: first + VarID(i), res: res}
-		if regs != nil {
-			v.reg = &regs[i]
+		v := syncVar{id: first + VarID(i), reg: -1, res: res}
+		if res == Register {
+			v.reg = int32(len(m.regs))
+			m.regs = append(m.regs, regState{})
 		}
 		m.vars = append(m.vars, v)
 	}
@@ -837,7 +839,7 @@ func (m *Machine) step(p *proc) {
 			p.blockedSince = m.now
 			if v.res == Register {
 				// Spin on the local register image: woken by commit.
-				v.addWaiter(blockedWait{min: op.Value, p: int32(p.id)})
+				m.regs[v.reg].addWaiter(blockedWait{min: op.Value, p: int32(p.id)})
 				return
 			}
 			// Poll through the memory module: each probe is a module access.
@@ -912,8 +914,11 @@ func (m *Machine) poll(p *proc, v *syncVar) {
 // burst of commits touches each syncVar's waiters at most once per
 // releasing commit. Survivors are filtered in place over v.waiters[:0].
 func (m *Machine) wake(v *syncVar) {
-	r := v.reg
-	if r == nil || len(r.waiters) == 0 || v.committed < r.minWait {
+	if v.reg < 0 {
+		return
+	}
+	r := &m.regs[v.reg]
+	if len(r.waiters) == 0 || v.committed < r.minWait {
 		return
 	}
 	kept := r.waiters[:0]
@@ -970,7 +975,8 @@ func (m *Machine) busIssue(v *syncVar, val int64, procID int) {
 		}
 	}
 	ei := m.allocEntry(v.id, procID, val)
-	v.reg.pend = append(v.reg.pend, ei)
+	r := &m.regs[v.reg]
+	r.pend = append(r.pend, ei)
 	e := &m.entries[ei]
 	if m.inj != nil {
 		if m.inj.DropBroadcast(seq, procID, int64(v.id)) {
@@ -1068,7 +1074,7 @@ func (m *Machine) commitTorn(ei int32) {
 // removePend unparks committed bus entry ei from v's writes in flight.
 // visibleTo takes a max over pend, so order is irrelevant: swap-remove.
 func (m *Machine) removePend(v *syncVar, ei int32) {
-	r := v.reg
+	r := &m.regs[v.reg]
 	if i := slices.Index(r.pend, ei); i >= 0 {
 		last := len(r.pend) - 1
 		r.pend[i] = r.pend[last]

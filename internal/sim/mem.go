@@ -23,7 +23,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -155,11 +154,151 @@ func (m *Mem) Scalar(name string) int64 { return m.scalars[name] }
 func (m *Mem) AddScalar(name string, v int64) { m.scalars[name] += v }
 
 // Diff compares two memories and returns a human-readable description of
-// the first differences found ("" when identical). Used by the
-// serial-equivalence oracle.
-func (m *Mem) Diff(other *Mem) string {
-	if m.same(other) {
-		return "" // a passing check sorts and formats nothing
+// the first differences found ("" when identical), m's contents being the
+// expected ones. Used by the serial-equivalence oracle.
+func (m *Mem) Diff(other *Mem) string { return m.Snapshot().Diff(other) }
+
+// Image is a memory's contents as the serial oracle keeps them: every
+// array and grid with its bounds and values, arrays first, each kind in
+// name order, and every scalar. It holds no map and no reference into the
+// Mem it was taken from, and its names are copied into one string, so a
+// name sliced from a program's source does not keep that source alive. A
+// block's values take 32 bits each when they all fit. An Image is never
+// written after Snapshot returns it, so any number of goroutines may Diff
+// against it at once.
+type Image struct {
+	blocks  []block
+	scalars []scalar
+}
+
+// block is one array or grid of an Image: its bounds (lo2 and hi2 unused
+// for an array) and its values in row-major order, in w32 when every one
+// fits in 32 bits and in w64 otherwise.
+type block struct {
+	name               string
+	grid               bool
+	lo1, hi1, lo2, hi2 int64
+	w32                []int32
+	w64                []int64
+}
+
+// at returns the block's k-th value in row-major order.
+func (b *block) at(k int64) int64 {
+	if b.w64 != nil {
+		return b.w64[k]
+	}
+	return int64(b.w32[k])
+}
+
+// holds reports, without allocating, that vals are the block's values.
+func (b *block) holds(vals []int64) bool {
+	if b.w64 != nil {
+		return slices.Equal(b.w64, vals)
+	}
+	if len(vals) != len(b.w32) {
+		return false
+	}
+	for k, v := range vals {
+		if int64(b.w32[k]) != v {
+			return false
+		}
+	}
+	return true
+}
+
+type scalar struct {
+	name string
+	v    int64
+}
+
+// fits32 reports that every value fits in 32 bits.
+func fits32(vals []int64) bool {
+	for _, v := range vals {
+		if v != int64(int32(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Snapshot returns a copy of m's contents as an Image.
+func (m *Mem) Snapshot() Image {
+	img := Image{
+		blocks:  make([]block, 0, len(m.arrays)+len(m.grids)),
+		scalars: make([]scalar, 0, len(m.scalars)),
+	}
+	// Each block's w64 points at m's values until they are copied below.
+	for _, a := range m.arrays {
+		img.blocks = append(img.blocks, block{name: a.Name, lo1: a.Lo, hi1: a.Hi, w64: a.vals})
+	}
+	for _, g := range m.grids {
+		img.blocks = append(img.blocks, block{name: g.Name, grid: true,
+			lo1: g.Lo1, hi1: g.Hi1, lo2: g.Lo2, hi2: g.Hi2, w64: g.vals})
+	}
+	for name, v := range m.scalars {
+		img.scalars = append(img.scalars, scalar{name, v})
+	}
+	slices.SortFunc(img.blocks, func(x, y block) int {
+		if x.grid != y.grid {
+			if y.grid {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(x.name, y.name)
+	})
+	slices.SortFunc(img.scalars, func(x, y scalar) int { return strings.Compare(x.name, y.name) })
+
+	// One slab per word width and one string of names.
+	n32, n64, size := 0, 0, 0
+	for i := range img.blocks {
+		b := &img.blocks[i]
+		if fits32(b.w64) {
+			n32 += len(b.w64)
+		} else {
+			n64 += len(b.w64)
+		}
+		size += len(b.name)
+	}
+	for _, sc := range img.scalars {
+		size += len(sc.name)
+	}
+	w32, w64 := make([]int32, 0, n32), make([]int64, 0, n64)
+	var names strings.Builder
+	names.Grow(size)
+	intern := func(name string) string {
+		at := names.Len()
+		names.WriteString(name)
+		// The builder never grows past size, so what it has written
+		// stays where it is.
+		return names.String()[at:]
+	}
+	for i := range img.blocks {
+		b := &img.blocks[i]
+		b.name = intern(b.name)
+		if vals := b.w64; fits32(vals) {
+			at := len(w32)
+			for _, v := range vals {
+				w32 = append(w32, int32(v))
+			}
+			b.w32, b.w64 = w32[at:len(w32):len(w32)], nil
+		} else {
+			w64 = append(w64, vals...)
+			b.w64 = w64[len(w64)-len(vals) : len(w64) : len(w64)]
+		}
+	}
+	for i := range img.scalars {
+		img.scalars[i].name = intern(img.scalars[i].name)
+	}
+	return img
+}
+
+// Diff compares the image with a memory and returns a human-readable
+// description of the first differences found ("" when identical). Only
+// what the image holds is compared: the memory may declare more.
+func (img Image) Diff(other *Mem) string {
+	if img.same(other) {
+		return "" // a passing check formats nothing
 	}
 	var b strings.Builder
 	const maxReport = 8
@@ -170,35 +309,38 @@ func (m *Mem) Diff(other *Mem) string {
 		}
 		reports++
 	}
-	for _, name := range sortedKeys(m.arrays) {
-		a, oa := m.arrays[name], other.arrays[name]
-		if oa == nil {
-			report("array %s missing in other\n", name)
-			continue
-		}
-		for i := a.Lo; i <= a.Hi; i++ {
-			if a.Get(i) != oa.Get(i) {
-				report("%s[%d]: %d vs %d\n", name, i, a.Get(i), oa.Get(i))
+	for i := range img.blocks {
+		blk := &img.blocks[i]
+		if !blk.grid {
+			oa := other.arrays[blk.name]
+			if oa == nil {
+				report("array %s missing in other\n", blk.name)
+				continue
 			}
-		}
-	}
-	for _, name := range sortedKeys(m.grids) {
-		g, og := m.grids[name], other.grids[name]
-		if og == nil {
-			report("grid %s missing in other\n", name)
+			for i := blk.lo1; i <= blk.hi1; i++ {
+				if want, got := blk.at(i-blk.lo1), oa.Get(i); want != got {
+					report("%s[%d]: %d vs %d\n", blk.name, i, want, got)
+				}
+			}
 			continue
 		}
-		for i := g.Lo1; i <= g.Hi1; i++ {
-			for j := g.Lo2; j <= g.Hi2; j++ {
-				if g.Get(i, j) != og.Get(i, j) {
-					report("%s[%d,%d]: %d vs %d\n", name, i, j, g.Get(i, j), og.Get(i, j))
+		og := other.grids[blk.name]
+		if og == nil {
+			report("grid %s missing in other\n", blk.name)
+			continue
+		}
+		cols := blk.hi2 - blk.lo2 + 1
+		for i := blk.lo1; i <= blk.hi1; i++ {
+			for j := blk.lo2; j <= blk.hi2; j++ {
+				if want, got := blk.at((i-blk.lo1)*cols+j-blk.lo2), og.Get(i, j); want != got {
+					report("%s[%d,%d]: %d vs %d\n", blk.name, i, j, want, got)
 				}
 			}
 		}
 	}
-	for _, name := range sortedKeys(m.scalars) {
-		if m.scalars[name] != other.scalars[name] {
-			report("scalar %s: %d vs %d\n", name, m.scalars[name], other.scalars[name])
+	for _, s := range img.scalars {
+		if s.v != other.scalars[s.name] {
+			report("scalar %s: %d vs %d\n", s.name, s.v, other.scalars[s.name])
 		}
 	}
 	if reports > maxReport {
@@ -208,35 +350,28 @@ func (m *Mem) Diff(other *Mem) string {
 }
 
 // same reports, without allocating, that every array, grid and scalar of
-// m has the same bounds and contents in other. It is stricter than Diff's
-// walk (equal values under different bounds are not the same), so a false
-// answer only sends Diff on to the walk that reports.
-func (m *Mem) same(other *Mem) bool {
-	for name, a := range m.arrays {
-		oa := other.arrays[name]
-		if oa == nil || a.Lo != oa.Lo || a.Hi != oa.Hi || !slices.Equal(a.vals, oa.vals) {
+// the image has the same bounds and contents in other. It is stricter than
+// Diff's walk (equal values under different bounds are not the same), so a
+// false answer only sends Diff on to the walk that reports.
+func (img Image) same(other *Mem) bool {
+	for i := range img.blocks {
+		b := &img.blocks[i]
+		if !b.grid {
+			oa := other.arrays[b.name]
+			if oa == nil || b.lo1 != oa.Lo || b.hi1 != oa.Hi || !b.holds(oa.vals) {
+				return false
+			}
+			continue
+		}
+		og := other.grids[b.name]
+		if og == nil || b.lo1 != og.Lo1 || b.hi1 != og.Hi1 || b.lo2 != og.Lo2 || b.hi2 != og.Hi2 || !b.holds(og.vals) {
 			return false
 		}
 	}
-	for name, g := range m.grids {
-		og := other.grids[name]
-		if og == nil || g.Lo1 != og.Lo1 || g.Hi1 != og.Hi1 || g.Lo2 != og.Lo2 || g.Hi2 != og.Hi2 || !slices.Equal(g.vals, og.vals) {
-			return false
-		}
-	}
-	for name, v := range m.scalars {
-		if other.scalars[name] != v {
+	for _, s := range img.scalars {
+		if other.scalars[s.name] != s.v {
 			return false
 		}
 	}
 	return true
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
