@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -359,6 +358,14 @@ func (n *Node) MarkDead(id string) {
 // bounding ring churn; the prober escalates through suspect with its own
 // consecutive-failure evidence if the peer is genuinely down again.
 func (n *Node) demote(id string, cause demoteCause) {
+	n.demoteFailed(id, cause, time.Time{})
+}
+
+// demoteFailed is demote with the time the member was last seen
+// unreachable, when the evidence is secondhand (a gossip report's failure
+// time, or zero when the report carries none). Firsthand causes record
+// now.
+func (n *Node) demoteFailed(id string, cause demoteCause, failedAt time.Time) {
 	if id == n.self.ID {
 		return
 	}
@@ -383,7 +390,10 @@ func (n *Node) demote(id string, cause demoteCause) {
 	ph.failures, ph.successes = 0, 0
 	if cause == causeTransport || cause == causeDrain {
 		// Firsthand evidence, like a failed probe.
-		ph.lastFailure, ph.upSince = now, time.Time{}
+		failedAt = now
+	}
+	if !failedAt.IsZero() {
+		ph.lastFailure, ph.upSince = failedAt, time.Time{}
 	}
 	n.demotions.Add(1)
 	n.rebuildRingLocked()
@@ -555,13 +565,13 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 	})
 }
 
-// routeOrServe prepares the request (service.Prepare: decode, build and
-// canon key, once) and serves it locally when this node owns its key,
-// otherwise forwards it to the owner. A request served here carries the
-// prepared request to the handler, which therefore neither decodes nor
-// keys it again. Requests that do not prepare (malformed JSON, unknown
-// workload) fall through to the local handler, which owns the error
-// vocabulary.
+// routeOrServe keys the request (Server.Prepare: a memo lookup for a body
+// seen before, else decode, build and canon key, once) and serves it
+// locally when this node owns its key, otherwise forwards it to the owner.
+// A request served here carries the prepared request to the handler, which
+// therefore neither reads nor keys it again. Requests that do not prepare
+// (malformed JSON, unknown workload) fall through to the local handler,
+// which owns the error vocabulary.
 //
 // When a forward fails, the failed peer is demoted and the loop re-reads
 // the live ring, so the next iteration targets the key's successor — the
@@ -572,10 +582,10 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 	var p *service.Prepared
 	err := readErr
 	if err == nil {
-		p, err = service.Prepare(r.URL.Path, bytes.NewReader(body))
+		p, err = n.srv.Prepare(r.URL.Path, body)
 	}
 	if err != nil {
-		r.Body = replayBody(body, readErr)
+		r.Body = service.ReplayBody(body, readErr)
 		n.serveLocal(w, r, inner)
 		return
 	}
@@ -594,24 +604,6 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 	// the same bytes.
 	n.serveKeyed(w, r, inner, p)
 }
-
-// replayBody is a request body replaying what the router read of the
-// original: the bytes, then the read error if there was one. A request the
-// router hands to the local handler is thus answered in the handler's own
-// words, exactly as on a single node; a body over service.MaxBody gets
-// "request body too large".
-func replayBody(body []byte, err error) io.ReadCloser {
-	r := io.Reader(bytes.NewReader(body))
-	if err != nil {
-		r = io.MultiReader(r, errReader{err})
-	}
-	return io.NopCloser(r)
-}
-
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Handler) {
 	w.Header().Set(HeaderNode, n.self.ID)

@@ -589,10 +589,12 @@ func TestClusterHealthz(t *testing.T) {
 	}
 }
 
-// TestRouterOversizedBody: a /run or /sweep body over service.MaxBody gets
-// the answer a single service gives — 400 "decode request: http: request
-// body too large" — through a cluster of one and through a cluster of
-// three, never a decode error about a body the router cut short.
+// TestRouterOversizedBody: a body over service.MaxBody gets the answer a
+// single service gives, on every POST route, through a cluster of one and
+// through a cluster of three. A body cut short inside a value answers 400
+// "decode request: http: request body too large", never a decode error
+// about a body the router cut short; one whose first value ends below the
+// cap answers as that value does.
 func TestRouterOversizedBody(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	oracle := httptest.NewServer(service.NewServer(service.Options{Logger: quiet}).Handler())
@@ -613,17 +615,29 @@ func TestRouterOversizedBody(t *testing.T) {
 
 	// A string value that runs past the cap: the decoder reads until the
 	// body reader fails, so the read error is what gets reported.
-	body := []byte(`{"workload": {"name": "` + strings.Repeat("x", service.MaxBody+1024) + `"}}`)
-	for _, path := range []string{"/run", "/sweep"} {
-		wantCode, want := post(oracle.URL, path, body)
-		if wantCode != http.StatusBadRequest || !strings.Contains(want, "request body too large") {
-			t.Fatalf("single service %s: %d %s, want 400 request body too large", path, wantCode, want)
+	cut := []byte(`{"workload": {"name": "` + strings.Repeat("x", service.MaxBody+1024) + `"}}`)
+	whole := []byte(`{"workload": {"name": "nope"}, "scheme": {"name": "ref"}}` + strings.Repeat(" ", service.MaxBody))
+	paths := []string{"/run", "/verify", "/compile", "/sweep"}
+	want := make(map[string]string)
+	for _, path := range paths {
+		code, got := post(oracle.URL, path, cut)
+		if code != http.StatusBadRequest || !strings.Contains(got, "request body too large") {
+			t.Fatalf("single service %s: %d %s, want 400 request body too large", path, code, got)
 		}
-		for _, size := range []int{1, 3} {
-			tc := startCluster(t, size, Options{})
-			for i, addr := range tc.addrs {
-				if code, got := post(addr, path, body); code != wantCode || got != want {
-					t.Errorf("%d-node cluster, node %d %s: %d %s, want %d %s", size, i, path, code, got, wantCode, want)
+		want[path+" cut"] = got
+		if code, got = post(oracle.URL, path, whole); code != http.StatusBadRequest || strings.Contains(got, "too large") {
+			t.Fatalf("single service %s, complete first value: %d %s, want its own 400", path, code, got)
+		}
+		want[path+" whole"] = got
+	}
+	for _, size := range []int{1, 3} {
+		tc := startCluster(t, size, Options{})
+		for i, addr := range tc.addrs {
+			for _, path := range paths {
+				for name, body := range map[string][]byte{"cut": cut, "whole": whole} {
+					if code, got := post(addr, path, body); code != http.StatusBadRequest || got != want[path+" "+name] {
+						t.Errorf("%d-node cluster, node %d %s %s: %d %s, want 400 %s", size, i, path, name, code, got, want[path+" "+name])
+					}
 				}
 			}
 		}

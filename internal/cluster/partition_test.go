@@ -418,6 +418,65 @@ func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	requireSweepMatchesOracle(t, sweep, sweepVia(2))
 }
 
+// TestHealedPartitionDoesNotBounceAMember: n2 is cut off from n0 and n1,
+// then the cut heals. Once every node holds every peer alive, no node
+// demotes anyone for 20 probe intervals. A node that demotes a member on
+// gossip reports, with the member, when the reporter last failed to reach
+// it; without that age, a peer that had already readmitted the member
+// could not tell the report was stale, and n1 and n2 demoted n0 back and
+// forth between them for about two seconds after the heal.
+func TestHealedPartitionDoesNotBounceAMember(t *testing.T) {
+	const interval = 25 * time.Millisecond
+	tc := startCluster(t, 3, Options{
+		ProbeInterval:  interval,
+		SuspectAfter:   2,
+		RejoinAfter:    2,
+		DemoteCooldown: -1,
+		Replicas:       -1,
+	})
+	split := func(cut bool) {
+		for _, id := range []string{"n0", "n1"} {
+			tc.links.set(id, "n2", cut)
+			tc.links.set("n2", id, cut)
+		}
+	}
+	all := func(state string) bool {
+		for i, n := range tc.nodes {
+			for j := range tc.nodes {
+				if i != j && n.PeerState(fmt.Sprintf("n%d", j)) != state {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	demotions := func() (sum int64) {
+		for _, n := range tc.nodes {
+			sum += n.demotions.Load()
+		}
+		return sum
+	}
+
+	split(true)
+	waitFor(t, 5*time.Second, func() bool {
+		return tc.nodes[0].PeerState("n2") == "demoted" && tc.nodes[1].PeerState("n2") == "demoted" &&
+			tc.nodes[2].PeerState("n0") == "demoted" && tc.nodes[2].PeerState("n1") == "demoted"
+	}, "both sides to demote across the cut")
+	split(false)
+	waitFor(t, 5*time.Second, func() bool { return all("alive") }, "every node to hold every peer alive after the heal")
+	before := demotions()
+	for deadline := time.Now().Add(20 * interval); time.Now().Before(deadline); time.Sleep(interval / 5) {
+		for i, n := range tc.nodes {
+			if i != 0 && n.PeerState("n0") == "demoted" {
+				t.Fatalf("n%d demoted n0 again after the heal", i)
+			}
+		}
+	}
+	if after := demotions(); after != before {
+		t.Fatalf("%d demotions in the 20 probe intervals after every node readmitted every peer, want 0", after-before)
+	}
+}
+
 // TestDuplicateHandoffIsHarmless: delivering the same /internal/handoff
 // batch twice leaves the receiver holding each key once, and a /run hit on
 // the receiver answers the owner's own hit bytes after either delivery. A

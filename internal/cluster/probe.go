@@ -212,7 +212,9 @@ func (n *Node) observeProbe(id string, ok bool) {
 // happened (at minus its reported age) lies before our own unbroken run of
 // successful probes of that member began. Never self, never the reporting
 // peer itself — its own liveness is exactly what the probe just measured
-// firsthand.
+// firsthand. A demotion carries the reporter's failure time on, so this
+// node's own /healthz ages the report and a third node that has since
+// seen the member answer can discard it.
 func (n *Node) absorbGossip(from string, view healthzView, at time.Time) {
 	if view.RingVersion != "" && view.RingVersion != n.ring.Load().Version() {
 		n.ringSkews.Add(1)
@@ -221,14 +223,17 @@ func (n *Node) absorbGossip(from string, view healthzView, at time.Time) {
 		if p.Alive || p.ID == n.self.ID || p.ID == from {
 			continue
 		}
+		var failedAt time.Time
+		if p.UnreachableAgoUs != nil {
+			failedAt = at.Add(-time.Duration(*p.UnreachableAgoUs) * time.Microsecond)
+		}
 		n.peersMu.Lock()
 		ph, known := n.peers[p.ID]
 		holdAlive := known && ph.state != peerDemoted
-		stale := holdAlive && p.UnreachableAgoUs != nil && !ph.upSince.IsZero() &&
-			at.Add(-time.Duration(*p.UnreachableAgoUs)*time.Microsecond).Before(ph.upSince)
+		stale := holdAlive && !failedAt.IsZero() && !ph.upSince.IsZero() && failedAt.Before(ph.upSince)
 		n.peersMu.Unlock()
 		if holdAlive && !stale {
-			n.demote(p.ID, causeGossip)
+			n.demoteFailed(p.ID, causeGossip, failedAt)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 	}
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBody))
-	r.Body = replayBody(body, err)
+	r.Body = service.ReplayBody(body, err)
 	var req service.SweepRequest
 	if err == nil {
 		err = service.DecodeStrict(bytes.NewReader(body), &req)

@@ -220,7 +220,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
-		return s.executeCompile(r.Context(), p.filename, p.comp)
+		q, err := p.complete()
+		if err != nil {
+			return nil, err
+		}
+		return s.executeCompile(r.Context(), q.filename, q.comp)
 	})
 	s.notifyFill(p.Key, hit, err)
 	if err != nil {

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,39 +31,149 @@ func DecodeStrict(r io.Reader, dst any) error {
 	return dec.Decode(dst)
 }
 
-// Prepared is a keyed request: a /run, /verify or /compile body decoded,
-// built, validated and keyed once. Its Key is the single source of request
-// identity, shared by the handler (cache addressing) and the cluster router
-// (ownership), so the two can never disagree. A router that serves a
-// request itself hands the Prepared to the handler with WithPrepared.
+// Prepared is a keyed request: a /run, /verify or /compile body keyed
+// once. Its Key is the single source of request identity, shared by the
+// handler (cache addressing) and the cluster router (ownership), so the two
+// can never disagree. A router that serves a request itself hands the
+// Prepared to the handler with WithPrepared.
+//
+// A Prepared taken from the server's body memo holds only the key and the
+// raw body. The decoded, built and validated request is needed only to
+// compute an answer, so complete produces it inside the cache-miss path,
+// and a hit never pays for it.
 type Prepared struct {
 	Key   cache.Key
 	route string
-	wl    *codegen.Workload // /run and /verify
-	cfg   sim.Config
-	run   RunRequest
-	ver   VerifyRequest
-	comp  CompileRequest
+	body  []byte
+	req   *request // nil until complete
+}
+
+// request is a keyed body decoded, built and validated.
+type request struct {
+	key  cache.Key
+	wl   *codegen.Workload // /run and /verify
+	cfg  sim.Config
+	run  RunRequest
+	ver  VerifyRequest
+	comp CompileRequest
 	// filename is the compile request's filename with its default applied.
 	filename string
 }
 
-// Prepare strictly decodes body as a request for route ("/run", "/verify"
-// or "/compile"), builds and validates it, and computes its content
-// address. Every error is an input error, worded as the handler answers it
-// with a 400.
-func Prepare(route string, body io.Reader) (*Prepared, error) {
-	p := &Prepared{route: route}
+// errMemoKey reports a memoized key that the body, prepared in full, does
+// not reproduce. Preparation is deterministic, so it signals a bug; the
+// request answers 500 rather than an entry under the wrong key.
+var errMemoKey = errors.New("service: internal error: request body re-keyed differently from its memoized key")
+
+// Prepare keys body, read in full, as a request for route ("/run",
+// "/verify" or "/compile"). A body this server has prepared before is
+// looked up by its digest in the body memo, a bounded table from
+// sha256(route, body) to the canonical key; any other body is strictly
+// decoded, built, validated and keyed, and enters the memo only if all of
+// that succeeds. Every error is an input error, worded as the handler
+// answers it with a 400.
+func (s *Server) Prepare(route string, body []byte) (*Prepared, error) {
+	if !keyedRoute(route) {
+		return nil, fmt.Errorf("service: %s is not a keyed route", route)
+	}
+	d := bodyDigest(route, body)
+	if key, ok := s.memo.get(d); ok {
+		return &Prepared{Key: key, route: route, body: body}, nil
+	}
+	req, err := prepare(route, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	s.memo.put(d, req.key)
+	return &Prepared{Key: req.key, route: route, body: body, req: req}, nil
+}
+
+// bodyMemo is the server's bounded table from body digests to canonical
+// keys. It evicts first in, first out, so a hit only reads; a hot body
+// that ages out is prepared in full once more. Both the map and the ring
+// of digests in insertion order hold no pointer, so the collector never
+// scans them.
+type bodyMemo struct {
+	mu    sync.Mutex
+	keys  map[cache.Key]cache.Key
+	order []cache.Key // digests in insertion order, the oldest at next once full
+	next  int
+	size  int
+}
+
+func newBodyMemo(size int) *bodyMemo {
+	return &bodyMemo{keys: make(map[cache.Key]cache.Key), size: size}
+}
+
+func (m *bodyMemo) get(d cache.Key) (cache.Key, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k, ok := m.keys[d]
+	return k, ok
+}
+
+// put records d's key, evicting the oldest digest once size are held.
+func (m *bodyMemo) put(d, k cache.Key) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.keys[d]; ok {
+		return
+	}
+	if len(m.order) < m.size {
+		m.order = append(m.order, d)
+	} else {
+		delete(m.keys, m.order[m.next])
+		m.order[m.next] = d
+		m.next = (m.next + 1) % m.size
+	}
+	m.keys[d] = k
+}
+
+func keyedRoute(route string) bool {
+	return route == "/run" || route == "/verify" || route == "/compile"
+}
+
+// bodyDigest is a body's address in the memo: the SHA-256 of the route, a
+// zero byte and the body.
+func bodyDigest(route string, body []byte) cache.Key {
+	h := sha256.New()
+	h.Write([]byte(route))
+	h.Write([]byte{0})
+	h.Write(body)
+	var d cache.Key
+	h.Sum(d[:0])
+	return d
+}
+
+// complete returns p's decoded request. For a Prepared taken from the memo
+// it prepares the body in full, and the key it computes must be p.Key.
+func (p *Prepared) complete() (*request, error) {
+	if p.req != nil {
+		return p.req, nil
+	}
+	req, err := prepare(p.route, bytes.NewReader(p.body))
+	if err != nil {
+		return nil, err
+	}
+	if req.key != p.Key {
+		return nil, fmt.Errorf("%w: %s, not %s", errMemoKey, req.key, p.Key)
+	}
+	p.req = req
+	return req, nil
+}
+
+// prepare strictly decodes body as a request for a keyed route, builds and
+// validates it, and computes its content address.
+func prepare(route string, body io.Reader) (*request, error) {
+	q := new(request)
 	var dst any
 	switch route {
 	case "/run":
-		dst = &p.run
+		dst = &q.run
 	case "/verify":
-		dst = &p.ver
-	case "/compile":
-		dst = &p.comp
+		dst = &q.ver
 	default:
-		return nil, fmt.Errorf("service: %s is not a keyed route", route)
+		dst = &q.comp
 	}
 	if err := DecodeStrict(body, dst); err != nil {
 		return nil, fmt.Errorf("decode request: %w", err)
@@ -69,25 +181,25 @@ func Prepare(route string, body io.Reader) (*Prepared, error) {
 	var err error
 	switch route {
 	case "/run":
-		err = p.prepareRun()
+		err = q.prepareRun()
 	case "/verify":
-		err = p.prepareVerify()
+		err = q.prepareVerify()
 	default:
-		err = p.prepareCompile()
+		err = q.prepareCompile()
 	}
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return q, nil
 }
 
-func (p *Prepared) prepareRun() error {
-	wl, key, err := runKey(p.run)
+func (q *request) prepareRun() error {
+	wl, key, err := runKey(q.run)
 	if err != nil {
 		return err
 	}
-	p.wl, p.Key, p.cfg = wl, key, p.run.Config.SimConfig()
-	return p.cfg.Check()
+	q.wl, q.key, q.cfg = wl, key, q.run.Config.SimConfig()
+	return q.cfg.Check()
 }
 
 // maxVerifyIters bounds a /verify request's maxIters, four times the
@@ -97,31 +209,31 @@ func (p *Prepared) prepareRun() error {
 // so without a bound one request could exhaust the heap.
 const maxVerifyIters = 2048
 
-func (p *Prepared) prepareVerify() error {
-	if !p.ver.Scheme.Verifiable() {
-		return fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", p.ver.Scheme.Name)
+func (q *request) prepareVerify() error {
+	if !q.ver.Scheme.Verifiable() {
+		return fmt.Errorf("scheme %q is not statically verifiable (outer-loop pipelining is outside the iteration-indexed happens-before model)", q.ver.Scheme.Name)
 	}
-	if p.ver.MaxIters > maxVerifyIters {
-		return fmt.Errorf("verify: maxIters may not exceed %d, got %d", maxVerifyIters, p.ver.MaxIters)
+	if q.ver.MaxIters > maxVerifyIters {
+		return fmt.Errorf("verify: maxIters may not exceed %d, got %d", maxVerifyIters, q.ver.MaxIters)
 	}
-	wl, key, err := verifyKey(p.ver)
+	wl, key, err := verifyKey(q.ver)
 	if err != nil {
 		return err
 	}
-	p.wl, p.Key, p.cfg = wl, key, p.ver.Config.SimConfig()
-	return p.cfg.Check()
+	q.wl, q.key, q.cfg = wl, key, q.ver.Config.SimConfig()
+	return q.cfg.Check()
 }
 
-func (p *Prepared) prepareCompile() error {
-	if p.comp.Source == "" {
+func (q *request) prepareCompile() error {
+	if q.comp.Source == "" {
 		return fmt.Errorf("compile: source required")
 	}
-	p.cfg = p.comp.Config.SimConfig()
-	if err := p.cfg.Check(); err != nil {
+	q.cfg = q.comp.Config.SimConfig()
+	if err := q.cfg.Check(); err != nil {
 		return err
 	}
 	var err error
-	p.filename, p.Key, err = compileKey(p.comp)
+	q.filename, q.key, err = compileKey(q.comp)
 	return err
 }
 
@@ -129,26 +241,54 @@ func (p *Prepared) prepareCompile() error {
 type ctxKeyPrepared struct{}
 
 // WithPrepared returns ctx carrying p: the handler serving a request with
-// this context uses p instead of decoding, building and keying the body
-// again.
+// this context uses p instead of reading and keying the body again.
 func WithPrepared(ctx context.Context, p *Prepared) context.Context {
 	return context.WithValue(ctx, ctxKeyPrepared{}, p)
 }
 
 // prepared returns the request the router handed over for route, or
 // prepares r's body itself (a forwarded or single-node request), answering
-// the 400 when it cannot.
+// the 400 when it cannot. A body that does not read in full (one over
+// MaxBody) is decoded as far as it reads and never memoized, so it fails
+// in the decoder's words, as ReplayBody makes it fail behind the router.
 func (s *Server) prepared(w http.ResponseWriter, r *http.Request, route string) (*Prepared, bool) {
 	if p, ok := r.Context().Value(ctxKeyPrepared{}).(*Prepared); ok && p.route == route {
 		return p, true
 	}
-	p, err := Prepare(route, http.MaxBytesReader(w, r.Body, MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBody))
+	var p *Prepared
+	if err == nil {
+		p, err = s.Prepare(route, body)
+	} else {
+		var req *request
+		if req, err = prepare(route, ReplayBody(body, err)); err == nil {
+			p = &Prepared{Key: req.key, route: route, req: req}
+		}
+	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	return p, true
 }
+
+// ReplayBody is a request body replaying what was read of one: the bytes,
+// then the read error if there was one. A router that read a body and
+// hands the request on to a handler replays it this way, so the handler
+// answers in its own words, exactly as if it had read the body itself; a
+// body over MaxBody gets "request body too large".
+func ReplayBody(body []byte, err error) io.ReadCloser {
+	r := io.Reader(bytes.NewReader(body))
+	if err != nil {
+		r = io.MultiReader(r, errReader{err})
+	}
+	return io.NopCloser(r)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // ---- canonical content addresses ----
 

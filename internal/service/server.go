@@ -79,7 +79,11 @@ type Server struct {
 	cache *cache.Cache
 	// shapes maps a workload's shapeKey to its codegen.Shape, the run
 	// invariants a cache miss would otherwise compute again (seedShape).
-	shapes   *cache.Cache
+	shapes *cache.Cache
+	// memo maps a keyed request body's digest (bodyDigest) to its
+	// canonical key, so a repeated body skips decode, build and canon
+	// hashing (Prepare). It holds CacheSize keys.
+	memo     *bodyMemo
 	metrics  *Metrics
 	log      *slog.Logger
 	draining atomic.Bool
@@ -108,6 +112,7 @@ func NewServer(opts Options) *Server {
 		pool:    NewPool(opts.Workers, opts.QueueCap, opts.JobTimeout),
 		cache:   cache.New(opts.CacheSize),
 		shapes:  cache.New(shapeTableSize),
+		memo:    newBodyMemo(opts.CacheSize),
 		metrics: NewMetrics(),
 		log:     opts.Logger,
 		simRun:  codegen.Run,
@@ -250,25 +255,19 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 		return RunResponse{}, false, err
 	}
 	key := cache.RequestKey(wl, sch.Name(), cfg)
-	rr, hit, err := s.doRun(ctx, key, wl, nil, sspec, cfg)
+	rr, hit, err := s.doRun(key, func() (any, error) { return s.executeRun(ctx, wl, sspec, cfg) })
 	if err != nil {
 		return RunResponse{}, false, err
 	}
 	return rr.decorate(key, hit), hit, nil
 }
 
-// doRun answers a built, validated and keyed run through the cache,
-// singleflight and the pool. On a miss it first seeds wl's Shape from
-// spec, unless spec is nil (a sweep seeds its workload once). Outside a
-// sweep the pool's backpressure fails fast with ErrQueueFull (turned into
-// 429); a sweep's patient context waits for a queue slot instead.
-func (s *Server) doRun(ctx context.Context, key cache.Key, wl *codegen.Workload, spec *WorkloadSpec, sspec SchemeSpec, cfg sim.Config) (*runResult, bool, error) {
-	v, hit, err := s.cache.Do(key, func() (any, error) {
-		if spec != nil {
-			s.seedShape(wl, *spec)
-		}
-		return s.executeRun(ctx, wl, sspec, cfg)
-	})
+// doRun answers a keyed run through the cache and singleflight, calling
+// fill on a miss; fill ends in executeRun. Outside a sweep the pool's
+// backpressure fails fast with ErrQueueFull (turned into 429); a sweep's
+// patient context waits for a queue slot instead.
+func (s *Server) doRun(key cache.Key, fill func() (any, error)) (*runResult, bool, error) {
+	v, hit, err := s.cache.Do(key, fill)
 	s.notifyFill(key, hit, err)
 	if err != nil {
 		return nil, false, err
@@ -376,7 +375,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rr, hit, err := s.doRun(r.Context(), p.Key, p.wl, &p.run.Workload, p.run.Scheme, p.cfg)
+	rr, hit, err := s.doRun(p.Key, func() (any, error) {
+		q, err := p.complete()
+		if err != nil {
+			return nil, err
+		}
+		s.seedShape(q.wl, q.run.Workload)
+		return s.executeRun(r.Context(), q.wl, q.run.Scheme, q.cfg)
+	})
 	switch {
 	case err != nil:
 		s.evalError(w, err)
@@ -407,8 +413,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
-		s.seedShape(p.wl, p.ver.Workload)
-		return s.executeVerify(r.Context(), p.wl, p.ver)
+		q, err := p.complete()
+		if err != nil {
+			return nil, err
+		}
+		s.seedShape(q.wl, q.ver.Workload)
+		return s.executeVerify(r.Context(), q.wl, q.ver)
 	})
 	s.notifyFill(p.Key, hit, err)
 	if err != nil {
@@ -541,7 +551,8 @@ const retryAfterHint = time.Second
 // evalError maps evaluation failures to HTTP: backpressure to 429 +
 // Retry-After, cancellation to 503, everything else to 400 (the request
 // described an unrunnable job: bad spec, deadlocking scheme, livelock cap,
-// a stall diagnosed under a fault plan).
+// a stall diagnosed under a fault plan), except a memoized key its body
+// does not reproduce, which is the server's fault (500).
 func (s *Server) evalError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -551,6 +562,8 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 		s.httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, errMemoKey):
+		s.httpError(w, http.StatusInternalServerError, err)
 	default:
 		s.httpError(w, http.StatusBadRequest, err)
 	}

@@ -136,32 +136,35 @@ func TestRunCacheHit(t *testing.T) {
 	}
 }
 
+// badRequests are /run and /verify bodies (a VerifyRequest goes to
+// /verify) that every request path answers with a 400.
+var badRequests = []struct {
+	name string
+	body any
+}{
+	{"verify window over the bound", VerifyRequest{Workload: WorkloadSpec{Name: "fig21", N: 20}, Scheme: SchemeSpec{Name: "process"}, MaxIters: maxVerifyIters + 1}},
+	{"unknown scheme", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "quantum"}}},
+	{"unknown workload", RunRequest{Workload: WorkloadSpec{Name: "nope"}, Scheme: SchemeSpec{Name: "ref"}}},
+	{"bad config", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "ref"}, Config: ConfigSpec{P: -2}}},
+	{"unparsable program", RunRequest{Workload: WorkloadSpec{Source: "DO I=1,N garbage"}, Scheme: SchemeSpec{Name: "ref"}}},
+	{"unknown field", map[string]any{"workload": map[string]any{"name": "fig21"}, "shceme": map[string]any{}}},
+	{"pipeline on depth-1", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "pipeline"}}},
+	// Sizes past the makeslice limit: a worker that tried to build
+	// them would panic at once rather than allocate.
+	{"fig21 iterations over the size limit", RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 1 << 60}, Scheme: SchemeSpec{Name: "process"}}},
+	{"stencil n squared over the size limit", RunRequest{Workload: WorkloadSpec{Name: "stencil", N: 1 << 32}, Scheme: SchemeSpec{Name: "process"}}},
+	{"nested n*m past int64", RunRequest{Workload: WorkloadSpec{Name: "nested", N: 4, M: 1 << 62}, Scheme: SchemeSpec{Name: "process"}}},
+	{"iterations over the size limit, no arrays", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 70000\n  S1: T = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+	{".do loop bound over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 1125899906842624\n  S1: A[I] = A[I-1] + 1\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+	{".do subscript extent over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 2\n  S1: A[1125899906842624*I] = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
+	{"runtime stall fault", map[string]any{"workload": map[string]any{"name": "fig21"}, "scheme": map[string]any{"name": "ref"},
+		"config": map[string]any{"fault": map[string]any{"stallIter": 1, "stallMillis": 5}}}},
+}
+
 // TestBadRequests: spec and config errors are 400 with a one-line error.
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	cases := []struct {
-		name string
-		body any
-	}{
-		{"verify window over the bound", VerifyRequest{Workload: WorkloadSpec{Name: "fig21", N: 20}, Scheme: SchemeSpec{Name: "process"}, MaxIters: maxVerifyIters + 1}},
-		{"unknown scheme", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "quantum"}}},
-		{"unknown workload", RunRequest{Workload: WorkloadSpec{Name: "nope"}, Scheme: SchemeSpec{Name: "ref"}}},
-		{"bad config", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "ref"}, Config: ConfigSpec{P: -2}}},
-		{"unparsable program", RunRequest{Workload: WorkloadSpec{Source: "DO I=1,N garbage"}, Scheme: SchemeSpec{Name: "ref"}}},
-		{"unknown field", map[string]any{"workload": map[string]any{"name": "fig21"}, "shceme": map[string]any{}}},
-		{"pipeline on depth-1", RunRequest{Workload: WorkloadSpec{Name: "fig21"}, Scheme: SchemeSpec{Name: "pipeline"}}},
-		// Sizes past the makeslice limit: a worker that tried to build
-		// them would panic at once rather than allocate.
-		{"fig21 iterations over the size limit", RunRequest{Workload: WorkloadSpec{Name: "fig21", N: 1 << 60}, Scheme: SchemeSpec{Name: "process"}}},
-		{"stencil n squared over the size limit", RunRequest{Workload: WorkloadSpec{Name: "stencil", N: 1 << 32}, Scheme: SchemeSpec{Name: "process"}}},
-		{"nested n*m past int64", RunRequest{Workload: WorkloadSpec{Name: "nested", N: 4, M: 1 << 62}, Scheme: SchemeSpec{Name: "process"}}},
-		{"iterations over the size limit, no arrays", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 70000\n  S1: T = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
-		{".do loop bound over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 1125899906842624\n  S1: A[I] = A[I-1] + 1\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
-		{".do subscript extent over the size limit", RunRequest{Workload: WorkloadSpec{Source: "DO I = 1, 2\n  S1: A[1125899906842624*I] = I\nEND DO\n"}, Scheme: SchemeSpec{Name: "process"}}},
-		{"runtime stall fault", map[string]any{"workload": map[string]any{"name": "fig21"}, "scheme": map[string]any{"name": "ref"},
-			"config": map[string]any{"fault": map[string]any{"stallIter": 1, "stallMillis": 5}}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		route := "/run"
 		if _, ok := tc.body.(VerifyRequest); ok {
 			route = "/verify"

@@ -53,8 +53,7 @@ const maxWorkloadSize = 1 << 16
 
 // checkSize rejects a workload over maxWorkloadSize. Every request path
 // that builds a workload passes through it: WorkloadSpec.Build for /run,
-// /verify and /sweep (and the cluster's Prepare), CompileSource for each
-// loop lowered from Go source.
+// /verify and /sweep, CompileSource for each loop lowered from Go source.
 func checkSize(w *codegen.Workload) error {
 	iters, elems := lang.Footprint(w.Nest)
 	if iters > maxWorkloadSize {
