@@ -58,7 +58,7 @@ func (tc *testCluster) restart(t *testing.T, i int) {
 
 // quietNode builds a standalone Node (no HTTP listener) for state-machine
 // tests; probing and replication loops are off unless opts enables them.
-func quietNode(t *testing.T, opts Options, members []Member) *Node {
+func quietNode(t testing.TB, opts Options, members []Member) *Node {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	opts.Members = members

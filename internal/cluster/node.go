@@ -742,9 +742,9 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication or handoff paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", n.replicaMisses.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", n.handoffSentEntries.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Cache bytes handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Compact answer bytes of the cache entries handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers (drain handoff or replication).\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Cache bytes imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Compact answer bytes of the cache entries imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Held keys missing a copy at the last anti-entropy scan: owned keys on a successor, other keys on their owner.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
 	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())

@@ -146,9 +146,12 @@ func (tc *testCluster) kill(i int) {
 
 func postNode(t *testing.T, addr, path string, body any, header map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	b, ok := body.([]byte) // posted as it is
+	if !ok {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	req, err := http.NewRequest(http.MethodPost, addr+path, bytes.NewReader(b))
 	if err != nil {

@@ -27,13 +27,10 @@ import (
 
 // syntheticEntries fabricates importable run-kind cache entries whose keys
 // satisfy the owned predicate — membership scenarios need many keys on one
-// node without paying for real simulations.
+// node without paying for real simulations. Each body is the key's
+// decorated hit answer, as an owner exports it.
 func syntheticEntries(t *testing.T, owned func(cache.Key) bool, count int) []service.CacheEntry {
 	t.Helper()
-	body, err := json.Marshal(service.RunResponse{Workload: "synthetic"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []service.CacheEntry
 	for i := 0; len(out) < count; i++ {
 		if i > 1_000_000 {
@@ -41,6 +38,10 @@ func syntheticEntries(t *testing.T, owned func(cache.Key) bool, count int) []ser
 		}
 		k := cache.Key(sha256.Sum256([]byte(fmt.Sprintf("synthetic-%d", i))))
 		if owned(k) {
+			body, err := json.Marshal(service.RunResponse{Workload: "synthetic", Key: k.String(), Cached: true})
+			if err != nil {
+				t.Fatal(err)
+			}
 			out = append(out, service.CacheEntry{Key: k.String(), Kind: "run", Body: body})
 		}
 	}
@@ -275,10 +276,7 @@ func TestInternalBodyBounds413(t *testing.T) {
 	}
 
 	// Control: a well-formed batch still imports.
-	ok, err := json.Marshal(HandoffRequest{From: "n1", Reason: "drain"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := (&HandoffRequest{From: "n1", Reason: "drain"}).frames()
 	if resp := post("/internal/handoff", ok); resp.StatusCode != http.StatusOK {
 		t.Errorf("well-formed handoff: %d, want 200", resp.StatusCode)
 	}
@@ -519,7 +517,7 @@ func TestDuplicateHandoffIsHarmless(t *testing.T) {
 	peer := map[string]string{HeaderForwarded: "1", HeaderNode: "n0"}
 	batch := HandoffRequest{From: "n0", Reason: "replicate", Entries: entries}
 	for delivery := 1; delivery <= 2; delivery++ {
-		if resp, body := postNode(t, tc.addrs[1], "/internal/handoff", batch, peer); resp.StatusCode != http.StatusOK {
+		if resp, body := postNode(t, tc.addrs[1], "/internal/handoff", batch.frames(), peer); resp.StatusCode != http.StatusOK {
 			t.Fatalf("delivery %d: %d %s", delivery, resp.StatusCode, body)
 		}
 		seen := map[cache.Key]int{}

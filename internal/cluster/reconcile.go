@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -65,14 +64,6 @@ const (
 	aeKickDelay = 50 * time.Millisecond
 )
 
-// HandoffRequest is one batch of cache entries moving between peers; Reason
-// is "replicate", "antientropy" or "drain".
-type HandoffRequest struct {
-	From    string               `json:"from"`
-	Reason  string               `json:"reason"`
-	Entries []service.CacheEntry `json:"entries"`
-}
-
 type handoffResponse struct {
 	Imported int `json:"imported"`
 }
@@ -94,7 +85,7 @@ type hasResponse struct {
 type HandoffReport struct {
 	Peers         int   `json:"peers"`         // distinct receiving members
 	Entries       int   `json:"entries"`       // entries delivered
-	Bytes         int64 `json:"bytes"`         // entry body bytes delivered
+	Bytes         int64 `json:"bytes"`         // compact answer bytes delivered
 	Batches       int   `json:"batches"`       // batches delivered
 	FailedBatches int   `json:"failedBatches"` // batches lost (skipped, not fatal)
 }
@@ -158,7 +149,7 @@ func (n *Node) reconcile(ctx context.Context, reason string, plan map[string][]c
 				break
 			}
 			end := min(start+handoffBatch, len(keys))
-			req := HandoffRequest{From: n.self.ID, Reason: reason}
+			req := HandoffRequest{From: n.self.ID, Reason: reason, Entries: make([]service.CacheEntry, 0, end-start)}
 			for _, k := range keys[start:end] {
 				if e, ok := n.srv.ExportCacheEntry(k); ok {
 					req.Entries = append(req.Entries, e)
@@ -170,7 +161,7 @@ func (n *Node) reconcile(ctx context.Context, reason string, plan map[string][]c
 				continue
 			}
 			pctx, cancel := context.WithTimeout(ctx, replPushTimeout)
-			err := cl.PostJSON(pctx, "/internal/handoff", req, nil)
+			err := cl.PostBody(pctx, "/internal/handoff", handoffContentType, req.frames(), nil)
 			cancel()
 			if err != nil {
 				rep.FailedBatches++
@@ -419,10 +410,12 @@ func (n *Node) DrainHandoff(ctx context.Context) HandoffReport {
 
 // ---- peer-internal endpoints ----
 
-// readPeerJSON strictly decodes a peer-internal request body of at most
-// limit bytes, answering 413 or 400 itself when it cannot.
-func (n *Node) readPeerJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, dst any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+// readPeer reads a peer-internal request body of at most limit bytes into
+// a buffer sized from its Content-Length, answering 413 or 400 itself when
+// it cannot.
+func (n *Node) readPeer(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -430,21 +423,37 @@ func (n *Node) readPeerJSON(w http.ResponseWriter, r *http.Request, limit int64,
 	case err != nil:
 		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read %s: %w", what, err))
 	default:
-		if err := service.DecodeStrict(bytes.NewReader(body), dst); err != nil {
-			n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode %s: %w", what, err))
-			return false
-		}
-		return true
+		return buf.Bytes(), true
 	}
-	return false
+	return nil, false
 }
 
-// handleHandoff imports a batch of peer cache entries. Undecodable entries
-// are skipped — the sender's cache may outrun this binary's vocabulary
-// during a rolling upgrade, and one entry must never fail the batch.
+// readPeerJSON strictly decodes a peer-internal request body of at most
+// limit bytes, answering 413 or 400 itself when it cannot.
+func (n *Node) readPeerJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, dst any) bool {
+	body, ok := n.readPeer(w, r, limit, what)
+	if !ok {
+		return false
+	}
+	if err := service.DecodeStrict(bytes.NewReader(body), dst); err != nil {
+		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
+// handleHandoff imports a framed batch of peer cache entries. A body that
+// does not parse as frames is refused whole with a 400: that is also what
+// a peer from before the frame format gets. An entry the import rejects is
+// skipped, so one entry never fails the batch.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	var req HandoffRequest
-	if !n.readPeerJSON(w, r, maxHandoffBody, "handoff", &req) {
+	body, ok := n.readPeer(w, r, maxHandoffBody, "handoff")
+	if !ok {
+		return
+	}
+	req, err := parseFrames(body)
+	if err != nil {
+		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode handoff: %w", err))
 		return
 	}
 	imported := 0

@@ -68,14 +68,19 @@ func (e *StatusError) Error() string {
 // PostJSON posts in to path and decodes the 200 response into out,
 // retrying retryable failures as configured.
 func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
-	cl := c.withDefaults()
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("client: encode request: %w", err)
 	}
+	return c.PostBody(ctx, path, "application/json", body, out)
+}
+
+// PostBody is PostJSON for a body already encoded as contentType.
+func (c *Client) PostBody(ctx context.Context, path, contentType string, body []byte, out any) error {
+	cl := c.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := cl.post(ctx, path, body)
+		resp, err := cl.post(ctx, path, contentType, body)
 		var retry bool
 		var retryAfter time.Duration
 		switch {
@@ -150,12 +155,12 @@ func (r clientResp) message() string {
 	return string(bytes.TrimSpace(r.body))
 }
 
-func (c *Client) post(ctx context.Context, path string, body []byte) (clientResp, error) {
+func (c *Client) post(ctx context.Context, path, contentType string, body []byte) (clientResp, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return clientResp{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	for k, vs := range c.Header {
 		req.Header[k] = vs
 	}
@@ -187,7 +192,7 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte) (status 
 	cl := c.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := cl.post(ctx, path, body)
+		resp, err := cl.post(ctx, path, "application/json", body)
 		if err == nil {
 			return resp.code, resp.body, resp.header, nil
 		}

@@ -71,6 +71,13 @@ type CompileResponse struct {
 	CompileOutcome
 }
 
+func (r CompileResponse) decorated(key cache.Key, hit bool) CompileResponse {
+	r.Key, r.Cached = key.String(), hit
+	return r
+}
+
+func (CompileResponse) kind() string { return "compile" }
+
 // Hard reports whether the outcome should fail a gating caller: any
 // rejected candidate, any static verification finding, or a loop that no
 // requested scheme could synchronize.
@@ -199,17 +206,6 @@ func compileSchemeNames(specs []SchemeSpec) ([]string, error) {
 	return names, nil
 }
 
-// compileResult is the cache value for /compile: the outcome and the
-// entry's hit body.
-type compileResult struct {
-	out CompileOutcome
-	hit hitBody
-}
-
-func (cr *compileResult) decorate(key cache.Key, hit bool) CompileResponse {
-	return CompileResponse{Key: key.String(), Cached: hit, CompileOutcome: cr.out}
-}
-
 // handleCompile serves POST /compile: content-addressed through the cache
 // (its own "compile" canon section), evaluated as a single pool job. A
 // request that lowers zero loops is an input error: 400 with the first
@@ -219,35 +215,34 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+	cr, hit, err := fetch[CompileResponse](s, p.Key, true, func() (any, error) {
 		q, err := p.complete()
 		if err != nil {
 			return nil, err
 		}
 		return s.executeCompile(r.Context(), q.filename, q.comp)
 	})
-	s.notifyFill(p.Key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	cr := v.(*compileResult)
-	if len(cr.out.Loops) == 0 {
+	out := cr.decorate(p.Key, hit)
+	if len(out.Loops) == 0 {
 		msg := "compile: no lowerable loops in source"
-		if len(cr.out.Rejected) > 0 {
-			msg = cr.out.Rejected[0].String()
+		if len(out.Rejected) > 0 {
+			msg = out.Rejected[0].String()
 		}
 		s.writeJSON(w, http.StatusBadRequest, struct {
 			Error string `json:"error"`
 			CompileResponse
-		}{Error: msg, CompileResponse: cr.decorate(p.Key, hit)})
+		}{Error: msg, CompileResponse: out})
 		return
 	}
 	if hit {
-		s.writeHit(w, cr.hit.bytes(func() any { return cr.decorate(p.Key, true) }))
+		s.writeHit(w, cr.hitBytes(p.Key))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, cr.decorate(p.Key, false))
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // executeCompile runs the whole compile (lowering plus every loop x scheme
@@ -268,7 +263,7 @@ func (s *Server) executeCompile(ctx context.Context, filename string, req Compil
 			done <- outcome{err: err}
 			return
 		}
-		done <- outcome{res: &compileResult{out: *out}}
+		done <- outcome{res: &compileResult{val: CompileResponse{CompileOutcome: *out}}}
 	})
 	if err != nil {
 		return nil, err

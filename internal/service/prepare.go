@@ -354,28 +354,104 @@ func CompileRequestKey(req CompileRequest) (cache.Key, error) {
 	return k, err
 }
 
-// ---- hit bodies ----
+// ---- cache entries ----
 
-// hitBody is a cache entry's 200 answer to a hit: the entry's response
-// decorated with cached: true and its key, rendered exactly as writeJSON
-// renders it. The simulator is deterministic, so an entry is the exact
-// answer and so are its bytes: they are rendered on the entry's first hit
-// and never change after, and every later hit or deduplicated wait writes
-// them as they are.
-type hitBody struct {
-	once sync.Once
-	b    []byte
+// answer is a keyed route's answer type, stored undecorated.
+type answer[T any] interface {
+	RunResponse | VerifyResponse | CompileResponse
+	decorated(key cache.Key, hit bool) T // the answer as served under key
+	kind() string                        // the type's name in a handoff frame
 }
 
-// bytes returns the rendered body, rendering decorated() on first use.
-func (h *hitBody) bytes(decorated func() any) []byte {
-	h.once.Do(func() {
+// entry is a result-cache value: the one answer its key names. A computed
+// entry holds the answer (val). An imported entry holds the owner's compact
+// hit answer as it arrived (raw) and decodes val from it only when a caller
+// reads the struct. The simulator is deterministic, so an entry is the
+// exact answer and so is its hit body: it is rendered on the entry's first
+// hit and every later hit or deduplicated wait writes it as it is.
+type entry[T answer[T]] struct {
+	val    T
+	raw    []byte
+	decode sync.Once
+	bad    bool // raw does not decode into val
+	render sync.Once
+	hit    []byte
+}
+
+// The cache values of /run, /verify and /compile.
+type (
+	runResult     = entry[RunResponse]
+	verifyResult  = entry[VerifyResponse]
+	compileResult = entry[CompileResponse]
+)
+
+// decoded reports whether the answer struct is at hand, decoding an
+// imported entry's raw answer on first use. An entry whose raw answer does
+// not decode counts as absent (fetch), and is never served as a zero value.
+func (e *entry[T]) decoded() bool {
+	e.decode.Do(func() { e.bad = e.raw != nil && json.Unmarshal(e.raw, &e.val) != nil })
+	return !e.bad
+}
+
+// decorate returns the answer as served under key.
+func (e *entry[T]) decorate(key cache.Key, hit bool) T {
+	e.decoded()
+	return e.val.decorated(key, hit)
+}
+
+// kind names the entry's answer type in a handoff frame.
+func (*entry[T]) kind() string {
+	var zero T
+	return zero.kind()
+}
+
+// compact returns the entry's compact hit answer, json.Marshal of the
+// answer decorated with cached: true and its key: raw as it is, or a
+// computed entry's answer marshalled anew.
+func (e *entry[T]) compact(key cache.Key) ([]byte, error) {
+	if e.raw != nil {
+		return e.raw, nil
+	}
+	return json.Marshal(e.val.decorated(key, true))
+}
+
+// hitBytes returns the entry's hit body, rendered on first use as
+// json.Indent of the compact hit answer plus a newline. That is what
+// encodeIndented writes for the decorated answer (the encoder marshals
+// compact, appends the newline and indents), so a replica serves the
+// owner's bytes without decoding them.
+func (e *entry[T]) hitBytes(key cache.Key) []byte {
+	e.render.Do(func() {
 		var buf bytes.Buffer
-		if err := encodeIndented(&buf, decorated()); err == nil {
-			h.b = buf.Bytes()
+		if c, err := e.compact(key); err == nil && json.Indent(&buf, c, "", "  ") == nil {
+			e.hit = append(buf.Bytes(), '\n')
 		}
 	})
-	return h.b
+	return e.hit
+}
+
+// fetch answers key through the cache and singleflight, calling fill on a
+// miss. An entry a peer stored under key with another kind, or (when the
+// caller reads the answer struct, decoded) whose raw answer does not
+// decode, counts as absent: fill computes it again and replaces it.
+func fetch[T answer[T]](s *Server, key cache.Key, decoded bool, fill func() (any, error)) (*entry[T], bool, error) {
+	v, hit, err := s.cache.Do(key, fill)
+	e, ok := v.(*entry[T])
+	if err == nil && ok && decoded {
+		ok = e.decoded()
+	}
+	if err == nil && !ok {
+		hit = false
+		if v, err = fill(); err == nil {
+			s.cache.Put(key, v)
+			e = v.(*entry[T])
+		}
+	}
+	s.notifyFill(key, hit, err)
+	if err != nil {
+		return nil, false, err
+	}
+	return e, hit, nil
 }
 
 // encodeIndented is the one response encoding: two-space indented JSON

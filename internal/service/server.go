@@ -176,6 +176,13 @@ type RunResponse struct {
 	Stats     sim.Stats           `json:"stats"`
 }
 
+func (r RunResponse) decorated(key cache.Key, hit bool) RunResponse {
+	r.Key, r.Cached = key.String(), hit
+	return r
+}
+
+func (RunResponse) kind() string { return "run" }
+
 // VerifyRequest asks for a dsvet verdict on one workload x scheme pair.
 type VerifyRequest struct {
 	Workload WorkloadSpec `json:"workload"`
@@ -198,6 +205,13 @@ type VerifyResponse struct {
 	Dynamic  *verify.DynReport `json:"dynamic,omitempty"`
 	RunError string            `json:"runError,omitempty"`
 }
+
+func (r VerifyResponse) decorated(key cache.Key, hit bool) VerifyResponse {
+	r.Key, r.Cached = key.String(), hit
+	return r
+}
+
+func (VerifyResponse) kind() string { return "verify" }
 
 type errorResponse struct {
 	Error string `json:"error"`
@@ -230,21 +244,6 @@ func (s *Server) seedShape(wl *codegen.Workload, spec WorkloadSpec) {
 	wl.Shape = v.(*codegen.Shape)
 }
 
-// runResult is the cache value for /run: the response without the
-// per-request Cached/Key decoration, and the entry's hit body.
-type runResult struct {
-	resp RunResponse
-	hit  hitBody
-}
-
-// decorate returns the response as served under key.
-func (rr *runResult) decorate(key cache.Key, hit bool) RunResponse {
-	resp := rr.resp
-	resp.Cached = hit
-	resp.Key = key.String()
-	return resp
-}
-
 // evalRun answers one sweep point through cache, singleflight and pool.
 func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (RunResponse, bool, error) {
 	sch, err := sspec.Build()
@@ -255,27 +254,17 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 		return RunResponse{}, false, err
 	}
 	key := cache.RequestKey(wl, sch.Name(), cfg)
-	rr, hit, err := s.doRun(key, func() (any, error) { return s.executeRun(ctx, wl, sspec, cfg) })
+	rr, hit, err := fetch[RunResponse](s, key, true, func() (any, error) { return s.executeRun(ctx, wl, sspec, cfg) })
 	if err != nil {
 		return RunResponse{}, false, err
 	}
 	return rr.decorate(key, hit), hit, nil
 }
 
-// doRun answers a keyed run through the cache and singleflight, calling
-// fill on a miss; fill ends in executeRun. Outside a sweep the pool's
-// backpressure fails fast with ErrQueueFull (turned into 429); a sweep's
-// patient context waits for a queue slot instead.
-func (s *Server) doRun(key cache.Key, fill func() (any, error)) (*runResult, bool, error) {
-	v, hit, err := s.cache.Do(key, fill)
-	s.notifyFill(key, hit, err)
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*runResult), hit, nil
-}
-
 // executeRun runs one simulation on the pool and packages the measurements.
+// Outside a sweep the pool's backpressure fails fast with ErrQueueFull
+// (turned into 429); a sweep's patient context waits for a queue slot
+// instead.
 func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, error) {
 	type outcome struct {
 		res codegen.Result
@@ -315,7 +304,7 @@ func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec Sch
 			return nil, o.err
 		}
 		st := o.res.Stats
-		return &runResult{resp: RunResponse{
+		return &runResult{val: RunResponse{
 			Workload:     wl.Name,
 			Scheme:       o.res.Scheme,
 			SerialCycles: o.res.SerialCycles,
@@ -375,7 +364,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rr, hit, err := s.doRun(p.Key, func() (any, error) {
+	rr, hit, err := fetch[RunResponse](s, p.Key, false, func() (any, error) {
 		q, err := p.complete()
 		if err != nil {
 			return nil, err
@@ -387,24 +376,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.evalError(w, err)
 	case hit:
-		s.writeHit(w, rr.hit.bytes(func() any { return rr.decorate(p.Key, true) }))
+		s.writeHit(w, rr.hitBytes(p.Key))
 	default:
 		s.writeJSON(w, http.StatusOK, rr.decorate(p.Key, false))
 	}
-}
-
-// verifyResult is the cache value for /verify: the response without the
-// per-request Cached/Key decoration, and the entry's hit body.
-type verifyResult struct {
-	resp VerifyResponse
-	hit  hitBody
-}
-
-func (vr *verifyResult) decorate(key cache.Key, hit bool) VerifyResponse {
-	resp := vr.resp
-	resp.Cached = hit
-	resp.Key = key.String()
-	return resp
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -412,7 +387,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v, hit, err := s.cache.Do(p.Key, func() (any, error) {
+	vr, hit, err := fetch[VerifyResponse](s, p.Key, false, func() (any, error) {
 		q, err := p.complete()
 		if err != nil {
 			return nil, err
@@ -420,14 +395,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.seedShape(q.wl, q.ver.Workload)
 		return s.executeVerify(r.Context(), q.wl, q.ver)
 	})
-	s.notifyFill(p.Key, hit, err)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	vr := v.(*verifyResult)
 	if hit {
-		s.writeHit(w, vr.hit.bytes(func() any { return vr.decorate(p.Key, true) }))
+		s.writeHit(w, vr.hitBytes(p.Key))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, vr.decorate(p.Key, false))
@@ -455,12 +428,12 @@ func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req Ve
 			done <- outcome{err: err}
 			return
 		}
-		res := &verifyResult{resp: VerifyResponse{
+		res := &verifyResult{val: VerifyResponse{
 			Workload: wl.Name,
 			Scheme:   sp.Scheme,
 			Static:   verify.Static(sp, verify.Options{MaxIters: req.MaxIters}),
 		}}
-		resp := &res.resp
+		resp := &res.val
 		resp.OK = resp.Static.OK()
 		if req.Dynamic {
 			// A broken scheme may deadlock or fail serial equivalence; the

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -8,74 +10,47 @@ import (
 )
 
 // CacheEntry is one result-cache entry in portable form: the hex content
-// address, a kind tag naming the stored value's type, and the value's JSON
-// encoding. Because every cached value is itself served to clients as JSON,
-// this round-trip is exact for everything a response can contain — an
-// imported entry re-serves byte-identical response bodies (only the
-// per-request Cached/Key decoration differs, and that is recomputed per
-// request on both sides). The cluster layer moves entries between nodes
-// this way (replication, anti-entropy and drain handoff).
+// address, a kind tag naming the answer type ("run", "verify" or
+// "compile"), and the owner's compact hit answer, json.Marshal of the
+// answer decorated with cached: true and its key. The cluster layer moves
+// entries between nodes this way (replication, anti-entropy and drain
+// handoff). An importing node stores the body as it is and serves it
+// indented, byte-identical to the owner's own hit answer.
 type CacheEntry struct {
-	Key  string          `json:"key"`
-	Kind string          `json:"kind"` // "run" | "verify" | "compile"
-	Body json.RawMessage `json:"body"`
+	Key  string
+	Kind string
+	Body []byte
 }
 
-// encodeCacheValue renders one stored cache value portably. ok=false means
-// the value is not a transferable kind (nothing stores such values today;
-// the guard keeps a future cache user from being mis-shipped).
-func encodeCacheValue(k cache.Key, v any) (CacheEntry, bool) {
-	var kind string
-	var payload any
-	switch t := v.(type) {
-	case *runResult:
-		kind, payload = "run", t.resp
-	case *verifyResult:
-		kind, payload = "verify", t.resp
-	case *compileResult:
-		kind, payload = "compile", t.out
-	default:
-		return CacheEntry{}, false
-	}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return CacheEntry{}, false
-	}
-	return CacheEntry{Key: k.String(), Kind: kind, Body: body}, true
-}
-
-// ImportCacheEntry decodes a portable entry and stores it in the result
-// cache under its content address. The import changes cache provenance
-// only: a later request for the key answers Cached:true with the same
-// response bytes the exporting node would have served.
+// ImportCacheEntry stores a portable entry in the result cache under its
+// content address, without decoding it: the key must parse, the kind be
+// known, the body be JSON and be the key's hit answer, decorated with its
+// own key and cached: true. The body is copied, so the entry holds none of
+// the caller's buffer. The import changes cache provenance only: a later
+// request for the key answers with the same response bytes the exporting
+// node would have served.
 func (s *Server) ImportCacheEntry(e CacheEntry) error {
 	k, err := cache.ParseKey(e.Key)
 	if err != nil {
 		return err
 	}
+	if !json.Valid(e.Body) {
+		return fmt.Errorf("service: import %s entry %s: body is not JSON", e.Kind, e.Key)
+	}
+	var mark [len(`"key":"","cached":true`) + 2*len(k)]byte
+	m := hex.AppendEncode(append(mark[:0], `"key":"`...), k[:])
+	if !bytes.Contains(e.Body, append(m, `","cached":true`...)) {
+		return fmt.Errorf("service: import %s entry %s: body is not the key's hit answer", e.Kind, e.Key)
+	}
+	raw := append(make([]byte, 0, len(e.Body)), e.Body...)
 	var v any
 	switch e.Kind {
 	case "run":
-		var resp RunResponse
-		if err := json.Unmarshal(e.Body, &resp); err != nil {
-			return fmt.Errorf("service: import run entry %s: %w", e.Key, err)
-		}
-		v = &runResult{resp: resp}
+		v = &runResult{raw: raw}
 	case "verify":
-		var resp VerifyResponse
-		if err := json.Unmarshal(e.Body, &resp); err != nil {
-			return fmt.Errorf("service: import verify entry %s: %w", e.Key, err)
-		}
-		// Strip any per-request decoration the exporter carried; it is
-		// recomputed per request.
-		resp.Cached, resp.Key = false, ""
-		v = &verifyResult{resp: resp}
+		v = &verifyResult{raw: raw}
 	case "compile":
-		var out CompileOutcome
-		if err := json.Unmarshal(e.Body, &out); err != nil {
-			return fmt.Errorf("service: import compile entry %s: %w", e.Key, err)
-		}
-		v = &compileResult{out: out}
+		v = &compileResult{raw: raw}
 	default:
 		return fmt.Errorf("service: import entry %s: unknown kind %q", e.Key, e.Kind)
 	}
@@ -90,14 +65,24 @@ func (s *Server) RangeCacheKeys(f func(cache.Key)) {
 	s.cache.Range(func(k cache.Key, _ any) { f(k) })
 }
 
-// ExportCacheEntry encodes the single entry stored under k (ok=false for
-// absent keys and non-transferable values).
+// ExportCacheEntry returns the single entry stored under k in portable form
+// (ok=false for absent keys). The owner keeps nothing for it: a computed
+// entry's answer is marshalled at each export, and an imported entry ships
+// the bytes it arrived with.
 func (s *Server) ExportCacheEntry(k cache.Key) (CacheEntry, bool) {
 	v, ok := s.cache.Peek(k)
 	if !ok {
 		return CacheEntry{}, false
 	}
-	return encodeCacheValue(k, v)
+	e, ok := v.(interface {
+		compact(cache.Key) ([]byte, error)
+		kind() string
+	})
+	if !ok {
+		return CacheEntry{}, false
+	}
+	body, err := e.compact(k)
+	return CacheEntry{Key: k.String(), Kind: e.kind(), Body: body}, err == nil
 }
 
 // CacheHas reports whether the result cache holds the key, without

@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -136,6 +139,11 @@ func TestImportCacheEntryRejects(t *testing.T) {
 		{Key: validTestKey(), Kind: "alien", Body: json.RawMessage(`{}`)},
 		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{not json`)},
 		{Key: validTestKey(), Kind: "verify", Body: json.RawMessage(`[]`)},
+		// Bodies that are JSON but not the key's hit answer: undecorated, decorated
+		// with another key, and decorated as a fill (cached: false).
+		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"workload":"w","scheme":"s"}`)},
+		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"key":"` + strings.Repeat("ff", 32) + `","cached":true}`)},
+		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"key":"` + validTestKey() + `","cached":false}`)},
 	}
 	for i, e := range cases {
 		if err := s.ImportCacheEntry(e); err == nil {
@@ -184,4 +192,109 @@ func TestOnCacheFillHook(t *testing.T) {
 	if fills[0].Kind != "run" || len(fills[0].Body) == 0 {
 		t.Errorf("fill entry = %+v, want a run entry with a body", fills[0])
 	}
+}
+
+// TestUndecodableImportIsRecomputed: an imported entry whose body passes
+// the import checks but does not decode into its answer counts as absent
+// where the struct is read: a sweep point and a compile request recompute
+// it, and never serve a zero value.
+func TestUndecodableImportIsRecomputed(t *testing.T) {
+	s, hs := transferTestServer(t)
+	oracle, ho := transferTestServer(t)
+	sweep := SweepRequest{
+		Workload: WorkloadSpec{Name: "fig21", N: 24},
+		Scheme:   SchemeSpec{Name: "process", X: 4},
+		Config:   ConfigSpec{P: 4},
+	}
+	comp := hitCases[2].req.(CompileRequest)
+	_, keys, err := SweepPointKeys(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []CacheEntry{
+		{Key: keys[0].String(), Kind: "run"},
+		{Key: caseKey(t, "/compile", comp).String(), Kind: "compile"},
+	} {
+		e.Body = []byte(`{"key":"` + e.Key + `","cached":true,"cycles":"many","loops":7}`)
+		if err := s.ImportCacheEntry(e); err != nil {
+			t.Fatalf("import %s: %v", e.Kind, err)
+		}
+	}
+
+	got, err := s.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Points[0].Cached {
+		t.Errorf("sweep over an undecodable entry:\n%+v\nwant a fresh evaluation:\n%+v", got, want)
+	}
+
+	code, body := postJSON(t, hs.URL+"/compile", comp)
+	wantCode, wantBody := postJSON(t, ho.URL+"/compile", comp)
+	if code != wantCode || !bytes.Equal(body, wantBody) {
+		t.Errorf("/compile over an undecodable entry: %d %s\nwant the fresh fill: %d %s", code, body, wantCode, wantBody)
+	}
+}
+
+// TestImportedEntryConcurrentReads: concurrent first reads of an imported
+// run entry, sweeps that decode it, hits that render its hit body and
+// exports, all agree with the owner (run under -race: the decode and the
+// render each happen once, on whichever goroutine comes first).
+func TestImportedEntryConcurrentReads(t *testing.T) {
+	a, ha := transferTestServer(t)
+	b, hb := transferTestServer(t)
+	sweep := SweepRequest{
+		Workload: WorkloadSpec{Name: "fig21", N: 24},
+		Scheme:   SchemeSpec{Name: "process", X: 4},
+		Config:   ConfigSpec{P: 4},
+	}
+	runReq := RunRequest{Workload: sweep.Workload, Scheme: sweep.Scheme, Config: sweep.Config}
+	postJSON(t, ha.URL+"/run", runReq)
+	_, wantHit := postJSON(t, ha.URL+"/run", runReq)
+	wantSweep, err := a.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := caseKey(t, "/run", runReq)
+	e, _ := a.ExportCacheEntry(k)
+	if err := b.ImportCacheEntry(e); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(runReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				if got, err := b.EvalSweep(context.Background(), sweep); err != nil || !reflect.DeepEqual(got, wantSweep) {
+					t.Errorf("sweep on the importer: %+v (%v), want %+v", got, err, wantSweep)
+				}
+			case 1:
+				resp, err := http.Post(hb.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(got, wantHit) {
+					t.Errorf("hit on the importer:\n%s (%v)\nwant\n%s", got, err, wantHit)
+				}
+			default:
+				if got, ok := b.ExportCacheEntry(k); !ok || !bytes.Equal(got.Body, e.Body) {
+					t.Error("re-export differs from the imported body")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
