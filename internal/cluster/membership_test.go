@@ -86,6 +86,11 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 		SuspectAfter:   2,
 		RejoinAfter:    2,
 		DemoteCooldown: -1, // probes drive every transition in this test
+		// No anti-entropy: its transition-kicked scan would copy the key to
+		// the third survivor during the outage, and a node that holds the
+		// key answers it without forwarding (the last leg needs one that
+		// does not).
+		AntiEntropyInterval: -1,
 	})
 
 	key, err := service.RunKey(testRunReq)
@@ -185,8 +190,17 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 		}
 	}
 
-	// Forwards reach the restarted node again.
-	resp, body = postNode(t, tc.addrs[survivors[0]], "/run", testRunReq, nil)
+	// Forwards reach the restarted node again from the survivor that holds
+	// no copy of the key; the successor, which holds one, answers it
+	// itself, with the same bytes.
+	edgeIdx := survivors[0]
+	if edgeIdx == succIdx {
+		edgeIdx = survivors[1]
+	}
+	if tc.nodes[edgeIdx].Server().CacheHas(key) {
+		t.Fatalf("%s holds a copy of the key; no survivor is left to forward", tc.nodes[edgeIdx].self.ID)
+	}
+	resp, body = postNode(t, tc.addrs[edgeIdx], "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-rejoin fetch: %d %s", resp.StatusCode, body)
 	}
@@ -195,6 +209,16 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	}
 	if !bytes.Equal(body, cachedBody) {
 		t.Errorf("post-rejoin response bytes differ from the original cached response")
+	}
+	resp, body = postNode(t, tc.addrs[succIdx], "/run", testRunReq, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-rejoin fetch at the successor: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(HeaderNode); got != succs[0].ID {
+		t.Errorf("post-rejoin request at the successor served by %q, want the successor %s itself", got, succs[0].ID)
+	}
+	if !bytes.Equal(body, cachedBody) {
+		t.Errorf("post-rejoin response bytes at the successor differ from the original cached response")
 	}
 }
 

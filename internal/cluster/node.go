@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -192,9 +193,10 @@ type Node struct {
 	replQ    []cache.Key
 	replWake chan struct{}
 
-	forwards   atomic.Int64 // requests forwarded to their owning peer
-	steals     atomic.Int64 // sweep sub-grids executed by a non-owner node
-	peerErrors atomic.Int64 // peer calls that exhausted their retries
+	forwards    atomic.Int64 // requests forwarded to their owning peer
+	forwardKept atomic.Int64 // relayed owner hits kept in the local cache
+	steals      atomic.Int64 // sweep sub-grids executed by a non-owner node
+	peerErrors  atomic.Int64 // peer calls that exhausted their retries
 
 	probes           atomic.Int64 // liveness probes sent
 	probeFailures    atomic.Int64 // probes that failed (transport or identity mismatch)
@@ -567,11 +569,17 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 
 // routeOrServe keys the request (Server.Prepare: a memo lookup for a body
 // seen before, else decode, build and canon key, once) and serves it
-// locally when this node owns its key, otherwise forwards it to the owner.
-// A request served here carries the prepared request to the handler, which
-// therefore neither reads nor keys it again. Requests that do not prepare
-// (malformed JSON, unknown workload) fall through to the local handler,
-// which owns the error vocabulary.
+// locally when this node owns its key or already holds it in its cache,
+// otherwise forwards it to the owner. Determinism makes a held entry the
+// owner's answer on every node, so any holder may answer. A request served
+// here carries the prepared request to the handler, which therefore
+// neither reads nor keys it again. Requests that do not prepare (malformed
+// JSON, unknown workload) fall through to the local handler, which owns the
+// error vocabulary.
+//
+// A held entry can be evicted between the check here and the handler's
+// cache lookup; the handler then computes the key itself, which
+// determinism again makes correct.
 //
 // When a forward fails, the failed peer is demoted and the loop re-reads
 // the live ring, so the next iteration targets the key's successor — the
@@ -591,11 +599,11 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 	}
 	for attempt := 0; attempt <= n.opts.Replicas; attempt++ {
 		owner := n.ring.Load().Owner(p.Key)
-		if owner.ID == n.self.ID {
+		if owner.ID == n.self.ID || n.srv.CacheHas(p.Key) {
 			n.serveKeyed(w, r, inner, p)
 			return
 		}
-		if done := n.forward(w, r, owner, body); done {
+		if done := n.forward(w, r, owner, body, p.Key); done {
 			return
 		}
 	}
@@ -611,10 +619,10 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 }
 
 // serveKeyed serves a prepared request locally, with replica accounting:
-// when the key's configured (full-membership) owner is some other node,
-// this node is standing in for it — a local cache entry then is a replica
-// hit (handoff or replication paid off), a miss means recompute. The
-// counters measure exactly what replication is for.
+// when the key's configured (full-membership) owner is some other node, a
+// local cache entry is a replica hit (replication, handoff or a kept
+// forward paid off) and a miss means recompute. The counters measure
+// exactly what moving entries between nodes is for.
 func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, p *service.Prepared) {
 	if n.full.Owner(p.Key).ID != n.self.ID {
 		if n.srv.CacheHas(p.Key) {
@@ -631,11 +639,12 @@ func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Han
 // widely understood vocabulary for it in proxy logs.
 const statusClientClosedRequest = 499
 
-// forward relays the request to its owning peer and the peer's answer —
-// whatever it is, a 200 as much as a 429 with Retry-After — back to the
-// caller. It reports false when the peer is unreachable after retries, in
-// which case the peer is marked dead and the caller serves locally.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, body []byte) bool {
+// forward relays the request for key to its owning peer and the peer's
+// answer — whatever it is, a 200 as much as a 429 with Retry-After — back
+// to the caller, then keeps a relayed hit (keepRelayed). It reports false
+// when the peer is unreachable after retries, in which case the peer is
+// marked dead and the caller serves locally.
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, body []byte, key cache.Key) bool {
 	cl := n.clients[owner.ID]
 	if cl == nil {
 		return false
@@ -674,7 +683,31 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, bod
 	}
 	w.WriteHeader(status)
 	w.Write(respBody)
+	if status == http.StatusOK {
+		n.keepRelayed(key, strings.TrimPrefix(r.URL.Path, "/"), respBody)
+	}
 	return true
+}
+
+// keepRelayed stores the owner's relayed 200 answer for key as an imported
+// cache entry, so the next request for key is served here. The relayed
+// body is json.Indent of the owner's compact answer plus a newline, so
+// compacting it gives that answer back exactly; the import keeps it only
+// if it is the key's hit answer (valid JSON decorated with this key and
+// cached: true), never a miss answer or another key's. A kept entry fires
+// no fill, so it is not replicated.
+func (n *Node) keepRelayed(key cache.Key, kind string, relayed []byte) {
+	if n.srv.CacheHas(key) {
+		return
+	}
+	var compact bytes.Buffer
+	compact.Grow(len(relayed))
+	if json.Compact(&compact, relayed) != nil {
+		return
+	}
+	if n.srv.ImportCacheEntry(service.CacheEntry{Key: key.String(), Kind: kind, Body: compact.Bytes()}) == nil {
+		n.forwardKept.Add(1)
+	}
 }
 
 // ---- observability ----
@@ -722,6 +755,7 @@ func (n *Node) healthInfo() map[string]any {
 // metricsAppend feeds the peer-protocol counters into GET /metrics.
 func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_peer_forwards_total Requests forwarded to their owning peer node.\n# TYPE dsserve_peer_forwards_total counter\ndsserve_peer_forwards_total %d\n", n.forwards.Load())
+	fmt.Fprintf(w, "# HELP dsserve_forward_kept_total Owner hit answers relayed by a forward and kept in the local cache.\n# TYPE dsserve_forward_kept_total counter\ndsserve_forward_kept_total %d\n", n.forwardKept.Load())
 	fmt.Fprintf(w, "# HELP dsserve_steals_total Sweep sub-grids executed by a node that does not own them.\n# TYPE dsserve_steals_total counter\ndsserve_steals_total %d\n", n.steals.Load())
 	fmt.Fprintf(w, "# HELP dsserve_peer_errors_total Peer calls that exhausted their retries (node-loss signals).\n# TYPE dsserve_peer_errors_total counter\ndsserve_peer_errors_total %d\n", n.peerErrors.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_members Live members in this node's ring view.\n# TYPE dsserve_ring_members gauge\ndsserve_ring_members %d\n", n.ring.Load().Size())
@@ -739,7 +773,7 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_replica_pushes_total Cache entries pushed to ring-successors.\n# TYPE dsserve_replica_pushes_total counter\ndsserve_replica_pushes_total %d\n", n.replicaPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_push_errors_total Replica pushes that failed (best-effort).\n# TYPE dsserve_replica_push_errors_total counter\ndsserve_replica_push_errors_total %d\n", n.replicaPushErrors.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue or evicted before their push.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", n.replicaDrops.Load())
-	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication or handoff paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication, handoff or a kept forward paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", n.replicaMisses.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", n.handoffSentEntries.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Compact answer bytes of the cache entries handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())

@@ -72,15 +72,16 @@ func (s *linkSwitch) wrap(self string, h http.Handler) http.Handler {
 	})
 }
 
-func startCluster(t *testing.T, size int, opts Options) *testCluster {
+func startCluster(t testing.TB, size int, opts Options) *testCluster {
 	t.Helper()
-	return startClusterWrapped(t, size, opts, nil)
+	return startClusterWrapped(t, size, opts, service.Options{}, nil)
 }
 
-// startClusterWrapped is startCluster with node i's handler wrapped by
+// startClusterWrapped is startCluster with each node's service options
+// (their Logger replaced by a silent one) and node i's handler wrapped by
 // wrap (when non-nil), so a test can observe or hold peer traffic. Every
 // node serves behind the cluster's link switch (tc.links), outside wrap.
-func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, h http.Handler) http.Handler) *testCluster {
+func startClusterWrapped(t testing.TB, size int, opts Options, srvOpts service.Options, wrap func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	listeners := make([]net.Listener, size)
@@ -96,6 +97,7 @@ func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, 
 		members[i] = Member{ID: fmt.Sprintf("n%d", i), Addr: addr}
 	}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	srvOpts.Logger = quiet
 	for i, ln := range listeners {
 		o := opts
 		o.Self = members[i].ID
@@ -107,7 +109,7 @@ func startClusterWrapped(t *testing.T, size int, opts Options, wrap func(i int, 
 		if o.PeerBaseDelay == 0 {
 			o.PeerBaseDelay = 5 * time.Millisecond
 		}
-		node, err := New(o, service.Options{Workers: 4, Logger: quiet})
+		node, err := New(o, srvOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

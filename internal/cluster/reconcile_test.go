@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/cache"
+	"github.com/csrd-repro/datasync/internal/service"
 )
 
 // TestFillReplicationBatchesPerSuccessor: fills that share a successor
@@ -15,7 +16,7 @@ import (
 func TestFillReplicationBatchesPerSuccessor(t *testing.T) {
 	var posts atomic.Int64
 	release := make(chan struct{})
-	tc := startClusterWrapped(t, 2, Options{AntiEntropyInterval: -1}, func(i int, h http.Handler) http.Handler {
+	tc := startClusterWrapped(t, 2, Options{AntiEntropyInterval: -1}, service.Options{}, func(i int, h http.Handler) http.Handler {
 		if i != 1 {
 			return h
 		}

@@ -12,9 +12,10 @@
 //   - Ring (this file): a deterministic consistent-hash ring with virtual
 //     nodes and versioned membership, mapping canon keys to owners.
 //   - Node (node.go): the peer middleware in front of a service.Server —
-//     admission, ownership routing with loop-safe forwarding, and failure
-//     healing (an unreachable owner is removed from the ring and its keys
-//     reassigned to the survivors).
+//     admission, ownership routing with loop-safe forwarding (a node that
+//     already holds a key answers it), and failure healing (an unreachable
+//     owner is removed from the ring and its keys reassigned to the
+//     survivors).
 //   - Work-stealing sweeps (steal.go): /sweep grids split into
 //     owner-aligned sub-grids dispatched cluster-wide, idle nodes stealing
 //     pending sub-grids, lost nodes' sub-grids re-dispatched to survivors.

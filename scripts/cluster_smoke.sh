@@ -115,15 +115,18 @@ require_healthy "$BASE_A" "$BASE_B" "$BASE_C"
 require_ring_agreement "$BASE_A" "$BASE_B" "$BASE_C"
 echo "cluster smoke: 3 nodes agree on the ring"
 
-# Cross-node cache hit: compute through node a, repeat through node b. The
-# key has one owner, so the repeat must be served from the cluster cache
-# regardless of which node the client hit.
+# Cross-node cache hit: compute through node b, repeat through node c. The
+# key (fig21, N 60) is owned by a, so the compute is forwarded: b holds no
+# copy of a key nobody has computed yet. The repeat must be served from the
+# cluster cache, by c's replica (-replicas 2 copies every fill to both
+# successors) or by a forward to a. A node that holds a key answers it, so
+# a repeat entering at a replica holder is not forwarded: the forward this
+# leg checks is the compute's.
 body=$(run_body 60)
-curl -fsS -X POST "$BASE_A/run" -d "$body" | grep -q '"cached": false' ||
+curl -fsS -X POST "$BASE_B/run" -d "$body" | grep -q '"cached": false' ||
   fail "first cluster /run was already cached?"
-curl -fsS -X POST "$BASE_B/run" -d "$body" | grep -q '"cached": true' ||
-  fail "repeat through node b missed the cluster cache"
-# Unless the owner was hit directly both times, somebody forwarded.
+curl -fsS -X POST "$BASE_C/run" -d "$body" | grep -q '"cached": true' ||
+  fail "repeat through node c missed the cluster cache"
 forwards=$(sum_metric dsserve_peer_forwards_total "$BASE_A" "$BASE_B" "$BASE_C")
 [ "$forwards" -ge 1 ] || fail "no peer forwards recorded across the cluster (got $forwards)"
 echo "cluster smoke: cross-node cache hit ($forwards forwards)"
