@@ -1,20 +1,17 @@
 // Benchmarks regenerating every figure-backed experiment (see DESIGN.md's
 // per-experiment index): BenchmarkE<k>... times the simulation behind
 // experiment Ek and reports its headline simulated metrics, so
-// `go test -bench=. -benchmem` reproduces the whole evaluation. Runtime
-// (goroutine) primitive costs are benchmarked at the end.
+// `go test -bench=. -benchmem` reproduces the whole evaluation. The runtime
+// barriers on goroutines are benchmarked as well.
 package datasync
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/barrier"
 	"github.com/csrd-repro/datasync/internal/codegen"
-	"github.com/csrd-repro/datasync/internal/core"
 	"github.com/csrd-repro/datasync/internal/dataorient"
 	"github.com/csrd-repro/datasync/internal/exper"
 	"github.com/csrd-repro/datasync/internal/sim"
@@ -301,187 +298,7 @@ func BenchmarkE12AblationX(b *testing.B) {
 	}
 }
 
-// ---- Runtime (goroutine) primitive benchmarks ----
-
-// BenchmarkRuntimeMarkTransfer measures the per-iteration cost of the
-// improved primitives on real atomics.
-func BenchmarkRuntimeMarkTransfer(b *testing.B) {
-	s := core.NewPCSet(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := int64(i) + 1
-		s.Mark(it, 1)
-		s.Transfer(it)
-	}
-}
-
-// BenchmarkRuntimeWaitSatisfied measures a wait that never spins.
-func BenchmarkRuntimeWaitSatisfied(b *testing.B) {
-	s := core.NewPCSet(4)
-	s.Transfer(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Wait(2, 1, 1)
-	}
-}
-
-// BenchmarkRuntimeDoacross measures a full concurrent Doacross of the
-// Fig 2.1 body per loop iteration.
-func BenchmarkRuntimeDoacross(b *testing.B) {
-	const chunk = 512
-	a := make([]int64, chunk+5)
-	out := make([]int64, chunk+1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Runner{X: 8, Procs: 4}.MustRun(chunk, func(it int64, p *core.Proc) {
-			a[it+3] = 10*it + 3
-			p.Mark(1)
-			p.Wait(2, 1)
-			t2 := a[it+1]
-			p.Mark(2)
-			p.Wait(1, 1)
-			t3 := a[it+2]
-			p.Mark(3)
-			p.Wait(1, 2)
-			p.Wait(2, 3)
-			a[it] = t2 + t3
-			p.Transfer()
-			p.Wait(1, 4)
-			out[it] = a[it-1]
-		})
-	}
-	b.ReportMetric(float64(chunk), "iters/op")
-}
-
-// ---- Hardened-vs-naive runtime comparison ----
-//
-// naivePCSet replicates the seed runtime for comparison: unpadded packed
-// counters in one contiguous atomic array (adjacent slots share cache
-// lines) and bare-Gosched spin loops. The benchmark below runs the same
-// contended Doacross through it and through the hardened PCSet (padded
-// slots, tiered backoff) so the two spin regimes are directly comparable.
-type naivePCSet struct {
-	x   int64
-	pcs []atomic.Int64
-}
-
-func newNaivePCSet(x int) *naivePCSet {
-	s := &naivePCSet{x: int64(x), pcs: make([]atomic.Int64, x)}
-	for k := 0; k < x; k++ {
-		s.pcs[k].Store(core.InitialPC(k).Pack())
-	}
-	return s
-}
-
-func (s *naivePCSet) X() int                { return int(s.x) }
-func (s *naivePCSet) Load(slot int) core.PC { return core.Unpack(s.pcs[slot].Load()) }
-
-func (s *naivePCSet) Wait(iter, dist, step int64) {
-	src := iter - dist
-	if src < 1 {
-		return
-	}
-	v := &s.pcs[core.Fold(src, int(s.x))]
-	min := core.PC{Owner: src, Step: step}.Pack()
-	for v.Load() < min {
-		runtime.Gosched()
-	}
-}
-
-func (s *naivePCSet) Mark(iter, step int64) {
-	v := &s.pcs[core.Fold(iter, int(s.x))]
-	if v.Load() >= (core.PC{Owner: iter, Step: 0}).Pack() {
-		v.Store(core.PC{Owner: iter, Step: step}.Pack())
-	}
-}
-
-func (s *naivePCSet) Transfer(iter int64) {
-	v := &s.pcs[core.Fold(iter, int(s.x))]
-	min := core.PC{Owner: iter, Step: 0}.Pack()
-	for v.Load() < min {
-		runtime.Gosched()
-	}
-	v.Store(core.PC{Owner: iter + s.x, Step: 0}.Pack())
-}
-
-// BenchmarkRuntimeContendedDoacross drives a distance-1 chain (every wait
-// contended, waiters on all X slots simultaneously) with P >= 4 workers
-// through the hardened runtime (padded + tiered backoff, via Runner over
-// the CounterSet interface), the split-field variant, and the seed-style
-// naive spin runtime.
-// contendedChain runs a distance-1 chain of contendedChainN iterations on 4
-// workers over s and verifies the dataflow.
-const contendedChainN = 2048
-
-func contendedChain(b *testing.B, s core.CounterSet) {
-	const n, procs = contendedChainN, 4
-	a := make([]int64, n+1)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i > n {
-					return
-				}
-				s.Wait(i, 1, 1)
-				if i == 1 {
-					a[1] = 1
-				} else {
-					a[i] = a[i-1] + 1
-				}
-				s.Mark(i, 1)
-				s.Transfer(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if a[n] != n {
-		b.Fatalf("a[%d] = %d (dependence violated)", n, a[n])
-	}
-}
-
-func BenchmarkRuntimeContendedDoacross(b *testing.B) {
-	const x = 8
-	b.Run("hardened", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			contendedChain(b, core.NewPCSet(x))
-		}
-		b.ReportMetric(contendedChainN, "iters/op")
-	})
-	b.Run("hardened-split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			contendedChain(b, core.NewSplitPCSet(x))
-		}
-		b.ReportMetric(contendedChainN, "iters/op")
-	})
-	b.Run("naive-seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			contendedChain(b, newNaivePCSet(x))
-		}
-		b.ReportMetric(contendedChainN, "iters/op")
-	})
-}
-
-// BenchmarkRuntimeChunkedDispatch compares Runner dispatch amortization.
-func BenchmarkRuntimeChunkedDispatch(b *testing.B) {
-	const n = 2048
-	for _, chunk := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Runner{X: 8, Procs: 4, Chunk: chunk}.MustRun(n, func(it int64, p *core.Proc) {
-					p.Wait(1, 1)
-					p.Mark(1)
-					p.Transfer()
-				})
-			}
-			b.ReportMetric(n, "iters/op")
-		})
-	}
-}
+// ---- Runtime (goroutine) barrier benchmarks ----
 
 // BenchmarkRuntimeBarriers measures one barrier episode across goroutines.
 func BenchmarkRuntimeBarriers(b *testing.B) {

@@ -5,7 +5,6 @@
 //	dsbench                 # all experiments
 //	dsbench -run E6         # just the Example 1 relaxation study
 //	dsbench -list           # list experiment ids and titles
-//	dsbench -runtime        # goroutine-runtime waiter metrics (RunStats)
 //	dsbench -json out.json  # machine-readable benchmark snapshot
 //	dsbench -compare old.json new.json   # per-grid-point delta table
 //
@@ -18,12 +17,6 @@
 // field, and exits non-zero when any simulated field differs or a point is
 // in only one snapshot. Engine speed is measured end to end by bench/dsload
 // (sim.cycles_per_s, points_per_s), not here.
-//
-// -runtime executes the Fig 2.1 Doacross on the real concurrent runtime —
-// packed and split-field counter sets — with the metrics layer enabled and
-// prints each run's RunStats: per-slot spin iterations, ownership
-// hand-offs, and the wait-pause histogram. -rtn/-rtx/-rtprocs/-rtchunk
-// tune the run.
 package main
 
 import (
@@ -33,58 +26,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"github.com/csrd-repro/datasync/internal/core"
 	"github.com/csrd-repro/datasync/internal/exper"
 	"github.com/csrd-repro/datasync/internal/service"
-	"github.com/csrd-repro/datasync/internal/spin"
 )
-
-// runtimeReport runs the Fig 2.1 loop body on the concurrent runtime with
-// metrics enabled and prints the RunStats for both counter-set
-// representations, verifying the dataflow against serial execution.
-func runtimeReport(n int64, x, procs, chunk int) error {
-	variants := []struct {
-		name string
-		mk   func(x int, o core.Options) core.CounterSet
-	}{
-		{"packed PCSet (padded, tiered backoff)", nil},
-		{"split-field SplitPCSet (§6)", core.SplitCounters},
-	}
-	for _, v := range variants {
-		a := make([]int64, n+5)
-		out := make([]int64, n+1)
-		r := core.Runner{X: x, Procs: procs, Chunk: chunk, Metrics: true,
-			Spin: spin.Config{Watchdog: 30 * time.Second}, NewSet: v.mk}
-		res, err := r.Run(n, func(i int64, p *core.Proc) {
-			a[i+3] = 10*i + 3 // S1, step 1
-			p.Mark(1)
-			p.Wait(2, 1)
-			t2 := a[i+1] // S2, step 2
-			p.Mark(2)
-			p.Wait(1, 1)
-			t3 := a[i+2] // S3, step 3
-			p.Mark(3)
-			p.Wait(1, 2)
-			p.Wait(2, 3)
-			a[i] = t2 + t3 // S4: last source
-			p.Transfer()
-			p.Wait(1, 4)
-			out[i] = a[i-1] // S5
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
-		}
-		for i := int64(1); i <= n; i++ {
-			if want := 10*(i-1) + 3 + 10*(i-2) + 3; i > 2 && a[i] != want {
-				return fmt.Errorf("%s: A[%d] = %d, want %d (dependence violated)", v.name, i, a[i], want)
-			}
-		}
-		fmt.Printf("==== runtime: %s ====\n%s\n", v.name, res.Stats)
-	}
-	return nil
-}
 
 func main() {
 	runFlag := flag.String("run", "", "comma-separated experiment ids to run (default: all)")
@@ -92,11 +37,6 @@ func main() {
 	md := flag.Bool("md", false, "render tables as GitHub markdown")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark snapshot to this file (\"-\" for stdout) and exit")
 	compare := flag.Bool("compare", false, "compare two snapshot files (old.json new.json), print the per-point delta table and exit non-zero on any simulated-field mismatch or one-sided point")
-	rt := flag.Bool("runtime", false, "run the goroutine runtime with waiter metrics and print RunStats")
-	rtn := flag.Int64("rtn", 100_000, "-runtime: iterations")
-	rtx := flag.Int("rtx", 8, "-runtime: physical process counters (X)")
-	rtprocs := flag.Int("rtprocs", 4, "-runtime: worker goroutines")
-	rtchunk := flag.Int("rtchunk", 1, "-runtime: iterations claimed per dispatch")
 	flag.Parse()
 
 	if *compare {
@@ -112,13 +52,6 @@ func main() {
 	if *jsonOut != "" {
 		if err := writeSnapshot(*jsonOut); err != nil {
 			fatal(err)
-		}
-		return
-	}
-
-	if *rt {
-		if err := runtimeReport(*rtn, *rtx, *rtprocs, *rtchunk); err != nil {
-			fatal(fmt.Errorf("runtime report failed: %w", err))
 		}
 		return
 	}

@@ -2,7 +2,9 @@
 // synchronize pairwise through process counters instead of a global barrier.
 // After each cross stage a processor marks its own PC and waits only for
 // the one processor whose data it consumes next — the paper's fft()
-// procedure. The result is verified against a direct O(n^2) DFT.
+// procedure. Process == processor here: no PC is folded or transferred, so
+// each is a plain per-processor step counter. The result is verified
+// against a direct O(n^2) DFT.
 //
 //	go run ./examples/fft
 package main
@@ -12,10 +14,10 @@ import (
 	"math"
 	"math/cmplx"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"github.com/csrd-repro/datasync/internal/core"
 )
 
 const (
@@ -81,9 +83,8 @@ func parallelFFT(input []complex128) []complex128 {
 	for s := 1; s <= crossStages; s++ {
 		bufs[s] = make([]complex128, n)
 	}
-	// One PC per processor; processor pid is "process" pid+1, owns its PC
-	// from the start and never transfers (process == processor).
-	pcs := core.NewPCSet(procs)
+	// One PC per processor, holding the last cross stage it completed.
+	pcs := make([]atomic.Int64, procs)
 	var wg sync.WaitGroup
 	out := make([]complex128, n)
 	for pid := 0; pid < procs; pid++ {
@@ -91,17 +92,18 @@ func parallelFFT(input []complex128) []complex128 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			iter := int64(pid) + 1
 			lo, hi := pid*chunk, (pid+1)*chunk
 			// Cross stages: stage s has half size m = n >> s >= chunk.
 			for s := 1; s <= crossStages; s++ {
 				difStage(bufs[s], bufs[s-1], lo, hi, n>>s, n)
-				pcs.Mark(iter, int64(s))
+				pcs[pid].Store(int64(s)) // mark_PC(s)
 				if s < crossStages {
 					// Wait for the processor whose stage-s output the
 					// next stage reads: partner at distance (n>>(s+1))/chunk.
 					partner := pid ^ ((n >> (s + 1)) / chunk)
-					pcs.Wait(iter, int64(pid-partner), int64(s))
+					for pcs[partner].Load() < int64(s) {
+						runtime.Gosched()
+					}
 				}
 			}
 			// Local stages: strictly inside the block, double-buffered.
@@ -145,7 +147,7 @@ func main() {
 	// Verify a subsampled DFT (full O(n^2) is slow): 64 random-ish bins
 	// plus a full check on a smaller transform.
 	small := input[:64]
-	smallGot := parallelFFTSized(small)
+	smallGot := parallelFFT(small)
 	want := dft(small)
 	for k := range want {
 		if cmplx.Abs(smallGot[k]-want[k]) > 1e-6*(1+cmplx.Abs(want[k])) {
@@ -169,10 +171,4 @@ func main() {
 	fmt.Printf("parallel FFT of %d points on %d processors (pairwise PC sync, no barrier)\n", total, procs)
 	fmt.Printf("verified against direct DFT (64 points exactly; Parseval on %d points)\n", total)
 	fmt.Printf("elapsed: %v\n", elapsed)
-}
-
-// parallelFFTSized runs parallelFFT semantics on an arbitrary power-of-two
-// size (still procs workers).
-func parallelFFTSized(x []complex128) []complex128 {
-	return parallelFFT(x)
 }

@@ -1,14 +1,16 @@
 // Nested Doacross (Example 2): execute the multiply-nested loop
 //
 //	DO I=1,N; DO J=1,M
-//	  S1: A[I,J] = f(I,J)
-//	  S2: B[I,J] = A[I,J-1] + 1
-//	  S3: C[I,J] = B[I-1,J-1] * 2
+//	  S1: A[I,J]   = I*100+J
+//	  S2: B[I,J]   = A[I,J-1] + 1
+//	  S3: OUT[I,J] = B[I-1,J-1] * 2
 //
 // by implicitly coalescing the nest: each (I,J) becomes the process with
 // linearized pid (I-1)*M + J, the dependences become lpid distances 1
 // (S1->S2) and M+1 (S2->S3), and no loop-boundary tests are needed —
-// exactly Fig 5.2b. Verified against serial execution.
+// exactly Fig 5.2b. The coalesced program runs on goroutines through
+// codegen.RunGoroutines and is checked against the nest executed serially
+// here.
 //
 //	go run ./examples/nested
 package main
@@ -18,7 +20,8 @@ import (
 	"os"
 	"time"
 
-	"github.com/csrd-repro/datasync/internal/core"
+	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
 const (
@@ -36,8 +39,9 @@ func newMat() mat {
 	return m
 }
 
-func setup() (a, b, c mat) {
-	a, b, c = newMat(), newMat(), newMat()
+// serial runs the nest in order over the workload's boundary data.
+func serial() (a, b, out mat) {
+	a, b, out = newMat(), newMat(), newMat()
 	for i := 0; i <= nI; i++ {
 		a[i][0] = -int64(i)
 		b[i][0] = 7 * int64(i)
@@ -45,47 +49,30 @@ func setup() (a, b, c mat) {
 	for j := 0; j <= nJ; j++ {
 		b[0][j] = 7000 + int64(j)
 	}
-	return a, b, c
-}
-
-func body(a, b, c mat, i, j int64) {
-	a[i][j] = i*100 + j
-	b[i][j] = a[i][j-1] + 1
-	c[i][j] = b[i-1][j-1] * 2
-}
-
-func serial() (mat, mat, mat) {
-	a, b, c := setup()
 	for i := int64(1); i <= nI; i++ {
 		for j := int64(1); j <= nJ; j++ {
-			body(a, b, c, i, j)
+			a[i][j] = i*100 + j
+			b[i][j] = a[i][j-1] + 1
+			out[i][j] = b[i-1][j-1] * 2
 		}
 	}
-	return a, b, c
+	return a, b, out
 }
 
 func main() {
-	wantA, wantB, wantC := serial()
-
-	a, b, c := setup()
 	start := time.Now()
-	core.Runner{X: 8, Procs: 4}.MustRun(nI*nJ, func(lpid int64, p *core.Proc) {
-		// Decode the linearized pid; no boundary special cases anywhere.
-		i := (lpid-1)/nJ + 1
-		j := (lpid-1)%nJ + 1
-		a[i][j] = i*100 + j // S1: source step 1
-		p.Mark(1)
-		p.Wait(1, 1) // S2 sinks S1 -flow(lpid distance 1)->
-		b[i][j] = a[i][j-1] + 1
-		p.Transfer()    // S2: last source (step 2)
-		p.Wait(nJ+1, 2) // S3 sinks S2 -flow(lpid distance M+1)->
-		c[i][j] = b[i-1][j-1] * 2
-	})
+	mem, err := codegen.RunGoroutines(workloads.Nested(nI, nJ, 1), codegen.ProcessOriented{X: 8, Improved: true}, 4)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "run:", err)
+		os.Exit(1)
+	}
 	elapsed := time.Since(start)
 
-	for i := 0; i <= nI; i++ {
-		for j := 0; j <= nJ; j++ {
-			if a[i][j] != wantA[i][j] || b[i][j] != wantB[i][j] || c[i][j] != wantC[i][j] {
+	wantA, wantB, wantOut := serial()
+	a, b, out := mem.LookupGrid("A"), mem.LookupGrid("B"), mem.LookupGrid("OUT")
+	for i := int64(1); i <= nI; i++ {
+		for j := int64(1); j <= nJ; j++ {
+			if a.Get(i, j) != wantA[i][j] || b.Get(i, j) != wantB[i][j] || out.Get(i, j) != wantOut[i][j] {
 				fmt.Printf("MISMATCH at (%d,%d)\n", i, j)
 				os.Exit(1)
 			}

@@ -1,7 +1,8 @@
 // Quickstart: execute the paper's Fig 2.1 loop as a Doacross over real
-// goroutines using the process-oriented primitives (load_index / mark_PC /
-// wait_PC / transfer_PC), exactly as the transformed loop of Fig 4.2b, and
-// verify the result against serial execution.
+// goroutines with the improved process-oriented primitives (load_index /
+// mark_PC / wait_PC / transfer_PC) on X folded process counters: the
+// program of Fig 4.2b that codegen emits, run by codegen.RunGoroutines.
+// The result is checked against the loop executed serially here.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,70 +12,58 @@ import (
 	"os"
 	"time"
 
-	"github.com/csrd-repro/datasync/internal/core"
+	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
-const n = 5000
+const (
+	n     = 5000
+	x     = 8 // folded process counters
+	procs = 4
+)
 
-func serial() ([]int64, []int64) {
-	a := make([]int64, n+5)
-	out := make([]int64, n+1)
+// serial runs the Fig 2.1 loop in order over the workload's initial data
+// (A[i] = 1000+i) and returns A[-3..n+3] and OUT[1..n].
+func serial() (a, out []int64) {
+	a = make([]int64, n+7) // a[k] holds A[k-3]
+	for k := range a {
+		a[k] = 1000 + int64(k) - 3
+	}
+	out = make([]int64, n+1)
 	for i := int64(1); i <= n; i++ {
-		a[i+3] = 10*i + 3 // S1
-		t2 := a[i+1]      // S2
-		t3 := a[i+2]      // S3
-		a[i] = t2 + t3    // S4
-		out[i] = a[i-1]   // S5
+		a[i+6] = 10*i + 3 // S1: A[I+3] = 10*I+3
+		t2 := a[i+4]      // S2: t2 = A[I+1]
+		t3 := a[i+5]      // S3: t3 = A[I+2]
+		a[i+3] = t2 + t3  // S4: A[I] = t2+t3
+		out[i] = a[i+2]   // S5: OUT[I] = A[I-1]
 	}
 	return a, out
 }
 
 func main() {
-	a := make([]int64, n+5)
-	out := make([]int64, n+1)
-
 	start := time.Now()
-	// X process counters folded over N iterations, self-scheduled workers,
-	// with the opt-in waiter metrics collected.
-	runner := core.Runner{X: 8, Procs: 4, Metrics: true}
-	res := runner.MustRun(n, func(i int64, p *core.Proc) {
-		a[i+3] = 10*i + 3 // S1: source statement, step 1
-		p.Mark(1)
-		p.Wait(2, 1) // S2 is the sink of S1 -flow(2)->
-		t2 := a[i+1]
-		p.Mark(2) // S2: source of the anti dependence S2->S4, step 2
-		p.Wait(1, 1)
-		t3 := a[i+2] // S3
-		p.Mark(3)
-		p.Wait(1, 2) // S4 is the sink of S2 -anti(1)->
-		p.Wait(2, 3) // ... and of S3 -anti(2)->
-		a[i] = t2 + t3
-		p.Transfer() // S4 is the last source: pass the PC to process i+X
-		p.Wait(1, 4) // S5 is the sink of S4 -flow(1)->
-		out[i] = a[i-1]
-	})
+	mem, err := codegen.RunGoroutines(workloads.Fig21(n, 1), codegen.ProcessOriented{X: x, Improved: true}, procs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "run:", err)
+		os.Exit(1)
+	}
 	elapsed := time.Since(start)
 
 	wantA, wantOut := serial()
-	for i := range wantA {
-		if a[i] != wantA[i] {
-			fmt.Printf("MISMATCH: A[%d] = %d, want %d\n", i, a[i], wantA[i])
+	a, out := mem.Lookup("A"), mem.Lookup("OUT")
+	for k, want := range wantA {
+		if i := int64(k) - 3; a.Get(i) != want {
+			fmt.Printf("MISMATCH: A[%d] = %d, want %d\n", i, a.Get(i), want)
 			os.Exit(1)
 		}
 	}
-	for i := range wantOut {
-		if out[i] != wantOut[i] {
-			fmt.Printf("MISMATCH: out[%d] = %d, want %d\n", i, out[i], wantOut[i])
+	for i := int64(1); i <= n; i++ {
+		if out.Get(i) != wantOut[i] {
+			fmt.Printf("MISMATCH: OUT[%d] = %d, want %d\n", i, out.Get(i), wantOut[i])
 			os.Exit(1)
 		}
 	}
-	set := res.Set
-	fmt.Printf("Doacross of the Fig 2.1 loop: %d iterations on %d workers, X=%d PCs\n",
-		n, 4, set.X())
-	fmt.Printf("all %d array elements match serial execution\n", len(wantA)+len(wantOut))
+	fmt.Printf("Doacross of the Fig 2.1 loop: %d iterations on %d goroutines, X=%d PCs\n", n, procs, x)
+	fmt.Printf("all %d array elements match serial execution\n", len(wantA)+n)
 	fmt.Printf("elapsed: %v\n", elapsed)
-	for k := 0; k < set.X(); k++ {
-		fmt.Printf("final PC[%d] = %v\n", k, set.Load(k))
-	}
-	fmt.Printf("\nrun stats:\n%s\n", res.Stats)
 }

@@ -5,8 +5,9 @@
 // two ways on real goroutines — as a wavefront with a barrier between
 // anti-diagonal fronts (Fig 5.1c), and as an asynchronous pipeline where
 // each row is a process synchronizing with its predecessor row every G
-// columns through process counters (Fig 5.1b/d) — verify both against
-// serial execution and compare wall-clock times.
+// columns through process counters (Fig 5.1b/d): the stencil workload under
+// codegen's PipelinedOuter scheme, run by codegen.RunGoroutines. Both are
+// verified against serial execution and their wall-clock times printed.
 //
 //	go run ./examples/relaxation
 package main
@@ -18,7 +19,8 @@ import (
 	"time"
 
 	"github.com/csrd-repro/datasync/internal/barrier"
-	"github.com/csrd-repro/datasync/internal/core"
+	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/workloads"
 )
 
 const (
@@ -62,26 +64,24 @@ func equal(x, y grid) bool {
 	return true
 }
 
-// pipeline runs rows as Doacross processes over process counters.
-func pipeline() (grid, time.Duration) {
-	a := newGrid()
+// pipeline runs rows as Doacross processes over process counters, each
+// publishing its progress every g columns. Its time includes what
+// RunGoroutines does around the run: building the program and checking
+// the result against the workload's serial image.
+func pipeline() (grid, time.Duration, error) {
 	start := time.Now()
-	core.Runner{X: 2 * workers, Procs: workers}.MustRun(n-1, func(lpid int64, p *core.Proc) {
-		i := lpid + 1 // this process computes row I = lpid+1
-		for k := int64(2); k <= n; k += g {
-			end := k + g - 1
-			if end > n {
-				end = n
-			}
-			p.Wait(1, k) // row i-1 finished columns up to k+g-1
-			for j := k; j <= end; j++ {
-				a[i][j] = a[i-1][j] + a[i][j-1]
-			}
-			p.Mark(k)
+	mem, err := codegen.RunGoroutines(workloads.Stencil(n, 1), codegen.PipelinedOuter{X: 2 * workers, G: g}, workers)
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, 0, err
+	}
+	a, res := newGrid(), mem.LookupGrid("A")
+	for i := int64(1); i <= n; i++ {
+		for j := int64(1); j <= n; j++ {
+			a[i][j] = res.Get(i, j)
 		}
-		p.Transfer()
-	})
-	return a, time.Since(start)
+	}
+	return a, elapsed, nil
 }
 
 // wavefront computes anti-diagonal fronts separated by a PC butterfly
@@ -125,7 +125,11 @@ func main() {
 	}
 	want := serial()
 
-	pipeGrid, pipeTime := pipeline()
+	pipeGrid, pipeTime, err := pipeline()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pipeline:", err)
+		os.Exit(1)
+	}
 	if !equal(pipeGrid, want) {
 		fmt.Println("MISMATCH: pipelined relaxation diverged from serial")
 		os.Exit(1)

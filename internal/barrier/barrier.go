@@ -154,23 +154,24 @@ func (b *SimPCBarrier) Vars() int { return b.p }
 // spin (hot re-check → Gosched → capped parked sleep) instead of bare
 // Gosched loops, and keep every per-participant flag on its own cache line:
 // a participant publishing its arrival must not invalidate the line a
-// neighbor is spinning on. Constructors take an optional spin.Config (e.g.
-// to arm the livelock watchdog); the default tiers are spin.Defaults.
+// neighbor is spinning on. Constructors take an optional spin.Config (to
+// arm the livelock watchdog); by default a wait has no deadline.
 
-// spinCfg folds the optional trailing config argument of the constructors,
-// normalized once here so the per-wait path never re-derives defaults.
-func spinCfg(cfg []spin.Config) spin.Config {
+// backoff builds the Backoff every wait of a barrier starts from, once,
+// from the constructors' optional trailing config argument.
+func backoff(cfg []spin.Config) spin.Backoff {
+	var c spin.Config
 	if len(cfg) > 0 {
-		return cfg[0].Normalized()
+		c = cfg[0]
 	}
-	return spin.Config{}.Normalized()
+	return spin.New(c)
 }
 
 // StallError reports a barrier wait that outlived the armed watchdog
 // deadline: the stuck participant, its round, and the underlying deadline
 // diagnosis. It is returned, not panicked, so a participant that never
-// arrives degrades into an error the caller can report, as core.Runner.Run
-// returns a *core.WaitError for a livelocked wait.
+// arrives degrades into an error the caller can report, as
+// codegen.RunGoroutines reports a stuck wait.
 type StallError struct {
 	PID   int
 	Round int64
@@ -187,8 +188,8 @@ func (e *StallError) Unwrap() error { return e.Err }
 // await spins cond under the barrier's backoff tiers, returning a
 // *StallError when the watchdog deadline (if armed) passes: a deadlocked
 // barrier fails diagnosably instead of hanging or crashing the process.
-func await(cfg spin.Config, pid int, round int64, cond func() bool) error {
-	if _, err := spin.Until(cfg, cond); err != nil {
+func await(b spin.Backoff, pid int, round int64, cond func() bool) error {
+	if err := spin.Until(b, cond); err != nil {
 		return &StallError{PID: pid, Round: round, Err: err.(*spin.DeadlineError)}
 	}
 	return nil
@@ -196,10 +197,10 @@ func await(cfg spin.Config, pid int, round int64, cond func() bool) error {
 
 // Counter is the runtime counter barrier.
 type Counter struct {
-	p     int64
-	cfg   spin.Config
-	count atomic.Int64
-	round []int64
+	p       int64
+	backoff spin.Backoff
+	count   atomic.Int64
+	round   []int64
 }
 
 // NewCounter builds a counter barrier for p participants.
@@ -207,7 +208,7 @@ func NewCounter(p int, cfg ...spin.Config) *Counter {
 	if p < 1 {
 		panic("barrier: need at least one participant")
 	}
-	return &Counter{p: int64(p), cfg: spinCfg(cfg), round: make([]int64, p)}
+	return &Counter{p: int64(p), backoff: backoff(cfg), round: make([]int64, p)}
 }
 
 // Await blocks participant pid until all participants of the current round
@@ -216,13 +217,13 @@ func (b *Counter) Await(pid int) error {
 	b.round[pid]++
 	r := b.round[pid]
 	b.count.Add(1)
-	return await(b.cfg, pid, r, func() bool { return b.count.Load() >= r*b.p })
+	return await(b.backoff, pid, r, func() bool { return b.count.Load() >= r*b.p })
 }
 
 // Flags is the runtime Brooks butterfly barrier.
 type Flags struct {
 	p, stages int
-	cfg       spin.Config
+	backoff   spin.Backoff
 	flags     [][]spin.Padded // [stage][pid], one cache line per flag
 	round     []int64
 }
@@ -231,7 +232,7 @@ type Flags struct {
 // (p must be a power of two).
 func NewFlags(p int, cfg ...spin.Config) *Flags {
 	stages := Log2(p)
-	b := &Flags{p: p, stages: stages, cfg: spinCfg(cfg), round: make([]int64, p)}
+	b := &Flags{p: p, stages: stages, backoff: backoff(cfg), round: make([]int64, p)}
 	for s := 0; s < stages; s++ {
 		b.flags = append(b.flags, make([]spin.Padded, p))
 	}
@@ -247,7 +248,7 @@ func (b *Flags) Await(pid int) error {
 		partner := pid ^ (1 << s)
 		b.flags[s][pid].Store(r)
 		flag := &b.flags[s][partner]
-		if err := await(b.cfg, pid, r, func() bool { return flag.Load() >= r }); err != nil {
+		if err := await(b.backoff, pid, r, func() bool { return flag.Load() >= r }); err != nil {
 			return err
 		}
 	}
@@ -257,14 +258,14 @@ func (b *Flags) Await(pid int) error {
 // PCButterfly is the runtime process-counter butterfly of Fig 5.4.
 type PCButterfly struct {
 	p, stages int
-	cfg       spin.Config
+	backoff   spin.Backoff
 	pcs       []spin.Padded
 	step      []int64
 }
 
 // NewPCButterfly builds the barrier for p participants (a power of two).
 func NewPCButterfly(p int, cfg ...spin.Config) *PCButterfly {
-	return &PCButterfly{p: p, stages: Log2(p), cfg: spinCfg(cfg),
+	return &PCButterfly{p: p, stages: Log2(p), backoff: backoff(cfg),
 		pcs: make([]spin.Padded, p), step: make([]int64, p)}
 }
 
@@ -277,7 +278,7 @@ func (b *PCButterfly) Await(pid int) error {
 		step := b.step[pid]
 		b.pcs[pid].Store(step)
 		pc := &b.pcs[pid^(1<<s)]
-		if err := await(b.cfg, pid, step, func() bool { return pc.Load() >= step }); err != nil {
+		if err := await(b.backoff, pid, step, func() bool { return pc.Load() >= step }); err != nil {
 			return err
 		}
 	}

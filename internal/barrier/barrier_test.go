@@ -181,9 +181,7 @@ func TestRuntimePCButterfly(t *testing.T) {
 // watchdog turns into a *StallError naming the stuck PID and round, with a
 // *spin.DeadlineError underneath — not a hang, not a panic.
 func TestRuntimeBarrierStallError(t *testing.T) {
-	cfg := spin.Config{HotSpins: 4, YieldSpins: 4,
-		SleepMin: 50 * time.Microsecond, SleepMax: 200 * time.Microsecond,
-		Watchdog: 30 * time.Millisecond}
+	cfg := spin.Config{Watchdog: 30 * time.Millisecond}
 	barriers := map[string]func(pid int) error{
 		"counter":       NewCounter(2, cfg).Await,
 		"flags":         NewFlags(2, cfg).Await,

@@ -118,7 +118,7 @@ func (b *SimPCDissemination) Vars() int { return b.p }
 // barriers in barrier.go.
 type Dissemination struct {
 	p, stages int
-	cfg       spin.Config
+	backoff   spin.Backoff
 	flags     [][]spin.Padded
 	round     []int64
 }
@@ -126,7 +126,7 @@ type Dissemination struct {
 // NewDissemination builds the barrier for p participants (any p >= 1).
 func NewDissemination(p int, cfg ...spin.Config) *Dissemination {
 	stages := Stages(p)
-	b := &Dissemination{p: p, stages: stages, cfg: spinCfg(cfg), round: make([]int64, p)}
+	b := &Dissemination{p: p, stages: stages, backoff: backoff(cfg), round: make([]int64, p)}
 	for s := 0; s < stages; s++ {
 		b.flags = append(b.flags, make([]spin.Padded, p))
 	}
@@ -142,7 +142,7 @@ func (b *Dissemination) Await(pid int) error {
 		to := (pid + (1 << s)) % b.p
 		b.flags[s][to].Store(r)
 		flag := &b.flags[s][pid]
-		if err := await(b.cfg, pid, r, func() bool { return flag.Load() >= r }); err != nil {
+		if err := await(b.backoff, pid, r, func() bool { return flag.Load() >= r }); err != nil {
 			return err
 		}
 	}

@@ -49,7 +49,7 @@ func RunGoroutines(w *Workload, sch Scheme, procs int) (*sim.Mem, error) {
 		return nil, fmt.Errorf("codegen: instrument %s: %w", sch.Name(), err)
 	}
 	g := &goroutineRun{m: m, prog: prog, iters: iters, vars: make([]atomic.Int64, m.VarCount()),
-		backoff: spin.Config{Watchdog: waitWatchdog}.Normalized()}
+		backoff: spin.New(spin.Config{Watchdog: waitWatchdog})}
 	for v := range g.vars {
 		g.vars[v].Store(m.VarValue(sim.VarID(v)))
 	}
@@ -79,7 +79,7 @@ type goroutineRun struct {
 	prog    sim.Program
 	iters   int64
 	vars    []atomic.Int64 // by sim.VarID
-	backoff spin.Config
+	backoff spin.Backoff   // every wait starts from a copy
 
 	// mu serializes dispatch and program building: programs share per-run
 	// scratch, so no two may be built at once.
@@ -140,7 +140,7 @@ func (g *goroutineRun) exec(op *sim.Op, iter int64, fr *workerFrame) error {
 		}
 	case sim.OpWait:
 		v := &g.vars[op.Var]
-		for b := spin.New(g.backoff); v.Load() < op.Value; {
+		for b := g.backoff; v.Load() < op.Value; {
 			if g.stop.Load() {
 				return errStopped
 			}

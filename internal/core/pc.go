@@ -9,16 +9,16 @@
 // owner+X, where X is the number of physical PCs the loop is folded onto
 // (processes i, i+X, i+2X, ... share PC[i mod X]).
 //
-// The package provides the paper's primitives in two forms:
+// The package holds the PC value and its folding onto X physical counters,
+// and provides the paper's primitives in two forms:
 //
-//   - op builders over the machine simulator (SimPCs), used by the
-//     measurement experiments — both the basic set_PC/release_PC/get_PC set
-//     of Fig 4.2a and the improved load_index/mark_PC/transfer_PC set of
-//     Fig 4.3;
-//   - real concurrent implementations over goroutines and atomics (PCSet,
-//     Runner), usable as a library for pipelined Doacross execution,
-//     including the split-field variant whose non-atomic two-field updates
-//     section 6 argues are safe.
+//   - op builders over the machine simulator (SimPCs), which codegen emits
+//     for every process-oriented program — both the basic
+//     set_PC/release_PC/get_PC set of Fig 4.2a and the improved
+//     load_index/mark_PC/transfer_PC set of Fig 4.3; on goroutines those
+//     programs run through codegen.RunGoroutines;
+//   - SplitPCSet, a standalone goroutine implementation of the split-field
+//     counter whose non-atomic two-field updates section 6 argues are safe.
 package core
 
 import "fmt"
@@ -51,19 +51,6 @@ func (p PC) Pack() int64 {
 		panic(fmt.Sprintf("core: step %d out of range", p.Step))
 	}
 	return p.Owner<<StepBits | p.Step
-}
-
-// Unpack decodes a packed PC.
-func Unpack(v int64) PC {
-	return PC{Owner: v >> StepBits, Step: v & MaxStep}
-}
-
-// GE reports p >= q in lexicographic order.
-func (p PC) GE(q PC) bool {
-	if p.Owner != q.Owner {
-		return p.Owner > q.Owner
-	}
-	return p.Step >= q.Step
 }
 
 // String renders the PC as "<owner,step>".

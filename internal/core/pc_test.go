@@ -6,13 +6,27 @@ import (
 	"testing/quick"
 )
 
+// unpack decodes a packed PC.
+func unpack(v int64) PC {
+	return PC{Owner: v >> StepBits, Step: v & MaxStep}
+}
+
+// GE reports p >= q in lexicographic order: the order of Fig 4.2a that
+// Pack's integer order must match and the hand protocol models check.
+func (p PC) GE(q PC) bool {
+	if p.Owner != q.Owner {
+		return p.Owner > q.Owner
+	}
+	return p.Step >= q.Step
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	cases := []PC{
 		{0, 0}, {1, 0}, {1, 1}, {7, 19}, {MaxOwner, MaxStep}, {1 << 30, 3},
 	}
 	for _, p := range cases {
-		if got := Unpack(p.Pack()); got != p {
-			t.Errorf("Unpack(Pack(%v)) = %v", p, got)
+		if got := unpack(p.Pack()); got != p {
+			t.Errorf("unpack(Pack(%v)) = %v", p, got)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (s *SimPCs) ReleasePC(dst []sim.Op, iter int64) []sim.Op {
 // moved past iter-dist also satisfies the wait (lexicographic order), which
 // is sound because ownership transfers only after the owner's last source
 // statement. A source before the first iteration does not exist; such waits
-// are satisfied immediately (a zero-cycle no-op), mirroring PCSet.Wait.
+// are satisfied immediately (a zero-cycle no-op), as codegen.RunGoroutines and SplitPCSet.Wait do.
 func (s *SimPCs) WaitPC(dst []sim.Op, iter, dist, step int64) []sim.Op {
 	src := iter - dist
 	if src < 1 {

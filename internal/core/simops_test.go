@@ -25,11 +25,11 @@ func TestSimPCsBasicProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slot 0 ended owned by process 5 (3+X).
-	if got := Unpack(m.VarValue(pcs.Vars()[0])); got != (PC{5, 0}) {
+	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{5, 0}) {
 		t.Errorf("final PC[0] = %v, want <5,0>", got)
 	}
 	// Slot 1 untouched: still owned by process 2.
-	if got := Unpack(m.VarValue(pcs.Vars()[1])); got != (PC{2, 0}) {
+	if got := unpack(m.VarValue(pcs.Vars()[1])); got != (PC{2, 0}) {
 		t.Errorf("final PC[1] = %v, want <2,0>", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
+	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
 		t.Errorf("final PC[0] = %v, want <3,0>", got)
 	}
 	// Broadcasts: process 1's mark and release, process 2's release — the
@@ -81,7 +81,7 @@ func TestSimPCsWaitSatisfiedByOwnershipAdvance(t *testing.T) {
 
 // TestSimPCsWaitBoundaryNoOp: wait_PC whose source precedes the first
 // iteration (iter-dist < 1) must be a satisfied no-op, exactly as
-// PCSet.Wait's guard — not a panic in Fold. This is the regression test for
+// SplitPCSet.Wait's guard — not a panic in Fold. This is the regression test for
 // the boundary-wait bug: the seed code panicked here.
 func TestSimPCsWaitBoundaryNoOp(t *testing.T) {
 	m := sim.New(sim.Config{Processors: 1, SyncOpCost: 0})
@@ -98,7 +98,7 @@ func TestSimPCsWaitBoundaryNoOp(t *testing.T) {
 	if stats.Polls != 0 {
 		t.Errorf("boundary waits polled %d times, want 0", stats.Polls)
 	}
-	if got := Unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
+	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
 		t.Errorf("final PC[0] = %v, want <3,0>", got)
 	}
 }
@@ -130,11 +130,10 @@ func TestPCString(t *testing.T) {
 
 func TestSplitPCSetAccessors(t *testing.T) {
 	s := NewSplitPCSet(3)
-	if s.X() != 3 {
-		t.Errorf("X = %d", s.X())
-	}
-	if got := s.Load(1); got != (PC{2, 0}) {
-		t.Errorf("Load(1) = %v, want <2,0>", got)
+	for k := 0; k < 3; k++ {
+		if got := s.Load(k); got != InitialPC(k) {
+			t.Errorf("Load(%d) = %v, want %v", k, got, InitialPC(k))
+		}
 	}
 	defer func() {
 		if recover() == nil {

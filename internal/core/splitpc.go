@@ -1,8 +1,6 @@
 package core
 
-import (
-	"github.com/csrd-repro/datasync/internal/spin"
-)
+import "github.com/csrd-repro/datasync/internal/spin"
 
 // SplitPCSet stores each process counter as two separately written words,
 // implementing section 6's observation that the owner and step fields "need
@@ -29,35 +27,27 @@ import (
 //     checker surfaces.)
 //
 // Both fields live on their own cache lines (spin.Padded), and all waits go
-// through the shared tiered backoff, exactly as PCSet's.
+// through the tiered backoff of package spin, with no deadline.
 type SplitPCSet struct {
-	x      int64
-	cfg    spin.Config
-	m      *Metrics
-	owners []spin.Padded
-	steps  []spin.Padded
+	x       int64
+	backoff spin.Backoff // every wait starts from a copy
+	owners  []spin.Padded
+	steps   []spin.Padded
 }
 
 // NewSplitPCSet builds X split-field process counters initialized to
-// <slot+1, 0> with the default waiting strategy and no metrics.
-func NewSplitPCSet(x int) *SplitPCSet { return NewSplitPCSetOpts(x, Options{}) }
-
-// NewSplitPCSetOpts builds X split-field process counters with explicit
-// spin tiers and optional metrics collection.
-func NewSplitPCSetOpts(x int, o Options) *SplitPCSet {
+// <slot+1, 0>.
+func NewSplitPCSet(x int) *SplitPCSet {
 	if x < 1 {
 		panic("core: need at least one PC")
 	}
-	s := &SplitPCSet{x: int64(x), cfg: o.Spin.Normalized(), m: o.Metrics,
+	s := &SplitPCSet{x: int64(x), backoff: spin.New(spin.Config{}),
 		owners: make([]spin.Padded, x), steps: make([]spin.Padded, x)}
 	for k := 0; k < x; k++ {
 		s.owners[k].Store(int64(k) + 1)
 	}
 	return s
 }
-
-// X returns the number of physical PCs.
-func (s *SplitPCSet) X() int { return int(s.x) }
 
 // Load returns a (possibly torn, always sound) snapshot of PC[slot].
 func (s *SplitPCSet) Load(slot int) PC {
@@ -75,26 +65,16 @@ func (s *SplitPCSet) satisfied(slot int, src, step int64) bool {
 }
 
 // Wait is wait_PC(dist, step): spin until the observed pair
-// <owner, step> >= <iter-dist, step> lexicographically.
+// <owner, step> >= <iter-dist, step> lexicographically. A source before
+// the first iteration does not exist; such waits return immediately.
 func (s *SplitPCSet) Wait(iter, dist, step int64) {
 	src := iter - dist
 	if src < 1 {
 		return
 	}
 	slot := Fold(src, int(s.x))
-	if s.satisfied(slot, src, step) {
-		s.m.noteWait(slot, 0)
-		return
-	}
-	b := spin.New(s.cfg)
-	for !s.satisfied(slot, src, step) {
-		if err := b.Pause(); err != nil {
-			panic(&WaitError{Op: "wait_PC", Iter: iter, Slot: slot,
-				Last: s.Load(slot), Want: PC{Owner: src, Step: step},
-				Err: err.(*spin.DeadlineError)})
-		}
-	}
-	s.m.noteWait(slot, b.Spins())
+	// No watchdog is armed, so the wait cannot fail.
+	_ = spin.Until(s.backoff, func() bool { return s.satisfied(slot, src, step) })
 }
 
 // Mark is mark_PC(step): update the step only when ownership has been
@@ -110,20 +90,9 @@ func (s *SplitPCSet) Mark(iter, step int64) {
 // section-6 store order — step first, owner second.
 func (s *SplitPCSet) Transfer(iter int64) {
 	slot := Fold(iter, int(s.x))
-	spins := 0
-	if s.owners[slot].Load() < iter {
-		b := spin.New(s.cfg)
-		for s.owners[slot].Load() < iter {
-			if err := b.Pause(); err != nil {
-				panic(&WaitError{Op: "transfer_PC", Iter: iter, Slot: slot,
-					Last: s.Load(slot), Want: PC{Owner: iter, Step: 0},
-					Err: err.(*spin.DeadlineError)})
-			}
-		}
-		spins = b.Spins()
-	}
-	s.m.noteWait(slot, spins)        // ownership acquisitions count as waits
-	s.steps[slot].Store(0)           // step field first ...
-	s.owners[slot].Store(iter + s.x) // ... then the owner field
-	s.m.noteHandoff(slot)
+	owner := &s.owners[slot]
+	// No watchdog is armed, so the wait cannot fail.
+	_ = spin.Until(s.backoff, func() bool { return owner.Load() >= iter })
+	s.steps[slot].Store(0)  // step field first ...
+	owner.Store(iter + s.x) // ... then the owner field
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -199,5 +200,85 @@ func TestSplitPCSetChainStress(t *testing.T) {
 	wg.Wait()
 	if a[n] != n {
 		t.Errorf("a[%d] = %d, want %d (dependence violated)", n, a[n], n)
+	}
+}
+
+func TestSplitPCSetMarkSkippedWhenNotOwned(t *testing.T) {
+	s := NewSplitPCSet(1)
+	// Process 2 does not own PC[0] (owner is 1): Mark must be a no-op.
+	s.Mark(2, 1)
+	if got := s.Load(0); got != (PC{1, 0}) {
+		t.Errorf("Mark by non-owner changed PC: %v", got)
+	}
+	// Process 1 owns it: Mark applies.
+	s.Mark(1, 2)
+	if got := s.Load(0); got != (PC{1, 2}) {
+		t.Errorf("Mark by owner did not apply: %v", got)
+	}
+	// After process 1 transfers, process 2's Mark applies.
+	s.Transfer(1)
+	s.Mark(2, 1)
+	if got := s.Load(0); got != (PC{2, 1}) {
+		t.Errorf("Mark by new owner did not apply: %v", got)
+	}
+}
+
+func TestWaitBeforeLoopStartReturns(t *testing.T) {
+	s := NewSplitPCSet(2)
+	done := make(chan struct{})
+	go func() {
+		s.Wait(1, 3, 7) // source iteration -2 does not exist
+		s.Wait(2, 2, 1) // source iteration 0 does not exist
+		close(done)
+	}()
+	<-done
+}
+
+// TestSplitPCSetReusedAcrossLoops: process counters need no
+// reinitialization between consecutive loops — ownership just keeps
+// advancing (the paper's point against data-oriented schemes' per-loop key
+// initialization). Two back-to-back Doacross loops share one SplitPCSet;
+// the second numbers its iterations N+1..2N.
+func TestSplitPCSetReusedAcrossLoops(t *testing.T) {
+	const n, x, workers = 100, 4, 3
+	s := NewSplitPCSet(x)
+	a := make([]int64, 2*n+1)
+	runLoop := func(start, end int64) {
+		var next atomic.Int64
+		next.Store(start - 1)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := next.Add(1)
+					if i > end {
+						return
+					}
+					s.Wait(i, 1, 1)
+					if i == 1 {
+						a[1] = 1
+					} else {
+						a[i] = a[i-1] + 1
+					}
+					s.Mark(i, 1)
+					s.Transfer(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	runLoop(1, n)     // first loop: iterations 1..N
+	runLoop(n+1, 2*n) // second loop reuses the PCs with no reset
+	for i := int64(1); i <= 2*n; i++ {
+		if a[i] != i {
+			t.Fatalf("a[%d] = %d", i, a[i])
+		}
+	}
+	for k := 0; k < x; k++ {
+		if owner := s.Load(k).Owner; owner <= 2*n {
+			t.Errorf("slot %d final owner %d, want > %d", k, owner, 2*n)
+		}
 	}
 }

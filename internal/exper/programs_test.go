@@ -27,6 +27,11 @@ func pcOp(kind sim.OpKind, slotOf, owner, step int64, own bool) wantOp {
 	return wantOp{kind: kind, slotOf: slotOf, owner: owner, step: step, own: own}
 }
 
+// unpack decodes a packed PC for a failure message.
+func unpack(v int64) core.PC {
+	return core.PC{Owner: v >> core.StepBits, Step: v & core.MaxStep}
+}
+
 // checkProgram compares a generated program of iteration iter over x
 // folded counters with the expected op sequence, on kinds, variables and
 // values: no rendered tag is read.
@@ -50,14 +55,14 @@ func checkProgram(t *testing.T, m *sim.Machine, ops []sim.Op, iter int64, x int,
 		if got, want := m.VarName(op.Var), fmt.Sprintf("PC[%d]", core.Fold(w.slotOf, x)); got != want {
 			t.Errorf("%s: on %s, want %s", at, got, want)
 		}
-		if got, want := core.Unpack(op.Value), (core.PC{Owner: w.owner, Step: w.step}); got != want {
-			t.Errorf("%s: value %v, want %v", at, got, want)
+		if got, want := op.Value, (core.PC{Owner: w.owner, Step: w.step}); got != want.Pack() {
+			t.Errorf("%s: value %v, want %v", at, unpack(got), want)
 		}
 		if op.OwnCheck != w.own {
 			t.Errorf("%s: ownership check %v, want %v", at, op.OwnCheck, w.own)
 		}
-		if op.Kind == sim.OpWriteIf && core.Unpack(op.CondGE) != (core.PC{Owner: iter}) {
-			t.Errorf("%s: guard %v, want ownership <%d,0>", at, core.Unpack(op.CondGE), iter)
+		if op.Kind == sim.OpWriteIf && op.CondGE != (core.PC{Owner: iter}).Pack() {
+			t.Errorf("%s: guard %v, want ownership <%d,0>", at, unpack(op.CondGE), iter)
 		}
 	}
 }

@@ -30,72 +30,22 @@ type Padded struct {
 	_ [CacheLine - 8]byte
 }
 
-// Config tunes the backoff tiers. The zero value of a field selects its
-// default (see Defaults); a negative count disables that tier. Watchdog 0
-// disables the deadline.
+// The backoff tiers: hotSpins back-to-back re-checks of the caller's
+// condition, then yieldSpins runtime.Gosched calls, then parked sleeps
+// doubling from sleepMin up to the sleepMax cap.
+const (
+	hotSpins   = 64
+	yieldSpins = 128
+	sleepMin   = 2 * time.Microsecond
+	sleepMax   = 512 * time.Microsecond
+)
+
+// Config configures a wait. The zero value waits without a deadline.
 type Config struct {
-	// HotSpins is how many times the caller re-checks its condition
-	// back-to-back (tier 1) before starting to yield. Pause is free in
-	// this tier: the re-check itself is the spin.
-	HotSpins int
-	// YieldSpins is how many runtime.Gosched calls (tier 2) precede the
-	// sleeping tier.
-	YieldSpins int
-	// SleepMin and SleepMax bound tier 3's parked sleeps; the sleep doubles
-	// per pause from SleepMin up to the SleepMax cap.
-	SleepMin time.Duration
-	SleepMax time.Duration
 	// Watchdog, when positive, bounds one wait: a waiter still unsatisfied
 	// this long after entering the sleeping tier gets a *DeadlineError
 	// from Pause instead of hanging silently.
 	Watchdog time.Duration
-}
-
-// Defaults returns the default backoff tiers: 64 hot re-checks, 128 yields,
-// then 2µs..512µs capped exponential sleeps, no watchdog. On an effectively
-// serial host (one CPU, or GOMAXPROCS=1) the hot tier is disabled (-1):
-// nothing can change the awaited condition while this goroutine monopolizes
-// the processor, so bare re-checks only delay the writer's turn to run.
-func Defaults() Config {
-	hot := 64
-	if runtime.NumCPU() == 1 || runtime.GOMAXPROCS(0) == 1 {
-		hot = -1
-	}
-	return Config{HotSpins: hot, YieldSpins: 128, SleepMin: 2 * time.Microsecond, SleepMax: 512 * time.Microsecond}
-}
-
-// Normalized returns c with every zero field replaced by its default, so
-// the result round-trips through New without consulting Defaults again.
-// Long-lived waiters (counter sets, barriers) normalize their Config once
-// at construction: Defaults reads GOMAXPROCS, which takes a scheduler
-// lock — too expensive for the per-wait path.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.HotSpins != 0 && c.YieldSpins != 0 && c.SleepMin > 0 && c.SleepMax != 0 {
-		// Fully specified (or already normalized): skip the Defaults call.
-		if c.SleepMax < c.SleepMin {
-			c.SleepMax = c.SleepMin
-		}
-		return c
-	}
-	d := Defaults()
-	if c.HotSpins == 0 {
-		c.HotSpins = d.HotSpins
-	}
-	if c.YieldSpins == 0 {
-		c.YieldSpins = d.YieldSpins
-	}
-	if c.SleepMin <= 0 {
-		c.SleepMin = d.SleepMin
-	}
-	if c.SleepMax == 0 {
-		c.SleepMax = d.SleepMax
-	}
-	if c.SleepMax < c.SleepMin {
-		c.SleepMax = c.SleepMin
-	}
-	return c
 }
 
 // DeadlineError reports a wait that exceeded the watchdog deadline.
@@ -108,21 +58,29 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("spin: wait exceeded watchdog deadline after %v (%d spins)", e.Waited, e.Spins)
 }
 
-// Backoff is the per-wait tier state. Create one per contended wait with
-// New; it is not safe for concurrent use.
+// Backoff is the per-wait tier state. It is not safe for concurrent use.
+// New reads GOMAXPROCS, which takes a scheduler lock, so a long-lived
+// waiter (a barrier, a counter set, a goroutine run) builds one Backoff
+// and starts each wait from a copy of it.
 type Backoff struct {
-	cfg   Config
-	spins int
-	sleep time.Duration
-	start time.Time
+	watchdog time.Duration
+	hot      int // hot re-checks before yielding: hotSpins, or 0 on a serial host
+	spins    int
+	sleep    time.Duration
+	start    time.Time
 }
 
-// New returns a Backoff at the start of tier 1, with zero Config fields
-// replaced by their defaults.
-func New(cfg Config) Backoff { return Backoff{cfg: cfg.withDefaults()} }
-
-// Spins returns how many pauses this wait has taken so far.
-func (b *Backoff) Spins() int { return b.spins }
+// New returns a Backoff at the start of its first tier. On an effectively
+// serial host (one CPU, or GOMAXPROCS=1) the hot tier is skipped: nothing
+// can change the awaited condition while this goroutine monopolizes the
+// processor, so bare re-checks only delay the writer's turn to run.
+func New(cfg Config) Backoff {
+	hot := hotSpins
+	if runtime.NumCPU() == 1 || runtime.GOMAXPROCS(0) == 1 {
+		hot = 0
+	}
+	return Backoff{watchdog: cfg.Watchdog, hot: hot}
+}
 
 // Pause takes one backoff step in the current tier and advances the tier
 // state. It returns a *DeadlineError once the watchdog deadline has passed,
@@ -130,22 +88,19 @@ func (b *Backoff) Spins() int { return b.spins }
 func (b *Backoff) Pause() error {
 	b.spins++
 	switch {
-	case b.spins <= b.cfg.HotSpins:
+	case b.spins <= b.hot:
 		// Tier 1: the caller's condition re-check is the spin.
-	case b.spins <= b.cfg.HotSpins+b.cfg.YieldSpins:
+	case b.spins <= b.hot+yieldSpins:
 		runtime.Gosched()
 	default:
 		if b.sleep == 0 {
-			b.sleep = b.cfg.SleepMin
+			b.sleep = sleepMin
 			b.start = time.Now()
-		} else if b.sleep < b.cfg.SleepMax {
-			b.sleep *= 2
-			if b.sleep > b.cfg.SleepMax {
-				b.sleep = b.cfg.SleepMax
-			}
+		} else if b.sleep < sleepMax {
+			b.sleep = min(2*b.sleep, sleepMax)
 		}
 		time.Sleep(b.sleep)
-		if w := b.cfg.Watchdog; w > 0 {
+		if w := b.watchdog; w > 0 {
 			if waited := time.Since(b.start); waited > w {
 				return &DeadlineError{Waited: waited, Spins: b.spins}
 			}
@@ -154,20 +109,14 @@ func (b *Backoff) Pause() error {
 	return nil
 }
 
-// Until spins cond to true under cfg's tiers and returns the number of
-// pauses taken. It returns a *DeadlineError (with the same pause count) if
-// the watchdog deadline passes first.
-func Until(cfg Config, cond func() bool) (int, error) {
-	if cond() {
-		return 0, nil
-	}
-	b := New(cfg)
-	for {
+// Until spins cond to true from b (a copy: the caller's Backoff is left
+// as it was). It returns the *DeadlineError of a watchdog deadline that
+// passes first.
+func Until(b Backoff, cond func() bool) error {
+	for !cond() {
 		if err := b.Pause(); err != nil {
-			return b.spins, err
-		}
-		if cond() {
-			return b.spins, nil
+			return err
 		}
 	}
+	return nil
 }

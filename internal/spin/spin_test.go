@@ -2,6 +2,7 @@ package spin
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,62 +30,72 @@ func TestPaddedIsAtomic(t *testing.T) {
 	}
 }
 
-func TestDefaultsNormalization(t *testing.T) {
-	c := Config{}.withDefaults()
-	d := Defaults()
-	if c != d {
-		t.Errorf("zero Config normalized to %+v, want %+v", c, d)
+// TestNewSkipsHotTierWhenSerial: the hot tier is computed from the host,
+// not configured — skipped at GOMAXPROCS=1, hotSpins re-checks otherwise.
+func TestNewSkipsHotTierWhenSerial(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	serial := New(Config{Watchdog: time.Second})
+	runtime.GOMAXPROCS(2)
+	parallel := New(Config{})
+	runtime.GOMAXPROCS(prev)
+	if serial.hot != 0 || serial.watchdog != time.Second {
+		t.Errorf("GOMAXPROCS=1: hot = %d, watchdog = %v; want 0, 1s", serial.hot, serial.watchdog)
 	}
-	// Explicitly disabled tiers survive normalization.
-	c = Config{HotSpins: -1, YieldSpins: -1}.withDefaults()
-	if c.HotSpins != -1 || c.YieldSpins != -1 {
-		t.Errorf("disabled tiers overwritten: %+v", c)
-	}
-	// SleepMax below SleepMin is clamped up.
-	c = Config{SleepMin: time.Millisecond, SleepMax: time.Microsecond}.withDefaults()
-	if c.SleepMax != c.SleepMin {
-		t.Errorf("SleepMax = %v, want clamped to %v", c.SleepMax, c.SleepMin)
+	if want := hotSpins; runtime.NumCPU() > 1 && parallel.hot != want {
+		t.Errorf("GOMAXPROCS=2: hot = %d, want %d", parallel.hot, want)
 	}
 }
 
 func TestBackoffTierProgression(t *testing.T) {
-	b := New(Config{HotSpins: 3, YieldSpins: 2, SleepMin: time.Microsecond, SleepMax: 4 * time.Microsecond})
-	for i := 1; i <= 8; i++ {
+	b := New(Config{})
+	pauses := b.hot + yieldSpins + 3
+	for i := 1; i <= pauses; i++ {
 		if err := b.Pause(); err != nil {
 			t.Fatalf("pause %d: %v", i, err)
 		}
+		if i == b.hot+yieldSpins && b.sleep != 0 {
+			t.Fatalf("slept within the first %d pauses", i)
+		}
 	}
-	if b.Spins() != 8 {
-		t.Errorf("Spins = %d, want 8", b.Spins())
+	if b.spins != pauses {
+		t.Errorf("spins = %d, want %d", b.spins, pauses)
 	}
-	// After 3 hot + 2 yield pauses, 3 sleeping pauses doubled 1µs -> 4µs cap.
-	if b.sleep != 4*time.Microsecond {
-		t.Errorf("sleep = %v, want capped at 4µs", b.sleep)
+	// Three sleeping pauses double sleepMin twice.
+	if b.sleep != 4*sleepMin {
+		t.Errorf("sleep = %v, want %v", b.sleep, 4*sleepMin)
+	}
+	for b.sleep < sleepMax {
+		b.Pause()
+	}
+	if b.Pause(); b.sleep != sleepMax {
+		t.Errorf("sleep = %v, want capped at %v", b.sleep, sleepMax)
 	}
 }
 
 func TestUntilImmediate(t *testing.T) {
-	spins, err := Until(Config{}, func() bool { return true })
-	if spins != 0 || err != nil {
-		t.Errorf("Until(true) = %d, %v", spins, err)
+	calls := 0
+	if err := Until(New(Config{}), func() bool { calls++; return true }); calls != 1 || err != nil {
+		t.Errorf("Until(true) = %v after %d checks, want nil after 1", err, calls)
 	}
 }
 
 func TestUntilSpinsToCondition(t *testing.T) {
 	var n atomic.Int64
-	spins, err := Until(Config{HotSpins: 2, YieldSpins: 2}, func() bool { return n.Add(1) >= 5 })
-	if err != nil {
+	b := New(Config{})
+	if err := Until(b, func() bool { return n.Add(1) >= 5 }); err != nil {
 		t.Fatal(err)
 	}
-	if spins != 4 {
-		t.Errorf("spins = %d, want 4", spins)
+	if n.Load() != 5 {
+		t.Errorf("condition checked %d times, want 5", n.Load())
+	}
+	if b.spins != 0 {
+		t.Errorf("Until advanced the caller's Backoff to %d spins", b.spins)
 	}
 }
 
 func TestWatchdogTrips(t *testing.T) {
-	cfg := Config{HotSpins: 1, YieldSpins: 1, SleepMin: 50 * time.Microsecond,
-		SleepMax: 100 * time.Microsecond, Watchdog: 2 * time.Millisecond}
-	_, err := Until(cfg, func() bool { return false })
+	cfg := Config{Watchdog: 2 * time.Millisecond}
+	err := Until(New(cfg), func() bool { return false })
 	var de *DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *DeadlineError", err)
@@ -97,7 +108,7 @@ func TestWatchdogTrips(t *testing.T) {
 func TestWatchdogDisabledByDefault(t *testing.T) {
 	// A satisfied-late wait under the default config must not error.
 	var n atomic.Int64
-	if _, err := Until(Defaults(), func() bool { return n.Add(1) > 300 }); err != nil {
+	if err := Until(New(Config{}), func() bool { return n.Add(1) > 300 }); err != nil {
 		t.Fatal(err)
 	}
 }
