@@ -68,13 +68,12 @@ type Options struct {
 	// 16). Smaller chunks give work-stealing finer granularity; larger
 	// ones amortize dispatch overhead.
 	StealChunk int
-	// PeerAttempts/PeerBaseDelay/PeerMaxDelay tune the retrying peer
-	// clients (defaults 3 / 50ms / 1s). Attempts are deliberately fewer
-	// than a user-facing client's: an unreachable peer should be declared
-	// dead and healed around quickly.
+	// PeerAttempts/PeerBaseDelay tune the retrying peer clients (defaults
+	// 3 / 50ms; a retry waits at most peerMaxDelay). Attempts are
+	// deliberately fewer than a user-facing client's: an unreachable peer
+	// should be declared dead and healed around quickly.
 	PeerAttempts  int
 	PeerBaseDelay time.Duration
-	PeerMaxDelay  time.Duration
 	// ProbeInterval is the active failure detector's probe period; 0
 	// disables probing (membership then changes only on transport evidence,
 	// as before the detector existed). With probing on, demotion is
@@ -106,6 +105,9 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// peerMaxDelay caps the backoff between a peer client's retries.
+const peerMaxDelay = time.Second
+
 func (o Options) withDefaults() Options {
 	if o.Self == "" {
 		o.Self = "solo"
@@ -121,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PeerBaseDelay <= 0 {
 		o.PeerBaseDelay = 50 * time.Millisecond
-	}
-	if o.PeerMaxDelay <= 0 {
-		o.PeerMaxDelay = time.Second
 	}
 	if o.ProbeInterval < 0 {
 		o.ProbeInterval = 0
@@ -279,7 +278,7 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 			Base:        m.Addr,
 			MaxAttempts: opts.PeerAttempts,
 			BaseDelay:   opts.PeerBaseDelay,
-			MaxDelay:    opts.PeerMaxDelay,
+			MaxDelay:    peerMaxDelay,
 			Header:      hdr,
 		}
 	}

@@ -8,13 +8,13 @@ import "github.com/csrd-repro/datasync/internal/sim"
 
 // The primitives' tag formats.
 var (
-	tagGetPC           = sim.RegisterFormat("get_PC i=%d")
+	tagGetPC           = sim.RegisterSiteFormat("get_PC i=%d", "get_PC")
 	tagSetPC           = sim.RegisterFormat("set_PC(%d) i=%d")
 	tagReleasePC       = sim.RegisterFormat("release_PC i=%d")
 	tagWaitPCNoop      = sim.RegisterFormat("wait_PC(%d,%d) i=%d noop")
-	tagWaitPC          = sim.RegisterFormat("wait_PC(%d,%d) i=%d")
+	tagWaitPC          = sim.RegisterSiteFormat("wait_PC(%d,%d) i=%d", "wait_PC(%d,%d)")
 	tagMarkPC          = sim.RegisterFormat("mark_PC(%d) i=%d")
-	tagTransferOwn     = sim.RegisterFormat("transfer_PC:own i=%d")
+	tagTransferOwn     = sim.RegisterSiteFormat("transfer_PC:own i=%d", "transfer_PC:own")
 	tagTransferRelease = sim.RegisterFormat("transfer_PC:release i=%d")
 )
 

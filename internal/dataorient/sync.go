@@ -27,17 +27,25 @@ func NewSimKeys(m *sim.Machine, p *Plan) *SimKeys {
 
 // The data-oriented ops' tag formats.
 var (
-	tagKeyWait  = sim.RegisterFormat("key:wait %s>=%d")
+	tagKeyWait  = sim.RegisterSiteFormat("key:wait %s>=%d", "key:wait %s>=*")
 	tagKeyInc   = sim.RegisterFormat("key:inc %s")
 	tagFill     = sim.RegisterFormat("fe:fill %s.v%d.c%d")
 	tagInitData = sim.RegisterFormat("fe:init-data")
-	tagConsume  = sim.RegisterFormat("fe:consume %s.v%d.c%d")
+	tagConsume  = sim.RegisterSiteFormat("fe:consume %s.v%d.c%d", "fe:consume %s.v*")
 )
 
-// elemNames names element i "A[i]".
+// elemNames names element i "A[i]", and its array "A[*]" as its site.
 type elemNames struct{ p *Plan }
 
 func (n elemNames) Name(i int) string { return n.p.name(i) }
+
+// Site returns the first element of element i's array: Order sorts by
+// array name first.
+func (n elemNames) Site(i int) int {
+	return sort.Search(i, func(j int) bool { return n.p.Order[j].Array == n.p.Order[i].Array })
+}
+
+func (n elemNames) SiteName(i int) string { return n.p.Order[i].Array + "[*]" }
 
 // keyNames names element i's key "key:A[i]".
 type keyNames struct{ p *Plan }

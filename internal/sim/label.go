@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -33,6 +34,8 @@ var (
 	// formats is the format registry, by Format. Format 0 is the empty
 	// format of the zero Label.
 	formats = []string{"", "%s"}
+	// sites holds the site formats of the formats that have one.
+	sites = map[Format]string{}
 	// formatsSealed is set by the first New: from then on the registry
 	// is read without a lock and must not change.
 	formatsSealed atomic.Bool
@@ -51,6 +54,17 @@ func RegisterFormat(format string) Format {
 	}
 	formats = append(formats, format)
 	return Format(len(formats) - 1)
+}
+
+// RegisterSiteFormat registers format as RegisterFormat does, with site as
+// the format of its labels' sites: what stays the same from one iteration
+// to the next. The "%d" verbs of site take the label's first integer
+// arguments and its "%s" the site of the string argument (SiteNamer), so
+// "wait_PC(%d,%d) i=%d" has the site "wait_PC(%d,%d)".
+func RegisterSiteFormat(format, site string) Format {
+	f := RegisterFormat(format)
+	sites[f] = site
+	return f
 }
 
 // StrID names a string of a machine's name table (Machine.AddNames,
@@ -112,6 +126,37 @@ func (m *Machine) AppendRender(dst []byte, l Label) []byte {
 	return appendRender(dst, f, s, l.args[:])
 }
 
+// SiteOf returns the label that stands for l's site, equal for every
+// label placed at it: l with only the integer arguments its site format
+// renders and with the first string of its string argument's site. A
+// label of a format without a site format is its own site.
+func (m *Machine) SiteOf(l Label) Label {
+	site, ok := sites[l.fmt]
+	if !ok {
+		return l
+	}
+	s := Label{fmt: l.fmt, str: l.str}
+	copy(s.args[:], l.args[:strings.Count(site, "%d")])
+	d, i := m.strs.decl(int32(l.str))
+	if sn, ok := d.names.(SiteNamer); ok {
+		s.str = StrID(d.first) + StrID(sn.Site(i))
+	}
+	return s
+}
+
+// AppendSite appends the text of label l's site to dst.
+func (m *Machine) AppendSite(dst []byte, l Label) []byte {
+	site, ok := sites[l.fmt]
+	if !ok {
+		return m.AppendRender(dst, l)
+	}
+	d, i := m.strs.decl(int32(l.str))
+	if sn, ok := d.names.(SiteNamer); ok {
+		return appendRender(dst, site, sn.SiteName(i), l.args[:])
+	}
+	return appendRender(dst, site, m.strs.name(int32(l.str)), l.args[:])
+}
+
 // Format returns the format l renders.
 func (l Label) Format() Format { return l.fmt }
 
@@ -154,6 +199,15 @@ type Namer interface {
 	Name(i int) string
 }
 
+// SiteNamer is a Namer whose members fall into sites, as an array's
+// elements fall into their array: Site(i) is the first member of member
+// i's site and SiteName(i) names that site.
+type SiteNamer interface {
+	Namer
+	Site(i int) int
+	SiteName(i int) string
+}
+
 // IndexedNames names the i-th member of a block by the format with each
 // "%d" replaced by i, e.g. IndexedNames("PC[%d]").
 type IndexedNames string
@@ -185,24 +239,21 @@ func (t *nameTable) add(n int, d nameDecl) int32 {
 	return d.first
 }
 
+// decl returns the declaration naming id, the last starting at or before
+// it, and id's index in its block.
+func (t *nameTable) decl(id int32) (nameDecl, int) {
+	k := sort.Search(len(t.decls), func(k int) bool { return t.decls[k].first > id }) - 1
+	if k < 0 {
+		return nameDecl{}, 0
+	}
+	return t.decls[k], int(id - t.decls[k].first)
+}
+
 // name renders the name of id.
 func (t *nameTable) name(id int32) string {
-	// The last declaration starting at or before id names it.
-	lo, hi := 0, len(t.decls)
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if t.decls[mid].first <= id {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(t.decls) {
-		return ""
-	}
-	d := t.decls[lo]
+	d, i := t.decl(id)
 	if d.names != nil {
-		return d.names.Name(int(id - d.first))
+		return d.names.Name(i)
 	}
 	return d.text
 }

@@ -32,10 +32,10 @@ type SimSCs struct {
 
 // The counters' op tag formats.
 var (
-	tagAdvanceWait = sim.RegisterFormat("advance:wait c=%d seq=%d")
+	tagAdvanceWait = sim.RegisterSiteFormat("advance:wait c=%d seq=%d", "advance:wait c=%d seq=*")
 	tagAdvanceSet  = sim.RegisterFormat("advance:set c=%d seq=%d")
 	tagAwaitNoop   = sim.RegisterFormat("await:noop")
-	tagAwait       = sim.RegisterFormat("await c=%d seq>=%d")
+	tagAwait       = sim.RegisterSiteFormat("await c=%d seq>=%d", "await c=%d seq>=*")
 )
 
 // NewSimSCs declares K statement counters on the machine.

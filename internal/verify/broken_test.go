@@ -58,7 +58,7 @@ func dropWait3(m *sim.Machine, op sim.Op) (sim.Op, bool) {
 
 // The tags of stretchWait3's rewritten waits.
 var (
-	tagWait5     = sim.RegisterFormat("wait_PC(5,%d) i=%d")
+	tagWait5     = sim.RegisterSiteFormat("wait_PC(5,%d) i=%d", "wait_PC(5,%d)")
 	tagWait5Noop = sim.RegisterFormat("wait_PC(5,%d) i=%d noop")
 )
 

@@ -213,8 +213,10 @@ func groupDigest(t testing.TB, g goldenGroup) (string, []string) {
 }
 
 // TestStaticGolden pins every report of the golden corpus to the digest
-// the map-based verifier produced, one digest per group. A mismatch logs
-// the group's per-report digests.
+// the map-based verifier produced, one digest per group, except that the
+// statement-scheme cases were re-pinned when wait sites began to fold the
+// advance waits' sequence numbers. A mismatch logs the group's per-report
+// digests.
 func TestStaticGolden(t *testing.T) {
 	groups := goldenCorpus(t)
 	if len(groups) != len(staticGolden) {
@@ -229,30 +231,32 @@ func TestStaticGolden(t *testing.T) {
 }
 
 // staticGolden holds the group digests of the map-based verifier, with
-// hard findings sorted by their JSON text.
+// hard findings sorted by their JSON text. The 29 groups with a
+// statement-k0 or statement-k1 report that folding "seq=N" out of wait
+// sites changed were re-pinned; no line of another scheme moved.
 var staticGolden = map[string]string{
-	"builtin/fig21/n20":                   "046dc623de4fc1ef3b14a71073d930b72b7a6e19ada4f84d6c32d98f15d60fab",
-	"builtin/fig21/n40":                   "23cf64dabc82f74432b33d496cecd287ad43e3a3488e52d29eccaf4c589b4245",
-	"builtin/fig21/n600":                  "cd12c6751235ffea2098daa166af8708a4cebd106d31608ba76c1d079c8bcc8e",
-	"builtin/nested/n10":                  "77d5f3249b9a7bba0dbb088efcad1c2c37daf1665f7d0e71e53d1e28277decea",
-	"builtin/nested/n20":                  "ed11ad1b2151d12575d7580861da6cf65c1fad496eaeee95add9e6e9a6265578",
-	"builtin/branchy/n20":                 "7239f2afa0ac54fe0e033ab8b1d664ebfcc18a04e18764d8afeb8f9525a27190",
-	"builtin/branchy/n40":                 "a2348288baa181a94cbccc9a0d5cc8d89cdf0887271fbe660ca8cb714cfc298e",
+	"builtin/fig21/n20":                   "fb1833f66be0ba18c9e0adbbc68c1ff8c26e9ea2ccce89b0ba78f3f8eaf735b8",
+	"builtin/fig21/n40":                   "dc5702653c6873b1283e2312b08694223c18ec189623e63fed585a3648c3f5ca",
+	"builtin/fig21/n600":                  "dde996683168b101eb71d46eb12134f86ac99fd5852cb3c09ee0ac406b6e9761",
+	"builtin/nested/n10":                  "099fd4959ce06fb004c9939a68cfba768017404f88fa557c103439f75ad2afc4",
+	"builtin/nested/n20":                  "55895bd63eda7e2c8023d0702edbba9a5753e35ecd7ee7eb4bee49cc9269c694",
+	"builtin/branchy/n20":                 "d18a42ac9657b1103aac1aff46266d609592df19f32858357987c39887734820",
+	"builtin/branchy/n40":                 "159b6611c51aba3e312ac1c028dce1d3916d255a2e7e2199ac36c9e125ba5e6d",
 	"builtin/recurrence/n20":              "d68a7004cacfbf7a16466289c9bc06b0c244136265c96e48cd16052dd1bfc436",
 	"builtin/recurrence/n60":              "cf495d796e59d3ac09f647cf14c315dfeb717325b1f404cd11b1c8c5e3941847",
-	"builtin/stencil/n8":                  "390a793dd42a30bb0f5d57a97db5660cd68c24905f6d4ac713f34636487287a9",
-	"builtin/stencil/n12":                 "b398daadfe12123dfc97bb5a661eeeeddc50fc533b0fdfd6be5d9b0630f99bfc",
-	"do/branchy.do":                       "250241c75ee2e8700bfd68ac0406f0e8f0b8fe27b2307fa9a498e652849afd0e",
-	"do/fig21.do":                         "5b60ca50be70384fb768f1e5089974ea9b83075df0ccba03299538fb7dfc1c0e",
-	"do/nested.do":                        "2f066a29ff86ddf9e462995a921fff8529e1930f50f8bf6ba0cfe4b840bf1412",
+	"builtin/stencil/n8":                  "c3680f6dd2320af0fdec82a779c321e75ed9934d29eee544a2c6f04458bdc531",
+	"builtin/stencil/n12":                 "18178f1b4afb32b6a74093d3e9022823ad475fdc63c8114385ccd1e64900a766",
+	"do/branchy.do":                       "06b6aa377af76834264c1cc50ea44011462ac34e08d0db67838790a43b30abfa",
+	"do/fig21.do":                         "e1ffeb72b2aae0117cb5f37437ec2c7d548dcc7ba62f1d921bd989cdddada909",
+	"do/nested.do":                        "2adc41448c56d2b5bf5ed8489c817902e7912c9320c323265032d4afb8e68509",
 	"do/recurrence.do":                    "6784b256a2fca47a8535ec47494493e87517b4dbc1fe11881d2796a146221bc4",
-	"do/stencil.do":                       "053e776b332e8f3d77a26842796677e1f09e8b686090ab5521a8fdecc2ceb325",
-	"go/branchy.go/0":                     "250241c75ee2e8700bfd68ac0406f0e8f0b8fe27b2307fa9a498e652849afd0e",
-	"go/compound.go/0":                    "441eefe29773c86337c5735ace7fd9115f1a154d04c58ad69186e6c4133c390f",
-	"go/stencil.go/0":                     "b398daadfe12123dfc97bb5a661eeeeddc50fc533b0fdfd6be5d9b0630f99bfc",
-	"go/strided.go/0":                     "d7c2e01c8d00a08397c15771dc21236fb6f3e8db0ef58ac6a9a6a494b017cc76",
+	"do/stencil.do":                       "25168b12a0ee0eda63ae24b2a30696c08b5b8208584314b582175e17ed7e782c",
+	"go/branchy.go/0":                     "06b6aa377af76834264c1cc50ea44011462ac34e08d0db67838790a43b30abfa",
+	"go/compound.go/0":                    "6cc1cc41b6c46cd10ca53a073f8b694e5d54c38397ccd519ce87278d4839744f",
+	"go/stencil.go/0":                     "18178f1b4afb32b6a74093d3e9022823ad475fdc63c8114385ccd1e64900a766",
+	"go/strided.go/0":                     "2780aa9d2659c751d6dc3026f80729e54c25dccc4b3ff5306f9e9b0328ad3aaf",
 	"go/twin_locals.go/0":                 "7daf211a86c10746788310164ba852ae613a4a59f55dfe2e9d5b9d70c9d130e1",
-	"go/twin_nested.go/0":                 "2f066a29ff86ddf9e462995a921fff8529e1930f50f8bf6ba0cfe4b840bf1412",
+	"go/twin_nested.go/0":                 "2adc41448c56d2b5bf5ed8489c817902e7912c9320c323265032d4afb8e68509",
 	"broken":                              "d286b0a338af1f3b2f2067bbae901d20a69a585f0ce1bda801caa22ee59acaf7",
 	"drop-waits/fig2.1/n40":               "1ce78bbb77cff9e979543e64319af278eab477c9ee65e22b4690e4d9d1bb32cc",
 	"drop-waits/example2-nested/n80":      "1e6a60851fb66f2d704f64058091d368e2c11ee5169e46418e4fd3982a7bcf0f",
@@ -260,16 +264,16 @@ var staticGolden = map[string]string{
 	"drop-waits/recurrence(d=3)/n60":      "43966c357f8ce35b68758fa1b8853f7296a0c3b6425190901a3f97d350d692fa",
 	"drop-waits/stencil/n100":             "7d20cbcd28c84e4ab26efe39aecbf4675f4faad8a63b3961e38a8ec8ec5088d1",
 	"drop-waits/fig2.1/n20":               "8451b9bdc55a7bd7f0aa995bad50e15165e4ca235aa65c511d2f65f189e329fe",
-	"drop-writes/fig2.1/n40":              "fad5ac9736f4d0163faab238728bd132a1460511a6dacac1178b8d9aaa33274b",
-	"drop-writes/example2-nested/n80":     "2102ee38838e97a517d94579da621eaa7f7279064ff105957492b2fff2bc5e08",
-	"drop-writes/example3-branchy/n40":    "d6ca35580a35520c55337df6d1ec5f3455a78c3da3a6472b66ce459c45738f65",
-	"drop-writes/recurrence(d=3)/n60":     "bfaec19347a001408c890eaecfe09e9194ccec9a4390ff77baf64fdb2eca645b",
-	"drop-writes/stencil/n100":            "cdcd4138ab7a3c12f055540b3c840d849f9ba3ef2ad7c39ca754f6a2b3e5c31b",
-	"drop-writes/fig2.1/n20":              "690f5569a9ee20e9d75ae73192d4d6f5188a5a7446e94545642e8df57ab6dc3c",
-	"drop-transfers/fig2.1/n40":           "d4e7c1b6d6e550b8b5d8864cb8ea75e47bc3af08d50983537bb9ce5ee197e78f",
-	"drop-transfers/example2-nested/n80":  "59b530df1de182dc8124b3ee4caacb8334116773318d3b68f3efae52943e9c7a",
-	"drop-transfers/example3-branchy/n40": "175e2dc9775d3f6febebcc4803eedec10c32ebefca1a965ef06e3edb9cf7402e",
+	"drop-writes/fig2.1/n40":              "b298b118f4423769cb7238440e0f0598ea2edee79bb34e83595e4e1930ed264f",
+	"drop-writes/example2-nested/n80":     "38355494dfdbae31a9f20e0a96f64ee554907d5ec873c41aef328f254b3c7f18",
+	"drop-writes/example3-branchy/n40":    "8cf44e97e28ba257afae47d35f3a2d762a35bdf8508f38d247cd722199299887",
+	"drop-writes/recurrence(d=3)/n60":     "10ed758aec8357272c5da1ab169102fcb74d25ead83c8b5207c47afd250aefc1",
+	"drop-writes/stencil/n100":            "19c2f1d3179438259b2f34cffa26c12a901306ffb30eff4c0cf348918c433e69",
+	"drop-writes/fig2.1/n20":              "82cf6d7cd594ddb2077d3ef6502c827f89ec14e83f85cccc1a8837f83cc8294c",
+	"drop-transfers/fig2.1/n40":           "ade263bfbd05b297091b78457fe4730bcf238acc553769837978cc6a3e39f643",
+	"drop-transfers/example2-nested/n80":  "f6881c5f424eb7139dbaed6fbf74ff0627ae15c4655dd7e2fb37622dfb4a33cb",
+	"drop-transfers/example3-branchy/n40": "1218352041eb342b087f01a6e800cbbb32d89a1a8a9e8271e3f6bdb05aa5d5d5",
 	"drop-transfers/recurrence(d=3)/n60":  "acab82f6a613d9080d11b561e221eff96bd75655c37083549913406db440d0d2",
-	"drop-transfers/stencil/n100":         "a5f649f45e796f126ad4de6d8919596a3bf5cfe12c8b3188e188aa0b577f0087",
-	"drop-transfers/fig2.1/n20":           "6f0a57597b567baa2d70e06ce689407e9ea03bf0b7f07bf87f505148f192a538",
+	"drop-transfers/stencil/n100":         "1d4ac38856fb53f5bcced0fc9f5a112a2e578d2678c6f5e105196ca630c59ebf",
+	"drop-transfers/fig2.1/n20":           "e955a2da4cec884a093dfc91497eb04923ae546894570af135138bb92ec45aee",
 }

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
-	"github.com/csrd-repro/datasync/internal/verify"
+	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// The wait-site normalization as four regular expressions, applied in
-// order: the specification the hand-written scanner must match byte for
-// byte.
+// The wait-site normalization of rendered tags as five regular
+// expressions, applied in order: the specification the wait formats' site
+// formats must match byte for byte.
 var (
 	siteIter = regexp.MustCompile(` i=-?\d+( noop)?$`)
+	siteSeq  = regexp.MustCompile(` seq=\d+`)
 	siteGE   = regexp.MustCompile(`>=-?\d+`)
 	siteElem = regexp.MustCompile(`\[-?\d+(,-?\d+)*\]`)
 	siteVer  = regexp.MustCompile(`\.v\d+(\.c\d+)?`)
@@ -20,17 +21,18 @@ var (
 
 func regexpSite(tag string) string {
 	tag = siteIter.ReplaceAllString(tag, "")
+	tag = siteSeq.ReplaceAllString(tag, " seq=*")
 	tag = siteGE.ReplaceAllString(tag, ">=*")
 	tag = siteElem.ReplaceAllString(tag, "[*]")
 	tag = siteVer.ReplaceAllString(tag, ".v*")
 	return tag
 }
 
-// corpusTags returns every distinct step tag of the golden corpus, over
-// each case's default window.
-func corpusTags(t testing.TB) []string {
+// TestSiteCorpus requires the site of every wait of the golden corpus,
+// over each case's default window, to render as the regular expressions
+// fold its tag, and waits whose sites render alike to share one site.
+func TestSiteCorpus(t *testing.T) {
 	seen := make(map[string]bool)
-	var tags []string
 	var ops []codegen.SyncOp
 	var buf []byte
 	for _, g := range goldenCorpus(t) {
@@ -39,72 +41,83 @@ func corpusTags(t testing.TB) []string {
 			if err != nil {
 				t.Fatalf("%s/%s: extract: %v", g.name, c.name, err)
 			}
+			sites := make(map[string]sim.Label)
 			for i := int64(1); i <= min(sp.Iters, 512); i++ {
 				ops = sp.At(ops[:0], i)
 				for _, op := range ops {
+					if op.Kind != codegen.SyncWait {
+						continue
+					}
+					site := sp.Machine.SiteOf(op.Tag)
+					text := string(sp.Machine.AppendSite(buf[:0], site))
+					if prev, ok := sites[text]; ok && prev != site {
+						t.Errorf("%s/%s: two sites render %q", g.name, c.name, text)
+					}
+					sites[text] = site
 					if buf = sp.AppendTag(buf[:0], op); !seen[string(buf)] {
 						seen[string(buf)] = true
-						tags = append(tags, string(buf))
+						if want := regexpSite(string(buf)); text != want {
+							t.Errorf("site of %q renders %q, regular expressions give %q", buf, text, want)
+						}
 					}
 				}
 			}
 		}
 	}
-	return tags
+	t.Logf("%d distinct wait tags", len(seen))
 }
 
-// shape returns tag with every run of digits replaced by one 0.
-func shape(tag string) string {
-	isDigit := func(i int) bool { return '0' <= tag[i] && tag[i] <= '9' }
-	b := make([]byte, 0, len(tag))
-	for i := 0; i < len(tag); i++ {
-		switch {
-		case !isDigit(i):
-			b = append(b, tag[i])
-		case i == 0 || !isDigit(i-1):
-			b = append(b, '0')
-		}
-	}
-	return string(b)
-}
-
-// TestSiteCorpus requires the wait-site scanner to agree with the regular
-// expressions on every distinct tag of the golden corpus.
-func TestSiteCorpus(t *testing.T) {
-	tags := corpusTags(t)
-	for _, tag := range tags {
-		if got, want := string(verify.AppendSite(nil, []byte(tag))), regexpSite(tag); got != want {
-			t.Errorf("site(%q) = %q, regular expressions give %q", tag, got, want)
-		}
-	}
-	t.Logf("%d distinct tags", len(tags))
-}
-
-// FuzzSite requires the wait-site scanner to agree with the regular
-// expressions on every input. It is seeded with one golden-corpus tag of
-// every shape (the tag with its digit runs collapsed; TestSiteCorpus
-// checks every tag) and with the patterns' edge cases: seeding all of the
-// corpus's tens of thousands of tags would spend a short fuzzing run on
-// baseline coverage alone.
+// FuzzSite requires the same of the waits of any two iterations of any
+// golden case: the input picks a case (modulo the corpus size) and two
+// iterations (modulo its iteration count), reaching past the window
+// TestSiteCorpus walks. It is seeded with two inputs per golden group,
+// each on another scheme of the group: one at the first iteration and at
+// one far into the iteration space, one at two iterations in between.
 func FuzzSite(f *testing.F) {
-	seen := make(map[string]bool)
-	for _, tag := range corpusTags(f) {
-		if sh := shape(tag); !seen[sh] {
-			seen[sh] = true
-			f.Add(tag)
+	var cases []goldenCase
+	for g, grp := range goldenCorpus(f) {
+		f.Add(uint16(len(cases)+g%len(grp.cases)), uint64(0), uint64(1<<62-1))
+		f.Add(uint16(len(cases)+(g+7)%len(grp.cases)), uint64(g), uint64(3*g+1))
+		cases = append(cases, grp.cases...)
+	}
+	progs := make([]*codegen.SyncProgram, len(cases))
+	f.Fuzz(func(t *testing.T, c uint16, i, j uint64) {
+		k := int(c) % len(cases)
+		if progs[k] == nil {
+			sp, err := codegen.ExtractSyncProgram(cases[k].w, cases[k].sch)
+			if err != nil {
+				t.Fatalf("%s: extract: %v", cases[k].name, err)
+			}
+			progs[k] = sp
 		}
-	}
-	for _, tag := range []string{
-		"", " i=", " i=-", " i=5", "x i=1 i=2", "x i=3 noop", "x i=-3 noop", "x i=3  noop", "x i=--3", "noop i=1noop",
-		">=", ">=-", ">=-7", ">=>=5", "a>=1>=2", "[", "[]", "[1", "[1,]", "[1,2]", "[-1,-2]", "[1,[3]]", "[1][2]", "[1,-]",
-		".v", ".v1", ".v1.c", ".v1.c2", ".v-1", ".v1.c-2", "..v1", "fe:fill A[3].v2.c0", "key:wait A[3,4]>=-2 i=9 noop",
-		"\xff[1]\xfe>=2", "[1.v2]", "[>=1]",
-	} {
-		f.Add(tag)
-	}
-	f.Fuzz(func(t *testing.T, tag string) {
-		if got, want := string(verify.AppendSite(nil, []byte(tag))), regexpSite(tag); got != want {
-			t.Errorf("site(%q) = %q, regular expressions give %q", tag, got, want)
+		sp := progs[k]
+		m := sp.Machine
+		sites := make(map[string]sim.Label)
+		var ops []codegen.SyncOp
+		var buf []byte
+		for _, it := range []uint64{i, j} {
+			ops = sp.At(ops[:0], 1+int64(it%uint64(sp.Iters)))
+			for _, op := range ops {
+				if op.Kind != codegen.SyncWait {
+					continue
+				}
+				site := m.SiteOf(op.Tag)
+				if m.SiteOf(site) != site {
+					t.Errorf("%s: the site of %q is not its own site", cases[k].name, m.Render(op.Tag))
+				}
+				text := string(m.AppendSite(buf[:0], site))
+				if tagText := string(m.AppendSite(buf[:0], op.Tag)); tagText != text {
+					t.Errorf("%s: %q renders its site as %q, its site as %q", cases[k].name, m.Render(op.Tag), tagText, text)
+				}
+				if prev, ok := sites[text]; ok && prev != site {
+					t.Errorf("%s: two sites render %q", cases[k].name, text)
+				}
+				sites[text] = site
+				tag := string(sp.AppendTag(buf[:0], op))
+				if want := regexpSite(tag); text != want {
+					t.Errorf("%s: site of %q renders %q, regular expressions give %q", cases[k].name, tag, text, want)
+				}
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -10,6 +9,7 @@ import (
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
+	"github.com/csrd-repro/datasync/internal/sim"
 )
 
 // Static verifies a synchronization program against its nest's dependence
@@ -29,7 +29,7 @@ func Static(sp *codegen.SyncProgram, opt Options) *Report {
 	}
 	rep.Analyzed = w
 
-	c := &checker{sp: sp, rep: rep, w: w}
+	c := &checker{sp: sp, rep: rep, w: w, sites: make(map[sim.Label]int), findIdx: make(map[findKey]int)}
 	c.materialize()
 	c.classifyVars()
 	c.buildReleases()
@@ -66,9 +66,18 @@ type varInfo struct {
 	bad                  bool // excluded from edge construction (reported)
 }
 
+// findKey identifies a hard finding for deduplication: its kind, up to
+// two numbers and, for a wait's finding, the wait's site.
+type findKey struct {
+	kind string
+	a, b int
+	site sim.Label
+}
+
+// siteStat tallies the waits at one site, sample the first of them.
 type siteStat struct {
-	site, sample     string
-	total, redundant int
+	site                     sim.Label
+	sample, total, redundant int
 }
 
 // obligation: the conditional releaser r must be in the past of fallback
@@ -140,44 +149,28 @@ type checker struct {
 	clock    []clockRef
 	cur, tmp []tick // scratch clocks of the head being computed
 
-	sites     map[string]int // wait site -> index in siteStats
+	sites     map[sim.Label]int // wait site -> index in siteStats
 	siteStats []siteStat
-	findIdx   map[string]int // finding dedup key -> index in rep.Findings
-	buf, sbuf []byte         // tag and site scratch
+	findIdx   map[findKey]int // finding dedup key -> index in rep.Findings
+	buf       []byte          // tag scratch
 }
 
 func (c *checker) vname(v int) string { return c.sp.VarNames[v] }
 
-// appendTag appends node id's tag to dst, its step kind when it has none.
-func (c *checker) appendTag(dst []byte, id int) []byte {
-	op := c.ops[id]
-	n := len(dst)
-	if dst = c.sp.AppendTag(dst, op); len(dst) == n {
-		dst = append(dst, op.Kind.String()...)
-	}
-	return dst
-}
-
+// tagOf renders node id's tag, its step kind when it has none.
 func (c *checker) tagOf(id int) string {
-	c.buf = c.appendTag(c.buf[:0], id)
+	if c.buf = c.sp.AppendTag(c.buf[:0], c.ops[id]); len(c.buf) == 0 {
+		return c.ops[id].Kind.String()
+	}
 	return string(c.buf)
-}
-
-// siteOf returns the wait site of node id's tag.
-func (c *checker) siteOf(id int) string {
-	c.buf = c.appendTag(c.buf[:0], id)
-	return string(appendSite(c.sbuf[:0], c.buf))
 }
 
 // addHard appends a hard finding, deduplicating by key: repeated instances
 // of the same defect (one per iteration) fold into a count.
-func (c *checker) addHard(key string, f Finding) {
+func (c *checker) addHard(key findKey, f Finding) {
 	if i, ok := c.findIdx[key]; ok {
 		c.rep.Findings[i].Pairs++
 		return
-	}
-	if c.findIdx == nil {
-		c.findIdx = make(map[string]int)
 	}
 	f.Pairs = 1
 	c.findIdx[key] = len(c.rep.Findings)
@@ -277,13 +270,13 @@ func (c *checker) classifyVars() {
 		switch {
 		case vi.opaque:
 			vi.bad = true
-			c.addHard(fmt.Sprintf("opaque|%d", v), Finding{
+			c.addHard(findKey{kind: "opaque", a: v}, Finding{
 				Class: Unanalyzable, Var: c.vname(v),
 				Summary: fmt.Sprintf("variable %s is updated by an atomic op without a protocol-guaranteed value; waits on it cannot be verified", c.vname(v)),
 			})
 		case vi.plain && vi.accum:
 			vi.bad = true
-			c.addHard(fmt.Sprintf("mixed|%d", v), Finding{
+			c.addHard(findKey{kind: "mixed", a: v}, Finding{
 				Class: Unanalyzable, Var: c.vname(v),
 				Summary: fmt.Sprintf("variable %s mixes plain writes and atomic increments; release semantics are undefined", c.vname(v)),
 			})
@@ -292,7 +285,7 @@ func (c *checker) classifyVars() {
 			for j := 0; j+1 < len(ss); j++ {
 				if ss[j].val == ss[j+1].val && ss[j].iter != ss[j+1].iter {
 					vi.bad = true
-					c.addHard(fmt.Sprintf("ambig|%d", v), Finding{
+					c.addHard(findKey{kind: "ambig", a: v}, Finding{
 						Class: AmbiguousSignals, Var: c.vname(v),
 						Summary: fmt.Sprintf("iterations %d and %d both signal %s=%d; wait releasers are not statically determined",
 							ss[j].iter, ss[j+1].iter, c.vname(v), ss[j].val),
@@ -306,6 +299,7 @@ func (c *checker) classifyVars() {
 }
 
 func (c *checker) buildReleases() {
+	m := c.sp.Machine
 	c.rel = make([]span, c.total)
 	for _, w := range c.waits {
 		vi := c.vinfo[w.v]
@@ -326,7 +320,7 @@ func (c *checker) buildReleases() {
 			}
 			cnt := sort.Search(len(ss), func(i int) bool { return ss[i].val > w.t })
 			if int64(cnt) < need {
-				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, c.siteOf(w.id)), Finding{
+				c.addHard(findKey{kind: "unrel", a: w.v, site: m.SiteOf(c.ops[w.id].Tag)}, Finding{
 					Class: UnreleasableWait, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("wait %s needs %d increments of %s but the program performs only %d at or below the threshold",
 						c.tagOf(w.id), need, c.vname(w.v), cnt),
@@ -334,7 +328,7 @@ func (c *checker) buildReleases() {
 				continue
 			}
 			if int64(cnt) > need {
-				c.addHard(fmt.Sprintf("overcnt|%d|%s", w.v, c.siteOf(w.id)), Finding{
+				c.addHard(findKey{kind: "overcnt", a: w.v, site: m.SiteOf(c.ops[w.id].Tag)}, Finding{
 					Class: Unanalyzable, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("wait %s: %d increments can reach threshold %d of %s; which %d complete first is not determined",
 						c.tagOf(w.id), cnt, w.t, c.vname(w.v), need),
@@ -348,7 +342,7 @@ func (c *checker) buildReleases() {
 			}
 			lo := sort.Search(len(ss), func(i int) bool { return ss[i].val >= w.t })
 			if lo == len(ss) {
-				c.addHard(fmt.Sprintf("unrel|%d|%s", w.v, c.siteOf(w.id)), Finding{
+				c.addHard(findKey{kind: "unrel", a: w.v, site: m.SiteOf(c.ops[w.id].Tag)}, Finding{
 					Class: UnreleasableWait, Var: c.vname(w.v),
 					Summary: fmt.Sprintf("no signal on %s ever reaches %d required by %s",
 						c.vname(w.v), w.t, c.tagOf(w.id)),
@@ -366,7 +360,7 @@ func (c *checker) buildReleases() {
 					j++
 				}
 				if j == len(ss) {
-					c.addHard(fmt.Sprintf("condonly|%d|%s", w.v, c.siteOf(w.id)), Finding{
+					c.addHard(findKey{kind: "condonly", a: w.v, site: m.SiteOf(c.ops[w.id].Tag)}, Finding{
 						Class: UnreleasableWait, Var: c.vname(w.v),
 						Summary: fmt.Sprintf("wait %s can be released only by conditional signals that may never fire", c.tagOf(w.id)),
 					})
@@ -655,7 +649,7 @@ func (c *checker) checkObligations() {
 		if c.clockAt(o.cand.id, o.r.iter) > o.r.k {
 			continue
 		}
-		c.addHard(fmt.Sprintf("unsound|%d|%d", o.v, o.r.id), Finding{
+		c.addHard(findKey{kind: "unsound", a: o.v, b: o.r.id}, Finding{
 			Class: UnsoundRelease, Var: c.vname(o.v),
 			Summary: fmt.Sprintf("conditional signal %s (iter %d) may not fire, and fallback releaser %s (iter %d) does not carry its effects",
 				c.tagOf(o.r.id), o.r.iter, c.tagOf(o.cand.id), o.cand.iter),
@@ -688,7 +682,7 @@ func (c *checker) checkChains() {
 			if c.clockAt(b.id, a.iter) > a.k {
 				continue
 			}
-			c.addHard(fmt.Sprintf("chain|%d", v), Finding{
+			c.addHard(findKey{kind: "chain", a: v}, Finding{
 				Class: UnserializedSignals, Var: c.vname(v),
 				Summary: fmt.Sprintf("signals %s=%d (iter %d) and %s=%d (iter %d) are not happens-before ordered; release order on %s is undefined",
 					c.vname(v), a.val, a.iter, c.vname(v), b.val, b.iter, c.vname(v)),
@@ -710,7 +704,7 @@ func (c *checker) checkArcs() {
 	g := nest.Analyze()
 	stmts := g.Stmts
 	for _, a := range g.UnknownArcs() {
-		c.addHard(fmt.Sprintf("unk|%d|%d", a.Src, a.Dst), Finding{
+		c.addHard(findKey{kind: "unk", a: a.Src, b: a.Dst}, Finding{
 			Class: Unanalyzable,
 			Arc:   fmt.Sprintf("%s -%s(?%s)-> %s", stmts[a.Src].Name, a.Kind, a.Reason, stmts[a.Dst].Name),
 			Summary: fmt.Sprintf("arc %s -%s-> %s has no compile-time distance (%s) and cannot be statically verified",
@@ -792,7 +786,7 @@ func (c *checker) checkArcs() {
 			if sn < 0 || dn < 0 || c.kOf[sn] < c.kOf[dn] {
 				continue
 			}
-			c.addHard(fmt.Sprintf("li|%d|%d", a.Src, a.Dst), Finding{
+			c.addHard(findKey{kind: "li", a: a.Src, b: a.Dst}, Finding{
 				Class: Race,
 				Arc:   fmt.Sprintf("%s -%s(0)-> %s", stmts[a.Src].Name, a.Kind, stmts[a.Dst].Name),
 				Summary: fmt.Sprintf("loop-independent dependence %s -> %s violated: iteration %v executes them out of body order",
@@ -866,18 +860,15 @@ func (c *checker) node(iter int64, pos int) int {
 }
 
 // tallySite counts wait waitID at its site, and as redundant there if it
-// is.
+// is. It renders nothing: only reportRedundant renders a site's text and
+// sample, for the sites it reports.
 func (c *checker) tallySite(waitID int, redundant bool) {
-	c.buf = c.appendTag(c.buf[:0], waitID)
-	c.sbuf = appendSite(c.sbuf[:0], c.buf)
-	i, ok := c.sites[string(c.sbuf)]
+	site := c.sp.Machine.SiteOf(c.ops[waitID].Tag)
+	i, ok := c.sites[site]
 	if !ok {
-		if c.sites == nil {
-			c.sites = make(map[string]int)
-		}
 		i = len(c.siteStats)
-		c.sites[string(c.sbuf)] = i
-		c.siteStats = append(c.siteStats, siteStat{site: string(c.sbuf), sample: string(c.buf)})
+		c.sites[site] = i
+		c.siteStats = append(c.siteStats, siteStat{site: site, sample: waitID})
 	}
 	st := &c.siteStats[i]
 	st.total++
@@ -887,130 +878,16 @@ func (c *checker) tallySite(waitID int, redundant bool) {
 }
 
 func (c *checker) reportRedundant() {
-	slices.SortFunc(c.siteStats, func(a, b siteStat) int { return strings.Compare(a.site, b.site) })
 	for _, st := range c.siteStats {
 		if st.redundant < st.total {
 			continue
 		}
+		site := string(c.sp.Machine.AppendSite(c.buf[:0], st.site))
 		c.rep.Notes = append(c.rep.Notes, Finding{
-			Class: RedundantWait, Site: st.site,
+			Class: RedundantWait, Site: site,
 			Summary: fmt.Sprintf("all %d instances of wait site %q are already implied transitively (e.g. %s); the wait could be eliminated",
-				st.total, st.site, st.sample),
+				st.total, site, c.tagOf(st.sample)),
 		})
 	}
-}
-
-// appendSite appends the placement site of wait tag to dst: the tag with
-// its iteration-varying parts erased, so "wait_PC(3,1) i=17" and
-// "wait_PC(3,1) i=42" are the same site and "key:wait A[3]>=2" folds to
-// "key:wait A[*]>=*". A trailing " i=<n>" or " i=<n> noop" is dropped;
-// ">=<n>" becomes ">=*", "[<n>,...,<n>]" becomes "[*]", and ".v<d>" or
-// ".v<d>.c<d>" becomes ".v*", where <n> is a decimal with an optional
-// minus sign and <d> one without. The three folds never share a
-// character of the tag, so one left-to-right pass applies them all.
-func appendSite(dst, tag []byte) []byte {
-	tag = trimIter(tag)
-	for i := 0; i < len(tag); {
-		end := -1
-		switch tag[i] {
-		case '>':
-			if i+1 < len(tag) && tag[i+1] == '=' {
-				if end = intEnd(tag, i+2); end >= 0 {
-					dst = append(dst, ">=*"...)
-				}
-			}
-		case '[':
-			if end = elemEnd(tag, i); end >= 0 {
-				dst = append(dst, "[*]"...)
-			}
-		case '.':
-			if end = verEnd(tag, i); end >= 0 {
-				dst = append(dst, ".v*"...)
-			}
-		}
-		if end < 0 {
-			dst = append(dst, tag[i])
-			end = i + 1
-		}
-		i = end
-	}
-	return dst
-}
-
-// trimIter returns tag without a trailing " i=<n>" or " i=<n> noop".
-func trimIter(tag []byte) []byte {
-	end := len(tag)
-	if bytes.HasSuffix(tag, []byte(" noop")) {
-		end -= len(" noop")
-	}
-	d := end
-	for d > 0 && isDigit(tag[d-1]) {
-		d--
-	}
-	if d == end {
-		return tag
-	}
-	if d > 0 && tag[d-1] == '-' {
-		d--
-	}
-	if bytes.HasSuffix(tag[:d], []byte(" i=")) {
-		return tag[:d-len(" i=")]
-	}
-	return tag
-}
-
-func isDigit(b byte) bool { return '0' <= b && b <= '9' }
-
-// digitsEnd returns the end of the run of digits starting at tag[i].
-func digitsEnd(tag []byte, i int) int {
-	for i < len(tag) && isDigit(tag[i]) {
-		i++
-	}
-	return i
-}
-
-// intEnd returns the end of the decimal with an optional minus sign that
-// starts at tag[i], -1 when none does.
-func intEnd(tag []byte, i int) int {
-	j := i
-	if j < len(tag) && tag[j] == '-' {
-		j++
-	}
-	if e := digitsEnd(tag, j); e > j {
-		return e
-	}
-	return -1
-}
-
-// elemEnd returns the end of the element subscript "[<n>,...,<n>]" that
-// starts at tag[i], -1 when none does.
-func elemEnd(tag []byte, i int) int {
-	j := intEnd(tag, i+1)
-	for j >= 0 && j < len(tag) && tag[j] == ',' {
-		if j = intEnd(tag, j+1); j < 0 {
-			return -1
-		}
-	}
-	if j >= 0 && j < len(tag) && tag[j] == ']' {
-		return j + 1
-	}
-	return -1
-}
-
-// verEnd returns the end of the version suffix ".v<d>" or ".v<d>.c<d>"
-// that starts at tag[i], -1 when none does.
-func verEnd(tag []byte, i int) int {
-	if i+1 >= len(tag) || tag[i+1] != 'v' {
-		return -1
-	}
-	j := digitsEnd(tag, i+2)
-	if j == i+2 {
-		return -1
-	}
-	if j+1 < len(tag) && tag[j] == '.' && tag[j+1] == 'c' {
-		if e := digitsEnd(tag, j+2); e > j+2 {
-			return e
-		}
-	}
-	return j
+	slices.SortStableFunc(c.rep.Notes, func(a, b Finding) int { return strings.Compare(a.Site, b.Site) })
 }

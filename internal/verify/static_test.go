@@ -134,26 +134,38 @@ func TestStaticDeadlock(t *testing.T) {
 // TestStaticRedundantWaitNotes: the statement-oriented scheme's awaits are
 // transitively implied by the advance chain on straight-line nests — the
 // verifier should note the redundancy (validating the paper's covering
-// elimination) without failing the program.
+// elimination) without failing the program. A site is a placement, not an
+// instance: stencil's advance waits differ only in their sequence number,
+// so they make one site and one note.
 func TestStaticRedundantWaitNotes(t *testing.T) {
-	w := workloads.Fig21(40, 4)
-	sp, err := codegen.ExtractSyncProgram(w, codegen.StatementOriented{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := verify.Static(sp, verify.Options{})
-	if !rep.OK() {
-		t.Fatalf("statement scheme should verify clean:\n%s", rep)
-	}
-	if len(rep.Notes) == 0 {
-		t.Fatalf("expected redundant-wait notes, got none:\n%s", rep)
-	}
-	for _, n := range rep.Notes {
-		if n.Class != verify.RedundantWait {
-			t.Errorf("unexpected note class %s: %+v", n.Class, n)
+	for _, c := range []struct {
+		w     *codegen.Workload
+		sites int // notes expected, 0 for any
+	}{
+		{workloads.Fig21(40, 4), 0},
+		{workloads.Stencil(40, 4), 1},
+	} {
+		sp, err := codegen.ExtractSyncProgram(c.w, codegen.StatementOriented{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !n.Class.Advisory() {
-			t.Errorf("note class %s should be advisory", n.Class)
+		rep := verify.Static(sp, verify.Options{})
+		if !rep.OK() {
+			t.Fatalf("%s: statement scheme should verify clean:\n%s", c.w.Name, rep)
+		}
+		if len(rep.Notes) == 0 || c.sites > 0 && len(rep.Notes) != c.sites {
+			t.Fatalf("%s: %d redundant-wait notes, want %d:\n%s", c.w.Name, len(rep.Notes), c.sites, rep)
+		}
+		for _, n := range rep.Notes {
+			if n.Class != verify.RedundantWait {
+				t.Errorf("%s: unexpected note class %s: %+v", c.w.Name, n.Class, n)
+			}
+			if !n.Class.Advisory() {
+				t.Errorf("%s: note class %s should be advisory", c.w.Name, n.Class)
+			}
+			if c.sites > 0 && !strings.HasPrefix(n.Site, "advance:wait ") {
+				t.Errorf("%s: note on site %q, want an advance:wait site", c.w.Name, n.Site)
+			}
 		}
 	}
 }
