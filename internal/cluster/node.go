@@ -790,25 +790,18 @@ func (n *Node) metricsAppend(w io.Writer) {
 	}
 }
 
-// writeJSON renders a 200 JSON response for the cluster-owned endpoints.
+// writeJSON writes a 200 JSON answer for the cluster-owned endpoints,
+// marked with this node's ID.
 func (n *Node) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderNode, n.self.ID)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := service.WriteJSON(w, http.StatusOK, v); err != nil {
 		n.log.Error("cluster: encode response", "err", err)
 	}
 }
 
-// writeError mirrors the service's JSON error rendering.
+// writeError writes err as a JSON error answer, marked with this node's ID.
 func (n *Node) writeError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderNode, n.self.ID)
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{Error: service.OneLine(err)})
+	// An error answer that cannot be written has no reader left to tell.
+	_ = service.WriteError(w, code, err)
 }

@@ -75,7 +75,6 @@ type SyncProgram struct {
 	Workload *Workload
 	Scheme   string
 	Iters    int64
-	VarNames []string
 	VarInit  []int64
 	// Renamed marks schemes with single-assignment (renamed) data storage:
 	// every write creates a fresh version, so anti- and output dependences
@@ -83,7 +82,8 @@ type SyncProgram struct {
 	// instance-based).
 	Renamed bool
 	// Machine is the machine the program was instrumented on: its name
-	// table renders the steps' tags.
+	// table renders the steps' tags, and it declares the variables
+	// (VarCount, VarName).
 	Machine *sim.Machine
 	// At appends iteration iter's abstract step sequence (1-based lpids)
 	// to dst and returns the extended slice. It reuses buffers of its own
@@ -115,12 +115,10 @@ func ExtractSyncProgram(w *Workload, sch Scheme) (*SyncProgram, error) {
 		Workload: w,
 		Scheme:   sch.Name(),
 		Iters:    iters,
-		VarNames: make([]string, m.VarCount()),
 		VarInit:  make([]int64, m.VarCount()),
 		Machine:  m,
 	}
 	for v := 0; v < m.VarCount(); v++ {
-		sp.VarNames[v] = m.VarName(sim.VarID(v))
 		sp.VarInit[v] = m.VarValue(sim.VarID(v))
 	}
 	if rs, ok := sch.(interface{ RenamedStorage() bool }); ok {

@@ -1,4 +1,6 @@
-// Package expr provides affine expressions over loop index variables.
+// Package expr provides the expressions of a loop body: affine subscripts
+// over loop index variables, and the value expressions that statements
+// compute (see Value).
 //
 // The dependence analysis in this repository (package deps) handles exactly
 // the class of subscripts the paper treats: affine expressions with constant
@@ -76,6 +78,15 @@ func (a Affine) Sub(b Affine) Affine {
 	out := Affine{Coef: make([]int64, len(a.Coef)), Const: a.Const - b.Const}
 	for k := range a.Coef {
 		out.Coef[k] = a.Coef[k] - b.Coef[k]
+	}
+	return out
+}
+
+// Scale returns c*a.
+func (a Affine) Scale(c int64) Affine {
+	out := Const(len(a.Coef), a.Const*c)
+	for k, coef := range a.Coef {
+		out.Coef[k] = coef * c
 	}
 	return out
 }

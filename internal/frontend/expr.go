@@ -12,71 +12,19 @@ import (
 	"github.com/csrd-repro/datasync/internal/expr"
 )
 
-// ---- Executable expression nodes (mirrors package lang's interpreter) ----
-
-// evalEnv is what an expression reads: the iteration's index vector, the
-// statement's array read values and the iteration's local slots. It is
-// passed by value (the buffers are the caller's), so evaluation allocates
-// nothing.
-type evalEnv struct {
-	idx, in, locals []int64
-}
-
-type evalNode interface{ eval(e evalEnv) int64 }
-
-type numNode int64
-
-func (n numNode) eval(evalEnv) int64 { return int64(n) }
-
-// idxNode yields the Go-source value of a loop variable: the normalized
-// index scaled back through the level's stride folding.
-type idxNode struct {
-	k             int
-	scale, offset int64
-}
-
-func (n idxNode) eval(e evalEnv) int64 { return n.offset + n.scale*e.idx[n.k] }
-
-// localNode reads an iteration-local scalar's slot.
-type localNode int
-
-func (l localNode) eval(e evalEnv) int64 { return e.locals[l] }
-
-// readNode yields the statement's slot-th array read (bound by codegen).
-type readNode int
-
-func (r readNode) eval(e evalEnv) int64 { return e.in[int(r)] }
-
-type binNode struct {
-	op   token.Token
-	l, r evalNode
-}
-
-func (b binNode) eval(e evalEnv) int64 {
-	lv, rv := b.l.eval(e), b.r.eval(e)
-	switch b.op {
-	case token.ADD:
-		return lv + rv
-	case token.SUB:
-		return lv - rv
-	default:
-		return lv * rv
-	}
-}
-
 // ---- Expression compilation ----
 
 // compileExpr compiles a value expression: literals, loop indices,
 // iteration-local scalars, affine array reads, and +, -, * over them.
 // Array reads claim read slots on st in evaluation order.
-func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (evalNode, *Diagnostic) {
+func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (expr.Value, *Diagnostic) {
 	lw := nl.lw
 	switch v := e.(type) {
 	case *ast.ParenExpr:
 		return nl.compileExpr(v.X, st)
 	case *ast.BasicLit:
 		if c, ok := nl.constVal(v); ok {
-			return numNode(c), nil
+			return expr.Num(c), nil
 		}
 		return nil, lw.diag(v.Pos(), CodeExpr, v, "only integer literals can be lowered")
 	case *ast.UnaryExpr:
@@ -87,28 +35,25 @@ func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (evalNode, *Diagnostic) {
 		if d != nil {
 			return nil, d
 		}
-		return binNode{op: token.SUB, l: numNode(0), r: inner}, nil
+		return expr.Neg(inner), nil
 	case *ast.Ident:
 		if k := nl.levelOf(v); k >= 0 {
-			lv := nl.levels[k]
-			return idxNode{k: k, scale: lv.scale, offset: lv.offset}, nil
+			return nl.levels[k].v, nil
 		}
 		// An iteration-local scalar; anything declared outside the nest is
 		// an escaping value the iteration semantics cannot model.
-		obj := nl.lw.info.Uses[v]
-		if obj == nil || obj.Pos() < nl.span[0] || obj.Pos() >= nl.span[1] {
+		if !nl.declares(nl.lw.info.Uses[v]) {
 			return nil, lw.diag(v.Pos(), CodeEscape, v,
 				"scalar %s is declared outside the loop nest", v.Name)
 		}
-		return localNode(nl.local(v.Name)), nil
+		return expr.Local(nl.locals.Slot(v.Name)), nil
 	case *ast.IndexExpr:
-		ref, d := nl.refOf(v, st)
+		ref, d := nl.refOf(v)
 		if d != nil {
 			return nil, d
 		}
-		slot := len(st.Reads)
 		st.Reads = append(st.Reads, ref)
-		return readNode(slot), nil
+		return expr.Read(len(st.Reads) - 1), nil
 	case *ast.BinaryExpr:
 		if v.Op != token.ADD && v.Op != token.SUB && v.Op != token.MUL {
 			return nil, lw.diag(v.OpPos, CodeExpr, v, "operator %s is outside the lowerable subset (+, -, * only)", v.Op)
@@ -121,7 +66,7 @@ func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (evalNode, *Diagnostic) {
 		if d != nil {
 			return nil, d
 		}
-		return binNode{op: v.Op, l: l, r: r}, nil
+		return expr.Bin{Op: v.Op.String()[0], L: l, R: r}, nil
 	case *ast.CallExpr:
 		return nil, lw.diag(v.Pos(), CodeCall, v, "function calls (and conversions) cannot be lowered")
 	default:
@@ -132,18 +77,14 @@ func (nl *nest) compileExpr(e ast.Expr, st *deps.Stmt) (evalNode, *Diagnostic) {
 // ---- Array references ----
 
 // refOf lowers `a[x]` or `a[x][y]` into a canonical reference: upper-cased
-// array name, affine subscripts with stride folding applied. st is used
-// only for diagnostics context; slots are claimed by the caller.
-func (nl *nest) refOf(e *ast.IndexExpr, st *deps.Stmt) (deps.Ref, *Diagnostic) {
+// array name, affine subscripts with stride folding applied. The caller
+// makes it a read or the write.
+func (nl *nest) refOf(e *ast.IndexExpr) (deps.Ref, *Diagnostic) {
 	lw := nl.lw
 	// Unwind the subscript chain: a[x][y] parses as (a[x])[y].
 	var subs []ast.Expr
 	base := ast.Expr(e)
-	for {
-		ix, ok := base.(*ast.IndexExpr)
-		if !ok {
-			break
-		}
+	for ix, ok := e, true; ok; ix, ok = base.(*ast.IndexExpr) {
 		subs = append([]ast.Expr{ix.Index}, subs...)
 		base = ix.X
 	}
@@ -233,28 +174,20 @@ func (nl *nest) affine(e ast.Expr) (expr.Affine, bool) {
 		return nl.affine(v.X)
 	case *ast.Ident:
 		if k := nl.levelOf(v); k >= 0 {
-			lv := nl.levels[k]
-			return expr.Scaled(depth, k, lv.scale, lv.offset), true
+			v := nl.levels[k].v
+			return expr.Scaled(depth, k, v.Scale, v.Offset), true
 		}
 		return expr.Affine{}, false
 	case *ast.UnaryExpr:
-		if v.Op != token.SUB {
-			return expr.Affine{}, false
+		if inner, ok := nl.affine(v.X); ok && v.Op == token.SUB {
+			return inner.Scale(-1), true
 		}
-		inner, ok := nl.affine(v.X)
-		if !ok {
-			return expr.Affine{}, false
-		}
-		return expr.Const(depth, 0).Sub(inner), true
 	case *ast.BinaryExpr:
 		switch v.Op {
 		case token.ADD, token.SUB:
-			l, ok := nl.affine(v.X)
-			if !ok {
-				return expr.Affine{}, false
-			}
-			r, ok := nl.affine(v.Y)
-			if !ok {
+			l, lok := nl.affine(v.X)
+			r, rok := nl.affine(v.Y)
+			if !lok || !rok {
 				return expr.Affine{}, false
 			}
 			if v.Op == token.ADD {
@@ -263,29 +196,18 @@ func (nl *nest) affine(e ast.Expr) (expr.Affine, bool) {
 			return l.Sub(r), true
 		case token.MUL:
 			// One side must be constant; c*affine stays affine.
-			if c, ok := nl.constVal(v.X); ok {
-				if r, ok := nl.affine(v.Y); ok {
-					return mulAffine(r, c), true
-				}
-				return expr.Affine{}, false
+			c, ok := nl.constVal(v.X)
+			other := v.Y
+			if !ok {
+				c, ok = nl.constVal(v.Y)
+				other = v.X
 			}
-			if c, ok := nl.constVal(v.Y); ok {
-				if l, ok := nl.affine(v.X); ok {
-					return mulAffine(l, c), true
-				}
+			if a, aok := nl.affine(other); ok && aok {
+				return a.Scale(c), true
 			}
-			return expr.Affine{}, false
 		}
 	}
 	return expr.Affine{}, false
-}
-
-func mulAffine(a expr.Affine, c int64) expr.Affine {
-	out := expr.Const(a.Arity(), a.Const*c)
-	for k, coef := range a.Coef {
-		out.Coef[k] = coef * c
-	}
-	return out
 }
 
 // ---- Integer constants ----

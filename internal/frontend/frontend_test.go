@@ -49,8 +49,8 @@ func lowerOne(t *testing.T, path string) *Loop {
 
 // TestTwinIdentity is the golden twin test: a hand-written .do workload and
 // its Go-source twin must lower to the same dependence graph, the same
-// cache canon key (byte-identical content address), and the same simulated
-// execution.
+// cache canon key (byte-identical content address), the same simulated
+// execution and the same final memory.
 func TestTwinIdentity(t *testing.T) {
 	twins := []struct {
 		name   string
@@ -60,6 +60,7 @@ func TestTwinIdentity(t *testing.T) {
 		{"branchy", "../lang/testdata/branchy.do", filepath.Join(corpusDir, "branchy.go")},
 		{"nested", filepath.Join(corpusDir, "twin_nested.do"), filepath.Join(corpusDir, "twin_nested.go")},
 		{"locals", filepath.Join(corpusDir, "twin_locals.do"), filepath.Join(corpusDir, "twin_locals.go")},
+		{"cond", filepath.Join(corpusDir, "twin_cond.do"), filepath.Join(corpusDir, "twin_cond.go")},
 	}
 	cfg := testConfig()
 	for _, tw := range twins {
@@ -95,6 +96,19 @@ func TestTwinIdentity(t *testing.T) {
 			if rDo.Stats.Cycles != rGo.Stats.Cycles || rDo.SerialCycles != rGo.SerialCycles {
 				t.Errorf("twin runs diverge: .do %d cycles (serial %d) vs .go %d cycles (serial %d)",
 					rDo.Stats.Cycles, rDo.SerialCycles, rGo.Stats.Cycles, rGo.SerialCycles)
+			}
+			// None of the above reads a right-hand side: twins must also
+			// compute the same values.
+			mDo, err := codegen.RunGoroutines(wDo, codegen.StatementOriented{}, 3)
+			if err != nil {
+				t.Fatalf(".do on goroutines: %v", err)
+			}
+			mGo, err := codegen.RunGoroutines(wGo, codegen.StatementOriented{}, 3)
+			if err != nil {
+				t.Fatalf(".go on goroutines: %v", err)
+			}
+			if d := mDo.Diff(mGo); d != "" {
+				t.Errorf("twins' final memories differ: %s", d)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/csrd-repro/datasync/internal/codegen"
 	"github.com/csrd-repro/datasync/internal/deps"
+	"github.com/csrd-repro/datasync/internal/expr"
 	"github.com/csrd-repro/datasync/internal/lang"
 	"github.com/csrd-repro/datasync/internal/loop"
 )
@@ -42,15 +43,7 @@ func render(node ast.Node) string {
 	}
 	switch s := node.(type) {
 	case *ast.AssignStmt:
-		lhs := make([]string, len(s.Lhs))
-		for i, e := range s.Lhs {
-			lhs[i] = types.ExprString(e)
-		}
-		rhs := make([]string, len(s.Rhs))
-		for i, e := range s.Rhs {
-			rhs[i] = types.ExprString(e)
-		}
-		return strings.Join(lhs, ", ") + " " + s.Tok.String() + " " + strings.Join(rhs, ", ")
+		return renderList(s.Lhs) + " " + s.Tok.String() + " " + renderList(s.Rhs)
 	case *ast.IncDecStmt:
 		return types.ExprString(s.X) + s.Tok.String()
 	case *ast.ExprStmt:
@@ -61,6 +54,15 @@ func render(node ast.Node) string {
 		return "for range { ... }"
 	}
 	return fmt.Sprintf("%T", node)
+}
+
+// renderList renders a comma-separated expression list.
+func renderList(list []ast.Expr) string {
+	out := make([]string, len(list))
+	for i, e := range list {
+		out[i] = types.ExprString(e)
+	}
+	return strings.Join(out, ", ")
 }
 
 // lowerFunc lowers every top-level for statement of one function body.
@@ -88,13 +90,12 @@ func (lw *lowerer) lowerFunc(res *Result, fn *ast.FuncDecl) {
 }
 
 // level is one loop of the nest under lowering. The normalized index runs
-// over Index.Lo..Index.Hi step 1; the Go-source value of the variable at
-// normalized value v is offset + scale*v (identity for stride-1 loops).
+// over index.Lo..index.Hi step 1; v is the Go-source value of the variable
+// (identity for stride-1 loops).
 type level struct {
-	obj           types.Object // the index variable's definition
-	name          string       // upper-cased canonical name
-	scale, offset int64
-	index         loop.Index
+	obj   types.Object // the index variable's definition
+	v     expr.Var
+	index loop.Index // named by the upper-cased variable name
 }
 
 // nest is the per-candidate lowering state.
@@ -104,9 +105,7 @@ type nest struct {
 	span   [2]token.Pos // the outermost for statement's extent
 	seq    int          // statement auto-naming counter (S1, S2, ...)
 	sem    map[*deps.Stmt]codegen.Sem
-	// locals numbers the iteration-local scalars' slots in order of first
-	// mention.
-	locals map[string]int
+	locals expr.Locals
 	// arrays tracks each canonical array name's dimensionality and the
 	// originating object, catching shape conflicts and case collisions.
 	arrays map[string]arrayInfo
@@ -124,7 +123,7 @@ func (lw *lowerer) lowerNest(name string, fs *ast.ForStmt) (*codegen.Workload, *
 		lw:     lw,
 		span:   [2]token.Pos{fs.Pos(), fs.End()},
 		sem:    make(map[*deps.Stmt]codegen.Sem),
-		locals: make(map[string]int),
+		locals: make(expr.Locals),
 		arrays: make(map[string]arrayInfo),
 	}
 	// A type error inside the candidate makes the object and type maps
@@ -238,16 +237,16 @@ func (nl *nest) pushHeader(fs *ast.ForStmt) *Diagnostic {
 	}
 	upper := strings.ToUpper(ident.Name)
 	for _, lv := range nl.levels {
-		if lv.name == upper {
+		if lv.index.Name == upper {
 			return lw.diag(ident.Pos(), CodeLoopHeader, nil, "index name %s collides with an enclosing loop (case-insensitive)", ident.Name)
 		}
 	}
-	lv := level{obj: obj, name: upper, scale: 1, offset: 0, index: loop.Index{Name: upper, Lo: lo, Hi: hi}}
+	lv := level{obj: obj, v: expr.Var{K: len(nl.levels), Scale: 1}, index: loop.Index{Name: upper, Lo: lo, Hi: hi}}
 	if stride > 1 {
 		// Renumber to 0..count-1 and fold i = lo + stride*k into the
 		// subscripts and value expressions.
 		count := (hi-lo)/stride + 1
-		lv.scale, lv.offset = stride, lo
+		lv.v.Scale, lv.v.Offset = stride, lo
 		lv.index = loop.Index{Name: upper, Lo: 0, Hi: count - 1}
 	}
 	nl.levels = append(nl.levels, lv)
@@ -278,46 +277,48 @@ func (nl *nest) levelOf(id *ast.Ident) int {
 			}
 			continue
 		}
-		if strings.ToUpper(id.Name) == nl.levels[k].name {
+		if strings.ToUpper(id.Name) == nl.levels[k].index.Name {
 			return k
 		}
 	}
 	return -1
 }
 
+// indexAt resolves e, parenthesized or not, to the level of the loop index
+// it names, or -1 when it names none.
+func (nl *nest) indexAt(e ast.Expr) int {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return nl.levelOf(id)
+	}
+	return -1
+}
+
 // lowerBody lowers a statement list into loop body nodes.
 func (nl *nest) lowerBody(stmts []ast.Stmt) ([]loop.Node, *Diagnostic) {
-	var nodes []loop.Node
-	for _, stmt := range stmts {
+	nodes := make([]loop.Node, len(stmts))
+	for i, stmt := range stmts {
+		var d *Diagnostic
 		switch s := stmt.(type) {
 		case *ast.AssignStmt:
-			st, d := nl.lowerAssign(s)
-			if d != nil {
-				return nil, d
-			}
-			nodes = append(nodes, loop.S(st))
+			nodes[i], d = nl.lowerAssign(s)
 		case *ast.IncDecStmt:
-			st, d := nl.lowerIncDec(s)
-			if d != nil {
-				return nil, d
-			}
-			nodes = append(nodes, loop.S(st))
+			nodes[i], d = nl.lowerIncDec(s)
 		case *ast.IfStmt:
-			node, d := nl.lowerIf(s)
-			if d != nil {
-				return nil, d
-			}
-			nodes = append(nodes, node)
+			nodes[i], d = nl.lowerIf(s)
 		case *ast.ForStmt, *ast.RangeStmt:
-			return nil, nl.lw.diag(s.Pos(), CodeImperfectNest, s,
+			d = nl.lw.diag(s.Pos(), CodeImperfectNest, s,
 				"inner loops must perfectly nest (exactly one for per non-innermost body)")
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
-				return nil, nl.lw.diag(s.Pos(), CodeCall, call, "function calls cannot be lowered")
+				d = nl.lw.diag(s.Pos(), CodeCall, call, "function calls cannot be lowered")
+			} else {
+				d = nl.lw.diag(s.Pos(), CodeStmt, s, "expression statements cannot be lowered")
 			}
-			return nil, nl.lw.diag(s.Pos(), CodeStmt, s, "expression statements cannot be lowered")
 		default:
-			return nil, nl.lw.diag(s.Pos(), CodeStmt, s, "statement kind %T is outside the lowerable subset", s)
+			d = nl.lw.diag(s.Pos(), CodeStmt, s, "statement kind %T is outside the lowerable subset", s)
+		}
+		if d != nil {
+			return nil, d
 		}
 	}
 	return nodes, nil
@@ -332,120 +333,80 @@ func (nl *nest) newStmt() *deps.Stmt {
 
 // lowerAssign lowers `lhs = rhs` (plus the +=, -=, *= and := forms) into a
 // statement with semantics.
-func (nl *nest) lowerAssign(as *ast.AssignStmt) (*deps.Stmt, *Diagnostic) {
+func (nl *nest) lowerAssign(as *ast.AssignStmt) (loop.Node, *Diagnostic) {
 	lw := nl.lw
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return nil, lw.diag(as.Pos(), CodeStmt, as, "multi-value assignments cannot be lowered")
 	}
-	var op token.Token
 	switch as.Tok {
-	case token.ASSIGN, token.DEFINE:
-	case token.ADD_ASSIGN:
-		op = token.ADD
-	case token.SUB_ASSIGN:
-		op = token.SUB
-	case token.MUL_ASSIGN:
-		op = token.MUL
+	case token.ASSIGN, token.DEFINE, token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
 	default:
 		return nil, lw.diag(as.Pos(), CodeStmt, as, "assignment operator %s is outside the lowerable subset", as.Tok)
 	}
 
 	st := nl.newStmt()
-	var local string
-	switch lhs := as.Lhs[0].(type) {
-	case *ast.IndexExpr:
-		ref, d := nl.refOf(lhs, st)
-		if d != nil {
-			return nil, d
-		}
-		st.Writes = []deps.Ref{ref}
-	case *ast.Ident:
-		if k := nl.levelOf(lhs); k >= 0 {
-			return nil, lw.diag(lhs.Pos(), CodeIndexAssign, as, "the body must not write loop index %s", lhs.Name)
-		}
-		if d := nl.checkLocal(lhs, as.Tok == token.DEFINE); d != nil {
-			return nil, d
-		}
-		local = lhs.Name
-	default:
-		return nil, lw.diag(as.Lhs[0].Pos(), CodeStmt, as, "assignment target must be an array element or a scalar")
+	local, d := nl.target(as.Lhs[0], st, as, as.Tok == token.DEFINE, "assignment")
+	if d != nil {
+		return nil, d
 	}
-
 	rhs, d := nl.compileExpr(as.Rhs[0], st)
 	if d != nil {
 		return nil, d
 	}
-	if op != token.ILLEGAL {
-		// Desugar `lhs op= rhs` to `lhs = lhs op rhs`; the extra read slot
-		// is allocated after the RHS reads, matching the evaluation order.
-		var lhsNode evalNode
-		if len(st.Writes) > 0 {
-			lhsNode = readNode(len(st.Reads))
-			st.Reads = append(st.Reads, st.Writes[0])
-		} else {
-			lhsNode = localNode(nl.local(local))
-		}
-		rhs = binNode{op: op, l: lhsNode, r: rhs}
+	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
+		rhs = nl.compound(st, local, as.Tok, rhs)
 	}
-	nl.bindSem(st, local, rhs)
-	return st, nil
+	nl.sem[st] = nl.locals.Sem(local, rhs)
+	return loop.S(st), nil
 }
 
-// lowerIncDec lowers `a[i]++` / `t--` as the equivalent assignment.
-func (nl *nest) lowerIncDec(s *ast.IncDecStmt) (*deps.Stmt, *Diagnostic) {
-	op := token.ADD
-	if s.Tok == token.DEC {
-		op = token.SUB
+// compound desugars `lhs op= rhs` to `lhs = lhs op rhs`, and `lhs++` or
+// `lhs--` to `lhs = lhs ± rhs`: the operator is the first byte of tok. An
+// array target's extra read slot is allocated after the RHS reads,
+// matching the evaluation order.
+func (nl *nest) compound(st *deps.Stmt, local string, tok token.Token, rhs expr.Value) expr.Value {
+	var lhs expr.Value
+	if local == "" {
+		st.Reads = append(st.Reads, st.Writes[0])
+		lhs = expr.Read(len(st.Reads) - 1)
+	} else {
+		lhs = expr.Local(nl.locals.Slot(local))
 	}
+	return expr.Bin{Op: tok.String()[0], L: lhs, R: rhs}
+}
+
+// lowerIncDec lowers `a[i]++` / `t--` as the equivalent `+= 1` / `-= 1`.
+func (nl *nest) lowerIncDec(s *ast.IncDecStmt) (loop.Node, *Diagnostic) {
 	st := nl.newStmt()
-	var local string
-	switch lhs := s.X.(type) {
+	local, d := nl.target(s.X, st, s, false, "increment")
+	if d != nil {
+		return nil, d
+	}
+	nl.sem[st] = nl.locals.Sem(local, nl.compound(st, local, s.Tok, expr.Num(1)))
+	return loop.S(st), nil
+}
+
+// target lowers the target of statement at (an assignment or increment, for
+// diagnostics): an array element becomes st's write, and a scalar is
+// returned as the name of the local the statement sets.
+func (nl *nest) target(lhs ast.Expr, st *deps.Stmt, at ast.Node, defines bool, what string) (string, *Diagnostic) {
+	switch v := lhs.(type) {
 	case *ast.IndexExpr:
-		ref, d := nl.refOf(lhs, st)
-		if d != nil {
-			return nil, d
-		}
+		ref, d := nl.refOf(v)
 		st.Writes = []deps.Ref{ref}
-		st.Reads = append(st.Reads, ref)
-		nl.bindSem(st, "", binNode{op: op, l: readNode(0), r: numNode(1)})
+		return "", d
 	case *ast.Ident:
-		if k := nl.levelOf(lhs); k >= 0 {
-			return nil, nl.lw.diag(lhs.Pos(), CodeIndexAssign, s, "the body must not write loop index %s", lhs.Name)
+		if nl.levelOf(v) >= 0 {
+			return "", nl.lw.diag(v.Pos(), CodeIndexAssign, at, "the body must not write loop index %s", v.Name)
 		}
-		if d := nl.checkLocal(lhs, false); d != nil {
-			return nil, d
-		}
-		local = lhs.Name
-		nl.bindSem(st, local, binNode{op: op, l: localNode(nl.local(local)), r: numNode(1)})
-	default:
-		return nil, nl.lw.diag(s.Pos(), CodeStmt, s, "increment target must be an array element or a scalar")
+		return v.Name, nl.checkLocal(v, defines)
 	}
-	return st, nil
+	return "", nl.lw.diag(lhs.Pos(), CodeStmt, at, "%s target must be an array element or a scalar", what)
 }
 
-// bindSem attaches the executable semantics: array statements store the
-// written value, scalar statements update the iteration's local slot.
-func (nl *nest) bindSem(st *deps.Stmt, local string, rhs evalNode) {
-	if len(st.Writes) > 0 {
-		nl.sem[st] = func(idx, in, locals, out []int64) {
-			out[0] = rhs.eval(evalEnv{idx: idx, in: in, locals: locals})
-		}
-		return
-	}
-	slot := nl.local(local)
-	nl.sem[st] = func(idx, in, locals, _ []int64) {
-		locals[slot] = rhs.eval(evalEnv{idx: idx, in: in, locals: locals})
-	}
-}
-
-// local returns the slot of the named iteration-local scalar.
-func (nl *nest) local(name string) int {
-	slot, ok := nl.locals[name]
-	if !ok {
-		slot = len(nl.locals)
-		nl.locals[name] = slot
-	}
-	return slot
+// declares reports whether obj is declared inside the nest.
+func (nl *nest) declares(obj types.Object) bool {
+	return obj != nil && obj.Pos() >= nl.span[0] && obj.Pos() < nl.span[1]
 }
 
 // checkLocal verifies that a scalar target is iteration-local: either
@@ -460,7 +421,7 @@ func (nl *nest) checkLocal(id *ast.Ident, defines bool) *Diagnostic {
 	if obj == nil {
 		obj = nl.lw.info.Defs[id]
 	}
-	if obj == nil || obj.Pos() < nl.span[0] || obj.Pos() >= nl.span[1] {
+	if !nl.declares(obj) {
 		return nl.lw.diag(id.Pos(), CodeEscape,
 			id, "scalar %s is declared outside the loop nest; only iteration-local scalars can be lowered", id.Name)
 	}
@@ -472,7 +433,7 @@ func (nl *nest) lowerIf(s *ast.IfStmt) (loop.Node, *Diagnostic) {
 	if s.Init != nil {
 		return nil, nl.lw.diag(s.Init.Pos(), CodeCondition, s.Init, "if statements with init clauses cannot be lowered")
 	}
-	cond, name, d := nl.lowerCond(s.Cond)
+	cond, d := nl.lowerCond(s.Cond)
 	if d != nil {
 		return nil, d
 	}
@@ -486,97 +447,62 @@ func (nl *nest) lowerIf(s *ast.IfStmt) (loop.Node, *Diagnostic) {
 	case *ast.BlockStmt:
 		elseBody, d = nl.lowerBody(e.List)
 	case *ast.IfStmt:
-		var node loop.Node
-		node, d = nl.lowerIf(e)
-		elseBody = []loop.Node{node}
+		elseBody, d = nl.lowerBody([]ast.Stmt{e})
 	default:
 		d = nl.lw.diag(s.Else.Pos(), CodeStmt, s.Else, "else form %T cannot be lowered", s.Else)
 	}
 	if d != nil {
 		return nil, d
 	}
-	return loop.IfNode{Name: name, Cond: cond, Then: thenBody, Else: elseBody}, nil
+	return loop.If(cond, thenBody, elseBody), nil
 }
 
 // lowerCond recognizes the index conditions the IR names canonically:
 // parity tests `i%2 == 1` (ODD) / `i%2 == 0` (EVEN) and comparisons of an
 // index against a constant (`i <= 5` names itself "I<=5", as lang does).
-func (nl *nest) lowerCond(e ast.Expr) (func(idx []int64) bool, string, *Diagnostic) {
+func (nl *nest) lowerCond(e ast.Expr) (loop.Cond, *Diagnostic) {
 	lw := nl.lw
 	cmp, ok := ast.Unparen(e).(*ast.BinaryExpr)
 	if !ok {
-		return nil, "", lw.diag(e.Pos(), CodeCondition, e, "condition must compare a loop index")
+		return loop.Cond{}, lw.diag(e.Pos(), CodeCondition, e, "condition must compare a loop index")
 	}
 
 	// Parity: (i % 2) == 0|1, or with !=.
 	if mod, ok := ast.Unparen(cmp.X).(*ast.BinaryExpr); ok && mod.Op == token.REM {
 		if cmp.Op != token.EQL && cmp.Op != token.NEQ {
-			return nil, "", lw.diag(e.Pos(), CodeCondition, e, "parity tests support only == and !=")
+			return loop.Cond{}, lw.diag(e.Pos(), CodeCondition, e, "parity tests support only == and !=")
 		}
-		id, ok := ast.Unparen(mod.X).(*ast.Ident)
-		k := -1
-		if ok {
-			k = nl.levelOf(id)
-		}
+		k := nl.indexAt(mod.X)
 		two, twoOK := nl.constVal(mod.Y)
 		rhs, rhsOK := nl.constVal(cmp.Y)
 		if k < 0 || !twoOK || two != 2 || !rhsOK || (rhs != 0 && rhs != 1) {
-			return nil, "", lw.diag(e.Pos(), CodeCondition, e, "parity test must be `i%%2 == 0` or `i%%2 == 1` on a loop index")
+			return loop.Cond{}, lw.diag(e.Pos(), CodeCondition, e, "parity test must be `i%%2 == 0` or `i%%2 == 1` on a loop index")
 		}
 		lv := nl.levels[k]
-		if lv.offset+lv.scale*lv.index.Lo < 0 {
+		if lv.v.Offset+lv.v.Scale*lv.index.Lo < 0 {
 			// Go's % is negative for negative operands; the canonical
 			// ODD/EVEN names assume a non-negative range.
-			return nil, "", lw.diag(e.Pos(), CodeCondition, e, "parity test over a range with negative values")
+			return loop.Cond{}, lw.diag(e.Pos(), CodeCondition, e, "parity test over a range with negative values")
 		}
-		wantOdd := (rhs == 1) == (cmp.Op == token.EQL)
-		name := "EVEN(" + lv.name + ")"
-		if wantOdd {
-			name = "ODD(" + lv.name + ")"
+		op := "EVEN"
+		if (rhs == 1) == (cmp.Op == token.EQL) {
+			op = "ODD"
 		}
-		return func(idx []int64) bool {
-			return (lv.offset+lv.scale*idx[k])%2 == 1 == wantOdd
-		}, name, nil
+		return loop.Cond{Index: lv.index.Name, Var: lv.v, Op: op}, nil
 	}
 
 	// Comparison: i <op> const.
-	id, ok := ast.Unparen(cmp.X).(*ast.Ident)
-	k := -1
-	if ok {
-		k = nl.levelOf(id)
-	}
+	k := nl.indexAt(cmp.X)
 	if k < 0 {
-		return nil, "", lw.diag(cmp.X.Pos(), CodeCondition, e, "condition must test a loop index against a constant")
+		return loop.Cond{}, lw.diag(cmp.X.Pos(), CodeCondition, e, "condition must test a loop index against a constant")
 	}
 	rhs, ok := nl.constVal(cmp.Y)
 	if !ok {
-		return nil, "", lw.diag(cmp.Y.Pos(), CodeCondition, cmp.Y, "comparison bound is not an integer constant")
+		return loop.Cond{}, lw.diag(cmp.Y.Pos(), CodeCondition, cmp.Y, "comparison bound is not an integer constant")
 	}
-	opText := map[token.Token]string{
-		token.LSS: "<", token.LEQ: "<=", token.GTR: ">",
-		token.GEQ: ">=", token.EQL: "==", token.NEQ: "!=",
-	}[cmp.Op]
-	if opText == "" {
-		return nil, "", lw.diag(e.Pos(), CodeCondition, e, "comparison operator %s cannot be lowered", cmp.Op)
+	if !loop.IsComparison(cmp.Op.String()) {
+		return loop.Cond{}, lw.diag(e.Pos(), CodeCondition, e, "comparison operator %s cannot be lowered", cmp.Op)
 	}
 	lv := nl.levels[k]
-	op := cmp.Op
-	name := fmt.Sprintf("%s%s%d", lv.name, opText, rhs)
-	return func(idx []int64) bool {
-		v := lv.offset + lv.scale*idx[k]
-		switch op {
-		case token.LSS:
-			return v < rhs
-		case token.LEQ:
-			return v <= rhs
-		case token.GTR:
-			return v > rhs
-		case token.GEQ:
-			return v >= rhs
-		case token.EQL:
-			return v == rhs
-		default:
-			return v != rhs
-		}
-	}, name, nil
+	return loop.Cond{Index: lv.index.Name, Var: lv.v, Op: cmp.Op.String(), C: rhs}, nil
 }

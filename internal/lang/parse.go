@@ -12,54 +12,6 @@ import (
 	"github.com/csrd-repro/datasync/internal/sim"
 )
 
-// ---- Expression AST with executable semantics ----
-
-// env is what an expression reads: the iteration's index vector, the
-// statement's array read values and the iteration's local slots. It is
-// passed by value (the buffers are the caller's), so evaluation allocates
-// nothing.
-type env struct {
-	idx, in, locals []int64
-}
-
-type exprNode interface{ eval(e env) int64 }
-
-type numExpr int64
-
-func (n numExpr) eval(env) int64 { return int64(n) }
-
-type indexExpr int
-
-func (k indexExpr) eval(e env) int64 { return e.idx[k] }
-
-// localExpr reads a scalar local's slot.
-type localExpr int
-
-func (l localExpr) eval(e env) int64 { return e.locals[l] }
-
-// refExpr reads the statement's slot-th array read value (bound by codegen).
-type refExpr struct{ slot int }
-
-func (r refExpr) eval(e env) int64 { return e.in[r.slot] }
-
-type binExpr struct {
-	op   byte
-	l, r exprNode
-}
-
-func (b binExpr) eval(e env) int64 {
-	lv, rv := b.l.eval(e), b.r.eval(e)
-	switch b.op {
-	case '+':
-		return lv + rv
-	case '-':
-		return lv - rv
-	case '*':
-		return lv * rv
-	}
-	panic("lang: unknown operator")
-}
-
 // ---- Parser ----
 
 type parser struct {
@@ -68,18 +20,7 @@ type parser struct {
 	indexes []loop.Index
 	stmtSeq int
 	sem     map[*deps.Stmt]codegen.Sem
-	// locals numbers the scalar locals' slots in order of first mention.
-	locals map[string]int
-}
-
-// local returns the slot of the named scalar local.
-func (p *parser) local(name string) int {
-	slot, ok := p.locals[name]
-	if !ok {
-		slot = len(p.locals)
-		p.locals[name] = slot
-	}
-	return slot
+	locals  expr.Locals
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -102,10 +43,21 @@ func (p *parser) expectPunct(s string) error {
 	return nil
 }
 
-func (p *parser) expectKeyword(kw string) error {
-	t := p.next()
-	if t.kind != tokIdent || !strings.EqualFold(t.text, kw) {
-		return fmt.Errorf("line %d: expected %s, got %s", t.line, kw, t)
+// acceptPunct consumes the next token if it is the punctuation s.
+func (p *parser) acceptPunct(s string) bool {
+	if t := p.peek(); t.kind != tokPunct || t.text != s {
+		return false
+	}
+	p.pos++
+	return true
+}
+
+// expectKeyword consumes the keywords kws in order.
+func (p *parser) expectKeyword(kws ...string) error {
+	for _, kw := range kws {
+		if t := p.next(); t.kind != tokIdent || !strings.EqualFold(t.text, kw) {
+			return fmt.Errorf("line %d: expected %s, got %s", t.line, kw, t)
+		}
 	}
 	return nil
 }
@@ -132,7 +84,7 @@ func Parse(src string) (*codegen.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sem: make(map[*deps.Stmt]codegen.Sem), locals: make(map[string]int)}
+	p := &parser{toks: toks, sem: make(map[*deps.Stmt]codegen.Sem), locals: make(expr.Locals)}
 	p.skipNL()
 	for p.atKeyword("DO") {
 		if err := p.parseDoHeader(); err != nil {
@@ -148,10 +100,7 @@ func Parse(src string) (*codegen.Workload, error) {
 		return nil, err
 	}
 	for range p.indexes {
-		if err := p.expectKeyword("END"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("DO"); err != nil {
+		if err := p.expectKeyword("END", "DO"); err != nil {
 			return nil, err
 		}
 		p.skipNL()
@@ -163,9 +112,7 @@ func Parse(src string) (*codegen.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &codegen.Workload{Name: "dsl", Nest: nest, Sem: p.sem, Locals: len(p.locals)}
-	w.Setup = DefaultSetup(nest)
-	return w, nil
+	return &codegen.Workload{Name: "dsl", Nest: nest, Sem: p.sem, Locals: len(p.locals), Setup: DefaultSetup(nest)}, nil
 }
 
 // parseDoHeader parses "DO I = lo, hi".
@@ -199,11 +146,7 @@ func (p *parser) parseDoHeader() error {
 }
 
 func (p *parser) parseInt() (int64, error) {
-	neg := false
-	if t := p.peek(); t.kind == tokPunct && t.text == "-" {
-		p.pos++
-		neg = true
-	}
+	neg := p.acceptPunct("-")
 	t := p.next()
 	if t.kind != tokNumber {
 		return 0, fmt.Errorf("line %d: expected number, got %s", t.line, t)
@@ -243,7 +186,7 @@ func (p *parser) parseIf() (loop.Node, error) {
 	if err := p.expectKeyword("IF"); err != nil {
 		return nil, err
 	}
-	cond, name, err := p.parseCond()
+	cond, err := p.parseCond()
 	if err != nil {
 		return nil, err
 	}
@@ -262,79 +205,51 @@ func (p *parser) parseIf() (loop.Node, error) {
 			return nil, err
 		}
 	}
-	if err := p.expectKeyword("END"); err != nil {
+	if err := p.expectKeyword("END", "IF"); err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("IF"); err != nil {
-		return nil, err
-	}
-	return loop.IfNode{Name: name, Cond: cond, Then: thenBody, Else: elseBody}, nil
+	return loop.If(cond, thenBody, elseBody), nil
 }
 
 // parseCond parses ODD(I), EVEN(I), or I <cmp> number.
-func (p *parser) parseCond() (func(idx []int64) bool, string, error) {
+func (p *parser) parseCond() (loop.Cond, error) {
 	t := p.next()
 	if t.kind != tokIdent {
-		return nil, "", fmt.Errorf("line %d: expected condition, got %s", t.line, t)
+		return loop.Cond{}, fmt.Errorf("line %d: expected condition, got %s", t.line, t)
 	}
 	upper := strings.ToUpper(t.text)
 	if upper == "ODD" || upper == "EVEN" {
 		if err := p.expectPunct("("); err != nil {
-			return nil, "", err
+			return loop.Cond{}, err
 		}
 		v := p.next()
 		k := p.indexOf(v.text)
 		if v.kind != tokIdent || k < 0 {
-			return nil, "", fmt.Errorf("line %d: %s needs a loop index, got %s", v.line, upper, v)
+			return loop.Cond{}, fmt.Errorf("line %d: %s needs a loop index, got %s", v.line, upper, v)
 		}
 		if err := p.expectPunct(")"); err != nil {
-			return nil, "", err
+			return loop.Cond{}, err
 		}
-		want := int64(1)
-		if upper == "EVEN" {
-			want = 0
-		}
-		name := fmt.Sprintf("%s(%s)", upper, strings.ToUpper(v.text))
-		return func(idx []int64) bool {
-			m := idx[k] % 2
-			if m < 0 {
-				m += 2
-			}
-			return m == want
-		}, name, nil
+		return p.indexCond(k, upper, 0), nil
 	}
 	k := p.indexOf(t.text)
 	if k < 0 {
-		return nil, "", fmt.Errorf("line %d: unknown index %q in condition", t.line, t.text)
+		return loop.Cond{}, fmt.Errorf("line %d: unknown index %q in condition", t.line, t.text)
 	}
 	cmp := p.next()
-	if cmp.kind != tokCompare {
-		return nil, "", fmt.Errorf("line %d: expected comparison, got %s", cmp.line, cmp)
+	if cmp.kind != tokCompare || !loop.IsComparison(cmp.text) {
+		return loop.Cond{}, fmt.Errorf("line %d: expected comparison, got %s", cmp.line, cmp)
 	}
 	rhs, err := p.parseInt()
 	if err != nil {
-		return nil, "", err
+		return loop.Cond{}, err
 	}
-	name := fmt.Sprintf("%s%s%d", strings.ToUpper(t.text), cmp.text, rhs)
-	op := cmp.text
-	return func(idx []int64) bool {
-		v := idx[k]
-		switch op {
-		case "<":
-			return v < rhs
-		case "<=":
-			return v <= rhs
-		case ">":
-			return v > rhs
-		case ">=":
-			return v >= rhs
-		case "==":
-			return v == rhs
-		case "!=":
-			return v != rhs
-		}
-		return false
-	}, name, nil
+	return p.indexCond(k, cmp.text, rhs), nil
+}
+
+// indexCond is the condition testing index k with op against c.
+func (p *parser) indexCond(k int, op string, c int64) loop.Cond {
+	return loop.Cond{Index: p.indexes[k].Name, Var: expr.Var{K: k, Scale: 1}, Op: op, C: c}
 }
 
 // parseStmt parses "[label:] lhs = expr [@cost]".
@@ -343,16 +258,12 @@ func (p *parser) parseStmt() (*deps.Stmt, error) {
 	if first.kind != tokIdent {
 		return nil, fmt.Errorf("line %d: expected statement, got %s", first.line, first)
 	}
-	label := ""
-	lhsName := first.text
-	if t := p.peek(); t.kind == tokPunct && t.text == ":" {
-		p.pos++
-		label = first.text
-		lhs := p.next()
+	label, lhs := "", first
+	if p.acceptPunct(":") {
+		label, lhs = first.text, p.next()
 		if lhs.kind != tokIdent {
 			return nil, fmt.Errorf("line %d: expected assignment target, got %s", lhs.line, lhs)
 		}
-		lhsName = lhs.text
 	}
 	p.stmtSeq++
 	if label == "" {
@@ -362,17 +273,17 @@ func (p *parser) parseStmt() (*deps.Stmt, error) {
 
 	// LHS: array reference or scalar local.
 	var writeLocal string
-	if t := p.peek(); t.kind == tokPunct && t.text == "[" {
-		ref, err := p.parseRefIndices(lhsName)
+	if p.acceptPunct("[") {
+		ref, err := p.parseRefIndices(lhs.text)
 		if err != nil {
 			return nil, err
 		}
 		st.Writes = []deps.Ref{ref}
 	} else {
-		if p.indexOf(lhsName) >= 0 {
-			return nil, fmt.Errorf("lang: cannot assign to loop index %s", lhsName)
+		if p.indexOf(lhs.text) >= 0 {
+			return nil, fmt.Errorf("lang: cannot assign to loop index %s", lhs.text)
 		}
-		writeLocal = lhsName
+		writeLocal = lhs.text
 	}
 	if err := p.expectPunct("="); err != nil {
 		return nil, err
@@ -381,8 +292,7 @@ func (p *parser) parseStmt() (*deps.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := p.peek(); t.kind == tokPunct && t.text == "@" {
-		p.pos++
+	if p.acceptPunct("@") {
 		cost, err := p.parseInt()
 		if err != nil {
 			return nil, err
@@ -395,24 +305,13 @@ func (p *parser) parseStmt() (*deps.Stmt, error) {
 	if t := p.peek(); t.kind != tokNewline && t.kind != tokEOF {
 		return nil, p.errf("unexpected %s after statement %s", t, label)
 	}
-	if len(st.Writes) > 0 {
-		p.sem[st] = func(idx, in, locals, out []int64) {
-			out[0] = rhs.eval(env{idx: idx, in: in, locals: locals})
-		}
-	} else {
-		slot := p.local(writeLocal)
-		p.sem[st] = func(idx, in, locals, _ []int64) {
-			locals[slot] = rhs.eval(env{idx: idx, in: in, locals: locals})
-		}
-	}
+	p.sem[st] = p.locals.Sem(writeLocal, rhs)
 	return st, nil
 }
 
-// parseRefIndices parses "[aff, aff, ...]" for the named array.
+// parseRefIndices parses "aff, aff, ...]", the subscripts of the named
+// array after its "[".
 func (p *parser) parseRefIndices(array string) (deps.Ref, error) {
-	if err := p.expectPunct("["); err != nil {
-		return deps.Ref{}, err
-	}
 	var subs []expr.Affine
 	for {
 		a, err := p.parseAffine()
@@ -445,8 +344,7 @@ func (p *parser) parseAffine() (expr.Affine, error) {
 		case t.kind == tokNumber:
 			c := t.num
 			// Optional "* IDENT" after a coefficient.
-			if nt := p.peek(); nt.kind == tokPunct && nt.text == "*" {
-				p.pos++
+			if p.acceptPunct("*") {
 				v := p.next()
 				k := p.indexOf(v.text)
 				if v.kind != tokIdent || k < 0 {
@@ -481,57 +379,43 @@ func (p *parser) parseAffine() (expr.Affine, error) {
 // parseExpr parses the right-hand side: terms joined by + and - (with *
 // binding tighter), where a term is a number, a loop index, a local scalar,
 // or an array reference (which becomes a read of the statement).
-func (p *parser) parseExpr(st *deps.Stmt) (exprNode, error) {
-	left, err := p.parseTerm(st)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokPunct && (t.text == "+" || t.text == "-") {
-			p.pos++
-			right, err := p.parseTerm(st)
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: t.text[0], l: left, r: right}
-			continue
-		}
-		return left, nil
-	}
+func (p *parser) parseExpr(st *deps.Stmt) (expr.Value, error) {
+	return p.parseChain(st, "+-", p.parseTerm)
 }
 
-func (p *parser) parseTerm(st *deps.Stmt) (exprNode, error) {
-	left, err := p.parseFactor(st)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokPunct && t.text == "*" {
-			p.pos++
-			right, err := p.parseFactor(st)
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: '*', l: left, r: right}
-			continue
-		}
-		return left, nil
-	}
+func (p *parser) parseTerm(st *deps.Stmt) (expr.Value, error) {
+	return p.parseChain(st, "*", p.parseFactor)
 }
 
-func (p *parser) parseFactor(st *deps.Stmt) (exprNode, error) {
+// parseChain parses operands joined, left to right, by the one-character
+// operators in ops.
+func (p *parser) parseChain(st *deps.Stmt, ops string, operand func(*deps.Stmt) (expr.Value, error)) (expr.Value, error) {
+	left, err := operand(st)
+	for err == nil {
+		t := p.peek()
+		if t.kind != tokPunct || !strings.Contains(ops, t.text) {
+			break
+		}
+		p.pos++
+		var right expr.Value
+		if right, err = operand(st); err == nil {
+			left = expr.Bin{Op: t.text[0], L: left, R: right}
+		}
+	}
+	return left, err
+}
+
+func (p *parser) parseFactor(st *deps.Stmt) (expr.Value, error) {
 	t := p.next()
 	switch {
 	case t.kind == tokNumber:
-		return numExpr(t.num), nil
+		return expr.Num(t.num), nil
 	case t.kind == tokPunct && t.text == "-":
 		inner, err := p.parseFactor(st)
 		if err != nil {
 			return nil, err
 		}
-		return binExpr{op: '-', l: numExpr(0), r: inner}, nil
+		return expr.Neg(inner), nil
 	case t.kind == tokPunct && t.text == "(":
 		inner, err := p.parseExpr(st)
 		if err != nil {
@@ -542,19 +426,18 @@ func (p *parser) parseFactor(st *deps.Stmt) (exprNode, error) {
 		}
 		return inner, nil
 	case t.kind == tokIdent:
-		if nt := p.peek(); nt.kind == tokPunct && nt.text == "[" {
+		if p.acceptPunct("[") {
 			ref, err := p.parseRefIndices(t.text)
 			if err != nil {
 				return nil, err
 			}
-			slot := len(st.Reads)
 			st.Reads = append(st.Reads, ref)
-			return refExpr{slot: slot}, nil
+			return expr.Read(len(st.Reads) - 1), nil
 		}
 		if k := p.indexOf(t.text); k >= 0 {
-			return indexExpr(k), nil
+			return expr.Var{K: k, Scale: 1}, nil
 		}
-		return localExpr(p.local(t.text)), nil
+		return expr.Local(p.locals.Slot(t.text)), nil
 	default:
 		return nil, fmt.Errorf("line %d: unexpected %s in expression", t.line, t)
 	}

@@ -190,17 +190,18 @@ END DO
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"",                                   // no DO
-		"DO I = 1, 0\nA[I]=1\nEND DO",        // empty range
-		"DO I = 1, 5\nA[J]=1\nEND DO",        // unknown index
-		"DO I = 1, 5\nA[I]=1",                // missing END DO
-		"DO I = 1, 5\nI = 3\nEND DO",         // assign to index
-		"DO I = 1, 5\nA[I] = $\nEND DO",      // bad character
-		"DO I = 1, 5\nA[I,J,I]= 1\nEND DO",   // too many dims / unknown J
-		"DO I = 1, 5\nIF ODD(I)\nEND DO",     // missing THEN
-		"DO I = 1, 5\nA[I] = 1 2\nEND DO",    // trailing junk
-		"DO I = 1, 5\nA[I] = 1 @-2\nEND DO",  // negative cost
-		"DO I = 1, 5\nA[I]=1\nEND DO\nextra", // trailing input
+		"",                                                   // no DO
+		"DO I = 1, 0\nA[I]=1\nEND DO",                        // empty range
+		"DO I = 1, 5\nA[J]=1\nEND DO",                        // unknown index
+		"DO I = 1, 5\nA[I]=1",                                // missing END DO
+		"DO I = 1, 5\nI = 3\nEND DO",                         // assign to index
+		"DO I = 1, 5\nA[I] = $\nEND DO",                      // bad character
+		"DO I = 1, 5\nA[I,J,I]= 1\nEND DO",                   // too many dims / unknown J
+		"DO I = 1, 5\nIF ODD(I)\nEND DO",                     // missing THEN
+		"DO I = 1, 5\nA[I] = 1 2\nEND DO",                    // trailing junk
+		"DO I = 1, 5\nA[I] = 1 @-2\nEND DO",                  // negative cost
+		"DO I = 1, 5\nA[I]=1\nEND DO\nextra",                 // trailing input
+		"DO I = 1, 5\nIF I ! 5 THEN\nA[I]=1\nEND IF\nEND DO", // lone ! is no comparison
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -12,8 +12,10 @@ package loop
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/csrd-repro/datasync/internal/deps"
+	"github.com/csrd-repro/datasync/internal/expr"
 )
 
 // Index describes one loop level: DO Name = Lo, Hi (step 1).
@@ -50,6 +52,69 @@ type IfNode struct {
 }
 
 func (IfNode) isNode() {}
+
+// If returns the conditional that runs then where c holds and els
+// elsewhere, named by c.
+func If(c Cond, then, els []Node) IfNode {
+	return IfNode{Name: c.String(), Cond: c.Holds, Then: then, Else: els}
+}
+
+// Cond is an index condition, the test the front ends give a conditional:
+// one loop index's source value (see expr.Var) tested for parity or
+// compared against a constant. A conditional built by If takes its
+// predicate and its name from one Cond, so the two cannot drift apart.
+type Cond struct {
+	Index string   // the tested index's name
+	Var   expr.Var // the tested index's level and stride fold
+	// Op is the test: "ODD", "EVEN", or a comparison against C (see
+	// IsComparison).
+	Op string
+	C  int64
+}
+
+// IsComparison reports whether op is one of the comparisons a Cond takes.
+func IsComparison(op string) bool {
+	switch op {
+	case "<", "<=", ">", ">=", "==", "!=":
+		return true
+	}
+	return false
+}
+
+// Holds reports whether the condition holds at index vector idx. Parity is
+// that of the mathematical residue, so it is defined for negative values
+// too; over non-negative values it is Go's v%2.
+func (c Cond) Holds(idx []int64) bool {
+	v := c.Var.Eval(idx, nil, nil)
+	switch c.Op {
+	case "ODD":
+		return v&1 == 1
+	case "EVEN":
+		return v&1 == 0
+	case "<":
+		return v < c.C
+	case "<=":
+		return v <= c.C
+	case ">":
+		return v > c.C
+	case ">=":
+		return v >= c.C
+	case "==":
+		return v == c.C
+	case "!=":
+		return v != c.C
+	}
+	panic("loop: unknown condition " + c.Op)
+}
+
+// String is the condition's canonical name: ODD(I), EVEN(I) or a
+// comparison such as I<=5.
+func (c Cond) String() string {
+	if c.Op == "ODD" || c.Op == "EVEN" {
+		return c.Op + "(" + c.Index + ")"
+	}
+	return c.Index + c.Op + strconv.FormatInt(c.C, 10)
+}
 
 // S is shorthand for wrapping a statement.
 func S(s *deps.Stmt) Node { return StmtNode{S: s} }

@@ -243,3 +243,35 @@ func TestIterationsAllocationFree(t *testing.T) {
 		t.Errorf("FlatBody = %v, want [S1 S2]", names(body))
 	}
 }
+
+func TestCond(t *testing.T) {
+	v := expr.Var{K: 0, Scale: 2, Offset: 1} // source value 1 + 2*idx[0]
+	cases := []struct {
+		c    Cond
+		name string
+		at   int64 // idx[0]
+		want bool
+	}{
+		{Cond{Index: "I", Var: v, Op: "ODD"}, "ODD(I)", 3, true},
+		{Cond{Index: "I", Var: v, Op: "EVEN"}, "EVEN(I)", 3, false},
+		{Cond{Index: "I", Var: expr.Var{Scale: 1}, Op: "EVEN"}, "EVEN(I)", -2, true},
+		{Cond{Index: "I", Var: v, Op: "<=", C: 7}, "I<=7", 3, true},
+		{Cond{Index: "I", Var: v, Op: "<", C: 7}, "I<7", 3, false},
+		{Cond{Index: "I", Var: v, Op: "!=", C: 7}, "I!=7", 3, false},
+		{Cond{Index: "J", Var: v, Op: ">=", C: -1}, "J>=-1", -1, true},
+	}
+	for _, tc := range cases {
+		if got := tc.c.String(); got != tc.name {
+			t.Errorf("%+v: name %q, want %q", tc.c, got, tc.name)
+		}
+		if got := tc.c.Holds([]int64{tc.at}); got != tc.want {
+			t.Errorf("%s at %d: %v, want %v", tc.name, tc.at, got, tc.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Holds accepted an unknown test")
+		}
+	}()
+	Cond{Index: "I", Var: v, Op: "!", C: 5}.Holds([]int64{0})
+}

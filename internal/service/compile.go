@@ -248,30 +248,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // executeCompile runs the whole compile (lowering plus every loop x scheme
 // evaluation) as one bounded pool job.
 func (s *Server) executeCompile(ctx context.Context, filename string, req CompileRequest) (*compileResult, error) {
-	type outcome struct {
-		res *compileResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	err := s.pool.Submit(func(jobCtx context.Context) {
-		if jobCtx.Err() != nil {
-			done <- outcome{err: fmt.Errorf("service: job expired in queue: %w", jobCtx.Err())}
-			return
-		}
+	return await(ctx, s.pool, failFast, func() (*compileResult, error) {
 		out, err := CompileSource(filename, []byte(req.Source), req.Schemes, req.Config)
 		if err != nil {
-			done <- outcome{err: err}
-			return
+			return nil, err
 		}
-		done <- outcome{res: &compileResult{val: CompileResponse{CompileOutcome: *out}}}
+		return &compileResult{val: CompileResponse{CompileOutcome: *out}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
-	}
 }

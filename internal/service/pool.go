@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,6 +105,48 @@ func (p *Pool) SubmitWait(ctx context.Context, fn func(context.Context)) error {
 			return ctx.Err()
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// submitMode is how a job waits for a queue slot.
+type submitMode bool
+
+const (
+	failFast submitMode = false // Submit: a full queue is ErrQueueFull (429)
+	patient  submitMode = true  // SubmitWait: wait for a slot until ctx ends
+)
+
+// await runs job on p, submitted in mode, and waits for its result or for
+// ctx to end. A job whose context expired while it sat in the queue does
+// not run. A request that gives up leaves its job running (every job is
+// bounded) and drops the result.
+func await[T any](ctx context.Context, p *Pool, mode submitMode, job func() (T, error)) (res T, err error) {
+	type outcome struct {
+		res T
+		err error
+	}
+	done := make(chan outcome, 1)
+	fn := func(jobCtx context.Context) {
+		if err := jobCtx.Err(); err != nil {
+			done <- outcome{err: fmt.Errorf("service: job expired in queue: %w", err)}
+			return
+		}
+		res, err := job()
+		done <- outcome{res, err}
+	}
+	if mode == patient {
+		err = p.SubmitWait(ctx, fn)
+	} else {
+		err = p.Submit(fn)
+	}
+	if err != nil {
+		return res, err
+	}
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-ctx.Done():
+		return res, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
 	}
 }
 

@@ -244,7 +244,8 @@ func (s *Server) seedShape(wl *codegen.Workload, spec WorkloadSpec) {
 	wl.Shape = v.(*codegen.Shape)
 }
 
-// evalRun answers one sweep point through cache, singleflight and pool.
+// evalRun answers one sweep point through cache, singleflight and pool. It
+// waits for a queue slot where a /run fails fast: see EvalSweep.
 func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (RunResponse, bool, error) {
 	sch, err := sspec.Build()
 	if err != nil {
@@ -254,7 +255,7 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 		return RunResponse{}, false, err
 	}
 	key := cache.RequestKey(wl, sch.Name(), cfg)
-	rr, hit, err := fetch[RunResponse](s, key, true, func() (any, error) { return s.executeRun(ctx, wl, sspec, cfg) })
+	rr, hit, err := fetch[RunResponse](s, key, true, func() (any, error) { return s.executeRun(ctx, patient, wl, sspec, cfg) })
 	if err != nil {
 		return RunResponse{}, false, err
 	}
@@ -262,54 +263,30 @@ func (s *Server) evalRun(ctx context.Context, wl *codegen.Workload, sspec Scheme
 }
 
 // executeRun runs one simulation on the pool and packages the measurements.
-// Outside a sweep the pool's backpressure fails fast with ErrQueueFull
-// (turned into 429); a sweep's patient context waits for a queue slot
-// instead.
-func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, error) {
-	type outcome struct {
-		res codegen.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	submit := s.pool.Submit
-	if _, patient := ctx.Value(ctxKeyPatient{}).(struct{}); patient {
-		submit = func(fn func(context.Context)) error { return s.pool.SubmitWait(ctx, fn) }
-	}
-	err := submit(func(jobCtx context.Context) {
-		if jobCtx.Err() != nil {
-			done <- outcome{err: fmt.Errorf("service: job expired in queue: %w", jobCtx.Err())}
-			return
-		}
+func (s *Server) executeRun(ctx context.Context, mode submitMode, wl *codegen.Workload, sspec SchemeSpec, cfg sim.Config) (*runResult, error) {
+	return await(ctx, s.pool, mode, func() (*runResult, error) {
 		start := time.Now()
 		// A fresh scheme per execution: instance-based schemes carry
 		// per-run renamed storage.
 		sch, err := sspec.Build()
 		if err != nil {
-			done <- outcome{err: err}
-			return
+			return nil, err
 		}
 		res, err := s.simRun(wl, sch, cfg)
 		if err == nil {
 			s.metrics.ObserveJob(sspec.Name, time.Since(start))
 		}
 		s.observeOutcome(res, err)
-		done <- outcome{res: res, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return nil, o.err
+		if err != nil {
+			return nil, err
 		}
-		st := o.res.Stats
+		st := res.Stats
 		return &runResult{val: RunResponse{
 			Workload:     wl.Name,
-			Scheme:       o.res.Scheme,
-			SerialCycles: o.res.SerialCycles,
+			Scheme:       res.Scheme,
+			SerialCycles: res.SerialCycles,
 			Cycles:       st.Cycles,
-			Speedup:      o.res.Speedup(),
+			Speedup:      res.Speedup(),
 			Utilization:  st.Utilization(),
 			SyncOps:      st.SyncOps,
 			WaitSync:     st.WaitSyncTotal(),
@@ -317,16 +294,12 @@ func (s *Server) executeRun(ctx context.Context, wl *codegen.Workload, sspec Sch
 			BusSaved:     st.BusSaved,
 			ModuleAcc:    st.ModuleAccesses,
 			Polls:        st.Polls,
-			Foot:         o.res.Foot,
+			Foot:         res.Foot,
 			Recovered:    st.Recovery != nil && st.Recovery.Recovered,
 			Recovery:     st.Recovery,
 			Stats:        st,
 		}}, nil
-	case <-ctx.Done():
-		// The job keeps running (it is MaxCycles-bounded) and its result
-		// will not be cached; the request gives up now.
-		return nil, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
-	}
+	})
 }
 
 // observeOutcome feeds one executed job into the fault counters: a
@@ -349,14 +322,6 @@ func (s *Server) observeOutcome(res codegen.Result, err error) {
 	}
 }
 
-// ctxKeyPatient marks contexts whose submissions should wait out a full
-// queue instead of failing fast (sweep fan-out).
-type ctxKeyPatient struct{}
-
-func patientCtx(ctx context.Context) context.Context {
-	return context.WithValue(ctx, ctxKeyPatient{}, struct{}{})
-}
-
 // ---- handlers ----
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -370,7 +335,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		s.seedShape(q.wl, q.run.Workload)
-		return s.executeRun(r.Context(), q.wl, q.run.Scheme, q.cfg)
+		return s.executeRun(r.Context(), failFast, q.wl, q.run.Scheme, q.cfg)
 	})
 	switch {
 	case err != nil:
@@ -395,38 +360,26 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.seedShape(q.wl, q.ver.Workload)
 		return s.executeVerify(r.Context(), q.wl, q.ver)
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		s.evalError(w, err)
-		return
-	}
-	if hit {
+	case hit:
 		s.writeHit(w, vr.hitBytes(p.Key))
-		return
+	default:
+		s.writeJSON(w, http.StatusOK, vr.decorate(p.Key, false))
 	}
-	s.writeJSON(w, http.StatusOK, vr.decorate(p.Key, false))
 }
 
 // executeVerify runs the static (and optionally dynamic) checkers on the pool.
 func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req VerifyRequest) (*verifyResult, error) {
-	type outcome struct {
-		res *verifyResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	err := s.pool.Submit(func(jobCtx context.Context) {
-		if jobCtx.Err() != nil {
-			done <- outcome{err: fmt.Errorf("service: job expired in queue: %w", jobCtx.Err())}
-			return
-		}
+	return await(ctx, s.pool, failFast, func() (*verifyResult, error) {
 		sch, err := req.Scheme.Build()
 		if err != nil {
-			done <- outcome{err: err}
-			return
+			return nil, err
 		}
 		sp, err := codegen.ExtractSyncProgram(wl, sch)
 		if err != nil {
-			done <- outcome{err: err}
-			return
+			return nil, err
 		}
 		res := &verifyResult{val: VerifyResponse{
 			Workload: wl.Name,
@@ -440,8 +393,7 @@ func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req Ve
 			// trace recorded up to that point is still replayed.
 			fresh, err := req.Scheme.Build()
 			if err != nil {
-				done <- outcome{err: err}
-				return
+				return nil, err
 			}
 			_, events, rerr := codegen.RunSyncTraced(wl, fresh, req.Config.SimConfig())
 			if rerr != nil {
@@ -453,17 +405,8 @@ func (s *Server) executeVerify(ctx context.Context, wl *codegen.Workload, req Ve
 				resp.OK = false
 			}
 		}
-		done <- outcome{res: res}
+		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("service: request cancelled while awaiting job: %w", ctx.Err())
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -543,15 +486,30 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
-	s.writeJSON(w, code, errorResponse{Error: OneLine(err)})
+	if err := WriteError(w, code, err); err != nil {
+		s.log.Error("encode response", "err", err)
+	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := encodeIndented(w, v); err != nil {
+	if err := WriteJSON(w, code, v); err != nil {
 		s.log.Error("encode response", "err", err)
 	}
+}
+
+// WriteJSON writes v as the answer under status code, in the one response
+// encoding (see encodeIndented). The cluster's own endpoints answer
+// through it too; WriteError is its error answer.
+func WriteJSON(w http.ResponseWriter, code int, v any) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	return encodeIndented(w, v)
+}
+
+// WriteError writes err as a JSON error answer, {"error": "<one line>"},
+// under status code.
+func WriteError(w http.ResponseWriter, code int, err error) error {
+	return WriteJSON(w, code, errorResponse{Error: OneLine(err)})
 }
 
 // statusWriter captures the response code for the request log.

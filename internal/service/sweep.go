@@ -323,10 +323,9 @@ func (s *Server) EvalSweep(ctx context.Context, req SweepRequest) (*SweepRespons
 	s.seedShape(wl, req.Workload)
 
 	// Fan the chains across the pool. The caller's goroutine is not a pool
-	// worker, so waiting for a queue slot (SubmitWait via patientCtx)
+	// worker, so waiting for a queue slot (evalRun submits patiently)
 	// cannot deadlock the pool; interactive /run traffic keeps its
 	// fail-fast 429 behaviour while a sweep patiently shares capacity.
-	ctx = patientCtx(ctx)
 	out := make([]SweepPoint, len(points))
 	var wg sync.WaitGroup
 	for _, chain := range SweepChains(req, points) {

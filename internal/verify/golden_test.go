@@ -255,6 +255,7 @@ var staticGolden = map[string]string{
 	"go/compound.go/0":                    "6cc1cc41b6c46cd10ca53a073f8b694e5d54c38397ccd519ce87278d4839744f",
 	"go/stencil.go/0":                     "18178f1b4afb32b6a74093d3e9022823ad475fdc63c8114385ccd1e64900a766",
 	"go/strided.go/0":                     "2780aa9d2659c751d6dc3026f80729e54c25dccc4b3ff5306f9e9b0328ad3aaf",
+	"go/twin_cond.go/0":                   "931ea06343c6e3106458c2690e1ef398b5e7cd228b9c15c5052eaf68f3f5d3d4",
 	"go/twin_locals.go/0":                 "7daf211a86c10746788310164ba852ae613a4a59f55dfe2e9d5b9d70c9d130e1",
 	"go/twin_nested.go/0":                 "2adc41448c56d2b5bf5ed8489c817902e7912c9320c323265032d4afb8e68509",
 	"broken":                              "d286b0a338af1f3b2f2067bbae901d20a69a585f0ce1bda801caa22ee59acaf7",

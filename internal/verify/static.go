@@ -155,7 +155,7 @@ type checker struct {
 	buf       []byte          // tag scratch
 }
 
-func (c *checker) vname(v int) string { return c.sp.VarNames[v] }
+func (c *checker) vname(v int) string { return c.sp.Machine.VarName(sim.VarID(v)) }
 
 // tagOf renders node id's tag, its step kind when it has none.
 func (c *checker) tagOf(id int) string {
@@ -197,7 +197,7 @@ func (c *checker) materialize() {
 		c.stmtNode[i] = -1
 	}
 	// Lay the signals out by variable: count, take prefix sums, fill.
-	nv := len(c.sp.VarNames)
+	nv := c.sp.Machine.VarCount()
 	c.sigStart = make([]int32, nv+1)
 	nWaits := 0
 	for i := range c.ops {

@@ -88,6 +88,8 @@ func TestStaticReportShape(t *testing.T) {
 func TestStaticDeadlock(t *testing.T) {
 	w := workloads.Recurrence(2, 1, 1)
 	m := sim.New(sim.Config{Processors: 1})
+	m.NewRegVar("A", 0)
+	m.NewRegVar("B", 0)
 	iter1 := []codegen.SyncOp{
 		{Kind: codegen.SyncWait, Var: 0, Value: 1, Tag: m.Text("wait A>=1 i=1")},
 		{Kind: codegen.SyncStmt, Stmt: 0},
@@ -102,7 +104,6 @@ func TestStaticDeadlock(t *testing.T) {
 		Workload: w,
 		Scheme:   "fabricated-cycle",
 		Iters:    2,
-		VarNames: []string{"A", "B"},
 		VarInit:  []int64{0, 0},
 		Machine:  m,
 		At: func(dst []codegen.SyncOp, iter int64) []codegen.SyncOp {
