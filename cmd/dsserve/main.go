@@ -54,8 +54,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer liveness probe period (0: no active probing, membership changes only on transport errors)")
 	suspectAfter := flag.Int("suspect-after", 3, "consecutive probe failures that demote a suspect peer")
 	rejoinAfter := flag.Int("rejoin-after", 2, "consecutive probe successes that readmit a demoted peer")
-	replicas := flag.Int("replicas", 1, "ring-successors each cache fill is replicated to (0: no replication)")
-	antiEntropy := flag.Duration("anti-entropy", time.Minute, "periodic anti-entropy scan interval; scans also run on ring transitions (0: disabled)")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -74,27 +72,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The library uses negative to disable and 0 for the default; the flags'
-	// friendlier contract is 0 = off.
-	replicaOpt := *replicas
-	if replicaOpt <= 0 {
-		replicaOpt = -1
-	}
-	aeOpt := *antiEntropy
-	if aeOpt <= 0 {
-		aeOpt = -1
-	}
 	node, err := cluster.New(cluster.Options{
-		Self:                self.ID,
-		Members:             append(peers, self),
-		PeerToken:           *peerToken,
-		Tenant:              cluster.TenantPolicy{Rate: *tenantRate, Burst: *tenantBurst},
-		ProbeInterval:       *probeInterval,
-		SuspectAfter:        *suspectAfter,
-		RejoinAfter:         *rejoinAfter,
-		Replicas:            replicaOpt,
-		AntiEntropyInterval: aeOpt,
-		Logger:              log,
+		Self:          self.ID,
+		Members:       append(peers, self),
+		PeerToken:     *peerToken,
+		Tenant:        cluster.TenantPolicy{Rate: *tenantRate, Burst: *tenantBurst},
+		ProbeInterval: *probeInterval,
+		SuspectAfter:  *suspectAfter,
+		RejoinAfter:   *rejoinAfter,
+		Logger:        log,
 	}, service.Options{
 		Workers:    *workers,
 		QueueCap:   *queue,

@@ -26,7 +26,7 @@ const (
 )
 
 // HandoffRequest is one batch of cache entries moving between peers; Reason
-// is "replicate", "antientropy" or "drain".
+// names why they move ("drain").
 type HandoffRequest struct {
 	From    string
 	Reason  string

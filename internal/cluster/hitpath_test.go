@@ -22,7 +22,7 @@ const runHitAllocCeiling = 37 // 34 measured
 // TestRunHitAllocations: a /run hit through a cluster.Node handler stays
 // within runHitAllocCeiling allocations and answers with the hit body.
 func TestRunHitAllocations(t *testing.T) {
-	n := quietNode(t, Options{Self: "solo", Replicas: -1}, nil)
+	n := quietNode(t, Options{Self: "solo"}, nil)
 	h := n.Handler()
 	body, err := json.Marshal(testRunReq)
 	if err != nil {

@@ -13,25 +13,22 @@ import (
 	"github.com/csrd-repro/datasync/internal/service"
 )
 
-// keepRoles returns the indexes of key's configured owner and of the node
-// that is neither that owner nor its successor, the one node of a 3-node
-// cluster that holds the key only if it keeps a relayed answer.
+// keepRoles returns the indexes of key's configured owner and of a node
+// that does not own it, which holds the key only if it keeps a relayed
+// answer.
 func keepRoles(t testing.TB, tc *testCluster, key cache.Key) (owner, edge int) {
 	t.Helper()
-	full := tc.nodes[0].full
-	o, s := full.Owner(key).ID, full.Successors(key, 1)[0].ID
+	o := tc.nodes[0].full.Owner(key).ID
 	owner, edge = -1, -1
 	for i, n := range tc.nodes {
-		switch n.self.ID {
-		case o:
+		if n.self.ID == o {
 			owner = i
-		case s: // holds a replica of every fill
-		default:
+		} else if edge < 0 {
 			edge = i
 		}
 	}
 	if owner < 0 || edge < 0 {
-		t.Fatalf("no owner or third node for key %s in a %d-node cluster", key, len(tc.nodes))
+		t.Fatalf("no owner or other node for key %s in a %d-node cluster", key, len(tc.nodes))
 	}
 	return owner, edge
 }
@@ -46,8 +43,8 @@ func cachedFlag(t *testing.T, body []byte) bool {
 	return v.Cached
 }
 
-// TestForwardedHitIsKept: an entry node that holds neither a key nor its
-// replica forwards the first request (the owner's miss answer is not
+// TestForwardedHitIsKept: an entry node that holds no copy of a key
+// forwards the first request (the owner's miss answer is not
 // kept) and the second (the owner's hit answer is kept), then answers the
 // third itself with the owner's hit bytes, on /run, /verify and
 // /compile. A compile refusal's 400 is never kept, nor is a doctored 200
@@ -212,7 +209,7 @@ func TestEvictedHeldKeyIsComputed(t *testing.T) {
 // the entry it kept. ns/op and allocs/op count both nodes' work, since the
 // cluster runs in this process.
 func BenchmarkEdgeHit(b *testing.B) {
-	tc := startCluster(b, 3, Options{Replicas: -1})
+	tc := startCluster(b, 3, Options{})
 	key, err := service.RunKey(testRunReq)
 	if err != nil {
 		b.Fatal(err)

@@ -75,10 +75,10 @@ func quietNode(t testing.TB, opts Options, members []Member) *Node {
 }
 
 // TestClusterKillReplicaServeRestartRejoin is the acceptance scenario: a
-// 3-node cluster loses a node, serves that node's key from the replica its
-// successor holds — byte-identical to the pre-kill cached response, no
-// recompute — then the node comes back and rejoins the ring with no other
-// process restarted.
+// 3-node cluster loses a node and serves that node's key from the copy its
+// successor kept from an earlier forward — byte-identical to the pre-kill
+// cached response, no recompute — then the node comes back and rejoins the
+// ring with no other process restarted.
 func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	tc := startCluster(t, 3, Options{
 		PeerToken:      "s3cret",
@@ -86,11 +86,6 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 		SuspectAfter:   2,
 		RejoinAfter:    2,
 		DemoteCooldown: -1, // probes drive every transition in this test
-		// No anti-entropy: its transition-kicked scan would copy the key to
-		// the third survivor during the outage, and a node that holds the
-		// key answers it without forwarding (the last leg needs one that
-		// does not).
-		AntiEntropyInterval: -1,
 	})
 
 	key, err := service.RunKey(testRunReq)
@@ -99,17 +94,18 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	}
 	full := tc.nodes[0].full
 	owner := full.Owner(key)
-	succs := full.Successors(key, 1)
-	if len(succs) != 1 {
-		t.Fatalf("successors = %v, want exactly 1", succs)
+	rest, err := full.Without(owner.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
+	succ := rest.Owner(key) // the key's owner once the owner is demoted
 	victimIdx, succIdx := -1, -1
 	var survivors []int
 	for i, n := range tc.nodes {
 		switch n.self.ID {
 		case owner.ID:
 			victimIdx = i
-		case succs[0].ID:
+		case succ.ID:
 			succIdx = i
 		}
 		if n.self.ID != owner.ID {
@@ -117,7 +113,7 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 		}
 	}
 	if victimIdx < 0 || succIdx < 0 {
-		t.Fatalf("owner %s / successor %s not found among nodes", owner.ID, succs[0].ID)
+		t.Fatalf("owner %s / successor %s not found among nodes", owner.ID, succ.ID)
 	}
 
 	// Fill the key on its owner, then fetch the canonical cached bytes.
@@ -137,10 +133,15 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 		t.Fatal("second fetch on the owner was not a cache hit")
 	}
 
-	// K-successor replication lands the entry on the successor.
-	waitFor(t, 5*time.Second, func() bool {
-		return tc.nodes[succIdx].Server().CacheHas(key)
-	}, "replica push to the successor")
+	// A request entering at the successor is forwarded to the owner, and
+	// the successor keeps the owner's relayed hit.
+	resp, body = postNode(t, tc.addrs[succIdx], "/run", testRunReq, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderNode) != owner.ID {
+		t.Fatalf("forward through the successor: %d served by %q\n%s", resp.StatusCode, resp.Header.Get(HeaderNode), body)
+	}
+	if !tc.nodes[succIdx].Server().CacheHas(key) {
+		t.Fatal("the successor did not keep the owner's relayed hit")
+	}
 
 	// Kill the owner; the survivors' probes demote it.
 	tc.kill(victimIdx)
@@ -150,19 +151,19 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 			return tc.nodes[i].PeerState(owner.ID) == "demoted"
 		}, fmt.Sprintf("%s demoting %s", tc.nodes[i].self.ID, owner.ID))
 	}
-	if live := tc.nodes[succIdx].Ring(); live.Owner(key).ID != succs[0].ID {
-		t.Fatalf("post-demotion live owner = %s, want successor %s", live.Owner(key).ID, succs[0].ID)
+	if live := tc.nodes[succIdx].Ring(); live.Owner(key).ID != succ.ID {
+		t.Fatalf("post-demotion live owner = %s, want successor %s", live.Owner(key).ID, succ.ID)
 	}
 
-	// The successor serves the dead owner's key from its replica: same
-	// bytes, no recompute, replica-hit counted.
+	// The successor serves the dead owner's key from the copy it kept:
+	// same bytes, no recompute, replica-hit counted.
 	beforeHits := tc.nodes[succIdx].replicaHits.Load()
 	resp, replicaBody := postNode(t, tc.addrs[succIdx], "/run", testRunReq, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replica serve: %d %s", resp.StatusCode, replicaBody)
 	}
-	if got := resp.Header.Get(HeaderNode); got != succs[0].ID {
-		t.Errorf("replica response served by %q, want successor %s", got, succs[0].ID)
+	if got := resp.Header.Get(HeaderNode); got != succ.ID {
+		t.Errorf("replica response served by %q, want successor %s", got, succ.ID)
 	}
 	if !bytes.Equal(replicaBody, cachedBody) {
 		t.Errorf("replica response bytes differ from the pre-kill cached response:\npre-kill: %s\nreplica:  %s", cachedBody, replicaBody)
@@ -214,8 +215,8 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-rejoin fetch at the successor: %d %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(HeaderNode); got != succs[0].ID {
-		t.Errorf("post-rejoin request at the successor served by %q, want the successor %s itself", got, succs[0].ID)
+	if got := resp.Header.Get(HeaderNode); got != succ.ID {
+		t.Errorf("post-rejoin request at the successor served by %q, want the successor %s itself", got, succ.ID)
 	}
 	if !bytes.Equal(body, cachedBody) {
 		t.Errorf("post-rejoin response bytes at the successor differ from the original cached response")
@@ -224,9 +225,9 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 
 // TestClusterDrainHandoffWarmHitRate: after a drain handoff, at least 90%
 // of the drained node's cache entries answer as hits on their new owners.
-// Replication is disabled to prove the handoff alone carries the cache.
+// The handoff alone carries the cache.
 func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
-	tc := startCluster(t, 3, Options{PeerToken: "s3cret", Replicas: -1})
+	tc := startCluster(t, 3, Options{PeerToken: "s3cret"})
 
 	full := tc.nodes[0].full
 	var reqs []service.RunRequest
@@ -349,7 +350,7 @@ func TestProbeStateMachine(t *testing.T) {
 	defer stub.Close()
 
 	members := []Member{{ID: "a", Addr: "http://127.0.0.1:1"}, {ID: "b", Addr: stub.URL}}
-	n := quietNode(t, Options{Self: "a", SuspectAfter: 2, RejoinAfter: 2, DemoteCooldown: -1, Replicas: -1}, members)
+	n := quietNode(t, Options{Self: "a", SuspectAfter: 2, RejoinAfter: 2, DemoteCooldown: -1}, members)
 	b := members[1]
 
 	if got := n.PeerState("b"); got != "alive" {
@@ -413,7 +414,7 @@ func TestDemoteCooldownAndUnknownID(t *testing.T) {
 	defer stub.Close()
 
 	members := []Member{{ID: "a", Addr: "http://127.0.0.1:1"}, {ID: "b", Addr: stub.URL}}
-	n := quietNode(t, Options{Self: "a", RejoinAfter: 1, DemoteCooldown: time.Hour, Replicas: -1}, members)
+	n := quietNode(t, Options{Self: "a", RejoinAfter: 1, DemoteCooldown: time.Hour}, members)
 	b := members[1]
 
 	// First transport demotion (no prior readmit): not cooldown-gated.
@@ -480,7 +481,7 @@ func TestGossipConvergesOnIntersection(t *testing.T) {
 		{ID: "b", Addr: stub.URL},
 		{ID: "c", Addr: "http://127.0.0.1:2"},
 	}
-	n := quietNode(t, Options{Self: "a", DemoteCooldown: -1, Replicas: -1}, members)
+	n := quietNode(t, Options{Self: "a", DemoteCooldown: -1}, members)
 
 	n.probeOne(members[1])
 	if got := n.PeerState("b"); got != "alive" {
@@ -530,7 +531,7 @@ func TestGossipDoesNotUndoFirsthandReadmission(t *testing.T) {
 	defer stubB.Close()
 
 	members := []Member{{ID: "a", Addr: "http://127.0.0.1:1"}, {ID: "b", Addr: stubB.URL}, {ID: "c", Addr: stubC.URL}}
-	n := quietNode(t, Options{Self: "a", SuspectAfter: 2, RejoinAfter: 2, DemoteCooldown: -1, Replicas: -1}, members)
+	n := quietNode(t, Options{Self: "a", SuspectAfter: 2, RejoinAfter: 2, DemoteCooldown: -1}, members)
 	b, c := members[1], members[2]
 
 	// c goes down and a demotes it on its own probes; b, which also lost
@@ -571,7 +572,7 @@ func TestGossipDoesNotUndoFirsthandReadmission(t *testing.T) {
 // configured peers demoted, /healthz flips to 503 with a degraded marker
 // so load balancers route away from a minority partition.
 func TestHealthzDegradedOnMajorityDemoted(t *testing.T) {
-	tc := startCluster(t, 3, Options{Replicas: -1})
+	tc := startCluster(t, 3, Options{})
 
 	get := func() (int, map[string]any) {
 		resp, err := http.Get(tc.addrs[0] + "/healthz")
@@ -625,7 +626,7 @@ func TestClusterMembershipRaces(t *testing.T) {
 		{ID: "b", Addr: "http://127.0.0.1:2"},
 		{ID: "c", Addr: "http://127.0.0.1:3"},
 	}
-	n := quietNode(t, Options{Self: "a", DemoteCooldown: -1, RejoinAfter: 1, Replicas: -1}, members)
+	n := quietNode(t, Options{Self: "a", DemoteCooldown: -1, RejoinAfter: 1}, members)
 
 	key, err := service.RunKey(testRunReq)
 	if err != nil {
@@ -649,7 +650,6 @@ func TestClusterMembershipRaces(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			r := n.Ring()
 			r.Owner(key)
-			r.Successors(key, 2)
 			n.healthInfo()
 			n.degraded()
 			n.metricsAppend(io.Discard)

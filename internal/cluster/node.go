@@ -92,15 +92,10 @@ type Options struct {
 	// rejoin cannot flap the ring, while probe- and drain-cause demotions
 	// (deliberate, evidence-backed) bypass the cooldown.
 	DemoteCooldown time.Duration
-	// Replicas is K in K-successor replication: on every fresh cache fill
-	// the entry is pushed asynchronously to its K ring-successors (default
-	// 1; negative disables). During owner loss, forwards fall through to
-	// successors, converting the loss into a replica read.
+	// Replicas is ignored: entries move between nodes only by kept
+	// forwards and drain handoff (reconcile.go), never by pushing fills.
+	// It remains because the benchmark harness in bench/dsload sets it.
 	Replicas int
-	// AntiEntropyInterval is the period of the re-replication scan
-	// (default 60s; negative disables); every live-ring transition also
-	// kicks one. See reconcile.go.
-	AntiEntropyInterval time.Duration
 	// Logger receives peer-event logs (default slog.Default).
 	Logger *slog.Logger
 }
@@ -138,16 +133,6 @@ func (o Options) withDefaults() Options {
 	} else if o.DemoteCooldown < 0 {
 		o.DemoteCooldown = 0
 	}
-	if o.Replicas == 0 {
-		o.Replicas = 1
-	} else if o.Replicas < 0 {
-		o.Replicas = 0
-	}
-	if o.AntiEntropyInterval == 0 {
-		o.AntiEntropyInterval = time.Minute
-	} else if o.AntiEntropyInterval < 0 {
-		o.AntiEntropyInterval = 0
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -176,21 +161,10 @@ type Node struct {
 	probeHTTP   *http.Client
 	probeHeader http.Header
 
-	// aeKick wakes the anti-entropy loop on live-ring transitions
-	// (buffered 1: a burst of transitions coalesces into one scan).
-	aeKick chan struct{}
-
-	// ctx is canceled by Stop; the background loops and their pushes run
-	// under it.
+	// ctx is canceled by Stop; the prober runs under it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	// fill queue: bounded, drop-oldest keys; replWake (buffered 1) wakes
-	// the worker (reconcile.go).
-	replMu   sync.Mutex
-	replQ    []cache.Key
-	replWake chan struct{}
 
 	forwards    atomic.Int64 // requests forwarded to their owning peer
 	forwardKept atomic.Int64 // relayed owner hits kept in the local cache
@@ -204,11 +178,8 @@ type Node struct {
 	ringSkews        atomic.Int64 // peer exchanges that observed a differing ring version
 	unknownDemotions atomic.Int64 // demotion requests for IDs outside the membership
 
-	replicaPushes     atomic.Int64 // cache entries pushed to a ring-successor
-	replicaPushErrors atomic.Int64 // replica pushes that failed (best-effort, not peer errors)
-	replicaDrops      atomic.Int64 // fills dropped from the full queue or evicted before their push
-	replicaHits       atomic.Int64 // non-owned keys served from the local cache
-	replicaMisses     atomic.Int64 // non-owned keys served by local recompute
+	replicaHits   atomic.Int64 // non-owned keys served from the local cache
+	replicaMisses atomic.Int64 // non-owned keys served by local recompute
 
 	handoffSentEntries atomic.Int64
 	handoffSentBytes   atomic.Int64
@@ -217,9 +188,6 @@ type Node struct {
 
 	ringFenceRejects atomic.Int64 // fenced sweep dispatches rejected for ring-version skew
 	sweepReplans     atomic.Int64 // coordinator re-plans after a fence reject
-	antiPushes       atomic.Int64 // successful replica pushes driven by anti-entropy
-	antiScans        atomic.Int64 // anti-entropy scans completed
-	underreplicated  atomic.Int64 // gauge: keys missing a copy where the ring places it, at the last scan
 }
 
 // New builds the node and its underlying service.Server (whose /healthz
@@ -245,15 +213,13 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 	}
 
 	n := &Node{
-		opts:     opts,
-		self:     self,
-		adm:      NewAdmission(opts.Tenant),
-		full:     ring,
-		clients:  make(map[string]*service.Client),
-		peers:    make(map[string]*peerHealth),
-		log:      opts.Logger,
-		aeKick:   make(chan struct{}, 1),
-		replWake: make(chan struct{}, 1),
+		opts:    opts,
+		self:    self,
+		adm:     NewAdmission(opts.Tenant),
+		full:    ring,
+		clients: make(map[string]*service.Client),
+		peers:   make(map[string]*peerHealth),
+		log:     opts.Logger,
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.ring.Store(ring)
@@ -286,31 +252,17 @@ func New(opts Options, srvOpts service.Options) (*Node, error) {
 	srvOpts.HealthInfo = n.healthInfo
 	srvOpts.MetricsAppend = n.metricsAppend
 	srvOpts.Degraded = n.degraded
-	if opts.Replicas > 0 && ring.Size() > 1 {
-		srvOpts.OnCacheFill = n.onCacheFill
-	}
 	n.srv = service.NewServer(srvOpts)
 
-	if ring.Size() > 1 {
-		if opts.ProbeInterval > 0 {
-			n.wg.Add(1)
-			go n.probeLoop()
-		}
-		if opts.Replicas > 0 {
-			n.wg.Add(1)
-			go n.replicateLoop()
-			if opts.AntiEntropyInterval > 0 {
-				n.wg.Add(1)
-				go n.antiEntropyLoop()
-			}
-		}
+	if ring.Size() > 1 && opts.ProbeInterval > 0 {
+		n.wg.Add(1)
+		go n.probeLoop()
 	}
 	return n, nil
 }
 
-// Stop shuts down the node's background goroutines (prober, replicator,
-// anti-entropy) and waits for them. The underlying service server is not
-// drained; call Server().Drain for that.
+// Stop shuts down the node's prober and waits for it. The underlying
+// service server is not drained; call Server().Drain for that.
 func (n *Node) Stop() {
 	n.cancel()
 	n.wg.Wait()
@@ -433,14 +385,6 @@ func (n *Node) rebuildRingLocked() {
 		return
 	}
 	n.ring.Store(r)
-	// Every transition changes successor sets somewhere: wake the
-	// anti-entropy loop so under-replicated keys start converging now
-	// rather than at the next periodic scan. Non-blocking: a burst of
-	// transitions coalesces into one pending kick.
-	select {
-	case n.aeKick <- struct{}{}:
-	default:
-	}
 }
 
 // degraded reports the node unhealthy when more than half of its
@@ -527,8 +471,6 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 				n.handleHandoff(w, r)
 			case "/internal/departing":
 				n.handleDeparting(w, r)
-			case "/internal/has":
-				n.handleHas(w, r)
 			default:
 				n.writeError(w, http.StatusNotFound,
 					fmt.Errorf("cluster: unknown peer-internal endpoint %s", r.URL.Path))
@@ -580,10 +522,8 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 // cache lookup; the handler then computes the key itself, which
 // determinism again makes correct.
 //
-// When a forward fails, the failed peer is demoted and the loop re-reads
-// the live ring, so the next iteration targets the key's successor — the
-// replica holder, by construction of K-successor replication. Owner loss
-// thus degrades to a replica read before it degrades to a recompute.
+// When the forward fails, the owner is demoted and this node serves the key
+// itself: determinism makes any node's answer the owner's answer.
 func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.Handler) {
 	body, readErr := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBody))
 	var p *service.Prepared
@@ -596,19 +536,10 @@ func (n *Node) routeOrServe(w http.ResponseWriter, r *http.Request, inner http.H
 		n.serveLocal(w, r, inner)
 		return
 	}
-	for attempt := 0; attempt <= n.opts.Replicas; attempt++ {
-		owner := n.ring.Load().Owner(p.Key)
-		if owner.ID == n.self.ID || n.srv.CacheHas(p.Key) {
-			n.serveKeyed(w, r, inner, p)
-			return
-		}
-		if done := n.forward(w, r, owner, body, p.Key); done {
-			return
-		}
+	owner := n.ring.Load().Owner(p.Key)
+	if owner.ID != n.self.ID && !n.srv.CacheHas(p.Key) && n.forward(w, r, owner, body, p.Key) {
+		return
 	}
-	// Every routable peer is unreachable: this node — a survivor — serves
-	// the request itself. Determinism makes that safe: any node computes
-	// the same bytes.
 	n.serveKeyed(w, r, inner, p)
 }
 
@@ -619,8 +550,8 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 
 // serveKeyed serves a prepared request locally, with replica accounting:
 // when the key's configured (full-membership) owner is some other node, a
-// local cache entry is a replica hit (replication, handoff or a kept
-// forward paid off) and a miss means recompute. The counters measure
+// local cache entry is a replica hit (a drain handoff or a kept forward
+// paid off) and a miss means recompute. The counters measure
 // exactly what moving entries between nodes is for.
 func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, p *service.Prepared) {
 	if n.full.Owner(p.Key).ID != n.self.ID {
@@ -693,8 +624,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, bod
 // body is json.Indent of the owner's compact answer plus a newline, so
 // compacting it gives that answer back exactly; the import keeps it only
 // if it is the key's hit answer (valid JSON decorated with this key and
-// cached: true), never a miss answer or another key's. A kept entry fires
-// no fill, so it is not replicated.
+// cached: true), never a miss answer or another key's.
 func (n *Node) keepRelayed(key cache.Key, kind string, relayed []byte) {
 	if n.srv.CacheHas(key) {
 		return
@@ -769,17 +699,12 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_ring_skew_total Peer exchanges that observed a differing ring version.\n# TYPE dsserve_ring_skew_total counter\ndsserve_ring_skew_total %d\n", n.ringSkews.Load())
 	fmt.Fprintf(w, "# HELP dsserve_unknown_demotions_total Demotion requests for IDs outside the configured membership (ignored).\n# TYPE dsserve_unknown_demotions_total counter\ndsserve_unknown_demotions_total %d\n", n.unknownDemotions.Load())
 	fmt.Fprintf(w, "# HELP dsserve_degraded Whether more than half of the configured peers are demoted.\n# TYPE dsserve_degraded gauge\ndsserve_degraded %d\n", deg)
-	fmt.Fprintf(w, "# HELP dsserve_replica_pushes_total Cache entries pushed to ring-successors.\n# TYPE dsserve_replica_pushes_total counter\ndsserve_replica_pushes_total %d\n", n.replicaPushes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_replica_push_errors_total Replica pushes that failed (best-effort).\n# TYPE dsserve_replica_push_errors_total counter\ndsserve_replica_push_errors_total %d\n", n.replicaPushErrors.Load())
-	fmt.Fprintf(w, "# HELP dsserve_replica_dropped_total Cache fills dropped from the full replication queue or evicted before their push.\n# TYPE dsserve_replica_dropped_total counter\ndsserve_replica_dropped_total %d\n", n.replicaDrops.Load())
-	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (replication, handoff or a kept forward paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (a drain handoff or a kept forward paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", n.replicaMisses.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", n.handoffSentEntries.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Compact answer bytes of the cache entries handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers (drain handoff or replication).\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
+	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers by drain handoff.\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Compact answer bytes of the cache entries imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_underreplicated_keys Held keys missing a copy at the last anti-entropy scan: owned keys on a successor, other keys on their owner.\n# TYPE dsserve_underreplicated_keys gauge\ndsserve_underreplicated_keys %d\n", n.underreplicated.Load())
-	fmt.Fprintf(w, "# HELP dsserve_antientropy_pushes_total Replica pushes driven by the anti-entropy scan (subset of dsserve_replica_pushes_total).\n# TYPE dsserve_antientropy_pushes_total counter\ndsserve_antientropy_pushes_total %d\n", n.antiPushes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())
 	sheds := n.adm.Sheds()
 	if len(sheds) > 0 {

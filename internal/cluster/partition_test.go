@@ -185,66 +185,6 @@ func TestDegradedNodeRefusesSweepCoordination(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyRepairsMissingReplica: keys present on their owner but
-// missing from successors (filled before a membership transition, or their
-// pushes lost) are measured via /internal/has and re-pushed until every
-// owned key has its configured replica count again.
-func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
-	tc := startCluster(t, 3, Options{Replicas: 1, AntiEntropyInterval: -1})
-	full := tc.nodes[0].full
-	byID := map[string]*Node{}
-	for _, n := range tc.nodes {
-		byID[n.self.ID] = n
-	}
-
-	// Six n0-owned keys land in n0's cache without the fill hook running —
-	// exactly the shape a ring transition leaves behind.
-	entries := syntheticEntries(t, func(k cache.Key) bool {
-		return full.Owner(k).ID == "n0"
-	}, 6)
-	for _, e := range entries {
-		if err := tc.nodes[0].srv.ImportCacheEntry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rep := tc.nodes[0].AntiEntropyScan(context.Background())
-	if rep.Owned != 6 || rep.Underreplicated != 6 || rep.Pushed != 6 || rep.Unverifiable != 0 {
-		t.Fatalf("first scan: %+v, want 6 owned, 6 underreplicated, 6 pushed", rep)
-	}
-
-	waitFor(t, 5*time.Second, func() bool {
-		for _, e := range entries {
-			k, err := cache.ParseKey(e.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			succ := full.Successors(k, 1)
-			if len(succ) != 1 || !byID[succ[0].ID].srv.CacheHas(k) {
-				return false
-			}
-		}
-		return true
-	}, "every repair push to land on its successor")
-
-	rep = tc.nodes[0].AntiEntropyScan(context.Background())
-	if rep.Underreplicated != 0 || rep.Pushed != 0 {
-		t.Fatalf("post-repair scan: %+v, want 0 underreplicated", rep)
-	}
-	n0 := tc.nodes[0]
-	scans, pushes, under := n0.antiScans.Load(), n0.antiPushes.Load(), n0.underreplicated.Load()
-	if scans < 2 || pushes != 6 || under != 0 {
-		t.Errorf("stats = (%d scans, %d pushes, %d under), want (>=2, 6, 0)", scans, pushes, under)
-	}
-	m := getMetrics(t, tc.addrs[0])
-	if !strings.Contains(m, "dsserve_antientropy_pushes_total 6") {
-		t.Error("metrics missing dsserve_antientropy_pushes_total 6")
-	}
-	if !strings.Contains(m, "dsserve_underreplicated_keys 0") {
-		t.Error("metrics missing dsserve_underreplicated_keys 0")
-	}
-}
-
 // TestInternalBodyBounds413: peer-internal ingestion endpoints refuse
 // oversized bodies with 413 instead of buffering them.
 func TestInternalBodyBounds413(t *testing.T) {
@@ -307,23 +247,16 @@ func TestProbeJitterBounds(t *testing.T) {
 
 // TestPartitionMinorityRefusesAndHeals: n2 is cut off from n0 and n1 in
 // both directions, then the cut heals. While it holds, both sides demote
-// across the cut, the minority n2 refuses to coordinate a sweep (503), the
-// majority's sweep equals the single-node oracle, and fills on the
-// majority miss their copy on n2. After the heal both sides readmit each
-// other, anti-entropy pushes the starved copies until no key is
-// under-replicated (dsserve_underreplicated_keys 0 on every node) and n2
-// holds every mid-partition fill, the ones it owns included, and a sweep
-// through the healed minority equals the oracle.
+// across the cut, the minority n2 refuses to coordinate a sweep (503) and
+// the majority's sweep equals the single-node oracle. After the heal both
+// sides readmit each other and a sweep through the healed minority equals
+// the oracle.
 func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	tc := startCluster(t, 3, Options{
 		ProbeInterval:  25 * time.Millisecond,
 		SuspectAfter:   2,
 		RejoinAfter:    2,
 		DemoteCooldown: -1,
-		// Every fill goes to every node, so n2 misses exactly the fills
-		// made while it is cut off.
-		Replicas:            2,
-		AntiEntropyInterval: 100 * time.Millisecond,
 	})
 	split := func(cut bool) {
 		for _, id := range []string{"n0", "n1"} {
@@ -363,56 +296,9 @@ func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	}
 	requireSweepMatchesOracle(t, sweep, sweepVia(0))
 
-	var fills []cache.Key
-	for i := int64(1); i <= 8; i++ {
-		req := testRunReq
-		req.Workload.N = 70 + 2*i
-		if resp, body := postNode(t, tc.addrs[0], "/run", req, nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("mid-partition fill %d: %d %s", i, resp.StatusCode, body)
-		}
-		k, err := service.RunKey(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fills = append(fills, k)
-	}
-	holdsFills := func(n *Node, keys []cache.Key) bool {
-		for _, k := range keys {
-			if !n.srv.CacheHas(k) {
-				return false
-			}
-		}
-		return true
-	}
-	waitFor(t, 5*time.Second, func() bool { return holdsFills(tc.nodes[0], fills) && holdsFills(tc.nodes[1], fills) },
-		"the majority to hold every fill and its replica")
-	// A fill n0 or n1 owns is repaired onto n2 as a missing replica; a
-	// fill n2 owns is restored onto its owner by the nodes holding it.
-	// The fills must include both kinds.
-	owned := 0
-	for _, k := range fills {
-		if tc.nodes[2].srv.CacheHas(k) {
-			t.Fatalf("cut-off n2 holds mid-partition fill %s", k)
-		}
-		if tc.nodes[2].full.Owner(k).ID == "n2" {
-			owned++
-		}
-	}
-	if owned == 0 || owned == len(fills) {
-		t.Fatalf("n2 owns %d of %d mid-partition fills; choose fills it owns and fills it does not", owned, len(fills))
-	}
-
 	split(false)
 	waitFor(t, 5*time.Second, func() bool { return acrossCut("alive") },
 		"both sides to readmit each other after the heal")
-	waitFor(t, 10*time.Second, func() bool {
-		var pushes, under int64
-		for _, n := range tc.nodes {
-			pushes += n.antiPushes.Load()
-			under += n.underreplicated.Load()
-		}
-		return pushes >= 1 && under == 0 && holdsFills(tc.nodes[2], fills)
-	}, "anti-entropy to repair every fill n2 missed")
 	requireSweepMatchesOracle(t, sweep, sweepVia(2))
 }
 
@@ -430,7 +316,6 @@ func TestHealedPartitionDoesNotBounceAMember(t *testing.T) {
 		SuspectAfter:   2,
 		RejoinAfter:    2,
 		DemoteCooldown: -1,
-		Replicas:       -1,
 	})
 	split := func(cut bool) {
 		for _, id := range []string{"n0", "n1"} {
@@ -480,7 +365,7 @@ func TestHealedPartitionDoesNotBounceAMember(t *testing.T) {
 // the receiver answers the owner's own hit bytes after either delivery. A
 // peer push retried after a lost answer arrives twice in just this way.
 func TestDuplicateHandoffIsHarmless(t *testing.T) {
-	tc := startCluster(t, 2, Options{Replicas: -1, AntiEntropyInterval: -1})
+	tc := startCluster(t, 2, Options{})
 
 	// Three n0-owned results, computed and cached on n0 alone; want holds
 	// n0's own cache-hit bytes for each.

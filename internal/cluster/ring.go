@@ -142,29 +142,6 @@ func (r *Ring) vnodeAt(pos uint64) int {
 	return i
 }
 
-// Successors returns up to count distinct members clockwise after the
-// owner of a canonical content address, owner excluded. These are the
-// key's replica holders: the nodes whose virtual nodes would inherit the
-// key if the owner left, in inheritance order — so K-successor replication
-// places copies exactly where ownership will land after a failure.
-func (r *Ring) Successors(k cache.Key, count int) []Member {
-	if count <= 0 || len(r.members) <= 1 {
-		return nil
-	}
-	i := r.vnodeAt(k.Ring())
-	seen := make(map[int32]bool, count+1)
-	seen[r.vnodes[i].member] = true
-	var out []Member
-	for step := 1; step < len(r.vnodes) && len(out) < count; step++ {
-		v := r.vnodes[(i+step)%len(r.vnodes)]
-		if !seen[v.member] {
-			seen[v.member] = true
-			out = append(out, r.members[v.member])
-		}
-	}
-	return out
-}
-
 // Version is a content hash of the membership set (IDs and addresses):
 // two nodes agree on ownership exactly when their versions match.
 func (r *Ring) Version() string { return r.version }

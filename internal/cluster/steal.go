@@ -78,8 +78,8 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		// majority is (or will be) coordinating sweeps against the live
 		// set both sides converge to after heal, and a minority
 		// coordinator would double-execute the grid against a view about
-		// to be retired. Keyed reads stay allowed — replicas make those
-		// safe — but cluster-wide coordination is refused.
+		// to be retired. Keyed reads stay allowed — determinism makes
+		// those safe — but cluster-wide coordination is refused.
 		w.Header().Set("Retry-After", "1")
 		n.writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("cluster: degraded node (%s) refuses to coordinate a cluster sweep; retry against the majority partition", reason))

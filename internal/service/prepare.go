@@ -418,8 +418,8 @@ func (e *entry[T]) compact(key cache.Key) ([]byte, error) {
 // hitBytes returns the entry's hit body, rendered on first use as
 // json.Indent of the compact hit answer plus a newline. That is what
 // encodeIndented writes for the decorated answer (the encoder marshals
-// compact, appends the newline and indents), so a replica serves the
-// owner's bytes without decoding them.
+// compact, appends the newline and indents), so an imported entry serves
+// the owner's bytes without decoding them.
 func (e *entry[T]) hitBytes(key cache.Key) []byte {
 	e.render.Do(func() {
 		var buf bytes.Buffer
@@ -447,7 +447,6 @@ func fetch[T answer[T]](s *Server, key cache.Key, decoded bool, fill func() (any
 			e = v.(*entry[T])
 		}
 	}
-	s.notifyFill(key, hit, err)
 	if err != nil {
 		return nil, false, err
 	}

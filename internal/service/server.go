@@ -39,11 +39,6 @@ type Options struct {
 	// the built-in metrics (the cluster layer appends peer-forward, steal
 	// and tenant-shed counters through it).
 	MetricsAppend func(w io.Writer)
-	// OnCacheFill, when set, is called once per fresh cache fill (a computed
-	// result, not a hit) with the filled key. It must be cheap: the cluster
-	// layer queues the key for asynchronous K-successor replication, which
-	// exports the entry (ExportCacheEntry) off the serving path.
-	OnCacheFill func(key cache.Key)
 	// Degraded, when set, lets an embedding layer mark the node unhealthy:
 	// when it returns true, /healthz answers 503 with status "degraded" and
 	// the returned reason (the cluster layer reports a majority of peers

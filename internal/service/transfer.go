@@ -13,8 +13,8 @@ import (
 // address, a kind tag naming the answer type ("run", "verify" or
 // "compile"), and the owner's compact hit answer, json.Marshal of the
 // answer decorated with cached: true and its key. The cluster layer moves
-// entries between nodes this way (replication, anti-entropy and drain
-// handoff). An importing node stores the body as it is and serves it
+// entries between nodes this way (a kept forward and drain handoff). An
+// importing node stores the body as it is and serves it
 // indented, byte-identical to the owner's own hit answer.
 type CacheEntry struct {
 	Key  string
@@ -90,12 +90,4 @@ func (s *Server) ExportCacheEntry(k cache.Key) (CacheEntry, bool) {
 func (s *Server) CacheHas(k cache.Key) bool {
 	_, ok := s.cache.Peek(k)
 	return ok
-}
-
-// notifyFill reports a freshly computed (not hit, not errored) cache fill
-// to the OnCacheFill hook.
-func (s *Server) notifyFill(k cache.Key, hit bool, err error) {
-	if err == nil && !hit && s.opts.OnCacheFill != nil {
-		s.opts.OnCacheFill(k)
-	}
 }

@@ -160,40 +160,6 @@ func validTestKey() string {
 	return k.String()
 }
 
-// TestOnCacheFillHook: the hook fires once per fresh fill with the filled
-// key, whose portable encoding is exportable, and never on hits.
-func TestOnCacheFillHook(t *testing.T) {
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	var mu sync.Mutex
-	var fills []CacheEntry
-	var s *Server
-	s = NewServer(Options{Workers: 2, Logger: quiet, OnCacheFill: func(k cache.Key) {
-		e, _ := s.ExportCacheEntry(k)
-		mu.Lock()
-		fills = append(fills, e)
-		mu.Unlock()
-	}})
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-
-	runReq := RunRequest{
-		Workload: WorkloadSpec{Name: "fig21", N: 24},
-		Scheme:   SchemeSpec{Name: "process", X: 4},
-		Config:   ConfigSpec{P: 4},
-	}
-	postJSON(t, hs.URL+"/run", runReq)
-	postJSON(t, hs.URL+"/run", runReq) // hit: no second fill
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fills) != 1 {
-		t.Fatalf("OnCacheFill fired %d times for one fill + one hit, want 1", len(fills))
-	}
-	if fills[0].Kind != "run" || len(fills[0].Body) == 0 {
-		t.Errorf("fill entry = %+v, want a run entry with a body", fills[0])
-	}
-}
-
 // TestUndecodableImportIsRecomputed: an imported entry whose body passes
 // the import checks but does not decode into its answer counts as absent
 // where the struct is read: a sweep point and a compile request recompute

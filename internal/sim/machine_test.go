@@ -387,8 +387,9 @@ func TestMemDiff(t *testing.T) {
 	b.Array("A", 0, 3).Set(2, 8)
 	a.Grid("G", 0, 1, 0, 1)
 	b.Grid("G", 0, 1, 0, 1).Set(1, 1, 9)
-	a.SetScalar("s", 1)
-	if d := a.Diff(b); !strings.Contains(d, "A[2]") || !strings.Contains(d, "G[1,1]") || !strings.Contains(d, "scalar s") {
+	a.Array("S", 0, 0).Set(0, 1)
+	b.Array("S", 0, 0)
+	if d := a.Diff(b); !strings.Contains(d, "A[2]") || !strings.Contains(d, "G[1,1]") || !strings.Contains(d, "S[0]") {
 		t.Errorf("Diff missing entries:\n%s", d)
 	}
 	c, d := NewMem(), NewMem()

@@ -98,20 +98,18 @@ func (g *Grid) slot(i, j int64) int64 {
 // Len returns the number of elements.
 func (g *Grid) Len() int64 { return g.elements }
 
-// Mem is the model data memory: named arrays and grids plus a scalar pool.
+// Mem is the model data memory: named arrays and grids.
 // It is the workload state the serial-equivalence oracle compares.
 type Mem struct {
-	arrays  map[string]*Array
-	grids   map[string]*Grid
-	scalars map[string]int64
+	arrays map[string]*Array
+	grids  map[string]*Grid
 }
 
 // NewMem returns an empty memory.
 func NewMem() *Mem {
 	return &Mem{
-		arrays:  make(map[string]*Array),
-		grids:   make(map[string]*Grid),
-		scalars: make(map[string]int64),
+		arrays: make(map[string]*Array),
+		grids:  make(map[string]*Grid),
 	}
 }
 
@@ -144,15 +142,6 @@ func (m *Mem) Lookup(name string) *Array { return m.arrays[name] }
 // LookupGrid returns a previously declared grid, or nil.
 func (m *Mem) LookupGrid(name string) *Grid { return m.grids[name] }
 
-// SetScalar stores a named scalar.
-func (m *Mem) SetScalar(name string, v int64) { m.scalars[name] = v }
-
-// Scalar reads a named scalar (zero if unset).
-func (m *Mem) Scalar(name string) int64 { return m.scalars[name] }
-
-// AddScalar accumulates into a named scalar.
-func (m *Mem) AddScalar(name string, v int64) { m.scalars[name] += v }
-
 // Diff compares two memories and returns a human-readable description of
 // the first differences found ("" when identical), m's contents being the
 // expected ones. Used by the serial-equivalence oracle.
@@ -160,15 +149,14 @@ func (m *Mem) Diff(other *Mem) string { return m.Snapshot().Diff(other) }
 
 // Image is a memory's contents as the serial oracle keeps them: every
 // array and grid with its bounds and values, arrays first, each kind in
-// name order, and every scalar. It holds no map and no reference into the
+// name order. It holds no map and no reference into the
 // Mem it was taken from, and its names are copied into one string, so a
 // name sliced from a program's source does not keep that source alive. A
 // block's values take 32 bits each when they all fit. An Image is never
 // written after Snapshot returns it, so any number of goroutines may Diff
 // against it at once.
 type Image struct {
-	blocks  []block
-	scalars []scalar
+	blocks []block
 }
 
 // block is one array or grid of an Image: its bounds (lo2 and hi2 unused
@@ -206,11 +194,6 @@ func (b *block) holds(vals []int64) bool {
 	return true
 }
 
-type scalar struct {
-	name string
-	v    int64
-}
-
 // fits32 reports that every value fits in 32 bits.
 func fits32(vals []int64) bool {
 	for _, v := range vals {
@@ -223,10 +206,7 @@ func fits32(vals []int64) bool {
 
 // Snapshot returns a copy of m's contents as an Image.
 func (m *Mem) Snapshot() Image {
-	img := Image{
-		blocks:  make([]block, 0, len(m.arrays)+len(m.grids)),
-		scalars: make([]scalar, 0, len(m.scalars)),
-	}
+	img := Image{blocks: make([]block, 0, len(m.arrays)+len(m.grids))}
 	// Each block's w64 points at m's values until they are copied below.
 	for _, a := range m.arrays {
 		img.blocks = append(img.blocks, block{name: a.Name, lo1: a.Lo, hi1: a.Hi, w64: a.vals})
@@ -234,9 +214,6 @@ func (m *Mem) Snapshot() Image {
 	for _, g := range m.grids {
 		img.blocks = append(img.blocks, block{name: g.Name, grid: true,
 			lo1: g.Lo1, hi1: g.Hi1, lo2: g.Lo2, hi2: g.Hi2, w64: g.vals})
-	}
-	for name, v := range m.scalars {
-		img.scalars = append(img.scalars, scalar{name, v})
 	}
 	slices.SortFunc(img.blocks, func(x, y block) int {
 		if x.grid != y.grid {
@@ -247,7 +224,6 @@ func (m *Mem) Snapshot() Image {
 		}
 		return strings.Compare(x.name, y.name)
 	})
-	slices.SortFunc(img.scalars, func(x, y scalar) int { return strings.Compare(x.name, y.name) })
 
 	// One slab per word width and one string of names.
 	n32, n64, size := 0, 0, 0
@@ -259,9 +235,6 @@ func (m *Mem) Snapshot() Image {
 			n64 += len(b.w64)
 		}
 		size += len(b.name)
-	}
-	for _, sc := range img.scalars {
-		size += len(sc.name)
 	}
 	w32, w64 := make([]int32, 0, n32), make([]int64, 0, n64)
 	var names strings.Builder
@@ -286,9 +259,6 @@ func (m *Mem) Snapshot() Image {
 			w64 = append(w64, vals...)
 			b.w64 = w64[len(w64)-len(vals) : len(w64) : len(w64)]
 		}
-	}
-	for i := range img.scalars {
-		img.scalars[i].name = intern(img.scalars[i].name)
 	}
 	return img
 }
@@ -338,18 +308,13 @@ func (img Image) Diff(other *Mem) string {
 			}
 		}
 	}
-	for _, s := range img.scalars {
-		if s.v != other.scalars[s.name] {
-			report("scalar %s: %d vs %d\n", s.name, s.v, other.scalars[s.name])
-		}
-	}
 	if reports > maxReport {
 		fmt.Fprintf(&b, "... and %d more differences\n", reports-maxReport)
 	}
 	return b.String()
 }
 
-// same reports, without allocating, that every array, grid and scalar of
+// same reports, without allocating, that every array and grid of
 // the image has the same bounds and contents in other. It is stricter than
 // Diff's walk (equal values under different bounds are not the same), so a
 // false answer only sends Diff on to the walk that reports.
@@ -365,11 +330,6 @@ func (img Image) same(other *Mem) bool {
 		}
 		og := other.grids[b.name]
 		if og == nil || b.lo1 != og.Lo1 || b.hi1 != og.Hi1 || b.lo2 != og.Lo2 || b.hi2 != og.Hi2 || !b.holds(og.vals) {
-			return false
-		}
-	}
-	for _, s := range img.scalars {
-		if other.scalars[s.name] != s.v {
 			return false
 		}
 	}

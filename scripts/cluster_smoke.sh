@@ -7,9 +7,9 @@
 # cluster-wide, and a hot tenant is shed with 429s while a cool tenant is
 # served. Then the cluster rolls: SIGTERM node b (clean drain, the cache
 # handoff visible in the survivors' /metrics), hard-kill node c (the prober
-# demotes it, healthz flips to degraded, and a replicated key is still
-# served from cache), and restart c (readmitted within the probe window,
-# healthz back to ok).
+# demotes it, healthz flips to degraded, and a key node a computed is still
+# served from its cache), and restart c (readmitted within the probe
+# window, healthz back to ok).
 #
 # Partitions are rehearsed in process instead, where the test cluster cuts
 # and heals peer links: TestPartitionMinorityRefusesAndHeals in
@@ -35,8 +35,6 @@ trap cleanup EXIT
 fail() { echo "$*" >&2; exit 1; }
 
 # start_node ID PORT PEERS [FLAGS...] starts one cluster node and sets PID.
-# -replicas 2 in a 3-node cluster puts every fill on every node, so the
-# cluster serves from replicas with one node standing.
 start_node() {
   local id=$1 port=$2 peers=$3 log
   shift 3
@@ -44,7 +42,7 @@ start_node() {
   LOGS+=("$id ($port)=$log")
   "$BIN" -addr "127.0.0.1:$port" -node-id "$id" -advertise "http://127.0.0.1:$port" \
     -peers "$peers" -peer-token "$TOKEN" -workers 2 \
-    -probe-interval 250ms -suspect-after 2 -rejoin-after 2 -replicas 2 "$@" 2>"$log" &
+    -probe-interval 250ms -suspect-after 2 -rejoin-after 2 "$@" 2>"$log" &
   PID=$!
   PIDS+=("$PID")
 }
@@ -116,20 +114,21 @@ require_ring_agreement "$BASE_A" "$BASE_B" "$BASE_C"
 echo "cluster smoke: 3 nodes agree on the ring"
 
 # Cross-node cache hit: compute through node b, repeat through node c. The
-# key (fig21, N 60) is owned by a, so the compute is forwarded: b holds no
-# copy of a key nobody has computed yet. The repeat must be served from the
-# cluster cache, by c's replica (-replicas 2 copies every fill to both
-# successors) or by a forward to a. A node that holds a key answers it, so
-# a repeat entering at a replica holder is not forwarded: the forward this
-# leg checks is the compute's.
+# key (fig21, N 60) is owned by a, so both are forwarded to a: the compute
+# is a's miss, which b does not keep, and the repeat is a's hit, which c
+# keeps. A second repeat at c is then answered by c itself, from the copy
+# it kept.
 body=$(run_body 60)
 curl -fsS -X POST "$BASE_B/run" -d "$body" | grep -q '"cached": false' ||
   fail "first cluster /run was already cached?"
 curl -fsS -X POST "$BASE_C/run" -d "$body" | grep -q '"cached": true' ||
   fail "repeat through node c missed the cluster cache"
 forwards=$(sum_metric dsserve_peer_forwards_total "$BASE_A" "$BASE_B" "$BASE_C")
-[ "$forwards" -ge 1 ] || fail "no peer forwards recorded across the cluster (got $forwards)"
-echo "cluster smoke: cross-node cache hit ($forwards forwards)"
+[ "$forwards" -ge 2 ] || fail "want the compute and the repeat forwarded to a (got $forwards forwards)"
+out=$(curl -fsS -D - -X POST "$BASE_C/run" -d "$body")
+echo "$out" | grep -qi '^X-DSServe-Node: c' || fail "second repeat at c was not answered by c itself: $out"
+echo "$out" | grep -q '"cached": true' || fail "second repeat at c was not a cache hit: $out"
+echo "cluster smoke: cross-node cache hit ($forwards forwards), then kept by node c"
 
 # A sweep through one node fans out cluster-wide and still returns the full
 # merged answer with its Pareto front.
@@ -172,8 +171,9 @@ echo "cluster smoke: node b drained with handoff ($handoff entries received)"
 
 # Step 2 — hard-kill node c (no drain, no departure announcement): a's
 # prober must demote it, healthz must flip to degraded (a majority of
-# configured peers demoted) with a 503, and a key computed before the kill
-# must still be served from a's replica cache without recomputation.
+# configured peers demoted) with a 503, and the first leg's key, which a
+# owns and computed, must still be served from a's cache without
+# recomputation.
 kill -9 "$PID_C" 2>/dev/null || true
 wait "$PID_C" 2>/dev/null || true
 wait_until 50 0.2 has_state "$BASE_A" c demoted || fail "node a never demoted the hard-killed node c"
@@ -184,8 +184,8 @@ curl -s "$BASE_A/healthz" | grep -q '"status": "degraded"' ||
 [ "$(metric "$BASE_A" dsserve_degraded)" = "1" ] ||
   fail "metrics missing dsserve_degraded 1 on the last node standing"
 curl -fsS -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: degraded-check' -d "$body" |
-  grep -q '"cached": true' || fail "degraded node a failed to serve a replicated key from cache"
-echo "cluster smoke: degraded node a (503 healthz) still serves from replicas"
+  grep -q '"cached": true' || fail "degraded node a failed to serve the key it computed from cache"
+echo "cluster smoke: degraded node a (503 healthz) still serves from its cache"
 
 # Step 3 — restart node c on its original address: the prober must readmit
 # it within the probe window, healthz must return to ok (only b remains
