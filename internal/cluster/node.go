@@ -443,20 +443,6 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 			}
 			w.Header().Set(HeaderRingVersion, n.ring.Load().Version())
 		}
-		if forwarded && r.URL.Path == "/sweep" {
-			// Ring-version fence: a sub-grid dispatch carrying a fence from
-			// a coordinator whose live view disagrees with ours must not be
-			// evaluated against the stale plan — reject retryably and let
-			// the coordinator re-plan once the views converge.
-			if fence := r.Header.Get(HeaderSweepFence); fence != "" {
-				if live := n.ring.Load().Version(); fence != live {
-					n.ringFenceRejects.Add(1)
-					n.writeError(w, http.StatusConflict,
-						fmt.Errorf("cluster: ring version skew: dispatch fenced at %s, executor live at %s", fence, live))
-					return
-				}
-			}
-		}
 		if strings.HasPrefix(r.URL.Path, "/internal/") {
 			// Peer-internal endpoints: authenticated peer traffic only (the
 			// token check above already ran for forwarded requests), and no
@@ -471,6 +457,8 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 				n.handleHandoff(w, r)
 			case "/internal/departing":
 				n.handleDeparting(w, r)
+			case "/internal/sweep":
+				n.handleSweepPoints(w, r)
 			default:
 				n.writeError(w, http.StatusNotFound,
 					fmt.Errorf("cluster: unknown peer-internal endpoint %s", r.URL.Path))

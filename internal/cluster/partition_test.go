@@ -214,6 +214,9 @@ func TestInternalBodyBounds413(t *testing.T) {
 	if resp := post("/internal/departing", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized departure: %d, want 413", resp.StatusCode)
 	}
+	if resp := post("/internal/sweep", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized sweep sub-grid: %d, want 413", resp.StatusCode)
+	}
 
 	// Control: a well-formed batch still imports.
 	ok := (&HandoffRequest{From: "n1", Reason: "drain"}).frames()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -102,7 +103,7 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 		n.serveLocal(w, r, inner)
 		return
 	}
-	sels, keys, err := service.SweepPointKeys(req)
+	name, sels, keys, err := service.ExpandSweep(req)
 	if err != nil {
 		n.serveLocal(w, r, inner)
 		return
@@ -202,12 +203,11 @@ func (n *Node) coordinateSweep(w http.ResponseWriter, r *http.Request, inner htt
 
 	// The counts and the merged front are derived over the full point set
 	// by the function a single node uses — sub-grid fronts are never
-	// stitched together.
-	name := req.Workload.Name
-	if wl, err := req.Workload.Build(); err == nil {
-		name = wl.Name
+	// stitched together — and written by the single node's writer.
+	w.Header().Set(HeaderNode, n.self.ID)
+	if err := service.WriteSweep(w, service.NewSweepResponse(name, points)); err != nil {
+		n.log.Error("cluster: encode response", "err", err)
 	}
-	n.writeJSON(w, service.NewSweepResponse(name, points))
 }
 
 // packChains packs chains, in order, into tasks of at most size points; a
@@ -363,23 +363,30 @@ func (run *sweepRun) runTask(ctx context.Context, m Member, task *sweepTask) {
 		return
 	}
 
-	// Peer dispatch rides the retrying JSON path: a peer answering 429/503
-	// (rebalancing load, briefly draining) is retried honoring Retry-After;
-	// a peer that stops answering altogether is dead. The dispatch carries
-	// this plan's ring-version fence, so an executor whose live view
-	// disagrees answers 409 instead of evaluating.
+	// Peer dispatch posts the sub-request to /internal/sweep on the
+	// retrying client: a peer answering 429/503 (rebalancing load, briefly
+	// draining) is retried honoring Retry-After; a peer that stops
+	// answering altogether, or answers with anything but this sub-grid's
+	// point frames, is dead. The dispatch carries this plan's ring-version
+	// fence, so an executor whose live view disagrees answers 409 instead
+	// of evaluating.
+	body, err := json.Marshal(sub)
+	if err != nil {
+		run.finish(task, nil, err)
+		return
+	}
 	cl := *run.n.clients[m.ID]
 	cl.Header = cl.Header.Clone()
 	cl.Header.Set(HeaderSweepFence, run.fence)
 	cl.Header.Set(HeaderRingVersion, run.fence)
-	var resp service.SweepResponse
-	err := cl.PostJSON(ctx, "/sweep", sub, &resp)
-	if err == nil && len(resp.Points) == len(task.indices) {
-		run.finish(task, resp.Points, nil)
-		return
-	}
+	var pts []service.SweepPoint
+	err = cl.PostBody(ctx, "/internal/sweep", "application/json", body, func(b []byte) (err error) {
+		pts, err = parsePoints(b, len(task.indices))
+		return err
+	})
 	if err == nil {
-		err = fmt.Errorf("cluster: peer %s answered %d points for a %d-point sub-grid", m.ID, len(resp.Points), len(task.indices))
+		run.finish(task, pts, nil)
+		return
 	}
 	if ctx.Err() != nil {
 		run.requeue(task)
@@ -436,4 +443,39 @@ func (run *sweepRun) requeue(task *sweepTask) {
 	defer run.mu.Unlock()
 	run.queues[task.owner] = append(run.queues[task.owner], task)
 	run.cond.Broadcast()
+}
+
+// handleSweepPoints is /internal/sweep: it evaluates a dispatched sub-grid
+// (a SweepRequest with explicit Points) and answers its points in point
+// frames. The dispatch's ring-version fence is checked first: an executor
+// whose live view disagrees with the coordinator's plan rejects it with a
+// retryable 409 instead of evaluating against a membership the
+// coordinator no longer believes in (split-brain double execution during
+// a partition), and the coordinator re-plans once the views converge.
+func (n *Node) handleSweepPoints(w http.ResponseWriter, r *http.Request) {
+	if fence := r.Header.Get(HeaderSweepFence); fence != "" {
+		if live := n.ring.Load().Version(); fence != live {
+			n.ringFenceRejects.Add(1)
+			n.writeError(w, http.StatusConflict,
+				fmt.Errorf("cluster: ring version skew: dispatch fenced at %s, executor live at %s", fence, live))
+			return
+		}
+	}
+	body, ok := n.readPeer(w, r, service.MaxBody, "sweep sub-grid")
+	if !ok {
+		return
+	}
+	var req service.SweepRequest
+	if err := service.DecodeStrict(bytes.NewReader(body), &req); err != nil {
+		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode sweep sub-grid: %w", err))
+		return
+	}
+	resp, err := n.srv.EvalSweep(r.Context(), req)
+	if err != nil {
+		n.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set(HeaderNode, n.self.ID)
+	w.Header().Set("Content-Type", pointsContentType)
+	w.Write(pointFrames(resp.Points))
 }

@@ -72,11 +72,17 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return fmt.Errorf("client: encode request: %w", err)
 	}
-	return c.PostBody(ctx, path, "application/json", body, out)
+	var decode func([]byte) error
+	if out != nil {
+		decode = func(b []byte) error { return json.Unmarshal(b, out) }
+	}
+	return c.PostBody(ctx, path, "application/json", body, decode)
 }
 
-// PostBody is PostJSON for a body already encoded as contentType.
-func (c *Client) PostBody(ctx context.Context, path, contentType string, body []byte, out any) error {
+// PostBody posts a body already encoded as contentType, with PostJSON's
+// retries, and hands the 200 response body to decode (when non-nil). A
+// decode error is returned at once, not retried.
+func (c *Client) PostBody(ctx context.Context, path, contentType string, body []byte, decode func([]byte) error) error {
 	cl := c.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -87,10 +93,10 @@ func (c *Client) PostBody(ctx context.Context, path, contentType string, body []
 		case err != nil:
 			lastErr, retry = err, true
 		case resp.code == http.StatusOK:
-			if out == nil {
+			if decode == nil {
 				return nil
 			}
-			if err := json.Unmarshal(resp.body, out); err != nil {
+			if err := decode(resp.body); err != nil {
 				return fmt.Errorf("client: decode response: %w", err)
 			}
 			return nil

@@ -2,10 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"github.com/csrd-repro/datasync/internal/cache"
@@ -179,28 +182,35 @@ func FailedSweepPoint(req SweepRequest, sel GridSel, err error) SweepPoint {
 }
 
 // SweepPointKeys expands a sweep request into its explicit point list (grid
-// order) together with each point's canonical content address. The cluster
-// coordinator uses it to shard a sweep by cache ownership: a point's key
-// decides both where its result lives and which node owns evaluating it.
+// order) together with each point's canonical content address.
 func SweepPointKeys(req SweepRequest) ([]GridSel, []cache.Key, error) {
+	_, sels, keys, err := ExpandSweep(req)
+	return sels, keys, err
+}
+
+// ExpandSweep is SweepPointKeys that also returns the name the sweep's
+// answer reports for its workload, from the one build of the workload. The
+// cluster coordinator uses it to shard a sweep by cache ownership: a
+// point's key decides both where its result lives and which node owns
+// evaluating it.
+func ExpandSweep(req SweepRequest) (workload string, sels []GridSel, keys []cache.Key, err error) {
 	wl, err := req.Workload.Build()
 	if err != nil {
-		return nil, nil, err
+		return "", nil, nil, err
 	}
-	sels, err := expandPoints(req)
-	if err != nil {
-		return nil, nil, err
+	if sels, err = expandPoints(req); err != nil {
+		return "", nil, nil, err
 	}
-	keys := make([]cache.Key, len(sels))
+	keys = make([]cache.Key, len(sels))
 	for i, sel := range sels {
 		sspec, cspec := pointSpecs(req, sel)
 		sch, err := sspec.Build()
 		if err != nil {
-			return nil, nil, err
+			return "", nil, nil, err
 		}
 		keys[i] = cache.RequestKey(wl, sch.Name(), cspec.SimConfig())
 	}
-	return sels, keys, nil
+	return wl.Name, sels, keys, nil
 }
 
 // collapseAxis is the grid dimension along which a scheme's sweep points
@@ -427,7 +437,119 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, *resp)
+	if err := WriteSweep(w, resp); err != nil {
+		s.log.Error("encode response", "err", err)
+	}
+}
+
+// WriteSweep writes resp as a 200 /sweep answer: the bytes encodeIndented
+// writes for it (appendSweepResponse). The single-node handler and the
+// cluster's sweep coordinator both answer through it.
+func WriteSweep(w http.ResponseWriter, resp *SweepResponse) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// An indented point takes about 250 bytes, so the buffer is sized once.
+	b, err := appendSweepResponse(make([]byte, 0, 160+288*(len(resp.Points)+len(resp.Pareto))), resp)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendSweepResponse appends r exactly as encodeIndented writes it:
+// two-space indent, fields in struct order, omitempty on a point's g and
+// error, HTML-escaped strings, encoding/json's float format, null for a
+// nil slice and a trailing newline. Like encodeIndented, it fails on a
+// NaN or infinite speedup.
+func appendSweepResponse(b []byte, r *SweepResponse) ([]byte, error) {
+	b = appendJSONString(append(b, "{\n  \"workload\": "...), r.Workload)
+	b = strconv.AppendInt(append(b, ",\n  \"evaluated\": "...), int64(r.Evaluated), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"failed\": "...), int64(r.Failed), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"cacheHits\": "...), int64(r.CacheHits), 10)
+	b, err := appendSweepPoints(append(b, ",\n  \"points\": "...), r.Points)
+	if err != nil {
+		return nil, err
+	}
+	if b, err = appendSweepPoints(append(b, ",\n  \"pareto\": "...), r.Pareto); err != nil {
+		return nil, err
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendSweepPoints appends pts as the value of a top-level
+// SweepResponse field.
+func appendSweepPoints(b []byte, pts []SweepPoint) ([]byte, error) {
+	switch {
+	case pts == nil:
+		return append(b, "null"...), nil
+	case len(pts) == 0:
+		return append(b, "[]"...), nil
+	}
+	b = append(b, '[')
+	for i, p := range pts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, "\n    {\n      \"x\": "...), int64(p.X), 10)
+		b = strconv.AppendInt(append(b, ",\n      \"p\": "...), int64(p.P), 10)
+		b = strconv.AppendInt(append(b, ",\n      \"chunk\": "...), p.Chunk, 10)
+		if p.G != 0 {
+			b = strconv.AppendInt(append(b, ",\n      \"g\": "...), p.G, 10)
+		}
+		b = strconv.AppendInt(append(b, ",\n      \"busLatency\": "...), p.BusLatency, 10)
+		b = appendJSONString(append(b, ",\n      \"scheme\": "...), p.Scheme)
+		b = strconv.AppendBool(append(b, ",\n      \"cached\": "...), p.Cached)
+		b = strconv.AppendInt(append(b, ",\n      \"cycles\": "...), p.Cycles, 10)
+		b = strconv.AppendInt(append(b, ",\n      \"syncTraffic\": "...), p.SyncTraffic, 10)
+		b = strconv.AppendInt(append(b, ",\n      \"syncOps\": "...), p.SyncOps, 10)
+		var err error
+		if b, err = appendJSONFloat(append(b, ",\n      \"speedup\": "...), p.Speedup); err != nil {
+			return nil, err
+		}
+		if p.Error != "" {
+			b = appendJSONString(append(b, ",\n      \"error\": "...), p.Error)
+		}
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]"...), nil
+}
+
+// appendJSONString appends s as encoding/json marshals it. A string of
+// printable ASCII that needs no escape (every workload and scheme name) is
+// quoted as it is; any other is left to json.Marshal, which escapes
+// quotes, backslashes, control bytes, <, > and &, and U+2028 and U+2029,
+// and replaces invalid UTF-8.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendJSONFloat appends f as encoding/json marshals a float64: the
+// shortest representation, in exponent form below 1e-6 or from 1e21 up,
+// with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // ParetoFront returns the non-dominated successful points, minimizing

@@ -80,15 +80,6 @@ func (s Stats) WaitSyncTotal() int64 {
 	return t
 }
 
-// WaitMemTotal sums module-blocked cycles over processors.
-func (s Stats) WaitMemTotal() int64 {
-	var t int64
-	for _, p := range s.Procs {
-		t += p.WaitMem
-	}
-	return t
-}
-
 // Utilization is the fraction of processor-cycles spent busy.
 func (s Stats) Utilization() float64 {
 	if s.Cycles == 0 || len(s.Procs) == 0 {
