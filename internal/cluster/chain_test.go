@@ -123,12 +123,12 @@ func TestPackChains(t *testing.T) {
 	}
 }
 
-// TestStealWaitsForIdleOwner is the root cause of the fence-reject flake:
-// a coordinator worker that ran dry stole every queued task of a member
-// whose worker had not yet been scheduled, so that member was never
-// dispatched to and its ring-version fence never checked. An idle owner
-// with a running worker keeps its queue; once it executes, or its worker
-// is gone, its queue may be stolen from.
+// TestStealWaitsForIdleOwner: a coordinator worker that runs dry must not
+// steal the queued tasks of a member whose worker has not yet been
+// scheduled. Those tasks are the owner's keys, and evaluated there they
+// land in the cache shard later requests for those keys reach. An idle
+// owner with a running worker keeps its queue; once it executes, or its
+// worker is gone, its queue may be stolen from.
 func TestStealWaitsForIdleOwner(t *testing.T) {
 	run := &sweepRun{
 		queues:  map[string][]*sweepTask{"n1": {{owner: "n1"}, {owner: "n1"}}, "n2": {{owner: "n2"}}},

@@ -36,20 +36,12 @@ const (
 	// is charged once, at the edge node the user hit.
 	HeaderTenant = "X-DSServe-Tenant"
 	// HeaderRingVersion piggybacks the sender's membership-hash ring version
-	// on peer requests and responses, so both ends of every forward detect
-	// version skew without extra round trips. Skew is counted and, combined
-	// with the gossip absorbed from probes, converges the nodes' live sets
-	// to their intersection.
+	// on peer requests and responses (forwards and sweep dispatches), so
+	// both ends detect version skew without extra round trips. It is
+	// observational: skew is counted, never refused, and the gossip
+	// absorbed from probes converges the nodes' live sets to their
+	// intersection.
 	HeaderRingVersion = "X-DSServe-Ring-Version"
-	// HeaderSweepFence carries the coordinator's live-ring version on sweep
-	// sub-grid dispatches. Unlike HeaderRingVersion (observational, counted
-	// only), the fence is enforced: an executor whose live view disagrees
-	// rejects the dispatch with 409 instead of evaluating points against a
-	// membership the coordinator no longer believes in — the guard against
-	// split-brain double-execution during a partition. The coordinator
-	// treats the 409 as "re-plan against my current live set", never as
-	// peer death.
-	HeaderSweepFence = "X-DSServe-Sweep-Fence"
 )
 
 // Options configures a cluster node.
@@ -185,9 +177,6 @@ type Node struct {
 	handoffSentBytes   atomic.Int64
 	handoffRecvEntries atomic.Int64
 	handoffRecvBytes   atomic.Int64
-
-	ringFenceRejects atomic.Int64 // fenced sweep dispatches rejected for ring-version skew
-	sweepReplans     atomic.Int64 // coordinator re-plans after a fence reject
 }
 
 // New builds the node and its underlying service.Server (whose /healthz
@@ -693,7 +682,6 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Compact answer bytes of the cache entries handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers by drain handoff.\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
 	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Compact answer bytes of the cache entries imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_ring_fence_rejects_total Sweep sub-grid dispatches rejected because the coordinator's ring fence disagreed with this executor's live view.\n# TYPE dsserve_ring_fence_rejects_total counter\ndsserve_ring_fence_rejects_total %d\n", n.ringFenceRejects.Load())
 	sheds := n.adm.Sheds()
 	if len(sheds) > 0 {
 		fmt.Fprintf(w, "# HELP dsserve_tenant_shed_total Requests shed by per-tenant admission (429s), by tenant.\n# TYPE dsserve_tenant_shed_total counter\n")

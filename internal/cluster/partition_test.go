@@ -1,12 +1,10 @@
 package cluster
 
 // Partition-tolerance tests: a partition cut and healed through the test
-// cluster's link switch (minority refusal, oracle-identical majority
-// sweeps, demotion, starved replicas, readmission, anti-entropy repair),
-// ring-version-fenced sweeps, degraded-node coordination refusal,
-// anti-entropy re-replication, duplicate handoff delivery, bounded
-// peer-internal bodies, probe jitter, asymmetric-partition gossip, and
-// drain retargeting.
+// cluster's link switch (demotion, oracle-identical sweeps on both sides,
+// readmission, no member bounced after the heal), sweeps across skewed
+// ring views, duplicate handoff delivery, bounded peer-internal bodies,
+// probe jitter, asymmetric-partition gossip, and drain retargeting.
 
 import (
 	"bytes"
@@ -17,7 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,20 +60,32 @@ func getMetrics(t *testing.T, addr string) string {
 	return string(b)
 }
 
-// TestSweepFenceRejectAndReplan: an executor whose live view disagrees with
-// the coordinator's fences off the dispatch with 409; the coordinator
-// re-plans against its current live set (never demoting the rejecting
-// peer), and once the views agree the sweep completes oracle-identical.
-func TestSweepFenceRejectAndReplan(t *testing.T) {
-	tc := startCluster(t, 3, Options{StealChunk: 2})
+// TestSweepAcrossSkewedViews: an executor whose live view disagrees with
+// the coordinator's evaluates its sub-grids anyway. Every point is
+// deterministic, so the sweep answers on its one plan, with no failed
+// point, exactly what one node answers; the skewed executor stays in the
+// coordinator's ring and counts no peer error.
+func TestSweepAcrossSkewedViews(t *testing.T) {
+	var executed atomic.Int64
+	tc := startClusterWrapped(t, 3, Options{StealChunk: 2}, service.Options{}, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+			h.ServeHTTP(sw, r)
+			if r.URL.Path == "/internal/sweep" && sw.code == http.StatusOK {
+				executed.Add(1)
+			}
+		})
+	})
 
 	sweep := service.SweepRequest{
 		Workload: service.WorkloadSpec{Name: "fig21", N: 24},
 		Scheme:   service.SchemeSpec{Name: "process"},
 		Grid:     service.SweepGrid{X: []int{2, 4}, P: []int{2, 4}, Chunk: []int64{1, 2, 4}},
 	}
-	// Every member, the skewed executor included, must be handed a chain
-	// for its fence to be exercised.
+	// Every member, the skewed executor included, must be handed a chain.
 	if owners := chainOwners(t, tc.nodes[0].Ring(), sweep); len(owners) != 3 {
 		t.Fatalf("grid's chains placed on %d of 3 members (%v); enlarge the test grid", len(owners), owners)
 	}
@@ -85,104 +95,40 @@ func TestSweepFenceRejectAndReplan(t *testing.T) {
 	// views behind the test's back.
 	tc.nodes[1].demote("n2", causeDrain)
 
-	b, err := json.Marshal(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type sweepOut struct {
-		code int
-		body []byte
-		err  error
-	}
-	outc := make(chan sweepOut, 1)
-	go func() {
-		resp, err := http.Post(tc.addrs[0]+"/sweep", "application/json", bytes.NewReader(b))
-		if err != nil {
-			outc <- sweepOut{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		outc <- sweepOut{code: resp.StatusCode, body: body, err: err}
-	}()
-
-	// Once the executor has fenced off at least one dispatch, converge the
-	// coordinator's view; its next plan carries a fence n1 agrees with.
-	waitFor(t, 5*time.Second, func() bool {
-		return tc.nodes[1].ringFenceRejects.Load() >= 1
-	}, "executor to fence off a dispatch")
-	tc.nodes[0].demote("n2", causeDrain)
-
-	out := <-outc
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if out.code != http.StatusOK {
-		t.Fatalf("/sweep across skewed views: %d %s", out.code, out.body)
+	resp, body := postNode(t, tc.addrs[0], "/sweep", sweep, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/sweep across skewed views: %d %s", resp.StatusCode, body)
 	}
 	var got service.SweepResponse
-	if err := json.Unmarshal(out.body, &got); err != nil {
+	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Failed != 0 || got.Evaluated != 12 {
-		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, out.body)
+		t.Fatalf("sweep evaluated %d / failed %d of 12 points: %s", got.Evaluated, got.Failed, body)
 	}
-
 	requireSweepMatchesOracle(t, sweep, got)
 
-	if replans := tc.nodes[0].sweepReplans.Load(); replans < 1 {
-		t.Errorf("coordinator replans = %d, want >= 1", replans)
-	}
-	// A fence reject is view skew, not peer death: the rejecting executor
-	// must stay in the coordinator's ring and count no peer errors.
+	// Skew is not peer death: the executor stays in the coordinator's ring.
 	if !tc.nodes[0].Ring().Has("n1") {
-		t.Error("coordinator demoted the fencing executor")
+		t.Error("coordinator demoted the skewed executor")
 	}
 	if peerErrs := tc.nodes[0].peerErrors.Load(); peerErrs != 0 {
-		t.Errorf("peerErrors = %d after fence rejects, want 0", peerErrs)
+		t.Errorf("peerErrors = %d across skewed views, want 0", peerErrs)
 	}
-	if m := getMetrics(t, tc.addrs[1]); !strings.Contains(m, "dsserve_ring_fence_rejects_total") {
-		t.Error("metrics missing dsserve_ring_fence_rejects_total")
+	if executed.Load() < 1 {
+		t.Error("the skewed executor n1 evaluated no sub-grid")
 	}
 }
 
-// TestDegradedNodeRefusesSweepCoordination: a node on the minority side of
-// a partition (majority of configured peers demoted) answers /sweep with a
-// retryable 503 instead of coordinating against a view about to be retired.
-func TestDegradedNodeRefusesSweepCoordination(t *testing.T) {
-	tc := startCluster(t, 3, Options{})
-	tc.nodes[0].demote("n1", causeDrain)
-	tc.nodes[0].demote("n2", causeDrain)
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
 
-	sweep := service.SweepRequest{
-		Workload: service.WorkloadSpec{Name: "fig21", N: 24},
-		Scheme:   service.SchemeSpec{Name: "process"},
-		Grid:     service.SweepGrid{X: []int{2, 4}},
-	}
-	b, err := json.Marshal(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, tc.addrs[0]+"/sweep", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded /sweep: %d %s, want 503", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("degraded /sweep refusal carries no Retry-After")
-	}
-	if !strings.Contains(string(body), "refuses to coordinate") {
-		t.Errorf("refusal body %q does not name the refusal", body)
-	}
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // TestInternalBodyBounds413: peer-internal ingestion endpoints refuse
@@ -248,13 +194,13 @@ func TestProbeJitterBounds(t *testing.T) {
 	}
 }
 
-// TestPartitionMinorityRefusesAndHeals: n2 is cut off from n0 and n1 in
+// TestPartitionMinoritySweepsAndHeals: n2 is cut off from n0 and n1 in
 // both directions, then the cut heals. While it holds, both sides demote
-// across the cut, the minority n2 refuses to coordinate a sweep (503) and
-// the majority's sweep equals the single-node oracle. After the heal both
-// sides readmit each other and a sweep through the healed minority equals
-// the oracle.
-func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
+// across the cut, and a sweep through either side, the minority n2 alone
+// included, equals the single-node oracle. After the heal both sides
+// readmit each other and a sweep through the healed minority equals the
+// oracle.
+func TestPartitionMinoritySweepsAndHeals(t *testing.T) {
 	tc := startCluster(t, 3, Options{
 		ProbeInterval:  25 * time.Millisecond,
 		SuspectAfter:   2,
@@ -293,10 +239,7 @@ func TestPartitionMinorityRefusesAndHeals(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return acrossCut("demoted") },
 		"both sides to demote across the cut")
 
-	resp, body := postNode(t, tc.addrs[2], "/sweep", sweep, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "refuses to coordinate") {
-		t.Fatalf("minority /sweep: %d %s, want the 503 coordination refusal", resp.StatusCode, body)
-	}
+	requireSweepMatchesOracle(t, sweep, sweepVia(2))
 	requireSweepMatchesOracle(t, sweep, sweepVia(0))
 
 	split(false)

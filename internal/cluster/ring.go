@@ -111,7 +111,7 @@ func NewRing(members []Member) (*Ring, error) {
 	fmt.Fprintf(h, "%s\x00", ringCanonVersion)
 	for _, m := range ms {
 		// The trailing 1 is the member weight of earlier releases, kept so
-		// that the version, and with it the sweep fence, agrees with them.
+		// that the version agrees with theirs and reads as no skew.
 		fmt.Fprintf(h, "%s\x00%s\x001\x00", m.ID, m.Addr)
 	}
 	r.version = hex.EncodeToString(h.Sum(nil))[:16]

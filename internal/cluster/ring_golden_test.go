@@ -11,8 +11,10 @@ import (
 
 // goldenRing is the pinned placement of a fixed three-member membership:
 // the ring version, then one line per fixed key with its owner. Every node
-// of a cluster must agree on these, across releases too: a rolling upgrade mixes binaries, and any difference in
-// version or placement would read as ring skew and fence off every sweep.
+// of a cluster must agree on these, across releases too: a rolling upgrade
+// mixes binaries, and any difference in version would be counted as ring
+// skew on every peer exchange, and any difference in placement would send
+// each key to a different owner from each node.
 const goldenRing = `version 96eaaa570f7bd0fd
 1afd553519a2c3dd a
 e8def9799a176260 c

@@ -437,13 +437,3 @@ func (g *Graph) String() string {
 	}
 	return b.String()
 }
-
-// StmtIndex returns the body index of the named statement, or -1.
-func (g *Graph) StmtIndex(name string) int {
-	for i, s := range g.Stmts {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}

@@ -327,17 +327,6 @@ func TestCoverageViaBodyOrder(t *testing.T) {
 	checkArcs(t, g, enf, []wantArc{{"S1", "S2", Flow, 2}})
 }
 
-// TestStmtIndex exercises name lookup.
-func TestStmtIndex(t *testing.T) {
-	g := Analyze(fig21(), 1)
-	if i := g.StmtIndex("S3"); i != 2 {
-		t.Errorf("StmtIndex(S3) = %d, want 2", i)
-	}
-	if i := g.StmtIndex("nope"); i != -1 {
-		t.Errorf("StmtIndex(nope) = %d, want -1", i)
-	}
-}
-
 // TestGraphString smoke-tests deterministic rendering.
 func TestGraphString(t *testing.T) {
 	g := Analyze(fig21(), 1)

@@ -51,10 +51,9 @@ func (c *Client) withDefaults() Client {
 	return out
 }
 
-// StatusError is a terminal non-200 HTTP answer: the server responded, the
-// response just wasn't success. Callers that must branch on the code — the
-// cluster's sweep coordinator treating a 409 ring-skew reject as "re-plan"
-// rather than "peer dead" — unwrap it with errors.As.
+// StatusError is a non-200 HTTP answer: the server responded, the response
+// just wasn't success. A caller that must branch on the code unwraps it
+// with errors.As.
 type StatusError struct {
 	Path string
 	Code int

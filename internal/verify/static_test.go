@@ -161,9 +161,6 @@ func TestStaticRedundantWaitNotes(t *testing.T) {
 			if n.Class != verify.RedundantWait {
 				t.Errorf("%s: unexpected note class %s: %+v", c.w.Name, n.Class, n)
 			}
-			if !n.Class.Advisory() {
-				t.Errorf("%s: note class %s should be advisory", c.w.Name, n.Class)
-			}
 			if c.sites > 0 && !strings.HasPrefix(n.Site, "advance:wait ") {
 				t.Errorf("%s: note on site %q, want an advance:wait site", c.w.Name, n.Site)
 			}

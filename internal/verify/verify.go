@@ -86,10 +86,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// Advisory reports whether the class is informational rather than a
-// verification failure.
-func (c Class) Advisory() bool { return c == RedundantWait }
-
 // MarshalJSON renders the class as its name.
 func (c Class) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
 

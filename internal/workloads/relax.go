@@ -176,6 +176,3 @@ func (r Relax) Wavefront(m *sim.Machine, barrier BarrierOps) [][]sim.Op {
 	}
 	return progs
 }
-
-// Fronts returns the number of wavefronts (= barrier episodes).
-func (r Relax) Fronts() int64 { return 2*r.N - 3 }

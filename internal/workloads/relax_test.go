@@ -146,9 +146,6 @@ func TestSCStarvationWithFewCounters(t *testing.T) {
 
 func TestRelaxAccounting(t *testing.T) {
 	r := Relax{N: 10, Cost: 2, G: 4}
-	if r.Fronts() != 17 {
-		t.Errorf("Fronts = %d, want 17", r.Fronts())
-	}
 	if r.SyncPoints() != 3 { // groups [2,5] [6,9] [10,10]
 		t.Errorf("SyncPoints = %d, want 3", r.SyncPoints())
 	}

@@ -7,12 +7,13 @@
 # cluster-wide, and a hot tenant is shed with 429s while a cool tenant is
 # served. Then the cluster rolls: SIGTERM node b (clean drain, the cache
 # handoff visible in the survivors' /metrics), hard-kill node c (the prober
-# demotes it, healthz flips to degraded, and a key node a computed is still
-# served from its cache), and restart c (readmitted within the probe
-# window, healthz back to ok).
+# demotes it, healthz flips to degraded, a key node a computed is still
+# served from its cache, and a sweep through a, alone in its ring, answers
+# in full), and restart c (readmitted within the probe window, healthz back
+# to ok).
 #
 # Partitions are rehearsed in process instead, where the test cluster cuts
-# and heals peer links: TestPartitionMinorityRefusesAndHeals in
+# and heals peer links: TestPartitionMinoritySweepsAndHeals in
 # internal/cluster/partition_test.go.
 set -euo pipefail
 
@@ -171,9 +172,10 @@ echo "cluster smoke: node b drained with handoff ($handoff entries received)"
 
 # Step 2 — hard-kill node c (no drain, no departure announcement): a's
 # prober must demote it, healthz must flip to degraded (a majority of
-# configured peers demoted) with a 503, and the first leg's key, which a
-# owns and computed, must still be served from a's cache without
-# recomputation.
+# configured peers demoted) with a 503, the first leg's key, which a owns
+# and computed, must still be served from a's cache without recomputation,
+# and a sweep through a must answer in full: every point is deterministic,
+# so the last node standing computes the same points the cluster would.
 kill -9 "$PID_C" 2>/dev/null || true
 wait "$PID_C" 2>/dev/null || true
 wait_until 50 0.2 has_state "$BASE_A" c demoted || fail "node a never demoted the hard-killed node c"
@@ -186,6 +188,10 @@ curl -s "$BASE_A/healthz" | grep -q '"status": "degraded"' ||
 curl -fsS -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: degraded-check' -d "$body" |
   grep -q '"cached": true' || fail "degraded node a failed to serve the key it computed from cache"
 echo "cluster smoke: degraded node a (503 healthz) still serves from its cache"
+out=$(curl -fsS -X POST "$BASE_A/sweep" -H 'X-DSServe-Tenant: degraded-sweep' -d "$sweep")
+echo "$out" | grep -q '"pareto"' || fail "degraded node a's sweep missing pareto: $out"
+echo "$out" | grep -q '"failed": 0' || fail "degraded node a's sweep had failures: $out"
+echo "cluster smoke: degraded node a sweeps alone"
 
 # Step 3 — restart node c on its original address: the prober must readmit
 # it within the probe window, healthz must return to ok (only b remains
