@@ -637,16 +637,20 @@ func (w *Workload) bindInPlace(mem *sim.Mem, f *frame) []inPlace {
 // after its effect can be observed. The statement's effect is applied to
 // iter at the end of the last op, so a scheme that published before the
 // commit phase would let a consumer read stale values and fail serial
-// equivalence. It fills the ops in place in the caller's program slice,
-// which the machine recycles from iteration to iteration.
+// equivalence. The last op carries the statement's position (Op.Stmt).
+// It fills the ops in place in the caller's program slice, which the
+// machine recycles from iteration to iteration.
 func (r *stmtRun) appendStmt(ops []sim.Op, pos int, iter int64, idx []int64) []sim.Op {
 	s, eff, name := r.info.list[pos], r.effs[pos], r.names+sim.StrID(pos)
 	cost := r.w.cost(s, idx)
 	if r.lat <= 0 || len(s.Writes) == 0 {
-		return sim.AppendCompute(ops, cost, eff, iter, sim.Text(name))
+		ops = sim.AppendCompute(ops, cost, eff, iter, sim.Text(name))
+	} else {
+		ops = sim.AppendCompute(ops, cost, 0, 0, sim.Text(name))
+		ops = sim.AppendCompute(ops, r.lat, eff, iter, sim.TagSf(tagCommit, name))
 	}
-	ops = sim.AppendCompute(ops, cost, 0, 0, sim.Text(name))
-	return sim.AppendCompute(ops, r.lat, eff, iter, sim.TagSf(tagCommit, name))
+	ops[len(ops)-1].Stmt = int32(pos + 1)
+	return ops
 }
 
 // tagCommit tags a statement's commit phase.

@@ -10,7 +10,6 @@ import "github.com/csrd-repro/datasync/internal/sim"
 var (
 	tagGetPC           = sim.RegisterSiteFormat("get_PC i=%d", "get_PC")
 	tagSetPC           = sim.RegisterFormat("set_PC(%d) i=%d")
-	tagReleasePC       = sim.RegisterFormat("release_PC i=%d")
 	tagWaitPCNoop      = sim.RegisterFormat("wait_PC(%d,%d) i=%d noop")
 	tagWaitPC          = sim.RegisterSiteFormat("wait_PC(%d,%d) i=%d", "wait_PC(%d,%d)")
 	tagMarkPC          = sim.RegisterFormat("mark_PC(%d) i=%d")
@@ -37,15 +36,6 @@ func NewSimPCs(m *sim.Machine, x int) *SimPCs {
 
 func initialPCValue(k int) int64 { return InitialPC(k).Pack() }
 
-// Vars returns the underlying register ids (for direct inspection in tests).
-func (s *SimPCs) Vars() []sim.VarID {
-	vars := make([]sim.VarID, s.X)
-	for k := range vars {
-		vars[k] = s.base + sim.VarID(k)
-	}
-	return vars
-}
-
 func (s *SimPCs) slot(iter int64) sim.VarID { return s.base + sim.VarID(Fold(iter, s.X)) }
 
 // The primitives append their ops to dst and return the extended slice,
@@ -64,17 +54,14 @@ func (s *SimPCs) SetPC(dst []sim.Op, iter, step int64) []sim.Op {
 	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter, Step: step}.Pack(), sim.Tagf(tagSetPC, step, iter))
 }
 
-// ReleasePC appends the basic release_PC(): pass the PC to process iter+X.
-func (s *SimPCs) ReleasePC(dst []sim.Op, iter int64) []sim.Op {
-	return sim.AppendWriteVar(dst, s.slot(iter), PC{Owner: iter + int64(s.X), Step: 0}.Pack(), sim.Tagf(tagReleasePC, iter))
-}
-
 // WaitPC appends wait_PC(dist, step): spin until the source process
 // iter-dist has completed its step-th source statement. Ownership having
 // moved past iter-dist also satisfies the wait (lexicographic order), which
 // is sound because ownership transfers only after the owner's last source
-// statement. A source before the first iteration does not exist; such waits
-// are satisfied immediately (a zero-cycle no-op), as codegen.RunGoroutines and SplitPCSet.Wait do.
+// statement. A source before the first iteration does not exist; such a
+// wait is emitted as a zero-cycle no-op compute, so every executor of the
+// program (the simulator, codegen.RunGoroutines) passes it at once, as
+// SplitPCSet.Wait returns at once.
 func (s *SimPCs) WaitPC(dst []sim.Op, iter, dist, step int64) []sim.Op {
 	src := iter - dist
 	if src < 1 {

@@ -10,26 +10,26 @@ import (
 func TestSimPCsBasicProtocol(t *testing.T) {
 	m := sim.New(sim.Config{Processors: 2, SyncOpCost: 0})
 	pcs := NewSimPCs(m, 2)
-	if len(pcs.Vars()) != 2 {
-		t.Fatalf("Vars = %d, want 2", len(pcs.Vars()))
+	if m.VarCount() != 2 {
+		t.Fatalf("declared %d registers, want 2", m.VarCount())
 	}
-	// Process 1 on proc 0: get, set(1), release. Process 3 on proc 1:
-	// waits for process 1's step 1, then gets ownership after release.
+	// Process 1 on proc 0: get, set(1), transfer. Process 3 on proc 1:
+	// waits for process 1's step 1, then gets ownership after the transfer.
 	p1 := append(pcs.GetPC(nil, 1), sim.Compute(5, 0, 0, m.Text("S1@1")))
-	p1 = pcs.ReleasePC(pcs.SetPC(p1, 1, 1), 1)
+	p1 = pcs.TransferPCOps(pcs.SetPC(p1, 1, 1), 1)
 	p3 := pcs.GetPC(pcs.WaitPC(nil, 3, 2, 1), 3) // wait_PC(2,1): process 1 at step 1
 	p3 = append(p3, sim.Compute(1, 0, 0, m.Text("S1@3")))
-	p3 = pcs.ReleasePC(pcs.SetPC(p3, 3, 1), 3)
+	p3 = pcs.TransferPCOps(pcs.SetPC(p3, 3, 1), 3)
 	progs := [][]sim.Op{p1, p3}
 	if _, err := m.RunProcesses(progs); err != nil {
 		t.Fatal(err)
 	}
 	// Slot 0 ended owned by process 5 (3+X).
-	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{5, 0}) {
+	if got := unpack(m.VarValue(pcs.base)); got != (PC{5, 0}) {
 		t.Errorf("final PC[0] = %v, want <5,0>", got)
 	}
 	// Slot 1 untouched: still owned by process 2.
-	if got := unpack(m.VarValue(pcs.Vars()[1])); got != (PC{2, 0}) {
+	if got := unpack(m.VarValue(pcs.base + 1)); got != (PC{2, 0}) {
 		t.Errorf("final PC[1] = %v, want <2,0>", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestSimPCsImprovedProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
+	if got := unpack(m.VarValue(pcs.base)); got != (PC{3, 0}) {
 		t.Errorf("final PC[0] = %v, want <3,0>", got)
 	}
 	// Broadcasts: process 1's mark and release, process 2's release — the
@@ -98,7 +98,7 @@ func TestSimPCsWaitBoundaryNoOp(t *testing.T) {
 	if stats.Polls != 0 {
 		t.Errorf("boundary waits polled %d times, want 0", stats.Polls)
 	}
-	if got := unpack(m.VarValue(pcs.Vars()[0])); got != (PC{3, 0}) {
+	if got := unpack(m.VarValue(pcs.base)); got != (PC{3, 0}) {
 		t.Errorf("final PC[0] = %v, want <3,0>", got)
 	}
 }

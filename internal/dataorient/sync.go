@@ -55,12 +55,6 @@ func (n keyNames) Name(i int) string { return "key:" + n.p.name(i) }
 // Keys returns the number of keys declared.
 func (k *SimKeys) Keys() int { return len(k.plan.Order) }
 
-// WaitOps appends the poll of the element's key until the access's ticket
-// is reached.
-func (k *SimKeys) WaitOps(dst []sim.Op, a *Access) []sim.Op {
-	return k.WaitTicketOps(dst, a.ElemIdx, a.Ticket)
-}
-
 // WaitTicketOps appends the poll of the key of element ei (its index in the
 // plan's Order) until the given ticket is reached. Code generators that
 // execute a whole statement as one atomic compute wait on the minimum

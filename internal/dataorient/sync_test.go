@@ -28,7 +28,7 @@ func TestSimKeysProtocol(t *testing.T) {
 	// access appends the protocol of access i: wait for its ticket,
 	// record it, increment the key.
 	access := func(ops []sim.Op, i int) []sim.Op {
-		ops = append(keys.WaitOps(ops, seq[i]),
+		ops = append(keys.WaitTicketOps(ops, seq[i].ElemIdx, seq[i].Ticket),
 			sim.Compute(1, m.AddEffect(sim.EffectFunc(func(int64) { order = append(order, i) })), 0, m.Text("access")))
 		return keys.IncOps(ops, seq[i])
 	}
@@ -58,7 +58,7 @@ func TestSimKeysFinalValue(t *testing.T) {
 	seq := plan.Seq(elemIdx(t, plan, elem(5)))
 	var ops []sim.Op
 	for _, a := range seq {
-		ops = keys.IncOps(keys.WaitOps(ops, a), a)
+		ops = keys.IncOps(keys.WaitTicketOps(ops, a.ElemIdx, a.Ticket), a)
 	}
 	if _, err := m.RunProcesses([][]sim.Op{ops}); err != nil {
 		t.Fatal(err)

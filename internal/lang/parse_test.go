@@ -108,8 +108,8 @@ END DO
 	if !w.Nest.HasBranches() {
 		t.Fatal("branches not detected")
 	}
-	odd := w.Nest.FlatBody([]int64{3})
-	even := w.Nest.FlatBody([]int64{4})
+	odd := w.Nest.FlatBodyInto(nil, []int64{3})
+	even := w.Nest.FlatBodyInto(nil, []int64{4})
 	if len(odd) != 3 || len(even) != 3 || odd[1] == even[1] {
 		t.Fatalf("branch arms not resolved: odd=%d even=%d", len(odd), len(even))
 	}
@@ -143,8 +143,8 @@ END DO
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := w.Nest.FlatBody([]int64{5})
-	hi := w.Nest.FlatBody([]int64{6})
+	lo := w.Nest.FlatBodyInto(nil, []int64{5})
+	hi := w.Nest.FlatBodyInto(nil, []int64{6})
 	if lo[0] == hi[0] {
 		t.Error("comparison condition not discriminating")
 	}

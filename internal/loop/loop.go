@@ -271,18 +271,13 @@ func (n *Nest) IndexInto(dst []int64, lpid int64) []int64 {
 	return idx
 }
 
-// FlatBody returns the executable node sequence for one iteration: body
-// order with conditionals resolved against the given index vector. The
-// returned statements are a subsequence of Stmts(). A body without
-// conditionals has the same sequence every iteration, so New computes it
-// once and FlatBody returns that shared slice; callers must not modify it.
-func (n *Nest) FlatBody(idx []int64) []*deps.Stmt {
-	return n.FlatBodyInto(nil, idx)
-}
-
-// FlatBodyInto is FlatBody building a branchy body's sequence in dst's
-// storage (a straight body still returns the shared slice), so a caller
-// resolving every iteration reuses one buffer.
+// FlatBodyInto returns the executable statement sequence for one
+// iteration: body order with conditionals resolved against the given index
+// vector, a subsequence of Stmts(). A branchy body's sequence is built in
+// dst's storage, so a caller resolving every iteration reuses one buffer.
+// A body without conditionals has the same sequence every iteration, so
+// New computes it once and FlatBodyInto returns that shared slice; callers
+// must not modify it.
 func (n *Nest) FlatBodyInto(dst []*deps.Stmt, idx []int64) []*deps.Stmt {
 	if n.straight != nil {
 		return n.straight

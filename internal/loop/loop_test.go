@@ -143,13 +143,13 @@ func TestStmtsFlattensBranches(t *testing.T) {
 		t.Error("HasBranches = false")
 	}
 
-	even := n.FlatBody([]int64{2})
+	even := n.FlatBodyInto(nil, []int64{2})
 	if len(even) != 3 || even[1] != sb {
-		t.Errorf("FlatBody(even) took wrong arm: %v", names(even))
+		t.Errorf("FlatBodyInto(even) took wrong arm: %v", names(even))
 	}
-	odd := n.FlatBody([]int64{3})
+	odd := n.FlatBodyInto(nil, []int64{3})
 	if len(odd) != 3 || odd[1] != sc {
-		t.Errorf("FlatBody(odd) took wrong arm: %v", names(odd))
+		t.Errorf("FlatBodyInto(odd) took wrong arm: %v", names(odd))
 	}
 }
 
@@ -227,7 +227,7 @@ func TestLinearGraph(t *testing.T) {
 }
 
 // TestIterationsAllocationFree pins Iterations allocation-free: IndexOf
-// calls it for its range check on every simulated dispatch. FlatBody of a
+// calls it for its range check on every simulated dispatch. FlatBodyInto of a
 // body without conditionals shares one precomputed slice.
 func TestIterationsAllocationFree(t *testing.T) {
 	n := MustNew([]Index{{"I", 2, 10}, {"J", 1, 5}}, nil)
@@ -236,11 +236,11 @@ func TestIterationsAllocationFree(t *testing.T) {
 	}
 	straight := MustNew([]Index{{"I", 1, 8}}, []Node{S(stmt1("S1", 0, -1)), S(stmt1("S2", 0, -2))})
 	idx := []int64{3}
-	if got := testing.AllocsPerRun(100, func() { _ = straight.FlatBody(idx) }); got != 0 {
-		t.Errorf("FlatBody of a straight-line body allocates %v times per call, want 0", got)
+	if got := testing.AllocsPerRun(100, func() { _ = straight.FlatBodyInto(nil, idx) }); got != 0 {
+		t.Errorf("FlatBodyInto of a straight-line body allocates %v times per call, want 0", got)
 	}
-	if body := straight.FlatBody(idx); len(body) != 2 || body[0].Name != "S1" || body[1].Name != "S2" {
-		t.Errorf("FlatBody = %v, want [S1 S2]", names(body))
+	if body := straight.FlatBodyInto(nil, idx); len(body) != 2 || body[0].Name != "S1" || body[1].Name != "S2" {
+		t.Errorf("FlatBodyInto = %v, want [S1 S2]", names(body))
 	}
 }
 

@@ -26,9 +26,9 @@ type Label struct {
 // Format names a label format registered with RegisterFormat.
 type Format uint16
 
-// Verbatim is the format "%s": a label of it renders its string argument
+// verbatim is the format "%s": a label of it renders its string argument
 // verbatim.
-const Verbatim Format = 1
+const verbatim Format = 1
 
 var (
 	// formats is the format registry, by Format. Format 0 is the empty
@@ -92,7 +92,7 @@ func TagSf(f Format, s StrID, args ...int64) Label {
 
 // Text returns a label rendering string s of the machine's name table
 // verbatim.
-func Text(s StrID) Label { return Label{fmt: Verbatim, str: s} }
+func Text(s StrID) Label { return Label{fmt: verbatim, str: s} }
 
 // Text registers s in the machine's name table and returns a label
 // rendering it verbatim, for hand-built programs.
@@ -156,12 +156,6 @@ func (m *Machine) AppendSite(dst []byte, l Label) []byte {
 	}
 	return appendRender(dst, site, m.strs.name(int32(l.str)), l.args[:])
 }
-
-// Format returns the format l renders.
-func (l Label) Format() Format { return l.fmt }
-
-// Str returns l's string argument, a name of the machine's name table.
-func (l Label) Str() StrID { return l.str }
 
 // render expands format: each "%d" takes the next of args (nothing once
 // they run out) and each "%s" takes s.

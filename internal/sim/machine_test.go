@@ -365,11 +365,10 @@ func TestRMWOnRegisterPanics(t *testing.T) {
 func TestWriteVarIf(t *testing.T) {
 	m := New(Config{Processors: 1, SyncOpCost: 0})
 	v := m.NewRegVar("pc", 3)
-	stats, err := m.RunProcesses([][]Op{{
-		WriteVarIfGE(v, 10, 5, m.Text("skipped")), // 3 < 5: no write
-		WriteVarIfGE(v, 10, 3, m.Text("taken")),   // 3 >= 3: writes 10
-		WriteVarIfGE(v, 20, 10, m.Text("taken2")), // own write visible: 10 >= 10
-	}})
+	ops := AppendWriteVarIfGE(nil, v, 10, 5, false, m.Text("skipped")) // 3 < 5: no write
+	ops = AppendWriteVarIfGE(ops, v, 10, 3, false, m.Text("taken"))    // 3 >= 3: writes 10
+	ops = AppendWriteVarIfGE(ops, v, 20, 10, false, m.Text("taken2"))  // own write visible: 10 >= 10
+	stats, err := m.RunProcesses([][]Op{ops})
 	if err != nil {
 		t.Fatal(err)
 	}

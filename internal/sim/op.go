@@ -124,7 +124,7 @@ type Op struct {
 	Post int64
 	// CondGE is an OpWriteIf's guard "visible value >= CondGE", declared
 	// structurally so static analysis knows what the write's firing
-	// implies. WriteVarIfGE sets it.
+	// implies. AppendWriteVarIfGE sets it.
 	CondGE int64
 	// Tag names the op for traces, stall reports and static verification.
 	// It is kept as parts and rendered only when one of those readers asks
@@ -134,8 +134,13 @@ type Op struct {
 	// Eff is the statement semantics an OpCompute applies to Arg when it
 	// completes; 0 for pure work. Only compute ops carry one (the machine
 	// applies no other kind's).
-	Eff     EffID
-	Var     VarID // sync-op target
+	Eff EffID
+	Var VarID // sync-op target
+	// Stmt is 1 + the body position of the loop statement whose effect
+	// completes with this compute op (its commit phase under a data
+	// latency, else its only op), 0 on every other op. Static analysis
+	// reads a program's statements from it.
+	Stmt    int32
 	Kind    OpKind
 	HasPost bool
 	// OwnCheck marks an ownership check of a folded process counter: the
@@ -166,15 +171,6 @@ func RMW(v VarID, delta int64, tag Label) Op {
 	return Op{Kind: OpRMW, Var: v, Value: delta, Tag: tag}
 }
 
-// WriteVarIfGE returns a conditional register write: value is posted only
-// when the locally visible value at issue time is at least min. The guard
-// is declared structurally so static verification can reason about what a
-// fired write implies (the improved mark_PC fires only once ownership has
-// arrived).
-func WriteVarIfGE(v VarID, value, min int64, tag Label) Op {
-	return Op{Kind: OpWriteIf, Var: v, Value: value, CondGE: min, Tag: tag}
-}
-
 // The Append builders are the constructors above for programs built every
 // iteration: each extends ops by one op filled where it will live and
 // returns the longer slice, so no op is built and then copied in by
@@ -197,7 +193,7 @@ func grow(ops []Op) ([]Op, *Op) {
 // tag, its other fields zero.
 func (op *Op) fill(kind OpKind, v VarID, value int64, tag Label) {
 	op.Cycles, op.Value, op.Arg, op.Post, op.CondGE = 0, value, 0, 0, 0
-	op.Tag, op.Eff, op.Var, op.Kind, op.HasPost, op.OwnCheck = tag, 0, v, kind, false, false
+	op.Tag, op.Eff, op.Var, op.Stmt, op.Kind, op.HasPost, op.OwnCheck = tag, 0, v, 0, kind, false, false
 }
 
 // AppendCompute appends Compute(cycles, eff, arg, tag).
@@ -224,8 +220,12 @@ func AppendWaitGE(ops []Op, v VarID, value int64, own bool, tag Label) []Op {
 	return ops
 }
 
-// AppendWriteVarIfGE appends WriteVarIfGE(v, value, min, tag), marked as an
-// ownership check (Op.OwnCheck) when own is set.
+// AppendWriteVarIfGE appends a conditional register write, marked as an
+// ownership check (Op.OwnCheck) when own is set: value is posted only when
+// the locally visible value at issue time is at least min. The guard is
+// declared structurally so static verification can reason about what a
+// fired write implies (the improved mark_PC fires only once ownership has
+// arrived).
 func AppendWriteVarIfGE(ops []Op, v VarID, value, min int64, own bool, tag Label) []Op {
 	ops, op := grow(ops)
 	op.fill(OpWriteIf, v, value, tag)

@@ -117,10 +117,11 @@ func TestProgramRecyclingInvariant(t *testing.T) {
 // TestAppendBuildersOverwriteRecycledSlots pins that the in-place builders
 // leave nothing of a recycled slot behind: each appended over a buffer
 // whose every field is set, and appended past the buffer's capacity, must
-// equal the op its value constructor returns.
+// equal the op its value constructor returns (a conditional write has none:
+// its op is spelled out).
 func TestAppendBuildersOverwriteRecycledSlots(t *testing.T) {
 	poison := Op{Cycles: 9, Value: 9, Eff: 9, Arg: 9, Tag: TagSf(fmtFill, 9, 9, 9, 9),
-		Post: 9, CondGE: 9, Var: 9, Kind: OpRMW, HasPost: true, OwnCheck: true}
+		Post: 9, CondGE: 9, Var: 9, Stmt: 9, Kind: OpRMW, HasPost: true, OwnCheck: true}
 	owned := func(op Op) Op { op.OwnCheck = true; return op }
 	post := RMW(2, 1, Text(5))
 	post.Post, post.HasPost = 6, true
@@ -134,7 +135,7 @@ func TestAppendBuildersOverwriteRecycledSlots(t *testing.T) {
 		{"wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, false, Text(3)) }, WaitGE(2, 5, Text(3))},
 		{"owned wait", func(b []Op) []Op { return AppendWaitGE(b, 2, 5, true, Text(3)) }, owned(WaitGE(2, 5, Text(3)))},
 		{"writeif", func(b []Op) []Op { return AppendWriteVarIfGE(b, 2, 5, 3, true, Text(4)) },
-			owned(WriteVarIfGE(2, 5, 3, Text(4)))},
+			Op{Kind: OpWriteIf, Var: 2, Value: 5, CondGE: 3, Tag: Text(4), OwnCheck: true}},
 		{"rmw", func(b []Op) []Op { return AppendRMWPost(b, 2, 1, 6, Text(5)) }, post},
 	}
 	for _, c := range cases {

@@ -92,9 +92,7 @@ func TestWitnessOwnershipPrompt(t *testing.T) {
 	pc := m.NewRegVar("PC[0]", 1)
 	markTag, work := m.Text("mark"), m.Text("work")
 	st, err := m.RunLoop(4, func(ops []Op, iter int64) []Op {
-		mark := WriteVarIfGE(pc, iter, iter, markTag)
-		mark.OwnCheck = true
-		return append(ops, Compute(1, 0, 0, work), mark)
+		return AppendWriteVarIfGE(AppendCompute(ops, 1, 0, 0, work), pc, iter, iter, true, markTag)
 	})
 	if err != nil {
 		t.Fatal(err)

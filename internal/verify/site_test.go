@@ -33,7 +33,7 @@ func regexpSite(tag string) string {
 // fold its tag, and waits whose sites render alike to share one site.
 func TestSiteCorpus(t *testing.T) {
 	seen := make(map[string]bool)
-	var ops []codegen.SyncOp
+	var ops []sim.Op
 	var buf []byte
 	for _, g := range goldenCorpus(t) {
 		for _, c := range g.cases {
@@ -45,7 +45,7 @@ func TestSiteCorpus(t *testing.T) {
 			for i := int64(1); i <= min(sp.Iters, 512); i++ {
 				ops = sp.At(ops[:0], i)
 				for _, op := range ops {
-					if op.Kind != codegen.SyncWait {
+					if op.Kind != sim.OpWait {
 						continue
 					}
 					site := sp.Machine.SiteOf(op.Tag)
@@ -93,12 +93,12 @@ func FuzzSite(f *testing.F) {
 		sp := progs[k]
 		m := sp.Machine
 		sites := make(map[string]sim.Label)
-		var ops []codegen.SyncOp
+		var ops []sim.Op
 		var buf []byte
 		for _, it := range []uint64{i, j} {
 			ops = sp.At(ops[:0], 1+int64(it%uint64(sp.Iters)))
 			for _, op := range ops {
-				if op.Kind != codegen.SyncWait {
+				if op.Kind != sim.OpWait {
 					continue
 				}
 				site := m.SiteOf(op.Tag)

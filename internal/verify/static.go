@@ -44,15 +44,16 @@ func Static(sp *codegen.SyncProgram, opt Options) *Report {
 }
 
 // sigRec is one signal on a variable: node id, producing iteration,
-// position within the iteration, and the signalled value.
+// position within the iteration, and the signalled value. A conditional
+// signal (the improved mark_PC) may not fire, and fires only when a value
+// of at least guard is visible.
 type sigRec struct {
-	id       int
-	iter     int64
-	k        int32
-	val      int64
-	cond     bool
-	guard    int64
-	hasGuard bool
+	id    int
+	iter  int64
+	k     int32
+	val   int64
+	cond  bool
+	guard int64
 }
 
 type waitRec struct {
@@ -107,16 +108,18 @@ const (
 	arenaMax   = 1 << 16
 )
 
-// checker holds one verification's tables. Nodes are the analyzed steps,
-// numbered iteration by iteration; every per-node table is a slice indexed
-// by node id and every per-variable table a slice indexed by variable id.
+// checker holds one verification's tables. Nodes are the analyzed ops,
+// numbered iteration by iteration: every sync op, and the compute op of
+// each statement execution (Op.Stmt set). Every per-node table is a slice
+// indexed by node id and every per-variable table a slice indexed by
+// variable id.
 type checker struct {
 	sp  *codegen.SyncProgram
 	rep *Report
 	w   int64 // analyzed iterations
 
-	ops      []codegen.SyncOp // every node's step, by node id
-	base     []int            // node-id offset per iteration; base[i+1]-base[i] steps
+	ops      []sim.Op // every node's op, by node id
+	base     []int    // node-id offset per iteration; base[i+1]-base[i] nodes
 	total    int
 	iterOf   []int32
 	kOf      []int32
@@ -157,12 +160,23 @@ type checker struct {
 
 func (c *checker) vname(v int) string { return c.sp.Machine.VarName(sim.VarID(v)) }
 
-// tagOf renders node id's tag, its step kind when it has none.
+// tagOf renders node id's tag.
 func (c *checker) tagOf(id int) string {
-	if c.buf = c.sp.AppendTag(c.buf[:0], c.ops[id]); len(c.buf) == 0 {
-		return c.ops[id].Kind.String()
-	}
+	c.buf = c.sp.AppendTag(c.buf[:0], c.ops[id])
 	return string(c.buf)
+}
+
+// signal returns the value node op publishes if it is a signal: a write's
+// value, or the post value an accumulating increment is stamped with. An
+// increment without one is opaque, not a signal.
+func signal(op *sim.Op) (int64, bool) {
+	switch op.Kind {
+	case sim.OpWrite, sim.OpWriteIf:
+		return op.Value, true
+	case sim.OpRMW:
+		return op.Post, op.HasPost
+	}
+	return 0, false
 }
 
 // addHard appends a hard finding, deduplicating by key: repeated instances
@@ -180,11 +194,19 @@ func (c *checker) addHard(key findKey, f Finding) {
 func (c *checker) materialize() {
 	c.nStmts = len(c.sp.Workload.Nest.Stmts())
 	c.base = make([]int, c.w+2)
+	// A program may overwrite all of its dst, so each iteration is built
+	// in one scratch buffer and its nodes are copied out of it.
+	var prog []sim.Op
 	for i := int64(1); i <= c.w; i++ {
-		c.ops = c.sp.At(c.ops, i)
+		prog = c.sp.At(prog[:0], i)
 		if i == 1 {
 			// Iterations emit programs of about one size.
-			c.ops = slices.Grow(c.ops, len(c.ops)*int(c.w-1))
+			c.ops = make([]sim.Op, 0, len(prog)*int(c.w))
+		}
+		for k := range prog {
+			if op := &prog[k]; op.Kind != sim.OpCompute || op.Stmt != 0 {
+				c.ops = append(c.ops, *op)
+			}
 		}
 		c.base[i+1] = len(c.ops)
 	}
@@ -201,11 +223,10 @@ func (c *checker) materialize() {
 	c.sigStart = make([]int32, nv+1)
 	nWaits := 0
 	for i := range c.ops {
-		switch op := &c.ops[i]; op.Kind {
-		case codegen.SyncSignal:
-			c.sigStart[op.Var+1]++
-		case codegen.SyncWait:
+		if op := &c.ops[i]; op.Kind == sim.OpWait {
 			nWaits++
+		} else if _, ok := signal(op); ok {
+			c.sigStart[op.Var+1]++
 		}
 	}
 	for v := 1; v <= nv; v++ {
@@ -221,25 +242,24 @@ func (c *checker) materialize() {
 			k := int32(id - c.base[i])
 			c.iterOf[id] = int32(i)
 			c.kOf[id] = k
-			switch op.Kind {
-			case codegen.SyncStmt:
-				row[op.Stmt] = int32(id)
-			case codegen.SyncSignal:
+			switch val, ok := signal(op); {
+			case op.Kind == sim.OpCompute:
+				row[op.Stmt-1] = int32(id)
+			case op.Kind == sim.OpWait:
+				c.rep.Waits++
+				c.waits = append(c.waits, waitRec{id: id, v: int(op.Var), t: op.Value})
+			case !ok:
+				c.vinfo[op.Var].opaque = true
+			default:
 				c.rep.Signals++
-				c.sigBuf[c.sigStart[op.Var]] = sigRec{
-					id: id, iter: i, k: k, val: op.Value,
-					cond: op.Conditional, guard: op.Guard, hasGuard: op.HasGuard}
+				cond := op.Kind == sim.OpWriteIf
+				c.sigBuf[c.sigStart[op.Var]] = sigRec{id: id, iter: i, k: k, val: val, cond: cond, guard: op.CondGE}
 				c.sigStart[op.Var]++
-				if vi := &c.vinfo[op.Var]; op.Accum {
+				if vi := &c.vinfo[op.Var]; op.Kind == sim.OpRMW {
 					vi.accum = true
 				} else {
 					vi.plain = true
 				}
-			case codegen.SyncWait:
-				c.rep.Waits++
-				c.waits = append(c.waits, waitRec{id: id, v: int(op.Var), t: op.Value})
-			case codegen.SyncOpaque:
-				c.vinfo[op.Var].opaque = true
 			}
 		}
 	}
@@ -306,7 +326,7 @@ func (c *checker) buildReleases() {
 		if vi.bad {
 			continue
 		}
-		init := c.sp.VarInit[w.v]
+		init := m.VarValue(sim.VarID(w.v))
 		ss := c.sigs(w.v)
 		first := c.sigStart[w.v]
 		var rel span
@@ -676,7 +696,7 @@ func (c *checker) checkChains() {
 			if a.iter == b.iter && a.k < b.k {
 				continue
 			}
-			if b.hasGuard && b.guard >= a.val {
+			if b.cond && b.guard >= a.val {
 				continue // b fires only once a value >= a.val is visible
 			}
 			if c.clockAt(b.id, a.iter) > a.k {

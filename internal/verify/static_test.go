@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/csrd-repro/datasync/internal/codegen"
+	"github.com/csrd-repro/datasync/internal/lang"
+	"github.com/csrd-repro/datasync/internal/service"
 	"github.com/csrd-repro/datasync/internal/sim"
 	"github.com/csrd-repro/datasync/internal/verify"
 	"github.com/csrd-repro/datasync/internal/workloads"
@@ -83,30 +85,57 @@ func TestStaticReportShape(t *testing.T) {
 	}
 }
 
+// TestStaticDuplicateStatementNames: a .do statement's explicit label may
+// repeat the default name of an unlabeled one. Here both statements are
+// named S2, and they must still be two statements: the verifier finds a
+// statement's node by the position its op carries, never by its name.
+// Looking names up folded both onto one position: under process(X=4) at
+// N = 40 it saw 238 nodes and checked 39 of the 116 pairs.
+func TestStaticDuplicateStatementNames(t *testing.T) {
+	const dup = "DO I = 1, 40\n  S2: A[I] = A[I-1] + 1\n      B[I] = A[I-2] + B[I-1]\nEND DO\n"
+	twin := strings.Replace(dup, "      B[I]", "  S3: B[I]", 1)
+	parse := func(src string) *codegen.Workload {
+		w, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	if st := parse(dup).Nest.Stmts(); len(st) != 2 || st[0].Name != "S2" || st[1].Name != "S2" {
+		t.Fatalf("want two statements named S2, parsed %d", len(st))
+	}
+	static := func(src string, spec service.SchemeSpec) *verify.Report {
+		return verify.Static(extract(t, parse(src), spec), verify.Options{})
+	}
+	for _, s := range verifiableSchemes {
+		spec := service.SchemeSpec{Name: s, X: 4}
+		got, want := static(dup, spec), static(twin, spec)
+		if got.Nodes != want.Nodes || got.PairsChecked != want.PairsChecked || !got.OK() {
+			t.Errorf("%s: duplicate names give %d nodes and %d pairs, distinct names %d and %d:\n%s",
+				s, got.Nodes, got.PairsChecked, want.Nodes, want.PairsChecked, got)
+		}
+		if s == "process" && (got.Nodes != 278 || got.PairsChecked != 116) {
+			t.Errorf("process: %d nodes and %d pairs, want 278 and 116", got.Nodes, got.PairsChecked)
+		}
+	}
+}
+
 // TestStaticDeadlock feeds a fabricated two-iteration program whose waits
 // release each other in a cycle and expects a deadlock certificate.
 func TestStaticDeadlock(t *testing.T) {
 	w := workloads.Recurrence(2, 1, 1)
 	m := sim.New(sim.Config{Processors: 1})
-	m.NewRegVar("A", 0)
-	m.NewRegVar("B", 0)
-	iter1 := []codegen.SyncOp{
-		{Kind: codegen.SyncWait, Var: 0, Value: 1, Tag: m.Text("wait A>=1 i=1")},
-		{Kind: codegen.SyncStmt, Stmt: 0},
-		{Kind: codegen.SyncSignal, Var: 1, Value: 1, Tag: m.Text("signal B=1 i=1")},
-	}
-	iter2 := []codegen.SyncOp{
-		{Kind: codegen.SyncWait, Var: 1, Value: 1, Tag: m.Text("wait B>=1 i=2")},
-		{Kind: codegen.SyncStmt, Stmt: 0},
-		{Kind: codegen.SyncSignal, Var: 0, Value: 1, Tag: m.Text("signal A=1 i=2")},
-	}
+	a, b := m.NewRegVar("A", 0), m.NewRegVar("B", 0)
+	s1 := sim.Compute(1, 0, 0, sim.Label{})
+	s1.Stmt = 1
+	iter1 := []sim.Op{sim.WaitGE(a, 1, m.Text("wait A>=1 i=1")), s1, sim.WriteVar(b, 1, m.Text("signal B=1 i=1"))}
+	iter2 := []sim.Op{sim.WaitGE(b, 1, m.Text("wait B>=1 i=2")), s1, sim.WriteVar(a, 1, m.Text("signal A=1 i=2"))}
 	sp := &codegen.SyncProgram{
 		Workload: w,
 		Scheme:   "fabricated-cycle",
 		Iters:    2,
-		VarInit:  []int64{0, 0},
 		Machine:  m,
-		At: func(dst []codegen.SyncOp, iter int64) []codegen.SyncOp {
+		At: func(dst []sim.Op, iter int64) []sim.Op {
 			if iter == 1 {
 				return append(dst, iter1...)
 			}

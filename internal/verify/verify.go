@@ -1,10 +1,10 @@
 // Package verify checks generated synchronization programs against the loop
 // nest's dependence set — the correctness side of the paper's schemes.
 //
-// The static half (Static) takes the abstract synchronization program a
-// scheme emits (codegen.ExtractSyncProgram) and constructs the
-// happens-before relation its waits and signals induce over the iteration
-// space, without running the machine. On that relation it checks that
+// The static half (Static) reads the sim.Ops a scheme emits
+// (codegen.ExtractSyncProgram) and constructs the happens-before relation
+// its waits and signals induce over the iteration space, without running
+// the machine. On that relation it checks that
 //
 //   - every cross-iteration dependence arc is ordered (an uncovered arc is
 //     reported as a race with a concrete iteration-pair witness),

@@ -55,8 +55,8 @@ func TestBranchyShape(t *testing.T) {
 	if !w.Nest.HasBranches() {
 		t.Fatal("no branches")
 	}
-	odd := w.Nest.FlatBody([]int64{3})
-	even := w.Nest.FlatBody([]int64{4})
+	odd := w.Nest.FlatBodyInto(nil, []int64{3})
+	even := w.Nest.FlatBodyInto(nil, []int64{4})
 	if odd[1].Name != "S2" || even[1].Name != "S3" {
 		t.Errorf("arm resolution wrong: %s / %s", odd[1].Name, even[1].Name)
 	}
