@@ -17,8 +17,9 @@
 //
 // Liveness is at GET /healthz (including the node's cluster view),
 // Prometheus-style metrics at GET /metrics. On SIGTERM or SIGINT the server
-// stops accepting connections, hands its cache entries to their next owners
+// stops accepting connections, announces its departure to its peers
 // (cluster members only), drains queued and in-flight jobs, and exits 0.
+// Its cache leaves with it: the keys' next owners recompute them.
 package main
 
 import (
@@ -125,7 +126,7 @@ func main() {
 		service.Fatal(os.Stderr, "dsserve", err)
 		os.Exit(1)
 	}
-	node.DrainHandoff(shutCtx)
+	node.Depart(shutCtx)
 	node.Stop()
 	if err := srv.Drain(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
 		service.Fatal(os.Stderr, "dsserve", err)

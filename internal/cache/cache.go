@@ -145,8 +145,8 @@ func (c *Cache) Do(k Key, fn func() (any, error)) (val any, hit bool, err error)
 
 // Peek returns the cached value for the key without touching the LRU order
 // or the hit/miss counters. The cluster layer uses it for replica-hit
-// accounting and cache export: observation must not distort effectiveness
-// statistics or recency.
+// accounting: observation must not distort effectiveness statistics or
+// recency.
 func (c *Cache) Peek(k Key) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -156,8 +156,8 @@ func (c *Cache) Peek(k Key) (any, bool) {
 	return nil, false
 }
 
-// Put stores a value directly, bypassing singleflight. Handed-off and
-// replicated entries arrive this way: the value was computed (and content-
+// Put stores a value directly, bypassing singleflight. Entries imported
+// from a peer arrive this way: the value was computed (and content-
 // addressed) elsewhere, so there is nothing to deduplicate. An existing
 // entry is overwritten — determinism makes any two values under one key
 // semantically identical.
@@ -165,21 +165,6 @@ func (c *Cache) Put(k Key, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store(k, v)
-}
-
-// Range calls f for every stored entry, most recently used first, over a
-// snapshot taken under the lock (f itself runs without it, so it may call
-// back into the cache). In-flight computations are not included.
-func (c *Cache) Range(f func(k Key, v any)) {
-	c.mu.Lock()
-	snap := make([]entry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		snap = append(snap, *el.Value.(*entry))
-	}
-	c.mu.Unlock()
-	for _, e := range snap {
-		f(e.key, e.val)
-	}
 }
 
 // store inserts a value under the lock, evicting the LRU tail past capacity.

@@ -1,14 +1,6 @@
 package cluster
 
-// The peer-internal binary bodies, both in one frame grammar.
-//
-// The /internal/handoff body is one batch of cache entries:
-//
-//	handoff = "dsho" 0x01 field(from) field(reason) { field(key) field(kind) field(body) }
-//
-// Entries run to the end of the body. An entry's body is the owner's
-// compact hit answer (service.CacheEntry), carried as it is: no JSON
-// framing around it is escaped, validated or compacted on either side.
+// The peer-internal binary body.
 //
 // The /internal/sweep answer is the points of one sweep sub-grid, in the
 // order of the dispatched sub-request's Points:
@@ -18,7 +10,7 @@ package cluster
 //	         field(scheme) bool(cached) varint(cycles) varint(syncTraffic)
 //	         varint(syncOps) float(speedup) field(error)
 //
-// The magics name the format and its version. Common terms:
+// The magic names the format and its version. Terms:
 //
 //	field  = uvarint(length) bytes
 //	varint = zig-zag varint (encoding/binary)
@@ -36,43 +28,12 @@ import (
 )
 
 const (
-	handoffMagic       = "dsho\x01"
-	handoffContentType = "application/x-dsserve-handoff"
-	pointsMagic        = "dssp\x01"
-	pointsContentType  = "application/x-dsserve-points"
+	pointsMagic       = "dssp\x01"
+	pointsContentType = "application/x-dsserve-points"
 )
 
-// HandoffRequest is one batch of cache entries moving between peers; Reason
-// names why they move ("drain").
-type HandoffRequest struct {
-	From    string
-	Reason  string
-	Entries []service.CacheEntry
-}
-
-// frames encodes the batch as an /internal/handoff body, in a buffer sized
-// from the summed field lengths.
-func (h *HandoffRequest) frames() []byte {
-	size := len(handoffMagic) + fieldLen(len(h.From)) + fieldLen(len(h.Reason))
-	for _, e := range h.Entries {
-		size += fieldLen(len(e.Key)) + fieldLen(len(e.Kind)) + fieldLen(len(e.Body))
-	}
-	b := append(make([]byte, 0, size), handoffMagic...)
-	b = appendField(appendField(b, h.From), h.Reason)
-	for _, e := range h.Entries {
-		b = appendField(appendField(appendField(b, e.Key), e.Kind), e.Body)
-	}
-	return b
-}
-
-func appendField[S string | []byte](b []byte, f S) []byte {
+func appendField(b []byte, f string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(f))), f...)
-}
-
-// fieldLen is the encoded size of a field of n bytes.
-func fieldLen(n int) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], uint64(n)) + n
 }
 
 // frameReader reads the terms of the frame grammar off the front of a
@@ -141,30 +102,6 @@ func (r *frameReader) float() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.rest))
 	r.rest = r.rest[8:]
 	return v
-}
-
-// parseFrames decodes an /internal/handoff body. A wrong magic or version,
-// a truncated field or a length past the end of the body is an error. The
-// entries' bodies alias b, each capped at its own length.
-func parseFrames(b []byte) (HandoffRequest, error) {
-	var h HandoffRequest
-	rest, ok := bytes.CutPrefix(b, []byte(handoffMagic))
-	if !ok {
-		return h, errors.New("not a handoff frame body (wrong magic or version)")
-	}
-	r := frameReader{rest: rest}
-	h.From, h.Reason = string(r.field()), string(r.field())
-	if r.err != nil {
-		return h, r.err
-	}
-	for len(r.rest) > 0 {
-		key, kind, body := r.field(), r.field(), r.field()
-		if r.err != nil {
-			return h, fmt.Errorf("entry %d: %w", len(h.Entries), r.err)
-		}
-		h.Entries = append(h.Entries, service.CacheEntry{Key: string(key), Kind: string(kind), Body: body})
-	}
-	return h, nil
 }
 
 // pointFrames encodes pts as an /internal/sweep answer, in a buffer sized

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"maps"
 	"net/http"
@@ -12,6 +13,46 @@ import (
 	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/service"
 )
+
+// keyedCases are one keyed request per cached route, and a compile
+// refusal, whose hit answer is a 400.
+var keyedCases = []struct {
+	route string
+	req   any
+	code  int
+}{
+	{"/run", testRunReq, http.StatusOK},
+	{"/verify", service.VerifyRequest{
+		Workload: service.WorkloadSpec{Name: "recurrence", N: 16},
+		Scheme:   service.SchemeSpec{Name: "ref"},
+		Config:   service.ConfigSpec{P: 3},
+		Dynamic:  true,
+	}, http.StatusOK},
+	{"/compile", service.CompileRequest{
+		Source:  "package p\nfunc k(a []int) {\n\tfor i := 1; i < 20; i++ {\n\t\ta[i] = a[i-1] + i\n\t}\n}\n",
+		Schemes: []service.SchemeSpec{{Name: "process", X: 2}, {Name: "ref"}},
+		Config:  service.ConfigSpec{P: 4},
+	}, http.StatusOK},
+	{"/compile", service.CompileRequest{Source: "package p\nfunc k() {}\n"}, http.StatusBadRequest},
+}
+
+func requestKey(t testing.TB, req any) cache.Key {
+	t.Helper()
+	var k cache.Key
+	var err error
+	switch r := req.(type) {
+	case service.RunRequest:
+		k, err = service.RunKey(r)
+	case service.VerifyRequest:
+		k, err = service.VerifyKey(r)
+	case service.CompileRequest:
+		k, err = service.CompileRequestKey(r)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
 
 // keepRoles returns the indexes of key's configured owner and of a node
 // that does not own it, which holds the key only if it keeps a relayed
@@ -53,8 +94,8 @@ func cachedFlag(t *testing.T, body []byte) bool {
 func TestForwardedHitIsKept(t *testing.T) {
 	t.Run("kept", func(t *testing.T) {
 		tc := startCluster(t, 3, Options{})
-		for _, c := range frameCases {
-			key := frameCaseKey(t, c.req)
+		for _, c := range keyedCases {
+			key := requestKey(t, c.req)
 			o, e := keepRoles(t, tc, key)
 			edge := tc.nodes[e]
 			owner := tc.nodes[o].self.ID
@@ -113,12 +154,12 @@ func TestForwardedHitIsKept(t *testing.T) {
 				w.Write((*d)(rec.Body.Bytes()))
 			})
 		})
-		for ci, c := range frameCases {
+		for ci, c := range keyedCases {
 			if c.code != http.StatusOK {
 				continue
 			}
-			key := frameCaseKey(t, c.req)
-			other := frameCaseKey(t, frameCases[(ci+1)%len(frameCases)].req)
+			key := requestKey(t, c.req)
+			other := requestKey(t, keyedCases[(ci+1)%len(keyedCases)].req)
 			o, e := keepRoles(t, tc, key)
 			edge := tc.nodes[e]
 			kept := edge.forwardKept.Load()
@@ -167,7 +208,7 @@ func TestForwardedHitIsKept(t *testing.T) {
 // no forward and no error, byte-identical to the owner's own miss answer.
 func TestEvictedHeldKeyIsComputed(t *testing.T) {
 	tc := startClusterWrapped(t, 3, Options{}, service.Options{CacheSize: 1}, nil)
-	key := frameCaseKey(t, testRunReq)
+	key := requestKey(t, testRunReq)
 	o, e := keepRoles(t, tc, key)
 	edge := tc.nodes[e]
 	_, ownerMiss := postNode(t, tc.addrs[o], "/run", testRunReq, nil)
@@ -179,10 +220,14 @@ func TestEvictedHeldKeyIsComputed(t *testing.T) {
 
 	// The handler runs after an import of another key has evicted the held
 	// one from the one-entry cache.
-	evictor := syntheticEntries(t, func(cache.Key) bool { return true }, 1)[0]
+	evictor := cache.Key(sha256.Sum256([]byte("evictor")))
+	evictorHit, err := json.Marshal(service.RunResponse{Workload: "synthetic", Key: evictor.String(), Cached: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	inner := edge.srv.Handler()
 	h := edge.middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if err := edge.srv.ImportCacheEntry(evictor); err != nil {
+		if err := edge.srv.ImportCacheEntry(evictor, "run", evictorHit); err != nil {
 			t.Error(err)
 		}
 		inner.ServeHTTP(w, r)

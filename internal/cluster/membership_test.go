@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/service"
 )
 
@@ -57,7 +56,7 @@ func (tc *testCluster) restart(t *testing.T, i int) {
 }
 
 // quietNode builds a standalone Node (no HTTP listener) for state-machine
-// tests; probing and replication loops are off unless opts enables them.
+// tests; probing is off unless opts enables it.
 func quietNode(t testing.TB, opts Options, members []Member) *Node {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -223,90 +222,10 @@ func TestClusterKillReplicaServeRestartRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterDrainHandoffWarmHitRate: after a drain handoff, at least 90%
-// of the drained node's cache entries answer as hits on their new owners.
-// The handoff alone carries the cache.
-func TestClusterDrainHandoffWarmHitRate(t *testing.T) {
-	tc := startCluster(t, 3, Options{PeerToken: "s3cret"})
-
-	full := tc.nodes[0].full
-	var reqs []service.RunRequest
-	var keys []cache.Key
-	for n := int64(8); len(reqs) < 10 && n < 400; n += 4 {
-		req := testRunReq
-		req.Workload.N = n
-		k, err := service.RunKey(req)
-		if err != nil {
-			continue
-		}
-		if full.Owner(k).ID == "n0" {
-			reqs = append(reqs, req)
-			keys = append(keys, k)
-		}
-	}
-	if len(reqs) < 10 {
-		t.Fatalf("found only %d keys owned by n0; enlarge the search range", len(reqs))
-	}
-
-	for i, req := range reqs {
-		resp, body := postNode(t, tc.addrs[0], "/run", req, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fill %d: %d %s", i, resp.StatusCode, body)
-		}
-	}
-
-	rep := tc.nodes[0].DrainHandoff(context.Background())
-	if rep.Entries < len(reqs) {
-		t.Fatalf("handoff delivered %d entries, want >= %d (report %+v)", rep.Entries, len(reqs), rep)
-	}
-	if rep.FailedBatches != 0 {
-		t.Errorf("handoff lost %d batches with all peers up", rep.FailedBatches)
-	}
-
-	// The departure announcement demoted n0 everywhere (drain cause).
-	for _, i := range []int{1, 2} {
-		if got := tc.nodes[i].PeerState("n0"); got != "demoted" {
-			t.Errorf("%s holds n0 %q after its departure announcement, want demoted", tc.nodes[i].self.ID, got)
-		}
-	}
-
-	rest, err := full.Without("n0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := 0
-	for i, req := range reqs {
-		newOwnerID := rest.Owner(keys[i]).ID
-		idx := -1
-		for j, n := range tc.nodes {
-			if n.self.ID == newOwnerID {
-				idx = j
-			}
-		}
-		resp, body := postNode(t, tc.addrs[idx], "/run", req, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-handoff fetch %d: %d %s", i, resp.StatusCode, body)
-		}
-		var rr service.RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			t.Fatal(err)
-		}
-		if rr.Cached {
-			hits++
-		}
-	}
-	if hits*10 < len(reqs)*9 {
-		t.Errorf("warm hit rate %d/%d after handoff, want >= 90%%", hits, len(reqs))
-	}
-	recv := tc.nodes[1].handoffRecvEntries.Load() + tc.nodes[2].handoffRecvEntries.Load()
-	if recv < int64(len(reqs)) {
-		t.Errorf("survivors imported %d entries, want >= %d", recv, len(reqs))
-	}
-}
-
-// TestSweepAfterDrainMatchesOracle: once a node has drained its cache to
-// the next owners and left, the remaining members still merge a cluster
-// sweep — now served from handed-off entries — to the single-node oracle.
+// TestSweepAfterDrainMatchesOracle: once a node has announced its
+// departure and left, taking its cache with it, the remaining members
+// still merge a cluster sweep, recomputing the departed node's points, to
+// the single-node oracle.
 func TestSweepAfterDrainMatchesOracle(t *testing.T) {
 	tc := startCluster(t, 3, Options{StealChunk: 2})
 	sweep := service.SweepRequest{
@@ -318,10 +237,7 @@ func TestSweepAfterDrainMatchesOracle(t *testing.T) {
 		t.Fatalf("pre-drain /sweep: %d %s", resp.StatusCode, body)
 	}
 
-	rep := tc.nodes[0].DrainHandoff(context.Background())
-	if rep.Entries == 0 || rep.FailedBatches != 0 {
-		t.Fatalf("drain handoff report %+v, want entries > 0 with no failed batches", rep)
-	}
+	tc.nodes[0].Depart(context.Background())
 	tc.kill(0)
 
 	resp, body := postNode(t, tc.addrs[1], "/sweep", sweep, nil)

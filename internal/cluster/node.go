@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -85,8 +86,9 @@ type Options struct {
 	// (deliberate, evidence-backed) bypass the cooldown.
 	DemoteCooldown time.Duration
 	// Replicas is ignored: entries move between nodes only by kept
-	// forwards and drain handoff (reconcile.go), never by pushing fills.
-	// It remains because the benchmark harness in bench/dsload sets it.
+	// forwards (keepRelayed), never by pushing fills or a draining node's
+	// cache. It remains because the benchmark harness in bench/dsload sets
+	// it.
 	Replicas int
 	// Logger receives peer-event logs (default slog.Default).
 	Logger *slog.Logger
@@ -172,11 +174,6 @@ type Node struct {
 
 	replicaHits   atomic.Int64 // non-owned keys served from the local cache
 	replicaMisses atomic.Int64 // non-owned keys served by local recompute
-
-	handoffSentEntries atomic.Int64
-	handoffSentBytes   atomic.Int64
-	handoffRecvEntries atomic.Int64
-	handoffRecvBytes   atomic.Int64
 }
 
 // New builds the node and its underlying service.Server (whose /healthz
@@ -435,15 +432,15 @@ func (n *Node) middleware(inner http.Handler) http.Handler {
 		if strings.HasPrefix(r.URL.Path, "/internal/") {
 			// Peer-internal endpoints: authenticated peer traffic only (the
 			// token check above already ran for forwarded requests), and no
-			// admission — cache transfer must work while a tenant is shed.
+			// admission — a sweep sub-grid was admitted at the edge that
+			// split the sweep, and a departure must be heard while a tenant
+			// is shed.
 			if !forwarded {
 				n.writeError(w, http.StatusForbidden,
 					fmt.Errorf("cluster: %s is peer-internal", r.URL.Path))
 				return
 			}
 			switch r.URL.Path {
-			case "/internal/handoff":
-				n.handleHandoff(w, r)
 			case "/internal/departing":
 				n.handleDeparting(w, r)
 			case "/internal/sweep":
@@ -527,9 +524,9 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 
 // serveKeyed serves a prepared request locally, with replica accounting:
 // when the key's configured (full-membership) owner is some other node, a
-// local cache entry is a replica hit (a drain handoff or a kept forward
-// paid off) and a miss means recompute. The counters measure
-// exactly what moving entries between nodes is for.
+// local cache entry is a replica hit (a kept forward paid off) and a miss
+// means recompute (the owner is gone, or this node never kept the key).
+// The counters measure exactly what moving entries between nodes is for.
 func (n *Node) serveKeyed(w http.ResponseWriter, r *http.Request, inner http.Handler, p *service.Prepared) {
 	if n.full.Owner(p.Key).ID != n.self.ID {
 		if n.srv.CacheHas(p.Key) {
@@ -611,7 +608,7 @@ func (n *Node) keepRelayed(key cache.Key, kind string, relayed []byte) {
 	if json.Compact(&compact, relayed) != nil {
 		return
 	}
-	if n.srv.ImportCacheEntry(service.CacheEntry{Key: key.String(), Kind: kind, Body: compact.Bytes()}) == nil {
+	if n.srv.ImportCacheEntry(key, kind, compact.Bytes()) == nil {
 		n.forwardKept.Add(1)
 	}
 }
@@ -676,12 +673,8 @@ func (n *Node) metricsAppend(w io.Writer) {
 	fmt.Fprintf(w, "# HELP dsserve_ring_skew_total Peer exchanges that observed a differing ring version.\n# TYPE dsserve_ring_skew_total counter\ndsserve_ring_skew_total %d\n", n.ringSkews.Load())
 	fmt.Fprintf(w, "# HELP dsserve_unknown_demotions_total Demotion requests for IDs outside the configured membership (ignored).\n# TYPE dsserve_unknown_demotions_total counter\ndsserve_unknown_demotions_total %d\n", n.unknownDemotions.Load())
 	fmt.Fprintf(w, "# HELP dsserve_degraded Whether more than half of the configured peers are demoted.\n# TYPE dsserve_degraded gauge\ndsserve_degraded %d\n", deg)
-	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (a drain handoff or a kept forward paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
+	fmt.Fprintf(w, "# HELP dsserve_replica_hits_total Non-owned keys served from the local cache (a kept forward paid off).\n# TYPE dsserve_replica_hits_total counter\ndsserve_replica_hits_total %d\n", n.replicaHits.Load())
 	fmt.Fprintf(w, "# HELP dsserve_replica_misses_total Non-owned keys served by local recompute.\n# TYPE dsserve_replica_misses_total counter\ndsserve_replica_misses_total %d\n", n.replicaMisses.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_sent_total Cache entries handed off to new owners during drain.\n# TYPE dsserve_handoff_entries_sent_total counter\ndsserve_handoff_entries_sent_total %d\n", n.handoffSentEntries.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_sent_total Compact answer bytes of the cache entries handed off during drain.\n# TYPE dsserve_handoff_bytes_sent_total counter\ndsserve_handoff_bytes_sent_total %d\n", n.handoffSentBytes.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_entries_received_total Cache entries imported from peers by drain handoff.\n# TYPE dsserve_handoff_entries_received_total counter\ndsserve_handoff_entries_received_total %d\n", n.handoffRecvEntries.Load())
-	fmt.Fprintf(w, "# HELP dsserve_handoff_bytes_received_total Compact answer bytes of the cache entries imported from peers.\n# TYPE dsserve_handoff_bytes_received_total counter\ndsserve_handoff_bytes_received_total %d\n", n.handoffRecvBytes.Load())
 	sheds := n.adm.Sheds()
 	if len(sheds) > 0 {
 		fmt.Fprintf(w, "# HELP dsserve_tenant_shed_total Requests shed by per-tenant admission (429s), by tenant.\n# TYPE dsserve_tenant_shed_total counter\n")
@@ -689,6 +682,24 @@ func (n *Node) metricsAppend(w io.Writer) {
 			fmt.Fprintf(w, "dsserve_tenant_shed_total{tenant=%q} %d\n", s.Tenant, s.Shed)
 		}
 	}
+}
+
+// readPeer reads a peer-internal request body of at most limit bytes into
+// a buffer sized from its Content-Length, answering 413 or 400 itself when
+// it cannot.
+func (n *Node) readPeer(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		n.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: %s exceeds %d bytes", what, limit))
+	case err != nil:
+		n.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read %s: %w", what, err))
+	default:
+		return buf.Bytes(), true
+	}
+	return nil, false
 }
 
 // writeJSON writes a 200 JSON answer for the cluster-owned endpoints,

@@ -30,8 +30,8 @@ type testCluster struct {
 }
 
 // linkSwitch cuts directed peer links inside a test cluster. Every peer
-// exchange (forwards, sweep dispatches, probes, gossip, handoff, replica
-// pushes) names its sender in HeaderNode, so the receiving node can tell
+// exchange (forwards, sweep dispatches, probes, gossip, departure
+// announcements) names its sender in HeaderNode, so the receiving node can tell
 // which link a request crossed. A request over a cut link has its
 // connection closed before any answer: the sender sees a transport error,
 // as it would across a real partition. Requests without a sender (the

@@ -3,13 +3,11 @@ package cluster
 // Partition-tolerance tests: a partition cut and healed through the test
 // cluster's link switch (demotion, oracle-identical sweeps on both sides,
 // readmission, no member bounced after the heal), sweeps across skewed
-// ring views, duplicate handoff delivery, bounded peer-internal bodies,
-// probe jitter, asymmetric-partition gossip, and drain retargeting.
+// ring views, bounded peer-internal bodies, probe jitter and
+// asymmetric-partition gossip.
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,32 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/csrd-repro/datasync/internal/cache"
 	"github.com/csrd-repro/datasync/internal/service"
 )
-
-// syntheticEntries fabricates importable run-kind cache entries whose keys
-// satisfy the owned predicate — membership scenarios need many keys on one
-// node without paying for real simulations. Each body is the key's
-// decorated hit answer, as an owner exports it.
-func syntheticEntries(t *testing.T, owned func(cache.Key) bool, count int) []service.CacheEntry {
-	t.Helper()
-	var out []service.CacheEntry
-	for i := 0; len(out) < count; i++ {
-		if i > 1_000_000 {
-			t.Fatalf("could not find %d keys matching the predicate", count)
-		}
-		k := cache.Key(sha256.Sum256([]byte(fmt.Sprintf("synthetic-%d", i))))
-		if owned(k) {
-			body, err := json.Marshal(service.RunResponse{Workload: "synthetic", Key: k.String(), Cached: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, service.CacheEntry{Key: k.String(), Kind: "run", Body: body})
-		}
-	}
-	return out
-}
 
 func getMetrics(t *testing.T, addr string) string {
 	t.Helper()
@@ -132,7 +106,9 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // TestInternalBodyBounds413: peer-internal ingestion endpoints refuse
-// oversized bodies with 413 instead of buffering them.
+// oversized bodies with 413 instead of buffering them. /internal/handoff,
+// the drain's cache transfer, is gone: an authenticated post to it is a
+// 404.
 func TestInternalBodyBounds413(t *testing.T) {
 	tc := startCluster(t, 2, Options{})
 	post := func(path string, body []byte) *http.Response {
@@ -152,10 +128,6 @@ func TestInternalBodyBounds413(t *testing.T) {
 		return resp
 	}
 
-	huge := bytes.Repeat([]byte("x"), maxHandoffBody+1024)
-	if resp := post("/internal/handoff", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized handoff: %d, want 413", resp.StatusCode)
-	}
 	big := bytes.Repeat([]byte("x"), service.MaxBody+1024)
 	if resp := post("/internal/departing", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized departure: %d, want 413", resp.StatusCode)
@@ -163,11 +135,8 @@ func TestInternalBodyBounds413(t *testing.T) {
 	if resp := post("/internal/sweep", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized sweep sub-grid: %d, want 413", resp.StatusCode)
 	}
-
-	// Control: a well-formed batch still imports.
-	ok := (&HandoffRequest{From: "n1", Reason: "drain"}).frames()
-	if resp := post("/internal/handoff", ok); resp.StatusCode != http.StatusOK {
-		t.Errorf("well-formed handoff: %d, want 200", resp.StatusCode)
+	if resp := post("/internal/handoff", []byte("dsho\x01")); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/internal/handoff: %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -306,75 +275,6 @@ func TestHealedPartitionDoesNotBounceAMember(t *testing.T) {
 	}
 }
 
-// TestDuplicateHandoffIsHarmless: delivering the same /internal/handoff
-// batch twice leaves the receiver holding each key once, and a /run hit on
-// the receiver answers the owner's own hit bytes after either delivery. A
-// peer push retried after a lost answer arrives twice in just this way.
-func TestDuplicateHandoffIsHarmless(t *testing.T) {
-	tc := startCluster(t, 2, Options{})
-
-	// Three n0-owned results, computed and cached on n0 alone; want holds
-	// n0's own cache-hit bytes for each.
-	var reqs []service.RunRequest
-	var entries []service.CacheEntry
-	var want [][]byte
-	for n := int64(24); len(reqs) < 3; n += 2 {
-		req := testRunReq
-		req.Workload.N = n
-		k, err := service.RunKey(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.nodes[0].full.Owner(k).ID != "n0" {
-			continue
-		}
-		for pass := 0; pass < 2; pass++ {
-			resp, body := postNode(t, tc.addrs[0], "/run", req, nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/run N=%d on n0: %d %s", n, resp.StatusCode, body)
-			}
-			if pass == 1 {
-				want = append(want, body)
-			}
-		}
-		e, ok := tc.nodes[0].srv.ExportCacheEntry(k)
-		if !ok {
-			t.Fatalf("n0 holds no entry for %s after serving it", k)
-		}
-		reqs = append(reqs, req)
-		entries = append(entries, e)
-	}
-
-	peer := map[string]string{HeaderForwarded: "1", HeaderNode: "n0"}
-	batch := HandoffRequest{From: "n0", Reason: "replicate", Entries: entries}
-	for delivery := 1; delivery <= 2; delivery++ {
-		if resp, body := postNode(t, tc.addrs[1], "/internal/handoff", batch.frames(), peer); resp.StatusCode != http.StatusOK {
-			t.Fatalf("delivery %d: %d %s", delivery, resp.StatusCode, body)
-		}
-		seen := map[cache.Key]int{}
-		tc.nodes[1].srv.RangeCacheKeys(func(k cache.Key) { seen[k]++ })
-		if len(seen) != len(entries) {
-			t.Errorf("delivery %d: n1 holds %d keys, want %d", delivery, len(seen), len(entries))
-		}
-		for k, c := range seen {
-			if c != 1 {
-				t.Errorf("delivery %d: n1 holds key %s %d times", delivery, k, c)
-			}
-		}
-		// A forwarded request is served where it lands. n0's hit bytes say
-		// "cached": true, so equal bytes mean n1 answered from its copy.
-		for i, req := range reqs {
-			resp, body := postNode(t, tc.addrs[1], "/run", req, peer)
-			if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderNode) != "n1" {
-				t.Fatalf("delivery %d: /run on n1: %d from %q %s", delivery, resp.StatusCode, resp.Header.Get(HeaderNode), body)
-			}
-			if !bytes.Equal(body, want[i]) {
-				t.Errorf("delivery %d: n1 answers N=%d with\n%s\nn0's hit is\n%s", delivery, req.Workload.N, body, want[i])
-			}
-		}
-	}
-}
-
 // TestGossipAsymmetricPartition: n0 and n2 cannot reach n1, but n1 reaches
 // both (an asymmetric link failure). The reachable majority converges on
 // the same live set (without n1); n1 keeps its full view, and requests
@@ -435,77 +335,5 @@ func TestGossipAsymmetricPartition(t *testing.T) {
 		if got, want := n.Ring().Version(), n.full.Version(); got != want {
 			t.Errorf("%s live ring %s after the heal, want the full ring %s", n.self.ID, got, want)
 		}
-	}
-}
-
-// TestDrainHandoffSkipsDeadTarget: a handoff target that dies mid-drain
-// costs one failed batch, not the shutdown deadline — the remainder of its
-// entries re-target their next live successor and the drain exits promptly.
-func TestDrainHandoffSkipsDeadTarget(t *testing.T) {
-	tc := startCluster(t, 3, Options{})
-	full := tc.nodes[0].full
-
-	entries := syntheticEntries(t, func(k cache.Key) bool {
-		return full.Owner(k).ID == "n0"
-	}, 200)
-	for _, e := range entries {
-		if err := tc.nodes[0].srv.ImportCacheEntry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Expected receivers on the ring without n0: both peers must appear, and
-	// the doomed target must hold more than one batch so the drain would
-	// visibly stall if it retried every batch into the dead peer.
-	rest, err := full.Without("n0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	group := map[string]int{}
-	for _, e := range entries {
-		k, err := cache.ParseKey(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		group[rest.Owner(k).ID]++
-	}
-	if group["n1"] <= handoffBatch || group["n2"] == 0 {
-		t.Fatalf("entry spread %v; need n1 > one batch and n2 > 0 — reseed the synthetic keys", group)
-	}
-
-	tc.kill(1)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	start := time.Now()
-	rep := tc.nodes[0].DrainHandoff(ctx)
-	elapsed := time.Since(start)
-
-	if elapsed > 5*time.Second {
-		t.Errorf("drain took %v with one dead target; must skip, not retry into the deadline", elapsed)
-	}
-	if rep.FailedBatches != 1 {
-		t.Errorf("failedBatches = %d, want exactly 1 (the batch that discovered the death)", rep.FailedBatches)
-	}
-	if rep.Peers != 1 {
-		t.Errorf("receiving peers = %d, want 1 (only n2 survives)", rep.Peers)
-	}
-	want := len(entries) - handoffBatch
-	if rep.Entries != want {
-		t.Errorf("delivered %d entries, want %d (all but the one lost batch)", rep.Entries, want)
-	}
-	// The retargeted remainder really landed on n2.
-	held := 0
-	for _, e := range entries {
-		k, err := cache.ParseKey(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.nodes[2].srv.CacheHas(k) {
-			held++
-		}
-	}
-	if held != want {
-		t.Errorf("n2 holds %d of the drained entries, want %d", held, want)
 	}
 }

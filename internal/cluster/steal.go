@@ -305,7 +305,7 @@ func (run *sweepRun) runTask(ctx context.Context, m Member, task *sweepTask) {
 	cl.Header = cl.Header.Clone()
 	cl.Header.Set(HeaderRingVersion, run.n.ring.Load().Version())
 	var pts []service.SweepPoint
-	err = cl.PostBody(ctx, "/internal/sweep", "application/json", body, func(b []byte) (err error) {
+	err = cl.PostBody(ctx, "/internal/sweep", body, func(b []byte) (err error) {
 		pts, err = parsePoints(b, len(task.indices))
 		return err
 	})

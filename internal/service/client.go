@@ -75,17 +75,17 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 	if out != nil {
 		decode = func(b []byte) error { return json.Unmarshal(b, out) }
 	}
-	return c.PostBody(ctx, path, "application/json", body, decode)
+	return c.PostBody(ctx, path, body, decode)
 }
 
-// PostBody posts a body already encoded as contentType, with PostJSON's
-// retries, and hands the 200 response body to decode (when non-nil). A
+// PostBody posts a JSON body already encoded, with PostJSON's retries, and
+// hands the 200 response body, JSON or not, to decode (when non-nil). A
 // decode error is returned at once, not retried.
-func (c *Client) PostBody(ctx context.Context, path, contentType string, body []byte, decode func([]byte) error) error {
+func (c *Client) PostBody(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	cl := c.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := cl.post(ctx, path, contentType, body)
+		resp, err := cl.post(ctx, path, body)
 		var retry bool
 		var retryAfter time.Duration
 		switch {
@@ -160,12 +160,12 @@ func (r clientResp) message() string {
 	return string(bytes.TrimSpace(r.body))
 }
 
-func (c *Client) post(ctx context.Context, path, contentType string, body []byte) (clientResp, error) {
+func (c *Client) post(ctx context.Context, path string, body []byte) (clientResp, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return clientResp{}, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range c.Header {
 		req.Header[k] = vs
 	}
@@ -197,7 +197,7 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte) (status 
 	cl := c.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := cl.post(ctx, path, "application/json", body)
+		resp, err := cl.post(ctx, path, body)
 		if err == nil {
 			return resp.code, resp.body, resp.header, nil
 		}

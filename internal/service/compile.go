@@ -76,8 +76,6 @@ func (r CompileResponse) decorated(key cache.Key, hit bool) CompileResponse {
 	return r
 }
 
-func (CompileResponse) kind() string { return "compile" }
-
 // Hard reports whether the outcome should fail a gating caller: any
 // rejected candidate, any static verification finding, or a loop that no
 // requested scheme could synchronize.

@@ -103,13 +103,7 @@ func TestHitBodyByteIdentity(t *testing.T) {
 			t.Errorf("%s: fill and hit differ beyond the cached flag:\nfill: %s\nhit:  %s", c.route, fill, hit)
 		}
 
-		e, ok := a.ExportCacheEntry(k)
-		if !ok {
-			t.Fatalf("%s: export failed", c.route)
-		}
-		if err := b.ImportCacheEntry(e); err != nil {
-			t.Fatalf("%s: import: %v", c.route, err)
-		}
+		importHit(t, b, k, c.route, hit)
 		code, imported := postJSON(t, hb.URL+c.route, c.req)
 		if code != http.StatusOK {
 			t.Fatalf("%s imported hit: %d %s", c.route, code, imported)
@@ -127,17 +121,16 @@ func TestHitBodyByteIdentity(t *testing.T) {
 // its hit body once and all serve the same bytes (run under -race: the
 // body is shared by every goroutine serving the entry).
 func TestHitBodyConcurrent(t *testing.T) {
-	a, ha := transferTestServer(t)
+	_, ha := transferTestServer(t)
 	b, hb := transferTestServer(t)
 	for _, c := range hitCases {
 		k := caseKey(t, c.route, c.req)
-		if code, body := postJSON(t, ha.URL+c.route, c.req); code != http.StatusOK {
-			t.Fatalf("%s fill: %d %s", c.route, code, body)
+		postJSON(t, ha.URL+c.route, c.req)
+		code, hit := postJSON(t, ha.URL+c.route, c.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s hit: %d %s", c.route, code, hit)
 		}
-		e, _ := a.ExportCacheEntry(k)
-		if err := b.ImportCacheEntry(e); err != nil {
-			t.Fatal(err)
-		}
+		importHit(t, b, k, c.route, hit)
 		reqBody, err := json.Marshal(c.req)
 		if err != nil {
 			t.Fatal(err)

@@ -360,7 +360,6 @@ func CompileRequestKey(req CompileRequest) (cache.Key, error) {
 type answer[T any] interface {
 	RunResponse | VerifyResponse | CompileResponse
 	decorated(key cache.Key, hit bool) T // the answer as served under key
-	kind() string                        // the type's name in a handoff frame
 }
 
 // entry is a result-cache value: the one answer its key names. A computed
@@ -399,31 +398,21 @@ func (e *entry[T]) decorate(key cache.Key, hit bool) T {
 	return e.val.decorated(key, hit)
 }
 
-// kind names the entry's answer type in a handoff frame.
-func (*entry[T]) kind() string {
-	var zero T
-	return zero.kind()
-}
-
-// compact returns the entry's compact hit answer, json.Marshal of the
-// answer decorated with cached: true and its key: raw as it is, or a
-// computed entry's answer marshalled anew.
-func (e *entry[T]) compact(key cache.Key) ([]byte, error) {
-	if e.raw != nil {
-		return e.raw, nil
-	}
-	return json.Marshal(e.val.decorated(key, true))
-}
-
 // hitBytes returns the entry's hit body, rendered on first use as
-// json.Indent of the compact hit answer plus a newline. That is what
-// encodeIndented writes for the decorated answer (the encoder marshals
-// compact, appends the newline and indents), so an imported entry serves
-// the owner's bytes without decoding them.
+// json.Indent of the compact hit answer (an imported entry's raw answer as
+// it is, or json.Marshal of a computed answer decorated with cached: true
+// and its key) plus a newline. That is what encodeIndented writes for the
+// decorated answer (the encoder marshals compact, appends the newline and
+// indents), so an imported entry serves the owner's bytes without decoding
+// them.
 func (e *entry[T]) hitBytes(key cache.Key) []byte {
 	e.render.Do(func() {
+		c, err := e.raw, error(nil)
+		if c == nil {
+			c, err = json.Marshal(e.val.decorated(key, true))
+		}
 		var buf bytes.Buffer
-		if c, err := e.compact(key); err == nil && json.Indent(&buf, c, "", "  ") == nil {
+		if err == nil && json.Indent(&buf, c, "", "  ") == nil {
 			e.hit = append(buf.Bytes(), '\n')
 		}
 	})

@@ -176,8 +176,6 @@ func (r RunResponse) decorated(key cache.Key, hit bool) RunResponse {
 	return r
 }
 
-func (RunResponse) kind() string { return "run" }
-
 // VerifyRequest asks for a dsvet verdict on one workload x scheme pair.
 type VerifyRequest struct {
 	Workload WorkloadSpec `json:"workload"`
@@ -205,8 +203,6 @@ func (r VerifyResponse) decorated(key cache.Key, hit bool) VerifyResponse {
 	r.Key, r.Cached = key.String(), hit
 	return r
 }
-
-func (VerifyResponse) kind() string { return "verify" }
 
 type errorResponse struct {
 	Error string `json:"error"`

@@ -43,10 +43,26 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// TestCacheExportImportByteIdentity: an entry exported from one server and
-// imported into another re-serves byte-identical response bodies — the
-// property that makes drain handoff and replication pure cache-provenance
-// moves. Covered for /run and /verify.
+// importHit imports into s the hit body another server answered for k
+// on route, as a cluster entry node keeps a relayed hit: compacted back to
+// the owner's compact answer. It returns the buffer it imported from.
+func importHit(t *testing.T, s *Server, k cache.Key, route string, hit []byte) []byte {
+	t.Helper()
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, hit); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ImportCacheEntry(k, strings.TrimPrefix(route, "/"), compact.Bytes()); err != nil {
+		t.Fatalf("import %s entry: %v", route, err)
+	}
+	return compact.Bytes()
+}
+
+// TestCacheExportImportByteIdentity: an owner's hit answer imported into
+// another server re-serves byte-identical response bodies, and a sweep
+// on the importer reads the imported run entry as the owner's sweep point:
+// the property that makes a kept forward a pure cache-provenance move.
+// Covered for /run and /verify.
 func TestCacheExportImportByteIdentity(t *testing.T) {
 	a, ha := transferTestServer(t)
 	b, hb := transferTestServer(t)
@@ -72,25 +88,9 @@ func TestCacheExportImportByteIdentity(t *testing.T) {
 	}
 	_, cachedVerify := postJSON(t, ha.URL+"/verify", verifyReq)
 
-	var entries []CacheEntry
-	a.RangeCacheKeys(func(k cache.Key) {
-		if e, ok := a.ExportCacheEntry(k); ok {
-			entries = append(entries, e)
-		}
-	})
-	if len(entries) != 2 {
-		t.Fatalf("exported %d entries, want 2 (run + verify)", len(entries))
-	}
-	kinds := map[string]bool{}
-	for _, e := range entries {
-		if err := b.ImportCacheEntry(e); err != nil {
-			t.Fatalf("import %s entry: %v", e.Kind, err)
-		}
-		kinds[e.Kind] = true
-	}
-	if !kinds["run"] || !kinds["verify"] {
-		t.Fatalf("exported kinds %v, want run and verify", kinds)
-	}
+	runKey, verifyKey := caseKey(t, "/run", runReq), caseKey(t, "/verify", verifyReq)
+	importHit(t, b, runKey, "/run", cachedRun)
+	importHit(t, b, verifyKey, "/verify", cachedVerify)
 
 	// B answers from the imported entries: cache hits, identical bytes.
 	code, gotRun := postJSON(t, hb.URL+"/run", runReq)
@@ -98,14 +98,14 @@ func TestCacheExportImportByteIdentity(t *testing.T) {
 		t.Fatalf("/run on importer: %d %s", code, gotRun)
 	}
 	if !bytes.Equal(gotRun, cachedRun) {
-		t.Errorf("imported /run bytes differ:\nexporter: %s\nimporter: %s", cachedRun, gotRun)
+		t.Errorf("imported /run bytes differ:\nowner:    %s\nimporter: %s", cachedRun, gotRun)
 	}
 	var rr RunResponse
 	if err := json.Unmarshal(gotRun, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if !rr.Cached {
-		t.Error("importer recomputed a handed-off run entry")
+		t.Error("importer recomputed an imported run entry")
 	}
 
 	code, gotVerify := postJSON(t, hb.URL+"/verify", verifyReq)
@@ -113,51 +113,101 @@ func TestCacheExportImportByteIdentity(t *testing.T) {
 		t.Fatalf("/verify on importer: %d %s", code, gotVerify)
 	}
 	if !bytes.Equal(gotVerify, cachedVerify) {
-		t.Errorf("imported /verify bytes differ:\nexporter: %s\nimporter: %s", cachedVerify, gotVerify)
+		t.Errorf("imported /verify bytes differ:\nowner:    %s\nimporter: %s", cachedVerify, gotVerify)
+	}
+
+	// A one-point sweep over the run request reads the imported entry.
+	sweep := SweepRequest{Workload: runReq.Workload, Scheme: runReq.Scheme, Config: runReq.Config}
+	if _, keys, err := SweepPointKeys(sweep); err != nil || len(keys) != 1 || keys[0] != runKey {
+		t.Fatalf("sweep point keys %v (%v), want the /run key alone", keys, err)
+	}
+	wantSweep, err := a.EvalSweep(context.Background(), sweep) // a hit on the owner
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSweep, err := b.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSweep, wantSweep) || !gotSweep.Points[0].Cached {
+		t.Errorf("sweep on the importer:\n%+v\nthe owner's:\n%+v", gotSweep, wantSweep)
 	}
 
 	// CacheHas sees the imported entries without disturbing stats.
-	for _, e := range entries {
-		k, err := cache.ParseKey(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, k := range []cache.Key{runKey, verifyKey} {
 		if !b.CacheHas(k) {
-			t.Errorf("CacheHas(%s) = false after import", e.Key)
+			t.Errorf("CacheHas(%s) = false after import", k)
 		}
 	}
 }
 
-// TestImportCacheEntryRejects: malformed keys, bodies and unknown kinds
-// are errors, not panics or silent corruption.
+// TestImportCopiesBody: an imported entry keeps its own copy of its body,
+// at exactly its length, so it pins none of the caller's buffer (a kept
+// forward imports from the buffer the relayed answer was compacted into).
+// Overwriting that buffer changes nothing the entry serves.
+func TestImportCopiesBody(t *testing.T) {
+	_, ha := transferTestServer(t)
+	b, hb := transferTestServer(t)
+	for _, c := range hitCases {
+		k := caseKey(t, c.route, c.req)
+		postJSON(t, ha.URL+c.route, c.req)
+		code, want := postJSON(t, ha.URL+c.route, c.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s hit on the owner: %d %s", c.route, code, want)
+		}
+		buf := importHit(t, b, k, c.route, want)
+		for i := range buf {
+			buf[i] = 'x'
+		}
+		v, _ := b.cache.Peek(k)
+		var raw []byte
+		switch e := v.(type) {
+		case *runResult:
+			raw = e.raw
+		case *verifyResult:
+			raw = e.raw
+		case *compileResult:
+			raw = e.raw
+		}
+		if len(raw) == 0 || cap(raw) != len(raw) {
+			t.Errorf("%s: stored body has capacity %d for %d bytes", c.route, cap(raw), len(raw))
+		}
+		code, got := postJSON(t, hb.URL+c.route, c.req)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s after the overwrite: %d\n%s\nwant the owner's hit\n%s", c.route, code, got, want)
+		}
+	}
+}
+
+// TestImportCacheEntryRejects: unknown kinds and bodies that are not the
+// key's hit answer are errors, not panics or silent corruption.
 func TestImportCacheEntryRejects(t *testing.T) {
 	s, _ := transferTestServer(t)
 
-	cases := []CacheEntry{
-		{Key: "zz", Kind: "run", Body: json.RawMessage(`{}`)},
-		{Key: "abcd", Kind: "run", Body: json.RawMessage(`{}`)}, // wrong length
-		{Key: validTestKey(), Kind: "alien", Body: json.RawMessage(`{}`)},
-		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{not json`)},
-		{Key: validTestKey(), Kind: "verify", Body: json.RawMessage(`[]`)},
+	var k cache.Key
+	cases := []struct {
+		kind string
+		body string
+	}{
+		{"alien", `{}`},
+		{"run", `{not json`},
+		{"verify", `[]`},
 		// Bodies that are JSON but not the key's hit answer: undecorated, decorated
 		// with another key, and decorated as a fill (cached: false).
-		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"workload":"w","scheme":"s"}`)},
-		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"key":"` + strings.Repeat("ff", 32) + `","cached":true}`)},
-		{Key: validTestKey(), Kind: "run", Body: json.RawMessage(`{"key":"` + validTestKey() + `","cached":false}`)},
+		{"run", `{"workload":"w","scheme":"s"}`},
+		{"run", `{"key":"` + strings.Repeat("ff", 32) + `","cached":true}`},
+		{"run", `{"key":"` + k.String() + `","cached":false}`},
+		// The key's hit answer under a kind the server does not know.
+		{"sweep", `{"key":"` + k.String() + `","cached":true}`},
 	}
-	for i, e := range cases {
-		if err := s.ImportCacheEntry(e); err == nil {
-			t.Errorf("case %d (%s/%s) imported without error", i, e.Key, e.Kind)
+	for i, c := range cases {
+		if err := s.ImportCacheEntry(k, c.kind, []byte(c.body)); err == nil {
+			t.Errorf("case %d (%s %s) imported without error", i, c.kind, c.body)
 		}
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("rejected imports left %d cache entries", n)
 	}
-}
-
-func validTestKey() string {
-	var k cache.Key
-	return k.String()
 }
 
 // TestUndecodableImportIsRecomputed: an imported entry whose body passes
@@ -177,13 +227,10 @@ func TestUndecodableImportIsRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []CacheEntry{
-		{Key: keys[0].String(), Kind: "run"},
-		{Key: caseKey(t, "/compile", comp).String(), Kind: "compile"},
-	} {
-		e.Body = []byte(`{"key":"` + e.Key + `","cached":true,"cycles":"many","loops":7}`)
-		if err := s.ImportCacheEntry(e); err != nil {
-			t.Fatalf("import %s: %v", e.Kind, err)
+	for kind, k := range map[string]cache.Key{"run": keys[0], "compile": caseKey(t, "/compile", comp)} {
+		body := []byte(`{"key":"` + k.String() + `","cached":true,"cycles":"many","loops":7}`)
+		if err := s.ImportCacheEntry(k, kind, body); err != nil {
+			t.Fatalf("import %s: %v", kind, err)
 		}
 	}
 
@@ -207,9 +254,9 @@ func TestUndecodableImportIsRecomputed(t *testing.T) {
 }
 
 // TestImportedEntryConcurrentReads: concurrent first reads of an imported
-// run entry, sweeps that decode it, hits that render its hit body and
-// exports, all agree with the owner (run under -race: the decode and the
-// render each happen once, on whichever goroutine comes first).
+// run entry, sweeps that decode it and hits that render its hit body, all
+// agree with the owner (run under -race: the decode and the render each
+// happen once, on whichever goroutine comes first).
 func TestImportedEntryConcurrentReads(t *testing.T) {
 	a, ha := transferTestServer(t)
 	b, hb := transferTestServer(t)
@@ -225,11 +272,7 @@ func TestImportedEntryConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := caseKey(t, "/run", runReq)
-	e, _ := a.ExportCacheEntry(k)
-	if err := b.ImportCacheEntry(e); err != nil {
-		t.Fatal(err)
-	}
+	importHit(t, b, caseKey(t, "/run", runReq), "/run", wantHit)
 	body, err := json.Marshal(runReq)
 	if err != nil {
 		t.Fatal(err)
@@ -239,26 +282,21 @@ func TestImportedEntryConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch i % 3 {
-			case 0:
+			if i%2 == 0 {
 				if got, err := b.EvalSweep(context.Background(), sweep); err != nil || !reflect.DeepEqual(got, wantSweep) {
 					t.Errorf("sweep on the importer: %+v (%v), want %+v", got, err, wantSweep)
 				}
-			case 1:
-				resp, err := http.Post(hb.URL+"/run", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || !bytes.Equal(got, wantHit) {
-					t.Errorf("hit on the importer:\n%s (%v)\nwant\n%s", got, err, wantHit)
-				}
-			default:
-				if got, ok := b.ExportCacheEntry(k); !ok || !bytes.Equal(got.Body, e.Body) {
-					t.Error("re-export differs from the imported body")
-				}
+				return
+			}
+			resp, err := http.Post(hb.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || !bytes.Equal(got, wantHit) {
+				t.Errorf("hit on the importer:\n%s (%v)\nwant\n%s", got, err, wantHit)
 			}
 		}()
 	}

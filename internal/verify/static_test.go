@@ -217,8 +217,8 @@ func TestStaticTruncation(t *testing.T) {
 // variable id, so verifying one program twice gives byte-identical JSON.
 // With every wait dropped, fig21 under process-basic X=4 has findings on
 // several variables, as does the statement scheme; their order used to
-// follow map iteration, and a /verify body is cached and replicated as
-// bytes.
+// follow map iteration, and a /verify body is cached, and kept by the
+// cluster nodes that forward it, as bytes.
 func TestStaticFindingOrder(t *testing.T) {
 	dropWaits := dropOps(func(_ *sim.Machine, op sim.Op) bool { return op.Kind == sim.OpWait })
 	for _, base := range []codegen.Scheme{codegen.ProcessOriented{X: 4}, codegen.StatementOriented{}} {

@@ -5,8 +5,9 @@
 # Three nodes agree on the ring, a request computed via one node is a cache
 # hit via another (the forward visible in /metrics), a sweep merges
 # cluster-wide, and a hot tenant is shed with 429s while a cool tenant is
-# served. Then the cluster rolls: SIGTERM node b (clean drain, the cache
-# handoff visible in the survivors' /metrics), hard-kill node c (the prober
+# served. Then the cluster rolls: SIGTERM node b (clean drain; a key b
+# owned is recomputed by a survivor, whose repeat answers b's hit bytes
+# exactly), hard-kill node c (the prober
 # demotes it, healthz flips to degraded, a key node a computed is still
 # served from its cache, and a sweep through a, alone in its ring, answers
 # in full), and restart c (readmitted within the probe window, healthz back
@@ -157,18 +158,35 @@ curl -fsS -X POST "$BASE_B/run" -H 'X-DSServe-Tenant: cool' -d "$body" >/dev/nul
   fail "cool tenant rejected during hot tenant shedding"
 echo "cluster smoke: hot tenant shed $shed/12, cool tenant served"
 
-# Step 1 — SIGTERM node b: it must drain cleanly (exit 0) AND hand its cache
-# off to the next owners, visible in the survivors' /metrics. The survivors
-# keep serving: requests previously owned by b heal onto a and c.
+# Step 1 — SIGTERM node b: it must drain cleanly (exit 0). Its cache leaves
+# with it: a key b owned is recomputed by its next owner ("cached": false),
+# and the repeat is byte-identical to b's own hit answer. Before the drain,
+# find such a key: entered at b, its miss is answered by b itself. Every
+# request below names its own tenant, so admission never sheds it.
+drain_n=""
+for n in $(seq 100 2 160); do
+  curl -fsS -D "$BINDIR/probe.hdr" -o /dev/null -X POST "$BASE_B/run" \
+    -H "X-DSServe-Tenant: drain-probe-$n" -d "$(run_body "$n")"
+  if grep -qi '^X-DSServe-Node: b' "$BINDIR/probe.hdr"; then drain_n=$n; break; fi
+done
+[ -n "$drain_n" ] || fail "no fig21 key with N in 100..160 is owned by node b"
+curl -fsS -o "$BINDIR/b.hit" -X POST "$BASE_B/run" -H 'X-DSServe-Tenant: drain-hit' -d "$(run_body "$drain_n")"
+grep -q '"cached": true' "$BINDIR/b.hit" || fail "node b's repeat of N=$drain_n was not a hit: $(cat "$BINDIR/b.hit")"
 stop_clean "$PID_B"
-handoff=$(sum_metric dsserve_handoff_entries_received_total "$BASE_A" "$BASE_C")
-[ "$handoff" -ge 1 ] || fail "survivors received no handoff entries from node b's drain (got $handoff)"
+curl -fsS -o "$BINDIR/first" -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: drain-first' -d "$(run_body "$drain_n")"
+grep -q '"cached": false' "$BINDIR/first" ||
+  fail "the survivors' first answer for b's key N=$drain_n was not a recomputation: $(cat "$BINDIR/first")"
+curl -fsS -o "$BINDIR/again" -X POST "$BASE_A/run" -H 'X-DSServe-Tenant: drain-again' -d "$(run_body "$drain_n")"
+cmp -s "$BINDIR/b.hit" "$BINDIR/again" ||
+  fail "the survivors' repeat for b's key N=$drain_n differs from b's hit: $(cat "$BINDIR/again")"
+# The survivors keep serving: requests previously owned by b heal onto a
+# and c.
 for i in $(seq 1 5); do
   # Distinct tenants: this loop tests survival, not the admission budget.
   curl -fsS -X POST "$BASE_A/run" -H "X-DSServe-Tenant: survivor-$i" -d "$(run_body $((60 + i)))" |
     grep -q '"cycles"' || fail "survivor cluster failed to serve run $i after node b left"
 done
-echo "cluster smoke: node b drained with handoff ($handoff entries received)"
+echo "cluster smoke: node b drained; its key N=$drain_n recomputed, then byte-identical to b's hit"
 
 # Step 2 — hard-kill node c (no drain, no departure announcement): a's
 # prober must demote it, healthz must flip to degraded (a majority of
