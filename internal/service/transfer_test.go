@@ -59,12 +59,11 @@ func importHit(t *testing.T, s *Server, k cache.Key, route string, hit []byte) [
 }
 
 // TestCacheExportImportByteIdentity: an owner's hit answer imported into
-// another server re-serves byte-identical response bodies, and a sweep
-// on the importer reads the imported run entry as the owner's sweep point:
-// the property that makes a kept forward a pure cache-provenance move.
-// Covered for /run and /verify.
+// another server re-serves byte-identical response bodies — the property
+// that makes a kept forward a pure cache-provenance move. Covered for /run
+// and /verify.
 func TestCacheExportImportByteIdentity(t *testing.T) {
-	a, ha := transferTestServer(t)
+	_, ha := transferTestServer(t)
 	b, hb := transferTestServer(t)
 
 	runReq := RunRequest{
@@ -116,28 +115,57 @@ func TestCacheExportImportByteIdentity(t *testing.T) {
 		t.Errorf("imported /verify bytes differ:\nowner:    %s\nimporter: %s", cachedVerify, gotVerify)
 	}
 
-	// A one-point sweep over the run request reads the imported entry.
-	sweep := SweepRequest{Workload: runReq.Workload, Scheme: runReq.Scheme, Config: runReq.Config}
-	if _, keys, err := SweepPointKeys(sweep); err != nil || len(keys) != 1 || keys[0] != runKey {
-		t.Fatalf("sweep point keys %v (%v), want the /run key alone", keys, err)
-	}
-	wantSweep, err := a.EvalSweep(context.Background(), sweep) // a hit on the owner
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSweep, err := b.EvalSweep(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSweep, wantSweep) || !gotSweep.Points[0].Cached {
-		t.Errorf("sweep on the importer:\n%+v\nthe owner's:\n%+v", gotSweep, wantSweep)
-	}
-
 	// CacheHas sees the imported entries without disturbing stats.
 	for _, k := range []cache.Key{runKey, verifyKey} {
 		if !b.CacheHas(k) {
 			t.Errorf("CacheHas(%s) = false after import", k)
 		}
+	}
+}
+
+// TestReimportedEntryByteIdentity: an entry imported from an importer's
+// hit answer, as a chain of kept forwards moves it, serves the owner's hit
+// bytes on /run, /verify and /compile, and a sweep on the second importer
+// reads the twice-imported run entry as the owner's sweep point.
+func TestReimportedEntryByteIdentity(t *testing.T) {
+	owner, ho := transferTestServer(t)
+	b, hb := transferTestServer(t)
+	c, hc := transferTestServer(t)
+	for _, tc := range hitCases {
+		k := caseKey(t, tc.route, tc.req)
+		postJSON(t, ho.URL+tc.route, tc.req)
+		code, want := postJSON(t, ho.URL+tc.route, tc.req)
+		if code != http.StatusOK {
+			t.Fatalf("%s hit on the owner: %d %s", tc.route, code, want)
+		}
+		importHit(t, b, k, tc.route, want)
+		code, first := postJSON(t, hb.URL+tc.route, tc.req)
+		if code != http.StatusOK || !bytes.Equal(first, want) {
+			t.Fatalf("%s on the first importer: %d\n%s\nwant the owner's hit\n%s", tc.route, code, first, want)
+		}
+		importHit(t, c, k, tc.route, first)
+		code, second := postJSON(t, hc.URL+tc.route, tc.req)
+		if code != http.StatusOK || !bytes.Equal(second, want) {
+			t.Errorf("%s on the second importer: %d\n%s\nwant the owner's hit\n%s", tc.route, code, second, want)
+		}
+	}
+
+	// A one-point sweep over the /run case reads the twice-imported entry.
+	run := hitCases[0].req.(RunRequest)
+	sweep := SweepRequest{Workload: run.Workload, Scheme: run.Scheme, Config: run.Config}
+	if _, keys, err := SweepPointKeys(sweep); err != nil || len(keys) != 1 || keys[0] != caseKey(t, "/run", run) {
+		t.Fatalf("sweep point keys %v (%v), want the /run key alone", keys, err)
+	}
+	wantSweep, err := owner.EvalSweep(context.Background(), sweep) // a hit on the owner
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSweep, err := c.EvalSweep(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSweep, wantSweep) || !gotSweep.Points[0].Cached {
+		t.Errorf("sweep on the second importer:\n%+v\nthe owner's:\n%+v", gotSweep, wantSweep)
 	}
 }
 
